@@ -38,11 +38,11 @@ type breaker struct {
 }
 
 // SetFaults installs plane as the server's fault schedule (nil uninstalls),
-// sizing the per-shard breaker array from the plane's breaker config and
-// pointing every connected link's failure hook at the plane — links
-// connected later inherit it via Connect. Call between replays, not while
-// batches are in flight: the exec path reads the plane pointer without
-// locking.
+// sizing the per-shard breaker array from the plane's breaker config. Every
+// connection sees it from its next batch on: the exec path consults the
+// link's timeout roll through the installed plane (preExecFault). Call
+// between replays, not while batches are in flight: the exec path reads
+// the plane pointer without locking.
 func (s *Server) SetFaults(plane *faults.Plane) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -53,13 +53,6 @@ func (s *Server) SetFaults(plane *faults.Plane) {
 		s.brkCfg = plane.Config().Breaker
 		if s.brkCfg.Threshold > 0 {
 			s.brk = make([]breaker, s.shards)
-		}
-	}
-	for _, l := range s.links {
-		if plane != nil {
-			l.SetFault(plane)
-		} else {
-			l.SetFault(nil)
 		}
 	}
 }
@@ -88,7 +81,7 @@ func (s *Server) touchedShards(mask uint64) []int {
 //  1. circuit breaker — an open breaker on any touched shard rejects the
 //     batch locally: no round trip, failure observed at arrival;
 //  2. link timeout — the request is lost in flight and the failure is
-//     observed only after the timeout's wasted delay (the link hook has
+//     observed only after the timeout's wasted delay (the link has
 //     already charged that delay to its own accounting);
 //  3. poisoned arguments — the server rejects the batch permanently after
 //     one wasted round trip;
@@ -102,7 +95,7 @@ func (s *Server) preExecFault(link *netsim.Link, arrival time.Duration, reqBytes
 	if err := s.breakerCheck(shards, arrival); err != nil {
 		return arrival, err
 	}
-	if delay, err := link.TripFault(arrival); err != nil {
+	if delay, err := link.TripFault(s.faults, arrival); err != nil {
 		return arrival + delay, err
 	}
 	for _, st := range stmts {

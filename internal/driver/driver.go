@@ -175,9 +175,6 @@ type Server struct {
 	// Guarded by mu.
 	brk    []breaker
 	brkCfg faults.Breaker
-	// links tracks every connected link so SetFaults can (un)install the
-	// link failure hook retroactively. Guarded by mu.
-	links []*netsim.Link
 
 	mu    sync.Mutex
 	stats ServerStats
@@ -252,14 +249,14 @@ type busySpan struct{ from, to time.Duration }
 type laneBusy struct{ spans []busySpan }
 
 // free reports the earliest start >= from at which the lane is
-// continuously idle for dur. A single forward pass works because spans
-// are sorted and disjoint: each overlap pushes the candidate window right,
-// never left.
+// continuously idle for dur. Spans are sorted and disjoint, so their ends
+// are sorted too: the first span that can conflict is found by binary
+// search, and from there a forward pass works because each overlap pushes
+// the candidate window right, never left. A batch arriving past the lane's
+// last span — every batch of a single session — costs O(log spans).
 func (l *laneBusy) free(from, dur time.Duration) time.Duration {
-	for _, sp := range l.spans {
-		if sp.to <= from {
-			continue
-		}
+	i := sort.Search(len(l.spans), func(i int) bool { return l.spans[i].to > from })
+	for _, sp := range l.spans[i:] {
 		if sp.from >= from+dur {
 			break
 		}
@@ -616,10 +613,11 @@ func (s *Server) execReadBatch(parsed []sqlparse.Statement, stmts []Stmt, traced
 // batch leaves behind — other sessions queue behind the share, not the
 // whole cost. The wait is attributed to ServerStats.QueueWait once and
 // the placement to WorkerBatches/WorkerBusy per lane. Returns the start
-// time, the per-lane share, and the chosen lanes (lanes[0], the lowest
-// shard's, is the primary for trace attribution). At shards == 1 this is
-// the flat K-queue model with backfill: one lane chosen, share == cost.
-func (s *Server) occupy(arrival, cost time.Duration, mask uint64) (time.Duration, time.Duration, []int) {
+// time, the per-lane share, and the chosen lanes appended to the caller's
+// buffer (lanes[0], the lowest shard's, is the primary for trace
+// attribution). At shards == 1 this is the flat K-queue model with
+// backfill: one lane chosen, share == cost.
+func (s *Server) occupy(arrival, cost time.Duration, mask uint64, lanes []int) (time.Duration, time.Duration, []int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	k := len(s.lanes) / s.shards
@@ -633,7 +631,9 @@ func (s *Server) occupy(arrival, cost time.Duration, mask uint64) (time.Duration
 	if touched > 1 {
 		share = cost / time.Duration(touched)
 	}
-	lanes := make([]int, 0, touched)
+	// No lane can start the batch before its own earliest slot, so the
+	// latest of the chosen lanes' slots is where the common start begins.
+	start := arrival
 	for sh := 0; sh < s.shards; sh++ {
 		if mask != 0 && mask&(1<<uint(sh)) == 0 {
 			continue
@@ -647,12 +647,14 @@ func (s *Server) occupy(arrival, cost time.Duration, mask uint64) (time.Duration
 			}
 		}
 		lanes = append(lanes, w)
+		if best > start {
+			start = best
+		}
 	}
-	// Fixpoint for the common start: raising start past one lane's busy
-	// span can land inside another's, but start only moves right, so the
-	// loop is bounded by the total span count.
-	start := arrival
-	for {
+	// With one lane that slot IS the start. With several, raising start past
+	// one lane's busy span can land inside another's: iterate to the fixpoint
+	// (start only moves right, so the loop is bounded by the span count).
+	for len(lanes) > 1 {
 		again := false
 		for _, w := range lanes {
 			if t := s.lanes[w].free(start, share); t > start {
@@ -743,15 +745,10 @@ type Conn struct {
 	traceCtx obs.Ctx
 }
 
-// Connect opens a connection to the server across link. The link inherits
-// the server's fault plane (if one is installed) as its failure hook.
+// Connect opens a connection to the server across link. The server keeps
+// no record of its connections: the exec path hands the link whatever
+// fault plane is installed at the time of each batch.
 func (s *Server) Connect(link *netsim.Link) *Conn {
-	s.mu.Lock()
-	s.links = append(s.links, link)
-	if s.faults != nil {
-		link.SetFault(s.faults)
-	}
-	s.mu.Unlock()
 	return &Conn{srv: s, link: link, sess: s.db.NewSession(), clock: link.Clock()}
 }
 
@@ -873,7 +870,10 @@ func (c *Conn) ExecBatchFanout(ctx obs.Ctx, arrival time.Duration, stmts []Stmt)
 		respBytes += rs.WireSize()
 	}
 	netCost := c.link.Charge(reqBytes, respBytes)
-	start, share, lanes := c.srv.occupy(arrival, dbCost, mask)
+	// Stack room for the chosen lanes; a scatter wider than this spills to
+	// the heap inside occupy's append.
+	var laneBuf [8]int
+	start, share, lanes := c.srv.occupy(arrival, dbCost, mask, laneBuf[:0])
 	c.queriesSent.Add(int64(len(stmts)))
 	done := start + dbCost + netCost
 	if traced {

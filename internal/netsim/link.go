@@ -18,7 +18,6 @@ type Link struct {
 	clock   Clock
 	rtt     time.Duration
 	perByte time.Duration
-	fault   LinkFault
 
 	roundTrips int64
 	bytesSent  int64
@@ -27,7 +26,7 @@ type Link struct {
 	netTime    time.Duration
 }
 
-// LinkFault is the optional failure hook of a link (SetFault): consulted
+// LinkFault is the failure hook a caller hands to TripFault: consulted
 // once per round trip with the trip's virtual start time. A non-nil error
 // makes the trip fail after `delay` of virtual time instead of completing
 // — the deterministic fault plane (internal/faults) implements it with
@@ -86,23 +85,12 @@ func (l *Link) Clock() Clock {
 	return l.clock
 }
 
-// SetFault installs (or clears, with nil) the link's failure hook.
-func (l *Link) SetFault(f LinkFault) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.fault = f
-}
-
-// TripFault consults the failure hook for a round trip starting at the
-// given virtual time. On a fault it charges the wasted delay to the
-// link's net-time accounting, bumps the timeout counter, and returns the
-// delay plus the injected error; the caller decides whether to advance
-// its timeline and whether to retry. With no hook (or no fault) it
-// returns (0, nil).
-func (l *Link) TripFault(at time.Duration) (time.Duration, error) {
-	l.mu.Lock()
-	fault := l.fault
-	l.mu.Unlock()
+// TripFault consults fault for a round trip starting at the given virtual
+// time. On a fault it charges the wasted delay to the link's net-time
+// accounting, bumps the timeout counter, and returns the delay plus the
+// injected error; the caller decides whether to advance its timeline and
+// whether to retry. With no hook (or no fault) it returns (0, nil).
+func (l *Link) TripFault(fault LinkFault, at time.Duration) (time.Duration, error) {
 	if fault == nil {
 		return 0, nil
 	}

@@ -166,15 +166,15 @@ func (f faultEvery) LinkFault(at time.Duration) (time.Duration, error) {
 func TestLinkTripFault(t *testing.T) {
 	c := NewVirtualClock()
 	l := NewLink(c, time.Millisecond)
-	if d, err := l.TripFault(0); d != 0 || err != nil {
+	if d, err := l.TripFault(nil, 0); d != 0 || err != nil {
 		t.Fatalf("no hook: d=%v err=%v", d, err)
 	}
 	sentinel := fmt.Errorf("injected timeout")
-	l.SetFault(faultEvery{period: 2 * time.Millisecond, delay: 3 * time.Millisecond, err: sentinel})
-	if d, err := l.TripFault(time.Millisecond); d != 0 || err != nil {
+	hook := faultEvery{period: 2 * time.Millisecond, delay: 3 * time.Millisecond, err: sentinel}
+	if d, err := l.TripFault(hook, time.Millisecond); d != 0 || err != nil {
 		t.Fatalf("clean trip: d=%v err=%v", d, err)
 	}
-	d, err := l.TripFault(2 * time.Millisecond)
+	d, err := l.TripFault(hook, 2*time.Millisecond)
 	if d != 3*time.Millisecond || err != sentinel {
 		t.Fatalf("faulted trip: d=%v err=%v", d, err)
 	}
@@ -186,8 +186,7 @@ func TestLinkTripFault(t *testing.T) {
 	if s := l.Stats(); s.Timeouts != 0 || s.NetTime != 0 {
 		t.Fatalf("stats after reset: %+v", s)
 	}
-	l.SetFault(nil)
-	if d, err := l.TripFault(2 * time.Millisecond); d != 0 || err != nil {
-		t.Fatalf("hook cleared: d=%v err=%v", d, err)
+	if d, err := l.TripFault(nil, 2*time.Millisecond); d != 0 || err != nil {
+		t.Fatalf("no hook after a fault: d=%v err=%v", d, err)
 	}
 }

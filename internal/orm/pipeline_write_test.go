@@ -1,6 +1,7 @@
 package orm
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -109,5 +110,36 @@ func TestPipelinedWriteErrorAtSessionClose(t *testing.T) {
 	}
 	if err := s.Close(); err == nil {
 		t.Fatal("Session.Close dropped the pipelined write error")
+	}
+}
+
+// TestClearEndsRequest: Clear is the request boundary of a long-lived
+// session. Results resolved before it are released with the identity map —
+// a lazy left unforced across it reports ErrUnknownQueryID — and a
+// pipelined write that failed before it still reaches the next request.
+func TestClearEndsRequest(t *testing.T) {
+	patients := MustRegister[Patient]("patients")
+	s, _ := pipelineRig(t)
+	defer s.Close()
+
+	ann, bob := patients.Find(s, 1), patients.Find(s, 2)
+	if p, err := ann.Get(); err != nil || p.Name != "Ann" {
+		t.Fatalf("find 1: %+v, %v", p, err)
+	}
+	s.Clear()
+	if _, err := bob.Get(); !errors.Is(err, querystore.ErrUnknownQueryID) {
+		t.Fatalf("lazy forced across Clear: %v, want ErrUnknownQueryID", err)
+	}
+
+	// Duplicate primary key: fails at execution, after Insert returned.
+	if err := patients.Insert(s, &Patient{ID: 1, Name: "Dup", Age: 1}); err != nil {
+		t.Fatalf("pipelined insert surfaced its error eagerly: %v", err)
+	}
+	s.Clear()
+	if _, err := patients.FindNow(s, 2); err == nil || errors.Is(err, querystore.ErrUnknownQueryID) {
+		t.Fatalf("first read of the next request returned %v, want the insert's error", err)
+	}
+	if p, err := patients.FindNow(s, 2); err != nil || p.Name != "Bob" {
+		t.Fatalf("read after the delivered write error: %+v, %v", p, err)
 	}
 }

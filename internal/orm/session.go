@@ -69,8 +69,14 @@ func (s *Session) Conn() *driver.Conn { return s.store.Conn() }
 // Stats snapshots session counters.
 func (s *Session) Stats() SessionStats { return s.stats }
 
-// Clear drops the identity map (like EntityManager.clear).
-func (s *Session) Clear() { s.identity = make(map[string]map[int64]any) }
+// Clear ends the current request on a long-lived session: it drops the
+// identity map (like EntityManager.clear) and releases the query store's
+// resolved results (querystore.Store.EndRequest), so lazies obtained before
+// Clear must not be forced after it.
+func (s *Session) Clear() {
+	s.identity = make(map[string]map[int64]any)
+	s.store.EndRequest()
+}
 
 func (s *Session) identityGet(table string, pk int64) (any, bool) {
 	byPK, ok := s.identity[table]

@@ -149,7 +149,8 @@ type inflight struct {
 	ctx obs.Ctx // the flush span the batch was submitted under
 }
 
-// Store is a per-request (per-session) query store. It is not safe for
+// Store is a per-request (per-session) query store; a session that serves
+// many requests marks each boundary with EndRequest. It is not safe for
 // concurrent use: Sloth's execution model is one request thread evaluating
 // its own lazy computation, matching the paper's per-client batching. (The
 // dispatcher behind it may execute batches on other goroutines.)
@@ -240,6 +241,21 @@ func (s *Store) Close() error {
 	err := s.barrierErr(s.collect())
 	s.disp.Close()
 	return err
+}
+
+// EndRequest marks a request boundary on a store that outlives one request
+// (a long-lived session serving page after page): every resolved entry —
+// cached result sets and recorded per-id execution errors — is released,
+// so what the store retains is bounded by one request's queries rather
+// than by its age. Forcing an id resolved before the boundary afterwards
+// yields ErrUnknownQueryID. Work still in progress crosses the boundary
+// untouched: statements pending in the queue, in-flight tickets (their
+// results are cached when next collected), fire-and-forget bookkeeping,
+// and latched pipelined-write errors, which the next barrier still
+// delivers.
+func (s *Store) EndRequest() {
+	clear(s.cache)
+	clear(s.errs)
 }
 
 // Conn returns the underlying connection.

@@ -240,6 +240,7 @@ func (t *Table) sweep(h uint64) int {
 	t.garbage = keep
 	if processed > 0 {
 		t.mv.pendingGC.Add(-int64(processed))
+		t.rows.compact()
 	}
 	return len(keep)
 }
@@ -250,7 +251,7 @@ func (t *Table) sweep(h uint64) int {
 // image still holds (value-reuse chains like A->B->A must not lose their
 // posting for A).
 func (t *Table) prune(id RowID, h uint64) {
-	head := t.rows[id]
+	head := t.rows.get(id)
 	if head == nil {
 		return
 	}
@@ -260,7 +261,7 @@ func (t *Table) prune(id RowID, h uint64) {
 				removeFromIndex(idx, v.row[i], id)
 			}
 		}
-		delete(t.rows, id)
+		t.rows.drop(id)
 		return
 	}
 	// Chains are newest-first with monotonically decreasing death stamps:
@@ -331,7 +332,7 @@ func (t *Table) Versions(id RowID) int {
 		return n
 	}
 	n := 0
-	for v := t.rows[id]; v != nil; v = v.prev {
+	for v := t.rows.get(id); v != nil; v = v.prev {
 		n++
 	}
 	return n

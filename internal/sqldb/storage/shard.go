@@ -20,9 +20,10 @@ import (
 // timeline byte-identical at any shard count): all parts share one global
 // RowID allocator owned by the view, so global id order IS single-store
 // insertion order; per-part lookups and scans yield RowID-ascending
-// streams, and every fan-out gathers per-part (id, row) items and merges
-// them by ascending id — reproducing exactly the row stream, and hence
-// the RowsScanned counts and costs, a single store would produce.
+// streams, and every fan-out merges them by ascending id (scans step one
+// heap cursor per part, lookups merge gathered posting items) —
+// reproducing exactly the row stream, and hence the RowsScanned counts
+// and costs, a single store would produce.
 //
 // Concurrency contract: shard stores are created with the COORDINATOR's
 // writer mutex as their mvccState.wmu, so a part snapshot's release-time
@@ -191,9 +192,9 @@ type idRow struct {
 }
 
 // mergeParts k-way-merges per-part RowID-ascending item lists into one
-// ascending stream — the gather step. Parts hold disjoint ids, so
-// ascending-id order is total; this merge is what makes a fan-out emit the
-// byte-identical row stream a single store's iteration would.
+// ascending stream — the gather step of a fan-out lookup. Parts hold
+// disjoint ids, so ascending-id order is total; this merge is what makes
+// the lookup emit the byte-identical row stream a single store would.
 func mergeParts(lists [][]idRow) []idRow {
 	total, nonEmpty, last := 0, 0, -1
 	for i, l := range lists {
@@ -243,12 +244,12 @@ func (t *Table) lookupItems(ord int, nv sqldb.Value, snap *Snap) []idRow {
 	if snap == nil {
 		if len(t.garbage) == 0 {
 			for _, id := range ids {
-				out = append(out, idRow{id, t.rows[id].row})
+				out = append(out, idRow{id, t.rows.get(id).row})
 			}
 			return out
 		}
 		for _, id := range ids {
-			if head := t.rows[id]; head != nil && head.to == liveEpoch && head.row[ord] == nv {
+			if head := t.rows.get(id); head != nil && head.to == liveEpoch && head.row[ord] == nv {
 				out = append(out, idRow{id, head.row})
 			}
 		}
@@ -257,38 +258,16 @@ func (t *Table) lookupItems(ord int, nv sqldb.Value, snap *Snap) []idRow {
 	e := snap.epoch
 	if len(t.garbage) == 0 && e >= t.maxFrom {
 		for _, id := range ids {
-			out = append(out, idRow{id, t.rows[id].row})
+			out = append(out, idRow{id, t.rows.get(id).row})
 		}
 		return out
 	}
 	for _, id := range ids {
-		if r := visibleRow(t.rows[id], e); r != nil && r[ord] == nv {
+		if r := visibleRow(t.rows.get(id), e); r != nil && r[ord] == nv {
 			out = append(out, idRow{id, r})
 		}
 	}
 	return out
-}
-
-// scanItems collects every (id, row) visible to snap, ascending by id.
-// Runs on a part.
-func (t *Table) scanItems(snap *Snap) []idRow {
-	items := make([]idRow, 0, len(t.rows))
-	if snap == nil {
-		for id, head := range t.rows {
-			if head.to == liveEpoch {
-				items = append(items, idRow{id, head.row})
-			}
-		}
-	} else {
-		e := snap.epoch
-		for id, head := range t.rows {
-			if r := visibleRow(head, e); r != nil {
-				items = append(items, idRow{id, r})
-			}
-		}
-	}
-	sort.Slice(items, func(a, b int) bool { return items[a].id < items[b].id })
-	return items
 }
 
 // ---- view-table routing -------------------------------------------------
@@ -317,20 +296,6 @@ func (t *Table) shardLookupEach(ord int, v sqldb.Value, snap *Snap, fn func(Row)
 	return nil
 }
 
-// shardScanEach is ScanEach for the view: fan out, merge by id.
-func (t *Table) shardScanEach(snap *Snap, fn func(Row) error) error {
-	lists := make([][]idRow, len(t.parts))
-	for i, p := range t.parts {
-		lists[i] = p.scanItems(partSnap(snap, i))
-	}
-	for _, it := range mergeParts(lists) {
-		if err := fn(it.row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // shardLookup is Lookup for the view: live ids ascending.
 func (t *Table) shardLookup(ord int, v sqldb.Value) []RowID {
 	if _, ok := t.indexes[ord]; !ok {
@@ -348,15 +313,30 @@ func (t *Table) shardLookup(ord int, v sqldb.Value) []RowID {
 	return out
 }
 
-// shardScan is Scan for the view.
-func (t *Table) shardScan(fn func(RowID, Row) bool) {
-	lists := make([][]idRow, len(t.parts))
+// shardScan is scan for the view: a k-way merge of the parts' heaps. Parts
+// hold disjoint ids in ascending order, so always stepping the cursor with
+// the lowest id emits the byte-identical row stream a single store's heap
+// would — without gathering or sorting anything.
+func (t *Table) shardScan(snap *Snap, fn func(RowID, Row) bool) {
+	curs := make([]rowCursor, 0, len(t.parts))
 	for i, p := range t.parts {
-		lists[i] = p.scanItems(nil)
+		c := rowCursor{slots: p.rows.slots, snap: partSnap(snap, i)}
+		if c.next() {
+			curs = append(curs, c)
+		}
 	}
-	for _, it := range mergeParts(lists) {
-		if !fn(it.id, it.row) {
+	for len(curs) > 0 {
+		best := 0
+		for i := 1; i < len(curs); i++ {
+			if curs[i].id < curs[best].id {
+				best = i
+			}
+		}
+		if !fn(curs[best].id, curs[best].row) {
 			return
+		}
+		if !curs[best].next() {
+			curs = append(curs[:best], curs[best+1:]...)
 		}
 	}
 }
@@ -402,7 +382,7 @@ func (t *Table) shardInsert(vals Row) (RowID, error) {
 // none. Parts hold disjoint ids, so at most one can match.
 func (t *Table) livePart(id RowID) int {
 	for i, p := range t.parts {
-		if head := p.rows[id]; head != nil && head.to == liveEpoch {
+		if visibleTo(p.rows.get(id), nil) != nil {
 			return i
 		}
 	}
@@ -411,8 +391,10 @@ func (t *Table) livePart(id RowID) int {
 
 // shardGet is Get for the view.
 func (t *Table) shardGet(id RowID) (Row, bool) {
-	if i := t.livePart(id); i >= 0 {
-		return t.parts[i].rows[id].row.clone(), true
+	for _, p := range t.parts {
+		if r, ok := p.Get(id); ok {
+			return r, true
+		}
 	}
 	return nil, false
 }
@@ -446,7 +428,7 @@ func (t *Table) shardUpdate(id RowID, vals Row) (Row, error) {
 	if cur < 0 {
 		return nil, fmt.Errorf("storage: table %q: no row %d", t.Name, id)
 	}
-	old := t.parts[cur].rows[id].row
+	old := t.parts[cur].rows.get(id).row
 	row := make(Row, len(vals))
 	for i, v := range vals {
 		cv, err := sqldb.Coerce(sqldb.Normalize(v), t.Columns[i].Type)
@@ -495,52 +477,6 @@ func (t *Table) shardInsertAt(id RowID, old Row) {
 	if id >= t.nextID {
 		t.nextID = id + 1
 	}
-}
-
-// shardAddIndex applies DDL to every part after a global unique pre-check
-// in ascending global-id order, so the duplicate named in the error is the
-// same row a single store would name — and no part mutates if the check
-// fails. Each part's AddIndex bumps its shard's schema epoch; the view
-// bumps the coordinator's once.
-func (t *Table) shardAddIndex(col string, unique bool) error {
-	i, ok := t.ColOrdinal(col)
-	if !ok {
-		return fmt.Errorf("storage: table %q: no column %q", t.Name, col)
-	}
-	if _, exists := t.indexes[i]; exists {
-		return fmt.Errorf("storage: table %q: column %q already indexed", t.Name, col)
-	}
-	if unique {
-		var items []idRow
-		for _, p := range t.parts {
-			for id, head := range p.rows {
-				if head.to == liveEpoch && head.row[i] != nil {
-					items = append(items, idRow{id, head.row})
-				}
-			}
-		}
-		sort.Slice(items, func(a, b int) bool { return items[a].id < items[b].id })
-		seen := make(map[sqldb.Value]bool, len(items))
-		for _, it := range items {
-			if seen[it.row[i]] {
-				return fmt.Errorf("storage: table %q: duplicate value %v violates unique index on %q", t.Name, it.row[i], col)
-			}
-			seen[it.row[i]] = true
-		}
-	}
-	for _, p := range t.parts {
-		if err := p.AddIndex(col, unique); err != nil {
-			return err
-		}
-	}
-	t.mv.rw.Lock()
-	t.indexes[i] = make(map[sqldb.Value][]RowID)
-	t.unique[i] = unique
-	t.mv.rw.Unlock()
-	if t.schemaChanged != nil {
-		t.schemaChanged()
-	}
-	return nil
 }
 
 // shardNumRows sums live rows across parts.

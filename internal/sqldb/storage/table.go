@@ -51,10 +51,10 @@ type Table struct {
 	colIndex map[string]int // lower-cased column name -> ordinal
 	pkCol    int            // -1 when no primary key
 
-	// rows maps id -> newest version (chain newest-first). A live row's
-	// head has to == liveEpoch; a deleted row keeps its dead chain until
-	// the sweep reclaims it.
-	rows     map[RowID]*version
+	// rows holds every row's newest version (chain newest-first) in id
+	// order. A live row's head has to == liveEpoch; a deleted row keeps its
+	// dead chain until the sweep reclaims it.
+	rows     rowHeap
 	liveRows int
 	nextID   RowID
 
@@ -91,7 +91,7 @@ type Table struct {
 
 	// Sharded-store routing view state (see shard.go). parts is nil for a
 	// plain table; when set, this table stores nothing itself — its heap
-	// maps stay empty bookkeeping — and every method routes to the per-shard
+	// stays empty bookkeeping — and every method routes to the per-shard
 	// part tables. partOrd is the partition column ordinal (-1: spread rows
 	// by id); coord is the owning coordinator store.
 	parts   []*Table
@@ -109,7 +109,6 @@ func NewTable(name string, cols []Column) (*Table, error) {
 		Columns:  cols,
 		colIndex: make(map[string]int, len(cols)),
 		pkCol:    -1,
-		rows:     make(map[RowID]*version),
 		nextID:   1,
 		indexes:  make(map[int]map[sqldb.Value][]RowID),
 		unique:   make(map[int]bool),
@@ -158,18 +157,6 @@ func (t *Table) HasIndex(i int) bool {
 	return ok
 }
 
-// sortedRowIDs returns every stored row id in ascending order, pinning
-// map iteration to a fixed sequence wherever the visit order can leak
-// into errors or output.
-func (t *Table) sortedRowIDs() []RowID {
-	ids := make([]RowID, 0, len(t.rows))
-	for id := range t.rows {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	return ids
-}
-
 // indexedCols returns the indexed column ordinals in ascending order, so
 // multi-column constraint violations always name the same column.
 func (t *Table) indexedCols() []int {
@@ -185,9 +172,6 @@ func (t *Table) indexedCols() []int {
 // every stored version (dead-but-unswept images included, so snapshots
 // older than the DDL still find their rows through it).
 func (t *Table) AddIndex(col string, unique bool) error {
-	if t.parts != nil {
-		return t.shardAddIndex(col, unique)
-	}
 	i, ok := t.ColOrdinal(col)
 	if !ok {
 		return fmt.Errorf("storage: table %q: no column %q", t.Name, col)
@@ -195,25 +179,37 @@ func (t *Table) AddIndex(col string, unique bool) error {
 	if _, exists := t.indexes[i]; exists {
 		return fmt.Errorf("storage: table %q: column %q already indexed", t.Name, col)
 	}
-	idx := make(map[sqldb.Value][]RowID)
 	if unique {
-		// Visit rows in id order so the duplicate named in the error is the
-		// same one every run, not whichever the map yields first.
+		// Rows are visited in id order, so the duplicate named in the error
+		// is the same one every run and at every shard count.
 		seen := make(map[sqldb.Value]bool)
-		for _, id := range t.sortedRowIDs() {
-			head := t.rows[id]
-			if head.to != liveEpoch || head.row[i] == nil {
-				continue
+		var dup sqldb.Value
+		t.scan(nil, func(_ RowID, r Row) bool {
+			if r[i] == nil {
+				return true
 			}
-			if seen[head.row[i]] {
-				return fmt.Errorf("storage: table %q: duplicate value %v violates unique index on %q", t.Name, head.row[i], col)
+			if seen[r[i]] {
+				dup = r[i]
+				return false
 			}
-			seen[head.row[i]] = true
+			seen[r[i]] = true
+			return true
+		})
+		if dup != nil {
+			return fmt.Errorf("storage: table %q: duplicate value %v violates unique index on %q", t.Name, dup, col)
 		}
 	}
-	for id, head := range t.rows {
-		for v := head; v != nil; v = v.prev {
-			addToIndex(idx, v.row[i], id)
+	// A view's parts index their own rows (each bumping its shard's schema
+	// epoch); the view itself stores none and only records the index.
+	for _, p := range t.parts {
+		if err := p.AddIndex(col, unique); err != nil {
+			return err
+		}
+	}
+	idx := make(map[sqldb.Value][]RowID)
+	for _, s := range t.rows.slots {
+		for v := s.head; v != nil; v = v.prev {
+			addToIndex(idx, v.row[i], s.id)
 		}
 	}
 	t.mv.rw.Lock()
@@ -282,7 +278,7 @@ func (t *Table) uniqueConflict(ord int, v sqldb.Value, exclude RowID) bool {
 		if id == exclude {
 			continue
 		}
-		if head := t.rows[id]; head != nil && head.to == liveEpoch && head.row[ord] == v {
+		if head := t.rows.get(id); head != nil && head.to == liveEpoch && head.row[ord] == v {
 			return true
 		}
 	}
@@ -314,7 +310,7 @@ func (t *Table) Insert(vals Row) (RowID, error) {
 	stamp := t.mv.stamp()
 	id := t.nextID
 	t.nextID++
-	t.rows[id] = &version{row: row, from: stamp, to: liveEpoch}
+	t.rows.set(id, &version{row: row, from: stamp, to: liveEpoch})
 	for i, idx := range t.indexes {
 		addToIndex(idx, row[i], id)
 	}
@@ -333,12 +329,12 @@ func (t *Table) Insert(vals Row) (RowID, error) {
 // Caller holds the structural write lock.
 func (t *Table) prepend(id RowID, row Row) {
 	stamp := t.mv.stamp()
-	prev := t.rows[id]
+	prev := t.rows.get(id)
 	wasLive := prev != nil && prev.to == liveEpoch
 	if wasLive {
 		prev.to = stamp
 	}
-	t.rows[id] = &version{row: row, from: stamp, to: liveEpoch, prev: prev}
+	t.rows.set(id, &version{row: row, from: stamp, to: liveEpoch, prev: prev})
 	for i, idx := range t.indexes {
 		addToIndex(idx, row[i], id)
 	}
@@ -381,11 +377,10 @@ func (t *Table) Get(id RowID) (Row, bool) {
 	if t.parts != nil {
 		return t.shardGet(id)
 	}
-	head := t.rows[id]
-	if head == nil || head.to != liveEpoch {
-		return nil, false
+	if r := visibleTo(t.rows.get(id), nil); r != nil {
+		return r.clone(), true
 	}
-	return head.row.clone(), true
+	return nil, false
 }
 
 // RowAt returns the stored row image visible to snap (the live image when
@@ -395,17 +390,7 @@ func (t *Table) RowAt(id RowID, snap *Snap) (Row, bool) {
 	if t.parts != nil {
 		return t.shardRowAt(id, snap)
 	}
-	head := t.rows[id]
-	if head == nil {
-		return nil, false
-	}
-	if snap == nil {
-		if head.to != liveEpoch {
-			return nil, false
-		}
-		return head.row, true
-	}
-	r := visibleRow(head, snap.epoch)
+	r := visibleTo(t.rows.get(id), snap)
 	return r, r != nil
 }
 
@@ -416,7 +401,7 @@ func (t *Table) Delete(id RowID) (Row, bool) {
 	if t.parts != nil {
 		return t.shardDelete(id)
 	}
-	head := t.rows[id]
+	head := t.rows.get(id)
 	if head == nil || head.to != liveEpoch {
 		return nil, false
 	}
@@ -435,7 +420,7 @@ func (t *Table) Update(id RowID, vals Row) (Row, error) {
 	if t.parts != nil {
 		return t.shardUpdate(id, vals)
 	}
-	head := t.rows[id]
+	head := t.rows.get(id)
 	if head == nil || head.to != liveEpoch {
 		return nil, fmt.Errorf("storage: table %q: no row %d", t.Name, id)
 	}
@@ -482,7 +467,7 @@ func (t *Table) Lookup(i int, v sqldb.Value) []RowID {
 	}
 	out := make([]RowID, 0, len(ids))
 	for _, id := range ids {
-		if head := t.rows[id]; head != nil && head.to == liveEpoch && head.row[i] == nv {
+		if head := t.rows.get(id); head != nil && head.to == liveEpoch && head.row[i] == nv {
 			out = append(out, id)
 		}
 	}
@@ -509,14 +494,14 @@ func (t *Table) LookupEach(ord int, v sqldb.Value, snap *Snap, fn func(Row) erro
 	if snap == nil {
 		if len(t.garbage) == 0 {
 			for _, id := range ids {
-				if err := fn(t.rows[id].row); err != nil {
+				if err := fn(t.rows.get(id).row); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
 		for _, id := range ids {
-			if head := t.rows[id]; head != nil && head.to == liveEpoch && head.row[ord] == nv {
+			if head := t.rows.get(id); head != nil && head.to == liveEpoch && head.row[ord] == nv {
 				if err := fn(head.row); err != nil {
 					return err
 				}
@@ -529,14 +514,14 @@ func (t *Table) LookupEach(ord int, v sqldb.Value, snap *Snap, fn func(Row) erro
 		// Pristine and fully visible: every posting id is a live single-image
 		// row created at or before the snapshot epoch.
 		for _, id := range ids {
-			if err := fn(t.rows[id].row); err != nil {
+			if err := fn(t.rows.get(id).row); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	for _, id := range ids {
-		if r := visibleRow(t.rows[id], e); r != nil && r[ord] == nv {
+		if r := visibleRow(t.rows.get(id), e); r != nil && r[ord] == nv {
 			if err := fn(r); err != nil {
 				return err
 			}
@@ -545,60 +530,34 @@ func (t *Table) LookupEach(ord int, v sqldb.Value, snap *Snap, fn func(Row) erro
 	return nil
 }
 
-// Scan calls fn for every live row in ascending id order. The row passed to
-// fn must not be mutated.
-func (t *Table) Scan(fn func(RowID, Row) bool) {
+// scan calls fn with the id and stored (read-only) image of every row
+// visible to snap (live rows when snap is nil) in ascending id order — the
+// heap's own order — until fn returns false.
+func (t *Table) scan(snap *Snap, fn func(RowID, Row) bool) {
 	if t.parts != nil {
-		t.shardScan(fn)
+		t.shardScan(snap, fn)
 		return
 	}
-	ids := make([]RowID, 0, len(t.rows))
-	for id, head := range t.rows {
-		if head.to == liveEpoch {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	for _, id := range ids {
-		if !fn(id, t.rows[id].row) {
+	for _, s := range t.rows.slots {
+		if r := visibleTo(s.head, snap); r != nil && !fn(s.id, r) {
 			return
 		}
 	}
 }
 
+// Scan calls fn for every live row in ascending id order. The row passed to
+// fn must not be mutated.
+func (t *Table) Scan(fn func(RowID, Row) bool) { t.scan(nil, fn) }
+
 // ScanEach calls fn with the stored (read-only) image of every row visible
 // to snap (live rows when snap is nil), in ascending id order. Stops on
 // the first error, returning it.
-func (t *Table) ScanEach(snap *Snap, fn func(Row) error) error {
-	if t.parts != nil {
-		return t.shardScanEach(snap, fn)
-	}
-	type idRow struct {
-		id  RowID
-		row Row
-	}
-	items := make([]idRow, 0, len(t.rows))
-	if snap == nil {
-		for id, head := range t.rows {
-			if head.to == liveEpoch {
-				items = append(items, idRow{id, head.row})
-			}
-		}
-	} else {
-		e := snap.epoch
-		for id, head := range t.rows {
-			if r := visibleRow(head, e); r != nil {
-				items = append(items, idRow{id, r})
-			}
-		}
-	}
-	sort.Slice(items, func(a, b int) bool { return items[a].id < items[b].id })
-	for i := range items {
-		if err := fn(items[i].row); err != nil {
-			return err
-		}
-	}
-	return nil
+func (t *Table) ScanEach(snap *Snap, fn func(Row) error) (err error) {
+	t.scan(snap, func(_ RowID, r Row) bool {
+		err = fn(r)
+		return err == nil
+	})
+	return err
 }
 
 // Store is a named collection of tables guarded by one writer mutex; the
