@@ -1,9 +1,8 @@
 # Convenience targets mirroring the CI gates (.github/workflows/ci.yml).
 
-GO      ?= go
-SLOTHVET = bin/slothvet
+GO ?= go
 
-.PHONY: all build test race vet fuzz bench shardbench clean
+.PHONY: all build test race vet fuzz bench shardbench
 
 all: vet build test
 
@@ -18,17 +17,10 @@ race:
 
 # vet runs the standard go vet checks plus slothvet, the repo's own
 # invariant analyzers (wallclock, stmtscope, snapwrite, mapdet,
-# atomicfield — see DESIGN.md §11). Both are blocking, same as CI.
-vet: $(SLOTHVET)
+# atomicfield, faultrand — see DESIGN.md §11). Both are blocking, same as CI.
+vet:
 	$(GO) vet ./...
-	$(GO) vet -vettool=$(SLOTHVET) ./...
-
-$(SLOTHVET): FORCE
-	@mkdir -p bin
-	$(GO) build -o $(SLOTHVET) ./cmd/slothvet
-
-.PHONY: FORCE
-FORCE:
+	$(GO) run ./cmd/slothvet
 
 # Short mutation budgets; the seed corpora already run under `make test`.
 fuzz:
@@ -45,6 +37,3 @@ bench:
 # target deliberately does not refresh it.
 shardbench:
 	$(GO) run ./cmd/slothbench -exp throughput -shards 1,4 -workers 2
-
-clean:
-	rm -rf bin

@@ -1,78 +1,29 @@
 // Command slothvet runs the repro's static invariant suite (internal/lint):
-// wallclock, stmtscope, snapwrite, mapdet, atomicfield.
+// wallclock, stmtscope, snapwrite, mapdet, atomicfield, faultrand.
 //
-// Two modes, selected automatically:
+//	go run ./cmd/slothvet
 //
-//	slothvet [./...]              standalone: analyzes the enclosing module
-//	go vet -vettool=$(which slothvet) ./...
-//	                              unitchecker: cmd/go drives one process per
-//	                              package with a JSON config, export data for
-//	                              dependencies, and .vetx fact files
-//
-// The unitchecker mode speaks the cmd/go vet tool protocol: -V=full prints
-// a content-hashed version line for the build cache, -flags advertises the
-// (empty) flag set, and a single *.cfg argument requests analysis of one
-// compilation unit. Diagnostics go to stderr and exit status 2, exactly
-// like the stock vet tool, so CI can gate on it.
+// It analyzes the module enclosing the working directory through the
+// in-process source loader (lint.LoadTree) — the same driver the fixture
+// tests and TestRepoInvariants use, so CI, `make vet` and `go test` gate on
+// one set of diagnostics. Findings print one per line to stdout and exit
+// status 1, so CI can gate on it.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"go/version"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/lint"
 )
 
-func main() {
-	args := os.Args[1:]
-	for _, a := range args {
-		switch a {
-		case "-V=full", "--V=full":
-			printVersion()
-			return
-		case "-flags", "--flags":
-			fmt.Println("[]")
-			return
-		}
-	}
-	for _, a := range args {
-		if strings.HasSuffix(a, ".cfg") {
-			os.Exit(unitcheck(a))
-		}
-	}
-	os.Exit(standalone())
-}
+func main() { os.Exit(run()) }
 
-// printVersion emits the tool-ID line cmd/go hashes into the build cache
-// key: the content hash makes rebuilt tools invalidate stale vet results.
-func printVersion() {
-	name := filepath.Base(os.Args[0])
-	exe, err := os.Executable()
-	if err == nil {
-		if data, err := os.ReadFile(exe); err == nil {
-			fmt.Printf("%s version devel comments-go-here buildID=%02x\n", name, sha256.Sum256(data))
-			return
-		}
-	}
-	fmt.Printf("%s version devel comments-go-here\n", name)
-}
-
-// ---------------------------------------------------------------------------
-// Standalone mode.
-
-func standalone() int {
+// run analyzes the module enclosing the working directory and returns the
+// process exit status: 0 clean, 1 on any finding or load failure.
+func run() int {
 	root, modpath, err := moduleRoot()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "slothvet: %v\n", err)
@@ -119,150 +70,4 @@ func moduleRoot() (dir, modpath string, err error) {
 		}
 		dir = parent
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Unitchecker mode: the cmd/go vet tool protocol.
-
-// vetConfig mirrors the JSON cmd/go writes for each compilation unit.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func unitcheck(cfgFile string) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "slothvet: %v\n", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "slothvet: parsing %s: %v\n", cfgFile, err)
-		return 1
-	}
-
-	fs := lint.NewFactSet()
-	emitVetx := func() error {
-		out, err := lint.EncodeFacts(fs, cfg.ImportPath)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(cfg.VetxOutput, out, 0o666)
-	}
-
-	// Test variants ("pkg [pkg.test]", "pkg.test") are exempt: the invariants
-	// are about shipped code, and tests legitimately use wall clocks and
-	// unordered iteration. Their vetx files must still exist.
-	if strings.Contains(cfg.ImportPath, " [") || strings.HasSuffix(cfg.ImportPath, ".test") {
-		if err := emitVetx(); err != nil {
-			fmt.Fprintf(os.Stderr, "slothvet: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "slothvet: %v\n", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	imp := importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	tc := types.Config{Importer: imp}
-	if lang := version.Lang(cfg.GoVersion); lang != "" {
-		tc.GoVersion = lang
-	}
-	pkg, err := tc.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			if err := emitVetx(); err != nil {
-				fmt.Fprintf(os.Stderr, "slothvet: %v\n", err)
-				return 1
-			}
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "slothvet: typecheck %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-
-	// Load dependency facts from the .vetx files cmd/go staged for us, in
-	// sorted order so any load error names the same package every run.
-	deps := make([]string, 0, len(cfg.PackageVetx))
-	for path := range cfg.PackageVetx {
-		deps = append(deps, path)
-	}
-	sort.Strings(deps)
-	for _, path := range deps {
-		raw, err := os.ReadFile(cfg.PackageVetx[path])
-		if err != nil {
-			continue // missing dependency facts degrade to "no facts"
-		}
-		if err := lint.DecodeFacts(fs, path, raw); err != nil {
-			fmt.Fprintf(os.Stderr, "slothvet: facts for %s: %v\n", path, err)
-			return 1
-		}
-	}
-
-	unit := &lint.Unit{Fset: fset, Files: files, Path: cfg.ImportPath, Pkg: pkg, Info: info}
-	diags, err := lint.RunAnalyzers(unit, lint.All(), fs)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "slothvet: %v\n", err)
-		return 1
-	}
-	if err := emitVetx(); err != nil {
-		fmt.Fprintf(os.Stderr, "slothvet: %v\n", err)
-		return 1
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
 }

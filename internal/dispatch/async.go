@@ -2,7 +2,6 @@ package dispatch
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/driver"
 	"repro/internal/netsim"
@@ -11,10 +10,13 @@ import (
 )
 
 // DefaultAsyncDepth is the initial capacity of the async dispatcher's
-// ticket queue. The queue grows past it rather than blocking Submit — a
-// fixed-depth channel here once meant that a session submitting more than
-// 16 flushes before its first Wait silently serialized on the dispatcher.
+// ticket queue — a sizing hint only. The queue grows past it rather than
+// blocking Submit — a fixed-depth channel here once meant that a session
+// submitting more than 16 flushes before its first Wait silently
+// serialized on the dispatcher.
 const DefaultAsyncDepth = 16
+
+var _ Dispatcher = (*Async)(nil)
 
 // Async is the pipelined-flush strategy: Submit stamps the batch with the
 // session's current virtual time and hands it to a single worker goroutine,
@@ -38,40 +40,24 @@ type Async struct {
 	retry  RetryPolicy
 	box    statsBox
 
-	// Ticket queue, guarded by mu; nonEmpty signals the worker. depth is
-	// the configured initial capacity, reused when a drained queue's
-	// backing array is recycled.
+	// Ticket queue, guarded by mu; nonEmpty signals the worker.
 	mu       sync.Mutex
 	nonEmpty *sync.Cond
 	queue    []*Ticket
-	depth    int
 	closed   bool
 
 	wg        sync.WaitGroup
 	closeOnce sync.Once
 }
 
-// NewAsync creates the asynchronous dispatcher with the default queue
-// depth and starts its worker. Close must be called to stop the worker.
+// NewAsync creates the asynchronous dispatcher and starts its worker. Close
+// must be called to stop the worker.
 func NewAsync(conn *driver.Conn, stages ...Stage) *Async {
-	return NewAsyncDepth(conn, 0, stages...)
-}
-
-// NewAsyncDepth creates the asynchronous dispatcher with an initial ticket
-// queue capacity of depth (<= 0 selects DefaultAsyncDepth). Depth is a
-// sizing hint only: the queue grows when a burst of flushes outruns the
-// worker, so Submit never blocks and batches never serialize behind a full
-// buffer.
-func NewAsyncDepth(conn *driver.Conn, depth int, stages ...Stage) *Async {
-	if depth <= 0 {
-		depth = DefaultAsyncDepth
-	}
 	a := &Async{
 		conn:   conn,
 		clock:  conn.Clock(),
 		stages: stages,
-		queue:  make([]*Ticket, 0, depth),
-		depth:  depth,
+		queue:  make([]*Ticket, 0, DefaultAsyncDepth),
 	}
 	a.nonEmpty = sync.NewCond(&a.mu)
 	a.wg.Add(1)
@@ -96,7 +82,7 @@ func (a *Async) next() (*Ticket, bool) {
 	if len(a.queue) == 0 {
 		// Burst drained: recycle a fresh backing array so the slice window
 		// never creeps through an ever-growing allocation.
-		a.queue = make([]*Ticket, 0, a.depth)
+		a.queue = make([]*Ticket, 0, DefaultAsyncDepth)
 	}
 	return t, true
 }
@@ -108,13 +94,7 @@ func (a *Async) worker() {
 		if !ok {
 			return
 		}
-		out, demux, ss := applyStagesTraced(t.ctx, t.arrival, a.stages, t.stmts)
-		r := execRecover(a.conn, t.ctx, t.arrival, out, demux, t.stmts, a.retry)
-		t.results, t.err, t.stmtErrs = r.results, r.err, r.stmtErrs
-		t.completeAt = r.done
-		t.bs = batchStats(len(out), ss, r.shards)
-		a.box.addExec(len(out), ss, r.err)
-		a.box.addRecovery(r)
+		a.box.runTicket(t, a.conn, a.stages, a.retry)
 		close(t.done)
 	}
 }
@@ -157,21 +137,7 @@ func (a *Async) SubmitCtx(ctx obs.Ctx, stmts []driver.Stmt) *Ticket {
 // completion time the session has not already overlapped with compute.
 func (a *Async) Wait(t *Ticket) ([]*sqldb.ResultSet, BatchStats, error) {
 	<-t.done
-	if t.err != nil {
-		// Terminal failure still advances the session to the time the
-		// failure was observed (no overlap credit): a frozen clock would
-		// replay the identical time-keyed fault rolls on the next batch.
-		netsim.AdvanceTo(a.clock, t.completeAt)
-		return nil, t.bs, t.err
-	}
-	cost := t.completeAt - t.arrival
-	waited := netsim.AdvanceTo(a.clock, t.completeAt)
-	if hidden := cost - waited; hidden > 0 {
-		a.box.mu.Lock()
-		a.box.stats.OverlapSaved += hidden
-		a.box.mu.Unlock()
-	}
-	return t.results, t.bs, t.err
+	return a.box.settle(a.clock, t)
 }
 
 // Deferred reports that Submit returns before execution completes.
@@ -190,15 +156,4 @@ func (a *Async) Close() {
 		a.nonEmpty.Signal()
 		a.wg.Wait()
 	})
-}
-
-var _ Dispatcher = (*Async)(nil)
-var _ Dispatcher = (*Sync)(nil)
-
-// maxDuration is a small helper shared by the deferred strategies.
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

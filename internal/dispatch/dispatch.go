@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/driver"
 	"repro/internal/merge"
+	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/sqlparse"
@@ -229,8 +230,13 @@ func (s mergeStage) Apply(stmts []driver.Stmt) ([]driver.Stmt, Demux, StageStats
 }
 
 // applyStages chains the pipeline over a batch, composing demuxes in
-// reverse so results flow back through each stage's reconstruction.
-func applyStages(stages []Stage, stmts []driver.Stmt) ([]driver.Stmt, Demux, StageStats) {
+// reverse so results flow back through each stage's reconstruction. When
+// ctx records it also leaves a zero-width "merge" span at the batch's
+// virtual submit time `at` saying what the rewrite did (statements in/out,
+// eliminated, merged groups). The rewrite itself takes no virtual time — it
+// happens inside the driver round trip the paper's extended driver already
+// pays for — so the span is an annotation, not a duration.
+func applyStages(ctx obs.Ctx, at time.Duration, stages []Stage, stmts []driver.Stmt) ([]driver.Stmt, Demux, StageStats) {
 	var demuxes []Demux
 	var total StageStats
 	out := stmts
@@ -247,6 +253,13 @@ func applyStages(stages []Stage, stmts []driver.Stmt) ([]driver.Stmt, Demux, Sta
 			total.SavedByFamily[f] += n
 		}
 	}
+	if len(stages) > 0 && ctx.Enabled() {
+		ctx.Instant("merge", "rewrite", at,
+			obs.Arg{K: "in", V: len(stmts)},
+			obs.Arg{K: "out", V: len(out)},
+			obs.Arg{K: "saved", V: total.Saved},
+			obs.Arg{K: "groups", V: total.Groups})
+	}
 	if len(demuxes) == 0 {
 		return out, nil, total
 	}
@@ -261,24 +274,6 @@ func applyStages(stages []Stage, stmts []driver.Stmt) ([]driver.Stmt, Demux, Sta
 		return results, nil
 	}
 	return out, demux, total
-}
-
-// applyStagesTraced is applyStages plus a zero-width "merge" span at the
-// batch's virtual submit time recording what the pipeline rewrite did
-// (statements in/out, eliminated, merged groups). The rewrite itself takes
-// no virtual time — it happens inside the driver round trip the paper's
-// extended driver already pays for — so the span is an annotation, not a
-// duration.
-func applyStagesTraced(ctx obs.Ctx, at time.Duration, stages []Stage, stmts []driver.Stmt) ([]driver.Stmt, Demux, StageStats) {
-	out, demux, ss := applyStages(stages, stmts)
-	if len(stages) > 0 && ctx.Enabled() {
-		ctx.Instant("merge", "rewrite", at,
-			obs.Arg{K: "in", V: len(stmts)},
-			obs.Arg{K: "out", V: len(out)},
-			obs.Arg{K: "saved", V: ss.Saved},
-			obs.Arg{K: "groups", V: ss.Groups})
-	}
-	return out, demux, ss
 }
 
 // containsWrite reports whether any statement in the batch mutates state
@@ -320,22 +315,51 @@ func (b *statsBox) addSubmit(n int) {
 	b.mu.Unlock()
 }
 
-// addExec records one attempted batch execution: statements handed to the
-// database, the pipeline's merge effect, and whether execution failed.
-// Attempts and errors are counted explicitly so the error path accounts
-// exactly like the success path.
-func (b *statsBox) addExec(sent int, ss StageStats, err error) {
-	b.mu.Lock()
-	b.stats.StmtsOut += int64(sent)
-	b.stats.MergeSaved += int64(ss.Saved)
-	b.stats.MergeGroups += int64(ss.Groups)
-	if err != nil {
-		b.stats.Errors++
+// addRun accounts one batch run; the caller holds the box's lock. Attempts
+// (StmtsOut, the merge effect) count whether or not the batch then failed,
+// so the error path accounts exactly like the success path. Retried
+// attempts that recovered count in Retries, NOT Errors — only a terminal
+// failure is an error, so stats stay deterministic under injected faults.
+func (st *Stats) addRun(r recovery) {
+	st.StmtsOut += int64(r.sent)
+	st.MergeSaved += int64(r.ss.Saved)
+	st.MergeGroups += int64(r.ss.Groups)
+	st.Retries += r.retries
+	if r.degraded {
+		st.Degraded++
 	}
+	if r.err != nil {
+		st.Errors++
+	}
+}
+
+// runTicket executes t's own batch on conn at its stamped arrival and makes
+// the ticket final (the caller closes t.done where one exists).
+func (b *statsBox) runTicket(t *Ticket, conn *driver.Conn, stages []Stage, policy RetryPolicy) {
+	r := runBatch(conn, t.ctx, t.arrival, stages, t.stmts, policy)
+	t.results, t.err, t.stmtErrs = r.results, r.err, r.stmtErrs
+	t.completeAt = r.done
+	t.bs = BatchStats{Sent: r.sent, Saved: r.ss.Saved, Groups: r.ss.Groups, SavedByFamily: r.ss.SavedByFamily, Shards: r.shards}
+	b.mu.Lock()
+	b.stats.addRun(r)
 	b.mu.Unlock()
 }
 
-// batchStats fills the per-batch ticket stats from a stage total.
-func batchStats(sent int, ss StageStats, shards int) BatchStats {
-	return BatchStats{Sent: sent, Saved: ss.Saved, Groups: ss.Groups, SavedByFamily: ss.SavedByFamily, Shards: shards}
+// settle is Wait for a deferred strategy once t is final: the session pays
+// only the completion time it has not already overlapped with compute, and
+// the rest is credited to OverlapSaved. A terminal failure still advances
+// the session to the time the failure was observed (no overlap credit): a
+// frozen clock would replay the identical time-keyed fault rolls on the
+// next batch.
+func (b *statsBox) settle(clock netsim.Clock, t *Ticket) ([]*sqldb.ResultSet, BatchStats, error) {
+	waited := netsim.AdvanceTo(clock, t.completeAt)
+	if t.err != nil {
+		return nil, t.bs, t.err
+	}
+	if hidden := max(0, t.completeAt-t.arrival) - waited; hidden > 0 {
+		b.mu.Lock()
+		b.stats.OverlapSaved += hidden
+		b.mu.Unlock()
+	}
+	return t.results, t.bs, nil
 }

@@ -73,11 +73,14 @@ func (p RetryPolicy) backoffAfter(attempt int) time.Duration {
 	return b
 }
 
-// recovery is the outcome of one resilient batch execution: either plain
-// success (results per original statement), terminal failure (err), or a
-// degraded partial result (stmtErrs aligned with the original statements,
-// nil entries succeeded).
+// recovery is the outcome of one batch's trip down the pipeline — what the
+// stages made of it (sent, ss) and how its resilient execution ended:
+// either plain success (results per original statement), terminal failure
+// (err), or a degraded partial result (stmtErrs aligned with the original
+// statements, nil entries succeeded).
 type recovery struct {
+	sent     int // statements handed to the database after rewriting
+	ss       StageStats
 	results  []*sqldb.ResultSet
 	stmtErrs []error
 	done     time.Duration
@@ -101,7 +104,7 @@ func execAttempts(conn *driver.Conn, ctx obs.Ctx, arrival time.Duration, stmts [
 	}
 	at := arrival
 	for attempt := 1; ; attempt++ {
-		results, done, shards, err := conn.ExecBatchFanout(ctx, at, stmts)
+		results, done, shards, err := conn.Exec(ctx, at, stmts)
 		if err == nil {
 			return results, done, shards, retries, nil
 		}
@@ -124,16 +127,18 @@ func execAttempts(conn *driver.Conn, ctx obs.Ctx, arrival time.Duration, stmts [
 	}
 }
 
-// execRecover is the resilient execution shared by every dispatch strategy:
-// the rewritten batch `out` runs under the retry loop; if it still fails on
-// an INJECTED error (so the attempt demonstrably had no data effects) and
-// the original batch has more than one statement, execution degrades to the
-// ORIGINAL statements one at a time — each with its own retry budget — so
-// one poisoned key fails one statement instead of every query that was
-// merged or coalesced with it. Degraded results need no demux: they are
-// already per original statement.
-func execRecover(conn *driver.Conn, ctx obs.Ctx, arrival time.Duration, out []driver.Stmt, demux Demux, orig []driver.Stmt, policy RetryPolicy) recovery {
-	var r recovery
+// runBatch is the one road from a held batch to the driver, shared by every
+// dispatch strategy and the hub's windows: the stages rewrite the batch, and
+// the rewritten batch runs under the retry loop, modeled as arriving at
+// virtual time `arrival`; if it still fails on an INJECTED error (so the
+// attempt demonstrably had no data effects) and the original batch has more
+// than one statement, execution degrades to the ORIGINAL statements one at a
+// time — each with its own retry budget — so one poisoned key fails one
+// statement instead of every query that was merged or coalesced with it.
+// Degraded results need no demux: they are already per original statement.
+func runBatch(conn *driver.Conn, ctx obs.Ctx, arrival time.Duration, stages []Stage, orig []driver.Stmt, policy RetryPolicy) recovery {
+	out, demux, ss := applyStages(ctx, arrival, stages, orig)
+	r := recovery{sent: len(out), ss: ss}
 	var results []*sqldb.ResultSet
 	results, r.done, r.shards, r.retries, r.err = execAttempts(conn, ctx, arrival, out, policy)
 	if r.err == nil {
@@ -190,16 +195,3 @@ func execRecover(conn *driver.Conn, ctx obs.Ctx, arrival time.Duration, out []dr
 // entries succeeded and have their result in the Wait results. Valid after
 // Wait returns.
 func (t *Ticket) StmtErrs() []error { return t.stmtErrs }
-
-// addRecovery accounts one resilient execution's retry/degradation effort.
-func (b *statsBox) addRecovery(r recovery) {
-	if r.retries == 0 && !r.degraded {
-		return
-	}
-	b.mu.Lock()
-	b.stats.Retries += r.retries
-	if r.degraded {
-		b.stats.Degraded++
-	}
-	b.mu.Unlock()
-}

@@ -322,28 +322,17 @@ func (h *Hub) closeWindowLocked(w *window, gen int) {
 			obs.Arg{K: "coalesced", V: totalIn - len(combined)})
 	}
 
-	out, demux, ss := applyStagesTraced(wctx, arrival, h.stages, combined)
-	r := execRecover(h.conn, wctx, arrival, out, demux, combined, h.retry)
+	r := runBatch(h.conn, wctx, arrival, h.stages, combined, h.retry)
+	ss := r.ss
 	wctx.End(r.done)
 
-	// Window-level accounting: attempts (Windows, Coalesced, StmtsOut) and
-	// errors count explicitly, so a failed window is visible rather than
-	// silently under-reported, and the merge stage's window-level savings
-	// land on the hub instead of vanishing. Retried attempts that recovered
-	// count in Retries, NOT Errors — only a terminal failure is an error, so
-	// the hub's stats stay deterministic under injected faults.
+	// Window-level accounting: Windows and Coalesced count attempts, like
+	// addRun's StmtsOut, so a failed window is visible rather than silently
+	// under-reported; addRun lands the merge stage's window-level savings on
+	// the hub instead of letting them vanish.
 	h.box.stats.Windows++
 	h.box.stats.Coalesced += int64(totalIn - len(combined))
-	h.box.stats.StmtsOut += int64(len(out))
-	h.box.stats.MergeSaved += int64(ss.Saved)
-	h.box.stats.MergeGroups += int64(ss.Groups)
-	h.box.stats.Retries += r.retries
-	if r.degraded {
-		h.box.stats.Degraded++
-	}
-	if r.err != nil {
-		h.box.stats.Errors++
-	}
+	h.box.stats.addRun(r)
 
 	// Pro-rate the window's merge savings across the contributing entries
 	// by the statements each introduced into the combined batch, so
@@ -462,6 +451,8 @@ func prorate(total int, weights []int) []int {
 	return out
 }
 
+var _ Dispatcher = (*Shared)(nil)
+
 // Shared is the per-session front end of a Hub: read-only batches go to
 // the shared window, write-containing batches act as per-session barriers
 // — this session's earlier window reads must complete first (so they keep
@@ -531,17 +522,11 @@ func (s *Shared) SubmitCtx(ctx obs.Ctx, stmts []driver.Stmt) *Ticket {
 			s.hub.waitForTicket(lw)
 		}
 	}
-	out, demux, ss := applyStagesTraced(ctx, t.arrival, s.stages, stmts)
 	// The write has not published yet (its ticket completes below), so the
 	// recovery loop may retry it freely: injected failures fire before
 	// execution, and a real execution error is permanent — it surfaces
 	// exactly once, here.
-	r := execRecover(s.conn, ctx, t.arrival, out, demux, stmts, s.retry)
-	t.results, t.err, t.stmtErrs = r.results, r.err, r.stmtErrs
-	t.completeAt = r.done
-	t.bs = batchStats(len(out), ss, r.shards)
-	s.box.addExec(len(out), ss, r.err)
-	s.box.addRecovery(r)
+	s.box.runTicket(t, s.conn, s.stages, s.retry)
 	close(t.done)
 	return t
 }
@@ -555,21 +540,7 @@ func (s *Shared) Wait(t *Ticket) ([]*sqldb.ResultSet, BatchStats, error) {
 	default:
 		s.hub.waitForTicket(t)
 	}
-	if t.err != nil {
-		// Terminal failure still advances the session to the time the
-		// failure was observed (no overlap credit): a frozen clock would
-		// replay the identical time-keyed fault rolls on the next batch.
-		netsim.AdvanceTo(s.clock, t.completeAt)
-		return nil, t.bs, t.err
-	}
-	cost := maxDuration(0, t.completeAt-t.arrival)
-	waited := netsim.AdvanceTo(s.clock, t.completeAt)
-	if hidden := cost - waited; hidden > 0 {
-		s.box.mu.Lock()
-		s.box.stats.OverlapSaved += hidden
-		s.box.mu.Unlock()
-	}
-	return t.results, t.bs, t.err
+	return s.box.settle(s.clock, t)
 }
 
 // Deferred reports that Submit returns before execution completes.
@@ -582,5 +553,3 @@ func (s *Shared) Stats() Stats { return s.box.snapshot() }
 // Close is a no-op: the hub outlives its front ends, and any batches this
 // session left in the window execute when the window next closes.
 func (s *Shared) Close() {}
-
-var _ Dispatcher = (*Shared)(nil)

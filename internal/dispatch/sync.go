@@ -7,6 +7,8 @@ import (
 	"repro/internal/sqldb"
 )
 
+var _ Dispatcher = (*Sync)(nil)
+
 // Sync is the paper's dispatch strategy: Submit rewrites the batch through
 // the pipeline stages and executes it immediately in one blocking round
 // trip on the session's connection. Wait is then a cache hit. Like the
@@ -33,26 +35,18 @@ func (s *Sync) Submit(stmts []driver.Stmt) *Ticket {
 }
 
 // SubmitCtx is Submit with a span context for the batch's pipeline and
-// execution spans. The blocking clock advance is unchanged from the
-// untraced path: ExecBatch is exactly ExecBatchCtx at now plus AdvanceTo
-// on success.
+// execution spans.
 func (s *Sync) SubmitCtx(ctx obs.Ctx, stmts []driver.Stmt) *Ticket {
 	s.box.addSubmit(len(stmts))
-	t := &Ticket{stmts: stmts, ctx: ctx}
 	clock := s.conn.Clock()
-	now := clock.Now()
-	out, demux, ss := applyStagesTraced(ctx, now, s.stages, stmts)
-	r := execRecover(s.conn, ctx, now, out, demux, stmts, s.retry)
+	t := &Ticket{stmts: stmts, arrival: clock.Now(), ctx: ctx}
+	s.box.runTicket(t, s.conn, s.stages, s.retry)
 	// The session pays the virtual time it observed — on terminal failure
-	// too, where r.done is the last failure-observation time (0 for real
-	// engine errors, making this a no-op). A frozen clock after a failure
+	// too, where completeAt is the last failure-observation time (the arrival
+	// for real engine errors, making this a no-op). A frozen clock after a failure
 	// would replay the identical time-keyed fault rolls (and re-arrive
 	// inside the same breaker-open window) forever.
-	netsim.AdvanceTo(clock, r.done)
-	t.results, t.err, t.stmtErrs = r.results, r.err, r.stmtErrs
-	t.bs = batchStats(len(out), ss, r.shards)
-	s.box.addExec(len(out), ss, r.err)
-	s.box.addRecovery(r)
+	netsim.AdvanceTo(clock, t.completeAt)
 	return t
 }
 

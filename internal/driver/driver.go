@@ -418,167 +418,124 @@ type stmtTrace struct {
 	rows int64
 }
 
-// execBatch runs the statements for one connection. Writes and transaction
-// control execute serially in order; consecutive runs of read statements
-// execute "in parallel", costing the maximum member cost plus a dispatch
-// cost per statement (the behaviour of the extended driver in Sec. 5).
-// With traced set it additionally returns the per-statement layout
-// mirroring that cost math: reads start where their parallel group stood,
-// writes after the group they closed.
-func (s *Server) execBatch(sess *engine.Session, stmts []Stmt, traced bool) ([]*sqldb.ResultSet, time.Duration, []stmtTrace, error) {
+// parsed returns the statement's AST: the one the query store threaded in,
+// else the interner's for the text.
+func (st Stmt) parsed() (sqlparse.Statement, error) {
+	if st.Parsed != nil {
+		return st.Parsed, nil
+	}
+	return plan.ParseCached(st.SQL)
+}
+
+// readOnly reports whether every statement parses to a SELECT. A parse
+// error reports false so the serial executor surfaces it in statement order.
+func readOnly(stmts []Stmt) bool {
+	for _, st := range stmts {
+		p, err := st.parsed()
+		if err != nil {
+			return false
+		}
+		if _, ok := p.(*sqlparse.SelectStmt); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// stmtExec executes one parsed statement and, when withPath is set, names
+// its access path: engine.Session.ExecPrepared or SnapSession.ExecSelect.
+type stmtExec func(sql string, st sqlparse.Statement, args []sqldb.Value, withPath bool) (*sqldb.ResultSet, string, error)
+
+// priceStmts is the one statement loop: it runs each statement through exec
+// in order and prices the batch. Writes and transaction control cost their
+// own time in order; consecutive runs of read statements execute "in
+// parallel", costing the maximum member cost plus a dispatch cost per
+// statement (the behaviour of the extended driver in Sec. 5). With traced
+// set it additionally returns the per-statement layout mirroring that cost
+// math: reads start where their parallel group stood, writes after the
+// group they closed. A parse error at statement i surfaces after
+// statements 0..i-1 have executed. Returns the results, the batch's server
+// time, the rows visited, and the layout.
+func (s *Server) priceStmts(exec stmtExec, stmts []Stmt, traced bool) ([]*sqldb.ResultSet, time.Duration, int64, []stmtTrace, error) {
 	results := make([]*sqldb.ResultSet, 0, len(stmts))
-	var total time.Duration
-	var parallelMax time.Duration
-	var rowsVisited int64
 	var layout []stmtTrace
 	if traced {
 		layout = make([]stmtTrace, 0, len(stmts))
 	}
-
-	flushParallel := func() {
-		total += parallelMax
-		parallelMax = 0
-	}
-
+	var total, parallelMax time.Duration
+	var rowsVisited int64
 	for _, st := range stmts {
-		parsed := st.Parsed
-		if parsed == nil {
-			var err error
-			parsed, err = plan.ParseCached(st.SQL)
-			if err != nil {
-				return nil, total, nil, fmt.Errorf("driver: %w", err)
-			}
-		}
-		rs, err := sess.ExecPrepared(st.SQL, parsed, st.Args)
+		parsed, err := st.parsed()
 		if err != nil {
-			return nil, total, nil, err
+			return nil, 0, 0, nil, fmt.Errorf("driver: %w", err)
+		}
+		rs, path, err := exec(st.SQL, parsed, st.Args, traced)
+		if err != nil {
+			return nil, 0, 0, nil, err
 		}
 		cost := s.cost.queryCost(rs)
 		rowsVisited += int64(rs.RowsScanned)
-		if sqlparse.IsWrite(parsed) {
+		write := sqlparse.IsWrite(parsed)
+		if write {
 			// Writes serialize: close the current parallel group first.
-			flushParallel()
-			if traced {
-				layout = append(layout, stmtTrace{
-					off: total, dur: cost,
-					path: sess.DescribeAccess(st.SQL, parsed),
-					rows: int64(rs.RowsScanned),
-				})
-			}
+			total += parallelMax
+			parallelMax = 0
+		}
+		if traced {
+			layout = append(layout, stmtTrace{off: total, dur: cost, path: path, rows: int64(rs.RowsScanned)})
+		}
+		if write {
 			total += cost
 		} else {
-			if traced {
-				layout = append(layout, stmtTrace{
-					off: total, dur: cost,
-					path: sess.DescribeAccess(st.SQL, parsed),
-					rows: int64(rs.RowsScanned),
-				})
-			}
-			if cost > parallelMax {
-				parallelMax = cost
-			}
+			parallelMax = max(parallelMax, cost)
 			total += s.cost.BatchDispatch
 		}
 		results = append(results, rs)
 	}
-	flushParallel()
-
-	s.mu.Lock()
-	s.stats.Queries += int64(len(stmts))
-	s.stats.Batches++
-	s.stats.Rows += rowsVisited
-	s.stats.DBTime += total
-	s.met.batches.Add(1)
-	s.met.stmts.Add(int64(len(stmts)))
-	s.met.rows.Add(rowsVisited)
-	s.met.timeNS.Add(int64(total))
-	s.mu.Unlock()
-	return results, total, layout, nil
+	return results, total + parallelMax, rowsVisited, layout, nil
 }
 
-// classifyRead decides whether a batch takes the parallel snapshot path:
-// every statement must be a SELECT (parsed successfully) and the session
-// must not hold an open transaction (a transaction's reads must observe
-// its own uncommitted writes, which only the serialized session sees).
-// Returns the parsed statements on success; on any parse error it reports
-// false and lets the serial path surface the identical error.
-func (s *Server) classifyRead(sess *engine.Session, stmts []Stmt) ([]sqlparse.Statement, bool) {
-	if sess.InTxn() {
-		return nil, false
-	}
-	parsed := make([]sqlparse.Statement, len(stmts))
-	for i, st := range stmts {
-		p := st.Parsed
-		if p == nil {
-			var err error
-			p, err = plan.ParseCached(st.SQL)
-			if err != nil {
-				return nil, false
-			}
+// execBatch runs the statements for one connection through priceStmts on
+// one of two executors and merges the outcome into the server's stats. A
+// read-only batch outside a transaction (a transaction's reads must observe
+// its own uncommitted writes, which only the serialized session sees) takes
+// a DB worker slot and runs against one pinned MVCC snapshot, concurrently
+// with other read batches; only the slot semaphore and the stats merge
+// serialize. Anything else runs on the connection's session under the store
+// lock. The pricing loop's write arm is never taken on a read-only batch,
+// so the virtual timeline — and with it every golden page — is identical
+// whichever executor a batch gets.
+func (s *Server) execBatch(sess *engine.Session, stmts []Stmt, traced bool) ([]*sqldb.ResultSet, time.Duration, []stmtTrace, error) {
+	if sess.InTxn() || !readOnly(stmts) {
+		results, total, rowsVisited, layout, err := s.priceStmts(sess.ExecPrepared, stmts, traced)
+		if err != nil {
+			return nil, 0, nil, err
 		}
-		if _, ok := p.(*sqlparse.SelectStmt); !ok {
-			return nil, false
-		}
-		parsed[i] = p
+		s.mu.Lock()
+		s.addBatchLocked(len(stmts), rowsVisited, total)
+		s.mu.Unlock()
+		return results, total, layout, nil
 	}
-	return parsed, true
-}
 
-// execReadBatch executes an all-SELECT batch on a DB worker slot against
-// one pinned MVCC snapshot, concurrently with other read batches; only the
-// slot semaphore and the final stats merge serialize. The virtual-cost
-// math is exactly the serialized path's read arm — per-statement dispatch
-// cost plus the parallel group's max — so the virtual timeline, and with
-// it every golden page, is identical whichever path a batch takes.
-func (s *Server) execReadBatch(parsed []sqlparse.Statement, stmts []Stmt, traced bool) ([]*sqldb.ResultSet, time.Duration, []stmtTrace, error) {
 	s.mu.Lock()
 	slots := s.slots
 	s.mu.Unlock()
 	slot := <-slots
 	//slothvet:allow wallclock(host-side wall stats: measures real multicore speedup, never feeds virtual time)
 	wallStart := time.Now()
-	ss := s.db.BeginSnapshot()
-
-	results := make([]*sqldb.ResultSet, 0, len(stmts))
-	var total time.Duration
-	var parallelMax time.Duration
-	var rowsVisited int64
-	var layout []stmtTrace
-	if traced {
-		layout = make([]stmtTrace, 0, len(stmts))
-	}
-	for i, st := range stmts {
-		rs, path, err := ss.ExecSelect(st.SQL, parsed[i], st.Args, traced)
-		if err != nil {
-			ss.Close()
-			slots <- slot
-			return nil, total, nil, err
-		}
-		cost := s.cost.queryCost(rs)
-		rowsVisited += int64(rs.RowsScanned)
-		if traced {
-			layout = append(layout, stmtTrace{
-				off: total, dur: cost, path: path, rows: int64(rs.RowsScanned),
-			})
-		}
-		if cost > parallelMax {
-			parallelMax = cost
-		}
-		total += s.cost.BatchDispatch
-		results = append(results, rs)
-	}
-	ss.Close()
+	snap := s.db.BeginSnapshot()
+	results, total, rowsVisited, layout, err := s.priceStmts(snap.ExecSelect, stmts, traced)
+	snap.Close()
 	//slothvet:allow wallclock(host-side wall stats: measures real multicore speedup, never feeds virtual time)
 	wall := time.Since(wallStart)
 	slots <- slot
-	total += parallelMax
+	if err != nil {
+		return nil, 0, nil, err
+	}
 
 	s.mu.Lock()
-	s.stats.Queries += int64(len(stmts))
-	s.stats.Batches++
+	s.addBatchLocked(len(stmts), rowsVisited, total)
 	s.stats.SnapBatches++
-	s.stats.Rows += rowsVisited
-	s.stats.DBTime += total
 	if slot < len(s.lanes) {
 		for len(s.stats.WorkerWall) < len(s.lanes) {
 			s.stats.WorkerWall = append(s.stats.WorkerWall, 0)
@@ -588,13 +545,22 @@ func (s *Server) execReadBatch(parsed []sqlparse.Statement, stmts []Stmt, traced
 		// The pool shrank while this batch held an old slot token.
 		s.stats.RetiredWall += wall
 	}
-	s.met.batches.Add(1)
-	s.met.stmts.Add(int64(len(stmts)))
-	s.met.rows.Add(rowsVisited)
-	s.met.timeNS.Add(int64(total))
 	s.met.wallNS.Add(int64(wall))
 	s.mu.Unlock()
 	return results, total, layout, nil
+}
+
+// addBatchLocked merges one executed batch into the server counters and
+// their live-metrics shadows. The caller holds s.mu.
+func (s *Server) addBatchLocked(stmts int, rowsVisited int64, total time.Duration) {
+	s.stats.Queries += int64(stmts)
+	s.stats.Batches++
+	s.stats.Rows += rowsVisited
+	s.stats.DBTime += total
+	s.met.batches.Add(1)
+	s.met.stmts.Add(int64(stmts))
+	s.met.rows.Add(rowsVisited)
+	s.met.timeNS.Add(int64(total))
 }
 
 // occupy reserves server capacity for a batch arriving at the given virtual
@@ -696,13 +662,9 @@ func (s *Server) shardMask(stmts []Stmt) uint64 {
 	s.db.Store().ReadLock()
 	defer s.db.Store().ReadUnlock()
 	for _, st := range stmts {
-		parsed := st.Parsed
-		if parsed == nil {
-			var err error
-			parsed, err = plan.ParseCached(st.SQL)
-			if err != nil {
-				return 0
-			}
+		parsed, err := st.parsed()
+		if err != nil {
+			return 0
 		}
 		m := s.db.StmtShardMask(st.SQL, parsed, st.Args)
 		if m == 0 {
@@ -740,8 +702,8 @@ type Conn struct {
 	// parent their execution spans under — the page root while a load is
 	// in flight. Owned by the session thread: only the session thread sets
 	// it and only the session-thread entry points read it, so the async
-	// worker (which always carries an explicit ticket context through
-	// ExecBatchCtx) never touches it.
+	// worker (which always carries an explicit ticket context through Exec)
+	// never touches it.
 	traceCtx obs.Ctx
 }
 
@@ -784,7 +746,7 @@ func (c *Conn) Query(sql string, args ...sqldb.Value) (*sqldb.ResultSet, error) 
 	return results[0], nil
 }
 
-// ExecBatchAt is the asynchronous batch entry point: it executes all
+// Exec is the one batch entry point, and it does not block: it executes all
 // statements now (server counters are charged, data effects land) but does
 // NOT advance any clock. The batch is modeled as arriving at virtual time
 // `arrival`; the returned completion time is when its single round trip
@@ -792,29 +754,18 @@ func (c *Conn) Query(sql string, args ...sqldb.Value) (*sqldb.ResultSet, error) 
 // server capacity, then paying server cost and link latency. Deferred
 // dispatch strategies pay (completion - now) only when a session actually
 // waits, which is how app-server compute overlaps DB time on the virtual
-// clock.
-func (c *Conn) ExecBatchAt(arrival time.Duration, stmts []Stmt) ([]*sqldb.ResultSet, time.Duration, error) {
-	return c.ExecBatchCtx(obs.Ctx{}, arrival, stmts)
-}
-
-// ExecBatchCtx is ExecBatchAt with a span context: when ctx records, the
-// batch's round trip becomes an "exec" span under ctx holding the queue
-// wait (if the batch queued for a DB worker), the server execution on the
-// worker's own track with one child span per statement (laid out by the
-// parallel-group cost math, stamped with rows and access path), and the
-// link crossing. The virtual timeline is identical with tracing on or
-// off — spans observe the simulation, never perturb it.
-func (c *Conn) ExecBatchCtx(ctx obs.Ctx, arrival time.Duration, stmts []Stmt) ([]*sqldb.ResultSet, time.Duration, error) {
-	results, done, _, err := c.ExecBatchFanout(ctx, arrival, stmts)
-	return results, done, err
-}
-
-// ExecBatchFanout is ExecBatchCtx reporting additionally how many storage
-// shards the batch occupied (its scatter width: 1 on an unsharded server,
-// up to the shard count for scans and cross-shard IN lists). The dispatch
-// layer threads the number into BatchStats so the querystore's reports can
-// show routing effectiveness.
-func (c *Conn) ExecBatchFanout(ctx obs.Ctx, arrival time.Duration, stmts []Stmt) ([]*sqldb.ResultSet, time.Duration, int, error) {
+// clock. The third result is how many storage shards the batch occupied
+// (its scatter width: 1 on an unsharded server, up to the shard count for
+// scans and cross-shard IN lists), which the dispatch layer threads into
+// BatchStats so the querystore's reports can show routing effectiveness.
+//
+// When ctx records, the batch's round trip becomes an "exec" span under ctx
+// holding the queue wait (if the batch queued for a DB worker), the server
+// execution on the worker's own track with one child span per statement
+// (laid out by the parallel-group cost math, stamped with rows and access
+// path), and the link crossing. The virtual timeline is identical with
+// tracing on or off — spans observe the simulation, never perturb it.
+func (c *Conn) Exec(ctx obs.Ctx, arrival time.Duration, stmts []Stmt) ([]*sqldb.ResultSet, time.Duration, int, error) {
 	if len(stmts) == 0 {
 		return nil, arrival, 0, nil
 	}
@@ -839,21 +790,7 @@ func (c *Conn) ExecBatchFanout(ctx obs.Ctx, arrival time.Duration, stmts []Stmt)
 			return nil, failAt, 0, ferr
 		}
 	}
-	var (
-		results []*sqldb.ResultSet
-		dbCost  time.Duration
-		layout  []stmtTrace
-		err     error
-	)
-	// Read-only batches outside transactions execute on a DB worker slot
-	// against an MVCC snapshot, in parallel with other read batches; writes
-	// and mixed batches take the serialized path. Both paths produce the
-	// same virtual cost for the same batch.
-	if parsed, ok := c.srv.classifyRead(c.sess, stmts); ok {
-		results, dbCost, layout, err = c.srv.execReadBatch(parsed, stmts, traced)
-	} else {
-		results, dbCost, layout, err = c.srv.execBatch(c.sess, stmts, traced)
-	}
+	results, dbCost, layout, err := c.srv.execBatch(c.sess, stmts, traced)
 	if err != nil {
 		if traced {
 			ctx.Instant("error", "exec", arrival, obs.Arg{K: "err", V: err.Error()})
@@ -914,7 +851,7 @@ func (c *Conn) ExecBatchFanout(ctx obs.Ctx, arrival time.Duration, stmts []Stmt)
 // sets in order — the Sloth batch driver. Execution spans parent under the
 // connection's installed trace context (SetTraceCtx).
 func (c *Conn) ExecBatch(stmts []Stmt) ([]*sqldb.ResultSet, error) {
-	results, done, err := c.ExecBatchCtx(c.traceCtx, c.clock.Now(), stmts)
+	results, done, _, err := c.Exec(c.traceCtx, c.clock.Now(), stmts)
 	if err != nil {
 		return nil, err
 	}

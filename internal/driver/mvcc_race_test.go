@@ -133,46 +133,6 @@ func TestSnapshotReadsNoPhantomInserts(t *testing.T) {
 	}
 }
 
-// TestReadBatchCostMatchesSerialPath: the snapshot path must charge the
-// same virtual cost as the serialized path for the same batch — golden
-// timelines cannot depend on which path a batch takes.
-func TestReadBatchCostMatchesSerialPath(t *testing.T) {
-	stmts := []Stmt{
-		{SQL: "SELECT v FROM kv WHERE k = 1"},
-		{SQL: "SELECT * FROM kv"},
-	}
-
-	// Snapshot path: read-only batch outside a transaction.
-	_, srvA, connA := rig(t, 0)
-	if _, err := connA.ExecBatch(stmts); err != nil {
-		t.Fatal(err)
-	}
-	stA := srvA.Stats()
-	if stA.SnapBatches != 1 {
-		t.Fatalf("snapshot path not taken: SnapBatches = %d", stA.SnapBatches)
-	}
-
-	// Serialized path: same statements inside an explicit transaction.
-	_, srvB, connB := rig(t, 0)
-	mustExec(t, connB, "BEGIN")
-	srvB.ResetStats()
-	if _, err := connB.ExecBatch(stmts); err != nil {
-		t.Fatal(err)
-	}
-	stB := srvB.Stats()
-	mustExec(t, connB, "COMMIT")
-	if stB.SnapBatches != 0 {
-		t.Fatalf("transactional batch took the snapshot path")
-	}
-
-	if stA.DBTime != stB.DBTime {
-		t.Fatalf("virtual cost differs by path: snapshot %v, serial %v", stA.DBTime, stB.DBTime)
-	}
-	if stA.Rows != stB.Rows {
-		t.Fatalf("rows visited differ by path: snapshot %d, serial %d", stA.Rows, stB.Rows)
-	}
-}
-
 // TestSetWorkersFoldsRetiredStats: resizing the pool mid-run folds the old
 // per-worker attribution into the Retired buckets instead of dropping it.
 func TestSetWorkersFoldsRetiredStats(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/obs"
 )
 
 // These tests pin the K-queue occupancy model: batches place on the DB
@@ -18,7 +19,7 @@ import (
 func occupyProbe(t *testing.T, conn *Conn, arrival time.Duration) time.Duration {
 	t.Helper()
 	stmts := []Stmt{{SQL: "SELECT v FROM kv WHERE k = 1"}}
-	_, done, err := conn.ExecBatchAt(arrival, stmts)
+	_, done, _, err := conn.Exec(obs.Ctx{}, arrival, stmts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,10 @@
 // The framework is deliberately minimal: an Analyzer runs once per
 // package over parsed files and full type information, reports
 // position-sorted diagnostics, and may exchange package-level facts with
-// the packages it imports (facts flow in dependency order, exactly like
-// unitchecker's vetx files). Two drivers exist: the in-process source
-// loader (loader.go — fixture tests and `slothvet ./...`) and the
-// `go vet -vettool` unitchecker protocol (cmd/slothvet).
+// the packages it imports (facts flow in dependency order, like
+// unitchecker's vetx files). One driver runs them: the in-process source
+// loader (loader.go), behind the fixture tests, TestRepoInvariants and
+// cmd/slothvet alike.
 package lint
 
 import (
@@ -20,6 +20,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"reflect"
 	"regexp"
 	"sort"
 	"strings"
@@ -94,10 +95,9 @@ func (p *Pass) ImportFact(pkgPath string, out any) bool {
 	return p.facts.importFact(pkgPath, p.Analyzer.Name, out)
 }
 
-// ExportFact publishes v as this package's fact for the current analyzer;
-// packages that import this one can read it with ImportFact. v must be
-// JSON-encodable (facts cross process boundaries under the vettool
-// protocol).
+// ExportFact publishes v, a pointer to the analyzer's fact struct, as this
+// package's fact for the current analyzer; packages that import this one
+// read it with ImportFact and must treat what it holds as read-only.
 func (p *Pass) ExportFact(v any) {
 	p.facts.exportFact(p.Path, p.Analyzer.Name, v)
 }
@@ -183,14 +183,9 @@ func (idx allowIndex) allowed(analyzer string, pos token.Position) bool {
 // Facts.
 
 // factSet holds every package's exported facts, keyed by package path and
-// analyzer name. Values are the analyzer's own types in-process; the
-// vettool driver round-trips them through JSON (facts.go).
+// analyzer name. Values are pointers to the analyzer's own fact types.
 type factSet struct {
 	byPkg map[string]map[string]any
-	// decode, when set, converts a stored raw fact into out; the in-process
-	// driver stores live values and copies them via JSON as well, keeping
-	// the two drivers byte-compatible.
-	decode func(raw any, out any) bool
 }
 
 func newFactSet() *factSet {
@@ -206,19 +201,16 @@ func (fs *factSet) exportFact(pkgPath, analyzer string, v any) {
 	m[analyzer] = v
 }
 
+// importFact copies the struct the analyzer exported for pkgPath into the
+// one out points to. Facts are keyed by analyzer name, so the two types
+// agree unless an analyzer disagrees with itself — reported as no fact.
 func (fs *factSet) importFact(pkgPath, analyzer string, out any) bool {
-	m := fs.byPkg[pkgPath]
-	if m == nil {
+	raw, ok := fs.byPkg[pkgPath][analyzer]
+	if !ok || reflect.TypeOf(raw) != reflect.TypeOf(out) {
 		return false
 	}
-	raw, ok := m[analyzer]
-	if !ok {
-		return false
-	}
-	if fs.decode == nil {
-		return decodeFact(raw, out)
-	}
-	return fs.decode(raw, out)
+	reflect.ValueOf(out).Elem().Set(reflect.ValueOf(raw).Elem())
+	return true
 }
 
 // ---------------------------------------------------------------------------
@@ -233,10 +225,10 @@ type Unit struct {
 	Info  *types.Info
 }
 
-// RunAnalyzers applies every analyzer to the unit, appending diagnostics
+// runAnalyzers applies every analyzer to the unit, appending diagnostics
 // (position-sorted) and exporting facts into fs. Malformed allow
 // annotations surface once per package regardless of the analyzer list.
-func RunAnalyzers(u *Unit, analyzers []*Analyzer, fs *factSet) ([]Diagnostic, error) {
+func runAnalyzers(u *Unit, analyzers []*Analyzer, fs *factSet) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	allows, bad := buildAllowIndex(u.Fset, u.Files, analyzers)
 	diags = append(diags, bad...)

@@ -18,9 +18,9 @@ import (
 // type-check each package against its already-checked dependencies
 // (standard-library imports come from the "source" importer, which
 // type-checks GOROOT from source and therefore needs no module proxy or
-// pre-built export data). This powers both `slothvet ./...` without the
-// cmd/go vet harness and the analyzer fixture tests, whose testdata trees
-// load with directory-relative import paths.
+// pre-built export data). This powers cmd/slothvet, TestRepoInvariants and
+// the analyzer fixture tests, whose testdata trees load with
+// directory-relative import paths.
 
 // Loaded is the result of LoadTree: analysis units in dependency order.
 type Loaded struct {
@@ -158,10 +158,10 @@ func LoadTree(root, modulePath string) (*Loaded, error) {
 // Run applies the analyzers to every loaded unit in dependency order,
 // threading facts, and returns all diagnostics sorted by position.
 func (l *Loaded) Run(analyzers []*Analyzer) ([]Diagnostic, error) {
-	fs := NewFactSet()
+	fs := newFactSet()
 	var all []Diagnostic
 	for _, u := range l.Units {
-		diags, err := RunAnalyzers(u, analyzers, fs)
+		diags, err := runAnalyzers(u, analyzers, fs)
 		if err != nil {
 			return all, err
 		}

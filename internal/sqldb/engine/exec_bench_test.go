@@ -78,31 +78,3 @@ func BenchmarkExecSelect(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkExecSelectBlockMode isolates the vectorized executor: the same
-// join-free shapes (point / scan / aggregate) under block-mode on vs off,
-// cache-on, so the gap is purely row-at-a-time vs 256-row blocks with a
-// selection bitmap. The join shape is absent by construction — joins always
-// take the row path.
-func BenchmarkExecSelectBlockMode(b *testing.B) {
-	shapes := map[string]bool{"point": true, "scan": true, "aggregate": true}
-	for _, mode := range []string{"block", "row"} {
-		for _, c := range execCases {
-			if !shapes[c.name] {
-				continue
-			}
-			b.Run(mode+"/"+c.name, func(b *testing.B) {
-				s := benchSession(b)
-				prev := plan.SetBlockMode(mode == "block")
-				defer plan.SetBlockMode(prev)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := s.Exec(c.sql, c.args(i)...); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}

@@ -30,11 +30,12 @@ func TestExecStmtDoesNotMutateArgs(t *testing.T) {
 	mustExecT(t, s, "INSERT INTO alias_t (id, score) VALUES (1, 2.5)")
 
 	args := []sqldb.Value{int(1), float32(2.5)}
-	st, err := sqlparse.Parse("SELECT id FROM alias_t WHERE id = ? AND score = ?")
+	const sql = "SELECT id FROM alias_t WHERE id = ? AND score = ?"
+	st, err := sqlparse.Parse(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := s.ExecStmt(st, args)
+	rs, _, err := s.ExecPrepared(sql, st, args, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,25 +59,24 @@ func (s *Session) Exec(sql string, args ...sqldb.Value) (*sqldb.ResultSet, error
 	if err != nil {
 		return nil, err
 	}
-	return s.ExecPrepared(sql, st, args)
-}
-
-// ExecStmt executes an already-parsed statement. Without the SQL text the
-// plan cache has no key, so the statement compiles afresh each call;
-// callers that have the text should use ExecPrepared.
-func (s *Session) ExecStmt(st sqlparse.Statement, args []sqldb.Value) (*sqldb.ResultSet, error) {
-	return s.ExecPrepared("", st, args)
+	rs, _, err := s.ExecPrepared(sql, st, args, false)
+	return rs, err
 }
 
 // ExecPrepared executes a parsed statement whose text is sql, going
-// through the compiled-plan cache. It acquires the store lock for the
-// duration of the statement — the engine serializes statements, which is
-// sufficient for the reproduction's single-store workloads.
-func (s *Session) ExecPrepared(sql string, st sqlparse.Statement, args []sqldb.Value) (*sqldb.ResultSet, error) {
+// through the compiled-plan cache, and (when withPath is set) names the
+// access path the tracing layer stamps on statement spans: "index-eq(col)"
+// / "index-in(col)" / "scan" for SELECTs — read off the same compiled plan
+// that executes, so tracing never touches the plan cache a second time —
+// "write" for mutations, "control" for transaction and DDL statements. It
+// acquires the store lock for the duration of the statement — the engine
+// serializes statements, which is sufficient for the reproduction's
+// single-store workloads.
+func (s *Session) ExecPrepared(sql string, st sqlparse.Statement, args []sqldb.Value, withPath bool) (*sqldb.ResultSet, string, error) {
 	args = normalizeArgs(args)
 	s.db.store.Lock()
 	defer s.db.store.Unlock()
-	return s.execLocked(sql, st, args)
+	return s.execLocked(sql, st, args, withPath)
 }
 
 // normalizeArgs maps convenience Go types onto canonical values without
@@ -99,76 +98,59 @@ func normalizeArgs(args []sqldb.Value) []sqldb.Value {
 	return args
 }
 
-// DescribeAccess names the access path a statement's compiled plan would
-// use — "index-eq(col)" / "index-in(col)" / "scan" for SELECTs, "write"
-// for mutations, "control" for transaction and DDL statements. The tracing
-// layer stamps it on per-statement spans; the plan-cache hit makes it
-// cheap for statements that just executed.
-func (s *Session) DescribeAccess(sql string, st sqlparse.Statement) string {
-	switch st.(type) {
-	case *sqlparse.SelectStmt:
-		s.db.store.Lock()
-		defer s.db.store.Unlock()
-		p := s.db.plans.Prepare(sql, st)
-		if p.Err != nil || p.Select == nil {
-			return "?"
-		}
-		return p.Select.AccessDesc()
-	case *sqlparse.InsertStmt, *sqlparse.UpdateStmt, *sqlparse.DeleteStmt:
-		return "write"
-	default:
-		return "control"
-	}
-}
-
-func (s *Session) execLocked(sql string, st sqlparse.Statement, args []sqldb.Value) (*sqldb.ResultSet, error) {
+func (s *Session) execLocked(sql string, st sqlparse.Statement, args []sqldb.Value, withPath bool) (rs *sqldb.ResultSet, path string, err error) {
+	path = "control"
 	switch x := st.(type) {
 	case *sqlparse.SelectStmt, *sqlparse.InsertStmt, *sqlparse.UpdateStmt, *sqlparse.DeleteStmt:
 		p := s.db.plans.Prepare(sql, st)
 		if p.Err != nil {
-			return nil, p.Err
+			return nil, "", p.Err
 		}
+		path = "write"
 		switch {
 		case p.Select != nil:
-			return p.Select.Exec(args)
+			path = ""
+			if withPath {
+				path = p.Select.AccessDesc()
+			}
+			rs, err = p.Select.Exec(args)
 		case p.Insert != nil:
-			return s.execWrite(func() (*sqldb.ResultSet, error) { return s.execInsert(p.Insert, args) })
+			rs, err = s.execWrite(func() (*sqldb.ResultSet, error) { return s.execInsert(p.Insert, args) })
 		case p.Update != nil:
-			return s.execWrite(func() (*sqldb.ResultSet, error) { return s.execUpdate(p.Update, args) })
+			rs, err = s.execWrite(func() (*sqldb.ResultSet, error) { return s.execUpdate(p.Update, args) })
 		default:
-			return s.execWrite(func() (*sqldb.ResultSet, error) { return s.execDelete(p.Delete, args) })
+			rs, err = s.execWrite(func() (*sqldb.ResultSet, error) { return s.execDelete(p.Delete, args) })
 		}
 	case *sqlparse.CreateTableStmt:
-		return s.execCreateTable(x)
+		rs, err = s.execCreateTable(x)
 	case *sqlparse.CreateIndexStmt:
-		return s.execCreateIndex(x)
+		rs, err = s.execCreateIndex(x)
 	case *sqlparse.BeginStmt:
 		if s.txn != nil {
-			return nil, fmt.Errorf("engine: transaction already open")
+			return nil, "", fmt.Errorf("engine: transaction already open")
 		}
 		s.txn = s.db.store.Begin()
-		return &sqldb.ResultSet{}, nil
+		rs = &sqldb.ResultSet{}
 	case *sqlparse.CommitStmt:
-		if s.txn == nil {
-			return &sqldb.ResultSet{}, nil // commit outside txn is a no-op
+		rs = &sqldb.ResultSet{}
+		if s.txn != nil { // commit outside txn is a no-op
+			err = s.txn.Commit()
+			s.txn = nil
 		}
-		err := s.txn.Commit()
-		s.txn = nil
-		return &sqldb.ResultSet{}, err
 	case *sqlparse.RollbackStmt:
-		if s.txn == nil {
-			return &sqldb.ResultSet{}, nil
+		rs = &sqldb.ResultSet{}
+		if s.txn != nil {
+			// The whole undo replay is one publication scope: readers see the
+			// rollback atomically, never a half-undone transaction.
+			s.db.store.BeginStmt()
+			err = s.txn.Rollback()
+			s.db.store.EndStmt()
+			s.txn = nil
 		}
-		// The whole undo replay is one publication scope: readers see the
-		// rollback atomically, never a half-undone transaction.
-		s.db.store.BeginStmt()
-		err := s.txn.Rollback()
-		s.db.store.EndStmt()
-		s.txn = nil
-		return &sqldb.ResultSet{}, err
 	default:
-		return nil, fmt.Errorf("engine: unsupported statement %T", st)
+		return nil, "", fmt.Errorf("engine: unsupported statement %T", st)
 	}
+	return rs, path, err
 }
 
 func (s *Session) execCreateTable(st *sqlparse.CreateTableStmt) (*sqldb.ResultSet, error) {

@@ -3,7 +3,6 @@ package plan
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/storage"
@@ -14,23 +13,12 @@ import (
 // plan gathers source rows into fixed-size blocks and runs each phase over
 // the block with a selection bitmap — the cache-friendly inner loop each
 // parallel DB worker spins in. Joins still execute row-at-a-time (the
-// join inner loop builds fresh combined rows anyway), so plans with joins
-// take the row path regardless of the mode toggle.
+// join inner loop builds fresh combined rows anyway), so the executor is
+// chosen by the plan's shape alone: join-free plans run here, plans with
+// joins take the row path in SelectPlan.exec.
 //
-// Block mode changes neither results nor RowsScanned: the same rows flow
-// through the same closures in the same order, so golden outputs and the
-// cost model are byte-identical either way.
-
-// blockOff is the global kill switch, mirroring the plan cache's
-// cachingOff: zero value means block mode is ON.
-var blockOff atomic.Bool
-
-// SetBlockMode toggles vectorized execution globally, returning the
-// previous setting (benchmarks compare block vs row mode).
-func SetBlockMode(on bool) bool { return !blockOff.Swap(!on) }
-
-// BlockModeEnabled reports whether block-mode execution is on.
-func BlockModeEnabled() bool { return !blockOff.Load() }
+// Blocking changes neither results nor RowsScanned: the same rows flow
+// through the same closures in the same order as a row-at-a-time pass.
 
 // blockRows is the block size: 256 row references plus a 4-word selection
 // bitmap stay comfortably inside L1 while amortizing per-block overhead.

@@ -176,7 +176,7 @@ func (p *SelectPlan) ExecSnap(args []sqldb.Value, snap *storage.Snap) (*sqldb.Re
 }
 
 func (p *SelectPlan) exec(args []sqldb.Value, snap *storage.Snap) (*sqldb.ResultSet, error) {
-	if len(p.joins) == 0 && BlockModeEnabled() {
+	if len(p.joins) == 0 {
 		return p.execBlock(args, snap)
 	}
 	scanned := 0
