@@ -33,7 +33,9 @@ func benchSession(b *testing.B) *Session {
 	return s
 }
 
-// execCases are the four access shapes the golden suites exercise hardest.
+// execCases are the access shapes the golden suites exercise hardest, plus
+// one case per remaining arm of the SELECT sink (source-row ORDER BY keys,
+// grouped accumulation, LEFT JOIN with hits and misses).
 var execCases = []struct {
 	name string
 	sql  string
@@ -53,6 +55,11 @@ var execCases = []struct {
 	{"distinct", "SELECT DISTINCT grp FROM kv", func(i int) []sqldb.Value { return nil }},
 	{"scan", "SELECT id, v FROM kv WHERE id > ?",
 		func(i int) []sqldb.Value { return []sqldb.Value{int64(256)} }},
+	{"order-src", "SELECT id, grp FROM kv WHERE grp = ? ORDER BY v DESC",
+		func(i int) []sqldb.Value { return []sqldb.Value{int64(i % 32)} }},
+	{"group", "SELECT grp, COUNT(*) FROM kv GROUP BY grp", func(i int) []sqldb.Value { return nil }},
+	{"left-join", "SELECT k.id, t.label FROM kv k LEFT JOIN tags t ON t.kv_id = k.id + 256 WHERE k.grp = ?",
+		func(i int) []sqldb.Value { return []sqldb.Value{int64(i % 32)} }},
 }
 
 // BenchmarkExecSelect measures end-to-end Session.Exec (parse + plan +

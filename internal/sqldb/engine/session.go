@@ -227,7 +227,7 @@ func (s *Session) execUpdate(p *plan.UpdatePlan, args []sqldb.Value) (*sqldb.Res
 	}
 	rs := &sqldb.ResultSet{RowsScanned: scanned}
 	for _, id := range ids {
-		row, ok := p.T.Get(id)
+		row, ok := p.T.RowAt(id, nil) // the stored image: read, never written
 		if !ok {
 			continue
 		}

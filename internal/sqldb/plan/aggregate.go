@@ -22,11 +22,10 @@ type aggCall struct {
 	arityErr error
 }
 
-// aggPlan is the compiled aggregation pipeline: output labels, group-by key
-// expressions, the collected aggregate calls, and output/HAVING expressions
-// with aggregate substitution.
+// aggPlan is the compiled aggregation pipeline: group-by key expressions,
+// the collected aggregate calls, and output/HAVING expressions with
+// aggregate substitution.
 type aggPlan struct {
-	cols    []string
 	outs    []aggEvalFn
 	calls   []aggCall
 	groupBy []EvalFn
@@ -34,30 +33,9 @@ type aggPlan struct {
 }
 
 // compileAggPlan builds the aggregation plan for a statement that
-// hasAggregates.
-func compileAggPlan(st *sqlparse.SelectStmt, env *Env) (*aggPlan, error) {
+// hasAggregates; outs are its select-list expressions.
+func compileAggPlan(st *sqlparse.SelectStmt, outs []sqlparse.Expr, env *Env) *aggPlan {
 	p := &aggPlan{}
-
-	type outExpr struct {
-		label string
-		expr  sqlparse.Expr
-	}
-	var outs []outExpr
-	for _, se := range st.Cols {
-		if se.Star {
-			return nil, fmt.Errorf("engine: * not allowed with aggregation")
-		}
-		label := se.Alias
-		if label == "" {
-			if ref, ok := se.Expr.(*sqlparse.ColRef); ok {
-				label = ref.Name
-			} else {
-				label = exprLabel(se.Expr)
-			}
-		}
-		outs = append(outs, outExpr{label: label, expr: se.Expr})
-		p.cols = append(p.cols, label)
-	}
 
 	// Collect every aggregate call appearing in select list or HAVING, in
 	// traversal order; call sites are identified by AST node, so each
@@ -82,7 +60,7 @@ func compileAggPlan(st *sqlparse.SelectStmt, env *Env) (*aggPlan, error) {
 		}
 	}
 	for _, o := range outs {
-		collect(o.expr)
+		collect(o)
 	}
 	if st.Having != nil {
 		collect(st.Having)
@@ -92,12 +70,12 @@ func compileAggPlan(st *sqlparse.SelectStmt, env *Env) (*aggPlan, error) {
 		p.groupBy = append(p.groupBy, Compile(&st.GroupBy[i], env))
 	}
 	for _, o := range outs {
-		p.outs = append(p.outs, compileAggExpr(o.expr, env, callIdx))
+		p.outs = append(p.outs, compileAggExpr(o, env, callIdx))
 	}
 	if st.Having != nil {
 		p.having = compileAggExpr(st.Having, env, callIdx)
 	}
-	return p, nil
+	return p
 }
 
 func compileAggCall(fc *sqlparse.FuncCall, env *Env) aggCall {
@@ -291,11 +269,10 @@ type groupState struct {
 	sample []sqldb.Value // a representative source row for group-key output
 }
 
-// aggRun is an in-flight aggregation: rows stream in through add (one at a
-// time from the row executor, a block's survivors at a time from the block
-// executor) and finish renders the output. Group samples alias the source
-// rows handed to add — safe because source rows are immutable stored
-// images (or freshly built join rows).
+// aggRun is an in-flight aggregation: rows stream in through add and finish
+// renders the output. Group samples alias the source rows handed to add —
+// safe because source rows are immutable stored images (or freshly built
+// join rows).
 type aggRun struct {
 	p       *aggPlan
 	groups  []*groupState
@@ -345,7 +322,7 @@ func (r *aggRun) add(row, args []sqldb.Value) error {
 }
 
 // finish renders output rows in first-seen group order, applying HAVING.
-func (r *aggRun) finish(args []sqldb.Value) (*sqldb.ResultSet, error) {
+func (r *aggRun) finish(args []sqldb.Value) ([][]sqldb.Value, error) {
 	p := r.p
 	groups := r.groups
 	// A global aggregate with no rows still yields one row.
@@ -353,7 +330,7 @@ func (r *aggRun) finish(args []sqldb.Value) (*sqldb.ResultSet, error) {
 		groups = append(groups, r.newGroup(nil))
 	}
 
-	rs := &sqldb.ResultSet{Cols: p.cols}
+	var rows [][]sqldb.Value
 	aggVals := make([]sqldb.Value, len(p.calls))
 	for _, g := range groups {
 		for i := range g.aggs {
@@ -376,19 +353,7 @@ func (r *aggRun) finish(args []sqldb.Value) (*sqldb.ResultSet, error) {
 			}
 			out[i] = v
 		}
-		rs.Rows = append(rs.Rows, out)
+		rows = append(rows, out)
 	}
-	return rs, nil
-}
-
-// exec buckets rows, accumulates aggregates, and renders output rows in
-// first-seen group order.
-func (p *aggPlan) exec(rows [][]sqldb.Value, args []sqldb.Value) (*sqldb.ResultSet, error) {
-	run := p.newRun()
-	for _, row := range rows {
-		if err := run.add(row, args); err != nil {
-			return nil, err
-		}
-	}
-	return run.finish(args)
+	return rows, nil
 }

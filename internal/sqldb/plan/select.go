@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 
@@ -16,19 +17,19 @@ import (
 // compiled to a closure over row slices. A plan executes many times; only
 // argument values vary per execution.
 type SelectPlan struct {
-	env         *Env
-	from        *storage.Table
-	access      []accessCand
-	joins       []joinPlan
-	where       EvalFn // nil when the statement has no WHERE clause
-	agg         *aggPlan
-	cols        []string
-	projs       []EvalFn
-	orderBy     []orderItem
-	distinct    bool
-	limit       int
-	offset      int
-	orderAggErr bool // ORDER BY over aggregates not naming an output column
+	env      *Env
+	from     *storage.Table
+	access   []accessCand
+	joins    []joinPlan
+	where    EvalFn // nil when the statement has no WHERE clause
+	agg      *aggPlan
+	cols     []string
+	projs    []EvalFn
+	orderBy  []orderItem
+	orderSrc bool // some ORDER BY term is a source-row key
+	distinct bool
+	limit    int
+	offset   int
 }
 
 // accessCand is one statically-detected index opportunity over the FROM
@@ -57,8 +58,11 @@ type joinPlan struct {
 	nCols   int
 }
 
-// orderItem is one compiled ORDER BY term: either an output-column index
-// (alias / output name reference) or a compiled source-row expression.
+// orderItem is one compiled ORDER BY term: an output-column index (the term
+// names an output label or is structurally a select-list expression), else
+// a compiled source-row expression. An aggregate plan has no source row to
+// evaluate at sort time, so there a term with neither is an error — raised
+// only when a row is actually ordered.
 type orderItem struct {
 	outCol int // >= 0: sort on the output column
 	key    EvalFn
@@ -115,40 +119,62 @@ func CompileSelect(st *sqlparse.SelectStmt, store *storage.Store) (*SelectPlan, 
 		p.where = Compile(st.Where, env)
 	}
 
-	if hasAggregates(st) {
-		agg, err := compileAggPlan(st, env)
-		if err != nil {
-			return nil, err
-		}
-		p.agg = agg
-		p.cols = agg.cols
+	agg := hasAggregates(st)
+	cols, exprs, err := selectList(env, st, agg)
+	if err != nil {
+		return nil, err
+	}
+	p.cols = cols
+	if agg {
+		p.agg = compileAggPlan(st, exprs, env)
 	} else {
-		cols, projs, err := compileSelectList(env, st)
-		if err != nil {
-			return nil, err
+		for _, e := range exprs {
+			p.projs = append(p.projs, Compile(e, env))
 		}
-		p.cols = cols
-		p.projs = projs
 	}
 
 	for _, ob := range st.OrderBy {
-		item := orderItem{outCol: -1, desc: ob.Desc}
-		if ref, ok := ob.Expr.(*sqlparse.ColRef); ok && ref.Table == "" {
-			if ci, ok := colIndex(p.cols, ref.Name); ok {
-				item.outCol = ci
-			}
-		}
-		if item.outCol < 0 {
-			if p.agg != nil {
-				// Raised only when a row is actually ordered, as before.
-				p.orderAggErr = true
-			} else {
-				item.key = Compile(ob.Expr, env)
-			}
+		item := orderItem{outCol: outputCol(env, cols, exprs, ob.Expr), desc: ob.Desc}
+		if item.outCol < 0 && !agg {
+			item.key = Compile(ob.Expr, env)
+			p.orderSrc = true
 		}
 		p.orderBy = append(p.orderBy, item)
 	}
 	return p, nil
+}
+
+// outputCol resolves an ORDER BY term to the output column it denotes: an
+// unqualified name matching an output label (aliases win, as in SQL), else
+// the first select-list expression it structurally equals. -1: neither.
+func outputCol(env *Env, cols []string, exprs []sqlparse.Expr, e sqlparse.Expr) int {
+	if ref, ok := e.(*sqlparse.ColRef); ok && ref.Table == "" {
+		if ci, ok := colIndex(cols, ref.Name); ok {
+			return ci
+		}
+	}
+	for i, se := range exprs {
+		if sameExpr(env, e, se) {
+			return i
+		}
+	}
+	return -1
+}
+
+// sameExpr reports whether a and b are structurally the same expression
+// (compile time only). Only a bare column reference is normalised: two of
+// them are the same when they resolve to the same row position, however each
+// is qualified or cased. Anything larger must match node for node, so
+// `t.id+1` does not equal `id+1`, nor `COUNT(t.id)` `COUNT(id)`.
+func sameExpr(env *Env, a, b sqlparse.Expr) bool {
+	ra, okA := a.(*sqlparse.ColRef)
+	rb, okB := b.(*sqlparse.ColRef)
+	if okA && okB {
+		pa, errA := env.resolve(ra)
+		pb, errB := env.resolve(rb)
+		return errA == nil && errB == nil && pa == pb
+	}
+	return reflect.DeepEqual(a, b)
 }
 
 // colIndex resolves a column label (case-insensitive, first match) — the
@@ -176,73 +202,198 @@ func (p *SelectPlan) ExecSnap(args []sqldb.Value, snap *storage.Snap) (*sqldb.Re
 }
 
 func (p *SelectPlan) exec(args []sqldb.Value, snap *storage.Snap) (*sqldb.ResultSet, error) {
-	if len(p.joins) == 0 {
-		return p.execBlock(args, snap)
-	}
-	scanned := 0
-	rows := p.sourceRows(args, snap, &scanned)
-
-	var err error
-	for i := range p.joins {
-		rows, err = p.joins[i].exec(p.env.width, rows, args, snap, &scanned)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	if p.where != nil {
-		filtered := rows[:0:0]
-		for _, row := range rows {
-			v, err := p.where(row, args)
-			if err != nil {
-				return nil, err
-			}
-			if v != nil && sqldb.Truthy(v) {
-				filtered = append(filtered, row)
-			}
-		}
-		rows = filtered
-	}
-
-	var rs *sqldb.ResultSet
+	s := sink{p: p, args: args, snap: snap}
 	if p.agg != nil {
-		rs, err = p.agg.exec(rows, args)
-	} else {
-		rs, err = p.project(rows, args)
+		s.run = p.agg.newRun()
 	}
-	if err != nil {
+	if err := p.eachSource(args, snap, s.source); err != nil {
 		return nil, err
 	}
-	rs.RowsScanned = scanned
+	return s.finish()
+}
 
-	// ORDER BY runs before DISTINCT so result/source row correspondence is
-	// intact for order expressions over source columns; DISTINCT then keeps
-	// the first occurrence, preserving sortedness.
-	if len(p.orderBy) > 0 {
-		if err := p.orderResult(rs, rows, args); err != nil {
+// eachSource calls fn with the FROM table's rows, through the first viable
+// access candidate or a scan. The rows alias the immutable stored images —
+// zero copies; every consumer downstream only reads them.
+func (p *SelectPlan) eachSource(args []sqldb.Value, snap *storage.Snap, fn func(storage.Row) error) error {
+	for i := range p.access {
+		vals, ok := p.access[i].values(args)
+		if !ok {
+			continue
+		}
+		for _, val := range vals {
+			if err := p.from.LookupEach(p.access[i].ord, val, snap, fn); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return p.from.ScanEach(snap, fn)
+}
+
+// sink is one execution of the plan — the only SELECT executor. Source rows
+// stream in one at a time, each carried through the joins (join) and then
+// through WHERE → aggregate accumulation or projection + source-row ORDER
+// BY keys (add); finish renders aggregates, sorts once, and applies
+// DISTINCT/OFFSET/LIMIT. Nothing is materialized between the stages, and
+// because one row runs every stage before the next row starts, the error a
+// statement reports is the first one in source-row order.
+type sink struct {
+	p       *SelectPlan
+	args    []sqldb.Value
+	snap    *storage.Snap
+	scanned int
+	run     *aggRun         // aggregate plans: the accumulating groups
+	rows    [][]sqldb.Value // other plans: projected output rows
+	keys    [][]sqldb.Value // keys[i]: rows[i]'s ORDER BY keys, when p.orderSrc
+}
+
+func (s *sink) source(r storage.Row) error {
+	s.scanned++
+	return s.join(0, r)
+}
+
+// join extends row with each match from join number level and passes the
+// combined rows on, depth first — the same row order a level-at-a-time
+// join produces. Past the last join the row goes to add.
+func (s *sink) join(level int, row []sqldb.Value) error {
+	if level == len(s.p.joins) {
+		return s.add(row)
+	}
+	j := &s.p.joins[level]
+	matched := false
+	tryRow := func(r storage.Row) error {
+		s.scanned++
+		combined := make([]sqldb.Value, s.p.env.width)
+		copy(combined, row)
+		copy(combined[j.jOffset:], r)
+		v, err := j.on(combined, s.args)
+		if err != nil || v == nil || !sqldb.Truthy(v) {
+			return err
+		}
+		matched = true
+		return s.join(level+1, combined[:j.jOffset+len(r)])
+	}
+	var err error
+	if j.jOrd < 0 {
+		err = j.t.ScanEach(s.snap, tryRow)
+	} else if key, kerr := j.leftKey(row, s.args); kerr == nil && key != nil {
+		err = j.t.LookupEach(j.jOrd, key, s.snap, tryRow)
+	}
+	if err != nil || matched || j.kind != sqlparse.JoinLeft {
+		return err
+	}
+	combined := make([]sqldb.Value, j.jOffset+j.nCols) // right side stays NULL
+	copy(combined, row)
+	return s.join(level+1, combined)
+}
+
+// add takes one fully joined row: WHERE, then accumulation or projection.
+func (s *sink) add(row []sqldb.Value) error {
+	p := s.p
+	if p.where != nil {
+		v, err := p.where(row, s.args)
+		if err != nil || v == nil || !sqldb.Truthy(v) {
+			return err
+		}
+	}
+	if s.run != nil {
+		return s.run.add(row, s.args)
+	}
+	out := make([]sqldb.Value, len(p.projs))
+	for i, fn := range p.projs {
+		v, err := fn(row, s.args)
+		if err != nil {
+			return err
+		}
+		out[i] = v
+	}
+	s.rows = append(s.rows, out)
+	if !p.orderSrc {
+		return nil
+	}
+	// Output rows carry only projected values, so keys over source columns
+	// are computed now, while the source row is at hand.
+	ks := make([]sqldb.Value, len(p.orderBy))
+	for k, ob := range p.orderBy {
+		if ob.key == nil {
+			continue
+		}
+		v, err := ob.key(row, s.args)
+		if err != nil {
+			return err
+		}
+		ks[k] = v
+	}
+	s.keys = append(s.keys, ks)
+	return nil
+}
+
+// finish turns the accumulated rows into the result set.
+func (s *sink) finish() (*sqldb.ResultSet, error) {
+	p := s.p
+	if s.run != nil {
+		var err error
+		if s.rows, err = s.run.finish(s.args); err != nil {
 			return nil, err
 		}
 	}
-
-	p.finishRows(rs)
-	return rs, nil
-}
-
-// finishRows applies the DISTINCT/OFFSET/LIMIT tail shared by the row and
-// block executors.
-func (p *SelectPlan) finishRows(rs *sqldb.ResultSet) {
+	if len(p.orderBy) > 0 && len(s.rows) > 0 {
+		for _, ob := range p.orderBy {
+			if ob.outCol < 0 && ob.key == nil {
+				return nil, fmt.Errorf("engine: ORDER BY over aggregates must reference output columns")
+			}
+		}
+		// ORDER BY runs before DISTINCT: DISTINCT then keeps the first
+		// occurrence, preserving sortedness.
+		sort.Stable(&byOrder{terms: p.orderBy, rows: s.rows, keys: s.keys})
+	}
+	rows := s.rows
 	if p.distinct {
-		rs.Rows = distinctRows(rs.Rows)
+		rows = distinctRows(rows)
 	}
 	if p.offset > 0 {
-		if p.offset >= len(rs.Rows) {
-			rs.Rows = nil
+		if p.offset >= len(rows) {
+			rows = nil
 		} else {
-			rs.Rows = rs.Rows[p.offset:]
+			rows = rows[p.offset:]
 		}
 	}
-	if p.limit >= 0 && len(rs.Rows) > p.limit {
-		rs.Rows = rs.Rows[:p.limit]
+	if p.limit >= 0 && len(rows) > p.limit {
+		rows = rows[:p.limit]
+	}
+	return &sqldb.ResultSet{Cols: p.cols, Rows: rows, RowsScanned: s.scanned}, nil
+}
+
+// byOrder sorts output rows by the ORDER BY terms: output-column terms read
+// the row itself, source terms its key vector (keys[i] belongs to rows[i]).
+type byOrder struct {
+	terms []orderItem
+	rows  [][]sqldb.Value
+	keys  [][]sqldb.Value
+}
+
+func (o *byOrder) Len() int { return len(o.rows) }
+
+func (o *byOrder) Less(a, b int) bool {
+	for k, ob := range o.terms {
+		var c int
+		if ob.outCol >= 0 {
+			c = compareForSort(o.rows[a][ob.outCol], o.rows[b][ob.outCol])
+		} else {
+			c = compareForSort(o.keys[a][k], o.keys[b][k])
+		}
+		if c != 0 {
+			return (c < 0) != ob.desc
+		}
+	}
+	return false
+}
+
+func (o *byOrder) Swap(a, b int) {
+	o.rows[a], o.rows[b] = o.rows[b], o.rows[a]
+	if o.keys != nil {
+		o.keys[a], o.keys[b] = o.keys[b], o.keys[a]
 	}
 }
 
@@ -280,118 +431,29 @@ func (c *accessCand) values(args []sqldb.Value) ([]sqldb.Value, bool) {
 	return vals, true
 }
 
-// sourceRows produces the source rows for the FROM table, through the
-// first viable access candidate or a scan. The emitted slices alias the
-// immutable stored images — zero copies; joins and projection only read
-// them (joins build fresh combined-width slices).
-func (p *SelectPlan) sourceRows(args []sqldb.Value, snap *storage.Snap, scanned *int) [][]sqldb.Value {
-	var rows [][]sqldb.Value
-	emit := func(r storage.Row) error {
-		*scanned++
-		rows = append(rows, r)
-		return nil
-	}
-	for i := range p.access {
-		vals, ok := p.access[i].values(args)
-		if !ok {
-			continue
+// selectList expands the select list into one label and one expression per
+// output column; stars become explicit column references.
+func selectList(env *Env, st *sqlparse.SelectStmt, agg bool) (cols []string, exprs []sqlparse.Expr, err error) {
+	addFrame := func(f frame) {
+		for _, c := range f.table.Columns {
+			cols = append(cols, c.Name)
+			exprs = append(exprs, &sqlparse.ColRef{Table: f.binding, Name: c.Name})
 		}
-		for _, val := range vals {
-			_ = p.from.LookupEach(p.access[i].ord, val, snap, emit)
-		}
-		return rows
-	}
-	_ = p.from.ScanEach(snap, emit)
-	return rows
-}
-
-// exec extends each left row with matching rows from the join table.
-func (j *joinPlan) exec(width int, left [][]sqldb.Value, args []sqldb.Value, snap *storage.Snap, scanned *int) ([][]sqldb.Value, error) {
-	var out [][]sqldb.Value
-	for _, lrow := range left {
-		matched := false
-		tryRow := func(r storage.Row) error {
-			*scanned++
-			combined := make([]sqldb.Value, width)
-			copy(combined, lrow)
-			for i, v := range r {
-				combined[j.jOffset+i] = v
-			}
-			v, err := j.on(combined, args)
-			if err != nil {
-				return err
-			}
-			if v != nil && sqldb.Truthy(v) {
-				out = append(out, combined[:j.jOffset+len(r)])
-				matched = true
-			}
-			return nil
-		}
-
-		if j.jOrd >= 0 {
-			key, kerr := j.leftKey(lrow, args)
-			if kerr == nil && key != nil {
-				if err := j.t.LookupEach(j.jOrd, key, snap, tryRow); err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			if err := j.t.ScanEach(snap, tryRow); err != nil {
-				return nil, err
-			}
-		}
-
-		if !matched && j.kind == sqlparse.JoinLeft {
-			combined := make([]sqldb.Value, j.jOffset+j.nCols)
-			copy(combined, lrow)
-			out = append(out, combined) // right side stays NULL
-		}
-	}
-	return out, nil
-}
-
-// project renders the compiled non-aggregate select list.
-func (p *SelectPlan) project(rows [][]sqldb.Value, args []sqldb.Value) (*sqldb.ResultSet, error) {
-	rs := &sqldb.ResultSet{Cols: p.cols}
-	for _, row := range rows {
-		out := make([]sqldb.Value, len(p.projs))
-		for i, fn := range p.projs {
-			v, err := fn(row, args)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		rs.Rows = append(rs.Rows, out)
-	}
-	return rs, nil
-}
-
-// compileSelectList resolves stars into explicit column references and
-// compiles every output expression.
-func compileSelectList(env *Env, st *sqlparse.SelectStmt) ([]string, []EvalFn, error) {
-	var cols []string
-	var projs []EvalFn
-	addCol := func(label string, e sqlparse.Expr) {
-		cols = append(cols, label)
-		projs = append(projs, Compile(e, env))
 	}
 	for _, se := range st.Cols {
 		switch {
+		case se.Star && agg:
+			return nil, nil, fmt.Errorf("engine: * not allowed with aggregation")
 		case se.Star && se.StarTable == "":
 			for _, f := range env.frames {
-				for _, c := range f.table.Columns {
-					addCol(c.Name, &sqlparse.ColRef{Table: f.binding, Name: c.Name})
-				}
+				addFrame(f)
 			}
 		case se.Star:
 			b := strings.ToLower(se.StarTable)
 			found := false
 			for _, f := range env.frames {
 				if f.binding == b {
-					for _, c := range f.table.Columns {
-						addCol(c.Name, &sqlparse.ColRef{Table: f.binding, Name: c.Name})
-					}
+					addFrame(f)
 					found = true
 				}
 			}
@@ -407,10 +469,11 @@ func compileSelectList(env *Env, st *sqlparse.SelectStmt) ([]string, []EvalFn, e
 					label = exprLabel(se.Expr)
 				}
 			}
-			addCol(label, se.Expr)
+			cols = append(cols, label)
+			exprs = append(exprs, se.Expr)
 		}
 	}
-	return cols, projs, nil
+	return cols, exprs, nil
 }
 
 func exprLabel(e sqlparse.Expr) string {
@@ -555,67 +618,6 @@ func exprHasAggregate(e sqlparse.Expr) bool {
 		return exprHasAggregate(x.Expr)
 	default:
 		return false
-	}
-}
-
-// orderResult sorts the result rows. For non-aggregate queries, order
-// expressions are evaluated against the corresponding source rows; for
-// aggregate queries they must reference output columns by name or alias.
-func (p *SelectPlan) orderResult(rs *sqldb.ResultSet, srcRows [][]sqldb.Value, args []sqldb.Value) error {
-	keys := make([][]sqldb.Value, len(rs.Rows))
-	for i := range rs.Rows {
-		ks := make([]sqldb.Value, len(p.orderBy))
-		for k, ob := range p.orderBy {
-			if ob.outCol >= 0 {
-				ks[k] = rs.Rows[i][ob.outCol]
-				continue
-			}
-			if p.orderAggErr {
-				return fmt.Errorf("engine: ORDER BY over aggregates must reference output columns")
-			}
-			if i >= len(srcRows) {
-				return fmt.Errorf("engine: internal: row correspondence lost in ORDER BY")
-			}
-			v, err := ob.key(srcRows[i], args)
-			if err != nil {
-				return err
-			}
-			ks[k] = v
-		}
-		keys[i] = ks
-	}
-	p.sortKeyed(rs, keys)
-	return nil
-}
-
-// sortKeyed stably sorts rs.Rows by precomputed per-row key vectors
-// (keys[i] aligns with rs.Rows[i], one key per ORDER BY term).
-func (p *SelectPlan) sortKeyed(rs *sqldb.ResultSet, keys [][]sqldb.Value) {
-	type keyed struct {
-		out  []sqldb.Value
-		keys []sqldb.Value
-	}
-	items := make([]keyed, len(rs.Rows))
-	for i := range rs.Rows {
-		items[i] = keyed{out: rs.Rows[i], keys: keys[i]}
-	}
-
-	sort.SliceStable(items, func(a, b int) bool {
-		for k, ob := range p.orderBy {
-			av, bv := items[a].keys[k], items[b].keys[k]
-			c := compareForSort(av, bv)
-			if c == 0 {
-				continue
-			}
-			if ob.desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	for i := range items {
-		rs.Rows[i] = items[i].out
 	}
 }
 

@@ -126,46 +126,45 @@ func compileTableAccess(t *storage.Table, binding string, where sqlparse.Expr, e
 }
 
 // Match returns ids of rows satisfying the WHERE clause, using an index
-// candidate when one's values evaluate, plus the scanned-row count. The
+// candidate when one's values evaluate, plus the scanned-row count. WHERE
+// evaluates on the stored row images, which it only reads — no copies. The
 // caller must hold the store lock.
 func (a *TableAccess) Match(args []sqldb.Value) ([]storage.RowID, int, error) {
-	var candidates []storage.RowID
-	indexed := false
+	var out []storage.RowID
+	var err error
+	scanned := 0
+	visit := func(id storage.RowID, row storage.Row) bool {
+		scanned++
+		if a.where != nil {
+			v, werr := a.where(row, args)
+			if werr != nil {
+				err = werr
+				return false
+			}
+			if v == nil || !sqldb.Truthy(v) {
+				return true
+			}
+		}
+		out = append(out, id)
+		return true
+	}
 	for i := range a.access {
 		vals, ok := a.access[i].values(args)
 		if !ok {
 			continue
 		}
 		for _, val := range vals {
-			candidates = append(candidates, a.t.Lookup(a.access[i].ord, val)...)
+			for _, id := range a.t.Lookup(a.access[i].ord, val) {
+				if row, ok := a.t.RowAt(id, nil); ok && !visit(id, row) {
+					return nil, scanned, err
+				}
+			}
 		}
-		indexed = true
-		break
+		return out, scanned, nil
 	}
-	if !indexed {
-		a.t.Scan(func(id storage.RowID, _ storage.Row) bool {
-			candidates = append(candidates, id)
-			return true
-		})
-	}
-	if a.where == nil {
-		return candidates, len(candidates), nil
-	}
-	scanned := 0
-	var out []storage.RowID
-	for _, id := range candidates {
-		row, ok := a.t.Get(id)
-		if !ok {
-			continue
-		}
-		scanned++
-		v, err := a.where(row, args)
-		if err != nil {
-			return nil, scanned, err
-		}
-		if v != nil && sqldb.Truthy(v) {
-			out = append(out, id)
-		}
+	a.t.Scan(visit)
+	if err != nil {
+		return nil, scanned, err
 	}
 	return out, scanned, nil
 }

@@ -13,8 +13,8 @@ import (
 // per-shard Stores, each keeping its own MVCC version chains, snapshot
 // registry, and epoch GC. The engine and plan layers keep talking to ONE
 // Store and ONE *Table per name — the coordinator's table is a routing
-// view whose methods branch to the shard parts — so compiled plans,
-// block-mode execution, and the transaction undo log work unchanged.
+// view whose methods branch to the shard parts — so compiled plans, the
+// SELECT executor, and the transaction undo log work unchanged.
 //
 // Determinism contract (what keeps the 150 golden pages and the virtual
 // timeline byte-identical at any shard count): all parts share one global
