@@ -13,7 +13,7 @@ import (
 // FamilyID names one of the registered merge families. Each family is an
 // analyzer (which statements qualify), a renderer (what the merged
 // statement looks like), and a demux rule (how merged rows route back to
-// the originals); the fingerprint/chunk/route machinery is shared.
+// the originals); the group-key/chunk/route machinery is shared.
 type FamilyID int
 
 const (
@@ -53,17 +53,6 @@ type window struct {
 	loStrict, hiStrict bool // strict bound: `>` / `<` instead of `>=` / `<=`
 }
 
-// key canonicalizes the window for chunk-level dedup of identical windows.
-func (w window) key() string {
-	b := func(s bool) string {
-		if s {
-			return "(" // strict: open end
-		}
-		return "[" // inclusive: closed end
-	}
-	return b(w.loStrict) + sqldb.Format(w.lo) + "\x1f" + sqldb.Format(w.hi) + b(w.hiStrict)
-}
-
 // contains reports whether v falls inside the window under the engine's
 // comparison semantics (numeric promotion; NULL and incomparable values
 // never match).
@@ -82,36 +71,56 @@ func (w window) contains(v sqldb.Value) bool {
 	return true
 }
 
-// candidate is one statement eligible for merging under some family.
+// candidate is one statement bound to a shape: the argument-dependent half
+// of analysis. A batch's candidates live in one slab, indexed like the
+// batch; sh is nil for statements that are not candidates.
 type candidate struct {
-	fam    FamilyID
-	sel    *sqlparse.SelectStmt
-	args   []sqldb.Value
-	others []sqlparse.Expr // residual WHERE conjuncts
-	fp     string
-
-	// Equality and aggregate families: the `col = value` match conjunct.
-	matchRef *sqlparse.ColRef
-	matchVal sqldb.Value
-
-	// Aggregate family: the projected aggregate calls in select-list order,
-	// with the output labels the engine would give the original statement.
-	aggs   []*sqlparse.FuncCall
-	labels []string
-
-	// Range family: the value window over matchRef.
-	win window
+	sh       *shape
+	args     []sqldb.Value
+	matchVal sqldb.Value // equality and aggregate families: the match constant
+	win      window      // range family: the value window over sh.matchRef
+	group    int32       // group ordinal within the batch
+	chunk    int32       // chunk ordinal within a multi-member group
 }
 
-// groupKey canonicalizes the varying part of the candidate — the IN-list
-// member it contributes (equality, aggregate) or its window (range) — for
-// chunk-level dedup when upstream dedup is disabled.
-func (c *candidate) groupKey() string {
-	if c.fam == FamilyRange {
-		return c.win.key()
+// varying is the candidate's varying part — the IN-list member it
+// contributes (equality, aggregate) or its window (range) — as a comparable
+// value, for chunk-level dedup when upstream dedup is disabled.
+func (c *candidate) varying() window {
+	if c.sh.fam == FamilyRange {
+		return c.win
 	}
-	k, _ := scalarKey(c.matchVal)
+	return window{lo: c.matchVal}
+}
+
+// groupKey identifies a group: statements merge exactly when their keys are
+// equal. epoch counts the write barriers seen so far and shard is the match
+// value's owning shard (-1: unrouted), both filled in by Rewrite.
+type groupKey struct {
+	epoch, shard int
+	tmpl         string
+	class        byte   // match value type / window bound class
+	consts       string // the template's hole values, formatted
+}
+
+// key builds the candidate-independent part of the group key for one
+// statement bound to the shape.
+func (sh *shape) key(class byte, args []sqldb.Value) groupKey {
+	k := groupKey{tmpl: sh.tmpl, class: class, consts: sh.consts}
+	if len(sh.holes) > 0 {
+		k.consts = formatHoles(sh.holes, args)
+	}
 	return k
+}
+
+// formatHoles resolves and formats a template's constants, in order.
+func formatHoles(holes []constant, args []sqldb.Value) string {
+	var buf [64]byte
+	b := buf[:0]
+	for _, h := range holes {
+		b = append(append(b, sqldb.Format(h.value(args))...), '\x1f')
+	}
+	return string(b)
 }
 
 // splitConjuncts flattens a WHERE tree over top-level ANDs.
@@ -123,107 +132,80 @@ func splitConjuncts(e sqlparse.Expr, out []sqlparse.Expr) []sqlparse.Expr {
 	return append(out, e)
 }
 
-// constOf resolves a Literal or Param to its value. Anything else — column
-// references, computed expressions — disqualifies the conjunct.
-func constOf(e sqlparse.Expr, args []sqldb.Value) (sqldb.Value, bool) {
-	switch x := e.(type) {
-	case *sqlparse.Literal:
-		return sqldb.Normalize(x.Value), true
-	case *sqlparse.Param:
-		if x.Index < 0 || x.Index >= len(args) {
-			return nil, false
-		}
-		return sqldb.Normalize(args[x.Index]), true
-	default:
-		return nil, false
-	}
-}
-
-// scalarKey gives a map key for a match value; only these scalar types are
-// mergeable (NULL never equals anything, so it is excluded).
-func scalarKey(v sqldb.Value) (string, bool) {
-	switch x := v.(type) {
+// scalarClass tags a match value's type (0: not mergeable — only these
+// scalar types are, and NULL never equals anything). The type is
+// part of the group key: the engine's index lookup is type-strict while
+// general comparison promotes int/float, so values of different types must
+// never share an IN list — merging them could hand a statement rows its own
+// execution would not return.
+func scalarClass(v sqldb.Value) byte {
+	switch v.(type) {
 	case int64:
-		return "i" + fmt.Sprint(x), true
+		return 'i'
 	case string:
-		return "s" + x, true
+		return 's'
 	case float64:
-		return "f" + fmt.Sprint(x), true
+		return 'f'
 	case bool:
-		return "b" + fmt.Sprint(x), true
-	default:
-		return "", false
+		return 'b'
 	}
+	return 0
 }
 
-// rangeClass buckets a window bound for fingerprinting: the engine promotes
-// int/float freely in comparisons, so the numeric types share a class, but
-// mixing classes across a group could make the merged OR-eval fail where an
-// original would not.
-func rangeClass(v sqldb.Value) (string, bool) {
+// rangeClass buckets a window bound (0: not a usable bound): the engine
+// promotes int/float freely in comparisons, so the numeric types share a
+// class, but mixing classes across a group could make the merged OR-eval
+// fail where an original would not — so the class is part of the group key.
+func rangeClass(v sqldb.Value) byte {
 	switch v.(type) {
 	case int64, float64:
-		return "n", true
+		return 'n'
 	case string:
-		return "s", true
-	default:
-		return "", false
+		return 's'
 	}
+	return 0
 }
 
-// analyze classifies one statement against the enabled families, returning
-// a candidate when it is mergeable and nil otherwise. It consumes the AST
-// the query store threaded through the batch (falling back to the parse
-// interner), so analysis never re-parses SQL text.
-func (m *Merger) analyze(st driver.Stmt) *candidate {
+// analyze binds one statement to a shape under the enabled families,
+// filling c and returning its group key (epoch and shard left for Rewrite)
+// when it is mergeable. It consumes the AST the query store threaded
+// through the batch (falling back to the parse interner), so analysis never
+// re-parses SQL text, and the AST's cached shapes, so it never re-derives
+// what the arguments cannot change.
+func (m *Merger) analyze(st driver.Stmt, c *candidate) (groupKey, bool) {
 	parsed := st.Parsed
 	if parsed == nil {
 		var err error
 		parsed, err = plan.ParseCached(st.SQL)
 		if err != nil {
-			return nil
+			return groupKey{}, false
 		}
 	}
 	sel, ok := parsed.(*sqlparse.SelectStmt)
 	if !ok {
-		return nil
+		return groupKey{}, false
 	}
-	// Shared base shape for every family: single-table SELECT with a WHERE
-	// clause and none of the clauses that change meaning when rows from
-	// other keys join the working set.
-	if sel.Distinct || len(sel.Joins) > 0 || len(sel.GroupBy) > 0 ||
-		sel.Having != nil || sel.Limit >= 0 || sel.Offset > 0 || sel.Where == nil {
-		return nil
+	ss := shapesOf(sel)
+	if ss == nil || len(st.Args) < ss.minArgs || (ss.agg && !m.cfg.familyOn(FamilyAggregate)) {
+		return groupKey{}, false
 	}
-
-	if projectionAggregates(sel) {
-		if !m.cfg.familyOn(FamilyAggregate) {
-			return nil
-		}
-		return analyzeAggregate(sel, st.Args)
-	}
-	// Projection: stars and bare column references only; anything computed
-	// changes meaning when rows from other keys join the set.
-	hasStar := false
-	for _, se := range sel.Cols {
-		if se.Star {
-			if se.StarTable != "" && !strings.EqualFold(se.StarTable, sel.From.Binding()) {
-				return nil
-			}
-			hasStar = true
+	// The match conjunct is the first `col = const` whose constant is not
+	// NULL; if that one cannot merge, no later one is tried.
+	for _, site := range ss.eq {
+		v := site.val.value(st.Args)
+		if v == nil {
 			continue
 		}
-		if _, ok := se.Expr.(*sqlparse.ColRef); !ok {
-			return nil
+		if class := scalarClass(v); class != 0 && site.sh != nil {
+			*c = candidate{sh: site.sh, args: st.Args, matchVal: v}
+			return site.sh.key(class, st.Args), true
 		}
+		break
 	}
-	if c := analyzeEquality(sel, st.Args, hasStar); c != nil {
-		return c
+	if ss.agg || !m.cfg.familyOn(FamilyRange) {
+		return groupKey{}, false
 	}
-	if m.cfg.familyOn(FamilyRange) {
-		return analyzeRange(sel, st.Args, hasStar)
-	}
-	return nil
+	return ss.bindRange(st.Args, c)
 }
 
 // projectionAggregates reports whether any select expression contains an
@@ -253,90 +235,57 @@ func exprHasAggregate(e sqlparse.Expr) bool {
 	}
 }
 
-// analyzeEquality matches the original family: a top-level `col = const`
-// conjunct whose column the projection carries.
-func analyzeEquality(sel *sqlparse.SelectStmt, args []sqldb.Value, hasStar bool) *candidate {
-	conjuncts := splitConjuncts(sel.Where, nil)
-	c := &candidate{fam: FamilyEquality, sel: sel, args: args}
-	for _, conj := range conjuncts {
-		if c.matchRef == nil {
-			if ref, val, ok := eqConst(conj, args, sel.From.Binding()); ok {
-				c.matchRef, c.matchVal = ref, val
-				continue
+// plainProjection reports whether the select list is stars and bare column
+// references only; anything computed changes meaning when rows from other
+// keys join the set.
+func plainProjection(sel *sqlparse.SelectStmt) bool {
+	for _, se := range sel.Cols {
+		if se.Star {
+			if se.StarTable != "" && !strings.EqualFold(se.StarTable, sel.From.Binding()) {
+				return false
 			}
+			continue
 		}
-		c.others = append(c.others, conj)
+		if _, ok := se.Expr.(*sqlparse.ColRef); !ok {
+			return false
+		}
 	}
-	if c.matchRef == nil {
-		return nil
-	}
-	if _, ok := scalarKey(c.matchVal); !ok {
-		return nil
-	}
-	// Demux keys on the match column's value in the result rows, so the
-	// projection must carry it.
-	if !hasStar && !projectionHas(sel.Cols, c.matchRef.Name) {
-		return nil
-	}
-	return finishCandidate(c)
+	return true
 }
 
-// analyzeAggregate matches per-key scalar aggregates: every select
-// expression is one aggregate call (COUNT/SUM/AVG/MIN/MAX over `*` or a
-// plain column), and the WHERE clause carries a `col = const` conjunct to
-// group by. The match column need not be projected — the merged statement
-// adds it as the leading GROUP BY key, and demux strips it again.
-func analyzeAggregate(sel *sqlparse.SelectStmt, args []sqldb.Value) *candidate {
+// aggregateProjection checks the aggregate family's select list — every
+// expression one aggregate call (COUNT/SUM/AVG/MIN/MAX over `*` or a plain
+// column) — and records the calls and their labels in sh. The match column
+// need not be projected: the merged statement adds it as the leading GROUP
+// BY key, and demux strips it again.
+func aggregateProjection(sh *shape) bool {
 	// An aggregate statement yields exactly one row whatever the key, so
 	// ORDER BY is both pointless and a shape we refuse rather than reason
 	// about across groups.
-	if len(sel.OrderBy) > 0 {
-		return nil
+	if len(sh.sel.OrderBy) > 0 {
+		return false
 	}
-	c := &candidate{fam: FamilyAggregate, sel: sel, args: args}
-	for _, se := range sel.Cols {
+	for _, se := range sh.sel.Cols {
 		if se.Star {
-			return nil
+			return false
 		}
 		fc, ok := se.Expr.(*sqlparse.FuncCall)
 		if !ok || !fc.IsAggregate() {
-			return nil
+			return false
 		}
 		if !fc.Star {
 			if len(fc.Args) != 1 {
-				return nil
+				return false
 			}
 			ref, ok := fc.Args[0].(*sqlparse.ColRef)
-			if !ok {
-				return nil
-			}
-			if ref.Table != "" && !strings.EqualFold(ref.Table, sel.From.Binding()) {
-				return nil
+			if !ok || !ownColumn(ref, sh.sel.From.Binding()) {
+				return false
 			}
 		}
-		c.aggs = append(c.aggs, fc)
-		c.labels = append(c.labels, aggregateLabel(se, fc))
+		sh.aggs = append(sh.aggs, fc)
+		sh.labels = append(sh.labels, aggregateLabel(se, fc))
 	}
-	if len(c.aggs) == 0 {
-		return nil
-	}
-	conjuncts := splitConjuncts(sel.Where, nil)
-	for _, conj := range conjuncts {
-		if c.matchRef == nil {
-			if ref, val, ok := eqConst(conj, args, sel.From.Binding()); ok {
-				c.matchRef, c.matchVal = ref, val
-				continue
-			}
-		}
-		c.others = append(c.others, conj)
-	}
-	if c.matchRef == nil {
-		return nil
-	}
-	if _, ok := scalarKey(c.matchVal); !ok {
-		return nil
-	}
-	return finishCandidate(c)
+	return len(sh.aggs) > 0
 }
 
 // aggregateLabel reproduces the engine's output label for one aggregate
@@ -365,193 +314,77 @@ func zeroValue(fc *sqlparse.FuncCall) sqldb.Value {
 	return nil
 }
 
-// analyzeRange matches statements whose only varying part is one value
-// window over a column: either `col BETWEEN const AND const`, or a pair of
-// one lower-bound and one upper-bound comparison conjunct on the same
-// column. The remaining conjuncts are residual, and the projection must
-// carry the range column for membership demux.
-func analyzeRange(sel *sqlparse.SelectStmt, args []sqldb.Value, hasStar bool) *candidate {
-	binding := sel.From.Binding()
-	conjuncts := splitConjuncts(sel.Where, nil)
-
-	type bound struct {
-		conj   int // conjunct index
-		val    sqldb.Value
-		strict bool
+// bindRange picks the statement's value window: the first bounded column —
+// in order of its first usable bound — carrying exactly one lower and one
+// upper bound (a BETWEEN supplies both) of one class, whose shape exists.
+// Bounds whose constant is NULL drop out first; ambiguous columns — two
+// lower bounds, say — are skipped rather than guessed at. The remaining
+// conjuncts are the shape's residual.
+func (ss *stmtShapes) bindRange(args []sqldb.Value, c *candidate) (groupKey, bool) {
+	type colState struct {
+		nLo, nHi int
+		lo, hi   int // ss.bounds indexes
+		win      window
 	}
-	type colBounds struct {
-		ref       *sqlparse.ColRef
-		firstSeen int
-		lo, hi    []bound
-		between   []int // conjunct indexes of BETWEEN forms
+	var colBuf [4]colState
+	var orderBuf [4]int
+	cols, order := colBuf[:], orderBuf[:0]
+	if ss.nCols > len(cols) {
+		cols = make([]colState, ss.nCols)
 	}
-	byCol := map[string]*colBounds{}
-	var order []string
-
-	record := func(ref *sqlparse.ColRef, seen int) *colBounds {
-		key := strings.ToLower(ref.Name)
-		cb, ok := byCol[key]
-		if !ok {
-			cb = &colBounds{ref: ref, firstSeen: seen}
-			byCol[key] = cb
-			order = append(order, key)
+	for i := range ss.bounds {
+		b := &ss.bounds[i]
+		var lo, hi sqldb.Value
+		if b.isLo {
+			lo = b.lo.value(args)
 		}
-		return cb
-	}
-
-	for i, conj := range conjuncts {
-		switch x := conj.(type) {
-		case *sqlparse.BetweenExpr:
-			ref, ok := x.Expr.(*sqlparse.ColRef)
-			if !ok || (ref.Table != "" && !strings.EqualFold(ref.Table, binding)) {
-				continue
-			}
-			lo, ok1 := constOf(x.Lo, args)
-			hi, ok2 := constOf(x.Hi, args)
-			if !ok1 || !ok2 || lo == nil || hi == nil {
-				continue
-			}
-			cb := record(ref, i)
-			cb.lo = append(cb.lo, bound{conj: i, val: lo})
-			cb.hi = append(cb.hi, bound{conj: i, val: hi})
-			cb.between = append(cb.between, i)
-		case *sqlparse.Binary:
-			ref, val, op, ok := cmpConst(x, args, binding)
-			if !ok {
-				continue
-			}
-			cb := record(ref, i)
-			switch op {
-			case sqlparse.OpGe:
-				cb.lo = append(cb.lo, bound{conj: i, val: val})
-			case sqlparse.OpGt:
-				cb.lo = append(cb.lo, bound{conj: i, val: val, strict: true})
-			case sqlparse.OpLe:
-				cb.hi = append(cb.hi, bound{conj: i, val: val})
-			case sqlparse.OpLt:
-				cb.hi = append(cb.hi, bound{conj: i, val: val, strict: true})
-			}
+		if b.isHi {
+			hi = b.hi.value(args)
 		}
-	}
-
-	// The window column is the first column carrying exactly one lower and
-	// one upper bound (a BETWEEN supplies both). Ambiguous columns — two
-	// lower bounds, say — are skipped rather than guessed at.
-	for _, key := range order {
-		cb := byCol[key]
-		if len(cb.lo) != 1 || len(cb.hi) != 1 {
+		if (b.isLo && lo == nil) || (b.isHi && hi == nil) {
 			continue
 		}
-		loClass, ok1 := rangeClass(cb.lo[0].val)
-		hiClass, ok2 := rangeClass(cb.hi[0].val)
-		if !ok1 || !ok2 || loClass != hiClass {
+		st := &cols[b.col]
+		if st.nLo+st.nHi == 0 {
+			order = append(order, b.col)
+		}
+		if b.isLo {
+			st.nLo, st.lo, st.win.lo, st.win.loStrict = st.nLo+1, i, lo, b.strict
+		}
+		if b.isHi {
+			st.nHi, st.hi, st.win.hi, st.win.hiStrict = st.nHi+1, i, hi, b.strict
+		}
+	}
+	for _, col := range order {
+		st := &cols[col]
+		if st.nLo != 1 || st.nHi != 1 {
 			continue
 		}
-		if !hasStar && !projectionHas(sel.Cols, cb.ref.Name) {
+		class := rangeClass(st.win.lo)
+		if class == 0 || class != rangeClass(st.win.hi) {
 			continue
 		}
-		c := &candidate{
-			fam:      FamilyRange,
-			sel:      sel,
-			args:     args,
-			matchRef: cb.ref,
-			win: window{
-				lo: cb.lo[0].val, hi: cb.hi[0].val,
-				loStrict: cb.lo[0].strict, hiStrict: cb.hi[0].strict,
-			},
-		}
-		windowConjs := map[int]bool{cb.lo[0].conj: true, cb.hi[0].conj: true}
-		for i, conj := range conjuncts {
-			if !windowConjs[i] {
-				c.others = append(c.others, conj)
+		for _, w := range ss.windows {
+			if w.lo == st.lo && w.hi == st.hi {
+				*c = candidate{sh: w.sh, args: args, win: st.win}
+				return w.sh.key(class, args), true
 			}
 		}
-		return finishCandidate(c)
 	}
-	return nil
+	return groupKey{}, false
 }
 
-// cmpConst matches one `col <op> const` (or mirrored, with the operator
-// flipped) ordering comparison over the FROM table.
-func cmpConst(b *sqlparse.Binary, args []sqldb.Value, binding string) (*sqlparse.ColRef, sqldb.Value, sqlparse.BinOp, bool) {
-	flip := map[sqlparse.BinOp]sqlparse.BinOp{
-		sqlparse.OpLt: sqlparse.OpGt, sqlparse.OpLe: sqlparse.OpGe,
-		sqlparse.OpGt: sqlparse.OpLt, sqlparse.OpGe: sqlparse.OpLe,
-	}
-	if _, ok := flip[b.Op]; !ok {
-		return nil, nil, 0, false
-	}
-	try := func(colSide, valSide sqlparse.Expr, op sqlparse.BinOp) (*sqlparse.ColRef, sqldb.Value, sqlparse.BinOp, bool) {
-		ref, ok := colSide.(*sqlparse.ColRef)
-		if !ok {
-			return nil, nil, 0, false
-		}
-		if ref.Table != "" && !strings.EqualFold(ref.Table, binding) {
-			return nil, nil, 0, false
-		}
-		v, ok := constOf(valSide, args)
-		if !ok || v == nil {
-			return nil, nil, 0, false
-		}
-		return ref, v, op, true
-	}
-	if ref, v, op, ok := try(b.L, b.R, b.Op); ok {
-		return ref, v, op, true
-	}
-	return try(b.R, b.L, flip[b.Op])
-}
-
-// finishCandidate computes the fingerprint, rejecting candidates whose
-// shape the renderer cannot reproduce.
-func finishCandidate(c *candidate) *candidate {
-	fp, err := fingerprint(c)
-	if err != nil {
-		return nil
-	}
-	c.fp = fp
-	return c
-}
-
-// eqConst matches a `col = const` (or mirrored) conjunct whose column
-// belongs to the FROM table.
-func eqConst(e sqlparse.Expr, args []sqldb.Value, binding string) (*sqlparse.ColRef, sqldb.Value, bool) {
-	b, ok := e.(*sqlparse.Binary)
-	if !ok || b.Op != sqlparse.OpEq {
-		return nil, nil, false
-	}
-	try := func(colSide, valSide sqlparse.Expr) (*sqlparse.ColRef, sqldb.Value, bool) {
-		ref, ok := colSide.(*sqlparse.ColRef)
-		if !ok {
-			return nil, nil, false
-		}
-		if ref.Table != "" && !strings.EqualFold(ref.Table, binding) {
-			return nil, nil, false
-		}
-		v, ok := constOf(valSide, args)
-		if !ok || v == nil {
-			return nil, nil, false
-		}
-		return ref, v, true
-	}
-	if ref, v, ok := try(b.L, b.R); ok {
-		return ref, v, true
-	}
-	return try(b.R, b.L)
-}
-
-// projectionHas reports whether an explicit select list outputs the match
-// column itself under the label demux will look up. An alias that merely
-// *spells* the match column's name over some other column is rejected
-// outright: demux resolves the label positionally, so a shadowing alias
-// would partition rows by the wrong column's values.
-func projectionHas(cols []sqlparse.SelectExpr, name string) bool {
+// projectionCarries reports whether the select list outputs the match
+// column itself under the label demux will look up: through a star, or as a
+// bare unaliased reference. An alias that merely *spells* the match column's
+// name over some other column is rejected outright, star or no star: demux
+// resolves the label positionally, so a shadowing alias would partition
+// rows by the wrong column's values.
+func projectionCarries(cols []sqlparse.SelectExpr, name string) bool {
 	found := false
 	for _, se := range cols {
 		if se.Star {
-			continue
-		}
-		ref, ok := se.Expr.(*sqlparse.ColRef)
-		if !ok {
+			found = true
 			continue
 		}
 		if se.Alias != "" {
@@ -560,7 +393,7 @@ func projectionHas(cols []sqlparse.SelectExpr, name string) bool {
 			}
 			continue
 		}
-		if strings.EqualFold(ref.Name, name) {
+		if ref, ok := se.Expr.(*sqlparse.ColRef); ok && strings.EqualFold(ref.Name, name) {
 			found = true
 		}
 	}

@@ -40,7 +40,13 @@
 //     every output column to be a plain aggregate call;
 //   - the varying part must resolve to literal or parameter values; the
 //     remaining conjuncts, the projection, and the ORDER BY must be
-//     identical across a group (compared with argument values resolved);
+//     identical across a group. That is what a group key says: the shape's
+//     interned template (all of the above with constants as holes), the
+//     match value's type class, the resolved residual constants, the
+//     write-barrier epoch and the owning shard — a comparable struct, not a
+//     rendered string. What depends only on the AST is analyzed once per
+//     statement template per process (shape.go); only argument values are
+//     resolved per statement (family.go);
 //   - the match column must be recoverable from the merged result rows
 //     (projected for equality/range, added as the GROUP BY key for
 //     aggregates), because demultiplexing keys on its value;
@@ -198,105 +204,139 @@ func (p *Plan) SavedByFamily() [NumFamilies]int {
 	return out
 }
 
-// group accumulates the members of one fingerprint while the batch is
-// scanned.
+// group is one group key seen in the batch, with its member count; ci is
+// set only once the group turns out to have more than one member, so
+// singleton groups allocate nothing of their own.
 type group struct {
-	members []int // original statement indexes, in order
-	cands   []*candidate
+	key groupKey
+	n   int
+	ci  *chunkInfo
 }
 
-// chunkInfo partitions one group into width-capped merged statements.
+// groupSet finds a candidate's group by key. Most batches carry a handful
+// of distinct keys, so the set scans its groups and only builds a map once
+// there are more than scanLimit of them.
+type groupSet struct {
+	groups []group
+	byKey  map[groupKey]int32
+}
+
+const scanLimit = 8
+
+// add counts one more member of key's group and returns the group's ordinal.
+func (gs *groupSet) add(key groupKey) int32 {
+	g, ok := gs.byKey[key] // a nil map finds nothing
+	if gs.byKey == nil {
+		for i := range gs.groups {
+			if gs.groups[i].key == key {
+				g, ok = int32(i), true
+				break
+			}
+		}
+	}
+	if !ok {
+		g = int32(len(gs.groups))
+		gs.groups = append(gs.groups, group{key: key})
+		if gs.byKey == nil && g >= scanLimit {
+			gs.byKey = make(map[groupKey]int32, 4*scanLimit)
+			for i := range gs.groups {
+				gs.byKey[gs.groups[i].key] = int32(i)
+			}
+		} else if gs.byKey != nil {
+			gs.byKey[key] = g
+		}
+	}
+	gs.groups[g].n++
+	return g
+}
+
+// chunkInfo partitions one multi-member group into width-capped merged
+// statements.
 type chunkInfo struct {
-	reps  [][]*candidate // per chunk, distinct-valued members in order
-	byIdx map[int]int    // original statement index -> chunk ordinal
-	stmt  []int          // per chunk, rewritten-batch index (-1 until emitted)
+	reps [][]*candidate   // per chunk, distinct-valued members in order
+	stmt []int            // per chunk, rewritten-batch index (-1 until emitted)
+	left int              // members not yet placed, sizing the next chunk
+	seen map[window]int32 // varying part -> chunk ordinal
 }
 
 // Rewrite analyzes a pending batch and coalesces mergeable groups. The
 // returned plan's Stmts execute in place of the originals; Demux then maps
 // the results back. Rewrite never fails: statements it cannot improve (or
-// cannot parse) pass through verbatim.
+// cannot parse) pass through verbatim. The counters are added under the lock
+// at the end, so neither analysis nor the caller-supplied ShardOf hook runs
+// with the Merger locked.
 func (m *Merger) Rewrite(stmts []driver.Stmt) *Plan {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	p := &Plan{m: m, routes: make([]route, len(stmts))}
-	m.stats.Batches++
+	var ineligible int64
 
-	cands := make([]*candidate, len(stmts))
-	groups := make(map[string]*group)
-	order := []string{}
-	barrier := 0
+	cands := make([]candidate, len(stmts))
+	gs := groupSet{groups: make([]group, 0, min(len(stmts), scanLimit))}
+	epoch := 0
 	for i, st := range stmts {
 		if sqlparse.IsWriteSQL(st.SQL) {
 			// Writes close all open groups: merging must not move a read
 			// from one side of a write to the other.
-			barrier++
+			epoch++
 			continue
 		}
-		c := m.analyze(st)
-		if c == nil {
-			m.stats.Ineligible++
+		c := &cands[i]
+		key, ok := m.analyze(st, c)
+		if !ok {
+			ineligible++
 			continue
 		}
-		// Shard prefix first: equality and aggregate candidates carry one
-		// match value, so their owning shard is known before rewrite and
-		// same-key candidates keep grouping together. Range windows span
-		// keys and stay unsplit (they fan out at execution regardless).
-		if m.cfg.ShardOf != nil && c.fam != FamilyRange {
-			if sh, ok := m.cfg.ShardOf(c.sel.From.Name, c.matchRef.Name, c.matchVal); ok {
-				c.fp = fmt.Sprintf("s%d\x1e%s", sh, c.fp)
+		// Equality and aggregate candidates carry one match value, so
+		// their owning shard is known before rewrite and same-key
+		// candidates keep grouping together. Range windows span keys and
+		// stay unsplit (they fan out at execution regardless).
+		key.epoch, key.shard = epoch, -1
+		if m.cfg.ShardOf != nil && c.sh.fam != FamilyRange {
+			if sh, ok := m.cfg.ShardOf(c.sh.sel.From.Name, c.sh.matchRef.Name, c.matchVal); ok {
+				key.shard = sh
 			}
 		}
-		c.fp = fmt.Sprintf("%d\x1e%s", barrier, c.fp)
-		cands[i] = c
-		g, ok := groups[c.fp]
-		if !ok {
-			g = &group{}
-			groups[c.fp] = g
-			order = append(order, c.fp)
-		}
-		g.members = append(g.members, i)
-		g.cands = append(g.cands, c)
+		c.group = gs.add(key)
 	}
 
 	// Partition each multi-member group into width-capped chunks of
 	// distinct varying parts. Duplicate values/windows (possible with dedup
 	// disabled) share the chunk that already carries them.
-	chunks := make(map[string]*chunkInfo)
-	width := m.cfg.width()
-	for _, fp := range order {
-		g := groups[fp]
-		if len(g.members) < 2 {
+	width, out := m.cfg.width(), len(stmts)
+	for i := range cands {
+		c := &cands[i]
+		if c.sh == nil || gs.groups[c.group].n < 2 {
 			continue
 		}
-		ci := &chunkInfo{byIdx: make(map[int]int)}
-		seen := make(map[string]int) // varying-part key -> chunk ordinal
-		for k, idx := range g.members {
-			key := g.cands[k].groupKey()
-			if ord, dup := seen[key]; dup {
-				ci.byIdx[idx] = ord
-				continue
-			}
-			if len(ci.reps) == 0 || len(ci.reps[len(ci.reps)-1]) >= width {
-				ci.reps = append(ci.reps, nil)
-				ci.stmt = append(ci.stmt, -1)
-			}
-			ord := len(ci.reps) - 1
-			ci.reps[ord] = append(ci.reps[ord], g.cands[k])
-			seen[key] = ord
-			ci.byIdx[idx] = ord
+		g := &gs.groups[c.group]
+		if g.ci == nil {
+			g.ci = &chunkInfo{left: g.n, seen: make(map[window]int32, g.n)}
 		}
-		chunks[fp] = ci
+		ci, key := g.ci, c.varying()
+		ci.left--
+		out--
+		if ord, dup := ci.seen[key]; dup {
+			c.chunk = ord
+			continue
+		}
+		if len(ci.reps) == 0 || len(ci.reps[len(ci.reps)-1]) >= width {
+			ci.reps = append(ci.reps, make([]*candidate, 0, min(width, ci.left+1)))
+			ci.stmt = append(ci.stmt, -1)
+			out++
+		}
+		c.chunk = int32(len(ci.reps) - 1)
+		ci.reps[c.chunk] = append(ci.reps[c.chunk], c)
+		ci.seen[key] = c.chunk
 	}
 
 	// Emit pass: walk originals in order; each merged statement is emitted
 	// at its chunk's first member, so relative order with pass-through
 	// statements (and any write barrier) is preserved.
+	p.Stmts = make([]driver.Stmt, 0, out)
 	for i, st := range stmts {
-		c := cands[i]
+		c := &cands[i]
 		var ci *chunkInfo
-		if c != nil {
-			ci = chunks[c.fp]
+		if c.sh != nil {
+			ci = gs.groups[c.group].ci
 		}
 		if ci == nil {
 			// Pass-through: write, ineligible, or singleton group.
@@ -304,30 +344,34 @@ func (m *Merger) Rewrite(stmts []driver.Stmt) *Plan {
 			p.Stmts = append(p.Stmts, st)
 			continue
 		}
-		ord := ci.byIdx[i]
-		if ci.stmt[ord] == -1 {
-			sql, args, err := renderMergedFn(c, ci.reps[ord])
+		fam := c.sh.fam
+		if ci.stmt[c.chunk] == -1 {
+			sql, args, err := renderMergedFn(c, ci.reps[c.chunk])
 			if err != nil {
 				// Defensive fallback — candidate shapes are all
 				// renderer-supported, but never let a render bug change
 				// results: execute this statement unmerged.
 				p.routes[i] = route{stmtIdx: len(p.Stmts)}
 				p.Stmts = append(p.Stmts, st)
-				m.stats.Ineligible++
+				ineligible++
 				continue
 			}
-			ci.stmt[ord] = len(p.Stmts)
+			ci.stmt[c.chunk] = len(p.Stmts)
 			p.Stmts = append(p.Stmts, driver.Stmt{SQL: sql, Args: args})
-			p.groupsBy[c.fam]++
-			m.stats.Groups++
-			m.stats.GroupsByFamily[c.fam]++
+			p.groupsBy[fam]++
 		}
-		p.routes[i] = route{stmtIdx: ci.stmt[ord], merged: true, cand: c}
-		p.mergedBy[c.fam]++
-		m.stats.Merged++
+		p.routes[i] = route{stmtIdx: ci.stmt[c.chunk], merged: true, cand: c}
+		p.mergedBy[fam]++
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.stats.Batches++
+	m.stats.Ineligible += ineligible
 	m.stats.Saved += int64(p.Saved())
 	for f, s := range p.SavedByFamily() {
+		m.stats.Groups += int64(p.groupsBy[f])
+		m.stats.Merged += int64(p.mergedBy[f])
+		m.stats.GroupsByFamily[f] += int64(p.groupsBy[f])
 		m.stats.SavedByFamily[f] += int64(s)
 	}
 	return p
@@ -368,7 +412,7 @@ func (p *Plan) Demux(results []*sqldb.ResultSet) ([]*sqldb.ResultSet, error) {
 		}
 		var sub *sqldb.ResultSet
 		var err error
-		switch r.cand.fam {
+		switch r.cand.sh.fam {
 		case FamilyAggregate:
 			sub = demuxAggregate(rs, r.cand)
 		case FamilyRange:
@@ -409,9 +453,9 @@ func scanShare(scanned, n, k int) int {
 
 // demuxEquality partitions merged rows by the match column's value.
 func demuxEquality(rs *sqldb.ResultSet, c *candidate) (*sqldb.ResultSet, error) {
-	ci, ok := rs.ColIndex(c.matchRef.Name)
+	ci, ok := rs.ColIndex(c.sh.matchRef.Name)
 	if !ok {
-		return nil, fmt.Errorf("merge: demux: merged result lacks match column %q", c.matchRef.Name)
+		return nil, fmt.Errorf("merge: demux: merged result lacks match column %q", c.sh.matchRef.Name)
 	}
 	sub := &sqldb.ResultSet{Cols: rs.Cols}
 	for _, row := range rs.Rows {
@@ -429,18 +473,18 @@ func demuxEquality(rs *sqldb.ResultSet, c *candidate) (*sqldb.ResultSet, error) 
 // statement's own labels. A key with no group row gets the empty-set
 // aggregate values: zero for COUNT, NULL otherwise.
 func demuxAggregate(rs *sqldb.ResultSet, c *candidate) *sqldb.ResultSet {
-	sub := &sqldb.ResultSet{Cols: c.labels}
+	sub := &sqldb.ResultSet{Cols: c.sh.labels}
 	for _, row := range rs.Rows {
 		if !sqldb.Equal(sqldb.Normalize(row[0]), c.matchVal) {
 			continue
 		}
-		vals := make([]sqldb.Value, len(c.aggs))
-		copy(vals, row[1:1+len(c.aggs)])
+		vals := make([]sqldb.Value, len(c.sh.aggs))
+		copy(vals, row[1:1+len(c.sh.aggs)])
 		sub.Rows = append(sub.Rows, vals)
 		return sub
 	}
-	vals := make([]sqldb.Value, len(c.aggs))
-	for i, fc := range c.aggs {
+	vals := make([]sqldb.Value, len(c.sh.aggs))
+	for i, fc := range c.sh.aggs {
 		vals[i] = zeroValue(fc)
 	}
 	sub.Rows = append(sub.Rows, vals)
@@ -450,9 +494,9 @@ func demuxAggregate(rs *sqldb.ResultSet, c *candidate) *sqldb.ResultSet {
 // demuxRange partitions merged rows by membership in the original's value
 // window.
 func demuxRange(rs *sqldb.ResultSet, c *candidate) (*sqldb.ResultSet, error) {
-	ci, ok := rs.ColIndex(c.matchRef.Name)
+	ci, ok := rs.ColIndex(c.sh.matchRef.Name)
 	if !ok {
-		return nil, fmt.Errorf("merge: demux: merged result lacks range column %q", c.matchRef.Name)
+		return nil, fmt.Errorf("merge: demux: merged result lacks range column %q", c.sh.matchRef.Name)
 	}
 	sub := &sqldb.ResultSet{Cols: rs.Cols}
 	for _, row := range rs.Rows {

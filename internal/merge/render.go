@@ -1,23 +1,17 @@
 package merge
 
 import (
-	"strings"
-
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/sqlparse"
 )
 
-// The merge renderers are thin modes over sqlparse.Renderer:
-//
-//   - emit mode: every Literal and Param renders as a `?` placeholder and
-//     its value is appended to args, producing an executable statement
-//     whose argument list is rebuilt in render order. Emitting all values
-//     as parameters sidesteps literal round-tripping (string quoting,
-//     float formats) entirely.
-//   - fingerprint mode: Literals and Params render as their formatted
-//     values, so two statements that differ only in SQL spelling (`id = 3`
-//     vs `id = ?` with arg 3) fingerprint identically. Fingerprint output
-//     is never parsed, only compared.
+// The merged-statement renderer is a thin mode over sqlparse.Renderer:
+// every Literal and Param renders as a `?` placeholder and its value is
+// appended to args, producing an executable statement whose argument list
+// is rebuilt in render order. Emitting all values as parameters sidesteps
+// literal round-tripping (string quoting, float formats) entirely. (The
+// other mode, the fingerprint template, is rendered once per shape — see
+// newShape.)
 
 // emitter builds executable SQL, rebuilding the argument list.
 type emitter struct {
@@ -45,22 +39,6 @@ func newEmitter(inArgs []sqldb.Value) *emitter {
 // members, window bounds) through the emit hook.
 func (e *emitter) value(v sqldb.Value) { e.Value(&e.Renderer, v) }
 
-// newFingerprinter canonicalizes: constants resolve to formatted values.
-func newFingerprinter(inArgs []sqldb.Value) *sqlparse.Renderer {
-	r := &sqlparse.Renderer{}
-	r.Param = func(r *sqlparse.Renderer, idx int) {
-		if idx < 0 || idx >= len(inArgs) {
-			r.Fail("param %d out of range (%d args)", idx, len(inArgs))
-			return
-		}
-		r.WriteString(sqldb.Format(sqldb.Normalize(inArgs[idx])))
-	}
-	r.Value = func(r *sqlparse.Renderer, v sqldb.Value) {
-		r.WriteString(sqldb.Format(sqldb.Normalize(v)))
-	}
-	return r
-}
-
 // renderMergedFn is the merged-statement renderer, indirected so tests can
 // force the defensive pass-through fallback in Rewrite.
 var renderMergedFn = renderMerged
@@ -81,14 +59,14 @@ var renderMergedFn = renderMerged
 func renderMerged(c *candidate, members []*candidate) (string, []sqldb.Value, error) {
 	e := newEmitter(c.args)
 	e.WriteString("SELECT ")
-	if c.fam == FamilyAggregate {
-		e.WriteString(c.matchRef.String())
-		for _, fc := range c.aggs {
+	if c.sh.fam == FamilyAggregate {
+		e.WriteString(c.sh.matchRef.String())
+		for _, fc := range c.sh.aggs {
 			e.WriteString(", ")
 			e.Expr(fc)
 		}
 	} else {
-		for i, se := range c.sel.Cols {
+		for i, se := range c.sh.sel.Cols {
 			if i > 0 {
 				e.WriteString(", ")
 			}
@@ -96,21 +74,21 @@ func renderMerged(c *candidate, members []*candidate) (string, []sqldb.Value, er
 		}
 	}
 	e.WriteString(" FROM ")
-	e.TableRef(c.sel.From)
+	e.TableRef(c.sh.sel.From)
 	e.WriteString(" WHERE ")
-	if c.fam == FamilyRange {
-		e.windowList(c.matchRef.String(), members)
+	if c.sh.fam == FamilyRange {
+		e.windowList(c.sh.matchRef.String(), members)
 	} else {
-		e.inList(c.matchRef.String(), members)
+		e.inList(c.sh.matchRef.String(), members)
 	}
-	for _, other := range c.others {
+	for _, other := range c.sh.others {
 		e.WriteString(" AND ")
 		e.Expr(other)
 	}
-	if c.fam == FamilyAggregate {
-		e.GroupBy([]sqlparse.ColRef{*c.matchRef})
+	if c.sh.fam == FamilyAggregate {
+		e.GroupBy([]sqlparse.ColRef{*c.sh.matchRef})
 	} else {
-		e.OrderBy(c.sel.OrderBy)
+		e.OrderBy(c.sh.sel.OrderBy)
 	}
 	sql, err := e.SQL()
 	if err != nil {
@@ -157,54 +135,4 @@ func (e *emitter) windowList(col string, members []*candidate) {
 		e.WriteString(")")
 	}
 	e.WriteString(")")
-}
-
-// fingerprint canonicalizes everything about a candidate except its varying
-// part — the matched value (equality, aggregate) or the window bounds
-// (range): family, table, projection, residual predicates (with argument
-// values resolved), and ORDER BY. Statements with equal fingerprints differ
-// only in that one varying part and are safe to coalesce.
-func fingerprint(c *candidate) (string, error) {
-	r := newFingerprinter(c.args)
-	r.WriteString(c.fam.String())
-	r.WriteString("\x1f")
-	r.WriteString(strings.ToLower(c.sel.From.Name))
-	r.WriteString("\x1f")
-	r.WriteString(strings.ToLower(c.sel.From.Binding()))
-	r.WriteString("\x1f")
-	for _, se := range c.sel.Cols {
-		r.SelectExpr(se)
-		r.WriteString(",")
-	}
-	r.WriteString("\x1f")
-	r.WriteString(strings.ToLower(c.matchRef.String()))
-	r.WriteString("\x1f")
-	switch c.fam {
-	case FamilyRange:
-		// Bound class is part of the shape: all of a group's windows must
-		// compare against the column the same way, so a class mismatch
-		// cannot make the merged OR-eval fail where an original would not.
-		cls, _ := rangeClass(c.win.lo)
-		r.WriteString(cls)
-	default:
-		// The match value's type is part of the shape: the engine's index
-		// lookup is type-strict while general comparison promotes
-		// int/float, so values of different types must never share an IN
-		// list — merging them could hand a statement rows its own
-		// execution would not return.
-		key, _ := scalarKey(c.matchVal)
-		r.WriteString(key[:1])
-	}
-	r.WriteString("\x1f")
-	for _, other := range c.others {
-		r.Expr(other)
-		r.WriteString("\x1f")
-	}
-	r.WriteString("\x1f")
-	r.OrderBy(c.sel.OrderBy)
-	sql, err := r.SQL()
-	if err != nil {
-		return "", err
-	}
-	return sql, nil
 }

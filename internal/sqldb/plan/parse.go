@@ -20,9 +20,10 @@
 //     compiled to closures over row slices, and the aggregate/order/distinct
 //     machinery. DDL bumps the store's epoch, invalidating plans lazily.
 //
-// SetCaching(false) disables both layers (every call parses and compiles
-// afresh) — the cache-off baseline of the hosttime benchmark and the
-// equality tests.
+// SetCaching(false) disables both layers, and the merge optimizer's
+// per-template shape cache that hangs off the interned ASTs (every call
+// parses, compiles and analyzes afresh; nothing is stored) — the cache-off
+// baseline of the hosttime benchmark and the equality tests.
 package plan
 
 import (
@@ -49,11 +50,13 @@ var (
 	cachingOff atomic.Bool
 )
 
-// SetCaching enables or disables the prepared-plan layer's caches (both the
-// parse interner and every compiled-plan cache), returning the previous
-// setting. Disabled, ParseCached parses afresh on every call and Cache
-// compiles afresh on every Prepare — the hosttime benchmark's cache-off
-// baseline. The default is enabled.
+// SetCaching enables or disables the prepared-plan layer's caches (the
+// parse interner, every compiled-plan cache, and internal/merge's shape
+// cache, which consults CachingEnabled), returning the previous setting.
+// Disabled, ParseCached parses afresh on every call, Cache compiles afresh
+// on every Prepare and the merge optimizer analyzes afresh on every
+// statement — the hosttime benchmark's cache-off baseline. The default is
+// enabled.
 func SetCaching(on bool) bool {
 	return !cachingOff.Swap(!on)
 }

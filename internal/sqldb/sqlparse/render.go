@@ -16,9 +16,9 @@ import (
 // Constant rendering is delegated: Value receives every Literal value and
 // Param receives every `?` placeholder index, so one caller can emit
 // executable SQL (render constants as fresh placeholders and rebuild the
-// argument list) while another canonicalizes for fingerprinting (render
-// constants resolved, so `id = 3` and `id = ?` with argument 3 come out
-// identical). When the hooks are nil, Literals render with sqldb.Format and
+// argument list) while another canonicalizes for grouping (render every
+// constant as a hole and collect it, so `id = 3` and `id = ?` come out
+// as one template). When the hooks are nil, Literals render with sqldb.Format and
 // Params render as `?`.
 type Renderer struct {
 	sb strings.Builder

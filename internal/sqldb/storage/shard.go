@@ -74,8 +74,7 @@ func (s *Store) Shard(i int) *Store { return s.shards[i] }
 
 // ShardOf is the partition function: FNV-1a over the canonical text of the
 // normalized value, mod n. It is shared by the storage router, the plan
-// layer's shard masks, and the merge optimizer's per-shard fingerprint
-// split, so every layer agrees on which shard owns a key.
+// layer's shard masks, and the merge optimizer's per-shard group split, so every layer agrees on which shard owns a key.
 func ShardOf(v sqldb.Value, n int) int {
 	if n <= 1 {
 		return 0
