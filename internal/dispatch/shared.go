@@ -283,11 +283,12 @@ func (h *Hub) closeWindowLocked(w *window, gen int) {
 		return entries[i].owner.id < entries[j].owner.id
 	})
 
-	// Coalesce: identical statements across (and within) the window's
-	// batches execute once. Entries are walked in sorted order, so the
-	// combined batch respects every session's own statement order.
+	// Coalesce: identical statements (driver.Stmt.Equal — the query store's
+	// dedup rule) across and within the window's batches execute once.
+	// Entries are walked in sorted order, so the combined batch respects
+	// every session's own statement order.
 	var combined []driver.Stmt
-	byKey := make(map[string]int)
+	var seen driver.StmtIndex
 	arrival := entries[0].t.arrival
 	totalIn := 0
 	for _, e := range entries {
@@ -297,11 +298,8 @@ func (h *Hub) closeWindowLocked(w *window, gen int) {
 		e.routes = make([]int, len(e.t.stmts))
 		for i, st := range e.t.stmts {
 			totalIn++
-			k := st.Key()
-			idx, dup := byKey[k]
+			idx, dup := seen.Add(combined, st)
 			if !dup {
-				idx = len(combined)
-				byKey[k] = idx
 				combined = append(combined, st)
 				e.intro++
 			}

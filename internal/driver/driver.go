@@ -11,8 +11,6 @@ package driver
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,45 +32,8 @@ type Stmt struct {
 	// submit time from the process-wide parse interner so SQL text is
 	// parsed once per distinct template per run. Consumers (the merge
 	// analyzer, the server's cost loop) use it when set and fall back to
-	// the interner when nil; it never affects statement identity (Key).
+	// the interner when nil; it never affects statement identity (identity.go).
 	Parsed sqlparse.Statement
-}
-
-// Key canonicalizes the statement (SQL plus normalized argument values)
-// for duplicate detection. It is THE canonical form: the query store's
-// in-batch dedup and the shared window's cross-session coalescing both key
-// on it, so they always agree on what "the same statement" means. It sits
-// on the per-registration hot path (the paper's Sec. 6.6 overhead), so it
-// avoids the general value formatter; see BenchmarkDedupKey.
-func (st Stmt) Key() string {
-	if len(st.Args) == 0 {
-		return st.SQL
-	}
-	var sb strings.Builder
-	sb.Grow(len(st.SQL) + 12*len(st.Args))
-	sb.WriteString(st.SQL)
-	for _, a := range st.Args {
-		sb.WriteByte('\x1f')
-		switch v := sqldb.Normalize(a).(type) {
-		case nil:
-			sb.WriteString("~")
-		case int64:
-			sb.WriteString(strconv.FormatInt(v, 10))
-		case string:
-			sb.WriteString(v)
-		case float64:
-			sb.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-		case bool:
-			if v {
-				sb.WriteByte('T')
-			} else {
-				sb.WriteByte('F')
-			}
-		default:
-			sb.WriteString(sqldb.Format(v))
-		}
-	}
-	return sb.String()
 }
 
 // CostModel prices server-side query execution on the virtual clock. The

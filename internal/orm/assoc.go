@@ -22,14 +22,14 @@ const (
 type HasMany[P, C any] struct {
 	parent *Meta[P]
 	child  *Meta[C]
-	fkCol  string
+	fkCond string // "<fk column> = ?", built once
 	mode   FetchMode
 }
 
 // NewHasMany declares the association. With FetchEager, loading a P under
 // ModeOriginal immediately loads its C children too (and their cascades).
 func NewHasMany[P, C any](parent *Meta[P], child *Meta[C], fkCol string, mode FetchMode) *HasMany[P, C] {
-	a := &HasMany[P, C]{parent: parent, child: child, fkCol: fkCol, mode: mode}
+	a := &HasMany[P, C]{parent: parent, child: child, fkCond: fkCol + " = ?", mode: mode}
 	if mode == FetchEager {
 		parent.EagerLoad(func(s *Session, e *P) {
 			s.stats.EagerLoads++
@@ -45,19 +45,19 @@ func NewHasMany[P, C any](parent *Meta[P], child *Meta[C], fkCol string, mode Fe
 // Of returns the children of the given parent id. Under ModeSloth this is
 // an unforced thunk whose query is already registered.
 func (a *HasMany[P, C]) Of(s *Session, parentID int64) Lazy[[]*C] {
-	return a.child.Where(s, a.fkCol+" = ?", parentID)
+	return a.child.Where(s, a.fkCond, parentID)
 }
 
 // OfWhere narrows the association with an extra condition appended with
 // AND; args follow the parent id.
 func (a *HasMany[P, C]) OfWhere(s *Session, parentID int64, cond string, args ...sqldb.Value) Lazy[[]*C] {
 	allArgs := append([]sqldb.Value{parentID}, args...)
-	return a.child.Where(s, a.fkCol+" = ? AND ("+cond+")", allArgs...)
+	return a.child.Where(s, a.fkCond+" AND ("+cond+")", allArgs...)
 }
 
 // CountOf counts children without materializing them.
 func (a *HasMany[P, C]) CountOf(s *Session, parentID int64) Lazy[int64] {
-	return a.child.CountWhere(s, a.fkCol+" = ?", parentID)
+	return a.child.CountWhere(s, a.fkCond, parentID)
 }
 
 // BelongsTo is a many-to-one association: each C references one P through a

@@ -33,34 +33,25 @@ type Lazy[T any] struct {
 	sink *int64
 }
 
-// lazyWith wraps a computation, attributing the allocation to sink.
-func lazyWith[T any](sink *int64, fn func() (T, error)) Lazy[T] {
+// lazyWith wraps a computation, attributing the allocation to sink. fn is
+// the thunk's own function: a lazy costs its closure and its thunk.
+func lazyWith[T any](sink *int64, fn func() res[T]) Lazy[T] {
 	if sink != nil {
 		*sink++
 	}
-	return Lazy[T]{sink: sink, th: thunk.New(func() res[T] {
-		v, err := fn()
-		return res[T]{val: v, err: err}
-	})}
+	return Lazy[T]{sink: sink, th: thunk.New(fn)}
 }
 
 // lazyOf wraps a computation for session s.
-func lazyOf[T any](s *Session, fn func() (T, error)) Lazy[T] {
+func lazyOf[T any](s *Session, fn func() res[T]) Lazy[T] {
 	return lazyWith(&s.stats.ThunkAllocs, fn)
 }
 
 // lazyDone wraps an already-computed value (the ModeOriginal case,
 // mirroring the paper's LiteralThunk).
-func lazyDone[T any](s *Session, v T, err error) Lazy[T] {
+func lazyDone[T any](s *Session, r res[T]) Lazy[T] {
 	s.stats.ThunkAllocs++
-	return Lazy[T]{sink: &s.stats.ThunkAllocs, th: thunk.Lit(res[T]{val: v, err: err})}
-}
-
-// lazyNow evaluates fn immediately and wraps its result, attributing the
-// allocation to session s.
-func lazyNow[T any](s *Session, fn func() (T, error)) Lazy[T] {
-	v, err := fn()
-	return lazyDone(s, v, err)
+	return Lazy[T]{sink: &s.stats.ThunkAllocs, th: thunk.Lit(r)}
 }
 
 // Get forces the value.
@@ -89,12 +80,11 @@ func (l Lazy[T]) ForceAny() any { return l.Must() }
 // Map derives a lazy value from l without forcing it. The derived value is
 // attributed to the same session as l.
 func Map[T, U any](l Lazy[T], f func(T) U) Lazy[U] {
-	return lazyWith(l.sink, func() (U, error) {
+	return lazyWith(l.sink, func() res[U] {
 		v, err := l.Get()
 		if err != nil {
-			var zero U
-			return zero, err
+			return res[U]{err: err}
 		}
-		return f(v), nil
+		return res[U]{val: f(v)}
 	})
 }

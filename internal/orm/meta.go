@@ -2,8 +2,10 @@ package orm
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/sqldb"
 )
@@ -19,10 +21,18 @@ type colInfo struct {
 // with Register and shared across sessions (like a Hibernate
 // SessionFactory's metadata).
 type Meta[T any] struct {
-	table   string
+	table   string // its address is the mapping's identity-map token
 	cols    []colInfo
 	pkIdx   int // index into cols
 	selList string
+	findSQL string // SELECT ... WHERE pk = ?
+
+	// conds caches the SELECT and COUNT text per WHERE condition. Conditions
+	// are the application's string constants, so the set is small and
+	// read-mostly: readers load the map, a miss publishes a copy with one
+	// more entry, and past maxConds texts are built without being stored, so
+	// conditions assembled at run time cannot grow it.
+	conds atomic.Pointer[map[string]condSQL]
 
 	// eagerLoaders run after a ModeOriginal load of each entity,
 	// reproducing Hibernate's eager fetch cascades. Each loader issues its
@@ -80,6 +90,7 @@ func Register[T any](table string) (*Meta[T], error) {
 		names[i] = c.name
 	}
 	m.selList = strings.Join(names, ", ")
+	m.findSQL = m.buildSQL(m.PKColumn() + " = ?").sel
 	return m, nil
 }
 
@@ -103,20 +114,51 @@ func (m *Meta[T]) pkOf(e *T) int64 {
 	return reflect.ValueOf(e).Elem().Field(m.cols[m.pkIdx].fieldIdx).Int()
 }
 
-// selectSQL builds `SELECT cols FROM table WHERE <where>`.
-func (m *Meta[T]) selectSQL(where string) string {
-	sql := "SELECT " + m.selList + " FROM " + m.table
+// condSQL is the statement text for one WHERE condition ("" for none).
+type condSQL struct{ sel, count string }
+
+// maxConds bounds a Meta's condition cache.
+const maxConds = 256
+
+func (m *Meta[T]) buildSQL(where string) condSQL {
+	from := " FROM " + m.table
 	if where != "" {
-		sql += " WHERE " + where
+		from += " WHERE " + where
 	}
-	return sql
+	return condSQL{sel: "SELECT " + m.selList + from, count: "SELECT COUNT(*) AS n" + from}
+}
+
+// sqlFor returns the texts for where, building and publishing them on
+// first use while the cache has room. A publish that loses a race is
+// dropped: the texts are a pure function of where, so the next call just
+// builds them again.
+func (m *Meta[T]) sqlFor(where string) condSQL {
+	cur := m.conds.Load()
+	var have map[string]condSQL
+	if cur != nil {
+		have = *cur
+	}
+	c, ok := have[where]
+	if !ok {
+		c = m.buildSQL(where)
+		if len(have) < maxConds {
+			next := maps.Clone(have)
+			if next == nil {
+				next = make(map[string]condSQL)
+			}
+			next[where] = c
+			m.conds.CompareAndSwap(cur, &next)
+		}
+	}
+	return c
 }
 
 // deserialize materializes entities from a result set, consulting and
 // populating the session identity map so each row id deserializes once
 // (the paper's memoized p', Sec. 2).
 func (m *Meta[T]) deserialize(s *Session, rs *sqldb.ResultSet) ([]*T, error) {
-	colPos := make([]int, len(m.cols))
+	var posBuf [16]int // keeps colPos on the stack for up to 16 columns
+	colPos := append(posBuf[:0], make([]int, len(m.cols))...)
 	for i, c := range m.cols {
 		p, ok := rs.ColIndex(c.name)
 		if !ok {
@@ -128,7 +170,7 @@ func (m *Meta[T]) deserialize(s *Session, rs *sqldb.ResultSet) ([]*T, error) {
 	for _, row := range rs.Rows {
 		pkVal, ok := row[colPos[m.pkIdx]].(int64)
 		if ok {
-			if cached, hit := s.identityGet(m.table, pkVal); hit {
+			if cached, hit := s.identityGet(&m.table, pkVal); hit {
 				out = append(out, cached.(*T))
 				continue
 			}
@@ -172,7 +214,7 @@ func (m *Meta[T]) deserialize(s *Session, rs *sqldb.ResultSet) ([]*T, error) {
 			}
 		}
 		if ok {
-			s.identityPut(m.table, pkVal, e)
+			s.identityPut(&m.table, pkVal, e)
 		}
 		s.stats.Deserialized++
 		out = append(out, e)

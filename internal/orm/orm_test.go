@@ -1,6 +1,7 @@
 package orm
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -242,11 +243,19 @@ func TestEagerFetchIgnoredInSlothMode(t *testing.T) {
 	}
 }
 
+// TestFindNotFound: the missing-row failure matches ErrNotFound through
+// errors.Is, in both modes, and keeps its historical spelling.
 func TestFindNotFound(t *testing.T) {
 	f := newFixture(FetchLazy, FetchLazy)
-	s, _ := rig(t, ModeSloth)
-	if _, err := f.patients.FindNow(s, 999); err == nil {
-		t.Fatal("missing entity did not error")
+	for _, mode := range []Mode{ModeOriginal, ModeSloth} {
+		s, _ := rig(t, mode)
+		_, err := f.patients.FindNow(s, 999)
+		if !errors.Is(err, ErrNotFound) {
+			t.Fatalf("mode %v: errors.Is(%v, ErrNotFound) = false", mode, err)
+		}
+		if err.Error() != "orm: patients id 999 not found" {
+			t.Fatalf("mode %v: message %q", mode, err)
+		}
 	}
 }
 

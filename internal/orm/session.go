@@ -1,6 +1,7 @@
 package orm
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/driver"
@@ -22,6 +23,10 @@ const (
 	ModeSloth
 )
 
+// ErrNotFound is the sentinel behind Find's "orm: <table> id <n> not found"
+// failure; match it with errors.Is.
+var ErrNotFound = errors.New("not found")
+
 // SessionStats counts ORM-level activity.
 type SessionStats struct {
 	Loads        int64 // entity load calls
@@ -41,17 +46,20 @@ type SessionStats struct {
 type Session struct {
 	store    *querystore.Store
 	mode     Mode
-	identity map[string]map[int64]any
+	identity map[identityKey]any // created on first put, emptied by Clear
 	stats    SessionStats
+}
+
+// identityKey names one entity: its Meta's table token (the address of the
+// Meta's table field — one per registered mapping) and its primary key.
+type identityKey struct {
+	table *string
+	pk    int64
 }
 
 // NewSession opens a session in the given mode over a query store.
 func NewSession(store *querystore.Store, mode Mode) *Session {
-	return &Session{
-		store:    store,
-		mode:     mode,
-		identity: make(map[string]map[int64]any),
-	}
+	return &Session{store: store, mode: mode}
 }
 
 // Mode reports the session's execution mode.
@@ -74,41 +82,50 @@ func (s *Session) Stats() SessionStats { return s.stats }
 // resolved results (querystore.Store.EndRequest), so lazies obtained before
 // Clear must not be forced after it.
 func (s *Session) Clear() {
-	s.identity = make(map[string]map[int64]any)
+	clear(s.identity)
 	s.store.EndRequest()
 }
 
-func (s *Session) identityGet(table string, pk int64) (any, bool) {
-	byPK, ok := s.identity[table]
-	if !ok {
-		return nil, false
-	}
-	e, ok := byPK[pk]
+func (s *Session) identityGet(table *string, pk int64) (any, bool) {
+	e, ok := s.identity[identityKey{table, pk}]
 	return e, ok
 }
 
-func (s *Session) identityPut(table string, pk int64, e any) {
-	byPK, ok := s.identity[table]
-	if !ok {
-		byPK = make(map[int64]any)
-		s.identity[table] = byPK
+func (s *Session) identityPut(table *string, pk int64, e any) {
+	if s.identity == nil {
+		s.identity = make(map[identityKey]any)
 	}
-	byPK[pk] = e
+	s.identity[identityKey{table, pk}] = e
 }
 
-// read evaluates a SELECT according to the session mode: immediately under
-// ModeOriginal, or lazily through the query store under ModeSloth. The
-// returned function retrieves the result (forcing the batch if deferred).
-func (s *Session) read(sql string, args ...sqldb.Value) func() (*sqldb.ResultSet, error) {
+// read is a SELECT issued according to the session mode: executed already
+// (ModeOriginal, or a registration that failed) when store is nil, otherwise
+// registered with the query store under id and retrieved — forcing the
+// batch if need be — by get.
+type read struct {
+	store *querystore.Store
+	id    querystore.QueryID
+	rs    *sqldb.ResultSet
+	err   error
+}
+
+func (s *Session) read(sql string, args ...sqldb.Value) read {
 	if s.mode == ModeOriginal {
 		rs, err := s.store.Conn().Query(sql, args...)
-		return func() (*sqldb.ResultSet, error) { return rs, err }
+		return read{rs: rs, err: err}
 	}
 	id, err := s.store.Register(sql, args...)
 	if err != nil {
-		return func() (*sqldb.ResultSet, error) { return nil, err }
+		return read{err: err}
 	}
-	return func() (*sqldb.ResultSet, error) { return s.store.ResultSet(id) }
+	return read{store: s.store, id: id}
+}
+
+func (r read) get() (*sqldb.ResultSet, error) {
+	if r.store == nil {
+		return r.rs, r.err
+	}
+	return r.store.ResultSet(r.id)
 }
 
 // write executes a mutating statement. Under ModeSloth the registration
@@ -142,31 +159,46 @@ func (s *Session) write(sql string, args ...sqldb.Value) (*sqldb.ResultSet, erro
 // Under ModeOriginal the query runs now and eager cascades fire.
 func (m *Meta[T]) Find(s *Session, id int64) Lazy[*T] {
 	s.stats.Loads++
-	if e, ok := s.identityGet(m.table, id); ok {
+	if e, ok := s.identityGet(&m.table, id); ok {
 		s.stats.IdentityHits++
-		return lazyDone(s, e.(*T), nil)
+		return lazyDone(s, res[*T]{val: e.(*T)})
 	}
-	sql := m.selectSQL(m.PKColumn() + " = ?")
-	get := s.read(sql, id)
-	make1 := func() (*T, error) {
-		rs, err := get()
-		if err != nil {
-			return nil, err
-		}
-		es, err := m.deserialize(s, rs)
-		if err != nil {
-			return nil, err
-		}
-		if len(es) == 0 {
-			return nil, fmt.Errorf("orm: %s id %d not found", m.table, id)
-		}
-		m.runEagerCascades(s, es[:1])
-		return es[0], nil
-	}
+	rd := s.read(m.findSQL, id)
 	if s.mode == ModeOriginal {
-		return lazyNow(s, make1)
+		return lazyDone(s, m.one(s, rd, id))
 	}
-	return lazyOf(s, make1)
+	return lazyOf(s, func() res[*T] { return m.one(s, rd, id) })
+}
+
+// load hydrates the rows of a read.
+func (m *Meta[T]) load(s *Session, rd read) ([]*T, error) {
+	rs, err := rd.get()
+	if err != nil {
+		return nil, err
+	}
+	return m.deserialize(s, rs)
+}
+
+// one is the value of a Find: the single entity, or ErrNotFound.
+func (m *Meta[T]) one(s *Session, rd read, id int64) res[*T] {
+	es, err := m.load(s, rd)
+	if err != nil {
+		return res[*T]{err: err}
+	}
+	if len(es) == 0 {
+		return res[*T]{err: fmt.Errorf("orm: %s id %d %w", m.table, id, ErrNotFound)}
+	}
+	m.runEagerCascades(s, es[:1])
+	return res[*T]{val: es[0]}
+}
+
+// all is the value of a Where: every entity the read returned.
+func (m *Meta[T]) all(s *Session, rd read) res[[]*T] {
+	es, err := m.load(s, rd)
+	if err == nil {
+		m.runEagerCascades(s, es)
+	}
+	return res[[]*T]{val: es, err: err}
 }
 
 // FindNow loads an entity and forces it immediately — what application code
@@ -180,23 +212,11 @@ func (m *Meta[T]) FindNow(s *Session, id int64) (*T, error) {
 // `?` params).
 func (m *Meta[T]) Where(s *Session, cond string, args ...sqldb.Value) Lazy[[]*T] {
 	s.stats.Loads++
-	get := s.read(m.selectSQL(cond), args...)
-	makeAll := func() ([]*T, error) {
-		rs, err := get()
-		if err != nil {
-			return nil, err
-		}
-		es, err := m.deserialize(s, rs)
-		if err != nil {
-			return nil, err
-		}
-		m.runEagerCascades(s, es)
-		return es, nil
-	}
+	rd := s.read(m.sqlFor(cond).sel, args...)
 	if s.mode == ModeOriginal {
-		return lazyNow(s, makeAll)
+		return lazyDone(s, m.all(s, rd))
 	}
-	return lazyOf(s, makeAll)
+	return lazyOf(s, func() res[[]*T] { return m.all(s, rd) })
 }
 
 // All loads every entity of the type.
@@ -204,22 +224,21 @@ func (m *Meta[T]) All(s *Session) Lazy[[]*T] { return m.Where(s, "") }
 
 // CountWhere returns the number of rows matching cond.
 func (m *Meta[T]) CountWhere(s *Session, cond string, args ...sqldb.Value) Lazy[int64] {
-	sql := "SELECT COUNT(*) AS n FROM " + m.table
-	if cond != "" {
-		sql += " WHERE " + cond
-	}
-	get := s.read(sql, args...)
-	count := func() (int64, error) {
-		rs, err := get()
-		if err != nil {
-			return 0, err
-		}
-		return rs.Int(0, "n")
-	}
+	rd := s.read(m.sqlFor(cond).count, args...)
 	if s.mode == ModeOriginal {
-		return lazyNow(s, count)
+		return lazyDone(s, rd.count())
 	}
-	return lazyOf(s, count)
+	return lazyOf(s, rd.count)
+}
+
+// count reads the COUNT(*) AS n column of a CountWhere result.
+func (r read) count() res[int64] {
+	rs, err := r.get()
+	if err != nil {
+		return res[int64]{err: err}
+	}
+	n, err := rs.Int(0, "n")
+	return res[int64]{val: n, err: err}
 }
 
 // Insert stores a new entity. Writes are never deferred.
@@ -235,7 +254,7 @@ func (m *Meta[T]) Insert(s *Session, e *T) error {
 	if _, err := s.write(sql, m.values(e)...); err != nil {
 		return err
 	}
-	s.identityPut(m.table, m.pkOf(e), e)
+	s.identityPut(&m.table, m.pkOf(e), e)
 	return nil
 }
 
@@ -263,9 +282,7 @@ func (m *Meta[T]) Update(s *Session, e *T) error {
 // Delete removes the entity with the given primary key.
 func (m *Meta[T]) Delete(s *Session, id int64) error {
 	_, err := s.write("DELETE FROM "+m.table+" WHERE "+m.PKColumn()+" = ?", id)
-	if byPK, ok := s.identity[m.table]; ok {
-		delete(byPK, id)
-	}
+	delete(s.identity, identityKey{&m.table, id})
 	return err
 }
 

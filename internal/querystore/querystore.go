@@ -7,8 +7,9 @@
 // The store enforces the paper's semantics-preserving rules:
 //
 //   - RegisterQuery(read) appends to the current batch and returns an id;
-//     if the identical statement is already pending, the existing id is
-//     returned (dedup within the batch).
+//     if the identical statement — same SQL text, pairwise equal arguments
+//     of the same type (driver.Stmt.Equal) — is already pending, the
+//     existing id is returned (dedup within the batch).
 //   - RegisterQuery(write) — INSERT, UPDATE, DELETE, BEGIN, COMMIT,
 //     ROLLBACK, DDL — causes the current batch, including the write, to be
 //     sent immediately, preserving statement order and transaction
@@ -33,6 +34,7 @@ package querystore
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/dispatch"
@@ -136,17 +138,13 @@ type Stats struct {
 	ShardFanout int64
 }
 
-// pending is one statement waiting in the current batch.
-type pending struct {
-	id   QueryID
-	stmt driver.Stmt
-}
-
 // inflight is one submitted batch whose results have not been collected.
+// Ids are dense, so the batch carried first, first+1, ..., first+n-1.
 type inflight struct {
-	t   *dispatch.Ticket
-	ids []QueryID
-	ctx obs.Ctx // the flush span the batch was submitted under
+	t     *dispatch.Ticket
+	first QueryID
+	n     int
+	ctx   obs.Ctx // the flush span the batch was submitted under
 }
 
 // Store is a per-request (per-session) query store; a session that serves
@@ -155,14 +153,20 @@ type inflight struct {
 // its own lazy computation, matching the paper's per-client batching. (The
 // dispatcher behind it may execute batches on other goroutines.)
 type Store struct {
-	conn     *driver.Conn
-	cfg      Config
-	disp     dispatch.Dispatcher
-	merger   *merge.Merger // nil unless cfg.Merge.Enabled
-	queue    []pending
-	bySQL    map[string]QueryID // dedup key -> pending id
-	cache    map[QueryID]*sqldb.ResultSet
-	errs     map[QueryID]error // deferred execution errors by id
+	conn   *driver.Conn
+	cfg    Config
+	disp   dispatch.Dispatcher
+	merger *merge.Merger // nil unless cfg.Merge.Enabled
+	// queue is the pending batch: queue[i] holds id nextID-len(queue)+i.
+	// dedup indexes its reads by statement identity.
+	queue []driver.Stmt
+	dedup driver.StmtIndex
+	// results[id-base] is id's result set once its batch ran; nil while it
+	// has not, or when it failed (then errs has the id). Ids below base were
+	// released at a request boundary. errs is created on first use.
+	results  []*sqldb.ResultSet
+	base     QueryID
+	errs     map[QueryID]error
 	inflight []inflight
 	nextID   QueryID
 	stats    Stats
@@ -183,13 +187,7 @@ type Store struct {
 // New creates a query store over an established connection, building the
 // configured dispatch pipeline.
 func New(conn *driver.Conn, cfg Config) *Store {
-	s := &Store{
-		conn:  conn,
-		cfg:   cfg,
-		bySQL: make(map[string]QueryID),
-		cache: make(map[QueryID]*sqldb.ResultSet),
-		errs:  make(map[QueryID]error),
-	}
+	s := &Store{conn: conn, cfg: cfg}
 	var stages []dispatch.Stage
 	if cfg.Merge.Enabled {
 		s.merger = merge.New(cfg.Merge)
@@ -218,14 +216,7 @@ func New(conn *driver.Conn, cfg Config) *Store {
 // (custom pipelines and tests). cfg.Dispatch, cfg.Hub, and cfg.Merge are
 // ignored: the caller's dispatcher already embodies them.
 func NewWithDispatcher(conn *driver.Conn, cfg Config, disp dispatch.Dispatcher) *Store {
-	return &Store{
-		conn:  conn,
-		cfg:   cfg,
-		disp:  disp,
-		bySQL: make(map[string]QueryID),
-		cache: make(map[QueryID]*sqldb.ResultSet),
-		errs:  make(map[QueryID]error),
-	}
+	return &Store{conn: conn, cfg: cfg, disp: disp}
 }
 
 // Close collects every in-flight batch — recording any deferred execution
@@ -253,8 +244,16 @@ func (s *Store) Close() error {
 // results are cached when next collected), fire-and-forget bookkeeping,
 // and latched pipelined-write errors, which the next barrier still
 // delivers.
+//
+// Every resolved id is older than every id in flight, and those are older
+// than the queue (DESIGN.md §4), so the boundary is one number: base.
 func (s *Store) EndRequest() {
-	clear(s.cache)
+	s.base = s.nextID - QueryID(len(s.queue))
+	if len(s.inflight) > 0 {
+		s.base = s.inflight[0].first
+	}
+	clear(s.results)
+	s.results = s.results[:0]
 	clear(s.errs)
 }
 
@@ -305,11 +304,6 @@ func (s *Store) MergeStats() merge.Stats {
 // PendingLen reports the size of the unexecuted batch.
 func (s *Store) PendingLen() int { return len(s.queue) }
 
-// dedupKey canonicalizes a statement for within-batch duplicate detection
-// — the same canonical form the shared window uses for cross-session
-// coalescing (driver.Stmt.Key).
-func dedupKey(st driver.Stmt) string { return st.Key() }
-
 // Register adds a query to the store per the paper's RegisterQuery rules
 // and returns its id. Write statements flush the batch immediately; under
 // the synchronous dispatcher the returned id's result is then already
@@ -324,20 +318,17 @@ func (s *Store) Register(sql string, args ...sqldb.Value) (QueryID, error) {
 	st := driver.Stmt{SQL: sql, Args: args}
 
 	if !isWrite && !s.cfg.DisableDedup {
-		if id, ok := s.bySQL[dedupKey(st)]; ok {
+		if pos, dup := s.dedup.Add(s.queue, st); dup {
 			s.stats.DedupHits++
-			return id, nil
+			return s.nextID - QueryID(len(s.queue)-pos), nil
 		}
 	}
 
 	id := s.nextID
 	s.nextID++
-	s.queue = append(s.queue, pending{id: id, stmt: st})
+	s.queue = append(s.queue, st)
 	s.stats.Registered++
 	if !isWrite {
-		if !s.cfg.DisableDedup {
-			s.bySQL[dedupKey(st)] = id
-		}
 		if s.cfg.BatchCap > 0 && len(s.queue) >= s.cfg.BatchCap {
 			if err := s.flushForProgress("cap"); err != nil {
 				return 0, err
@@ -376,11 +367,8 @@ func (s *Store) flushForProgress(trigger string) error {
 // batch failed since the last barrier, that error is delivered here (the
 // forced id's own result stays cached for a retry).
 func (s *Store) ResultSet(id QueryID) (*sqldb.ResultSet, error) {
-	if rs, ok := s.cache[id]; ok {
-		return rs, nil
-	}
-	if err, ok := s.errs[id]; ok {
-		return nil, err
+	if r, ok := s.resolved(id); ok {
+		return r.RS, r.Err
 	}
 	// The force span covers the cache-miss path end to end: the flush it
 	// triggers plus the wait for every in-flight batch.
@@ -392,23 +380,44 @@ func (s *Store) ResultSet(id QueryID) (*sqldb.ResultSet, error) {
 	s.submit("force")
 	ferr := s.collect()
 	fc.End(s.conn.Clock().Now())
-	if rs, ok := s.cache[id]; ok {
+	if r, ok := s.resolved(id); ok {
+		if r.Err != nil {
+			// Returning this batch's error delivers it; a write error from
+			// a DIFFERENT batch stays latched for the next barrier.
+			s.dropWriteErr(r.Err)
+			return nil, r.Err
+		}
 		if werr := s.takeWriteErr(); werr != nil {
 			return nil, werr
 		}
-		return rs, nil
-	}
-	if err, ok := s.errs[id]; ok {
-		// Returning this batch's error delivers it; a write error from a
-		// DIFFERENT batch stays latched for the next barrier.
-		s.dropWriteErr(err)
-		return nil, err
+		return r.RS, nil
 	}
 	if ferr != nil {
 		s.dropWriteErr(ferr)
 		return nil, ferr
 	}
 	return nil, fmt.Errorf("%w %d", ErrUnknownQueryID, id)
+}
+
+// resolved looks id up among the collected results and recorded errors.
+func (s *Store) resolved(id QueryID) (Result, bool) {
+	if i := id - s.base; i >= 0 && i < QueryID(len(s.results)) && s.results[i] != nil {
+		return Result{RS: s.results[i]}, true
+	}
+	if err, ok := s.errs[id]; ok {
+		return Result{Err: err}, true
+	}
+	return Result{}, false
+}
+
+// recordErr keeps the first execution error observed for id.
+func (s *Store) recordErr(id QueryID, err error) {
+	if s.errs == nil {
+		s.errs = make(map[QueryID]error)
+	}
+	if _, dup := s.errs[id]; !dup {
+		s.errs[id] = err
+	}
 }
 
 // Flush sends every pending statement to the database in one round trip,
@@ -442,15 +451,11 @@ func (s *Store) submit(trigger string) {
 	}
 	batch := s.queue
 	s.queue = nil
-	if len(s.bySQL) > 0 {
-		clear(s.bySQL)
-	}
+	s.dedup.Reset()
 
 	stmts := make([]driver.Stmt, len(batch))
-	ids := make([]QueryID, len(batch))
-	for i, p := range batch {
-		stmts[i] = p.stmt
-		ids[i] = p.id
+	copy(stmts, batch)
+	for i := range stmts {
 		// Parse-once threading: attach the interned AST here, at submit
 		// time, so the merge analyzer, the driver's cost loop, and the
 		// engine all consume one parse per distinct SQL text. Malformed
@@ -484,7 +489,7 @@ func (s *Store) submit(trigger string) {
 		t = s.disp.Submit(stmts)
 	}
 	fctx.End(s.conn.Clock().Now())
-	s.inflight = append(s.inflight, inflight{t: t, ids: ids, ctx: fctx})
+	s.inflight = append(s.inflight, inflight{t: t, first: s.nextID - QueryID(len(batch)), n: len(batch), ctx: fctx})
 	s.stats.Batches++
 	if len(batch) > s.stats.MaxBatch {
 		s.stats.MaxBatch = len(batch)
@@ -523,10 +528,8 @@ func (s *Store) collect() error {
 			// reports the original execution error at force time instead
 			// of "unknown query id".
 			ffHit := false
-			for _, id := range f.ids {
-				if _, dup := s.errs[id]; !dup {
-					s.errs[id] = err
-				}
+			for id := f.first; id < f.first+QueryID(f.n); id++ {
+				s.recordErr(id, err)
 				if _, ff := s.fireAndForget[id]; ff {
 					delete(s.fireAndForget, id)
 					ffHit = true
@@ -548,18 +551,19 @@ func (s *Store) collect() error {
 		// once.
 		stmtErrs := f.t.StmtErrs()
 		var ffErrs []error
-		for i, id := range f.ids {
+		off := int(f.first - s.base)
+		s.results = slices.Grow(s.results, off+f.n-len(s.results))[:off+f.n]
+		for i := 0; i < f.n; i++ {
+			id := f.first + QueryID(i)
 			if stmtErrs != nil && stmtErrs[i] != nil {
-				if _, dup := s.errs[id]; !dup {
-					s.errs[id] = stmtErrs[i]
-				}
+				s.recordErr(id, stmtErrs[i])
 				if _, ff := s.fireAndForget[id]; ff {
 					delete(s.fireAndForget, id)
 					ffErrs = append(ffErrs, stmtErrs[i])
 				}
 				continue
 			}
-			s.cache[id] = results[i]
+			s.results[off+i] = results[i]
 			if len(s.fireAndForget) > 0 {
 				delete(s.fireAndForget, id)
 			}

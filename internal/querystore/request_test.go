@@ -2,6 +2,7 @@ package querystore
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestEndRequestBoundsRetention(t *testing.T) {
 		}
 		s.EndRequest()
 		// Only the write still in flight at the boundary may resolve later.
-		if n := len(s.cache) + len(s.errs); n > perRequest {
+		if n := len(s.results) + len(s.errs); n > perRequest {
 			t.Fatalf("request %d: store retains %d resolved entries across the boundary", req, n)
 		}
 	}
@@ -101,5 +102,120 @@ func TestEndRequestKeepsPipelinedWriteError(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatalf("collectFirst=%v: write error delivered twice: %v", collectFirst, err)
 		}
+	}
+}
+
+// TestRetentionMatchesModel drives an async, write-pipelining store through
+// a random schedule of Register / force / FlushAsync / ExecPipelined /
+// EndRequest and checks every force against a map-based model of the
+// contract: an id resolved before a boundary is unknown after it, queued
+// and in-flight ids survive it, and what the store retains never exceeds
+// the ids issued since the oldest one still alive.
+func TestRetentionMatchesModel(t *testing.T) {
+	type state int
+	const (
+		queued state = iota
+		inflight
+		resolved
+		released
+	)
+	type entry struct {
+		st   state
+		want string // "" for a pipelined write
+	}
+	names := map[int64]string{1: "apple", 2: "pear", 3: "fig"}
+
+	rng := rand.New(rand.NewSource(3))
+	s, _ := rig(t, Config{Dispatch: dispatch.KindAsync, PipelineWrites: true})
+	defer s.Close()
+	model := map[QueryID]*entry{}
+	var live []QueryID // ids not yet released, in issue order
+	move := func(from, to state) {
+		for _, id := range live {
+			if model[id].st == from {
+				model[id].st = to
+			}
+		}
+	}
+	maxRetained, sinceBoundary, maxPerRequest := 0, 0, 0
+	for requests := 0; requests < 1000; {
+		switch op := rng.Intn(10); {
+		case op < 4: // register a read
+			k := int64(1 + rng.Intn(3))
+			id, err := s.Register("SELECT name FROM items WHERE id = ?", k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e, dup := model[id]; dup {
+				if e.st != queued || e.want != names[k] {
+					t.Fatalf("id %d reissued for %q while %+v", id, names[k], e)
+				}
+				break
+			}
+			model[id] = &entry{st: queued, want: names[k]}
+			live = append(live, id)
+			sinceBoundary++
+		case op < 7 && len(model) > 0: // force any id ever issued
+			id := QueryID(rng.Int63n(int64(s.nextID)))
+			e := model[id]
+			rs, err := s.ResultSet(id)
+			if e.st == released {
+				if !errors.Is(err, ErrUnknownQueryID) {
+					t.Fatalf("released id %d: %v, %v, want ErrUnknownQueryID", id, rs, err)
+				}
+			} else if err != nil || (e.want != "" && rs.Rows[0][0] != e.want) {
+				t.Fatalf("id %d (%+v): %v, %v", id, e, rs, err)
+			}
+			if e.st != resolved {
+				// The force flushed the queue and drained every in-flight batch.
+				move(queued, resolved)
+				move(inflight, resolved)
+			}
+		case op == 7:
+			s.FlushAsync()
+			move(queued, inflight)
+		case op == 8:
+			if err := s.ExecPipelined("UPDATE items SET qty = qty + 1 WHERE id = 1"); err != nil {
+				t.Fatal(err)
+			}
+			id := s.nextID - 1
+			model[id] = &entry{st: queued}
+			live = append(live, id)
+			sinceBoundary++
+			move(queued, inflight)
+		default:
+			s.EndRequest()
+			requests++
+			maxPerRequest = max(maxPerRequest, sinceBoundary)
+			sinceBoundary = 0
+			kept := live[:0]
+			for _, id := range live {
+				if model[id].st == resolved {
+					model[id].st = released
+				} else {
+					kept = append(kept, id)
+				}
+			}
+			live = kept
+			oldest := s.nextID
+			if len(live) > 0 {
+				oldest = live[0]
+			}
+			if s.base != oldest || len(s.results) != 0 || len(s.errs) != 0 {
+				t.Fatalf("after boundary: base %d (oldest live id %d), %d results, %d errs",
+					s.base, oldest, len(s.results), len(s.errs))
+			}
+		}
+		if len(s.results) > int(s.nextID-s.base) {
+			t.Fatalf("%d result slots for %d live ids", len(s.results), s.nextID-s.base)
+		}
+		maxRetained = max(maxRetained, len(s.results)+len(s.errs))
+	}
+	// A request's retention is its own ids plus what crossed the previous
+	// boundary unresolved — at most two requests' worth of ids, never the
+	// store's age (s.nextID is in the thousands by now).
+	if maxRetained > 2*maxPerRequest {
+		t.Fatalf("retained %d entries at once; the largest request issued %d ids (store issued %d)",
+			maxRetained, maxPerRequest, s.nextID)
 	}
 }

@@ -10,6 +10,7 @@ package webapp
 import (
 	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
 
 	"repro/internal/thunk"
@@ -55,7 +56,9 @@ func (w *ThunkWriter) WriteValue(v any) {
 		}
 		v = t.ForceAny()
 	}
-	w.parts = append(w.parts, renderValue(v))
+	var sb strings.Builder
+	appendValue(&sb, v)
+	w.parts = append(w.parts, sb.String())
 }
 
 // Rendered reports how many dynamic values were written.
@@ -66,10 +69,15 @@ func (w *ThunkWriter) Buffered() int { return w.buffered }
 
 // Flush forces every buffered thunk (triggering query-store flushes as
 // needed) and returns the rendered page. Force-time panics from lazy
-// errors are converted to an error return.
+// errors are converted to an error return that keeps the panicking error's
+// chain, so errors.Is sees through it.
 func (w *ThunkWriter) Flush() (page string, err error) {
 	defer func() {
-		if r := recover(); r != nil {
+		switch r := recover().(type) {
+		case nil:
+		case error:
+			err = fmt.Errorf("webapp: render failed: %w", r)
+		default:
 			err = fmt.Errorf("webapp: render failed: %v", r)
 		}
 	}()
@@ -79,42 +87,116 @@ func (w *ThunkWriter) Flush() (page string, err error) {
 		case string:
 			sb.WriteString(x)
 		case thunk.Any:
-			sb.WriteString(renderValue(x.ForceAny()))
+			appendValue(&sb, x.ForceAny())
 		}
 	}
 	return sb.String(), nil
 }
 
-// renderValue formats a forced value for page output. Slices render as
+// appendValue formats a forced value onto the page. Slices render as
 // comma-joined items so entity lists produce size-proportional output, and
 // pointers render their referent: page bytes must be a pure function of the
 // data (never of allocation addresses), which is what lets the golden
 // equality tests compare optimized and unoptimized executions byte for
-// byte.
-func renderValue(v any) string {
-	switch x := v.(type) {
-	case nil:
-		return ""
-	case string:
-		return x
-	case []string:
-		return strings.Join(x, ", ")
-	case fmt.Stringer:
-		return x.String()
+// byte. The bytes are fmt's %v of the data; what pages are made of — int64,
+// string, float64, bool and structs of those, behind any depth of pointers
+// and slices — is written with strconv, the rest is handed to fmt.
+func appendValue(sb *strings.Builder, v any) {
+	if v != nil {
+		appendReflected(sb, reflect.ValueOf(v))
 	}
-	rv := reflect.ValueOf(v)
-	switch rv.Kind() {
-	case reflect.Pointer:
+}
+
+var (
+	stringSliceType = reflect.TypeOf([]string(nil))
+	stringerType    = reflect.TypeOf((*fmt.Stringer)(nil)).Elem()
+)
+
+// appendReflected renders rv. The walk never descends through a struct
+// field, so Interface is allowed on rv wherever it is needed: for a String
+// method and for what is left to fmt.
+func appendReflected(sb *strings.Builder, rv reflect.Value) {
+	if rv.Kind() == reflect.Interface { // an element of a []any or the like
 		if rv.IsNil() {
-			return ""
+			return
 		}
-		return renderValue(rv.Elem().Interface())
-	case reflect.Slice:
-		parts := make([]string, rv.Len())
-		for i := range parts {
-			parts[i] = renderValue(rv.Index(i).Interface())
-		}
-		return "[" + strings.Join(parts, ", ") + "]"
+		rv = rv.Elem()
 	}
-	return fmt.Sprintf("%v", v)
+	switch t := rv.Type(); {
+	case t == stringSliceType: // joined bare, without the brackets of other slices
+		for i := 0; i < rv.Len(); i++ {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			sb.WriteString(rv.Index(i).String())
+		}
+	case t.Implements(stringerType):
+		sb.WriteString(rv.Interface().(fmt.Stringer).String())
+	case rv.Kind() == reflect.Pointer:
+		if !rv.IsNil() {
+			appendReflected(sb, rv.Elem())
+		}
+	case rv.Kind() == reflect.Slice:
+		sb.WriteByte('[')
+		for i := 0; i < rv.Len(); i++ {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			appendReflected(sb, rv.Index(i))
+		}
+		sb.WriteByte(']')
+	case plain(rv):
+		appendPlain(sb, rv)
+	case plainStruct(rv):
+		sb.WriteByte('{')
+		for i := 0; i < rv.NumField(); i++ {
+			if i > 0 {
+				sb.WriteByte(' ')
+			}
+			appendPlain(sb, rv.Field(i))
+		}
+		sb.WriteByte('}')
+	default:
+		sb.WriteString(fmt.Sprint(rv.Interface()))
+	}
+}
+
+// plain reports whether %v of rv is just its value: one of the four kinds
+// entities are made of, of a type with no method (Formatter, error,
+// Stringer) fmt would call instead.
+func plain(rv reflect.Value) bool {
+	switch rv.Kind() {
+	case reflect.Int64, reflect.String, reflect.Float64, reflect.Bool:
+		return rv.Type().NumMethod() == 0
+	}
+	return false
+}
+
+// plainStruct reports whether rv is a method-less struct of plain fields,
+// which %v prints as {f1 f2 ...}.
+func plainStruct(rv reflect.Value) bool {
+	if rv.Kind() != reflect.Struct || rv.Type().NumMethod() != 0 {
+		return false
+	}
+	for i := 0; i < rv.NumField(); i++ {
+		if !plain(rv.Field(i)) {
+			return false
+		}
+	}
+	return true
+}
+
+// appendPlain writes a plain value exactly as %v does.
+func appendPlain(sb *strings.Builder, rv reflect.Value) {
+	var buf [32]byte
+	switch rv.Kind() {
+	case reflect.Int64:
+		sb.Write(strconv.AppendInt(buf[:0], rv.Int(), 10))
+	case reflect.String:
+		sb.WriteString(rv.String())
+	case reflect.Float64:
+		sb.Write(strconv.AppendFloat(buf[:0], rv.Float(), 'g', -1, 64))
+	case reflect.Bool:
+		sb.Write(strconv.AppendBool(buf[:0], rv.Bool()))
+	}
 }
