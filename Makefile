@@ -33,7 +33,5 @@ bench:
 # Sharded-throughput sweep: same report as `-exp throughput` with a
 # shards column, so the scatter-gather occupancy win (and the rendered
 # bytes staying identical across shard counts) is visible locally.
-# BENCH_hosttime.json is host-time calibrated and shard-independent; the
-# target deliberately does not refresh it.
 shardbench:
 	$(GO) run ./cmd/slothbench -exp throughput -shards 1,4 -workers 2

@@ -15,7 +15,6 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -39,8 +38,6 @@ type options struct {
 	workers   []int
 	shards    []int
 	visits    bool
-	hostReps  int
-	hostOut   string
 	traceOut  string
 	debugAddr string
 	faults    []float64
@@ -49,7 +46,7 @@ type options struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.exp, "exp", "all", "experiment: fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|appendix|ablation|merge|throughput|hosttime|trace|faults|all")
+	flag.StringVar(&o.exp, "exp", "all", "experiment: fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|appendix|ablation|merge|throughput|trace|faults|all")
 	flag.DurationVar(&o.rtt, "rtt", 500*time.Microsecond, "round-trip latency for suite experiments")
 	flag.IntVar(&o.txns, "txns", 500, "transactions per Fig. 13 workload")
 	flag.IntVar(&o.reps, "reps", 25, "repetitions per Fig. 12 configuration")
@@ -57,11 +54,9 @@ func main() {
 	families := flag.String("families", "all", "merge families when -merge is set: all (equality+aggregate+range) | eq (equality only, the PR 1 baseline)")
 	dispatchFlag := flag.String("dispatch", "", "dispatch strategy: sync|async|shared (suite experiments; empty = sync, throughput compares all three unless set)")
 	flag.IntVar(&o.sessions, "sessions", 0, "concurrent sessions for -exp throughput (0 = sweep 1,2,4,8)")
-	workersFlag := flag.String("workers", "", "server DB worker queues, comma-separated (throughput: empty = sweep 1,4; hosttime: empty = sweep 1,2,4,8)")
+	workersFlag := flag.String("workers", "", "server DB worker queues for -exp throughput, comma-separated (empty = sweep 1,4)")
 	shardsFlag := flag.String("shards", "", "database shard counts for -exp throughput, comma-separated (empty = unsharded; rendering is byte-identical at any count, only occupancy changes)")
 	flag.BoolVar(&o.visits, "visits", true, "record a visit-log write per page load in -exp throughput (false = read-only replay; with -dispatch shared the output is byte-stable)")
-	flag.IntVar(&o.hostReps, "hostreps", 3, "measured replays per cache mode for -exp hosttime")
-	flag.StringVar(&o.hostOut, "hostout", "BENCH_hosttime.json", "JSON artifact path for -exp hosttime (empty disables)")
 	flag.StringVar(&o.traceOut, "traceout", "BENCH_trace.json", "Chrome trace-event JSON path for -exp trace (empty disables; load in Perfetto or chrome://tracing)")
 	flag.StringVar(&o.debugAddr, "debugaddr", "", "serve net/http/pprof and expvar (unified metrics under /debug/vars key \"sloth\") on this address, e.g. localhost:6060 (empty disables)")
 	faultsFlag := flag.String("faults", "", "injected transient-failure rates for -exp faults, comma-separated (empty = sweep 0,0.05,0.1,0.2; include 0 for the clean baseline)")
@@ -83,7 +78,7 @@ func main() {
 	o.eqOnly = *families == "eq"
 
 	var err error
-	if o.workers, err = parseWorkers(*workersFlag); err != nil {
+	if o.workers, err = parseCounts(*workersFlag, "-workers"); err != nil {
 		fmt.Fprintf(os.Stderr, "slothbench: %v\n", err)
 		os.Exit(1)
 	}
@@ -109,10 +104,6 @@ func main() {
 		os.Exit(1)
 	}
 }
-
-// parseWorkers turns the comma-separated -workers flag into a count list.
-// Empty means "use the experiment's default sweep".
-func parseWorkers(s string) ([]int, error) { return parseCounts(s, "-workers") }
 
 // parseCounts parses a comma-separated positive count list; empty means
 // "use the experiment's default".
@@ -150,7 +141,7 @@ func parseRates(s string) ([]float64, error) {
 
 // serveDebug starts the diagnostics endpoint: net/http/pprof's handlers on
 // the default mux plus an expvar key publishing the current unified metrics
-// registry, so a long throughput or hosttime run can be profiled and its
+// registry, so a long throughput or faults run can be profiled and its
 // counters watched live (`go tool pprof host:port/debug/pprof/profile`,
 // `curl host:port/debug/vars`).
 func serveDebug(addr string) error {
@@ -179,44 +170,25 @@ func run(o options) error {
 	mergeOn, eqOnly := o.mergeOn, o.eqOnly
 	kind, kindSet := o.kind, o.kindSet
 	sessions, workers, shards, visits := o.sessions, o.workers, o.shards, o.visits
-	hostReps, hostOut := o.hostReps, o.hostOut
-	var itEnv, omEnv *bench.Env
+	envs := map[bench.AppID]*bench.Env{}
 	needEnv := func(id bench.AppID) (*bench.Env, error) {
-		build := func() (*bench.Env, error) {
-			env, err := bench.NewEnv(id, 1)
-			if err != nil {
-				return nil, err
-			}
-			if mergeOn {
-				if eqOnly {
-					env.StoreCfg = bench.EqualityMergeConfig()
-				} else {
-					env.StoreCfg = bench.MergeConfig()
-				}
-			}
-			env.StoreCfg.Dispatch = kind
+		if env := envs[id]; env != nil {
 			return env, nil
 		}
-		switch id {
-		case bench.Itracker:
-			if itEnv == nil {
-				var err error
-				itEnv, err = build()
-				if err != nil {
-					return nil, err
-				}
-			}
-			return itEnv, nil
-		default:
-			if omEnv == nil {
-				var err error
-				omEnv, err = build()
-				if err != nil {
-					return nil, err
-				}
-			}
-			return omEnv, nil
+		env, err := bench.NewEnv(id, 1)
+		if err != nil {
+			return nil, err
 		}
+		if mergeOn {
+			if eqOnly {
+				env.StoreCfg = bench.EqualityMergeConfig()
+			} else {
+				env.StoreCfg = bench.MergeConfig()
+			}
+		}
+		env.StoreCfg.Dispatch = kind
+		envs[id] = env
+		return env, nil
 	}
 
 	suiteCDF := func(id bench.AppID) error {
@@ -372,33 +344,6 @@ func run(o options) error {
 					return err
 				}
 				fmt.Print(rep.Format())
-			}
-			return nil
-		},
-		"hosttime": func() error {
-			sweep := []int{1, 2, 4, 8}
-			if len(workers) > 0 {
-				sweep = workers
-			}
-			rep, err := bench.HostTime(bench.HostTimeOptions{Reps: hostReps, RTT: rtt, Out: hostOut, Workers: sweep})
-			if err != nil {
-				return err
-			}
-			fmt.Print(rep.Format())
-			if rep.Speedup < 1.5 {
-				return fmt.Errorf("hosttime: plan-cache speedup %.2fx below the 1.5x floor", rep.Speedup)
-			}
-			if rep.TraceOverhead > 1.02 {
-				return fmt.Errorf("hosttime: disabled-tracer overhead %.1f%% above the 2%% ceiling", (rep.TraceOverhead-1)*100)
-			}
-			if rep.ParallelSpeedup4 > 0 {
-				if runtime.GOMAXPROCS(0) >= 4 {
-					if rep.ParallelSpeedup4 < 1.8 {
-						return fmt.Errorf("hosttime: 4-worker parallel speedup %.2fx below the 1.8x floor", rep.ParallelSpeedup4)
-					}
-				} else {
-					fmt.Printf("parallel-efficiency gate skipped: GOMAXPROCS=%d < 4\n", runtime.GOMAXPROCS(0))
-				}
 			}
 			return nil
 		},

@@ -123,7 +123,9 @@ func replayFaulted(id AppID, rate float64, retry dispatch.RetryPolicy, opts Faul
 	if err != nil {
 		return FaultRow{}, err
 	}
+	// Published like replayConcurrent's, so -debugaddr shows the live cell.
 	reg := obs.NewRegistry()
+	obs.SetCurrent(reg)
 	env.Srv.SetMetrics(reg)
 	plane := env.SetFaults(faultSweepConfig(opts.Seed, rate))
 	plane.SetMetrics(reg)

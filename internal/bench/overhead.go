@@ -41,107 +41,85 @@ type OverheadReport struct {
 	Rows []OverheadRow
 }
 
+// overheadLoad is one Fig. 13 workload: how to seed its database and how to
+// build, over an executor, the step that runs one transaction.
+type overheadLoad struct {
+	suite, name string
+	seed        func(*engine.DB) error
+	client      func(tpcc.Executor) (step func() error)
+}
+
 // Overhead runs each TPC-C transaction type and TPC-W mix for txns
 // iterations under both executors, measuring wall-clock time.
 func Overhead(txns int) (OverheadReport, error) {
-	rep := OverheadReport{Txns: txns}
-
-	// TPC-C: five transaction types.
+	ccfg, wcfg := tpcc.DefaultConfig(), tpcw.DefaultConfig()
+	var loads []overheadLoad
 	for _, name := range tpcc.TxnNames {
-		orig, err := timeTPCC(name, txns, false)
-		if err != nil {
-			return rep, err
-		}
-		sloth, err := timeTPCC(name, txns, true)
-		if err != nil {
-			return rep, err
-		}
-		rep.Rows = append(rep.Rows, OverheadRow{Workload: "TPC-C", Name: name, Original: orig, Sloth: sloth})
+		loads = append(loads, overheadLoad{"TPC-C", name,
+			func(db *engine.DB) error { return tpcc.Seed(db, ccfg) },
+			func(exec tpcc.Executor) func() error {
+				c := tpcc.NewClient(exec, ccfg, 1)
+				return func() error { return c.Run(name) }
+			}})
 	}
-	// TPC-W: three mixes.
 	for _, mix := range tpcw.MixNames {
-		orig, err := timeTPCW(mix, txns, false)
+		loads = append(loads, overheadLoad{"TPC-W", mix,
+			func(db *engine.DB) error { return tpcw.Seed(db, wcfg) },
+			func(exec tpcc.Executor) func() error {
+				c := tpcw.NewClient(exec, wcfg, 1)
+				return func() error { return c.RunMixStep(mix) }
+			}})
+	}
+
+	rep := OverheadReport{Txns: txns}
+	for _, l := range loads {
+		orig, err := l.time(txns, false)
 		if err != nil {
 			return rep, err
 		}
-		sloth, err := timeTPCW(mix, txns, true)
+		sloth, err := l.time(txns, true)
 		if err != nil {
 			return rep, err
 		}
-		rep.Rows = append(rep.Rows, OverheadRow{Workload: "TPC-W", Name: mix, Original: orig, Sloth: sloth})
+		rep.Rows = append(rep.Rows, OverheadRow{Workload: l.suite, Name: l.name, Original: orig, Sloth: sloth})
 	}
 	return rep, nil
-}
-
-// newExecutor wires a fresh database and returns the chosen executor.
-func newExecutor(sloth bool, seedFn func(*engine.DB) error) (tpcc.Executor, error) {
-	db := engine.New()
-	if err := seedFn(db); err != nil {
-		return nil, err
-	}
-	clock := netsim.NewVirtualClock()
-	srv := driver.NewServer(db, clock, driver.CostModel{}) // zero modeled cost: wall clock only
-	conn := srv.Connect(netsim.NewLink(clock, 0))
-	if sloth {
-		return tpcc.SlothExecutor{Store: querystore.New(conn, querystore.Config{})}, nil
-	}
-	return tpcc.DirectExecutor{Conn: conn}, nil
 }
 
 // measureReps is how many times each workload is timed; the minimum is
 // reported, suppressing GC and scheduler noise on short runs.
 const measureReps = 3
 
-func timeTPCC(txn string, txns int, sloth bool) (time.Duration, error) {
+// time is the only wall-clock timer in this package: the best of
+// measureReps runs of txns steps, each on a fresh database behind the
+// chosen executor.
+func (l overheadLoad) time(txns int, sloth bool) (time.Duration, error) {
 	best := time.Duration(0)
 	for rep := 0; rep < measureReps; rep++ {
-		cfg := tpcc.DefaultConfig()
-		exec, err := newExecutor(sloth, func(db *engine.DB) error { return tpcc.Seed(db, cfg) })
-		if err != nil {
+		db := engine.New()
+		if err := l.seed(db); err != nil {
 			return 0, err
 		}
-		client := tpcc.NewClient(exec, cfg, 1)
+		clock := netsim.NewVirtualClock()
+		srv := driver.NewServer(db, clock, driver.CostModel{}) // zero modeled cost: wall clock only
+		conn := srv.Connect(netsim.NewLink(clock, 0))
+		var exec tpcc.Executor = tpcc.DirectExecutor{Conn: conn}
+		if sloth {
+			exec = tpcc.SlothExecutor{Store: querystore.New(conn, querystore.Config{})}
+		}
+		step := l.client(exec)
 		// Warm up caches and the allocator so the measurement compares
 		// steady states.
 		for i := 0; i < txns/10+5; i++ {
-			if err := client.Run(txn); err != nil {
-				return 0, fmt.Errorf("bench: tpcc warmup %s: %w", txn, err)
+			if err := step(); err != nil {
+				return 0, fmt.Errorf("bench: %s warmup %s: %w", l.suite, l.name, err)
 			}
 		}
 		//slothvet:allow wallclock(overhead benchmark times host execution by design)
 		start := time.Now()
 		for i := 0; i < txns; i++ {
-			if err := client.Run(txn); err != nil {
-				return 0, fmt.Errorf("bench: tpcc %s: %w", txn, err)
-			}
-		}
-		//slothvet:allow wallclock(overhead benchmark times host execution by design)
-		if d := time.Since(start); rep == 0 || d < best {
-			best = d
-		}
-	}
-	return best, nil
-}
-
-func timeTPCW(mix string, txns int, sloth bool) (time.Duration, error) {
-	best := time.Duration(0)
-	for rep := 0; rep < measureReps; rep++ {
-		cfg := tpcw.DefaultConfig()
-		exec, err := newExecutor(sloth, func(db *engine.DB) error { return tpcw.Seed(db, cfg) })
-		if err != nil {
-			return 0, err
-		}
-		client := tpcw.NewClient(exec, cfg, 1)
-		for i := 0; i < txns/10+5; i++ {
-			if err := client.RunMixStep(mix); err != nil {
-				return 0, fmt.Errorf("bench: tpcw warmup %s: %w", mix, err)
-			}
-		}
-		//slothvet:allow wallclock(overhead benchmark times host execution by design)
-		start := time.Now()
-		for i := 0; i < txns; i++ {
-			if err := client.RunMixStep(mix); err != nil {
-				return 0, fmt.Errorf("bench: tpcw %s: %w", mix, err)
+			if err := step(); err != nil {
+				return 0, fmt.Errorf("bench: %s %s: %w", l.suite, l.name, err)
 			}
 		}
 		//slothvet:allow wallclock(overhead benchmark times host execution by design)
@@ -186,18 +164,16 @@ type AblationConfigRow struct {
 // StoreAblation runs the OpenMRS suite in Sloth mode under store variants:
 // default, dedup off, and batch caps (the paper's future-work strategy).
 func StoreAblation(env *Env, caps []int) (AblationConfigsReport, error) {
-	configs := []struct {
+	type variant struct {
 		label string
 		cfg   querystore.Config
-	}{
+	}
+	configs := []variant{
 		{"default", querystore.Config{}},
 		{"no-dedup", querystore.Config{DisableDedup: true}},
 	}
 	for _, cap := range caps {
-		configs = append(configs, struct {
-			label string
-			cfg   querystore.Config
-		}{fmt.Sprintf("cap-%d", cap), querystore.Config{BatchCap: cap}})
+		configs = append(configs, variant{fmt.Sprintf("cap-%d", cap), querystore.Config{BatchCap: cap}})
 	}
 	var rep AblationConfigsReport
 	for _, c := range configs {

@@ -40,10 +40,13 @@ type Async struct {
 	retry  RetryPolicy
 	box    statsBox
 
-	// Ticket queue, guarded by mu; nonEmpty signals the worker.
+	// Ticket queue, guarded by mu; nonEmpty signals the worker. Tickets
+	// queue[head:] are waiting; a drained queue rewinds onto the same
+	// backing array.
 	mu       sync.Mutex
 	nonEmpty *sync.Cond
 	queue    []*Ticket
+	head     int
 	closed   bool
 
 	wg        sync.WaitGroup
@@ -76,13 +79,11 @@ func (a *Async) next() (*Ticket, bool) {
 		}
 		a.nonEmpty.Wait()
 	}
-	t := a.queue[0]
-	a.queue[0] = nil
-	a.queue = a.queue[1:]
-	if len(a.queue) == 0 {
-		// Burst drained: recycle a fresh backing array so the slice window
-		// never creeps through an ever-growing allocation.
-		a.queue = make([]*Ticket, 0, DefaultAsyncDepth)
+	t := a.queue[a.head]
+	a.queue[a.head] = nil
+	a.head++
+	if a.head == len(a.queue) {
+		a.queue, a.head = a.queue[:0], 0
 	}
 	return t, true
 }
@@ -122,7 +123,7 @@ func (a *Async) SubmitCtx(ctx obs.Ctx, stmts []driver.Stmt) *Ticket {
 		panic("dispatch: Submit on closed Async dispatcher")
 	}
 	a.queue = append(a.queue, t)
-	n := int64(len(a.queue))
+	n := int64(len(a.queue) - a.head)
 	a.mu.Unlock()
 	a.nonEmpty.Signal()
 	a.box.mu.Lock()

@@ -411,12 +411,18 @@ func TestSharedPoisonReleasesParkedWaiter(t *testing.T) {
 	}
 }
 
-// gateStage blocks the async worker inside the pipeline until released,
-// so a test can pile up submissions behind a deliberately stuck worker.
-type gateStage struct{ release chan struct{} }
+// gateStage blocks the async worker inside the pipeline until it receives
+// one token per batch, so a test can pile up submissions behind a
+// deliberately stuck worker and release them one at a time. It logs the
+// first argument of each batch it lets through: the execution order.
+type gateStage struct {
+	release chan struct{}
+	ran     *[]sqldb.Value
+}
 
 func (g gateStage) Apply(stmts []driver.Stmt) ([]driver.Stmt, Demux, StageStats) {
 	<-g.release
+	*g.ran = append(*g.ran, stmts[0].Args[0])
 	return stmts, nil, StageStats{}
 }
 
@@ -424,43 +430,108 @@ func (g gateStage) Apply(stmts []driver.Stmt) ([]driver.Stmt, Demux, StageStats)
 // ticket channel: NewAsync once buffered 16 tickets, so a session
 // submitting more flushes than that before its first Wait blocked in
 // Submit and silently serialized on the worker. The queue is unbounded
-// now: with the worker stuck inside the first batch, 40 further Submits
-// must all return, and every ticket must still complete in FIFO order once
-// the worker is released.
+// now: with the worker stuck inside a batch, 40 further Submits must all
+// return, and the batches must still run in FIFO order once the worker is
+// released. It also pins the ticket queue itself: PeakQueue
+// counts waiting tickets only (not ones the worker already popped), and a
+// drained queue rewinds onto its backing array instead of allocating a new
+// one, so a second burst that fits reallocates nothing.
 func TestAsyncSubmitNeverBlocks(t *testing.T) {
 	_, connect := rig(t)
 	conn, _ := connect(0)
-	gate := gateStage{release: make(chan struct{})}
+	// Buffered past the 86 tickets below, so handing out tokens never blocks.
+	gate := gateStage{release: make(chan struct{}, 128), ran: new([]sqldb.Value)}
 	a := NewAsync(conn, gate)
 	defer a.Close()
+	defer close(gate.release) // a failing run must not leave Close waiting on a gated worker
 
+	var tickets []*Ticket
+	submit := func(n int) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < n; i++ {
+				tickets = append(tickets, a.Submit([]driver.Stmt{sel(int64(len(tickets)))}))
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Submit blocked on queue depth with the worker busy")
+		}
+	}
+	// awaitWaiting spins until exactly n tickets are queued behind the worker.
+	awaitWaiting := func(n int) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			a.mu.Lock()
+			waiting := len(a.queue) - a.head
+			a.mu.Unlock()
+			if waiting == n {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d tickets waiting, want %d", waiting, n)
+			}
+		}
+	}
+	release := func(n int) {
+		for i := 0; i < n; i++ {
+			gate.release <- struct{}{}
+		}
+	}
+	// drain releases the worker, waits for every ticket from tickets[from:]
+	// and requires that the batches so far ran in submission order.
+	drain := func(from int) {
+		t.Helper()
+		release(len(tickets) - from)
+		for _, tk := range tickets[from:] {
+			mustWait(t, a, tk)
+		}
+		awaitWaiting(0)
+		for i, id := range *gate.ran {
+			if id != int64(i) {
+				t.Fatalf("batch %d ran in position %d", id, i)
+			}
+		}
+		if len(*gate.ran) != len(tickets) {
+			t.Fatalf("%d of %d batches ran", len(*gate.ran), len(tickets))
+		}
+	}
+
+	// First burst lands while the worker has popped two of three earlier
+	// tickets without draining the queue: 1 + burst are waiting, and a count
+	// that forgot the popped prefix would report 3 + burst.
 	const burst = 40 // well past the old channel depth of 16
-	tickets := make([]*Ticket, 0, burst)
-	submitted := make(chan struct{})
-	go func() {
-		defer close(submitted)
-		for i := 0; i < burst; i++ {
-			tickets = append(tickets, a.Submit([]driver.Stmt{sel(int64(i%3 + 1))}))
-		}
-	}()
-	select {
-	case <-submitted:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Submit blocked on queue depth with the worker busy")
+	submit(3)
+	awaitWaiting(2)
+	release(1)
+	mustWait(t, a, tickets[0])
+	awaitWaiting(1)
+	submit(burst)
+	if peak := a.Stats().PeakQueue; peak != burst+1 {
+		t.Fatalf("PeakQueue = %d, want %d (every waiting submission, no popped one)", peak, burst+1)
 	}
-	// The worker may have popped the first ticket before stalling in the
-	// gate, so the peak is at least burst-1 — still far past the old cap.
-	if peak := a.Stats().PeakQueue; peak < burst-1 || peak <= DefaultAsyncDepth {
-		t.Fatalf("PeakQueue = %d, want >= %d (every submission queued)", peak, burst-1)
-	}
+	drain(1)
+	a.mu.Lock()
+	base, capBefore := &a.queue[:1][0], cap(a.queue)
+	a.mu.Unlock()
 
-	close(gate.release)
-	names := []string{"apple", "pear", "fig"}
-	for i, tk := range tickets {
-		rs := mustWait(t, a, tk)
-		if got := rs[0].Rows[0][1]; got != names[i%3] {
-			t.Fatalf("ticket %d out of order: row %v, want %s", i, rs[0].Rows, names[i%3])
-		}
+	// Second burst, one ticket larger, behind a worker stuck on its own
+	// ticket: same order guarantee, an exact new peak, the same array.
+	from := len(tickets)
+	submit(1)
+	awaitWaiting(0)
+	submit(burst + 2)
+	if peak := a.Stats().PeakQueue; peak != burst+2 {
+		t.Fatalf("PeakQueue = %d after second burst, want %d", peak, burst+2)
+	}
+	drain(from)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if &a.queue[:1][0] != base || cap(a.queue) != capBefore {
+		t.Fatalf("ticket queue reallocated across bursts: cap %d -> %d", capBefore, cap(a.queue))
 	}
 }
 

@@ -89,8 +89,7 @@ type ServerStats struct {
 	WorkerBusy []time.Duration
 	// WorkerWall is the real (host) execution time each worker slot spent
 	// running snapshot read batches — the wall-clock shadow of the virtual
-	// WorkerBusy, and the number the hosttime -workers sweep's parallel
-	// efficiency is computed from.
+	// WorkerBusy (benchmark/ reports it as driver.worker_wall_share).
 	WorkerWall []time.Duration
 	// SnapBatches counts batches that took the parallel snapshot-read path
 	// (read-only, outside transactions) rather than the serialized path.

@@ -7,7 +7,7 @@ import (
 // wallclock: the reproduction's entire measured world runs on virtual
 // time (netsim clocks); the host's wall clock may appear only at the few
 // sanctioned attribution points (driver wall stats, obs host durations,
-// the hosttime benchmark, netsim's RealClock implementation), each marked
+// the Fig. 13 overhead timer), each marked
 // //slothvet:allow wallclock(reason). Everywhere else a time.Now or
 // time.Sleep is a determinism bug by construction: it couples golden
 // output, window close decisions, or stats to host speed — the exact

@@ -4,9 +4,8 @@
 // arithmetic on a virtual clock so the full benchmark suite runs
 // deterministically and in seconds rather than hours.
 //
-// Two clock implementations are provided: VirtualClock, which advances time
-// instantaneously and is used by the experiment harness, and RealClock,
-// which sleeps for real wall time and is used by latency-sensitive examples.
+// Time passes on a VirtualClock, which advances instantaneously; Clock stays
+// an interface so a consumer never depends on that.
 package netsim
 
 import (
@@ -14,12 +13,11 @@ import (
 	"time"
 )
 
-// Clock abstracts the passage of time so experiments can run on simulated
-// time while examples may run on wall time.
+// Clock abstracts the passage of time so experiments run on simulated time.
 type Clock interface {
 	// Now returns the current time as an offset from the clock's epoch.
 	Now() time.Duration
-	// Advance moves the clock forward by d. On a real clock this sleeps.
+	// Advance moves the clock forward by d.
 	Advance(d time.Duration)
 }
 
@@ -48,37 +46,6 @@ func (c *VirtualClock) Advance(d time.Duration) {
 	c.mu.Lock()
 	c.now += d
 	c.mu.Unlock()
-}
-
-// RealClock advances by sleeping, for demos that want observable latency.
-type RealClock struct {
-	mu    sync.Mutex
-	epoch time.Time
-	once  sync.Once
-}
-
-// NewRealClock returns a clock backed by the wall clock.
-func NewRealClock() *RealClock { return &RealClock{} }
-
-func (c *RealClock) init() {
-	//slothvet:allow wallclock(RealClock is the sanctioned wall-clock adapter behind the Clock interface)
-	c.once.Do(func() { c.epoch = time.Now() })
-}
-
-// Now reports wall time elapsed since the first use of the clock.
-func (c *RealClock) Now() time.Duration {
-	c.init()
-	//slothvet:allow wallclock(RealClock is the sanctioned wall-clock adapter behind the Clock interface)
-	return time.Since(c.epoch)
-}
-
-// Advance sleeps for d.
-func (c *RealClock) Advance(d time.Duration) {
-	c.init()
-	if d > 0 {
-		//slothvet:allow wallclock(RealClock is the sanctioned wall-clock adapter behind the Clock interface)
-		time.Sleep(d)
-	}
 }
 
 // AdvanceTo advances c to the absolute virtual time target, returning the

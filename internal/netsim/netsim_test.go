@@ -138,16 +138,6 @@ func TestLinkConcurrentRoundTrips(t *testing.T) {
 	}
 }
 
-func TestRealClockAdvances(t *testing.T) {
-	c := NewRealClock()
-	before := c.Now()
-	c.Advance(2 * time.Millisecond)
-	after := c.Now()
-	if after-before < 2*time.Millisecond {
-		t.Fatalf("RealClock advanced %v, want >= 2ms", after-before)
-	}
-}
-
 // faultEvery fails every trip whose start time is an exact multiple of its
 // period, charging a fixed delay — a minimal LinkFault for hook testing.
 type faultEvery struct {

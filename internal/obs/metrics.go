@@ -53,7 +53,7 @@ func (g *Gauge) Value() int64 {
 }
 
 // Histogram is a fixed-bucket latency histogram. Buckets are shared
-// geometric bounds (LatencyBuckets) so histograms merge and compare
+// geometric bounds (latencyBounds) so histograms merge and compare
 // without coordination; counts are atomic so session goroutines observe
 // concurrently. Quantiles interpolate within the containing bucket and
 // clamp to the observed min/max, which keeps p50 on a single-valued
@@ -82,13 +82,6 @@ var latencyBounds = func() []time.Duration {
 	}
 	return out
 }()
-
-// LatencyBuckets returns the shared histogram bucket upper bounds.
-func LatencyBuckets() []time.Duration {
-	out := make([]time.Duration, len(latencyBounds))
-	copy(out, latencyBounds)
-	return out
-}
 
 // NewHistogram creates a histogram over the shared latency buckets.
 func NewHistogram() *Histogram {

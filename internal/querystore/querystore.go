@@ -102,9 +102,9 @@ type Config struct {
 	// session spans; empty selects "session".
 	TraceTrack string
 	// Record, when non-nil, observes every submitted batch (after dedup and
-	// parse-once threading, before merge rewriting). The bench harness uses
-	// it to capture the golden suites' real batch shapes for wall-clock
-	// replay sweeps. The slice is the callback's to keep; statement Args
+	// parse-once threading, before merge rewriting). benchmark/probes.go
+	// uses it to capture the golden suites' real batch shapes for its
+	// per-layer probes. The slice is the callback's to keep; statement Args
 	// must be treated as read-only.
 	Record func(stmts []driver.Stmt)
 }

@@ -402,9 +402,6 @@ func (e *Env) AddFrame(binding string, t *storage.Table) (int, error) {
 	return off, nil
 }
 
-// Width reports the combined row width across all frames.
-func (e *Env) Width() int { return e.width }
-
 // resolve maps a column reference to its combined-row position.
 func (e *Env) resolve(ref *sqlparse.ColRef) (int, error) {
 	if ref.Table != "" {

@@ -22,8 +22,9 @@
 //
 // SetCaching(false) disables both layers, and the merge optimizer's
 // per-template shape cache that hangs off the interned ASTs (every call
-// parses, compiles and analyzes afresh; nothing is stored) — the cache-off
-// baseline of the hosttime benchmark and the equality tests.
+// parses, compiles and analyzes afresh; nothing is stored) — the reference
+// switch of the cached/uncached equivalence tests and of
+// BenchmarkExecSelect's cache-off leg.
 package plan
 
 import (
@@ -55,8 +56,8 @@ var (
 // cache, which consults CachingEnabled), returning the previous setting.
 // Disabled, ParseCached parses afresh on every call, Cache compiles afresh
 // on every Prepare and the merge optimizer analyzes afresh on every
-// statement — the hosttime benchmark's cache-off baseline. The default is
-// enabled.
+// statement — the reference the cached/uncached equivalence tests compare
+// against. The default is enabled.
 func SetCaching(on bool) bool {
 	return !cachingOff.Swap(!on)
 }

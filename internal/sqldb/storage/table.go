@@ -626,20 +626,6 @@ func (s *Store) Snapshot() *Snap {
 	return s.mv.acquire()
 }
 
-// CommittedEpoch reports the published MVCC epoch (safe without locks). A
-// sharded store reports the sum of its shards' epochs — the same monotone
-// clock its snapshots carry.
-func (s *Store) CommittedEpoch() uint64 {
-	if s.shards != nil {
-		var sum uint64
-		for _, sh := range s.shards {
-			sum += sh.mv.committed.Load()
-		}
-		return sum
-	}
-	return s.mv.committed.Load()
-}
-
 // ActiveSnapshots reports how many snapshots are currently pinned. A
 // cross-shard snapshot pins every shard once; report shard 0's count so
 // the number still means "snapshots out".

@@ -50,9 +50,6 @@ func (tx *Txn) LogUpdate(t *Table, id RowID, old Row) {
 	tx.log = append(tx.log, undoEntry{kind: undoUpdate, table: t, id: id, old: old.clone()})
 }
 
-// Mutations reports how many mutations the transaction has logged.
-func (tx *Txn) Mutations() int { return len(tx.log) }
-
 // Commit makes the transaction's effects permanent (they are already
 // visible; commit just discards the undo log).
 func (tx *Txn) Commit() error {

@@ -39,11 +39,6 @@ func (w *ThunkWriter) WriteString(s string) {
 	w.parts = append(w.parts, s)
 }
 
-// Writef appends formatted literal markup.
-func (w *ThunkWriter) Writef(format string, args ...any) {
-	w.parts = append(w.parts, fmt.Sprintf(format, args...))
-}
-
 // WriteValue appends a dynamic value. Lazy values (thunk.Any) are buffered
 // in deferred mode — the paper's writeThunk — and forced otherwise.
 func (w *ThunkWriter) WriteValue(v any) {
