@@ -1,5 +1,7 @@
 package lazyc
 
+import "slices"
+
 // This file implements the Sloth compiler's analysis passes (paper Secs.
 // 3.1 and 4): code simplification, the inter-procedural persistence
 // analysis behind selective compilation (Fig. 11), the purity analysis that
@@ -197,7 +199,7 @@ func (a *Analysis) labelBranches(stmts []Stmt, uses map[string]int) {
 		case *If:
 			if a.stmtDeferrable(s) {
 				a.DeferrableBranch[s] = true
-				a.BranchOutputs[s] = a.branchOutputs(s, uses)
+				a.BranchOutputs[s] = liveOuts([]Stmt{s}, uses)
 			} else {
 				a.labelBranches(st.Then, uses)
 				a.labelBranches(st.Else, uses)
@@ -205,7 +207,7 @@ func (a *Analysis) labelBranches(stmts []Stmt, uses map[string]int) {
 		case *While:
 			if a.stmtDeferrable(s) {
 				a.DeferrableBranch[s] = true
-				a.BranchOutputs[s] = a.branchOutputs(s, uses)
+				a.BranchOutputs[s] = liveOuts([]Stmt{s}, uses)
 			} else {
 				a.labelBranches(st.Body, uses)
 			}
@@ -280,12 +282,13 @@ func (a *Analysis) exprDeferrable(e Expr) bool {
 	}
 }
 
-// branchOutputs lists the variables the branch assigns that are also used
-// outside it (conservatively: used anywhere else in the function).
-func (a *Analysis) branchOutputs(s Stmt, uses map[string]int) []string {
+// liveOuts lists, sorted, the variables stmts assign that are also used
+// outside them (conservatively: used anywhere else in the function) — the
+// outputs of the thunk block a deferred branch or coalesced run becomes.
+func liveOuts(stmts []Stmt, uses map[string]int) []string {
 	assigned := map[string]bool{}
 	internalUses := map[string]int{}
-	walkStmts([]Stmt{s}, func(inner Stmt) {
+	walkStmts(stmts, func(inner Stmt) {
 		switch st := inner.(type) {
 		case *Let:
 			assigned[st.Name] = true
@@ -304,7 +307,7 @@ func (a *Analysis) branchOutputs(s Stmt, uses map[string]int) []string {
 			outs = append(outs, v)
 		}
 	}
-	sortStrings(outs)
+	slices.Sort(outs)
 	return outs
 }
 
@@ -338,28 +341,7 @@ func (a *Analysis) findRuns(stmts []Stmt, uses map[string]int) {
 		}
 		if j-i >= 2 {
 			run := stmts[i:j]
-			assigned := map[string]bool{}
-			internalUses := map[string]int{}
-			walkStmts(run, func(inner Stmt) {
-				switch st := inner.(type) {
-				case *Let:
-					assigned[st.Name] = true
-				case *AssignVar:
-					assigned[st.Name] = true
-					internalUses[st.Name]++ // mirror countUses' definition
-				}
-			}, func(e Expr) {
-				if v, ok := e.(*Var); ok {
-					internalUses[v.Name]++
-				}
-			})
-			var outs []string
-			for v := range assigned {
-				if uses[v] > internalUses[v] {
-					outs = append(outs, v)
-				}
-			}
-			sortStrings(outs)
+			outs := liveOuts(run, uses)
 			// Only coalesce when it saves allocations: the block costs one
 			// thunk plus one per live output, and replaces the thunks the
 			// run's expressions would have allocated individually.
@@ -511,12 +493,4 @@ func countUses(stmts []Stmt, uses map[string]int) {
 			uses[v.Name]++
 		}
 	})
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -13,10 +13,13 @@ import (
 // interpretation must succeed under every optimization level and print
 // byte-identical output. The reverse is deliberately not required —
 // laziness legitimately skips erroring dead code a strict evaluator
-// would trip over.
+// would trip over. When strict fails or diverges the lazy interpreters
+// still run, and must merely return: every failure is an error, never a
+// panic or a stack overflow.
 //
-// Seeds are the benchmark pages; CI adds a short -fuzz budget on top of
-// the seed-corpus run every `go test` performs.
+// Seeds are the benchmark pages plus the arity and recursion programs the
+// narrower fuzzer missed; CI adds a short -fuzz budget on top of the
+// seed-corpus run every `go test` performs.
 func FuzzLazyc(f *testing.F) {
 	pages := BenchmarkPageSources()
 	names := make([]string, 0, len(pages))
@@ -28,8 +31,10 @@ func FuzzLazyc(f *testing.F) {
 		f.Add(pages[name])
 	}
 	f.Add(`print(1 + 2);`)
+	f.Add(arityFewProgram)
+	f.Add(arityManyProgram)
+	f.Add(recursionProgram)
 
-	configs := []Options{{}, {SC: true}, {SC: true, TC: true}, AllOptimizations()}
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<14 {
 			return // keep the interpreter step budgets meaningful
@@ -42,13 +47,18 @@ func FuzzLazyc(f *testing.F) {
 		stdConn, _ := rig(t, 0)
 		std := NewStd(prog, stdConn)
 		std.maxSteps = 100_000
-		if err := std.Run(); err != nil {
-			return // strict fails or diverges: laziness has nothing to match
-		}
-		for _, opts := range configs {
+		stdErr := std.Run()
+		for _, opts := range ladder {
 			conn, _ := rig(t, 0)
 			store := querystore.New(conn, querystore.Config{})
 			lazy := NewLazy(prog, store, opts, nil, CostModel{})
+			if stdErr != nil {
+				// Strict fails or diverges: laziness has nothing to match,
+				// but it must come back within a tight budget.
+				lazy.maxSteps = 100_000
+				_ = lazy.Run() // either outcome is fine; a panic fails the run
+				continue
+			}
 			// Thunk bookkeeping costs steps; give lazy ample headroom so a
 			// soundness failure is never really a budget artifact.
 			lazy.maxSteps = 2_000_000

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/querystore"
+	"repro/internal/sqldb"
 )
 
 // Options selects which Sec. 4 optimizations the lazy compiler applies.
@@ -59,13 +60,16 @@ type lthunk struct {
 }
 
 // LazyInterp evaluates programs under extended lazy semantics (Sec. 3.8)
-// with a query store for batching.
+// with a query store for batching. exec/evalLazy below are the lazy walker;
+// strict is the standard-semantics walker of strict.go over the same heap,
+// output and store, running what the compiler left strict.
 type LazyInterp struct {
 	prog     *Program
 	analysis *Analysis
 	store    *querystore.Store
 	heap     *Heap
 	out      strings.Builder
+	strict   walker
 	opts     Options
 	clock    netsim.Clock
 	cost     CostModel
@@ -81,7 +85,7 @@ func NewLazy(prog *Program, store *querystore.Store, opts Options, clock netsim.
 	if clock == nil {
 		clock = netsim.NewVirtualClock()
 	}
-	return &LazyInterp{
+	in := &LazyInterp{
 		prog:     prog,
 		analysis: Analyze(prog),
 		store:    store,
@@ -91,6 +95,17 @@ func NewLazy(prog *Program, store *querystore.Store, opts Options, clock netsim.
 		cost:     cost,
 		maxSteps: 5_000_000,
 	}
+	in.strict = walker{
+		prog:  prog,
+		heap:  in.heap,
+		out:   &in.out,
+		step:  in.step,
+		force: in.force,
+		show:  func(v Value) (Value, error) { return in.deepForce(v, nil) },
+		call:  in.callFromStrict,
+		query: in.execNow,
+	}
+	return in
 }
 
 // Output returns everything printed so far.
@@ -105,17 +120,15 @@ func (in *LazyInterp) Heap() *Heap { return in.heap }
 // Analysis exposes the static analysis results (Fig. 11 reporting).
 func (in *LazyInterp) Analysis() *Analysis { return in.analysis }
 
-// Run executes main() and finally flushes any still-pending queries (the
-// request boundary in the web setting).
+// Run executes main(). Reads still pending in the store when main returns
+// are never executed: nothing forced them, so nothing observed them.
 func (in *LazyInterp) Run() error {
 	main, err := in.prog.Main()
 	if err != nil {
 		return err
 	}
-	if _, err := in.callLazy(main, nil); err != nil {
-		return err
-	}
-	return nil
+	_, err = in.callLazy(main, nil)
+	return err
 }
 
 func (in *LazyInterp) step() error {
@@ -213,48 +226,61 @@ func (in *LazyInterp) ForceHeap() error {
 // ---------------------------------------------------------------------------
 // Function calls.
 
+// callLazy runs fn's body on the lazy walker; arguments may be thunks.
 func (in *LazyInterp) callLazy(fn *Func, args []Value) (Value, error) {
-	if len(args) != len(fn.Params) {
-		return nil, fmt.Errorf("lazyc: %s expects %d args, got %d", fn.Name, len(fn.Params), len(args))
-	}
-	env := make(map[string]Value, len(fn.Params)+4)
-	for i, p := range fn.Params {
-		env[p] = args[i]
-	}
-	ctl, ret, err := in.execBlock(env, fn.Body)
+	env, err := in.strict.bind(fn, args)
 	if err != nil {
 		return nil, err
 	}
-	if ctl == ctlBreak || ctl == ctlContinue {
-		return nil, fmt.Errorf("lazyc: break/continue escaped %s", fn.Name)
-	}
-	return ret, nil
+	ctl, ret, err := in.execBlock(env, fn.Body)
+	return in.strict.unbind(fn, ctl, ret, err)
 }
 
-// callStrict executes a function body under strict semantics with forced
+// callStrict executes a function body under standard semantics with forced
 // arguments — the selective-compilation path for non-persistent functions.
 func (in *LazyInterp) callStrict(fn *Func, args []Value) (Value, error) {
 	in.stats.StrictFuncs++
-	forced := make([]Value, len(args))
-	for i, a := range args {
+	forced, err := in.forceAll(args)
+	if err != nil {
+		return nil, err
+	}
+	return in.strict.callStd(fn, forced)
+}
+
+// callFromStrict is the strict walker's call hook. A strict context still
+// respects the callee's compilation mode: persistent callees are
+// lazy-compiled (they register queries) and their result is forced,
+// everything else runs strictly.
+func (in *LazyInterp) callFromStrict(fn *Func, args []Value) (Value, error) {
+	if in.opts.SC && !in.analysis.Persistent[fn.Name] {
+		return in.callStrict(fn, args)
+	}
+	ret, err := in.callLazy(fn, args)
+	if err != nil {
+		return nil, err
+	}
+	return in.force(ret)
+}
+
+// forceAll forces each value of a list (arguments entering strict code).
+func (in *LazyInterp) forceAll(vals []Value) ([]Value, error) {
+	forced := make([]Value, len(vals))
+	for i, a := range vals {
 		v, err := in.force(a)
 		if err != nil {
 			return nil, err
 		}
 		forced[i] = v
 	}
-	env := make(map[string]Value, len(fn.Params)+4)
-	for i, p := range fn.Params {
-		env[p] = forced[i]
-	}
-	ctl, ret, err := in.execStrictBlock(env, fn.Body)
-	if err != nil {
-		return nil, err
-	}
-	if ctl == ctlBreak || ctl == ctlContinue {
-		return nil, fmt.Errorf("lazyc: break/continue escaped %s", fn.Name)
-	}
-	return ret, nil
+	return forced, nil
+}
+
+// execNow is the strict walker's query hook and the lazy walker's W(): the
+// statement runs immediately. The store flushes every pending read before
+// it, keeping statement order and transaction boundaries (Sec. 3.3).
+func (in *LazyInterp) execNow(sql string) (*sqldb.ResultSet, error) {
+	in.stats.Queries++
+	return in.store.Exec(sql)
 }
 
 // ---------------------------------------------------------------------------
@@ -267,7 +293,7 @@ func (in *LazyInterp) execBlock(env map[string]Value, stmts []Stmt) (control, Va
 		// Thunk coalescing: a marked run becomes a single block thunk.
 		if in.opts.TC {
 			if run, ok := in.analysis.RunStart[s]; ok {
-				in.execRun(env, stmts[i:i+run.Len], run)
+				in.deferBlock(env, stmts[i:i+run.Len], run.Outputs)
 				i += run.Len
 				continue
 			}
@@ -284,20 +310,20 @@ func (in *LazyInterp) execBlock(env map[string]Value, stmts []Stmt) (control, Va
 	return ctlNone, nil, nil
 }
 
-// execRun defers a coalescible run as one thunk block: the run executes
-// strictly inside the block's force method (the compiled _force body of the
-// paper's ThunkBlock), and only live-out variables get output thunks.
-func (in *LazyInterp) execRun(env map[string]Value, run []Stmt, info *RunInfo) {
+// deferBlock defers stmts — a coalescible run (Sec. 4.3) or one deferrable
+// If/While (Sec. 4.2) — as one thunk block: the statements execute on the
+// strict walker inside the block's force method (the compiled _force body
+// of the paper's ThunkBlock), and only the live-out variables get output
+// thunks. Variables assigned inside but dead outside need no thunk at all —
+// the allocation saving that motivates both optimizations.
+func (in *LazyInterp) deferBlock(env map[string]Value, stmts []Stmt, outputs []string) {
 	snapshot := copyEnv(env)
 	in.stats.Blocks++
 	blk := in.newThunk(func() (Value, error) {
-		if _, _, err := in.execStrictBlock(snapshot, run); err != nil {
-			return nil, err
-		}
-		return nil, nil
+		_, _, err := in.strict.execBlock(snapshot, stmts)
+		return nil, err
 	})
-	for _, v := range info.Outputs {
-		name := v
+	for _, name := range outputs {
 		env[name] = in.newThunk(func() (Value, error) {
 			if _, err := in.force(blk); err != nil {
 				return nil, err
@@ -309,8 +335,6 @@ func (in *LazyInterp) execRun(env map[string]Value, run []Stmt, info *RunInfo) {
 			return out, nil
 		})
 	}
-	// Variables assigned in the run but dead outside it need no thunk at
-	// all — the allocation saving that motivates the optimization.
 }
 
 func (in *LazyInterp) exec(env map[string]Value, s Stmt) (control, Value, error) {
@@ -340,25 +364,13 @@ func (in *LazyInterp) exec(env map[string]Value, s Stmt) (control, Value, error)
 	case *AssignField:
 		// Heap writes are not delayed: the receiver is forced, the stored
 		// value may remain a thunk (Sec. 3.5).
-		recvV, err := in.evalLazy(env, st.Recv)
+		recv, err := in.evalNow(env, st.Recv)
 		if err != nil {
 			return ctlNone, nil, err
 		}
-		recv, err := in.force(recvV)
+		rec, err := in.heap.record(recv, "write to")
 		if err != nil {
 			return ctlNone, nil, err
-		}
-		a, ok := recv.(Addr)
-		if !ok {
-			return ctlNone, nil, fmt.Errorf("lazyc: field write to non-record %T", recv)
-		}
-		obj, err := in.heap.Get(a)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		rec, ok := obj.(record)
-		if !ok {
-			return ctlNone, nil, fmt.Errorf("lazyc: field write to %T", obj)
 		}
 		v, err := in.evalLazy(env, st.E)
 		if err != nil {
@@ -367,54 +379,34 @@ func (in *LazyInterp) exec(env map[string]Value, s Stmt) (control, Value, error)
 		rec[st.Name] = v
 		return ctlNone, nil, nil
 	case *AssignIndex:
-		arrLazy, err := in.evalLazy(env, st.Arr)
+		arrV, err := in.evalNow(env, st.Arr)
 		if err != nil {
 			return ctlNone, nil, err
 		}
-		arrV, err := in.force(arrLazy)
+		arr, err := in.heap.array(arrV, "write to")
 		if err != nil {
 			return ctlNone, nil, err
 		}
-		a, ok := arrV.(Addr)
+		idxV, err := in.evalNow(env, st.Idx)
+		if err != nil {
+			return ctlNone, nil, err
+		}
+		slot, ok := elem(arr, idxV)
 		if !ok {
-			return ctlNone, nil, fmt.Errorf("lazyc: index write to non-array %T", arrV)
-		}
-		obj, err := in.heap.Get(a)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		arr, ok := obj.([]Value)
-		if !ok {
-			return ctlNone, nil, fmt.Errorf("lazyc: index write to %T", obj)
-		}
-		idxLazy, err := in.evalLazy(env, st.Idx)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		idxV, err := in.force(idxLazy)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		i, ok := idxV.(int64)
-		if !ok || i < 0 || int(i) >= len(arr) {
 			return ctlNone, nil, fmt.Errorf("lazyc: index %v out of range", idxV)
 		}
 		v, err := in.evalLazy(env, st.E)
 		if err != nil {
 			return ctlNone, nil, err
 		}
-		arr[i] = v
+		*slot = v
 		return ctlNone, nil, nil
 	case *If:
 		if in.opts.BD && in.analysis.DeferrableBranch[s] {
-			in.deferBranch(env, s)
+			in.deferBlock(env, []Stmt{s}, in.analysis.BranchOutputs[s])
 			return ctlNone, nil, nil
 		}
-		condLazy, err := in.evalLazy(env, st.Cond)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		c, err := in.force(condLazy)
+		c, err := in.evalNow(env, st.Cond)
 		if err != nil {
 			return ctlNone, nil, err
 		}
@@ -428,7 +420,7 @@ func (in *LazyInterp) exec(env map[string]Value, s Stmt) (control, Value, error)
 		return in.execBlock(env, st.Else)
 	case *While:
 		if in.opts.BD && in.analysis.DeferrableBranch[s] {
-			in.deferBranch(env, s)
+			in.deferBlock(env, []Stmt{s}, in.analysis.BranchOutputs[s])
 			return ctlNone, nil, nil
 		}
 		for {
@@ -436,11 +428,7 @@ func (in *LazyInterp) exec(env map[string]Value, s Stmt) (control, Value, error)
 				return ctlNone, nil, err
 			}
 			if st.Cond != nil {
-				condLazy, err := in.evalLazy(env, st.Cond)
-				if err != nil {
-					return ctlNone, nil, err
-				}
-				c, err := in.force(condLazy)
+				c, err := in.evalNow(env, st.Cond)
 				if err != nil {
 					return ctlNone, nil, err
 				}
@@ -474,11 +462,7 @@ func (in *LazyInterp) exec(env map[string]Value, s Stmt) (control, Value, error)
 		}
 		return ctlReturn, v, nil
 	case *Write:
-		qLazy, err := in.evalLazy(env, st.Query)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		q, err := in.force(qLazy)
+		q, err := in.evalNow(env, st.Query)
 		if err != nil {
 			return ctlNone, nil, err
 		}
@@ -486,13 +470,8 @@ func (in *LazyInterp) exec(env map[string]Value, s Stmt) (control, Value, error)
 		if !ok {
 			return ctlNone, nil, fmt.Errorf("lazyc: W() needs a string query")
 		}
-		in.stats.Queries++
-		// The store flushes every pending read before the write, keeping
-		// statement order and transaction boundaries (Sec. 3.3).
-		if _, err := in.store.Exec(sql); err != nil {
-			return ctlNone, nil, err
-		}
-		return ctlNone, nil, nil
+		_, err = in.execNow(sql)
+		return ctlNone, nil, err
 	case *Print:
 		v, err := in.evalLazy(env, st.E)
 		if err != nil {
@@ -502,39 +481,13 @@ func (in *LazyInterp) exec(env map[string]Value, s Stmt) (control, Value, error)
 		if err != nil {
 			return ctlNone, nil, err
 		}
-		in.out.WriteString(render(in.heap, fv))
-		in.out.WriteByte('\n')
+		in.strict.print(fv)
 		return ctlNone, nil, nil
 	case *ExprStmt:
 		_, err := in.evalLazy(env, st.E)
 		return ctlNone, nil, err
 	default:
 		return ctlNone, nil, fmt.Errorf("lazyc: unknown statement %T", s)
-	}
-}
-
-// deferBranch wraps a deferrable If/While into one thunk block (Sec. 4.2).
-func (in *LazyInterp) deferBranch(env map[string]Value, s Stmt) {
-	snapshot := copyEnv(env)
-	in.stats.Blocks++
-	blk := in.newThunk(func() (Value, error) {
-		if _, _, err := in.execStrictBlock(snapshot, []Stmt{s}); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	})
-	for _, v := range in.analysis.BranchOutputs[s] {
-		name := v
-		env[name] = in.newThunk(func() (Value, error) {
-			if _, err := in.force(blk); err != nil {
-				return nil, err
-			}
-			out, ok := snapshot[name]
-			if !ok {
-				return nil, fmt.Errorf("lazyc: branch output %q not produced", name)
-			}
-			return out, nil
-		})
 	}
 }
 
@@ -548,6 +501,16 @@ func copyEnv(env map[string]Value) map[string]Value {
 
 // ---------------------------------------------------------------------------
 // Lazy expression evaluation.
+
+// evalNow evaluates an operand lazy semantics demands at once — a receiver,
+// an index, a condition, a query string — and forces it.
+func (in *LazyInterp) evalNow(env map[string]Value, e Expr) (Value, error) {
+	v, err := in.evalLazy(env, e)
+	if err != nil {
+		return nil, err
+	}
+	return in.force(v)
+}
 
 func (in *LazyInterp) evalLazy(env map[string]Value, e Expr) (Value, error) {
 	if err := in.step(); err != nil {
@@ -565,80 +528,44 @@ func (in *LazyInterp) evalLazy(env map[string]Value, e Expr) (Value, error) {
 	case *Field:
 		// Field reads force the receiver and return the (possibly thunk)
 		// field value (Sec. 3.5).
-		recvLazy, err := in.evalLazy(env, x.Recv)
+		recv, err := in.evalNow(env, x.Recv)
 		if err != nil {
 			return nil, err
 		}
-		recv, err := in.force(recvLazy)
+		rec, err := in.heap.record(recv, "read of")
 		if err != nil {
 			return nil, err
-		}
-		a, ok := recv.(Addr)
-		if !ok {
-			return nil, fmt.Errorf("lazyc: field read of non-record %T", recv)
-		}
-		obj, err := in.heap.Get(a)
-		if err != nil {
-			return nil, err
-		}
-		rec, ok := obj.(record)
-		if !ok {
-			return nil, fmt.Errorf("lazyc: field read of %T", obj)
 		}
 		return rec[x.Name], nil
 	case *Index:
-		arrLazy, err := in.evalLazy(env, x.Arr)
+		arrV, err := in.evalNow(env, x.Arr)
 		if err != nil {
 			return nil, err
 		}
-		arrV, err := in.force(arrLazy)
+		arr, err := in.heap.array(arrV, "of")
 		if err != nil {
 			return nil, err
 		}
-		a, ok := arrV.(Addr)
+		idxV, err := in.evalNow(env, x.Idx)
+		if err != nil {
+			return nil, err
+		}
+		slot, ok := elem(arr, idxV)
 		if !ok {
-			return nil, fmt.Errorf("lazyc: index of non-array %T", arrV)
-		}
-		obj, err := in.heap.Get(a)
-		if err != nil {
-			return nil, err
-		}
-		arr, ok := obj.([]Value)
-		if !ok {
-			return nil, fmt.Errorf("lazyc: index of %T", obj)
-		}
-		idxLazy, err := in.evalLazy(env, x.Idx)
-		if err != nil {
-			return nil, err
-		}
-		idxV, err := in.force(idxLazy)
-		if err != nil {
-			return nil, err
-		}
-		i, ok := idxV.(int64)
-		if !ok || i < 0 || int(i) >= len(arr) {
 			return nil, fmt.Errorf("lazyc: index %v out of range (%d)", idxV, len(arr))
 		}
-		return arr[i], nil
+		return *slot, nil
 	case *RecordLit:
 		// Allocation is immediate; field values stay lazy.
-		rec := make(record, len(x.Names))
-		for i, name := range x.Names {
-			v, err := in.evalLazy(env, x.Vals[i])
-			if err != nil {
-				return nil, err
-			}
-			rec[name] = v
+		vals, err := evalList(env, x.Vals, in.evalLazy)
+		if err != nil {
+			return nil, err
 		}
-		return in.heap.Alloc(rec), nil
+		return in.heap.Alloc(newRecord(x.Names, vals)), nil
 	case *ArrayLit:
-		arr := make([]Value, len(x.Elems))
-		for i, el := range x.Elems {
-			v, err := in.evalLazy(env, el)
-			if err != nil {
-				return nil, err
-			}
-			arr[i] = v
+		arr, err := evalList(env, x.Elems, in.evalLazy)
+		if err != nil {
+			return nil, err
 		}
 		return in.heap.Alloc(arr), nil
 	case *Binop:
@@ -698,13 +625,9 @@ func (in *LazyInterp) evalLazy(env map[string]Value, e Expr) (Value, error) {
 		if !ok {
 			return nil, fmt.Errorf("lazyc: call to undefined %q", x.Fn)
 		}
-		args := make([]Value, len(x.Args))
-		for i, a := range x.Args {
-			v, err := in.evalLazy(env, a)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
+		args, err := evalList(env, x.Args, in.evalLazy)
+		if err != nil {
+			return nil, err
 		}
 		// Selective compilation: non-persistent functions are compiled
 		// as-is and run strictly (Sec. 4.1).
@@ -724,23 +647,15 @@ func (in *LazyInterp) evalLazy(env map[string]Value, e Expr) (Value, error) {
 		// Impure internal call: executes now, with thunk arguments.
 		return in.callLazy(fn, args)
 	case *Builtin:
-		args := make([]Value, len(x.Args))
-		for i, a := range x.Args {
-			v, err := in.evalLazy(env, a)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
+		args, err := evalList(env, x.Args, in.evalLazy)
+		if err != nil {
+			return nil, err
 		}
 		name := x.Name
 		return in.newThunk(func() (Value, error) {
-			forced := make([]Value, len(args))
-			for i, a := range args {
-				v, err := in.force(a)
-				if err != nil {
-					return nil, err
-				}
-				forced[i] = v
+			forced, err := in.forceAll(args)
+			if err != nil {
+				return nil, err
 			}
 			return applyBuiltin(in.heap, name, forced)
 		}), nil
@@ -748,11 +663,7 @@ func (in *LazyInterp) evalLazy(env map[string]Value, e Expr) (Value, error) {
 		// The query string is forced NOW so the query can register with
 		// the store (the defining move of extended lazy evaluation); the
 		// result fetch is deferred (Sec. 3.3).
-		qLazy, err := in.evalLazy(env, x.Query)
-		if err != nil {
-			return nil, err
-		}
-		q, err := in.force(qLazy)
+		q, err := in.evalNow(env, x.Query)
 		if err != nil {
 			return nil, err
 		}

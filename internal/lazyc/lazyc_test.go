@@ -443,6 +443,18 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// ladder is the Fig. 12 progression of optimization sets.
+var ladder = []Options{{}, {SC: true}, {SC: true, TC: true}, AllOptimizations()}
+
+// Programs the interpreters once disagreed on or crashed on: too few and
+// too many arguments (the SC path panicked or dropped one), and recursion
+// with no base case (a fatal Go stack overflow).
+const (
+	arityFewProgram  = `fn f(a, b) { return a; } fn main() { print(f(1)); }`
+	arityManyProgram = `fn f(a) { return a; } fn main() { print(f(1, 2)); }`
+	recursionProgram = `fn f(n) { return f(n + 1); } fn main() { print(f(0)); }`
+)
+
 func TestRuntimeErrors(t *testing.T) {
 	bad := []string{
 		`fn main() { print(nope); }`,
@@ -452,6 +464,8 @@ func TestRuntimeErrors(t *testing.T) {
 		`fn main() { let r = R("NOT SQL"); print(len(r)); }`,
 		`fn main() { print(1 + "x"); }`,
 		`fn main() { print(missingfn(1)); }`,
+		arityFewProgram,
+		arityManyProgram,
 	}
 	for _, src := range bad {
 		prog, err := ParseProgram(src)
@@ -463,13 +477,15 @@ func TestRuntimeErrors(t *testing.T) {
 		if err := NewStd(prog, conn).Run(); err == nil {
 			t.Errorf("std Run(%q) succeeded", src)
 		}
-		conn2, _ := rig(t, 0)
-		store := querystore.New(conn2, querystore.Config{})
-		lazyIn := NewLazy(prog, store, AllOptimizations(), nil, CostModel{})
-		if err := lazyIn.Run(); err == nil {
-			// Laziness may swallow errors whose results are never used —
-			// but these programs print, forcing everything.
-			t.Errorf("lazy Run(%q) succeeded", src)
+		for _, opts := range ladder {
+			conn2, _ := rig(t, 0)
+			store := querystore.New(conn2, querystore.Config{})
+			lazyIn := NewLazy(prog, store, opts, nil, CostModel{})
+			if err := lazyIn.Run(); err == nil {
+				// Laziness may swallow errors whose results are never used —
+				// but these programs print, forcing everything.
+				t.Errorf("opts %+v: lazy Run(%q) succeeded", opts, src)
+			}
 		}
 	}
 }
@@ -480,6 +496,36 @@ func TestInfiniteLoopGuard(t *testing.T) {
 	conn, _ := rig(t, 0)
 	if err := NewStd(prog, conn).Run(); err == nil {
 		t.Fatal("infinite loop not caught by step budget")
+	}
+}
+
+// Unbounded recursion ends as an error, never as Go's fatal stack overflow:
+// wherever calls nest (standard semantics, SC'd strict calls) the depth guard
+// in bind trips long before the default step budget.
+func TestRecursionGuard(t *testing.T) {
+	prog := MustParse(recursionProgram)
+	Simplify(prog)
+	conn, _ := rig(t, 0)
+	if err := NewStd(prog, conn).Run(); err == nil || !strings.Contains(err.Error(), "call depth exceeded in f") {
+		t.Fatalf("std: err = %v, want call depth exceeded", err)
+	}
+	for _, opts := range ladder {
+		conn, _ := rig(t, 0)
+		lazy := NewLazy(prog, querystore.New(conn, querystore.Config{}), opts, nil, CostModel{})
+		if !opts.SC {
+			// f is pure, so without SC each call defers and the recursion
+			// becomes a force loop whose frames close before the next opens:
+			// the step budget stops it. Exhausting the default budget would
+			// only grow the Go stack to ~400 MB first; any budget shows it.
+			lazy.maxSteps = 100_000
+		}
+		err := lazy.Run()
+		if err == nil {
+			t.Fatalf("opts %+v: unbounded recursion succeeded", opts)
+		}
+		if opts.SC && !strings.Contains(err.Error(), "call depth exceeded in f") {
+			t.Fatalf("opts %+v: err = %v, want call depth exceeded", opts, err)
+		}
 	}
 }
 

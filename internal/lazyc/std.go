@@ -3,16 +3,8 @@ package lazyc
 import (
 	"fmt"
 	"strings"
-)
 
-// control is a statement's non-local outcome.
-type control int
-
-const (
-	ctlNone control = iota
-	ctlBreak
-	ctlContinue
-	ctlReturn
+	"repro/internal/sqldb"
 )
 
 // StdStats counts standard-semantics activity.
@@ -23,12 +15,10 @@ type StdStats struct {
 
 // StdInterp evaluates programs under the standard (strict) semantics of
 // Sec. 3.8: every statement executes when reached, every query runs in its
-// own round trip.
+// own round trip. It is the walker of strict.go with nothing to force.
 type StdInterp struct {
-	prog  *Program
+	w     walker
 	db    Queryer
-	heap  *Heap
-	out   strings.Builder
 	stats StdStats
 
 	maxSteps int64
@@ -36,25 +26,37 @@ type StdInterp struct {
 
 // NewStd creates a standard interpreter over a database connection.
 func NewStd(prog *Program, db Queryer) *StdInterp {
-	return &StdInterp{prog: prog, db: db, heap: &Heap{}, maxSteps: 5_000_000}
+	in := &StdInterp{db: db, maxSteps: 5_000_000}
+	identity := func(v Value) (Value, error) { return v, nil }
+	in.w = walker{
+		prog:  prog,
+		heap:  &Heap{},
+		out:   &strings.Builder{},
+		step:  in.step,
+		force: identity,
+		show:  identity,
+		query: in.query,
+	}
+	in.w.call = in.w.callStd
+	return in
 }
 
 // Output returns everything printed so far.
-func (in *StdInterp) Output() string { return in.out.String() }
+func (in *StdInterp) Output() string { return in.w.out.String() }
 
 // Heap exposes the interpreter heap (equivalence checks inspect it).
-func (in *StdInterp) Heap() *Heap { return in.heap }
+func (in *StdInterp) Heap() *Heap { return in.w.heap }
 
 // Stats returns execution counters.
 func (in *StdInterp) Stats() StdStats { return in.stats }
 
 // Run executes main().
 func (in *StdInterp) Run() error {
-	main, err := in.prog.Main()
+	main, err := in.w.prog.Main()
 	if err != nil {
 		return err
 	}
-	_, err = in.call(main, nil)
+	_, err = in.w.callStd(main, nil)
 	return err
 }
 
@@ -66,360 +68,7 @@ func (in *StdInterp) step() error {
 	return nil
 }
 
-func (in *StdInterp) call(fn *Func, args []Value) (Value, error) {
-	if len(args) != len(fn.Params) {
-		return nil, fmt.Errorf("lazyc: %s expects %d args, got %d", fn.Name, len(fn.Params), len(args))
-	}
-	env := make(map[string]Value, len(fn.Params)+4)
-	for i, p := range fn.Params {
-		env[p] = args[i]
-	}
-	ctl, ret, err := in.execBlock(env, fn.Body)
-	if err != nil {
-		return nil, err
-	}
-	if ctl == ctlBreak || ctl == ctlContinue {
-		return nil, fmt.Errorf("lazyc: break/continue outside loop in %s", fn.Name)
-	}
-	return ret, nil
-}
-
-func (in *StdInterp) execBlock(env map[string]Value, stmts []Stmt) (control, Value, error) {
-	for _, s := range stmts {
-		ctl, ret, err := in.exec(env, s)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		if ctl != ctlNone {
-			return ctl, ret, nil
-		}
-	}
-	return ctlNone, nil, nil
-}
-
-func (in *StdInterp) exec(env map[string]Value, s Stmt) (control, Value, error) {
-	if err := in.step(); err != nil {
-		return ctlNone, nil, err
-	}
-	switch st := s.(type) {
-	case *Skip:
-		return ctlNone, nil, nil
-	case *Let:
-		v, err := in.eval(env, st.Init)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		env[st.Name] = v
-		return ctlNone, nil, nil
-	case *AssignVar:
-		if _, ok := env[st.Name]; !ok {
-			return ctlNone, nil, fmt.Errorf("lazyc: assignment to undeclared %q", st.Name)
-		}
-		v, err := in.eval(env, st.E)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		env[st.Name] = v
-		return ctlNone, nil, nil
-	case *AssignField:
-		recv, err := in.eval(env, st.Recv)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		a, ok := recv.(Addr)
-		if !ok {
-			return ctlNone, nil, fmt.Errorf("lazyc: field write to non-record %T", recv)
-		}
-		obj, err := in.heap.Get(a)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		rec, ok := obj.(record)
-		if !ok {
-			return ctlNone, nil, fmt.Errorf("lazyc: field write to %T", obj)
-		}
-		v, err := in.eval(env, st.E)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		rec[st.Name] = v
-		return ctlNone, nil, nil
-	case *AssignIndex:
-		arrV, err := in.eval(env, st.Arr)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		a, ok := arrV.(Addr)
-		if !ok {
-			return ctlNone, nil, fmt.Errorf("lazyc: index write to non-array %T", arrV)
-		}
-		obj, err := in.heap.Get(a)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		arr, ok := obj.([]Value)
-		if !ok {
-			return ctlNone, nil, fmt.Errorf("lazyc: index write to %T", obj)
-		}
-		idxV, err := in.eval(env, st.Idx)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		i, ok := idxV.(int64)
-		if !ok || i < 0 || int(i) >= len(arr) {
-			return ctlNone, nil, fmt.Errorf("lazyc: index %v out of range", idxV)
-		}
-		v, err := in.eval(env, st.E)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		arr[i] = v
-		return ctlNone, nil, nil
-	case *If:
-		c, err := in.eval(env, st.Cond)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		b, err := truthy(c)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		if b {
-			return in.execBlock(env, st.Then)
-		}
-		return in.execBlock(env, st.Else)
-	case *While:
-		for {
-			if err := in.step(); err != nil {
-				return ctlNone, nil, err
-			}
-			if st.Cond != nil {
-				c, err := in.eval(env, st.Cond)
-				if err != nil {
-					return ctlNone, nil, err
-				}
-				b, err := truthy(c)
-				if err != nil {
-					return ctlNone, nil, err
-				}
-				if !b {
-					return ctlNone, nil, nil
-				}
-			}
-			ctl, ret, err := in.execBlock(env, st.Body)
-			if err != nil {
-				return ctlNone, nil, err
-			}
-			switch ctl {
-			case ctlBreak:
-				return ctlNone, nil, nil
-			case ctlReturn:
-				return ctlReturn, ret, nil
-			}
-		}
-	case *Break:
-		return ctlBreak, nil, nil
-	case *Continue:
-		return ctlContinue, nil, nil
-	case *Return:
-		v, err := in.eval(env, st.E)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		return ctlReturn, v, nil
-	case *Write:
-		q, err := in.eval(env, st.Query)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		sql, ok := q.(string)
-		if !ok {
-			return ctlNone, nil, fmt.Errorf("lazyc: W() needs a string query")
-		}
-		in.stats.Queries++
-		if _, err := in.db.Query(sql); err != nil {
-			return ctlNone, nil, err
-		}
-		return ctlNone, nil, nil
-	case *Print:
-		v, err := in.eval(env, st.E)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		in.out.WriteString(render(in.heap, v))
-		in.out.WriteByte('\n')
-		return ctlNone, nil, nil
-	case *ExprStmt:
-		_, err := in.eval(env, st.E)
-		return ctlNone, nil, err
-	default:
-		return ctlNone, nil, fmt.Errorf("lazyc: unknown statement %T", s)
-	}
-}
-
-func (in *StdInterp) eval(env map[string]Value, e Expr) (Value, error) {
-	if err := in.step(); err != nil {
-		return nil, err
-	}
-	switch x := e.(type) {
-	case *Const:
-		return x.Val, nil
-	case *Var:
-		v, ok := env[x.Name]
-		if !ok {
-			return nil, fmt.Errorf("lazyc: undefined variable %q", x.Name)
-		}
-		return v, nil
-	case *Field:
-		recv, err := in.eval(env, x.Recv)
-		if err != nil {
-			return nil, err
-		}
-		a, ok := recv.(Addr)
-		if !ok {
-			return nil, fmt.Errorf("lazyc: field read of non-record %T", recv)
-		}
-		obj, err := in.heap.Get(a)
-		if err != nil {
-			return nil, err
-		}
-		rec, ok := obj.(record)
-		if !ok {
-			return nil, fmt.Errorf("lazyc: field read of %T", obj)
-		}
-		return rec[x.Name], nil
-	case *Index:
-		arrV, err := in.eval(env, x.Arr)
-		if err != nil {
-			return nil, err
-		}
-		a, ok := arrV.(Addr)
-		if !ok {
-			return nil, fmt.Errorf("lazyc: index of non-array %T", arrV)
-		}
-		obj, err := in.heap.Get(a)
-		if err != nil {
-			return nil, err
-		}
-		arr, ok := obj.([]Value)
-		if !ok {
-			return nil, fmt.Errorf("lazyc: index of %T", obj)
-		}
-		idxV, err := in.eval(env, x.Idx)
-		if err != nil {
-			return nil, err
-		}
-		i, ok := idxV.(int64)
-		if !ok || i < 0 || int(i) >= len(arr) {
-			return nil, fmt.Errorf("lazyc: index %v out of range (%d)", idxV, len(arr))
-		}
-		return arr[i], nil
-	case *RecordLit:
-		rec := make(record, len(x.Names))
-		for i, name := range x.Names {
-			v, err := in.eval(env, x.Vals[i])
-			if err != nil {
-				return nil, err
-			}
-			rec[name] = v
-		}
-		return in.heap.Alloc(rec), nil
-	case *ArrayLit:
-		arr := make([]Value, len(x.Elems))
-		for i, el := range x.Elems {
-			v, err := in.eval(env, el)
-			if err != nil {
-				return nil, err
-			}
-			arr[i] = v
-		}
-		return in.heap.Alloc(arr), nil
-	case *Binop:
-		// Short-circuit && and || like the host applications would.
-		if x.Op == "&&" || x.Op == "||" {
-			l, err := in.eval(env, x.L)
-			if err != nil {
-				return nil, err
-			}
-			lb, err := truthy(l)
-			if err != nil {
-				return nil, err
-			}
-			if x.Op == "&&" && !lb {
-				return false, nil
-			}
-			if x.Op == "||" && lb {
-				return true, nil
-			}
-			r, err := in.eval(env, x.R)
-			if err != nil {
-				return nil, err
-			}
-			return truthyValue(r)
-		}
-		l, err := in.eval(env, x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := in.eval(env, x.R)
-		if err != nil {
-			return nil, err
-		}
-		return applyBinop(x.Op, l, r)
-	case *Unop:
-		v, err := in.eval(env, x.E)
-		if err != nil {
-			return nil, err
-		}
-		return applyUnop(x.Op, v)
-	case *Call:
-		fn, ok := in.prog.Funcs[x.Fn]
-		if !ok {
-			return nil, fmt.Errorf("lazyc: call to undefined %q", x.Fn)
-		}
-		args := make([]Value, len(x.Args))
-		for i, a := range x.Args {
-			v, err := in.eval(env, a)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
-		}
-		return in.call(fn, args)
-	case *Builtin:
-		args := make([]Value, len(x.Args))
-		for i, a := range x.Args {
-			v, err := in.eval(env, a)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
-		}
-		return applyBuiltin(in.heap, x.Name, args)
-	case *Read:
-		q, err := in.eval(env, x.Query)
-		if err != nil {
-			return nil, err
-		}
-		sql, ok := q.(string)
-		if !ok {
-			return nil, fmt.Errorf("lazyc: R() needs a string query")
-		}
-		in.stats.Queries++
-		rs, err := in.db.Query(sql)
-		if err != nil {
-			return nil, err
-		}
-		return resultToHeap(in.heap, rs), nil
-	default:
-		return nil, fmt.Errorf("lazyc: unknown expression %T", e)
-	}
-}
-
-func truthyValue(v Value) (Value, error) {
-	b, err := truthy(v)
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
+func (in *StdInterp) query(sql string) (*sqldb.ResultSet, error) {
+	in.stats.Queries++
+	return in.db.Query(sql)
 }

@@ -21,6 +21,15 @@ type Addr int
 // record is a heap object with named fields.
 type record map[string]Value
 
+// newRecord builds a record literal's object from its evaluated fields.
+func newRecord(names []string, vals []Value) record {
+	rec := make(record, len(names))
+	for i, name := range names {
+		rec[name] = vals[i]
+	}
+	return rec
+}
+
 // Heap maps addresses to records or []Value arrays.
 type Heap struct {
 	objs []any
@@ -42,6 +51,52 @@ func (h *Heap) Get(a Addr) (any, error) {
 
 // Len reports the number of allocated objects.
 func (h *Heap) Len() int { return len(h.objs) }
+
+// record resolves a forced field-access receiver to the record it
+// addresses; verb ("read of", "write to") names the access in errors.
+func (h *Heap) record(recv Value, verb string) (record, error) {
+	a, ok := recv.(Addr)
+	if !ok {
+		return nil, fmt.Errorf("lazyc: field %s non-record %T", verb, recv)
+	}
+	obj, err := h.Get(a)
+	if err != nil {
+		return nil, err
+	}
+	rec, ok := obj.(record)
+	if !ok {
+		return nil, fmt.Errorf("lazyc: field %s %T", verb, obj)
+	}
+	return rec, nil
+}
+
+// array resolves a forced index-access operand to the array it addresses;
+// verb ("of", "write to") names the access in errors.
+func (h *Heap) array(v Value, verb string) ([]Value, error) {
+	a, ok := v.(Addr)
+	if !ok {
+		return nil, fmt.Errorf("lazyc: index %s non-array %T", verb, v)
+	}
+	obj, err := h.Get(a)
+	if err != nil {
+		return nil, err
+	}
+	arr, ok := obj.([]Value)
+	if !ok {
+		return nil, fmt.Errorf("lazyc: index %s %T", verb, obj)
+	}
+	return arr, nil
+}
+
+// elem returns the slot arr[idx], or false when the forced idx is not an
+// in-range integer.
+func elem(arr []Value, idx Value) (*Value, bool) {
+	i, ok := idx.(int64)
+	if !ok || i < 0 || int(i) >= len(arr) {
+		return nil, false
+	}
+	return &arr[i], true
+}
 
 // Queryer abstracts database access for the interpreters; the driver's
 // connection satisfies it via an adapter, keeping round-trip accounting in

@@ -45,15 +45,6 @@ type CacheStats struct {
 	Invalidations int64 // cached plans recompiled because the schema epoch moved
 }
 
-// HitRate is hits over total lookups, 0 when nothing was looked up.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // cacheEntry pins a compiled plan to the schema epoch it was built under.
 type cacheEntry struct {
 	epoch uint64

@@ -8,10 +8,10 @@
 // computation beyond "delayable" and "eager".
 //
 // The package also provides LiteralThunk wrappers for already-computed
-// values (used at external-call boundaries), thunk Blocks that group several
-// delayed statements behind shared outputs (the thunk-coalescing and
-// branch-deferral optimizations of Sec. 4), and runtime counters used by the
-// overhead experiments.
+// values (used at external-call boundaries) and runtime counters used by
+// the overhead experiments. The thunk blocks of Sec. 4 (thunk coalescing,
+// branch deferral) belong to the kernel-language compiler: see
+// internal/lazyc.
 package thunk
 
 import "sync/atomic"
@@ -107,13 +107,6 @@ func (t *Thunk[T]) ForceAny() any { return t.Force() }
 // f runs until the result is forced.
 func Map[T, U any](t *Thunk[T], f func(T) U) *Thunk[U] {
 	return New(func() U { return f(t.Force()) })
-}
-
-// Map2 combines two thunks with f, mirroring the binary-operation rule of
-// the formal semantics (Sec. 3.8): the result's environment is the union of
-// the operands' environments, and forcing the result forces both operands.
-func Map2[A, B, U any](a *Thunk[A], b *Thunk[B], f func(A, B) U) *Thunk[U] {
-	return New(func() U { return f(a.Force(), b.Force()) })
 }
 
 // Force is a convenience that forces an Any if the value is one, and

@@ -66,15 +66,6 @@ func TestMapIsLazy(t *testing.T) {
 	}
 }
 
-func TestMap2(t *testing.T) {
-	a := Lit(3)
-	b := New(func() string { return "ab" })
-	c := Map2(a, b, func(n int, s string) int { return n + len(s) })
-	if got := c.Force(); got != 5 {
-		t.Fatalf("Map2 force = %d, want 5", got)
-	}
-}
-
 func TestForceAnyThroughInterface(t *testing.T) {
 	var v Any = New(func() int { return 7 })
 	if got := v.ForceAny(); got != any(7) {
@@ -120,50 +111,6 @@ func TestStatsCounters(t *testing.T) {
 	if s.Allocs() != 0 || s.Forces() != 0 || s.MemoHits() != 0 {
 		t.Error("Reset did not zero counters")
 	}
-}
-
-func TestBlockSingleEvaluation(t *testing.T) {
-	runs := 0
-	b := NewBlock(func(b *Block) {
-		runs++
-		b.Set("x", 1)
-		b.Set("y", 2)
-	})
-	x := b.Out("x")
-	y := b.Out("y")
-	if runs != 0 {
-		t.Fatal("block ran before any output forced")
-	}
-	if got := y.Force(); got != any(2) {
-		t.Fatalf("y = %v, want 2", got)
-	}
-	if !b.Forced() {
-		t.Fatal("block not marked forced")
-	}
-	if got := x.Force(); got != any(1) {
-		t.Fatalf("x = %v, want 1", got)
-	}
-	if runs != 1 {
-		t.Fatalf("block body ran %d times, want 1", runs)
-	}
-}
-
-func TestBlockOutAs(t *testing.T) {
-	b := NewBlock(func(b *Block) { b.Set("n", 41) })
-	n := OutAs[int](b, "n")
-	if got := n.Force(); got != 41 {
-		t.Fatalf("OutAs force = %d, want 41", got)
-	}
-}
-
-func TestBlockMissingOutputPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for missing block output")
-		}
-	}()
-	b := NewBlock(func(b *Block) {})
-	b.Out("missing").Force()
 }
 
 // Property: for any value, Lit then Force is the identity.

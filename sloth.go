@@ -19,8 +19,9 @@
 //   - internal/netsim      — virtual-clock network simulation
 //   - internal/orm         — Hibernate-style ORM with Sloth extensions
 //   - internal/webapp      — MVC framework with a thunk-aware view writer
-//   - internal/lazyc       — the paper's kernel language, both semantics,
-//     and the SC/TC/BD optimizations
+//   - internal/lazyc       — the paper's kernel language: one walker per
+//     semantics (standard, extended lazy) and the SC/TC/BD optimizations,
+//     whose strict code runs the standard walker
 //   - internal/apps/...    — OpenMRS-like, itracker-like, TPC-C, TPC-W
 //   - internal/bench       — the harness regenerating every figure/table
 package sloth
