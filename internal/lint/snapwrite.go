@@ -40,11 +40,11 @@ type snapwriteFact struct {
 // mutationSeeds are the storage-package functions that ARE the mutation
 // and locking surface: reaching any of them from a snapshot path is a
 // violation. Unexported implementation helpers (prepend, insertAt,
-// restore) are included so transitive closure inside storage works from
+// install) are included so transitive closure inside storage works from
 // names alone; Lock/Begin are included because taking the writer mutex on
 // the snapshot path deadlocks against a blocked writer.
 var mutationSeeds = map[string][]string{
-	"Table": {"Insert", "Update", "Delete", "AddIndex", "insertAt", "restore", "prepend"},
+	"Table": {"Insert", "Update", "Delete", "AddIndex", "insertAt", "install", "prepend"},
 	"Store": {"CreateTable", "BeginStmt", "EndStmt", "Begin", "Lock"},
 	"Txn":   {"Commit", "Rollback"},
 }

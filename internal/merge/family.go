@@ -118,7 +118,7 @@ func formatHoles(holes []constant, args []sqldb.Value) string {
 	var buf [64]byte
 	b := buf[:0]
 	for _, h := range holes {
-		b = append(append(b, sqldb.Format(h.value(args))...), '\x1f')
+		b = append(sqldb.AppendFormat(b, h.value(args)), '\x1f')
 	}
 	return string(b)
 }
@@ -215,24 +215,11 @@ func projectionAggregates(sel *sqlparse.SelectStmt) bool {
 		if se.Star {
 			continue
 		}
-		if exprHasAggregate(se.Expr) {
+		if sqlparse.HasAggregate(se.Expr) {
 			return true
 		}
 	}
 	return false
-}
-
-func exprHasAggregate(e sqlparse.Expr) bool {
-	switch x := e.(type) {
-	case *sqlparse.FuncCall:
-		return x.IsAggregate()
-	case *sqlparse.Binary:
-		return exprHasAggregate(x.L) || exprHasAggregate(x.R)
-	case *sqlparse.Unary:
-		return exprHasAggregate(x.Expr)
-	default:
-		return false
-	}
 }
 
 // plainProjection reports whether the select list is stars and bare column

@@ -2,8 +2,6 @@ package plan
 
 import (
 	"bytes"
-	"fmt"
-	"strconv"
 
 	"repro/internal/sqldb"
 )
@@ -16,34 +14,10 @@ import (
 // copy of the encoding for rows that start a new bucket entry. Collisions
 // fall back to comparing the stored encodings.
 
-// appendValue appends sqldb.Format(v) to buf without intermediate string
-// allocations. It must stay byte-identical to sqldb.Format: the encoding
-// defines row equality for DISTINCT and GROUP BY exactly as the formatted
-// string used to.
-func appendValue(buf []byte, v sqldb.Value) []byte {
-	switch x := v.(type) {
-	case nil:
-		return append(buf, "NULL"...)
-	case string:
-		return strconv.AppendQuote(buf, x)
-	case int64:
-		return strconv.AppendInt(buf, x, 10)
-	case float64:
-		return strconv.AppendFloat(buf, x, 'g', -1, 64)
-	case bool:
-		if x {
-			return append(buf, "TRUE"...)
-		}
-		return append(buf, "FALSE"...)
-	default:
-		return append(buf, fmt.Sprintf("%v", x)...)
-	}
-}
-
 // appendRow encodes a row: formatted values separated by 0x1f.
 func appendRow(buf []byte, r []sqldb.Value) []byte {
 	for _, v := range r {
-		buf = appendValue(buf, v)
+		buf = sqldb.AppendFormat(buf, v)
 		buf = append(buf, 0x1f)
 	}
 	return buf

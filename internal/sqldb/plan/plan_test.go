@@ -71,21 +71,25 @@ func TestParseCachingDisabledParsesEveryCall(t *testing.T) {
 	})
 }
 
-// TestAppendValueMatchesFormat pins the hash encoding to sqldb.Format:
-// the byte encoding defines DISTINCT/GROUP BY row equality, so it must
-// stay exactly the formatted representation.
+// TestAppendValueMatchesFormat pins the canonical text of a value —
+// sqldb.AppendFormat's bytes, which sqldb.Format returns as a string. The
+// encoding defines DISTINCT/GROUP BY row equality and the shard hash, so
+// the literals below must never change.
 func TestAppendValueMatchesFormat(t *testing.T) {
-	vals := []sqldb.Value{
-		nil, int64(0), int64(-42), int64(math.MaxInt64),
-		0.0, -1.5, 3.1415926535, math.MaxFloat64, float64(7),
-		"", "plain", "with'quote", "tab\tand\nnewline", "\x1funit",
-		true, false,
-	}
-	for _, v := range vals {
-		got := string(appendValue(nil, v))
-		want := sqldb.Format(v)
-		if got != want {
-			t.Errorf("appendValue(%v) = %q, want %q", v, got, want)
+	for _, tc := range []struct {
+		v    sqldb.Value
+		want string
+	}{
+		{nil, "NULL"}, {int64(0), "0"}, {int64(-42), "-42"}, {int64(math.MaxInt64), "9223372036854775807"},
+		{0.0, "0"}, {-1.5, "-1.5"}, {3.1415926535, "3.1415926535"}, {math.MaxFloat64, "1.7976931348623157e+308"}, {float64(7), "7"},
+		{"", `""`}, {"plain", `"plain"`}, {"with'quote", `"with'quote"`}, {"tab\tand\nnewline", `"tab\tand\nnewline"`}, {"\x1funit", `"\x1funit"`},
+		{"naïve 日本", `"naïve 日本"`}, {true, "TRUE"}, {false, "FALSE"},
+	} {
+		if got := string(sqldb.AppendFormat([]byte("x"), tc.v)); got != "x"+tc.want {
+			t.Errorf("AppendFormat(%v) = %q, want %q", tc.v, got, "x"+tc.want)
+		}
+		if got := sqldb.Format(tc.v); got != tc.want {
+			t.Errorf("Format(%v) = %q, want %q", tc.v, got, tc.want)
 		}
 	}
 }

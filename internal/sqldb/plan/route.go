@@ -6,8 +6,8 @@ import (
 )
 
 // Shard routing: compiled plans already know their access path (the
-// accessCand index candidates sourceRows tries in order), so they can
-// predict which shards an execution will touch before it runs. The driver
+// accessCand index candidates pick chooses among), so they can predict
+// which shards an execution will touch before it runs. The driver
 // uses these masks to occupy only the owning shards' worker lanes; they
 // are advisory — execution always routes correctly through the storage
 // view regardless — so an approximate mask (0 = "all shards / unknown")
@@ -18,10 +18,15 @@ import (
 // non-partition-column lookups, NULL-valued keys, and statements against
 // unsharded stores all report 0.
 
-// shardMaskOf folds lookup values for the table's partition column into a
-// mask. Returns 0 unless the candidate column IS the partition column.
-func shardMaskOf(t *storage.Table, ord int, vals []sqldb.Value) uint64 {
+// shardMaskOf folds the lookup values of the access path pick chooses — the
+// one the executor will use — into a mask. Returns 0 unless that path's
+// column IS the table's partition column.
+func shardMaskOf(t *storage.Table, cands []accessCand, args []sqldb.Value) uint64 {
 	pOrd, n, ok := t.ShardBy()
+	if !ok {
+		return 0
+	}
+	ord, vals, ok := pick(cands, args)
 	if !ok || ord != pOrd {
 		return 0
 	}
@@ -37,36 +42,20 @@ func shardMaskOf(t *storage.Table, ord int, vals []sqldb.Value) uint64 {
 }
 
 // Shards predicts the shard set this SELECT touches for the given args.
-// It mirrors sourceRows exactly: the first access candidate whose values
-// evaluate wins; joins fan out to every shard their side tables live on,
-// so any join reports 0 (all shards).
+// Joins fan out to every shard their side tables live on, so any join
+// reports 0 (all shards).
 func (p *SelectPlan) Shards(args []sqldb.Value) uint64 {
 	if len(p.joins) > 0 {
 		return 0
 	}
-	for i := range p.access {
-		vals, ok := p.access[i].values(args)
-		if !ok {
-			continue
-		}
-		return shardMaskOf(p.from, p.access[i].ord, vals)
-	}
-	return 0
+	return shardMaskOf(p.from, p.access, args)
 }
 
-// Shards predicts the shard set an UPDATE/DELETE row-match touches,
-// mirroring Match's candidate selection. The write itself lands on the
-// matched rows' shards (a superset only when the WHERE filter rejects
-// some), so the access mask is the honest estimate.
+// Shards predicts the shard set an UPDATE/DELETE row-match touches. The
+// write itself lands on the matched rows' shards (a superset only when the
+// WHERE filter rejects some), so the access mask is the honest estimate.
 func (a *TableAccess) Shards(args []sqldb.Value) uint64 {
-	for i := range a.access {
-		vals, ok := a.access[i].values(args)
-		if !ok {
-			continue
-		}
-		return shardMaskOf(a.t, a.access[i].ord, vals)
-	}
-	return 0
+	return shardMaskOf(a.t, a.access, args)
 }
 
 // Shards predicts the shard set an INSERT touches: the union of the shards

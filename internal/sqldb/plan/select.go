@@ -212,23 +212,20 @@ func (p *SelectPlan) exec(args []sqldb.Value, snap *storage.Snap) (*sqldb.Result
 	return s.finish()
 }
 
-// eachSource calls fn with the FROM table's rows, through the first viable
-// access candidate or a scan. The rows alias the immutable stored images —
-// zero copies; every consumer downstream only reads them.
+// eachSource calls fn with the FROM table's rows, through the index path
+// pick chooses or a scan. The rows alias the immutable stored images — zero
+// copies; every consumer downstream only reads them.
 func (p *SelectPlan) eachSource(args []sqldb.Value, snap *storage.Snap, fn func(storage.Row) error) error {
-	for i := range p.access {
-		vals, ok := p.access[i].values(args)
-		if !ok {
-			continue
-		}
-		for _, val := range vals {
-			if err := p.from.LookupEach(p.access[i].ord, val, snap, fn); err != nil {
-				return err
-			}
-		}
-		return nil
+	ord, vals, ok := pick(p.access, args)
+	if !ok {
+		return p.from.ScanEach(snap, fn)
 	}
-	return p.from.ScanEach(snap, fn)
+	for _, val := range vals {
+		if err := p.from.LookupEach(ord, val, snap, fn); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // sink is one execution of the plan — the only SELECT executor. Source rows
@@ -395,6 +392,20 @@ func (o *byOrder) Swap(a, b int) {
 	if o.keys != nil {
 		o.keys[a], o.keys[b] = o.keys[b], o.keys[a]
 	}
+}
+
+// pick is the one access-path choice, shared by the SELECT executor
+// (eachSource), the UPDATE/DELETE row matcher (Match) and the shard router
+// (shardMaskOf), so they cannot disagree about which index an execution
+// uses: the first candidate, in WHERE-traversal order, whose lookup values
+// evaluate. ok is false when none does and the execution scans.
+func pick(cands []accessCand, args []sqldb.Value) (ord int, vals []sqldb.Value, ok bool) {
+	for i := range cands {
+		if vals, ok := cands[i].values(args); ok {
+			return cands[i].ord, vals, true
+		}
+	}
+	return -1, nil, false
 }
 
 // values evaluates an access candidate's lookup values for this execution.
@@ -601,24 +612,11 @@ func hasAggregates(st *sqlparse.SelectStmt) bool {
 		if c.Star {
 			continue
 		}
-		if exprHasAggregate(c.Expr) {
+		if sqlparse.HasAggregate(c.Expr) {
 			return true
 		}
 	}
 	return false
-}
-
-func exprHasAggregate(e sqlparse.Expr) bool {
-	switch x := e.(type) {
-	case *sqlparse.FuncCall:
-		return x.IsAggregate()
-	case *sqlparse.Binary:
-		return exprHasAggregate(x.L) || exprHasAggregate(x.R)
-	case *sqlparse.Unary:
-		return exprHasAggregate(x.Expr)
-	default:
-		return false
-	}
 }
 
 // compareForSort orders values with NULLs first, incomparables equal.

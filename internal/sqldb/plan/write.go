@@ -125,8 +125,8 @@ func compileTableAccess(t *storage.Table, binding string, where sqlparse.Expr, e
 	return a
 }
 
-// Match returns ids of rows satisfying the WHERE clause, using an index
-// candidate when one's values evaluate, plus the scanned-row count. WHERE
+// Match returns ids of rows satisfying the WHERE clause, through the index
+// path pick chooses or a scan, plus the scanned-row count. WHERE
 // evaluates on the stored row images, which it only reads — no copies. The
 // caller must hold the store lock.
 func (a *TableAccess) Match(args []sqldb.Value) ([]storage.RowID, int, error) {
@@ -148,13 +148,9 @@ func (a *TableAccess) Match(args []sqldb.Value) ([]storage.RowID, int, error) {
 		out = append(out, id)
 		return true
 	}
-	for i := range a.access {
-		vals, ok := a.access[i].values(args)
-		if !ok {
-			continue
-		}
+	if ord, vals, ok := pick(a.access, args); ok {
 		for _, val := range vals {
-			for _, id := range a.t.Lookup(a.access[i].ord, val) {
+			for _, id := range a.t.Lookup(ord, val) {
 				if row, ok := a.t.RowAt(id, nil); ok && !visit(id, row) {
 					return nil, scanned, err
 				}

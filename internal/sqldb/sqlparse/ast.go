@@ -226,6 +226,23 @@ func (f *FuncCall) IsAggregate() bool {
 	return false
 }
 
+// HasAggregate reports whether e contains an aggregate call, looking
+// through arithmetic and unary operators — the test both the planner (does
+// this SELECT aggregate?) and the merge optimizer (is this projection safe
+// to widen?) must answer identically.
+func HasAggregate(e Expr) bool {
+	switch x := e.(type) {
+	case *FuncCall:
+		return x.IsAggregate()
+	case *Binary:
+		return HasAggregate(x.L) || HasAggregate(x.R)
+	case *Unary:
+		return HasAggregate(x.Expr)
+	default:
+		return false
+	}
+}
+
 // InList is `expr [NOT] IN (e1, e2, ...)`.
 type InList struct {
 	Expr Expr

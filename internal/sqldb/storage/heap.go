@@ -28,6 +28,9 @@ func (h *rowHeap) find(id RowID) (int, bool) {
 	if n == 0 || id < h.slots[0].id {
 		return 0, false
 	}
+	if id > h.slots[n-1].id {
+		return n, false // a fresh id: every insert probes for one
+	}
 	// Ids ascend by at least one per slot, so id sits at or before its
 	// offset from the first id — exactly there while ids are dense (an
 	// unsharded table nothing has been reclaimed from).

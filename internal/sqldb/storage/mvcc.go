@@ -311,27 +311,20 @@ func (t *Table) addGarbage(id RowID, to uint64) {
 // PendingGC reports how many deferred cleanup records await sweeping
 // (tests and metrics; call under the store lock or with no writer active).
 func (t *Table) PendingGC() int {
-	if t.parts != nil {
-		n := 0
-		for _, p := range t.parts {
-			n += len(p.garbage)
-		}
-		return n
+	n := len(t.garbage)
+	for _, p := range t.parts {
+		n += len(p.garbage)
 	}
-	return len(t.garbage)
+	return n
 }
 
 // Versions reports the length of id's version chain, 0 when the row has
 // been fully reclaimed (tests; same locking caveat as PendingGC).
 func (t *Table) Versions(id RowID) int {
-	if t.parts != nil {
-		n := 0
-		for _, p := range t.parts {
-			n += p.Versions(id)
-		}
-		return n
-	}
 	n := 0
+	for _, p := range t.parts {
+		n += p.Versions(id)
+	}
 	for v := t.rows.get(id); v != nil; v = v.prev {
 		n++
 	}

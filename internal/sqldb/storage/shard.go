@@ -1,12 +1,6 @@
 package storage
 
-import (
-	"fmt"
-	"hash/fnv"
-	"sort"
-
-	"repro/internal/sqldb"
-)
+import "repro/internal/sqldb"
 
 // This file implements horizontal sharding: a coordinator Store that
 // partitions every table's rows by hash of its primary-key value into N
@@ -72,16 +66,21 @@ func (s *Store) NumShards() int {
 // Shard exposes shard store i — tests and DDL-epoch assertions.
 func (s *Store) Shard(i int) *Store { return s.shards[i] }
 
-// ShardOf is the partition function: FNV-1a over the canonical text of the
-// normalized value, mod n. It is shared by the storage router, the plan
-// layer's shard masks, and the merge optimizer's per-shard group split, so every layer agrees on which shard owns a key.
+// ShardOf is the partition function: FNV-1a (32-bit) over the canonical
+// text of the normalized value — sqldb.Format's bytes — mod n. It is shared
+// by the storage router, the plan layer's shard masks, and the merge
+// optimizer's per-shard group split, so every layer agrees on which shard
+// owns a key.
 func ShardOf(v sqldb.Value, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	h := fnv.New32a()
-	h.Write([]byte(sqldb.Format(sqldb.Normalize(v))))
-	return int(h.Sum32() % uint32(n))
+	var buf [64]byte
+	h := uint32(2166136261)
+	for _, c := range sqldb.AppendFormat(buf[:0], sqldb.Normalize(v)) {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	return int(h % uint32(n))
 }
 
 // ShardBy reports the table's partition column ordinal and shard count.
@@ -95,14 +94,37 @@ func (t *Table) ShardBy() (ord, n int, ok bool) {
 	return t.partOrd, len(t.parts), true
 }
 
-// shardFor routes a row image to its owning part: by hash of the partition
-// column's value when one is set, by id otherwise (no primary key, or a
-// NULL key — NULLs are not indexed, so co-location buys nothing).
-func (t *Table) shardFor(row Row, id RowID) int {
-	if t.partOrd >= 0 && row[t.partOrd] != nil {
-		return ShardOf(row[t.partOrd], len(t.parts))
+// A view differs from a plain table in two selectors and a gather; every
+// write and read in table.go is written once against them.
+
+// home is the table that stores a row image: t itself, or for a view the
+// part the image routes to — by hash of the partition column's value when
+// one is set, by id otherwise (no primary key, or a NULL key — NULLs are
+// not indexed, so co-location buys nothing).
+func (t *Table) home(row Row, id RowID) *Table {
+	if t.parts == nil {
+		return t
 	}
-	return int(uint64(id) % uint64(len(t.parts)))
+	if t.partOrd >= 0 && row[t.partOrd] != nil {
+		return t.parts[ShardOf(row[t.partOrd], len(t.parts))]
+	}
+	return t.parts[uint64(id)%uint64(len(t.parts))]
+}
+
+// holder is the table holding the live image of id, with that image's
+// version: t itself, or for a view the one part that has it (parts hold
+// disjoint live ids; the view's own heap is empty). nil, nil when the row
+// is not live.
+func (t *Table) holder(id RowID) (*Table, *version) {
+	for _, p := range t.parts {
+		if head := p.rows.get(id); visibleTo(head, nil) != nil {
+			return p, head
+		}
+	}
+	if head := t.rows.get(id); visibleTo(head, nil) != nil {
+		return t, head
+	}
+	return nil, nil
 }
 
 // createSharded builds the routing view plus one part table per shard.
@@ -227,89 +249,41 @@ func mergeParts(lists [][]idRow) []idRow {
 	return out
 }
 
-// lookupItems collects (id, row) pairs visible to snap whose indexed
-// column ord equals nv, ascending by id — LookupEach's three visibility
-// paths, with ids retained for the cross-part merge. Runs on a part.
-func (t *Table) lookupItems(ord int, nv sqldb.Value, snap *Snap) []idRow {
-	idx, ok := t.indexes[ord]
-	if !ok {
-		return nil
-	}
-	ids := idx[nv]
+// collect is one part's share of a fan-out: the (id, image) pairs of the
+// postings of nv in column ord that match at snap, ascending by id.
+func (t *Table) collect(ord int, nv sqldb.Value, snap *Snap) []idRow {
+	ids := t.indexes[ord][nv]
 	if len(ids) == 0 {
 		return nil
 	}
 	out := make([]idRow, 0, len(ids))
-	if snap == nil {
-		if len(t.garbage) == 0 {
-			for _, id := range ids {
-				out = append(out, idRow{id, t.rows.get(id).row})
-			}
-			return out
-		}
-		for _, id := range ids {
-			if head := t.rows.get(id); head != nil && head.to == liveEpoch && head.row[ord] == nv {
-				out = append(out, idRow{id, head.row})
-			}
-		}
-		return out
-	}
-	e := snap.epoch
-	if len(t.garbage) == 0 && e >= t.maxFrom {
-		for _, id := range ids {
-			out = append(out, idRow{id, t.rows.get(id).row})
-		}
-		return out
-	}
 	for _, id := range ids {
-		if r := visibleRow(t.rows.get(id), e); r != nil && r[ord] == nv {
+		if r := t.match(id, ord, nv, snap); r != nil {
 			out = append(out, idRow{id, r})
 		}
 	}
 	return out
 }
 
-// ---- view-table routing -------------------------------------------------
-
-// shardLookupEach is LookupEach for the view: a keyed route when the
-// lookup column is the partition column (all matches co-locate), a
-// fan-out + ascending-id merge otherwise.
-func (t *Table) shardLookupEach(ord int, v sqldb.Value, snap *Snap, fn func(Row) error) error {
-	if _, ok := t.indexes[ord]; !ok {
-		return nil
-	}
-	nv := sqldb.Normalize(v)
-	if ord == t.partOrd && nv != nil {
-		i := ShardOf(nv, len(t.parts))
-		return t.parts[i].LookupEach(ord, nv, partSnap(snap, i), fn)
-	}
+// gather is the view's fan-out lookup: every part's matches, merged into
+// one ascending-id stream.
+func (t *Table) gather(ord int, nv sqldb.Value, snap *Snap) []idRow {
 	lists := make([][]idRow, len(t.parts))
 	for i, p := range t.parts {
-		lists[i] = p.lookupItems(ord, nv, partSnap(snap, i))
+		lists[i] = p.collect(ord, nv, partSnap(snap, i))
 	}
-	for _, it := range mergeParts(lists) {
-		if err := fn(it.row); err != nil {
-			return err
-		}
-	}
-	return nil
+	return mergeParts(lists)
 }
 
-// shardLookup is Lookup for the view: live ids ascending.
-func (t *Table) shardLookup(ord int, v sqldb.Value) []RowID {
-	if _, ok := t.indexes[ord]; !ok {
-		return nil
+// keyedPart is the view's keyed route: a lookup on the partition column
+// finds all its matches co-located on one part, returned with that part's
+// snapshot. nil means fan out (another column, or a NULL key).
+func (t *Table) keyedPart(ord int, nv sqldb.Value, snap *Snap) (*Table, *Snap) {
+	if ord != t.partOrd || nv == nil {
+		return nil, nil
 	}
-	nv := sqldb.Normalize(v)
-	if ord == t.partOrd && nv != nil {
-		return t.parts[ShardOf(nv, len(t.parts))].Lookup(ord, nv)
-	}
-	var out []RowID
-	for _, p := range t.parts {
-		out = append(out, p.Lookup(ord, nv)...)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
+	i := ShardOf(nv, len(t.parts))
+	return t.parts[i], partSnap(snap, i)
 }
 
 // shardScan is scan for the view: a k-way merge of the parts' heaps. Parts
@@ -338,151 +312,4 @@ func (t *Table) shardScan(snap *Snap, fn func(RowID, Row) bool) {
 			curs = append(curs[:best], curs[best+1:]...)
 		}
 	}
-}
-
-// shardUniqueConflict checks a unique constraint on every part: a key must
-// be unique table-wide, not per shard.
-func (t *Table) shardUniqueConflict(ord int, v sqldb.Value, exclude RowID) bool {
-	for _, p := range t.parts {
-		if p.uniqueConflict(ord, v, exclude) {
-			return true
-		}
-	}
-	return false
-}
-
-// shardInsert validates and coerces at the view — reproducing Insert's
-// error surface exactly — allocates the global id, and delegates storage
-// to the owning part.
-func (t *Table) shardInsert(vals Row) (RowID, error) {
-	if len(vals) != len(t.Columns) {
-		return 0, fmt.Errorf("storage: table %q: got %d values, want %d", t.Name, len(vals), len(t.Columns))
-	}
-	row := make(Row, len(vals))
-	for i, v := range vals {
-		cv, err := sqldb.Coerce(sqldb.Normalize(v), t.Columns[i].Type)
-		if err != nil {
-			return 0, fmt.Errorf("storage: table %q column %q: %w", t.Name, t.Columns[i].Name, err)
-		}
-		row[i] = cv
-	}
-	for _, i := range t.indexedCols() {
-		if t.unique[i] && row[i] != nil && t.shardUniqueConflict(i, row[i], -1) {
-			return 0, fmt.Errorf("storage: table %q: duplicate key %v for column %q", t.Name, row[i], t.Columns[i].Name)
-		}
-	}
-	id := t.nextID
-	t.nextID++
-	t.parts[t.shardFor(row, id)].insertAt(id, row)
-	return id, nil
-}
-
-// livePart finds the part currently holding a live image of id, -1 if
-// none. Parts hold disjoint ids, so at most one can match.
-func (t *Table) livePart(id RowID) int {
-	for i, p := range t.parts {
-		if visibleTo(p.rows.get(id), nil) != nil {
-			return i
-		}
-	}
-	return -1
-}
-
-// shardGet is Get for the view.
-func (t *Table) shardGet(id RowID) (Row, bool) {
-	for _, p := range t.parts {
-		if r, ok := p.Get(id); ok {
-			return r, true
-		}
-	}
-	return nil, false
-}
-
-// shardRowAt is RowAt for the view: an id is visible on at most one part
-// at any snapshot epoch (cross-shard moves publish atomically under
-// snapGate).
-func (t *Table) shardRowAt(id RowID, snap *Snap) (Row, bool) {
-	for i, p := range t.parts {
-		if r, ok := p.RowAt(id, partSnap(snap, i)); ok {
-			return r, ok
-		}
-	}
-	return nil, false
-}
-
-// shardDelete is Delete for the view.
-func (t *Table) shardDelete(id RowID) (Row, bool) {
-	if i := t.livePart(id); i >= 0 {
-		return t.parts[i].Delete(id)
-	}
-	return nil, false
-}
-
-// shardUpdate is Update for the view. When the new partition value hashes
-// to a different shard, the delete-and-reinsert pair runs inside one
-// publication scope so no snapshot ever sees the row on zero or two
-// shards.
-func (t *Table) shardUpdate(id RowID, vals Row) (Row, error) {
-	cur := t.livePart(id)
-	if cur < 0 {
-		return nil, fmt.Errorf("storage: table %q: no row %d", t.Name, id)
-	}
-	old := t.parts[cur].rows.get(id).row
-	row := make(Row, len(vals))
-	for i, v := range vals {
-		cv, err := sqldb.Coerce(sqldb.Normalize(v), t.Columns[i].Type)
-		if err != nil {
-			return nil, fmt.Errorf("storage: table %q column %q: %w", t.Name, t.Columns[i].Name, err)
-		}
-		row[i] = cv
-	}
-	for _, i := range t.indexedCols() {
-		if t.unique[i] && row[i] != nil && !sqldb.Equal(row[i], old[i]) && t.shardUniqueConflict(i, row[i], id) {
-			return nil, fmt.Errorf("storage: table %q: duplicate key %v for column %q", t.Name, row[i], t.Columns[i].Name)
-		}
-	}
-	dst := t.shardFor(row, id)
-	if dst == cur {
-		p := t.parts[cur]
-		p.mv.rw.Lock()
-		p.prepend(id, row)
-		p.mv.rw.Unlock()
-		p.mv.autoPublish()
-		return old, nil
-	}
-	// Cross-shard move. Open a scope if the engine hasn't (direct storage
-	// callers), so both shards publish together.
-	own := t.coord.mv.depth == 0
-	if own {
-		t.coord.beginStmtAll()
-	}
-	t.parts[cur].Delete(id)
-	t.parts[dst].insertAt(id, row)
-	if own {
-		t.coord.endStmtAll()
-	}
-	return old, nil
-}
-
-// shardInsertAt is the rollback/restore path for the view: place old under
-// id on its owning part, first superseding any live image the undone
-// mutation left on a different part (undo of a cross-shard move).
-func (t *Table) shardInsertAt(id RowID, old Row) {
-	dst := t.shardFor(old, id)
-	if cur := t.livePart(id); cur >= 0 && cur != dst {
-		t.parts[cur].Delete(id)
-	}
-	t.parts[dst].insertAt(id, old)
-	if id >= t.nextID {
-		t.nextID = id + 1
-	}
-}
-
-// shardNumRows sums live rows across parts.
-func (t *Table) shardNumRows() int {
-	n := 0
-	for _, p := range t.parts {
-		n += p.liveRows
-	}
-	return n
 }

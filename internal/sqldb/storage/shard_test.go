@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -295,7 +296,7 @@ func TestShardUpdateMovesRowAcrossShards(t *testing.T) {
 		t.Fatalf("row not moved: src=%d dst=%d live rows", srcPart.NumRows(), dstPart.NumRows())
 	}
 	// Latest view sees the new image under the same id.
-	if r, ok := tbl.Get(id); !ok || r[1] != "there" {
+	if r, ok := tbl.RowAt(id, nil); !ok || r[1] != "there" {
 		t.Fatalf("Get(%d) = %v, want there", id, r)
 	}
 	// The pre-move snapshot still sees the old image exactly once.
@@ -368,7 +369,7 @@ func TestShardRollbackRestoresMovedRow(t *testing.T) {
 	txn.LogUpdate(tbl, id, old)
 	txn.Rollback()
 
-	if r, ok := tbl.Get(id); !ok || r[0] != k1 || r[1] != "orig" {
+	if r, ok := tbl.RowAt(id, nil); !ok || r[0] != k1 || r[1] != "orig" {
 		t.Fatalf("after rollback Get = %v, want original row", r)
 	}
 	srcPart, _ := s.Shard(ShardOf(k1, 4)).Table("kv")
@@ -431,6 +432,35 @@ func TestShardInsertErrorParity(t *testing.T) {
 	}
 }
 
+// TestUpdateErrorParity: Update passes the same admission check as Insert,
+// at any shard count — a short or a long row is an arity error, not an
+// index-out-of-range panic.
+func TestUpdateErrorParity(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		_, tbl := shardedStore(t, shards)
+		id, err := tbl.Insert(Row{int64(1), "a"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			vals Row
+			want string
+		}{
+			{Row{int64(1)}, `storage: table "kv": got 1 values, want 2`},
+			{Row{int64(1), "a", "extra"}, `storage: table "kv": got 3 values, want 2`},
+			{Row{"notanint", "x"}, `storage: table "kv" column "k": `},
+		} {
+			_, err := tbl.Update(id, tc.vals)
+			if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+				t.Errorf("%d shards: Update(%v) error = %v, want %q", shards, tc.vals, err, tc.want)
+			}
+		}
+		if r, ok := tbl.RowAt(id, nil); !ok || r[1] != "a" {
+			t.Errorf("%d shards: rejected updates changed the row: %v", shards, r)
+		}
+	}
+}
+
 func TestShardOfStability(t *testing.T) {
 	// The partition function is part of the on-disk-equivalent contract:
 	// plan router, merge splitter, and storage must always agree, and a
@@ -452,6 +482,25 @@ func TestShardOfStability(t *testing.T) {
 		}
 		if len(seen) != n {
 			t.Errorf("256 keys over %d shards hit only %d shards", n, len(seen))
+		}
+	}
+	// Placement is frozen: these were captured from the hash/fnv +
+	// sqldb.Format implementation the inline FNV-1a replaced.
+	for _, tc := range []struct {
+		v           sqldb.Value
+		n2, n4, n64 int
+	}{
+		{int64(0), 1, 3, 47}, {int64(7), 0, 2, 54}, {int64(-7), 1, 1, 29},
+		{int64(math.MinInt64), 1, 1, 25}, {int64(1) << 40, 0, 0, 20},
+		{"", 1, 1, 5}, {"x", 1, 3, 31}, {"it's", 0, 0, 48}, {`say "hi"`, 1, 3, 11},
+		{"tab\there", 0, 0, 8}, {"naïve", 1, 3, 11}, {"日本語", 1, 3, 63}, {"\x00\xff", 1, 1, 53},
+		{strings.Repeat("kéy", 40), 1, 1, 5}, // longer than ShardOf's stack buffer
+		{1.5, 1, 1, 57}, {-0.25, 1, 3, 63}, {1e21, 1, 1, 53}, {3.0, 0, 2, 2},
+		{true, 1, 1, 37}, {false, 0, 0, 56}, {nil, 0, 0, 36},
+		{int32(7), 0, 2, 54}, {float32(1.5), 1, 1, 57},
+	} {
+		if g2, g4, g64 := ShardOf(tc.v, 2), ShardOf(tc.v, 4), ShardOf(tc.v, 64); g2 != tc.n2 || g4 != tc.n4 || g64 != tc.n64 {
+			t.Errorf("ShardOf(%#v) over 2/4/64 shards = %d/%d/%d, want %d/%d/%d", tc.v, g2, g4, g64, tc.n2, tc.n4, tc.n64)
 		}
 	}
 }

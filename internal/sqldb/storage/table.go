@@ -73,11 +73,13 @@ type Table struct {
 	// indexes maps column ordinal -> value -> posting list of row ids,
 	// kept sorted ascending. The primary key column always has an index.
 	// Postings are supersets under MVCC: a superseded value's posting is
-	// removed by the deferred sweep, not inline, so lookups filter ids
-	// through visibility + value match whenever garbage is pending (and
-	// skip the filter on the pristine fast path).
+	// removed by the deferred sweep, not inline, so every reader filters
+	// ids through match (or proves with pristine that it need not).
+	// idxCols lists the indexed ordinals ascending, so a row violating two
+	// unique constraints always names the same column.
 	indexes map[int]map[sqldb.Value][]RowID
 	unique  map[int]bool
+	idxCols []int
 
 	// mv is the versioning state shared with the owning Store (standalone
 	// tables built by NewTable get their own, with publication after every
@@ -90,10 +92,10 @@ type Table struct {
 	schemaChanged func()
 
 	// Sharded-store routing view state (see shard.go). parts is nil for a
-	// plain table; when set, this table stores nothing itself — its heap
-	// stays empty bookkeeping — and every method routes to the per-shard
-	// part tables. partOrd is the partition column ordinal (-1: spread rows
-	// by id); coord is the owning coordinator store.
+	// plain table; when set, this table stores nothing itself — its heap,
+	// postings and garbage list stay empty — and reads and writes go to the
+	// per-shard part tables. partOrd is the partition column ordinal (-1:
+	// spread rows by id); coord is the owning coordinator store.
 	parts   []*Table
 	partOrd int
 	coord   *Store
@@ -130,6 +132,7 @@ func NewTable(name string, cols []Column) (*Table, error) {
 	if t.pkCol >= 0 {
 		t.indexes[t.pkCol] = make(map[sqldb.Value][]RowID)
 		t.unique[t.pkCol] = true
+		t.idxCols = []int{t.pkCol}
 	}
 	return t, nil
 }
@@ -143,29 +146,19 @@ func (t *Table) ColOrdinal(name string) (int, bool) {
 // PKOrdinal returns the primary key column ordinal, or -1.
 func (t *Table) PKOrdinal() int { return t.pkCol }
 
-// NumRows reports the number of live rows.
+// NumRows reports the number of live rows (a view's are its parts').
 func (t *Table) NumRows() int {
-	if t.parts != nil {
-		return t.shardNumRows()
+	n := t.liveRows
+	for _, p := range t.parts {
+		n += p.liveRows
 	}
-	return t.liveRows
+	return n
 }
 
 // HasIndex reports whether column ordinal i is indexed.
 func (t *Table) HasIndex(i int) bool {
 	_, ok := t.indexes[i]
 	return ok
-}
-
-// indexedCols returns the indexed column ordinals in ascending order, so
-// multi-column constraint violations always name the same column.
-func (t *Table) indexedCols() []int {
-	cols := make([]int, 0, len(t.indexes))
-	for i := range t.indexes {
-		cols = append(cols, i)
-	}
-	sort.Ints(cols)
-	return cols
 }
 
 // AddIndex creates a hash index over the named column, populating it from
@@ -215,6 +208,8 @@ func (t *Table) AddIndex(col string, unique bool) error {
 	t.mv.rw.Lock()
 	t.indexes[i] = idx
 	t.unique[i] = unique
+	t.idxCols = append(t.idxCols, i)
+	sort.Ints(t.idxCols)
 	t.mv.rw.Unlock()
 	if t.schemaChanged != nil {
 		t.schemaChanged()
@@ -263,70 +258,98 @@ func removeFromIndex(idx map[sqldb.Value][]RowID, v sqldb.Value, id RowID) {
 	idx[v] = append(ids[:pos], ids[pos+1:]...)
 }
 
+// pristine reports whether a reader at snap (the latest state when nil) may
+// take a posting list at face value: nothing awaits the sweep and no image
+// is newer than the reader, so every posting id is a single-image row that
+// the reader sees and that holds the indexed value. It is the one shortcut
+// past match, kept by LookupEach and by Lookup's aliasing return.
+func (t *Table) pristine(snap *Snap) bool {
+	return len(t.garbage) == 0 && (snap == nil || snap.epoch >= t.maxFrom)
+}
+
+// match is the posting rule, defined here and nowhere else: posting id in
+// the list of value nv of column ord counts for a reader at snap iff the
+// image of id that reader sees still holds nv. It returns that image, nil
+// for a stale posting (the row is deleted, not yet created, reclaimed, or
+// holds another value at snap). Runs on a plain table or a part.
+func (t *Table) match(id RowID, ord int, nv sqldb.Value, snap *Snap) Row {
+	if r := visibleTo(t.rows.get(id), snap); r != nil && r[ord] == nv {
+		return r
+	}
+	return nil
+}
+
 // uniqueConflict reports whether a live row other than exclude already
-// holds v in unique column ord. With pending garbage the posting list may
-// carry dead ids, so the check walks to live heads. Writer context.
+// holds v in unique column ord — table-wide: a view asks every part, and
+// its own empty postings add nothing. Writer context.
 func (t *Table) uniqueConflict(ord int, v sqldb.Value, exclude RowID) bool {
-	ids := t.indexes[ord][v]
-	if len(ids) == 0 {
-		return false
-	}
-	if len(t.garbage) == 0 {
-		return len(ids) > 1 || ids[0] != exclude
-	}
-	for _, id := range ids {
-		if id == exclude {
-			continue
+	for _, p := range t.parts {
+		if p.uniqueConflict(ord, v, exclude) {
+			return true
 		}
-		if head := t.rows.get(id); head != nil && head.to == liveEpoch && head.row[ord] == v {
+	}
+	for _, id := range t.indexes[ord][v] {
+		if id != exclude && t.match(id, ord, v, nil) != nil {
 			return true
 		}
 	}
 	return false
 }
 
-// Insert validates, coerces, and stores a row, returning its id.
-func (t *Table) Insert(vals Row) (RowID, error) {
-	if t.parts != nil {
-		return t.shardInsert(vals)
-	}
+// validate is the one admission check every row image passes, on plain
+// tables and views alike: arity, per-column coercion, then the unique
+// constraints in ascending column order. old is the image being replaced
+// and exclude its id (nil and -1 for an insert); a unique value old already
+// holds is not re-checked.
+func (t *Table) validate(vals, old Row, exclude RowID) (Row, error) {
 	if len(vals) != len(t.Columns) {
-		return 0, fmt.Errorf("storage: table %q: got %d values, want %d", t.Name, len(vals), len(t.Columns))
+		return nil, fmt.Errorf("storage: table %q: got %d values, want %d", t.Name, len(vals), len(t.Columns))
 	}
 	row := make(Row, len(vals))
 	for i, v := range vals {
 		cv, err := sqldb.Coerce(sqldb.Normalize(v), t.Columns[i].Type)
 		if err != nil {
-			return 0, fmt.Errorf("storage: table %q column %q: %w", t.Name, t.Columns[i].Name, err)
+			return nil, fmt.Errorf("storage: table %q column %q: %w", t.Name, t.Columns[i].Name, err)
 		}
 		row[i] = cv
 	}
-	for _, i := range t.indexedCols() {
-		if t.unique[i] && row[i] != nil && t.uniqueConflict(i, row[i], -1) {
-			return 0, fmt.Errorf("storage: table %q: duplicate key %v for column %q", t.Name, row[i], t.Columns[i].Name)
+	for _, i := range t.idxCols {
+		if !t.unique[i] || row[i] == nil || (old != nil && sqldb.Equal(row[i], old[i])) {
+			continue
+		}
+		if t.uniqueConflict(i, row[i], exclude) {
+			return nil, fmt.Errorf("storage: table %q: duplicate key %v for column %q", t.Name, row[i], t.Columns[i].Name)
 		}
 	}
-	t.mv.rw.Lock()
-	stamp := t.mv.stamp()
+	return row, nil
+}
+
+// Insert validates, coerces, and stores a row, returning its id. Ids come
+// from the table's own allocator — a view's parts share the view's, so id
+// order is insertion order at any shard count.
+func (t *Table) Insert(vals Row) (RowID, error) {
+	row, err := t.validate(vals, nil, -1)
+	if err != nil {
+		return 0, err
+	}
 	id := t.nextID
 	t.nextID++
-	t.rows.set(id, &version{row: row, from: stamp, to: liveEpoch})
-	for i, idx := range t.indexes {
-		addToIndex(idx, row[i], id)
-	}
-	t.liveRows++
-	if stamp > t.maxFrom {
-		t.maxFrom = stamp
-	}
-	t.mv.rw.Unlock()
-	t.mv.autoPublish()
+	t.home(row, id).install(id, row)
 	return id, nil
 }
 
-// prepend installs row as the new live head for id — the shared core of
-// Update, insertAt, and restore. Whatever it supersedes (a live image, or
-// a dead chain under a rollback re-insert) becomes deferred garbage.
-// Caller holds the structural write lock.
+// install links row as the live image of id in this heap (a plain table or
+// a part), publishing at once when no statement scope is open.
+func (t *Table) install(id RowID, row Row) {
+	t.mv.rw.Lock()
+	t.prepend(id, row)
+	t.mv.rw.Unlock()
+	t.mv.autoPublish()
+}
+
+// prepend installs row as the new live head for id. Whatever it supersedes
+// (a live image, or a dead chain under a rollback re-insert) becomes
+// deferred garbage. Caller holds the structural write lock.
 func (t *Table) prepend(id RowID, row Row) {
 	stamp := t.mv.stamp()
 	prev := t.rows.get(id)
@@ -349,46 +372,38 @@ func (t *Table) prepend(id RowID, row Row) {
 	}
 }
 
-// insertAt restores a row under a specific id (transaction rollback path).
-func (t *Table) insertAt(id RowID, row Row) {
-	if t.parts != nil {
-		t.shardInsertAt(id, row)
-		return
+// moveTo makes row the live image of id on dst, first superseding the live
+// image a different table still holds: a cross-shard move, or the undo of
+// one. On a plain table cur is dst (or nil) and this is install.
+func moveTo(dst, cur *Table, id RowID, row Row) {
+	if cur != nil && cur != dst {
+		cur.Delete(id)
 	}
-	t.mv.rw.Lock()
-	t.prepend(id, row)
+	dst.install(id, row)
+}
+
+// insertAt puts row back under id without admission checks — transaction
+// rollback of a delete or an update, whose logged image was valid when
+// logged. The row may be live (an update's newer image, possibly on
+// another shard), deleted, or already reclaimed.
+func (t *Table) insertAt(id RowID, row Row) {
+	cur, _ := t.holder(id)
+	moveTo(t.home(row, id), cur, id, row)
 	if id >= t.nextID {
 		t.nextID = id + 1
 	}
-	t.mv.rw.Unlock()
-	t.mv.autoPublish()
-}
-
-// restore replaces the live image of id with old (transaction rollback),
-// bypassing coercion and unique validation: the old image was valid when
-// logged. A row deleted later in the transaction (already re-inserted by
-// its own undo entry, or absent) restores through the same prepend.
-func (t *Table) restore(id RowID, old Row) {
-	t.insertAt(id, old)
-}
-
-// Get returns a copy of the live row with the given id.
-func (t *Table) Get(id RowID) (Row, bool) {
-	if t.parts != nil {
-		return t.shardGet(id)
-	}
-	if r := visibleTo(t.rows.get(id), nil); r != nil {
-		return r.clone(), true
-	}
-	return nil, false
 }
 
 // RowAt returns the stored row image visible to snap (the live image when
 // snap is nil). The returned slice is the immutable stored image: callers
 // must treat it as read-only.
 func (t *Table) RowAt(id RowID, snap *Snap) (Row, bool) {
-	if t.parts != nil {
-		return t.shardRowAt(id, snap)
+	// An id is visible on at most one part at any snapshot epoch (cross-shard
+	// moves publish atomically under snapGate); the view's own heap is empty.
+	for i, p := range t.parts {
+		if r := visibleTo(p.rows.get(id), partSnap(snap, i)); r != nil {
+			return r, true
+		}
 	}
 	r := visibleTo(t.rows.get(id), snap)
 	return r, r != nil
@@ -398,76 +413,70 @@ func (t *Table) RowAt(id RowID, snap *Snap) (Row, bool) {
 // Under MVCC the image is only superseded (to-stamped); the chain and its
 // postings are reclaimed by the sweep once no snapshot can see them.
 func (t *Table) Delete(id RowID) (Row, bool) {
-	if t.parts != nil {
-		return t.shardDelete(id)
-	}
-	head := t.rows.get(id)
-	if head == nil || head.to != liveEpoch {
+	p, head := t.holder(id)
+	if p == nil {
 		return nil, false
 	}
-	t.mv.rw.Lock()
-	stamp := t.mv.stamp()
+	p.mv.rw.Lock()
+	stamp := p.mv.stamp()
 	head.to = stamp
-	t.liveRows--
-	t.addGarbage(id, stamp)
-	t.mv.rw.Unlock()
-	t.mv.autoPublish()
+	p.liveRows--
+	p.addGarbage(id, stamp)
+	p.mv.rw.Unlock()
+	p.mv.autoPublish()
 	return head.row, true
 }
 
-// Update replaces the row contents, returning the previous contents.
+// Update replaces the row contents, returning the previous contents. On a
+// view whose new partition value hashes to a different shard the row moves:
+// the delete-and-reinsert pair runs inside one publication scope (opened
+// here when the caller has none), so no snapshot ever sees the row on zero
+// or two shards.
 func (t *Table) Update(id RowID, vals Row) (Row, error) {
-	if t.parts != nil {
-		return t.shardUpdate(id, vals)
-	}
-	head := t.rows.get(id)
-	if head == nil || head.to != liveEpoch {
+	cur, head := t.holder(id)
+	if cur == nil {
 		return nil, fmt.Errorf("storage: table %q: no row %d", t.Name, id)
 	}
-	old := head.row
-	row := make(Row, len(vals))
-	for i, v := range vals {
-		cv, err := sqldb.Coerce(sqldb.Normalize(v), t.Columns[i].Type)
-		if err != nil {
-			return nil, fmt.Errorf("storage: table %q column %q: %w", t.Name, t.Columns[i].Name, err)
-		}
-		row[i] = cv
+	row, err := t.validate(vals, head.row, id)
+	if err != nil {
+		return nil, err
 	}
-	for _, i := range t.indexedCols() {
-		if t.unique[i] && row[i] != nil && !sqldb.Equal(row[i], old[i]) && t.uniqueConflict(i, row[i], id) {
-			return nil, fmt.Errorf("storage: table %q: duplicate key %v for column %q", t.Name, row[i], t.Columns[i].Name)
-		}
+	dst := t.home(row, id)
+	if dst != cur && t.coord.mv.depth == 0 {
+		t.coord.beginStmtAll()
+		defer t.coord.endStmtAll()
 	}
-	t.mv.rw.Lock()
-	t.prepend(id, row)
-	t.mv.rw.Unlock()
-	t.mv.autoPublish()
-	return old, nil
+	moveTo(dst, cur, id, row)
+	return head.row, nil
 }
 
 // Lookup returns the ids of live rows whose indexed column i equals v, in
 // ascending id order for determinism. On the pristine fast path (no
 // pending garbage) the returned slice aliases the index's posting list: it
 // is valid until the next mutation of the table and must not be modified
-// by the caller. With garbage pending the posting superset is filtered to
-// ids whose live image actually holds v, so results — and scanned-row
-// counts derived from them — never depend on sweep timing.
+// by the caller. With garbage pending the posting superset is filtered
+// through match, so results — and scanned-row counts derived from them —
+// never depend on sweep timing.
 func (t *Table) Lookup(i int, v sqldb.Value) []RowID {
-	if t.parts != nil {
-		return t.shardLookup(i, v)
-	}
-	idx, ok := t.indexes[i]
-	if !ok {
-		return nil
-	}
 	nv := sqldb.Normalize(v)
-	ids := idx[nv]
-	if len(t.garbage) == 0 || len(ids) == 0 {
+	if t.parts != nil {
+		if p, _ := t.keyedPart(i, nv, nil); p != nil {
+			return p.Lookup(i, nv)
+		}
+		items := t.gather(i, nv, nil)
+		out := make([]RowID, len(items))
+		for k, it := range items {
+			out[k] = it.id
+		}
+		return out
+	}
+	ids := t.indexes[i][nv]
+	if t.pristine(nil) || len(ids) == 0 {
 		return ids
 	}
 	out := make([]RowID, 0, len(ids))
 	for _, id := range ids {
-		if head := t.rows.get(id); head != nil && head.to == liveEpoch && head.row[i] == nv {
+		if t.match(id, i, nv, nil) != nil {
 			out = append(out, id)
 		}
 	}
@@ -479,40 +488,20 @@ func (t *Table) Lookup(i int, v sqldb.Value) []RowID {
 // ascending id order. Rows are passed without cloning: read-only. Stops on
 // the first error, returning it.
 func (t *Table) LookupEach(ord int, v sqldb.Value, snap *Snap, fn func(Row) error) error {
-	if t.parts != nil {
-		return t.shardLookupEach(ord, v, snap, fn)
-	}
-	idx, ok := t.indexes[ord]
-	if !ok {
-		return nil
-	}
 	nv := sqldb.Normalize(v)
-	ids := idx[nv]
-	if len(ids) == 0 {
-		return nil
-	}
-	if snap == nil {
-		if len(t.garbage) == 0 {
-			for _, id := range ids {
-				if err := fn(t.rows.get(id).row); err != nil {
-					return err
-				}
-			}
-			return nil
+	if t.parts != nil {
+		if p, psnap := t.keyedPart(ord, nv, snap); p != nil {
+			return p.LookupEach(ord, nv, psnap, fn)
 		}
-		for _, id := range ids {
-			if head := t.rows.get(id); head != nil && head.to == liveEpoch && head.row[ord] == nv {
-				if err := fn(head.row); err != nil {
-					return err
-				}
+		for _, it := range t.gather(ord, nv, snap) {
+			if err := fn(it.row); err != nil {
+				return err
 			}
 		}
 		return nil
 	}
-	e := snap.epoch
-	if len(t.garbage) == 0 && e >= t.maxFrom {
-		// Pristine and fully visible: every posting id is a live single-image
-		// row created at or before the snapshot epoch.
+	ids := t.indexes[ord][nv]
+	if t.pristine(snap) {
 		for _, id := range ids {
 			if err := fn(t.rows.get(id).row); err != nil {
 				return err
@@ -521,7 +510,7 @@ func (t *Table) LookupEach(ord int, v sqldb.Value, snap *Snap, fn func(Row) erro
 		return nil
 	}
 	for _, id := range ids {
-		if r := visibleRow(t.rows.get(id), e); r != nil && r[ord] == nv {
+		if r := t.match(id, ord, nv, snap); r != nil {
 			if err := fn(r); err != nil {
 				return err
 			}

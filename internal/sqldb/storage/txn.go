@@ -73,10 +73,8 @@ func (tx *Txn) Rollback() error {
 		switch e.kind {
 		case undoInsert:
 			e.table.Delete(e.id)
-		case undoDelete:
+		case undoDelete, undoUpdate:
 			e.table.insertAt(e.id, e.old)
-		case undoUpdate:
-			e.table.restore(e.id, e.old)
 		}
 	}
 	tx.log = nil

@@ -209,22 +209,30 @@ func Normalize(v Value) Value {
 // Format renders a value as it would appear in a result set dump; strings
 // are quoted, NULL renders as NULL.
 func Format(v Value) string {
+	var buf [32]byte
+	return string(AppendFormat(buf[:0], v))
+}
+
+// AppendFormat appends Format(v) to buf without an intermediate string.
+// These bytes are the canonical text of a value: row identity for DISTINCT
+// and GROUP BY and the shard hash are both computed over them.
+func AppendFormat(buf []byte, v Value) []byte {
 	switch x := v.(type) {
 	case nil:
-		return "NULL"
+		return append(buf, "NULL"...)
 	case string:
-		return strconv.Quote(x)
+		return strconv.AppendQuote(buf, x)
 	case int64:
-		return strconv.FormatInt(x, 10)
+		return strconv.AppendInt(buf, x, 10)
 	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64)
+		return strconv.AppendFloat(buf, x, 'g', -1, 64)
 	case bool:
 		if x {
-			return "TRUE"
+			return append(buf, "TRUE"...)
 		}
-		return "FALSE"
+		return append(buf, "FALSE"...)
 	default:
-		return fmt.Sprintf("%v", x)
+		return append(buf, fmt.Sprintf("%v", x)...)
 	}
 }
 
