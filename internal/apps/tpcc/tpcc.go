@@ -4,6 +4,21 @@
 // executor and consumes every result immediately, so there is nothing for
 // Sloth to batch — running it under lazy semantics measures pure runtime
 // overhead, exactly as in the paper.
+//
+// Keys. TPC-C's composite keys are packed into single INT primary keys:
+// distID(w, d) = w·100 + d, custID(w, d, c), stockID(w, i), and
+// orderID(w, d, o) = distID(w, d)·10^7 + o, where o is the district's own
+// order number — d_next_o_id, read and incremented by New-Order, as the
+// specification has it (clause 2.4.2.2). An order's id therefore ascends
+// with its age inside its district and nowhere else, which is what three
+// statements rely on and three two-column indexes serve: Stock-Level reads
+// the order lines of the district's last 20 orders (clause 2.8.2.2) as the
+// window orderID(w, d, next−20) <= ol_o_id < orderID(w, d, next) over
+// idx_ol_d (ol_d_id, ol_o_id); Delivery takes the district's oldest
+// undelivered order, ORDER BY no_o_id LIMIT 1 over idx_no_d (no_d_id,
+// no_o_id); Order-Status the customer's newest, ORDER BY o_id DESC LIMIT 1
+// over idx_orders_c (o_c_id, o_id). None of the three grows with the
+// database's age.
 package tpcc
 
 import (
@@ -56,12 +71,13 @@ var Schema = []string{
 	`CREATE INDEX idx_customer_d ON customer (c_d_id)`,
 	`CREATE TABLE history (h_id INT PRIMARY KEY, h_c_id INT, h_d_id INT, h_w_id INT, h_amount FLOAT)`,
 	`CREATE TABLE orders (o_id INT PRIMARY KEY, o_d_id INT, o_w_id INT, o_c_id INT, o_ol_cnt INT, o_carrier_id INT)`,
-	`CREATE INDEX idx_orders_c ON orders (o_c_id)`,
+	`CREATE INDEX idx_orders_c ON orders (o_c_id, o_id)`,
 	`CREATE INDEX idx_orders_d ON orders (o_d_id)`,
 	`CREATE TABLE new_orders (no_o_id INT PRIMARY KEY, no_d_id INT, no_w_id INT)`,
-	`CREATE INDEX idx_no_d ON new_orders (no_d_id)`,
+	`CREATE INDEX idx_no_d ON new_orders (no_d_id, no_o_id)`,
 	`CREATE TABLE order_line (ol_id INT PRIMARY KEY, ol_o_id INT, ol_d_id INT, ol_i_id INT, ol_qty INT, ol_amount FLOAT)`,
 	`CREATE INDEX idx_ol_o ON order_line (ol_o_id)`,
+	`CREATE INDEX idx_ol_d ON order_line (ol_d_id, ol_o_id)`,
 	`CREATE TABLE item (i_id INT PRIMARY KEY, i_name TEXT, i_price FLOAT)`,
 	`CREATE TABLE stock (s_id INT PRIMARY KEY, s_i_id INT, s_w_id INT, s_quantity INT, s_ytd INT)`,
 	`CREATE INDEX idx_stock_i ON stock (s_i_id)`,
@@ -86,6 +102,9 @@ func DefaultConfig() Config {
 func distID(w, d int) int64    { return int64(w*100 + d) }
 func custID(w, d, c int) int64 { return int64(w*1_000_000 + d*10_000 + c) }
 func stockID(w, i int) int64   { return int64(w*1_000_000 + i) }
+
+// orderID packs a district and its o-th order; o comes from d_next_o_id.
+func orderID(w, d int, o int64) int64 { return distID(w, d)*10_000_000 + o }
 
 // Seed loads the database directly through the engine.
 func Seed(db *engine.DB, cfg Config) error {
@@ -113,7 +132,7 @@ func Seed(db *engine.DB, cfg Config) error {
 			return err
 		}
 	}
-	oID, olID, hID := int64(0), int64(0), int64(0)
+	olID := int64(0)
 	for w := 1; w <= cfg.Warehouses; w++ {
 		if err := exec("INSERT INTO warehouse (w_id, w_name, w_tax, w_ytd) VALUES (?, ?, ?, 0)",
 			int64(w), fmt.Sprintf("wh-%d", w), float64(rng.Intn(20))/100); err != nil {
@@ -138,7 +157,7 @@ func Seed(db *engine.DB, cfg Config) error {
 				}
 			}
 			for o := 1; o <= cfg.InitialOrdersPerD; o++ {
-				oID++
+				oID := orderID(w, d, int64(o))
 				nLines := 5 + rng.Intn(5)
 				if err := exec("INSERT INTO orders (o_id, o_d_id, o_w_id, o_c_id, o_ol_cnt, o_carrier_id) VALUES (?, ?, ?, ?, ?, 0)",
 					oID, distID(w, d), int64(w), custID(w, d, 1+rng.Intn(cfg.CustomersPerDist)), int64(nLines)); err != nil {
@@ -160,7 +179,6 @@ func Seed(db *engine.DB, cfg Config) error {
 			}
 		}
 	}
-	_ = hID
 	return nil
 }
 
@@ -171,15 +189,14 @@ type Client struct {
 	cfg  Config
 	rng  *rand.Rand
 
-	nextOrderID int64
-	nextOLID    int64
-	nextHistID  int64
+	nextOLID   int64
+	nextHistID int64
 }
 
 // NewClient creates a client with a deterministic RNG stream.
 func NewClient(exec Executor, cfg Config, seed int64) *Client {
 	return &Client{exec: exec, cfg: cfg, rng: rand.New(rand.NewSource(seed)),
-		nextOrderID: 1_000_000 + seed*100_000, nextOLID: 5_000_000 + seed*200_000, nextHistID: 9_000_000 + seed*100_000}
+		nextOLID: 5_000_000 + seed*200_000, nextHistID: 9_000_000 + seed*100_000}
 }
 
 func (c *Client) randWDC() (int, int, int) {
@@ -187,7 +204,8 @@ func (c *Client) randWDC() (int, int, int) {
 }
 
 // NewOrder runs the new-order transaction: read warehouse/district/customer,
-// allocate an order id, insert order + lines, update stock per line.
+// take the district's next order number, insert order + lines, update stock
+// per line.
 func (c *Client) NewOrder() error {
 	w, d, cu := c.randWDC()
 	if _, err := c.exec.Query("SELECT w_tax FROM warehouse WHERE w_id = ?", int64(w)); err != nil {
@@ -200,14 +218,14 @@ func (c *Client) NewOrder() error {
 	if dist.NumRows() == 0 {
 		return fmt.Errorf("tpcc: district %d missing", distID(w, d))
 	}
+	nextO, _ := dist.Int(0, "d_next_o_id")
+	oid := orderID(w, d, nextO)
 	if _, err := c.exec.Query("UPDATE district SET d_next_o_id = d_next_o_id + 1 WHERE d_id = ?", distID(w, d)); err != nil {
 		return err
 	}
 	if _, err := c.exec.Query("SELECT c_last, c_balance FROM customer WHERE c_id = ?", custID(w, d, cu)); err != nil {
 		return err
 	}
-	c.nextOrderID++
-	oid := c.nextOrderID
 	nLines := 5 + c.rng.Intn(10)
 	if _, err := c.exec.Query("INSERT INTO orders (o_id, o_d_id, o_w_id, o_c_id, o_ol_cnt, o_carrier_id) VALUES (?, ?, ?, ?, ?, 0)",
 		oid, distID(w, d), int64(w), custID(w, d, cu), int64(nLines)); err != nil {
@@ -336,7 +354,8 @@ func (c *Client) Delivery() error {
 	return nil
 }
 
-// StockLevel runs the stock-level transaction (read-only scan).
+// StockLevel runs the stock-level transaction (read-only): the stock of the
+// items on the district's last 20 orders.
 func (c *Client) StockLevel() error {
 	w, d, _ := c.randWDC()
 	dr, err := c.exec.Query("SELECT d_next_o_id FROM district WHERE d_id = ?", distID(w, d))
@@ -344,7 +363,8 @@ func (c *Client) StockLevel() error {
 		return err
 	}
 	nextO, _ := dr.Int(0, "d_next_o_id")
-	lines, err := c.exec.Query("SELECT ol_i_id FROM order_line WHERE ol_d_id = ? AND ol_o_id >= ?", distID(w, d), nextO-20)
+	lines, err := c.exec.Query("SELECT ol_i_id FROM order_line WHERE ol_d_id = ? AND ol_o_id >= ? AND ol_o_id < ?",
+		distID(w, d), orderID(w, d, nextO-20), orderID(w, d, nextO))
 	if err != nil {
 		return err
 	}

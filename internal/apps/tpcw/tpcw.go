@@ -29,7 +29,7 @@ var Schema = []string{
 	`CREATE INDEX idx_item_subject ON item (i_subject)`,
 	`CREATE INDEX idx_item_author ON item (i_a_id)`,
 	`CREATE TABLE orders (o_id INT PRIMARY KEY, o_c_id INT, o_total FLOAT, o_status TEXT)`,
-	`CREATE INDEX idx_orders_customer ON orders (o_c_id)`,
+	`CREATE INDEX idx_orders_customer ON orders (o_c_id, o_id)`,
 	`CREATE TABLE order_line (ol_id INT PRIMARY KEY, ol_o_id INT, ol_i_id INT, ol_qty INT)`,
 	`CREATE INDEX idx_ol_order ON order_line (ol_o_id)`,
 	`CREATE TABLE cc_xacts (cx_o_id INT PRIMARY KEY, cx_type TEXT, cx_amount FLOAT)`,

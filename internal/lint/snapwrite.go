@@ -44,7 +44,7 @@ type snapwriteFact struct {
 // names alone; Lock/Begin are included because taking the writer mutex on
 // the snapshot path deadlocks against a blocked writer.
 var mutationSeeds = map[string][]string{
-	"Table": {"Insert", "Update", "Delete", "AddIndex", "insertAt", "install", "prepend"},
+	"Table": {"Insert", "Update", "Delete", "AddIndex", "AddOrderedIndex", "addIndex", "insertAt", "install", "prepend"},
 	"Store": {"CreateTable", "BeginStmt", "EndStmt", "Begin", "Lock"},
 	"Txn":   {"Commit", "Rollback"},
 }

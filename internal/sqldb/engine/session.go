@@ -66,9 +66,9 @@ func (s *Session) Exec(sql string, args ...sqldb.Value) (*sqldb.ResultSet, error
 // ExecPrepared executes a parsed statement whose text is sql, going
 // through the compiled-plan cache, and (when withPath is set) names the
 // access path the tracing layer stamps on statement spans: "index-eq(col)"
-// / "index-in(col)" / "scan" for SELECTs — read off the same compiled plan
-// that executes, so tracing never touches the plan cache a second time —
-// "write" for mutations, "control" for transaction and DDL statements. It
+// / "index-in(col)" / "index-range(a,b)" / "index-order(a,b)" / "scan" for
+// SELECTs — read off the same compiled plan that executes, so tracing never
+// touches the plan cache a second time — "write" for mutations, "control" for transaction and DDL statements. It
 // acquires the store lock for the duration of the statement — the engine
 // serializes statements, which is sufficient for the reproduction's
 // single-store workloads.
@@ -172,7 +172,13 @@ func (s *Session) execCreateIndex(st *sqlparse.CreateIndexStmt) (*sqldb.ResultSe
 	}
 	// AddIndex notifies the store, bumping the schema epoch so cached plans
 	// recompile and pick up the new access path.
-	if err := t.AddIndex(st.Col, st.Unique); err != nil {
+	var err error
+	if len(st.Cols) == 2 {
+		err = t.AddOrderedIndex(st.Cols[0], st.Cols[1])
+	} else {
+		err = t.AddIndex(st.Cols[0], st.Unique)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return &sqldb.ResultSet{}, nil

@@ -217,3 +217,90 @@ func TestCacheDisabledCompilesEveryCall(t *testing.T) {
 		}
 	})
 }
+
+// TestAccessDescOrderedForms pins how a trace names the access paths a
+// two-column index adds, on the three TPC-C statements they were added for
+// (texts as internal/apps/tpcc issues them), and that every shape the
+// pushdown must leave alone keeps its old name — and its sort.
+func TestAccessDescOrderedForms(t *testing.T) {
+	store := storage.NewStore()
+	store.Lock()
+	defer store.Unlock()
+	intCols := func(names ...string) []storage.Column {
+		cols := make([]storage.Column, len(names))
+		for i, n := range names {
+			cols[i] = storage.Column{Name: n, Type: sqldb.TypeInt, PrimaryKey: i == 0}
+		}
+		return cols
+	}
+	for _, tb := range []struct {
+		name     string
+		cols     []string
+		key, ord string
+	}{
+		{"order_line", []string{"ol_id", "ol_o_id", "ol_d_id", "ol_i_id"}, "ol_d_id", "ol_o_id"},
+		{"new_orders", []string{"no_o_id", "no_d_id"}, "no_d_id", "no_o_id"},
+		{"orders", []string{"o_id", "o_c_id", "o_carrier_id"}, "o_c_id", "o_id"},
+	} {
+		tbl, err := store.CreateTable(tb.name, intCols(tb.cols...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.AddOrderedIndex(tb.key, tb.ord); err != nil {
+			t.Fatal(err)
+		}
+	}
+	orders, _ := store.Table("orders")
+	for i := int64(1); i <= 6; i++ {
+		if _, err := orders.Insert(storage.Row{i, int64(7), i % 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		sql, desc string
+		scanned   int // over the six orders of customer 7; -1: not run
+	}{
+		{"SELECT ol_i_id FROM order_line WHERE ol_d_id = ? AND ol_o_id >= ? AND ol_o_id < ?", "index-range(ol_d_id,ol_o_id)", -1},
+		{"SELECT no_o_id FROM new_orders WHERE no_d_id = ? ORDER BY no_o_id LIMIT 1", "index-order(no_d_id,no_o_id)", -1},
+		{"SELECT o_id, o_carrier_id FROM orders WHERE o_c_id = ? ORDER BY o_id DESC LIMIT 1", "index-order(o_c_id,o_id)", 1},
+
+		// The residual filter runs before the limit counts: 6, 5, 4 are read
+		// to find two with carrier 0.
+		{"SELECT o_id FROM orders WHERE o_c_id = ? AND o_carrier_id = 0 ORDER BY o_id DESC LIMIT 2", "index-order(o_c_id,o_id)", 3},
+		{"SELECT o_id AS n FROM orders WHERE o_c_id = ? ORDER BY n LIMIT 1 OFFSET 2", "index-order(o_c_id,o_id)", 3},
+		{"SELECT o_id FROM orders WHERE ? = o_c_id AND 4 > o_id", "index-range(o_c_id,o_id)", 3},
+		{"SELECT o_id FROM orders WHERE o_c_id = ? AND o_id = 4", "index-range(o_c_id,o_id)", 1},
+		// Not the source stream, or not the ordering column: sorted as ever.
+		{"SELECT o_id FROM orders WHERE o_c_id = ?", "index-eq(o_c_id)", 6},
+		{"SELECT o_id FROM orders WHERE o_c_id = ? ORDER BY o_carrier_id LIMIT 1", "index-eq(o_c_id)", 6},
+		{"SELECT o_id FROM orders WHERE o_c_id = ? ORDER BY o_id, o_carrier_id LIMIT 1", "index-eq(o_c_id)", 6},
+		{"SELECT o_carrier_id AS o_id FROM orders WHERE o_c_id = ? ORDER BY o_id LIMIT 1", "index-eq(o_c_id)", 6},
+		{"SELECT DISTINCT o_carrier_id FROM orders WHERE o_c_id = ? ORDER BY o_id LIMIT 1", "index-eq(o_c_id)", 6},
+		{"SELECT o_id, COUNT(*) FROM orders WHERE o_c_id = ? GROUP BY o_id ORDER BY o_id LIMIT 1", "index-eq(o_c_id)", 6},
+		{"SELECT a.o_id FROM orders a JOIN new_orders n ON n.no_o_id = a.o_id WHERE a.o_c_id = ? ORDER BY a.o_id LIMIT 1", "index-eq(o_c_id)", 6},
+		{"SELECT o_id FROM orders WHERE o_c_id IN (?, 8) ORDER BY o_id LIMIT 1", "index-in(o_c_id)", 6},
+		{"SELECT o_id FROM orders WHERE o_carrier_id = 0 ORDER BY o_id LIMIT 1", "scan", 6},
+	} {
+		st, err := sqlparse.Parse(tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		p, err := CompileSelect(st.(*sqlparse.SelectStmt), store)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		if got := p.AccessDesc(); got != tc.desc {
+			t.Errorf("%s: AccessDesc %q, want %q", tc.sql, got, tc.desc)
+		}
+		if tc.scanned < 0 {
+			continue
+		}
+		rs, err := p.Exec([]sqldb.Value{int64(7)})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		if rs.RowsScanned != tc.scanned {
+			t.Errorf("%s: scanned %d rows, want %d", tc.sql, rs.RowsScanned, tc.scanned)
+		}
+	}
+}

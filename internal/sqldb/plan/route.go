@@ -26,8 +26,8 @@ func shardMaskOf(t *storage.Table, cands []accessCand, args []sqldb.Value) uint6
 	if !ok {
 		return 0
 	}
-	ord, vals, ok := pick(cands, args)
-	if !ok || ord != pOrd {
+	c, vals := pick(cands, args)
+	if c == nil || c.ord != pOrd {
 		return 0
 	}
 	var mask uint64

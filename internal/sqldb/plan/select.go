@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -13,9 +14,9 @@ import (
 
 // SelectPlan is one SELECT statement compiled against a schema epoch:
 // resolved table pointers and column ordinals, the chosen access path
-// (index-eq / index-IN / scan), join strategies, and every expression
-// compiled to a closure over row slices. A plan executes many times; only
-// argument values vary per execution.
+// (index-eq / index-IN / ordered range probe / scan), join strategies, and
+// every expression compiled to a closure over row slices. A plan executes
+// many times; only argument values vary per execution.
 type SelectPlan struct {
 	env      *Env
 	from     *storage.Table
@@ -38,10 +39,65 @@ type SelectPlan struct {
 // the first whose values evaluate non-nil wins, otherwise the plan scans —
 // the same runtime fallback the interpreted planner had (a NULL-valued
 // parameter de-indexes the statement for that execution only).
+//
+// When the column's index is a two-column one (a, b), the equality form is
+// an ordered candidate: it also carries the first lower and first upper
+// bound `b {=,>=,>,<=,<} const` among the WHERE conjuncts, which the probe
+// binary-searches instead of filtering, and — when the statement's ORDER BY
+// is exactly b — the order to probe in, which replaces the sort. WHERE
+// still runs in full on every row delivered, so a bound is only ever an
+// optimization: one that cannot be used is simply left open.
 type accessCand struct {
 	ord int
 	eq  EvalFn   // set for the equality form
 	in  []EvalFn // set for the IN form
+
+	by     int           // ordered: b's ordinal; -1 on every other candidate
+	byType sqldb.Type    // ordered: b's column type, which a bound must fit
+	lo, hi bound         // ordered: bounds on b, open when fn is nil
+	order  storage.Order // ordered: ByKey/ByKeyDesc when that is the ORDER BY
+}
+
+// bound is one compiled `b op const` limit of an ordered candidate.
+type bound struct {
+	fn   EvalFn
+	excl bool
+}
+
+// value evaluates a bound for one execution. A bound that errors, is NULL,
+// or cannot be compared with b's type stays open (nil): WHERE then meets
+// the same rows it would without the index and reports what it always did.
+func (b bound) value(t sqldb.Type, args []sqldb.Value) sqldb.Value {
+	if b.fn == nil {
+		return nil
+	}
+	v, err := b.fn(nil, args)
+	if err != nil {
+		return nil
+	}
+	switch v.(type) {
+	case int64, float64:
+		if t == sqldb.TypeInt {
+			return v
+		}
+	case string:
+		if t == sqldb.TypeText {
+			return v
+		}
+	case bool:
+		if t == sqldb.TypeBool {
+			return v
+		}
+	}
+	return nil
+}
+
+// span is the range of b an ordered candidate probes in this execution.
+func (c *accessCand) span(args []sqldb.Value) storage.Range {
+	return storage.Range{
+		Lo: c.lo.value(c.byType, args), LoExcl: c.lo.excl,
+		Hi: c.hi.value(c.byType, args), HiExcl: c.hi.excl,
+	}
 }
 
 // joinPlan is one compiled JOIN: the join table, its frame offset, the
@@ -141,7 +197,38 @@ func CompileSelect(st *sqlparse.SelectStmt, store *storage.Store) (*SelectPlan, 
 		}
 		p.orderBy = append(p.orderBy, item)
 	}
+	p.pushOrder(st, exprs)
 	return p, nil
+}
+
+// pushOrder marks the ordered candidates that deliver rows already in the
+// statement's order. That needs the output to be the source stream —
+// one table, no aggregation, no DISTINCT — and ORDER BY to be exactly the
+// candidate's ordering column, named directly or through the select list.
+func (p *SelectPlan) pushOrder(st *sqlparse.SelectStmt, exprs []sqlparse.Expr) {
+	if len(p.joins) > 0 || p.agg != nil || p.distinct || len(p.orderBy) != 1 {
+		return
+	}
+	e := st.OrderBy[0].Expr
+	if oc := p.orderBy[0].outCol; oc >= 0 {
+		e = exprs[oc]
+	}
+	ref, ok := e.(*sqlparse.ColRef)
+	if !ok {
+		return
+	}
+	pos, err := p.env.resolve(ref)
+	if err != nil {
+		return
+	}
+	for i := range p.access {
+		if c := &p.access[i]; c.by == pos {
+			c.order = storage.ByKey
+			if p.orderBy[0].desc {
+				c.order = storage.ByKeyDesc
+			}
+		}
+	}
 }
 
 // outputCol resolves an ORDER BY term to the output column it denotes: an
@@ -206,22 +293,30 @@ func (p *SelectPlan) exec(args []sqldb.Value, snap *storage.Snap) (*sqldb.Result
 	if p.agg != nil {
 		s.run = p.agg.newRun()
 	}
-	if err := p.eachSource(args, snap, s.source); err != nil {
+	if err := p.eachSource(&s); err != nil && err != errFull {
 		return nil, err
 	}
 	return s.finish()
 }
 
-// eachSource calls fn with the FROM table's rows, through the index path
-// pick chooses or a scan. The rows alias the immutable stored images — zero
+// errFull stops a source stream that arrives in ORDER BY order once
+// OFFSET + LIMIT rows have passed WHERE; exec treats it as completion.
+var errFull = errors.New("plan: limit reached")
+
+// eachSource feeds s the FROM table's rows, through the index path pick
+// chooses or a scan. The rows alias the immutable stored images — zero
 // copies; every consumer downstream only reads them.
-func (p *SelectPlan) eachSource(args []sqldb.Value, snap *storage.Snap, fn func(storage.Row) error) error {
-	ord, vals, ok := pick(p.access, args)
-	if !ok {
-		return p.from.ScanEach(snap, fn)
+func (p *SelectPlan) eachSource(s *sink) error {
+	c, vals := pick(p.access, s.args)
+	switch {
+	case c == nil:
+		return p.from.ScanEach(s.snap, s.source)
+	case c.by >= 0:
+		s.sorted = c.order != storage.ByID
+		return p.from.ProbeEach(c.ord, vals[0], c.span(s.args), c.order, s.snap, s.source)
 	}
 	for _, val := range vals {
-		if err := p.from.LookupEach(ord, val, snap, fn); err != nil {
+		if err := p.from.LookupEach(c.ord, val, s.snap, s.source); err != nil {
 			return err
 		}
 	}
@@ -240,6 +335,7 @@ type sink struct {
 	args    []sqldb.Value
 	snap    *storage.Snap
 	scanned int
+	sorted  bool            // the source delivers in ORDER BY order: no sort, stop when full
 	run     *aggRun         // aggregate plans: the accumulating groups
 	rows    [][]sqldb.Value // other plans: projected output rows
 	keys    [][]sqldb.Value // keys[i]: rows[i]'s ORDER BY keys, when p.orderSrc
@@ -247,7 +343,13 @@ type sink struct {
 
 func (s *sink) source(r storage.Row) error {
 	s.scanned++
-	return s.join(0, r)
+	if err := s.join(0, r); err != nil {
+		return err
+	}
+	if s.sorted && s.p.limit >= 0 && len(s.rows)-s.p.offset >= s.p.limit {
+		return errFull
+	}
+	return nil
 }
 
 // join extends row with each match from join number level and passes the
@@ -306,7 +408,7 @@ func (s *sink) add(row []sqldb.Value) error {
 		out[i] = v
 	}
 	s.rows = append(s.rows, out)
-	if !p.orderSrc {
+	if !p.orderSrc || s.sorted {
 		return nil
 	}
 	// Output rows carry only projected values, so keys over source columns
@@ -335,7 +437,7 @@ func (s *sink) finish() (*sqldb.ResultSet, error) {
 			return nil, err
 		}
 	}
-	if len(p.orderBy) > 0 && len(s.rows) > 0 {
+	if len(p.orderBy) > 0 && len(s.rows) > 0 && !s.sorted {
 		for _, ob := range p.orderBy {
 			if ob.outCol < 0 && ob.key == nil {
 				return nil, fmt.Errorf("engine: ORDER BY over aggregates must reference output columns")
@@ -376,9 +478,9 @@ func (o *byOrder) Less(a, b int) bool {
 	for k, ob := range o.terms {
 		var c int
 		if ob.outCol >= 0 {
-			c = compareForSort(o.rows[a][ob.outCol], o.rows[b][ob.outCol])
+			c = sqldb.CompareOrder(o.rows[a][ob.outCol], o.rows[b][ob.outCol])
 		} else {
-			c = compareForSort(o.keys[a][k], o.keys[b][k])
+			c = sqldb.CompareOrder(o.keys[a][k], o.keys[b][k])
 		}
 		if c != 0 {
 			return (c < 0) != ob.desc
@@ -398,14 +500,14 @@ func (o *byOrder) Swap(a, b int) {
 // (eachSource), the UPDATE/DELETE row matcher (Match) and the shard router
 // (shardMaskOf), so they cannot disagree about which index an execution
 // uses: the first candidate, in WHERE-traversal order, whose lookup values
-// evaluate. ok is false when none does and the execution scans.
-func pick(cands []accessCand, args []sqldb.Value) (ord int, vals []sqldb.Value, ok bool) {
+// evaluate, with those values. nil when none does and the execution scans.
+func pick(cands []accessCand, args []sqldb.Value) (*accessCand, []sqldb.Value) {
 	for i := range cands {
 		if vals, ok := cands[i].values(args); ok {
-			return cands[i].ord, vals, true
+			return &cands[i], vals
 		}
 	}
-	return -1, nil, false
+	return nil, nil
 }
 
 // values evaluates an access candidate's lookup values for this execution.
@@ -537,69 +639,125 @@ func joinKey(env *Env, jt *storage.Table, binding string, on sqlparse.Expr) (int
 // environment: they must be parameter/literal computations (column
 // references were excluded statically, mirroring the old constValue check).
 func accessCands(t *storage.Table, binding string, e sqlparse.Expr) []accessCand {
-	var out []accessCand
+	var conjuncts []sqlparse.Expr
 	var walk func(e sqlparse.Expr)
-	empty := NewEnv()
 	walk = func(e sqlparse.Expr) {
+		if x, ok := e.(*sqlparse.Binary); ok && x.Op == sqlparse.OpAnd {
+			walk(x.L)
+			walk(x.R)
+			return
+		}
+		conjuncts = append(conjuncts, e)
+	}
+	walk(e)
+
+	var out []accessCand
+	empty := NewEnv()
+	for _, e := range conjuncts {
 		switch x := e.(type) {
 		case *sqlparse.Binary:
-			switch x.Op {
-			case sqlparse.OpAnd:
-				walk(x.L)
-				walk(x.R)
-			case sqlparse.OpEq:
-				if c, ok := eqCand(t, binding, x.L, x.R, empty); ok {
-					out = append(out, c)
-				} else if c, ok := eqCand(t, binding, x.R, x.L, empty); ok {
-					out = append(out, c)
-				}
+			if x.Op != sqlparse.OpEq {
+				continue
 			}
+			ord, val, ok := colConst(t, binding, x.L, x.R)
+			if !ok {
+				ord, val, ok = colConst(t, binding, x.R, x.L)
+			}
+			if !ok || !t.HasIndex(ord) {
+				continue
+			}
+			c := accessCand{ord: ord, eq: Compile(val, empty), by: -1}
+			if by, ok := t.OrderedBy(ord); ok {
+				c.by, c.byType = by, t.Columns[by].Type
+				c.lo, c.hi = bounds(t, binding, by, conjuncts, empty)
+			}
+			out = append(out, c)
 		case *sqlparse.InList:
 			if x.Not {
-				return
+				continue
 			}
-			ref, ok := x.Expr.(*sqlparse.ColRef)
-			if !ok {
-				return
-			}
-			if ref.Table != "" && !strings.EqualFold(ref.Table, binding) {
-				return
-			}
-			ord, ok := t.ColOrdinal(ref.Name)
+			ord, ok := colOrdinal(t, binding, x.Expr)
 			if !ok || !t.HasIndex(ord) {
-				return
+				continue
 			}
 			members := make([]EvalFn, 0, len(x.List))
 			for _, m := range x.List {
 				if len(sqlparse.CollectColRefs(m, nil)) > 0 {
-					return // column-dependent member: not a constant lookup
+					members = nil // column-dependent member: not a constant lookup
+					break
 				}
 				members = append(members, Compile(m, empty))
 			}
-			out = append(out, accessCand{ord: ord, in: members})
+			if members != nil {
+				out = append(out, accessCand{ord: ord, in: members, by: -1})
+			}
 		}
 	}
-	walk(e)
 	return out
 }
 
-// eqCand checks the `colSide = valSide` shape statically.
-func eqCand(t *storage.Table, binding string, colSide, valSide sqlparse.Expr, empty *Env) (accessCand, bool) {
-	ref, ok := colSide.(*sqlparse.ColRef)
-	if !ok {
-		return accessCand{}, false
+// colOrdinal resolves e as a reference to one of the FROM table's columns.
+func colOrdinal(t *storage.Table, binding string, e sqlparse.Expr) (int, bool) {
+	ref, ok := e.(*sqlparse.ColRef)
+	if !ok || (ref.Table != "" && !strings.EqualFold(ref.Table, binding)) {
+		return 0, false
 	}
-	if ref.Table != "" && !strings.EqualFold(ref.Table, binding) {
-		return accessCand{}, false
+	return t.ColOrdinal(ref.Name)
+}
+
+// colConst checks the `colSide op valSide` shape statically: a column of
+// the FROM table against an expression that reads no column.
+func colConst(t *storage.Table, binding string, colSide, valSide sqlparse.Expr) (int, sqlparse.Expr, bool) {
+	ord, ok := colOrdinal(t, binding, colSide)
+	if !ok || len(sqlparse.CollectColRefs(valSide, nil)) > 0 {
+		return 0, nil, false
 	}
-	ord, ok := t.ColOrdinal(ref.Name)
-	if !ok || !t.HasIndex(ord) {
-		return accessCand{}, false
+	return ord, valSide, true
+}
+
+// bounds finds the first lower and the first upper limit on column by among
+// the conjuncts: `by op const` or `const op by`, op one of = >= > <= <.
+func bounds(t *storage.Table, binding string, by int, conjuncts []sqlparse.Expr, empty *Env) (lo, hi bound) {
+	for _, e := range conjuncts {
+		x, ok := e.(*sqlparse.Binary)
+		if !ok {
+			continue
+		}
+		op := x.Op
+		ord, val, ok := colConst(t, binding, x.L, x.R)
+		if !ok {
+			if ord, val, ok = colConst(t, binding, x.R, x.L); ok {
+				op = mirror(op) // const op col reads col mirror(op) const
+			}
+		}
+		if !ok || ord != by {
+			continue
+		}
+		isLo := op == sqlparse.OpEq || op == sqlparse.OpGe || op == sqlparse.OpGt
+		isHi := op == sqlparse.OpEq || op == sqlparse.OpLe || op == sqlparse.OpLt
+		if isLo && lo.fn == nil {
+			lo = bound{fn: Compile(val, empty), excl: op == sqlparse.OpGt}
+		}
+		if isHi && hi.fn == nil {
+			hi = bound{fn: Compile(val, empty), excl: op == sqlparse.OpLt}
+		}
 	}
-	if len(sqlparse.CollectColRefs(valSide, nil)) > 0 {
-		return accessCand{}, false
+	return lo, hi
+}
+
+// mirror swaps the sides of an ordering comparison.
+func mirror(op sqlparse.BinOp) sqlparse.BinOp {
+	switch op {
+	case sqlparse.OpLt:
+		return sqlparse.OpGt
+	case sqlparse.OpLe:
+		return sqlparse.OpGe
+	case sqlparse.OpGt:
+		return sqlparse.OpLt
+	case sqlparse.OpGe:
+		return sqlparse.OpLe
 	}
-	return accessCand{ord: ord, eq: Compile(valSide, empty)}, true
+	return op
 }
 
 // hasAggregates reports whether the select list or HAVING uses aggregates
@@ -619,39 +777,26 @@ func hasAggregates(st *sqlparse.SelectStmt) bool {
 	return false
 }
 
-// compareForSort orders values with NULLs first, incomparables equal.
-func compareForSort(a, b sqldb.Value) int {
-	if a == nil && b == nil {
-		return 0
-	}
-	if a == nil {
-		return -1
-	}
-	if b == nil {
-		return 1
-	}
-	c, err := sqldb.Compare(a, b)
-	if err != nil {
-		return 0
-	}
-	return c
-}
-
 // AccessDesc names the plan's static access path — "index-eq(col)",
-// "index-in(col)", or "scan" — for the tracing layer's per-statement
-// spans. It describes the first candidate, the one the executor tries
-// first; a NULL-valued parameter can still de-index an individual
-// execution at runtime.
+// "index-in(col)", "index-range(a,b)" (a two-column index probed between
+// bounds on b), "index-order(a,b)" (probed in ORDER BY order, bounded or
+// not: no sort, and a LIMIT stops the probe) or "scan" — for the tracing
+// layer's per-statement spans. It describes the first candidate, the one
+// the executor tries first; a NULL-valued parameter can still de-index an
+// individual execution at runtime.
 func (p *SelectPlan) AccessDesc() string {
-	for i := range p.access {
-		c := &p.access[i]
-		name := p.from.Columns[c.ord].Name
-		if c.eq != nil {
-			return "index-eq(" + name + ")"
-		}
-		if len(c.in) > 0 {
-			return "index-in(" + name + ")"
-		}
+	if len(p.access) == 0 {
+		return "scan"
 	}
-	return "scan"
+	c := &p.access[0]
+	name := p.from.Columns[c.ord].Name
+	switch {
+	case c.eq == nil:
+		return "index-in(" + name + ")"
+	case c.by >= 0 && c.order != storage.ByID:
+		return "index-order(" + name + "," + p.from.Columns[c.by].Name + ")"
+	case c.by >= 0 && (c.lo.fn != nil || c.hi.fn != nil):
+		return "index-range(" + name + "," + p.from.Columns[c.by].Name + ")"
+	}
+	return "index-eq(" + name + ")"
 }

@@ -148,9 +148,9 @@ func (a *TableAccess) Match(args []sqldb.Value) ([]storage.RowID, int, error) {
 		out = append(out, id)
 		return true
 	}
-	if ord, vals, ok := pick(a.access, args); ok {
+	if c, vals := pick(a.access, args); c != nil {
 		for _, val := range vals {
-			for _, id := range a.t.Lookup(ord, val) {
+			for _, id := range a.t.Lookup(c.ord, val) {
 				if row, ok := a.t.RowAt(id, nil); ok && !visit(id, row) {
 					return nil, scanned, err
 				}

@@ -108,11 +108,14 @@ type CreateTableStmt struct {
 	Cols []ColumnDef
 }
 
-// CreateIndexStmt is a CREATE INDEX statement over a single column.
+// CreateIndexStmt is a CREATE INDEX statement. Cols holds one column — a
+// hash index on it — or two: an index hashed on the first whose postings
+// are ordered by the second. The parser accepts nothing longer, and no
+// UNIQUE with two.
 type CreateIndexStmt struct {
 	Name   string
 	Table  string
-	Col    string
+	Cols   []string
 	Unique bool
 }
 

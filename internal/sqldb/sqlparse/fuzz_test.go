@@ -1,6 +1,7 @@
 package sqlparse_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/bench"
@@ -26,11 +27,20 @@ func FuzzParse(f *testing.F) {
 	f.Add("SELECT a.id FROM t AS a WHERE a.v BETWEEN 1 AND 9 ORDER BY a.id DESC")
 	f.Add("INSERT INTO t (id, v) VALUES (1, 'x')")
 	f.Add("UPDATE t SET v = 2 WHERE id = 1")
+	// Index column lists: the two accepted widths and the rejected forms.
+	f.Add("CREATE INDEX i ON t (a, b)")
+	f.Add("CREATE INDEX i ON t (a,)")
+	f.Add("CREATE INDEX i ON t (a, b, c)")
+	f.Add("CREATE UNIQUE INDEX i ON t (a, b)")
 
 	f.Fuzz(func(t *testing.T, input string) {
 		st, err := sqlparse.Parse(input)
 		if err != nil {
 			return // rejecting garbage is correct; only panics are bugs
+		}
+		if ci, ok := st.(*sqlparse.CreateIndexStmt); ok {
+			checkIndexRoundTrip(t, input, ci)
+			return
 		}
 		sel, ok := st.(*sqlparse.SelectStmt)
 		if !ok {
@@ -56,6 +66,27 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("render is not a fixpoint\ninput:  %q\nfirst:  %q\nsecond: %q", input, out1, out2)
 		}
 	})
+}
+
+// checkIndexRoundTrip renders an accepted CREATE INDEX and requires the
+// text to parse back to the same statement, column list included.
+func checkIndexRoundTrip(t *testing.T, input string, ci *sqlparse.CreateIndexStmt) {
+	if n := len(ci.Cols); n < 1 || n > 2 || (ci.Unique && n != 1) {
+		t.Fatalf("parser accepted an index the engine cannot build\ninput: %q\nparsed: %+v", input, ci)
+	}
+	r := &sqlparse.Renderer{}
+	r.CreateIndex(ci)
+	out, err := r.SQL()
+	if err != nil {
+		t.Fatalf("render failed\ninput: %q\nerr: %v", input, err)
+	}
+	st2, err := sqlparse.Parse(out)
+	if err != nil {
+		t.Fatalf("rendered SQL does not re-parse\ninput:    %q\nrendered: %q\nerr: %v", input, out, err)
+	}
+	if !reflect.DeepEqual(st2, ci) {
+		t.Fatalf("CREATE INDEX did not round-trip\ninput:    %q\nrendered: %q\nparsed: %+v\nagain:  %+v", input, out, ci, st2)
+	}
 }
 
 // goldenSQL replays both applications' pages once in Sloth mode and

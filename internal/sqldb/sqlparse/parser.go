@@ -591,10 +591,25 @@ func (p *parser) parseCreate() (Statement, error) {
 		if err != nil {
 			return nil, err
 		}
+		cols := []string{col}
+		for p.peek().kind == tokSymbol && p.peek().text == "," {
+			// Errors name the comma that starts the rejected part.
+			switch {
+			case unique:
+				return nil, p.errf("UNIQUE index takes one column, found %s", p.peek())
+			case len(cols) == 2:
+				return nil, p.errf("index takes at most two columns, found %s", p.peek())
+			}
+			p.next()
+			if col, err = p.expectIdent(); err != nil {
+				return nil, err
+			}
+			cols = append(cols, col)
+		}
 		if err := p.expectSymbol(")"); err != nil {
 			return nil, err
 		}
-		return &CreateIndexStmt{Name: name, Table: table, Col: col, Unique: unique}, nil
+		return &CreateIndexStmt{Name: name, Table: table, Cols: cols, Unique: unique}, nil
 	default:
 		return nil, p.errf("expected TABLE or INDEX after CREATE")
 	}

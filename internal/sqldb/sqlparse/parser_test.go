@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -278,7 +279,7 @@ func TestParseCreateIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	ci := st.(*CreateIndexStmt)
-	if ci.Table != "users" || ci.Col != "name" || ci.Unique {
+	if ci.Table != "users" || !reflect.DeepEqual(ci.Cols, []string{"name"}) || ci.Unique {
 		t.Fatalf("create index = %+v", ci)
 	}
 	st, err = Parse("CREATE UNIQUE INDEX u ON t (c)")
@@ -287,6 +288,24 @@ func TestParseCreateIndex(t *testing.T) {
 	}
 	if !st.(*CreateIndexStmt).Unique {
 		t.Fatal("expected unique index")
+	}
+	st, err = Parse("CREATE INDEX i ON t (a, b)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ci = st.(*CreateIndexStmt); !reflect.DeepEqual(ci.Cols, []string{"a", "b"}) {
+		t.Fatalf("create index = %+v", ci)
+	}
+	// The rejected forms are located: the error carries the position of
+	// the token that starts the part the engine has no index for.
+	for sql, want := range map[string]string{
+		"CREATE INDEX i ON t (a, b, c)":     "sql: parse error at 25: index takes at most two columns, found \",\"",
+		"CREATE UNIQUE INDEX i ON t (a, b)": "sql: parse error at 29: UNIQUE index takes one column, found \",\"",
+		"CREATE INDEX i ON t (a,)":          "sql: parse error at 23: expected identifier, found \")\"",
+	} {
+		if _, err := Parse(sql); err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %s", sql, err, want)
+		}
 	}
 }
 

@@ -196,3 +196,12 @@ func (r *Renderer) OrderBy(items []OrderItem) {
 		}
 	}
 }
+
+// CreateIndex renders a CREATE INDEX statement, column list included.
+func (r *Renderer) CreateIndex(st *CreateIndexStmt) {
+	r.WriteString("CREATE ")
+	if st.Unique {
+		r.WriteString("UNIQUE ")
+	}
+	r.WriteString("INDEX " + st.Name + " ON " + st.Table + " (" + strings.Join(st.Cols, ", ") + ")")
+}

@@ -256,9 +256,12 @@ func (t *Table) prune(id RowID, h uint64) {
 		return
 	}
 	if head.to <= h {
-		for i, idx := range t.indexes {
-			for v := head; v != nil; v = v.prev {
+		for v := head; v != nil; v = v.prev {
+			for i, idx := range t.indexes {
 				removeFromIndex(idx, v.row[i], id)
+			}
+			for i, oi := range t.ordered {
+				oi.remove(v.row[i], v.row[oi.by], id)
 			}
 		}
 		t.rows.drop(id)
@@ -275,22 +278,25 @@ func (t *Table) prune(id RowID, h uint64) {
 		return
 	}
 	last.prev = nil
-	for i, idx := range t.indexes {
-		for v := tail; v != nil; v = v.prev {
-			val := v.row[i]
-			if val == nil || chainHasValue(head, i, val) {
-				continue
+	for v := tail; v != nil; v = v.prev {
+		for i, idx := range t.indexes {
+			if !chainHolds(head, i, v.row[i], -1, nil) {
+				removeFromIndex(idx, v.row[i], id)
 			}
-			removeFromIndex(idx, val, id)
+		}
+		for i, oi := range t.ordered {
+			if !chainHolds(head, i, v.row[i], oi.by, v.row[oi.by]) {
+				oi.remove(v.row[i], v.row[oi.by], id)
+			}
 		}
 	}
 }
 
-// chainHasValue reports whether any kept image of the chain holds val in
-// column i (same comparison the index map key uses).
-func chainHasValue(head *version, i int, val sqldb.Value) bool {
+// chainHolds reports whether any kept image of the chain still holds the
+// values a posting was made for (the comparison match applies to readers).
+func chainHolds(head *version, ord int, val sqldb.Value, by int, bv sqldb.Value) bool {
 	for v := head; v != nil; v = v.prev {
-		if v.row[i] == val {
+		if holds(v.row, ord, val, by, bv) {
 			return true
 		}
 	}

@@ -1,6 +1,11 @@
 package storage
 
-import "repro/internal/sqldb"
+import (
+	"cmp"
+	"slices"
+
+	"repro/internal/sqldb"
+)
 
 // This file implements horizontal sharding: a coordinator Store that
 // partitions every table's rows by hash of its primary-key value into N
@@ -249,37 +254,55 @@ func mergeParts(lists [][]idRow) []idRow {
 	return out
 }
 
-// collect is one part's share of a fan-out: the (id, image) pairs of the
-// postings of nv in column ord that match at snap, ascending by id.
-func (t *Table) collect(ord int, nv sqldb.Value, snap *Snap) []idRow {
+// collect is one heap's share of a lookup: the (id, image) pairs of the
+// postings of nv in column ord that match at snap, ascending by id. r
+// narrows a two-column index's postings by their ordering value (it is the
+// zero Range for a one-column index, whose postings are in id order
+// already).
+func (t *Table) collect(ord int, nv sqldb.Value, r Range, snap *Snap) []idRow {
+	if oi := t.ordered[ord]; oi != nil {
+		es := r.window(oi.lists[nv])
+		out := make([]idRow, 0, len(es))
+		for _, e := range es {
+			if row := t.match(e.id, ord, nv, oi.by, e.b, snap); row != nil {
+				out = append(out, idRow{e.id, row})
+			}
+		}
+		slices.SortFunc(out, func(x, y idRow) int { return cmp.Compare(x.id, y.id) })
+		return out
+	}
 	ids := t.indexes[ord][nv]
 	if len(ids) == 0 {
 		return nil
 	}
 	out := make([]idRow, 0, len(ids))
 	for _, id := range ids {
-		if r := t.match(id, ord, nv, snap); r != nil {
+		if r := t.match(id, ord, nv, -1, nil, snap); r != nil {
 			out = append(out, idRow{id, r})
 		}
 	}
 	return out
 }
 
-// gather is the view's fan-out lookup: every part's matches, merged into
-// one ascending-id stream.
-func (t *Table) gather(ord int, nv sqldb.Value, snap *Snap) []idRow {
+// gather is the fan-out lookup: the matches of every heap — each part of a
+// view, or the plain table itself — as one ascending-id stream.
+func (t *Table) gather(ord int, nv sqldb.Value, r Range, snap *Snap) []idRow {
+	if t.parts == nil {
+		return t.collect(ord, nv, r, snap)
+	}
 	lists := make([][]idRow, len(t.parts))
 	for i, p := range t.parts {
-		lists[i] = p.collect(ord, nv, partSnap(snap, i))
+		lists[i] = p.collect(ord, nv, r, partSnap(snap, i))
 	}
 	return mergeParts(lists)
 }
 
 // keyedPart is the view's keyed route: a lookup on the partition column
 // finds all its matches co-located on one part, returned with that part's
-// snapshot. nil means fan out (another column, or a NULL key).
+// snapshot. nil means fan out (another column, or a NULL key) — or that t
+// is no view.
 func (t *Table) keyedPart(ord int, nv sqldb.Value, snap *Snap) (*Table, *Snap) {
-	if ord != t.partOrd || nv == nil {
+	if t.parts == nil || ord != t.partOrd || nv == nil {
 		return nil, nil
 	}
 	i := ShardOf(nv, len(t.parts))

@@ -1,6 +1,7 @@
 // Package storage implements the row store beneath the reproduction's SQL
 // engine: typed tables with auto-assigned row ids, hash indexes on primary
-// key and secondary columns, undo-log transactions that give the engine
+// key and secondary columns (optionally with postings ordered by a second
+// column, ordered.go), undo-log transactions that give the engine
 // BEGIN/COMMIT/ROLLBACK semantics, and MVCC snapshot reads — epoch-stamped
 // row versions (see mvcc.go) so a read batch can pin a consistent snapshot
 // and execute in parallel with the single writer. The Sloth query store
@@ -81,6 +82,11 @@ type Table struct {
 	unique  map[int]bool
 	idxCols []int
 
+	// ordered holds the two-column indexes by their hashed column's ordinal
+	// (see ordered.go). Such a column has no entry in indexes: the ordered
+	// index IS its index, under the same superset rule.
+	ordered map[int]*ordIndex
+
 	// mv is the versioning state shared with the owning Store (standalone
 	// tables built by NewTable get their own, with publication after every
 	// mutation — the single-goroutine test configuration).
@@ -155,22 +161,44 @@ func (t *Table) NumRows() int {
 	return n
 }
 
-// HasIndex reports whether column ordinal i is indexed.
+// HasIndex reports whether column ordinal i is indexed, by a one-column
+// index or as the hashed column of a two-column one.
 func (t *Table) HasIndex(i int) bool {
 	_, ok := t.indexes[i]
-	return ok
+	return ok || t.ordered[i] != nil
 }
 
 // AddIndex creates a hash index over the named column, populating it from
 // every stored version (dead-but-unswept images included, so snapshots
 // older than the DDL still find their rows through it).
-func (t *Table) AddIndex(col string, unique bool) error {
+func (t *Table) AddIndex(col string, unique bool) error { return t.addIndex(col, "", unique) }
+
+// AddOrderedIndex creates the two-column index (col, by): hashed on col,
+// each posting list ordered by the row's by value (see ordered.go).
+func (t *Table) AddOrderedIndex(col, by string) error { return t.addIndex(col, by, false) }
+
+// addIndex builds either kind of index; by is "" for a one-column index.
+func (t *Table) addIndex(col, by string, unique bool) error {
 	i, ok := t.ColOrdinal(col)
 	if !ok {
 		return fmt.Errorf("storage: table %q: no column %q", t.Name, col)
 	}
-	if _, exists := t.indexes[i]; exists {
+	if t.HasIndex(i) {
 		return fmt.Errorf("storage: table %q: column %q already indexed", t.Name, col)
+	}
+	byOrd := -1
+	if by != "" {
+		if byOrd, ok = t.ColOrdinal(by); !ok {
+			return fmt.Errorf("storage: table %q: no column %q", t.Name, by)
+		}
+		if byOrd == i {
+			return fmt.Errorf("storage: table %q: index on %q cannot be ordered by %q itself", t.Name, col, by)
+		}
+		// Postings are binary-searched, which needs a total order; NaN has no
+		// place in one.
+		if t.Columns[byOrd].Type == sqldb.TypeFloat {
+			return fmt.Errorf("storage: table %q: ordering column %q is FLOAT", t.Name, by)
+		}
 	}
 	if unique {
 		// Rows are visited in id order, so the duplicate named in the error
@@ -195,19 +223,32 @@ func (t *Table) AddIndex(col string, unique bool) error {
 	// A view's parts index their own rows (each bumping its shard's schema
 	// epoch); the view itself stores none and only records the index.
 	for _, p := range t.parts {
-		if err := p.AddIndex(col, unique); err != nil {
+		if err := p.addIndex(col, by, unique); err != nil {
 			return err
 		}
 	}
-	idx := make(map[sqldb.Value][]RowID)
-	for _, s := range t.rows.slots {
-		for v := s.head; v != nil; v = v.prev {
-			addToIndex(idx, v.row[i], s.id)
+	var idx map[sqldb.Value][]RowID
+	var oi *ordIndex
+	if byOrd < 0 {
+		idx = make(map[sqldb.Value][]RowID)
+		for _, s := range t.rows.slots {
+			for v := s.head; v != nil; v = v.prev {
+				addToIndex(idx, v.row[i], s.id)
+			}
 		}
+	} else {
+		oi = buildOrdIndex(t.rows.slots, i, byOrd)
 	}
 	t.mv.rw.Lock()
-	t.indexes[i] = idx
-	t.unique[i] = unique
+	if oi != nil {
+		if t.ordered == nil {
+			t.ordered = make(map[int]*ordIndex)
+		}
+		t.ordered[i] = oi
+	} else {
+		t.indexes[i] = idx
+		t.unique[i] = unique
+	}
 	t.idxCols = append(t.idxCols, i)
 	sort.Ints(t.idxCols)
 	t.mv.rw.Unlock()
@@ -269,14 +310,23 @@ func (t *Table) pristine(snap *Snap) bool {
 
 // match is the posting rule, defined here and nowhere else: posting id in
 // the list of value nv of column ord counts for a reader at snap iff the
-// image of id that reader sees still holds nv. It returns that image, nil
-// for a stale posting (the row is deleted, not yet created, reclaimed, or
-// holds another value at snap). Runs on a plain table or a part.
-func (t *Table) match(id RowID, ord int, nv sqldb.Value, snap *Snap) Row {
-	if r := visibleTo(t.rows.get(id), snap); r != nil && r[ord] == nv {
+// image of id that reader sees still holds nv — and, for a two-column
+// index's posting, still holds bv in the ordering column by (by is -1 for a
+// one-column posting): a row whose ordering value moved is posted at both
+// places until the sweep, and must count at exactly one. It returns that
+// image, nil for a stale posting (the row is deleted, not yet created,
+// reclaimed, or holds other values at snap). Runs on a plain table or a
+// part.
+func (t *Table) match(id RowID, ord int, nv sqldb.Value, by int, bv sqldb.Value, snap *Snap) Row {
+	if r := visibleTo(t.rows.get(id), snap); r != nil && holds(r, ord, nv, by, bv) {
 		return r
 	}
 	return nil
+}
+
+// holds reports whether image r carries the values a posting was made for.
+func holds(r Row, ord int, nv sqldb.Value, by int, bv sqldb.Value) bool {
+	return r[ord] == nv && (by < 0 || r[by] == bv)
 }
 
 // uniqueConflict reports whether a live row other than exclude already
@@ -289,7 +339,7 @@ func (t *Table) uniqueConflict(ord int, v sqldb.Value, exclude RowID) bool {
 		}
 	}
 	for _, id := range t.indexes[ord][v] {
-		if id != exclude && t.match(id, ord, v, nil) != nil {
+		if id != exclude && t.match(id, ord, v, -1, nil, nil) != nil {
 			return true
 		}
 	}
@@ -360,6 +410,9 @@ func (t *Table) prepend(id RowID, row Row) {
 	t.rows.set(id, &version{row: row, from: stamp, to: liveEpoch, prev: prev})
 	for i, idx := range t.indexes {
 		addToIndex(idx, row[i], id)
+	}
+	for i, oi := range t.ordered {
+		oi.add(row[i], row[oi.by], id)
 	}
 	if stamp > t.maxFrom {
 		t.maxFrom = stamp
@@ -459,11 +512,11 @@ func (t *Table) Update(id RowID, vals Row) (Row, error) {
 // never depend on sweep timing.
 func (t *Table) Lookup(i int, v sqldb.Value) []RowID {
 	nv := sqldb.Normalize(v)
-	if t.parts != nil {
+	if t.parts != nil || (t.ordered != nil && t.ordered[i] != nil) {
 		if p, _ := t.keyedPart(i, nv, nil); p != nil {
 			return p.Lookup(i, nv)
 		}
-		items := t.gather(i, nv, nil)
+		items := t.gather(i, nv, Range{}, nil)
 		out := make([]RowID, len(items))
 		for k, it := range items {
 			out[k] = it.id
@@ -476,7 +529,7 @@ func (t *Table) Lookup(i int, v sqldb.Value) []RowID {
 	}
 	out := make([]RowID, 0, len(ids))
 	for _, id := range ids {
-		if t.match(id, i, nv, nil) != nil {
+		if t.match(id, i, nv, -1, nil, nil) != nil {
 			out = append(out, id)
 		}
 	}
@@ -489,11 +542,11 @@ func (t *Table) Lookup(i int, v sqldb.Value) []RowID {
 // the first error, returning it.
 func (t *Table) LookupEach(ord int, v sqldb.Value, snap *Snap, fn func(Row) error) error {
 	nv := sqldb.Normalize(v)
-	if t.parts != nil {
+	if t.parts != nil || (t.ordered != nil && t.ordered[ord] != nil) {
 		if p, psnap := t.keyedPart(ord, nv, snap); p != nil {
 			return p.LookupEach(ord, nv, psnap, fn)
 		}
-		for _, it := range t.gather(ord, nv, snap) {
+		for _, it := range t.gather(ord, nv, Range{}, snap) {
 			if err := fn(it.row); err != nil {
 				return err
 			}
@@ -510,7 +563,7 @@ func (t *Table) LookupEach(ord int, v sqldb.Value, snap *Snap, fn func(Row) erro
 		return nil
 	}
 	for _, id := range ids {
-		if r := t.match(id, ord, nv, snap); r != nil {
+		if r := t.match(id, ord, nv, -1, nil, snap); r != nil {
 			if err := fn(r); err != nil {
 				return err
 			}

@@ -93,6 +93,26 @@ func Compare(a, b Value) (int, error) {
 	return 0, fmt.Errorf("sqldb: cannot compare %T with %T", a, b)
 }
 
+// CompareOrder orders two values as ORDER BY does: NULLs first, then
+// Compare, incomparable values equal. It is the one definition of that
+// order: the executor's sort and the two-column index's posting order must
+// agree for a probe in index order to replace a sort.
+func CompareOrder(a, b Value) int {
+	switch {
+	case a == nil && b == nil:
+		return 0
+	case a == nil:
+		return -1
+	case b == nil:
+		return 1
+	}
+	c, err := Compare(a, b)
+	if err != nil {
+		return 0
+	}
+	return c
+}
+
 func cmpInt(a, b int64) int {
 	switch {
 	case a < b:

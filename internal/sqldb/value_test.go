@@ -190,3 +190,18 @@ func TestQuickCoerceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestCompareOrder(t *testing.T) {
+	for _, tc := range []struct {
+		a, b Value
+		want int
+	}{
+		{nil, nil, 0}, {nil, int64(-9), -1}, {"", nil, 1},
+		{int64(2), int64(3), -1}, {int64(3), 2.5, 1}, {"b", "a", 1}, {false, true, -1},
+		{int64(1), "1", 0}, // incomparable: equal, as ORDER BY has always had it
+	} {
+		if got := CompareOrder(tc.a, tc.b); got != tc.want {
+			t.Errorf("CompareOrder(%v, %v) = %d, want %d", tc.a, tc.b, got, tc.want)
+		}
+	}
+}
