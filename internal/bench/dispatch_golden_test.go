@@ -140,8 +140,9 @@ func TestConcurrentThroughputGains(t *testing.T) {
 
 	// Write workload: the write-pipelining acceptance criterion, with a
 	// visit-log write per page load. At 1 session the async cell is fully
-	// deterministic (one FIFO worker, no cross-session occupancy races),
-	// so the pipelined-writes gain must show exactly; at 8 sessions the
+	// deterministic (batches run in order at Submit, no cross-session
+	// occupancy races), so the pipelined-writes gain must show exactly; at
+	// 8 sessions the
 	// occupancy interleaving is scheduler-sensitive, so the cells assert
 	// conservation (same writes, same statements) and no collapse, while
 	// the report prints the measured gain (typically ~1.1x at one DB

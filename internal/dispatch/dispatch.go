@@ -1,21 +1,26 @@
 // Package dispatch is the pluggable execution pipeline between the query
 // store and the batch driver. The query store accumulates statements; a
-// Dispatcher decides WHEN and WHERE an accumulated batch executes:
+// Dispatcher decides WHEN an accumulated batch executes and when the session
+// pays for it on its virtual clock:
 //
 //   - Sync reproduces the paper's behaviour exactly: Submit rewrites the
 //     batch through the pipeline stages, executes it in one blocking round
 //     trip, and Wait just hands the results back.
 //   - Async is the pipelined-flush strategy (ROADMAP "async/pipelined
-//     flushes"): Submit enqueues the batch to a worker goroutine and
-//     returns immediately, so app-server compute overlaps batch execution;
-//     Wait blocks on the ticket and pays only the completion time the
-//     session has not already spent computing.
+//     flushes"): Submit executes the batch just as Sync does but leaves the
+//     session clock where it was, so app-server compute after Submit
+//     overlaps the round trip on the virtual timeline; Wait pays only the
+//     completion time the session has not already spent computing.
 //   - Shared is the cross-session batching strategy (ROADMAP
 //     "cross-request batching", exercised by the Fig. 7-style throughput
 //     experiment): read-only batches from concurrent sessions accumulate
 //     in a server-side window, identical lookups collapse across sessions,
 //     the combined batch executes once, and results demultiplex back per
 //     session. Write-containing batches act as per-session barriers.
+//
+// Sync and Async are one type, Local, which runs every batch on the
+// submitting session's goroutine inside Submit; the package starts no
+// goroutine (a shared window runs on whichever session closes it).
 //
 // Pipeline stages (today: the batch query-merge optimizer of
 // internal/merge) rewrite a batch before execution and demultiplex results
@@ -42,7 +47,8 @@ const (
 	// KindSync executes batches synchronously at submit time (the paper's
 	// strategy; the zero value, so existing configurations are unchanged).
 	KindSync Kind = iota
-	// KindAsync executes batches on a per-session worker goroutine.
+	// KindAsync executes batches at submit time but charges the session
+	// only when it waits.
 	KindAsync
 	// KindShared accumulates read batches across sessions in a shared
 	// window.
@@ -103,20 +109,27 @@ type BatchStats struct {
 }
 
 // Ticket is the handle for one submitted batch. Wait on it through the
-// dispatcher that issued it; a ticket is waitable exactly once by the
-// session that submitted it (the query store enforces this).
+// dispatcher that issued it, from the session that submitted it; a second
+// Wait of the same ticket returns the same outcome and charges nothing.
 type Ticket struct {
+	// stmts is the batch. Only a shared window reads it after Submit, so
+	// Shared parks a copy and the caller may reuse its slice.
 	stmts   []driver.Stmt
 	arrival time.Duration // session virtual time at Submit
 
-	// ctx is the span context this batch's execution spans parent under
-	// (the submitting flush). It is an immutable value captured at Submit,
-	// so the async worker and the shared hub read it race-free.
+	// ctx is the connection's trace context at Submit (the submitting
+	// flush), which the batch's execution spans parent under. It is an
+	// immutable value, so whichever goroutine closes a window reads it
+	// race-free.
 	ctx obs.Ctx
 
-	done chan struct{} // closed when results/err/completeAt are final
+	// done, allocated by Shared only, is closed when the ticket is final: a
+	// window entry completes on whichever goroutine closes the window, while
+	// a Local ticket is final when Submit returns.
+	done   chan struct{}
+	waited bool // settle has charged this ticket
 
-	// Owned by the executing goroutine until done is closed.
+	// Owned by the executing goroutine until the ticket is final.
 	results []*sqldb.ResultSet
 	err     error
 	// stmtErrs holds per-original-statement errors when the batch fell
@@ -128,29 +141,23 @@ type Ticket struct {
 
 // Dispatcher is the pluggable execution strategy.
 //
-// Submit hands over one batch in statement order and returns a ticket
-// without necessarily executing it. Wait blocks until the ticket's batch
-// has executed, charges any not-yet-overlapped completion time to the
-// session's clock, and returns the per-original-statement results (after
-// stage demultiplexing). Deferred reports whether Submit returns before
-// execution completes — the query store uses it to keep the synchronous
+// Submit hands over one batch in statement order and returns a ticket. It
+// takes everything else from the session's connection: the batch arrives
+// at the connection clock's current time, and its pipeline and execution
+// spans parent under the connection's trace context (driver.Conn.TraceCtx).
+// Wait returns once the ticket's batch has executed, charges any
+// not-yet-overlapped completion time to the session's clock, and returns
+// the per-original-statement results (after stage demultiplexing).
+// Deferred reports whether the session pays for a batch at Wait rather
+// than at Submit — the query store uses it to keep the synchronous
 // strategy's error surfaces byte-compatible. Close releases strategy
-// resources (the async worker); a dispatcher must not be used after Close.
+// resources; a dispatcher must not be used after Close.
 type Dispatcher interface {
 	Submit(stmts []driver.Stmt) *Ticket
 	Wait(t *Ticket) ([]*sqldb.ResultSet, BatchStats, error)
 	Deferred() bool
 	Stats() Stats
 	Close()
-}
-
-// CtxSubmitter is the optional tracing extension of Dispatcher: SubmitCtx
-// is Submit with a span context under which the batch's pipeline and
-// execution spans record. All three built-in strategies implement it; the
-// query store type-asserts, so caller-built Dispatchers without it keep
-// working untraced.
-type CtxSubmitter interface {
-	SubmitCtx(ctx obs.Ctx, stmts []driver.Stmt) *Ticket
 }
 
 // Stats counts dispatcher activity.
@@ -177,9 +184,9 @@ type Stats struct {
 	// with app-server compute: the portion of completion time a session
 	// did not have to wait for (async and shared only).
 	OverlapSaved time.Duration
-	// PeakQueue is the high-water mark of tickets waiting for the async
-	// worker — how far a burst of pipelined flushes outran execution
-	// without ever blocking Submit (async only).
+	// PeakQueue is the high-water mark of a deferred dispatcher's tickets
+	// submitted but not yet waited — how many pipelined flushes a session
+	// had in flight at once (0 under sync, where Submit pays for each).
 	PeakQueue int64
 	// Windows and Coalesced describe shared-window activity: windows
 	// closed (attempts, like StmtsOut), and statements answered by another
@@ -300,6 +307,9 @@ func containsWrite(stmts []driver.Stmt) bool {
 type statsBox struct {
 	mu    sync.Mutex
 	stats Stats
+	// pending counts a deferred dispatcher's tickets submitted and not yet
+	// settled; stats.PeakQueue is its high-water mark.
+	pending int64
 }
 
 func (b *statsBox) snapshot() Stats {
@@ -308,10 +318,16 @@ func (b *statsBox) snapshot() Stats {
 	return b.stats
 }
 
-func (b *statsBox) addSubmit(n int) {
+// addSubmit counts one submitted batch of n statements; a deferred
+// dispatcher's ticket stays pending until settle charges it.
+func (b *statsBox) addSubmit(n int, deferred bool) {
 	b.mu.Lock()
 	b.stats.Submitted++
 	b.stats.StmtsIn += int64(n)
+	if deferred {
+		b.pending++
+		b.stats.PeakQueue = max(b.stats.PeakQueue, b.pending)
+	}
 	b.mu.Unlock()
 }
 
@@ -333,8 +349,9 @@ func (st *Stats) addRun(r recovery) {
 	}
 }
 
-// runTicket executes t's own batch on conn at its stamped arrival and makes
-// the ticket final (the caller closes t.done where one exists).
+// runTicket executes t's own batch on conn at its stamped arrival, without
+// advancing any clock, and makes the ticket final (the caller closes t.done
+// where one exists).
 func (b *statsBox) runTicket(t *Ticket, conn *driver.Conn, stages []Stage, policy RetryPolicy) {
 	r := runBatch(conn, t.ctx, t.arrival, stages, t.stmts, policy)
 	t.results, t.err, t.stmtErrs = r.results, r.err, r.stmtErrs
@@ -353,13 +370,17 @@ func (b *statsBox) runTicket(t *Ticket, conn *driver.Conn, stages []Stage, polic
 // next batch.
 func (b *statsBox) settle(clock netsim.Clock, t *Ticket) ([]*sqldb.ResultSet, BatchStats, error) {
 	waited := netsim.AdvanceTo(clock, t.completeAt)
+	if !t.waited {
+		t.waited = true
+		b.mu.Lock()
+		b.pending--
+		if hidden := max(0, t.completeAt-t.arrival) - waited; t.err == nil && hidden > 0 {
+			b.stats.OverlapSaved += hidden
+		}
+		b.mu.Unlock()
+	}
 	if t.err != nil {
 		return nil, t.bs, t.err
-	}
-	if hidden := max(0, t.completeAt-t.arrival) - waited; hidden > 0 {
-		b.mu.Lock()
-		b.stats.OverlapSaved += hidden
-		b.mu.Unlock()
 	}
 	return t.results, t.bs, nil
 }

@@ -411,127 +411,71 @@ func TestSharedPoisonReleasesParkedWaiter(t *testing.T) {
 	}
 }
 
-// gateStage blocks the async worker inside the pipeline until it receives
-// one token per batch, so a test can pile up submissions behind a
-// deliberately stuck worker and release them one at a time. It logs the
-// first argument of each batch it lets through: the execution order.
-type gateStage struct {
-	release chan struct{}
-	ran     *[]sqldb.Value
-}
+// TestAsyncExecutesAtSubmit pins where and when a deferred batch runs: on
+// the session goroutine, inside Submit, priced at the session's virtual
+// time without moving it. Forty batches go out before the first Wait,
+// alternating a write and a read of the row it wrote; each has reached the
+// server when Submit returns, each read sees the write before it, and the
+// session clock stays put until Wait, which then pays exactly the
+// completion time not yet overlapped. PeakQueue counts the forty tickets
+// outstanding at once.
+func TestAsyncExecutesAtSubmit(t *testing.T) {
+	srv, connect := rig(t)
+	conn, clock := connect(time.Millisecond)
+	a := NewAsync(conn)
 
-func (g gateStage) Apply(stmts []driver.Stmt) ([]driver.Stmt, Demux, StageStats) {
-	<-g.release
-	*g.ran = append(*g.ran, stmts[0].Args[0])
-	return stmts, nil, StageStats{}
-}
-
-// TestAsyncSubmitNeverBlocks is the regression test for the fixed-depth
-// ticket channel: NewAsync once buffered 16 tickets, so a session
-// submitting more flushes than that before its first Wait blocked in
-// Submit and silently serialized on the worker. The queue is unbounded
-// now: with the worker stuck inside a batch, 40 further Submits must all
-// return, and the batches must still run in FIFO order once the worker is
-// released. It also pins the ticket queue itself: PeakQueue
-// counts waiting tickets only (not ones the worker already popped), and a
-// drained queue rewinds onto its backing array instead of allocating a new
-// one, so a second burst that fits reallocates nothing.
-func TestAsyncSubmitNeverBlocks(t *testing.T) {
-	_, connect := rig(t)
-	conn, _ := connect(0)
-	// Buffered past the 86 tickets below, so handing out tokens never blocks.
-	gate := gateStage{release: make(chan struct{}, 128), ran: new([]sqldb.Value)}
-	a := NewAsync(conn, gate)
-	defer a.Close()
-	defer close(gate.release) // a failing run must not leave Close waiting on a gated worker
-
-	var tickets []*Ticket
-	submit := func(n int) {
-		t.Helper()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for i := 0; i < n; i++ {
-				tickets = append(tickets, a.Submit([]driver.Stmt{sel(int64(len(tickets)))}))
-			}
-		}()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatal("Submit blocked on queue depth with the worker busy")
+	const n = 40
+	tickets := make([]*Ticket, n)
+	for k := range tickets {
+		stmts := []driver.Stmt{sel(1)}
+		if k%2 == 0 {
+			stmts = []driver.Stmt{{SQL: "UPDATE items SET qty = ? WHERE id = 1", Args: []sqldb.Value{int64(100 + k)}}}
+		}
+		before := srv.Stats().Queries
+		tickets[k] = a.Submit(stmts)
+		if got := srv.Stats().Queries - before; got != 1 {
+			t.Fatalf("ticket %d: Submit returned with %d statements executed, want 1", k, got)
+		}
+		if now := clock.Now(); now != 0 {
+			t.Fatalf("ticket %d: Submit moved the session clock to %v", k, now)
 		}
 	}
-	// awaitWaiting spins until exactly n tickets are queued behind the worker.
-	awaitWaiting := func(n int) {
-		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-			a.mu.Lock()
-			waiting := len(a.queue) - a.head
-			a.mu.Unlock()
-			if waiting == n {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%d tickets waiting, want %d", waiting, n)
-			}
-		}
-	}
-	release := func(n int) {
-		for i := 0; i < n; i++ {
-			gate.release <- struct{}{}
-		}
-	}
-	// drain releases the worker, waits for every ticket from tickets[from:]
-	// and requires that the batches so far ran in submission order.
-	drain := func(from int) {
-		t.Helper()
-		release(len(tickets) - from)
-		for _, tk := range tickets[from:] {
-			mustWait(t, a, tk)
-		}
-		awaitWaiting(0)
-		for i, id := range *gate.ran {
-			if id != int64(i) {
-				t.Fatalf("batch %d ran in position %d", id, i)
-			}
-		}
-		if len(*gate.ran) != len(tickets) {
-			t.Fatalf("%d of %d batches ran", len(*gate.ran), len(tickets))
-		}
+	if st := a.Stats(); st.PeakQueue != n {
+		t.Fatalf("PeakQueue = %d with %d tickets outstanding", st.PeakQueue, n)
 	}
 
-	// First burst lands while the worker has popped two of three earlier
-	// tickets without draining the queue: 1 + burst are waiting, and a count
-	// that forgot the popped prefix would report 3 + burst.
-	const burst = 40 // well past the old channel depth of 16
-	submit(3)
-	awaitWaiting(2)
-	release(1)
-	mustWait(t, a, tickets[0])
-	awaitWaiting(1)
-	submit(burst)
-	if peak := a.Stats().PeakQueue; peak != burst+1 {
-		t.Fatalf("PeakQueue = %d, want %d (every waiting submission, no popped one)", peak, burst+1)
+	// Compute between the last Submit and the first Wait hides the batches
+	// that complete before it ends; the rest are paid in order.
+	compute := tickets[n/2].completeAt
+	clock.Advance(compute)
+	var hidden time.Duration
+	for k, tk := range tickets {
+		before := clock.Now()
+		rs := mustWait(t, a, tk)
+		paid := max(0, tk.completeAt-before)
+		if now := clock.Now(); now != before+paid {
+			t.Fatalf("ticket %d: Wait moved the clock %v -> %v, want %v", k, before, now, before+paid)
+		}
+		hidden += tk.completeAt - paid
+		if k%2 == 1 && rs[0].Rows[0][2] != int64(100+k-1) {
+			t.Fatalf("ticket %d read qty %v, want the write of ticket %d (%d)", k, rs[0].Rows[0][2], k-1, 100+k-1)
+		}
 	}
-	drain(1)
-	a.mu.Lock()
-	base, capBefore := &a.queue[:1][0], cap(a.queue)
-	a.mu.Unlock()
-
-	// Second burst, one ticket larger, behind a worker stuck on its own
-	// ticket: same order guarantee, an exact new peak, the same array.
-	from := len(tickets)
-	submit(1)
-	awaitWaiting(0)
-	submit(burst + 2)
-	if peak := a.Stats().PeakQueue; peak != burst+2 {
-		t.Fatalf("PeakQueue = %d after second burst, want %d", peak, burst+2)
+	last := tickets[n-1].completeAt
+	if last <= compute || clock.Now() != last {
+		t.Fatalf("session ended at %v, want the last completion %v (after compute %v)", clock.Now(), last, compute)
 	}
-	drain(from)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if &a.queue[:1][0] != base || cap(a.queue) != capBefore {
-		t.Fatalf("ticket queue reallocated across bursts: cap %d -> %d", capBefore, cap(a.queue))
+	st := a.Stats()
+	if st.OverlapSaved != hidden {
+		t.Fatalf("OverlapSaved = %v, want the hidden time %v", st.OverlapSaved, hidden)
+	}
+	if st.PeakQueue != n || st.Submitted != n {
+		t.Fatalf("stats after the waits: %+v", st)
+	}
+	s := NewSync(conn)
+	mustWait(t, s, s.Submit([]driver.Stmt{sel(1)}))
+	if peak := s.Stats().PeakQueue; peak != 0 {
+		t.Fatalf("sync PeakQueue = %d, want 0", peak)
 	}
 }
 

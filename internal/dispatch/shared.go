@@ -1,11 +1,11 @@
 package dispatch
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/driver"
 	"repro/internal/merge"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/sqldb"
 )
@@ -459,7 +459,6 @@ var _ Dispatcher = (*Shared)(nil)
 type Shared struct {
 	hub    *Hub
 	conn   *driver.Conn
-	clock  netsim.Clock
 	stages []Stage
 	retry  RetryPolicy
 	box    statsBox
@@ -474,7 +473,7 @@ type Shared struct {
 // session's write-containing batches (which bypass the window); window
 // batches use the hub's stages.
 func NewShared(hub *Hub, conn *driver.Conn, stages ...Stage) *Shared {
-	s := &Shared{hub: hub, conn: conn, clock: conn.Clock(), stages: stages}
+	s := &Shared{hub: hub, conn: conn, stages: stages}
 	s.id = hub.register(s)
 	s.hub.box.mu.Lock()
 	s.retry = hub.retry
@@ -492,18 +491,16 @@ func (s *Shared) Hub() *Hub { return s.hub }
 // Submit routes the batch: reads accumulate in the shared window, writes
 // barrier this session's window reads and execute on the session
 // connection. Both return in session virtual time (completion is paid at
-// Wait).
+// Wait). Window entries record their spans under the connection's trace
+// context when their window closes; write barriers record their execution
+// spans directly.
 func (s *Shared) Submit(stmts []driver.Stmt) *Ticket {
-	return s.SubmitCtx(obs.Ctx{}, stmts)
-}
-
-// SubmitCtx is Submit with a span context: window entries record under it
-// when their window closes, write barriers record their execution spans
-// directly.
-func (s *Shared) SubmitCtx(ctx obs.Ctx, stmts []driver.Stmt) *Ticket {
-	s.box.addSubmit(len(stmts))
-	t := &Ticket{stmts: stmts, arrival: s.clock.Now(), ctx: ctx, done: make(chan struct{})}
+	s.box.addSubmit(len(stmts), true)
+	t := &Ticket{stmts: stmts, arrival: s.conn.Clock().Now(), ctx: s.conn.TraceCtx(), done: make(chan struct{})}
 	if !containsWrite(stmts) {
+		// The window reads the batch when it closes, after the caller may
+		// have reused the slice for its next batch: park a copy.
+		t.stmts = slices.Clone(stmts)
 		s.lastWindow = t
 		s.hub.add(t, s)
 		return t
@@ -538,7 +535,7 @@ func (s *Shared) Wait(t *Ticket) ([]*sqldb.ResultSet, BatchStats, error) {
 	default:
 		s.hub.waitForTicket(t)
 	}
-	return s.box.settle(s.clock, t)
+	return s.box.settle(s.conn.Clock(), t)
 }
 
 // Deferred reports that Submit returns before execution completes.

@@ -647,9 +647,10 @@ func (s *Server) laneName(lane int) string {
 }
 
 // Conn is a client connection: an engine session reached across a link.
-// A Conn must have at most one goroutine executing batches at a time (the
-// dispatch layer serializes: either the session thread or a single worker),
-// matching JDBC connections; its counters are safe to read concurrently.
+// It has one executing goroutine, its session's, matching JDBC connections
+// (a shared hub's connection executes under the hub's window lock, on
+// whichever session closes the window); its counters are safe to read
+// concurrently.
 type Conn struct {
 	srv   *Server
 	link  *netsim.Link
@@ -658,12 +659,10 @@ type Conn struct {
 
 	queriesSent atomic.Int64
 
-	// traceCtx is the span context blocking calls (ExecBatch, Query)
-	// parent their execution spans under — the page root while a load is
-	// in flight. Owned by the session thread: only the session thread sets
-	// it and only the session-thread entry points read it, so the async
-	// worker (which always carries an explicit ticket context through Exec)
-	// never touches it.
+	// traceCtx is the span context this connection's work records under:
+	// the page root for blocking calls (ExecBatch, Query) while a load is in
+	// flight, the flush span while the query store submits a batch (the
+	// dispatcher stamps it on the ticket). Session goroutine only.
 	traceCtx obs.Ctx
 }
 
@@ -680,11 +679,11 @@ func (c *Conn) Link() *netsim.Link { return c.link }
 // Clock exposes the connection's virtual timeline (the link's clock).
 func (c *Conn) Clock() netsim.Clock { return c.clock }
 
-// SetTraceCtx installs the span context for this connection's blocking
-// executions (session thread only; see the field comment).
+// SetTraceCtx installs the span context for this connection's work
+// (session goroutine only; see the field comment).
 func (c *Conn) SetTraceCtx(ctx obs.Ctx) { c.traceCtx = ctx }
 
-// TraceCtx returns the installed span context (session thread only).
+// TraceCtx returns the installed span context (session goroutine only).
 func (c *Conn) TraceCtx() obs.Ctx { return c.traceCtx }
 
 // QueriesSent reports how many statements this connection has shipped.
@@ -712,12 +711,13 @@ func (c *Conn) Query(sql string, args ...sqldb.Value) (*sqldb.ResultSet, error) 
 // `arrival`; the returned completion time is when its single round trip
 // finishes on the shared timeline — queueing behind earlier batches for
 // server capacity, then paying server cost and link latency. Deferred
-// dispatch strategies pay (completion - now) only when a session actually
-// waits, which is how app-server compute overlaps DB time on the virtual
-// clock. The third result is how many storage shards the batch occupied
-// (its scatter width: 1 on an unsharded server, up to the shard count for
-// scans and cross-shard IN lists), which the dispatch layer threads into
-// BatchStats so the querystore's reports can show routing effectiveness.
+// dispatch strategies run the batch at Submit and pay (completion - now)
+// only when the session actually waits, which is how app-server compute
+// overlaps DB time on the virtual clock. The third result is how many
+// storage shards the batch occupied (its scatter width: 1 on an unsharded
+// server, up to the shard count for scans and cross-shard IN lists), which
+// the dispatch layer threads into BatchStats so the querystore's reports
+// can show routing effectiveness.
 //
 // When ctx records, the batch's round trip becomes an "exec" span under ctx
 // holding the queue wait (if the batch queued for a DB worker), the server

@@ -129,10 +129,10 @@ type Stats struct {
 	GroupsByFamily [NumFamilies]int64
 }
 
-// Merger is the batch optimizer. Rewrites themselves serialize per
-// dispatcher (one session thread or one worker goroutine at a time), but
-// since the dispatch layer may run them on a worker goroutine while the
-// session thread reads Stats, the counters are mutex-guarded.
+// Merger is the batch optimizer. A session's own merger rewrites on that
+// session's goroutine, inside Submit; the mutex is there for a shared hub's
+// merger, whose rewrites run on whichever session closes a window while
+// other sessions may read Stats.
 type Merger struct {
 	cfg Config
 

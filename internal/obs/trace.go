@@ -21,10 +21,11 @@
 //
 // Span parents are threaded explicitly, never through goroutine-local
 // state: webapp.Load opens a page root and hands the Ctx to the query
-// store, which parents flush spans under it and stores the flush Ctx in
-// the dispatch Ticket, so the async worker or the shared hub — executing
-// on another goroutine — still attaches execution spans to the right
-// branch of the right page tree.
+// store, which parents flush spans under it and installs the flush Ctx on
+// its connection while it submits; the dispatcher stamps it on the
+// dispatch Ticket, so a shared hub window — closed on another session's
+// goroutine — still attaches execution spans to the right branch of the
+// right page tree.
 package obs
 
 import (
@@ -77,9 +78,9 @@ type Span struct {
 	Args    []Arg
 }
 
-// Tracer records spans. It is safe for concurrent use: the dispatch
-// pipeline records from session goroutines, the async worker, and the
-// shared hub at once.
+// Tracer records spans. It is safe for concurrent use: concurrent sessions
+// record from their own goroutines, and a shared hub window records from
+// whichever session closes it.
 type Tracer struct {
 	enabled atomic.Bool
 	host    atomic.Bool
@@ -194,8 +195,8 @@ func (t *Tracer) Root(track, cat, name string, start time.Duration, args ...Arg)
 // The zero value is the disabled context — every method on it is a no-op —
 // so instrumentation threads Ctx values unconditionally and pays only a
 // nil check when tracing is off. Ctx is an immutable value and safe to
-// hand across goroutines (ticket contexts cross into the async worker and
-// the shared hub).
+// hand across goroutines (a shared window's ticket contexts are read by
+// whichever session closes it).
 type Ctx struct {
 	t     *Tracer
 	id    SpanID

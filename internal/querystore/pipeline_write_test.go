@@ -15,8 +15,8 @@ import (
 // dropped.
 
 // TestPipelinedWriteReadYourWrites: a read registered after a pipelined
-// write observes the write's effect — the FIFO worker executes the write's
-// batch before the read's.
+// write observes the write's effect — the write's batch executes at its
+// Submit, before the read's is submitted.
 func TestPipelinedWriteReadYourWrites(t *testing.T) {
 	s, _ := rig(t, Config{Dispatch: dispatch.KindAsync, PipelineWrites: true})
 	defer s.Close()

@@ -17,10 +17,11 @@
 //   - GetResultSet(id) returns the cached result if the id's batch already
 //     ran, and otherwise flushes the pending batch in one round trip.
 //
-// WHEN a flushed batch executes is delegated to a dispatch.Dispatcher
-// (internal/dispatch): synchronously at the flush point (the paper's
-// strategy), asynchronously on a worker goroutine so app compute overlaps
-// execution, or through a cross-session shared accumulation window. The
+// WHEN a flushed batch executes, and when the session pays for it, is
+// delegated to a dispatch.Dispatcher (internal/dispatch): synchronously at
+// the flush point (the paper's strategy), at the flush point but paid only
+// at force time so app compute overlaps the round trip on the virtual
+// clock, or through a cross-session shared accumulation window. The
 // store's own contract is unchanged under every strategy: results per
 // query id are identical, and a batch that failed reports its execution
 // error at force time for every id it carried (deferred-error delivery).
@@ -150,8 +151,9 @@ type inflight struct {
 // Store is a per-request (per-session) query store; a session that serves
 // many requests marks each boundary with EndRequest. It is not safe for
 // concurrent use: Sloth's execution model is one request thread evaluating
-// its own lazy computation, matching the paper's per-client batching. (The
-// dispatcher behind it may execute batches on other goroutines.)
+// its own lazy computation, matching the paper's per-client batching. (A
+// shared window may execute this store's reads on another session's
+// goroutine; every other batch runs on the store's own.)
 type Store struct {
 	conn   *driver.Conn
 	cfg    Config
@@ -193,22 +195,25 @@ func New(conn *driver.Conn, cfg Config) *Store {
 		s.merger = merge.New(cfg.Merge)
 		stages = append(stages, dispatch.MergeStage(s.merger))
 	}
+	var local *dispatch.Local
 	switch cfg.Dispatch {
-	case dispatch.KindAsync:
-		s.disp = dispatch.NewAsync(conn, stages...)
 	case dispatch.KindShared:
 		if cfg.Hub == nil {
 			panic("querystore: KindShared requires Config.Hub")
 		}
-		s.disp = dispatch.NewShared(cfg.Hub, conn, stages...)
-	default:
-		s.disp = dispatch.NewSync(conn, stages...)
-	}
-	if cfg.Retry.MaxAttempts > 1 {
-		if rd, ok := s.disp.(interface{ SetRetry(dispatch.RetryPolicy) }); ok {
-			rd.SetRetry(cfg.Retry)
+		shared := dispatch.NewShared(cfg.Hub, conn, stages...)
+		if cfg.Retry.MaxAttempts > 1 { // else keep the hub's policy
+			shared.SetRetry(cfg.Retry)
 		}
+		s.disp = shared
+		return s
+	case dispatch.KindAsync:
+		local = dispatch.NewAsync(conn, stages...)
+	default:
+		local = dispatch.NewSync(conn, stages...)
 	}
+	local.SetRetry(cfg.Retry)
+	s.disp = local
 	return s
 }
 
@@ -222,9 +227,9 @@ func NewWithDispatcher(conn *driver.Conn, cfg Config, disp dispatch.Dispatcher) 
 // Close collects every in-flight batch — recording any deferred execution
 // error against the ids it carried, exactly like a read barrier, so a
 // pipelined write that failed after the last force is never dropped — and
-// then releases dispatcher resources (the async worker goroutine). Close
-// is the last delivery point: a pending pipelined-write error joins any
-// batch error in the return value rather than being discarded. Results
+// then closes the dispatcher. Close is the last delivery point: a pending
+// pipelined-write error joins any batch error in the return value rather
+// than being discarded. Results
 // already cached remain readable; no further registrations should follow.
 // Statements still pending in the unsubmitted queue are discarded, as the
 // paper's store does for speculative reads nobody forced.
@@ -450,51 +455,50 @@ func (s *Store) submit(trigger string) {
 		return
 	}
 	batch := s.queue
-	s.queue = nil
 	s.dedup.Reset()
 
-	stmts := make([]driver.Stmt, len(batch))
-	copy(stmts, batch)
-	for i := range stmts {
+	for i := range batch {
 		// Parse-once threading: attach the interned AST here, at submit
 		// time, so the merge analyzer, the driver's cost loop, and the
 		// engine all consume one parse per distinct SQL text. Malformed
 		// statements keep a nil AST — execution re-derives the (interned)
 		// parse error and reports it through the usual deferred path.
-		if stmts[i].Parsed == nil {
-			if parsed, err := plan.ParseCached(stmts[i].SQL); err == nil {
-				stmts[i].Parsed = parsed
+		if batch[i].Parsed == nil {
+			if parsed, err := plan.ParseCached(batch[i].SQL); err == nil {
+				batch[i].Parsed = parsed
 			}
 		}
 	}
 	if s.cfg.Record != nil {
-		// Hand the recorder its own copy: merge stages may rewrite the
-		// submitted slice in place.
-		s.cfg.Record(append([]driver.Stmt(nil), stmts...))
+		// Hand the recorder its own copy: the queue's array holds the next
+		// batch once this one is submitted.
+		s.cfg.Record(append([]driver.Stmt(nil), batch...))
 	}
 	// The flush span covers submit to submit-return: under the synchronous
 	// dispatcher that is the whole blocking round trip, under deferred
-	// dispatchers it is a handoff instant and the execution spans attach
-	// later from the worker or hub via the ticket's context.
+	// dispatchers it is a zero-width handoff on the session clock, with the
+	// execution spans under it stamped at their own virtual times.
 	var fctx obs.Ctx
 	if s.traceCtx.Enabled() {
 		fctx = s.traceCtx.Child("flush", "flush", s.conn.Clock().Now(),
 			obs.Arg{K: "trigger", V: trigger},
 			obs.Arg{K: "stmts", V: len(batch)})
 	}
-	var t *dispatch.Ticket
-	if cs, ok := s.disp.(dispatch.CtxSubmitter); ok && fctx.Enabled() {
-		t = cs.SubmitCtx(fctx, stmts)
-	} else {
-		t = s.disp.Submit(stmts)
-	}
+	// A dispatcher takes the batch's span context from the connection, as it
+	// takes the arrival time from the connection's clock: the flush span is
+	// the connection's context for the duration of Submit.
+	prev := s.conn.TraceCtx()
+	s.conn.SetTraceCtx(fctx)
+	t := s.disp.Submit(batch)
+	s.conn.SetTraceCtx(prev)
 	fctx.End(s.conn.Clock().Now())
 	s.inflight = append(s.inflight, inflight{t: t, first: s.nextID - QueryID(len(batch)), n: len(batch), ctx: fctx})
 	s.stats.Batches++
 	if len(batch) > s.stats.MaxBatch {
 		s.stats.MaxBatch = len(batch)
 	}
-	// Reuse the drained queue's backing array for the next batch.
+	// The dispatcher is done with the batch when Submit returns (a shared
+	// window parks its own copy), so the next batch reuses the array.
 	s.queue = batch[:0]
 }
 

@@ -644,6 +644,41 @@ func TestSharedStoresCoalesceViaHub(t *testing.T) {
 	}
 }
 
+// TestSharedWindowKeepsSubmittedBatch: the store hands its queue to the
+// dispatcher and reuses the array for the next batch, so a shared window —
+// which reads its entries only when it closes — must park its own copy.
+// A and B wait in a quorum-less window while C and D are registered into
+// the same array; forcing A then closes the window with both batches, and
+// every id must still answer its own statement.
+func TestSharedWindowKeepsSubmittedBatch(t *testing.T) {
+	_, _, mk := sharedRig(t, merge.Config{})
+	s := mk()
+	reg := func(sql string, arg int64) QueryID {
+		t.Helper()
+		id, err := s.Register(sql, arg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	const byID = "SELECT name FROM items WHERE id = ?"
+	a, b := reg(byID, 1), reg(byID, 2)
+	s.FlushAsync()
+	c, d := reg(byID, 3), reg("SELECT name FROM items WHERE qty > ? ORDER BY id", 6)
+	for _, tc := range []struct {
+		id   QueryID
+		want string
+	}{{a, "[[apple]]"}, {b, "[[pear]]"}, {c, "[[fig]]"}, {d, "[[pear]]"}} {
+		rs, err := s.ResultSet(tc.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(rs.Rows); got != tc.want {
+			t.Fatalf("id %d: rows %s, want %s", tc.id, got, tc.want)
+		}
+	}
+}
+
 // sharedRig builds a server and a hub (with the given hub stages built
 // from cfgMerge) plus a store factory for shared-dispatch stores.
 func sharedRig(t *testing.T, cfgMerge merge.Config) (*driver.Server, *dispatch.Hub, func() *Store) {
