@@ -52,6 +52,9 @@ func (e DirectExecutor) Query(sql string, args ...sqldb.Value) (*sqldb.ResultSet
 // SlothExecutor is the Sloth-compiled application: every statement becomes
 // a thunk registered with the query store and forced immediately (results
 // are consumed right away, so laziness buys nothing — only overhead).
+// Because the result is consumed at once, the statement is the request: the
+// store is told so once the thunk is forced, and a long-lived store holds
+// one statement's results rather than every result it has fetched.
 type SlothExecutor struct{ Store *querystore.Store }
 
 // Query implements Executor.
@@ -59,6 +62,7 @@ func (e SlothExecutor) Query(sql string, args ...sqldb.Value) (*sqldb.ResultSet,
 	th := querystore.Lazy(e.Store, sql, args...)
 	_ = thunk.IsThunk(th) // the thunk is the unit of laziness being priced
 	res := th.Force()
+	e.Store.EndRequest()
 	return res.RS, res.Err
 }
 

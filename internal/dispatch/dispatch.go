@@ -109,8 +109,10 @@ type BatchStats struct {
 }
 
 // Ticket is the handle for one submitted batch. Wait on it through the
-// dispatcher that issued it, from the session that submitted it; a second
-// Wait of the same ticket returns the same outcome and charges nothing.
+// dispatcher that issued it, from the session that submitted it. A NewSync
+// ticket is valid until that dispatcher's next Submit, which reuses it for
+// the next batch; any other ticket may be waited again, returning the same
+// outcome and charging nothing.
 type Ticket struct {
 	// stmts is the batch. Only a shared window reads it after Submit, so
 	// Shared parks a copy and the caller may reuse its slice.
@@ -147,7 +149,10 @@ type Ticket struct {
 // spans parent under the connection's trace context (driver.Conn.TraceCtx).
 // Wait returns once the ticket's batch has executed, charges any
 // not-yet-overlapped completion time to the session's clock, and returns
-// the per-original-statement results (after stage demultiplexing).
+// the per-original-statement results (after stage demultiplexing). A
+// ticket stays valid at least until the issuing dispatcher's next Submit
+// (the synchronous strategy reuses one ticket), so wait on it before
+// submitting again unless the strategy is deferred.
 // Deferred reports whether the session pays for a batch at Wait rather
 // than at Submit — the query store uses it to keep the synchronous
 // strategy's error surfaces byte-compatible. Close releases strategy
@@ -319,16 +324,15 @@ func (b *statsBox) snapshot() Stats {
 }
 
 // addSubmit counts one submitted batch of n statements; a deferred
-// dispatcher's ticket stays pending until settle charges it.
+// dispatcher's ticket stays pending until settle charges it. The caller
+// holds the box's lock.
 func (b *statsBox) addSubmit(n int, deferred bool) {
-	b.mu.Lock()
 	b.stats.Submitted++
 	b.stats.StmtsIn += int64(n)
 	if deferred {
 		b.pending++
 		b.stats.PeakQueue = max(b.stats.PeakQueue, b.pending)
 	}
-	b.mu.Unlock()
 }
 
 // addRun accounts one batch run; the caller holds the box's lock. Attempts
@@ -350,14 +354,16 @@ func (st *Stats) addRun(r recovery) {
 }
 
 // runTicket executes t's own batch on conn at its stamped arrival, without
-// advancing any clock, and makes the ticket final (the caller closes t.done
-// where one exists).
-func (b *statsBox) runTicket(t *Ticket, conn *driver.Conn, stages []Stage, policy RetryPolicy) {
+// advancing any clock, makes the ticket final (the caller closes t.done
+// where one exists), and counts the batch's submission and run under one
+// acquisition of the lock.
+func (b *statsBox) runTicket(t *Ticket, conn *driver.Conn, stages []Stage, policy RetryPolicy, deferred bool) {
 	r := runBatch(conn, t.ctx, t.arrival, stages, t.stmts, policy)
 	t.results, t.err, t.stmtErrs = r.results, r.err, r.stmtErrs
 	t.completeAt = r.done
 	t.bs = BatchStats{Sent: r.sent, Saved: r.ss.Saved, Groups: r.ss.Groups, SavedByFamily: r.ss.SavedByFamily, Shards: r.shards}
 	b.mu.Lock()
+	b.addSubmit(len(t.stmts), deferred)
 	b.stats.addRun(r)
 	b.mu.Unlock()
 }

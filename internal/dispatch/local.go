@@ -23,6 +23,10 @@ type Local struct {
 	retry    RetryPolicy
 	deferred bool
 	box      statsBox
+	// ticket is the one ticket NewSync hands out, reset by every Submit (see
+	// Ticket). NewAsync allocates one per batch: several are in flight at
+	// once.
+	ticket Ticket
 }
 
 // NewSync creates the synchronous dispatcher.
@@ -39,12 +43,16 @@ func NewAsync(conn *driver.Conn, stages ...Stage) *Local {
 // dispatcher's batches. Call before submitting.
 func (d *Local) SetRetry(p RetryPolicy) { d.retry = p }
 
-// Submit executes the batch now; the returned ticket is already final.
+// Submit executes the batch now; the returned ticket is already final. Under
+// NewSync it is the dispatcher's own ticket, valid until the next Submit.
 func (d *Local) Submit(stmts []driver.Stmt) *Ticket {
-	d.box.addSubmit(len(stmts), d.deferred)
 	clock := d.conn.Clock()
-	t := &Ticket{stmts: stmts, arrival: clock.Now(), ctx: d.conn.TraceCtx()}
-	d.box.runTicket(t, d.conn, d.stages, d.retry)
+	t := &d.ticket
+	if d.deferred {
+		t = new(Ticket)
+	}
+	*t = Ticket{stmts: stmts, arrival: clock.Now(), ctx: d.conn.TraceCtx()}
+	d.box.runTicket(t, d.conn, d.stages, d.retry, d.deferred)
 	if !d.deferred {
 		// The session pays the virtual time it observed — on terminal failure
 		// too, where completeAt is the last failure-observation time (the

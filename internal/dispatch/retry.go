@@ -193,5 +193,5 @@ func runBatch(conn *driver.Conn, ctx obs.Ctx, arrival time.Duration, stages []St
 // when the batch either fully succeeded or failed terminally). Index i
 // corresponds to the i-th statement submitted in this ticket's batch; nil
 // entries succeeded and have their result in the Wait results. Valid after
-// Wait returns.
+// Wait returns, for as long as the ticket is (see Ticket).
 func (t *Ticket) StmtErrs() []error { return t.stmtErrs }

@@ -127,6 +127,75 @@ func TestDegradationIsolatesPoison(t *testing.T) {
 	}
 }
 
+// TestSyncTicketReuse: a synchronous dispatcher hands out one ticket, and
+// each Submit makes it the next batch's alone. Three batches — a merged read
+// family that degrades around a poisoned key, a write, then a clean read —
+// each return their own results, batch stats, per-statement errors, arrival
+// and completion time, none of them left over from the batch before.
+func TestSyncTicketReuse(t *testing.T) {
+	srv, connect := rig(t)
+	srv.SetFaults(faults.NewPlane(faults.Config{PoisonArgs: []sqldb.Value{int64(2)}}))
+	conn, clock := connect(time.Millisecond)
+	d := NewSync(conn, MergeStage(merge.New(merge.Config{Enabled: true})))
+	d.SetRetry(retryPolicy())
+
+	var first *Ticket
+	submit := func(step string, stmts ...driver.Stmt) (*Ticket, []*sqldb.ResultSet, BatchStats) {
+		t.Helper()
+		before := clock.Now()
+		tk := d.Submit(stmts)
+		if first == nil {
+			first = tk
+		} else if tk != first {
+			t.Fatalf("%s: Submit returned a new ticket", step)
+		}
+		if tk.arrival != before || tk.completeAt <= before || clock.Now() != tk.completeAt {
+			t.Fatalf("%s: arrival %v, completion %v, clock %v -> %v", step, tk.arrival, tk.completeAt, before, clock.Now())
+		}
+		rs, bs, err := d.Wait(tk)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if len(rs) != len(stmts) {
+			t.Fatalf("%s: %d results for %d statements", step, len(rs), len(stmts))
+		}
+		return tk, rs, bs
+	}
+
+	tk, rs, bs := submit("read", sel(1), sel(2), sel(3))
+	if se := tk.StmtErrs(); se == nil || se[0] != nil || !errors.Is(se[1], faults.ErrPermanent) || se[2] != nil {
+		t.Fatalf("read: stmtErrs = %v", se)
+	}
+	if rs[0].Rows[0][1] != "apple" || rs[1] != nil || rs[2].Rows[0][1] != "fig" {
+		t.Fatalf("read: results %v", rs)
+	}
+	if bs.Saved != 2 || bs.Groups != 1 {
+		t.Fatalf("read: batch stats %+v, want the merged family's", bs)
+	}
+
+	tk, rs, bs = submit("write", driver.Stmt{SQL: "UPDATE items SET qty = ? WHERE id = ?", Args: []sqldb.Value{int64(40), int64(3)}})
+	if tk.StmtErrs() != nil || rs[0].RowsAffected != 1 || len(rs[0].Rows) != 0 {
+		t.Fatalf("write: stmtErrs %v, result %+v", tk.StmtErrs(), rs[0])
+	}
+	if bs != (BatchStats{Sent: 1, Shards: bs.Shards}) {
+		t.Fatalf("write: batch stats %+v carry the read's", bs)
+	}
+
+	tk, rs, bs = submit("read again", sel(3))
+	if tk.StmtErrs() != nil || rs[0].Rows[0][2] != int64(40) {
+		t.Fatalf("read again: stmtErrs %v, rows %v", tk.StmtErrs(), rs[0].Rows)
+	}
+	if bs != (BatchStats{Sent: 1, Shards: bs.Shards}) {
+		t.Fatalf("read again: batch stats %+v", bs)
+	}
+
+	st := d.Stats()
+	if st.Submitted != 3 || st.StmtsIn != 5 || st.StmtsOut != 3 || st.MergeSaved != 2 || st.MergeGroups != 1 ||
+		st.Degraded != 1 || st.Errors != 0 || st.PeakQueue != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
 // TestSharedWindowDegradation: a poisoned key contributed by one session
 // fails that session's statement only; the other session's coalesced window
 // queries all succeed, and the hub counts retries separately from errors.

@@ -495,9 +495,11 @@ func (s *Shared) Hub() *Hub { return s.hub }
 // context when their window closes; write barriers record their execution
 // spans directly.
 func (s *Shared) Submit(stmts []driver.Stmt) *Ticket {
-	s.box.addSubmit(len(stmts), true)
 	t := &Ticket{stmts: stmts, arrival: s.conn.Clock().Now(), ctx: s.conn.TraceCtx(), done: make(chan struct{})}
 	if !containsWrite(stmts) {
+		s.box.mu.Lock()
+		s.box.addSubmit(len(stmts), true)
+		s.box.mu.Unlock()
 		// The window reads the batch when it closes, after the caller may
 		// have reused the slice for its next batch: park a copy.
 		t.stmts = slices.Clone(stmts)
@@ -521,7 +523,7 @@ func (s *Shared) Submit(stmts []driver.Stmt) *Ticket {
 	// recovery loop may retry it freely: injected failures fire before
 	// execution, and a real execution error is permanent — it surfaces
 	// exactly once, here.
-	s.box.runTicket(t, s.conn, s.stages, s.retry)
+	s.box.runTicket(t, s.conn, s.stages, s.retry, true)
 	close(t.done)
 	return t
 }

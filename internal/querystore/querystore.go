@@ -140,7 +140,10 @@ type Stats struct {
 }
 
 // inflight is one submitted batch whose results have not been collected.
-// Ids are dense, so the batch carried first, first+1, ..., first+n-1.
+// Ids are dense, so the batch carried first, first+1, ..., first+n-1. Under
+// the synchronous dispatcher t is the dispatcher's one reused ticket; every
+// synchronous flush collects before it returns, so it is never in flight
+// beside another.
 type inflight struct {
 	t     *dispatch.Ticket
 	first QueryID

@@ -209,6 +209,7 @@ func (s *Session) execInsert(p *plan.InsertPlan, args []sqldb.Value) (*sqldb.Res
 			}
 			row[p.Ordinals[j]] = v
 		}
+		// Storage adopts row as the stored image: from here on it is only read.
 		id, err := t.Insert(row)
 		if err != nil {
 			return nil, err
@@ -246,7 +247,7 @@ func (s *Session) execUpdate(p *plan.UpdatePlan, args []sqldb.Value) (*sqldb.Res
 			}
 			newRow[p.SetOrds[i]] = v
 		}
-		old, err := p.T.Update(id, newRow)
+		old, err := p.T.Update(id, newRow) // storage adopts newRow
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -94,6 +95,66 @@ func TestPrimaryKeyUniqueness(t *testing.T) {
 	}
 	if _, err := tbl.Insert(Row{int64(1), "Bob", int64(20)}); err == nil {
 		t.Fatal("expected duplicate key error")
+	}
+}
+
+// TestRowOwnership: Insert and Update adopt the caller's row — each value is
+// coerced in place and the slice becomes the stored image, indexed under the
+// coerced values — and a row rejected for a duplicate key, a wrong arity or
+// an uncoercible value leaves the rows, every index and the id allocator as
+// they were.
+func TestRowOwnership(t *testing.T) {
+	tbl := patientTable(t)
+	if err := tbl.AddIndex("age", false); err != nil {
+		t.Fatal(err)
+	}
+	adopted := func(step string, id RowID, vals Row, age int64) {
+		t.Helper()
+		stored, ok := tbl.RowAt(id, nil)
+		if !ok || &stored[0] != &vals[0] {
+			t.Fatalf("%s: stored image %v is not the caller's row", step, stored)
+		}
+		if vals[0] != int64(1) || vals[2] != age {
+			t.Fatalf("%s: row not coerced in place: %#v", step, vals)
+		}
+		if ids := tbl.Lookup(2, age); len(ids) != 1 || ids[0] != id {
+			t.Fatalf("%s: age index holds %v for %d", step, ids, age)
+		}
+	}
+	vals := Row{1, "Bob", 25} // plain ints, not int64
+	id, err := tbl.Insert(vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adopted("insert", id, vals, 25)
+	vals = Row{1.0, "Bob", 26} // a float key, coerced to the INT column
+	if _, err := tbl.Update(id, vals); err != nil {
+		t.Fatal(err)
+	}
+	adopted("update", id, vals, 26)
+	id2, err := tbl.Insert(Row{int64(2), "Cid", int64(40)})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	state := func() string {
+		return fmt.Sprint(snapshot(tbl), tbl.indexes, tbl.NumRows(), tbl.nextID)
+	}
+	before := state()
+	for _, bad := range []Row{
+		{int64(1), "Dup", int64(50)},
+		{int64(3), "Short"},
+		{int64(3), int64(5), int64(50)},
+	} {
+		if _, err := tbl.Insert(bad); err == nil {
+			t.Fatalf("Insert(%v) admitted", bad)
+		}
+		if _, err := tbl.Update(id2, bad); err == nil {
+			t.Fatalf("Update(%v) admitted", bad)
+		}
+	}
+	if after := state(); after != before {
+		t.Fatalf("rejected rows changed the table:\n before %s\n after  %s", before, after)
 	}
 }
 

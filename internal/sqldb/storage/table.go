@@ -347,19 +347,19 @@ func (t *Table) uniqueConflict(ord int, v sqldb.Value, exclude RowID) bool {
 }
 
 // validate is the one admission check every row image passes, on plain
-// tables and views alike: arity, per-column coercion, then the unique
-// constraints in ascending column order. old is the image being replaced
-// and exclude its id (nil and -1 for an insert); a unique value old already
-// holds is not re-checked.
-func (t *Table) validate(vals, old Row, exclude RowID) (Row, error) {
-	if len(vals) != len(t.Columns) {
-		return nil, fmt.Errorf("storage: table %q: got %d values, want %d", t.Name, len(vals), len(t.Columns))
+// tables and views alike: arity, per-column coercion — in place, since row
+// is the caller's to give (see Insert) — then the unique constraints in
+// ascending column order. old is the image being replaced and exclude its
+// id (nil and -1 for an insert); a unique value old already holds is not
+// re-checked. A rejected row leaves the table untouched.
+func (t *Table) validate(row, old Row, exclude RowID) error {
+	if len(row) != len(t.Columns) {
+		return fmt.Errorf("storage: table %q: got %d values, want %d", t.Name, len(row), len(t.Columns))
 	}
-	row := make(Row, len(vals))
-	for i, v := range vals {
+	for i, v := range row {
 		cv, err := sqldb.Coerce(sqldb.Normalize(v), t.Columns[i].Type)
 		if err != nil {
-			return nil, fmt.Errorf("storage: table %q column %q: %w", t.Name, t.Columns[i].Name, err)
+			return fmt.Errorf("storage: table %q column %q: %w", t.Name, t.Columns[i].Name, err)
 		}
 		row[i] = cv
 	}
@@ -368,23 +368,27 @@ func (t *Table) validate(vals, old Row, exclude RowID) (Row, error) {
 			continue
 		}
 		if t.uniqueConflict(i, row[i], exclude) {
-			return nil, fmt.Errorf("storage: table %q: duplicate key %v for column %q", t.Name, row[i], t.Columns[i].Name)
+			return fmt.Errorf("storage: table %q: duplicate key %v for column %q", t.Name, row[i], t.Columns[i].Name)
 		}
 	}
-	return row, nil
+	return nil
 }
 
 // Insert validates, coerces, and stores a row, returning its id. Ids come
 // from the table's own allocator — a view's parts share the view's, so id
 // order is insertion order at any shard count.
+//
+// Insert takes ownership of vals: each value is coerced in place and, once
+// admitted, the slice itself becomes the stored (immutable) image. The
+// caller must not write to vals afterwards, whether the row was admitted or
+// rejected; reading it is safe.
 func (t *Table) Insert(vals Row) (RowID, error) {
-	row, err := t.validate(vals, nil, -1)
-	if err != nil {
+	if err := t.validate(vals, nil, -1); err != nil {
 		return 0, err
 	}
 	id := t.nextID
 	t.nextID++
-	t.home(row, id).install(id, row)
+	t.home(vals, id).install(id, vals)
 	return id, nil
 }
 
@@ -484,22 +488,21 @@ func (t *Table) Delete(id RowID) (Row, bool) {
 // view whose new partition value hashes to a different shard the row moves:
 // the delete-and-reinsert pair runs inside one publication scope (opened
 // here when the caller has none), so no snapshot ever sees the row on zero
-// or two shards.
+// or two shards. Update takes ownership of vals exactly as Insert does.
 func (t *Table) Update(id RowID, vals Row) (Row, error) {
 	cur, head := t.holder(id)
 	if cur == nil {
 		return nil, fmt.Errorf("storage: table %q: no row %d", t.Name, id)
 	}
-	row, err := t.validate(vals, head.row, id)
-	if err != nil {
+	if err := t.validate(vals, head.row, id); err != nil {
 		return nil, err
 	}
-	dst := t.home(row, id)
+	dst := t.home(vals, id)
 	if dst != cur && t.coord.mv.depth == 0 {
 		t.coord.beginStmtAll()
 		defer t.coord.endStmtAll()
 	}
-	moveTo(dst, cur, id, row)
+	moveTo(dst, cur, id, vals)
 	return head.row, nil
 }
 
