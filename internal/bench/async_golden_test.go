@@ -31,9 +31,9 @@ func TestAsyncTimelineGolden(t *testing.T) {
 		cfg  querystore.Config
 		want string
 	}{
-		{"async", async, "0ea94ec16d88654dd1f5c80f09d456f97cc8bba56a7f72dc97644c6d2a249bba"},
-		{"async+pipelined-writes", pipelined, "c4fcd48e98260af238696c5a329b54a070d4aaeba36172e5ce17a1d848bdf428"},
-		{"async+merge", merged, "d5097e5e09b87d5f293fc659e4d5df052bbc88a9bb4d731be03d4776757ccbb0"},
+		{"async", async, "5685d853f33f6c5d71b8a5eaa67ba8208747eb4ced7975c1a24584ec3ecf6d3d"},
+		{"async+pipelined-writes", pipelined, "bb632b5b65db9bfcfe4bf49aeec9a90926cacfa62db7659a6606df514eb74c7e"},
+		{"async+merge", merged, "c7dcf97f80112d7296653c0a9344eee47abff7df893db6474880ea06a9b9cc6a"},
 	} {
 		if got := asyncSuiteDigest(t, tc.cfg); got != tc.want {
 			t.Errorf("%s: digest %s, want %s", tc.name, got, tc.want)
@@ -79,12 +79,13 @@ func asyncSuiteDigest(t *testing.T, cfg querystore.Config) string {
 			if err := store.Close(); err != nil {
 				t.Fatalf("%v %q: close: %v", id, page, err)
 			}
-			ds := store.Dispatcher().Stats()
-			fmt.Fprintf(h, "%v %q\n%s\ntotal=%v app=%v db=%v queries=%d\n%+v\n%+v\nsubmitted=%d out=%d overlap=%v\n",
-				id, page, res.HTML,
-				env.Clock.Now()-start, res.AppTime, env.Srv.Stats().DBTime-dbBefore, conn.QueriesSent(),
-				link.Stats(), store.Stats(),
-				ds.Submitted, ds.StmtsOut, ds.OverlapSaved)
+			qs, ms, ds := store.Stats(), store.MergeStats(), store.Dispatcher().Stats()
+			fmt.Fprintf(h, "%v %q\n%s\ntotal=%v app=%v db=%v queries=%d\n%+v\n", id, page, res.HTML,
+				env.Clock.Now()-start, res.AppTime, env.Srv.Stats().DBTime-dbBefore, conn.QueriesSent(), link.Stats())
+			fmt.Fprintf(h, "registered=%d dedup=%d executed=%d batches=%d max=%d forced=%d thunks=%d\n",
+				qs.Registered, qs.DedupHits, qs.Executed, qs.Batches, qs.MaxBatch, qs.ForcedByWrite, qs.ThunkAllocs)
+			fmt.Fprintf(h, "saved=%d groups=%d families=%v\nsubmitted=%d out=%d overlap=%v\n",
+				ms.Saved, ms.Groups, ms.SavedByFamily, ds.Submitted, ds.StmtsOut, ds.OverlapSaved)
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
