@@ -216,7 +216,7 @@ func replayConcurrent(id AppID, n int, kind dispatch.Kind, pipelineWrites bool, 
 
 	var hub *dispatch.Hub
 	if kind == dispatch.KindShared {
-		hub = env.newHub(opts.RTT, querystore.Config{})
+		hub, _ = env.newHub(opts.RTT, querystore.Config{})
 		// Deterministic virtual-time close: each session's j-th read batch
 		// joins window generation j, which closes exactly when all n
 		// sessions have contributed — no wall-clock grace anywhere.

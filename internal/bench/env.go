@@ -137,21 +137,24 @@ func (e *Env) shardCfg(cfg querystore.Config) querystore.Config {
 
 // newHub builds a cross-session accumulation window over its own
 // connection to the env's server, mirroring the store config's merge stage
-// at the window level.
-func (e *Env) newHub(rtt time.Duration, cfg querystore.Config) *dispatch.Hub {
+// at the window level; it returns that stage's merger (nil with merging
+// off), the one count of what the windows' merging saved.
+func (e *Env) newHub(rtt time.Duration, cfg querystore.Config) (*dispatch.Hub, *merge.Merger) {
 	conn := e.Srv.Connect(netsim.NewLink(netsim.NewVirtualClock(), rtt))
 	var stages []dispatch.Stage
+	var m *merge.Merger
 	if cfg.Merge.Enabled {
-		stages = append(stages, dispatch.MergeStage(merge.New(cfg.Merge)))
+		m = merge.New(cfg.Merge)
+		stages = append(stages, dispatch.MergeStage(m))
 	}
-	hub := dispatch.NewHub(conn, 0, stages...)
+	hub := dispatch.NewHub(conn, stages...)
 	if cfg.Retry.MaxAttempts > 1 {
 		hub.SetRetry(cfg.Retry)
 	}
 	if cfg.Trace != nil {
 		hub.SetTracer(cfg.Trace, "hub")
 	}
-	return hub
+	return hub, m
 }
 
 // LoadInto replays one page into an existing session — the concurrent
@@ -203,8 +206,9 @@ func (e *Env) LoadPageHTML(page string, mode orm.Mode, rtt time.Duration, cfg qu
 	cfg = e.shardCfg(cfg)
 	link := netsim.NewLink(e.Clock, rtt)
 	conn := e.Srv.Connect(link)
+	var hubMerger *merge.Merger
 	if cfg.Dispatch == dispatch.KindShared && cfg.Hub == nil {
-		cfg.Hub = e.newHub(rtt, cfg)
+		cfg.Hub, hubMerger = e.newHub(rtt, cfg)
 	}
 	store := querystore.New(conn, cfg)
 	defer store.Close()
@@ -215,18 +219,28 @@ func (e *Env) LoadPageHTML(page string, mode orm.Mode, rtt time.Duration, cfg qu
 	if err != nil {
 		return "", PageMetrics{}, fmt.Errorf("bench: %s page %q: %w", mode2str(mode), page, err)
 	}
-	m := PageMetrics{
-		Page:       page,
-		Total:      e.Clock.Now() - start,
-		AppTime:    res.AppTime,
-		DBTime:     e.Srv.Stats().DBTime - dbBefore,
-		NetTime:    link.Stats().NetTime,
-		RoundTrips: link.Stats().RoundTrips,
-		Queries:    conn.QueriesSent(),
-		MaxBatch:   store.Stats().MaxBatch,
-		MergeSaved: store.Stats().MergeSaved,
+	// The store is fresh per load, so its merger's totals are this page's;
+	// under shared dispatch the page's own hub merged the window batches.
+	ms := store.MergeStats()
+	if hubMerger != nil {
+		hs := hubMerger.Stats()
+		ms.Saved += hs.Saved
+		for f, n := range hs.SavedByFamily {
+			ms.SavedByFamily[f] += n
+		}
 	}
-	m.MergeFamilySaved = store.Stats().MergeSavedByFamily
+	m := PageMetrics{
+		Page:             page,
+		Total:            e.Clock.Now() - start,
+		AppTime:          res.AppTime,
+		DBTime:           e.Srv.Stats().DBTime - dbBefore,
+		NetTime:          link.Stats().NetTime,
+		RoundTrips:       link.Stats().RoundTrips,
+		Queries:          conn.QueriesSent(),
+		MaxBatch:         store.Stats().MaxBatch,
+		MergeSaved:       ms.Saved,
+		MergeFamilySaved: ms.SavedByFamily,
+	}
 	if mode == orm.ModeOriginal {
 		m.MaxBatch = 1
 	}

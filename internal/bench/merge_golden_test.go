@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/apps/tpcc"
 	"repro/internal/apps/tpcw"
+	"repro/internal/dispatch"
 	"repro/internal/driver"
 	"repro/internal/merge"
 	"repro/internal/netsim"
@@ -20,45 +21,58 @@ import (
 // (byte-identical HTML) while executing strictly fewer statements on the
 // 1+N list pages.
 
-func goldenSuite(t *testing.T, id AppID) {
+// goldenSuite loads every page with merging off and on under one dispatcher
+// kind. The merger's count of what it saved must equal the statements the
+// session's connection stopped sending (shared dispatch is left out: its
+// windows execute on the hub's connection).
+func goldenSuite(t *testing.T, id AppID, kind dispatch.Kind) {
 	t.Helper()
 	env, err := NewEnv(id, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rtt := 500 * time.Microsecond
+	dedupCfg, mergeCfg := querystore.Config{Dispatch: kind}, MergeConfig()
+	mergeCfg.Dispatch = kind
 	var dedupQueries, mergeQueries, totalSaved int64
 	for _, page := range env.Pages() {
-		wantHTML, dedupM, err := env.LoadPageHTML(page, orm.ModeSloth, rtt, querystore.Config{})
+		wantHTML, dedupM, err := env.LoadPageHTML(page, orm.ModeSloth, rtt, dedupCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotHTML, mergeM, err := env.LoadPageHTML(page, orm.ModeSloth, rtt, MergeConfig())
+		gotHTML, mergeM, err := env.LoadPageHTML(page, orm.ModeSloth, rtt, mergeCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if wantHTML != gotHTML {
-			t.Fatalf("%s %q: merged render differs\n--- merge off ---\n%s\n--- merge on ---\n%s",
-				id, page, wantHTML, gotHTML)
+			t.Fatalf("%s %v %q: merged render differs\n--- merge off ---\n%s\n--- merge on ---\n%s",
+				id, kind, page, wantHTML, gotHTML)
 		}
 		if mergeM.Queries > dedupM.Queries {
-			t.Errorf("%s %q: merging increased statements: %d -> %d", id, page, dedupM.Queries, mergeM.Queries)
+			t.Errorf("%s %v %q: merging increased statements: %d -> %d", id, kind, page, dedupM.Queries, mergeM.Queries)
 		}
 		dedupQueries += dedupM.Queries
 		mergeQueries += mergeM.Queries
 		totalSaved += mergeM.MergeSaved
 	}
 	if mergeQueries >= dedupQueries {
-		t.Fatalf("%s: merging saved nothing across the suite: dedup %d, merge %d", id, dedupQueries, mergeQueries)
+		t.Fatalf("%s %v: merging saved nothing across the suite: dedup %d, merge %d", id, kind, dedupQueries, mergeQueries)
 	}
 	if totalSaved != dedupQueries-mergeQueries {
-		t.Fatalf("%s: MergeSaved accounting off: saved %d, query delta %d", id, totalSaved, dedupQueries-mergeQueries)
+		t.Fatalf("%s %v: MergeSaved accounting off: saved %d, query delta %d", id, kind, totalSaved, dedupQueries-mergeQueries)
 	}
-	t.Logf("%s: %d statements with dedup, %d with merge (%d saved)", id, dedupQueries, mergeQueries, totalSaved)
+	t.Logf("%s %v: %d statements with dedup, %d with merge (%d saved)", id, kind, dedupQueries, mergeQueries, totalSaved)
 }
 
-func TestMergeGoldenItracker(t *testing.T) { goldenSuite(t, Itracker) }
-func TestMergeGoldenOpenMRS(t *testing.T)  { goldenSuite(t, OpenMRS) }
+func TestMergeGoldenItracker(t *testing.T) {
+	goldenSuite(t, Itracker, dispatch.KindSync)
+	goldenSuite(t, Itracker, dispatch.KindAsync)
+}
+
+func TestMergeGoldenOpenMRS(t *testing.T) {
+	goldenSuite(t, OpenMRS, dispatch.KindSync)
+	goldenSuite(t, OpenMRS, dispatch.KindAsync)
+}
 
 // TestMergeListPagesStrictlyFewer pins the acceptance criterion on the two
 // scaling list pages: with merging enabled they must execute strictly fewer

@@ -17,7 +17,7 @@ import (
 func TestSharedCoalescingKeepsArgumentTypesApart(t *testing.T) {
 	srv, connect := rig(t)
 	hubConn, _ := connect(time.Millisecond)
-	hub := NewHub(hubConn, 0)
+	hub := NewHub(hubConn)
 	conn1, _ := connect(time.Millisecond)
 	conn2, _ := connect(time.Millisecond)
 	d1, d2 := NewShared(hub, conn1), NewShared(hub, conn2)

@@ -36,7 +36,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/sqldb"
-	"repro/internal/sqldb/sqlparse"
 )
 
 // Kind selects a dispatch strategy in configuration surfaces (query-store
@@ -87,25 +86,6 @@ type BatchStats struct {
 	// after pipeline rewriting (and, for shared windows, after
 	// cross-session coalescing of the statements this batch introduced).
 	Sent int
-	// Saved is how many of this batch's statements the merge stage
-	// eliminated. Under shared dispatch the window-level savings are
-	// pro-rated across the window's contributing batches by the statements
-	// each introduced, so per-store totals still sum to the hub totals.
-	Saved int
-	// Groups is how many merged statements the merge stage emitted for
-	// this batch (pro-rated likewise under shared dispatch).
-	Groups int
-	// SavedByFamily breaks Saved down per merge family (FamilyID-indexed).
-	SavedByFamily [merge.NumFamilies]int
-	// SharedHits is how many of this batch's statements were answered by
-	// an identical statement another session (or an earlier position in
-	// the same window) had already contributed.
-	SharedHits int
-	// Shards is how many storage shards the executed batch occupied (its
-	// scatter width): 1 on an unsharded server or for fully-routed batches,
-	// the server's shard count for scans. Under shared dispatch every
-	// contributing batch reports the window's width.
-	Shards int
 }
 
 // Ticket is the handle for one submitted batch. Wait on it through the
@@ -198,22 +178,16 @@ type Stats struct {
 	// in-window statement.
 	Windows   int64
 	Coalesced int64
-	// MergeSaved and MergeGroups attribute the merge stage's activity at
-	// this dispatcher's level: for a shared hub these are the window-level
-	// savings (which per-session BatchStats pro-rate), for the per-session
-	// strategies they mirror the per-batch stage totals.
-	MergeSaved  int64
-	MergeGroups int64
 }
 
 // Demux maps executed results back onto a batch's original statements.
 type Demux func([]*sqldb.ResultSet) ([]*sqldb.ResultSet, error)
 
-// StageStats is one stage's effect on one batch.
+// StageStats is one stage's effect on one batch, for the pipeline's "merge"
+// trace annotation; a stage keeps its own cumulative counters (merge.Stats).
 type StageStats struct {
-	Saved         int                    // statements eliminated
-	Groups        int                    // merged statements emitted
-	SavedByFamily [merge.NumFamilies]int // Saved broken down per merge family
+	Saved  int // statements eliminated
+	Groups int // merged statements emitted
 }
 
 // Stage is one pipeline rewrite pass: it may coalesce, reorder-preserving,
@@ -228,17 +202,13 @@ type mergeStage struct {
 	m *merge.Merger
 }
 
-// MergeStage wraps a merge.Merger as a pipeline stage. The merger keeps
-// its own cumulative stats; per-batch deltas flow through StageStats.
+// MergeStage wraps a merge.Merger as a pipeline stage. The merger's own
+// Stats are the one count of what merging saved.
 func MergeStage(m *merge.Merger) Stage { return mergeStage{m: m} }
 
 func (s mergeStage) Apply(stmts []driver.Stmt) ([]driver.Stmt, Demux, StageStats) {
 	plan := s.m.Rewrite(stmts)
-	return plan.Stmts, plan.Demux, StageStats{
-		Saved:         plan.Saved(),
-		Groups:        plan.Groups(),
-		SavedByFamily: plan.SavedByFamily(),
-	}
+	return plan.Stmts, plan.Demux, StageStats{Saved: plan.Saved(), Groups: plan.Groups()}
 }
 
 // applyStages chains the pipeline over a batch, composing demuxes in
@@ -248,7 +218,7 @@ func (s mergeStage) Apply(stmts []driver.Stmt) ([]driver.Stmt, Demux, StageStats
 // eliminated, merged groups). The rewrite itself takes no virtual time — it
 // happens inside the driver round trip the paper's extended driver already
 // pays for — so the span is an annotation, not a duration.
-func applyStages(ctx obs.Ctx, at time.Duration, stages []Stage, stmts []driver.Stmt) ([]driver.Stmt, Demux, StageStats) {
+func applyStages(ctx obs.Ctx, at time.Duration, stages []Stage, stmts []driver.Stmt) ([]driver.Stmt, Demux) {
 	var demuxes []Demux
 	var total StageStats
 	out := stmts
@@ -261,9 +231,6 @@ func applyStages(ctx obs.Ctx, at time.Duration, stages []Stage, stmts []driver.S
 		}
 		total.Saved += ss.Saved
 		total.Groups += ss.Groups
-		for f, n := range ss.SavedByFamily {
-			total.SavedByFamily[f] += n
-		}
 	}
 	if len(stages) > 0 && ctx.Enabled() {
 		ctx.Instant("merge", "rewrite", at,
@@ -273,7 +240,7 @@ func applyStages(ctx obs.Ctx, at time.Duration, stages []Stage, stmts []driver.S
 			obs.Arg{K: "groups", V: total.Groups})
 	}
 	if len(demuxes) == 0 {
-		return out, nil, total
+		return out, nil
 	}
 	demux := func(results []*sqldb.ResultSet) ([]*sqldb.ResultSet, error) {
 		var err error
@@ -285,23 +252,14 @@ func applyStages(ctx obs.Ctx, at time.Duration, stages []Stage, stmts []driver.S
 		}
 		return results, nil
 	}
-	return out, demux, total
+	return out, demux
 }
 
 // containsWrite reports whether any statement in the batch mutates state
-// or controls a transaction — the per-session barrier condition. The
-// threaded AST (parse-once: populated by the query store at submit time)
-// classifies exactly; statements without one fall back to the keyword
-// scan, which agrees on every parseable statement.
+// or controls a transaction — the per-session barrier condition.
 func containsWrite(stmts []driver.Stmt) bool {
 	for _, st := range stmts {
-		if st.Parsed != nil {
-			if sqlparse.IsWrite(st.Parsed) {
-				return true
-			}
-			continue
-		}
-		if sqlparse.IsWriteSQL(st.SQL) {
+		if st.IsWrite() {
 			return true
 		}
 	}
@@ -336,14 +294,12 @@ func (b *statsBox) addSubmit(n int, deferred bool) {
 }
 
 // addRun accounts one batch run; the caller holds the box's lock. Attempts
-// (StmtsOut, the merge effect) count whether or not the batch then failed,
-// so the error path accounts exactly like the success path. Retried
+// (StmtsOut) count whether or not the batch then failed, so the error path
+// accounts exactly like the success path. Retried
 // attempts that recovered count in Retries, NOT Errors — only a terminal
 // failure is an error, so stats stay deterministic under injected faults.
 func (st *Stats) addRun(r recovery) {
 	st.StmtsOut += int64(r.sent)
-	st.MergeSaved += int64(r.ss.Saved)
-	st.MergeGroups += int64(r.ss.Groups)
 	st.Retries += r.retries
 	if r.degraded {
 		st.Degraded++
@@ -361,7 +317,7 @@ func (b *statsBox) runTicket(t *Ticket, conn *driver.Conn, stages []Stage, polic
 	r := runBatch(conn, t.ctx, t.arrival, stages, t.stmts, policy)
 	t.results, t.err, t.stmtErrs = r.results, r.err, r.stmtErrs
 	t.completeAt = r.done
-	t.bs = BatchStats{Sent: r.sent, Saved: r.ss.Saved, Groups: r.ss.Groups, SavedByFamily: r.ss.SavedByFamily, Shards: r.shards}
+	t.bs = BatchStats{Sent: r.sent}
 	b.mu.Lock()
 	b.addSubmit(len(t.stmts), deferred)
 	b.stats.addRun(r)

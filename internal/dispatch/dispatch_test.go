@@ -108,7 +108,7 @@ func TestAsyncOverlapsCompute(t *testing.T) {
 func TestSharedCoalescesAcrossSessions(t *testing.T) {
 	srv, connect := rig(t)
 	hubConn, _ := connect(time.Millisecond)
-	hub := NewHub(hubConn, 0)
+	hub := NewHub(hubConn)
 
 	conn1, _ := connect(time.Millisecond)
 	conn2, _ := connect(time.Millisecond)
@@ -134,8 +134,8 @@ func TestSharedCoalescesAcrossSessions(t *testing.T) {
 		t.Fatalf("coalesced = %d, want 2", hub.Stats().Coalesced)
 	}
 	_, bs2, _ := d2.Wait(t2) // waitable again: already-done ticket
-	if bs2.SharedHits != 2 {
-		t.Fatalf("session 2 shared hits = %d, want 2", bs2.SharedHits)
+	if bs2.Sent != 0 {
+		t.Fatalf("session 2 sent %d statements, want 0 (both answered by session 1's)", bs2.Sent)
 	}
 }
 
@@ -145,7 +145,7 @@ func TestSharedCoalescesAcrossSessions(t *testing.T) {
 func TestSharedWriteBarrier(t *testing.T) {
 	_, connect := rig(t)
 	hubConn, _ := connect(0)
-	hub := NewHub(hubConn, 0)
+	hub := NewHub(hubConn)
 	conn, _ := connect(0)
 	d := NewShared(hub, conn)
 
@@ -169,7 +169,7 @@ func TestSharedWriteBarrier(t *testing.T) {
 func TestSharedQuorumClosesWindow(t *testing.T) {
 	srv, connect := rig(t)
 	hubConn, _ := connect(0)
-	hub := NewHub(hubConn, 0)
+	hub := NewHub(hubConn)
 	hub.SetWindow(2)
 	conn1, _ := connect(0)
 	conn2, _ := connect(0)
@@ -197,24 +197,21 @@ func TestSharedQuorumClosesWindow(t *testing.T) {
 }
 
 // TestMergeStageThroughDispatchers: the merge stage coalesces a 1+N family
-// under every strategy, with per-batch stats reported on the ticket.
+// under every strategy: the ticket reports the one statement sent, and the
+// merger counts what it saved.
 func TestMergeStageThroughDispatchers(t *testing.T) {
 	family := []driver.Stmt{sel(1), sel(2), sel(3)}
 	for _, mk := range []struct {
 		name  string
-		build func(connect func(time.Duration) (*driver.Conn, *netsim.VirtualClock)) (Dispatcher, *driver.Server)
+		build func(conn *driver.Conn, stages ...Stage) *Local
 	}{
-		{"sync", func(connect func(time.Duration) (*driver.Conn, *netsim.VirtualClock)) (Dispatcher, *driver.Server) {
-			conn, _ := connect(0)
-			return NewSync(conn, MergeStage(merge.New(merge.Config{Enabled: true}))), nil
-		}},
-		{"async", func(connect func(time.Duration) (*driver.Conn, *netsim.VirtualClock)) (Dispatcher, *driver.Server) {
-			conn, _ := connect(0)
-			return NewAsync(conn, MergeStage(merge.New(merge.Config{Enabled: true}))), nil
-		}},
+		{"sync", NewSync},
+		{"async", NewAsync},
 	} {
 		_, connect := rig(t)
-		d, _ := mk.build(connect)
+		conn, _ := connect(0)
+		m := merge.New(merge.Config{Enabled: true})
+		d := mk.build(conn, MergeStage(m))
 		tk := d.Submit(family)
 		rs, bs, err := d.Wait(tk)
 		if err != nil {
@@ -228,8 +225,8 @@ func TestMergeStageThroughDispatchers(t *testing.T) {
 				t.Fatalf("%s: stmt %d row %v, want %s", mk.name, i, rs[i].Rows, want)
 			}
 		}
-		if bs.Sent != 1 || bs.Saved != 2 || bs.Groups != 1 {
-			t.Fatalf("%s: batch stats %+v, want Sent 1 Saved 2 Groups 1", mk.name, bs)
+		if ms := m.Stats(); bs.Sent != 1 || ms.Saved != 2 || ms.Groups != 1 {
+			t.Fatalf("%s: batch stats %+v, merge stats %+v, want Sent 1 Saved 2 Groups 1", mk.name, bs, ms)
 		}
 		d.Close()
 	}
@@ -248,59 +245,34 @@ func TestAsyncErrorDeferredToWait(t *testing.T) {
 	}
 }
 
-// TestSharedWindowAttributesMergeStats pins the fix for the lost window
-// savings: when the hub's merge stage coalesces a cross-session family,
-// the hub stats must carry the window-level Saved/Groups, and the tickets'
-// BatchStats must pro-rate them across contributing sessions so the
-// per-session shares sum to the window totals.
+// TestSharedWindowAttributesMergeStats: when the hub's merge stage coalesces
+// a cross-session family, the hub's own merger counts the window-level
+// savings once, and each ticket reports only the statements it introduced.
 func TestSharedWindowAttributesMergeStats(t *testing.T) {
 	_, connect := rig(t)
 	hubConn, _ := connect(0)
-	hub := NewHub(hubConn, 0, MergeStage(merge.New(merge.Config{Enabled: true})))
+	m := merge.New(merge.Config{Enabled: true})
+	hub := NewHub(hubConn, MergeStage(m))
 	conn1, _ := connect(0)
 	conn2, _ := connect(0)
 	d1 := NewShared(hub, conn1)
 	d2 := NewShared(hub, conn2)
 
 	// Two sessions contribute distinct members of one equality family:
-	// the combined window merges 4 statements into 1.
+	// the combined window merges 3 of its 4 statements into 1.
 	t1 := d1.Submit([]driver.Stmt{sel(1), sel(2)})
 	t2 := d2.Submit([]driver.Stmt{sel(3), {SQL: "SELECT id, name, qty FROM items WHERE qty > ?", Args: []sqldb.Value{int64(100)}}})
-	mustWait(t, d1, t1)
-	mustWait(t, d2, t2)
-
-	hs := hub.Stats()
-	if hs.MergeSaved != 2 || hs.MergeGroups != 1 {
-		t.Fatalf("hub merge stats: saved %d groups %d, want 2/1", hs.MergeSaved, hs.MergeGroups)
-	}
 	_, bs1, _ := d1.Wait(t1)
 	_, bs2, _ := d2.Wait(t2)
-	if got := bs1.Saved + bs2.Saved; int64(got) != hs.MergeSaved {
-		t.Fatalf("pro-rated Saved %d+%d does not sum to hub %d", bs1.Saved, bs2.Saved, hs.MergeSaved)
+
+	if ms := m.Stats(); ms.Batches != 1 || ms.Saved != 2 || ms.Groups != 1 || ms.SavedByFamily[merge.FamilyEquality] != 2 {
+		t.Fatalf("hub merge stats %+v, want one batch, saved 2 (equality), groups 1", ms)
 	}
-	if got := bs1.Groups + bs2.Groups; int64(got) != hs.MergeGroups {
-		t.Fatalf("pro-rated Groups %d+%d does not sum to hub %d", bs1.Groups, bs2.Groups, hs.MergeGroups)
+	if hs := hub.Stats(); hs.Windows != 1 || hs.StmtsOut != 2 {
+		t.Fatalf("hub stats %+v, want one window sending 2 statements", hs)
 	}
-	// Each ticket must be internally consistent: its per-family breakdown
-	// sums to its own Saved share — and therefore cross-ticket family sums
-	// reassemble the hub total.
-	famSum := 0
-	for i, bs := range []BatchStats{bs1, bs2} {
-		perTicket := 0
-		for _, n := range bs.SavedByFamily {
-			perTicket += n
-		}
-		if perTicket != bs.Saved {
-			t.Fatalf("ticket %d: SavedByFamily sums to %d, Saved is %d", i+1, perTicket, bs.Saved)
-		}
-		famSum += perTicket
-	}
-	if int64(famSum) != hs.MergeSaved {
-		t.Fatalf("per-family shares sum to %d, hub saved %d", famSum, hs.MergeSaved)
-	}
-	// The bigger contributor gets the bigger share.
-	if bs1.Saved < bs2.Saved {
-		t.Fatalf("pro-rating inverted: 2-stmt entry got %d, 2-stmt entry got %d", bs1.Saved, bs2.Saved)
+	if bs1.Sent != 2 || bs2.Sent != 2 {
+		t.Fatalf("tickets sent %d and %d, want the 2 each introduced", bs1.Sent, bs2.Sent)
 	}
 }
 
@@ -311,7 +283,7 @@ func TestSharedWindowAttributesMergeStats(t *testing.T) {
 func TestSharedWindowErrorAccounting(t *testing.T) {
 	_, connect := rig(t)
 	hubConn, _ := connect(0)
-	hub := NewHub(hubConn, 0)
+	hub := NewHub(hubConn)
 	conn1, _ := connect(0)
 	conn2, _ := connect(0)
 	d1 := NewShared(hub, conn1)
@@ -346,7 +318,7 @@ func TestSharedWindowErrorAccounting(t *testing.T) {
 func TestSharedExtraSessionBeyondQuorum(t *testing.T) {
 	srv, connect := rig(t)
 	hubConn, _ := connect(0)
-	hub := NewHub(hubConn, 0)
+	hub := NewHub(hubConn)
 	hub.SetWindow(2)
 	conns := make([]*Shared, 3)
 	for i := range conns {
@@ -386,7 +358,7 @@ func TestSharedExtraSessionBeyondQuorum(t *testing.T) {
 func TestSharedPoisonReleasesParkedWaiter(t *testing.T) {
 	_, connect := rig(t)
 	hubConn, _ := connect(0)
-	hub := NewHub(hubConn, 0)
+	hub := NewHub(hubConn)
 	hub.SetWindow(2)
 	conn1, _ := connect(0)
 	d1 := NewShared(hub, conn1)
@@ -476,66 +448,5 @@ func TestAsyncExecutesAtSubmit(t *testing.T) {
 	mustWait(t, s, s.Submit([]driver.Stmt{sel(1)}))
 	if peak := s.Stats().PeakQueue; peak != 0 {
 		t.Fatalf("sync PeakQueue = %d, want 0", peak)
-	}
-}
-
-// TestProrate pins the remainder distribution: shares are proportional,
-// deterministic, and always sum to the total.
-func TestProrate(t *testing.T) {
-	cases := []struct {
-		total   int
-		weights []int
-		want    []int
-	}{
-		{2, []int{2, 2}, []int{1, 1}},
-		{3, []int{2, 1}, []int{2, 1}},
-		{1, []int{1, 1, 1}, []int{1, 0, 0}},
-		{5, []int{0, 5}, []int{0, 5}},
-		{4, []int{0, 0}, []int{4, 0}},
-		{0, []int{3, 4}, []int{0, 0}},
-		{7, []int{1, 1, 1}, []int{3, 2, 2}},
-	}
-	for _, tc := range cases {
-		got := prorate(tc.total, tc.weights)
-		sum := 0
-		for _, n := range got {
-			sum += n
-		}
-		if sum != tc.total {
-			t.Fatalf("prorate(%d,%v) = %v, sums to %d", tc.total, tc.weights, got, sum)
-		}
-		for i := range tc.want {
-			if got[i] != tc.want[i] {
-				t.Fatalf("prorate(%d,%v) = %v, want %v", tc.total, tc.weights, got, tc.want)
-			}
-		}
-	}
-}
-
-// TestProrateFamiliesConsistentWithSavedShares pins the invariant the
-// review flagged: family shares are allocated inside the Saved shares, so
-// every entry's family breakdown sums to its Saved share and every
-// family's cross-entry sum equals its total.
-func TestProrateFamiliesConsistentWithSavedShares(t *testing.T) {
-	// The adversarial case: 3 total saved, one per family, two equal-weight
-	// entries. Independent pro-rating would give entry 0 a Saved of 2 but a
-	// family sum of 3; nested allocation must keep them equal.
-	famTotals := [merge.NumFamilies]int{1, 1, 1}
-	savedShares := []int{2, 1}
-	got := prorateFamilies(famTotals, savedShares)
-	var perFam [merge.NumFamilies]int
-	for k, shares := range got {
-		sum := 0
-		for f, n := range shares {
-			sum += n
-			perFam[f] += n
-		}
-		if sum != savedShares[k] {
-			t.Fatalf("entry %d: family shares %v sum to %d, Saved share is %d",
-				k, shares, sum, savedShares[k])
-		}
-	}
-	if perFam != famTotals {
-		t.Fatalf("cross-entry family sums %v, want %v", perFam, famTotals)
 	}
 }

@@ -73,18 +73,16 @@ func (p RetryPolicy) backoffAfter(attempt int) time.Duration {
 	return b
 }
 
-// recovery is the outcome of one batch's trip down the pipeline — what the
-// stages made of it (sent, ss) and how its resilient execution ended:
+// recovery is the outcome of one batch's trip down the pipeline — how many
+// statements the stages left (sent) and how its resilient execution ended:
 // either plain success (results per original statement), terminal failure
 // (err), or a degraded partial result (stmtErrs aligned with the original
 // statements, nil entries succeeded).
 type recovery struct {
 	sent     int // statements handed to the database after rewriting
-	ss       StageStats
 	results  []*sqldb.ResultSet
 	stmtErrs []error
 	done     time.Duration
-	shards   int
 	retries  int64
 	degraded bool
 	err      error
@@ -96,7 +94,7 @@ type recovery struct {
 // plus the capped exponential backoff. Returns the last attempt's outcome
 // and how many retries were spent; `done` carries the virtual completion
 // time on success and the last failure-observation time on error.
-func execAttempts(conn *driver.Conn, ctx obs.Ctx, arrival time.Duration, stmts []driver.Stmt, policy RetryPolicy) ([]*sqldb.ResultSet, time.Duration, int, int64, error) {
+func execAttempts(conn *driver.Conn, ctx obs.Ctx, arrival time.Duration, stmts []driver.Stmt, policy RetryPolicy) ([]*sqldb.ResultSet, time.Duration, int64, error) {
 	var retries int64
 	var deadline time.Duration
 	if policy.Deadline > 0 {
@@ -104,18 +102,18 @@ func execAttempts(conn *driver.Conn, ctx obs.Ctx, arrival time.Duration, stmts [
 	}
 	at := arrival
 	for attempt := 1; ; attempt++ {
-		results, done, shards, err := conn.Exec(ctx, at, stmts)
+		results, done, err := conn.Exec(ctx, at, stmts)
 		if err == nil {
-			return results, done, shards, retries, nil
+			return results, done, retries, nil
 		}
 		// On failure `done` is the virtual instant the failure was OBSERVED
 		// (after any wasted trip/timeout delay) — backoff schedules from it.
 		if !faults.Retriable(err) || attempt >= policy.MaxAttempts {
-			return nil, done, shards, retries, err
+			return nil, done, retries, err
 		}
 		next := done + policy.backoffAfter(attempt)
 		if deadline > 0 && next > deadline {
-			return nil, done, shards, retries, err
+			return nil, done, retries, err
 		}
 		retries++
 		if ctx.Enabled() {
@@ -137,10 +135,10 @@ func execAttempts(conn *driver.Conn, ctx obs.Ctx, arrival time.Duration, stmts [
 // statement instead of every query that was merged or coalesced with it.
 // Degraded results need no demux: they are already per original statement.
 func runBatch(conn *driver.Conn, ctx obs.Ctx, arrival time.Duration, stages []Stage, orig []driver.Stmt, policy RetryPolicy) recovery {
-	out, demux, ss := applyStages(ctx, arrival, stages, orig)
-	r := recovery{sent: len(out), ss: ss}
+	out, demux := applyStages(ctx, arrival, stages, orig)
+	r := recovery{sent: len(out)}
 	var results []*sqldb.ResultSet
-	results, r.done, r.shards, r.retries, r.err = execAttempts(conn, ctx, arrival, out, policy)
+	results, r.done, r.retries, r.err = execAttempts(conn, ctx, arrival, out, policy)
 	if r.err == nil {
 		if demux != nil {
 			results, r.err = demux(results)
@@ -166,11 +164,8 @@ func runBatch(conn *driver.Conn, ctx obs.Ctx, arrival time.Duration, stages []St
 	cursor := r.done
 	failed := 0
 	for i := range orig {
-		res, done, shards, retries, err := execAttempts(conn, ctx, cursor, orig[i:i+1], policy)
+		res, done, retries, err := execAttempts(conn, ctx, cursor, orig[i:i+1], policy)
 		r.retries += retries
-		if shards > r.shards {
-			r.shards = shards
-		}
 		cursor = done
 		if err != nil {
 			r.stmtErrs[i] = err

@@ -136,7 +136,8 @@ func TestSyncTicketReuse(t *testing.T) {
 	srv, connect := rig(t)
 	srv.SetFaults(faults.NewPlane(faults.Config{PoisonArgs: []sqldb.Value{int64(2)}}))
 	conn, clock := connect(time.Millisecond)
-	d := NewSync(conn, MergeStage(merge.New(merge.Config{Enabled: true})))
+	m := merge.New(merge.Config{Enabled: true})
+	d := NewSync(conn, MergeStage(m))
 	d.SetRetry(retryPolicy())
 
 	var first *Ticket
@@ -169,7 +170,7 @@ func TestSyncTicketReuse(t *testing.T) {
 	if rs[0].Rows[0][1] != "apple" || rs[1] != nil || rs[2].Rows[0][1] != "fig" {
 		t.Fatalf("read: results %v", rs)
 	}
-	if bs.Saved != 2 || bs.Groups != 1 {
+	if bs != (BatchStats{Sent: 1}) {
 		t.Fatalf("read: batch stats %+v, want the merged family's", bs)
 	}
 
@@ -177,22 +178,24 @@ func TestSyncTicketReuse(t *testing.T) {
 	if tk.StmtErrs() != nil || rs[0].RowsAffected != 1 || len(rs[0].Rows) != 0 {
 		t.Fatalf("write: stmtErrs %v, result %+v", tk.StmtErrs(), rs[0])
 	}
-	if bs != (BatchStats{Sent: 1, Shards: bs.Shards}) {
-		t.Fatalf("write: batch stats %+v carry the read's", bs)
+	if bs != (BatchStats{Sent: 1}) {
+		t.Fatalf("write: batch stats %+v", bs)
 	}
 
 	tk, rs, bs = submit("read again", sel(3))
 	if tk.StmtErrs() != nil || rs[0].Rows[0][2] != int64(40) {
 		t.Fatalf("read again: stmtErrs %v, rows %v", tk.StmtErrs(), rs[0].Rows)
 	}
-	if bs != (BatchStats{Sent: 1, Shards: bs.Shards}) {
+	if bs != (BatchStats{Sent: 1}) {
 		t.Fatalf("read again: batch stats %+v", bs)
 	}
 
 	st := d.Stats()
-	if st.Submitted != 3 || st.StmtsIn != 5 || st.StmtsOut != 3 || st.MergeSaved != 2 || st.MergeGroups != 1 ||
-		st.Degraded != 1 || st.Errors != 0 || st.PeakQueue != 0 {
+	if st.Submitted != 3 || st.StmtsIn != 5 || st.StmtsOut != 3 || st.Degraded != 1 || st.Errors != 0 || st.PeakQueue != 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+	if ms := m.Stats(); ms.Batches != 3 || ms.Saved != 2 || ms.Groups != 1 {
+		t.Fatalf("merge stats = %+v, want the one merged family's", ms)
 	}
 }
 
@@ -203,7 +206,7 @@ func TestSharedWindowDegradation(t *testing.T) {
 	srv, connect := rig(t)
 	srv.SetFaults(faults.NewPlane(faults.Config{PoisonArgs: []sqldb.Value{int64(3)}}))
 	hubConn, _ := connect(time.Millisecond)
-	hub := NewHub(hubConn, 0)
+	hub := NewHub(hubConn)
 	hub.SetRetry(retryPolicy())
 	hub.SetWindow(2)
 

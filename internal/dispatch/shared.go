@@ -5,17 +5,16 @@ import (
 	"sort"
 
 	"repro/internal/driver"
-	"repro/internal/merge"
 	"repro/internal/obs"
 	"repro/internal/sqldb"
 )
 
-// DefaultWindowCap bounds how many statements a demand-closed shared
-// window accumulates before it closes on its own (a demand — any session
-// waiting on one of its tickets — closes it earlier). With a session
-// quorum configured (SetWindow), windows are bounded by the quorum instead
-// and the cap does not apply.
-const DefaultWindowCap = 256
+// windowCap bounds how many statements a demand-closed shared window
+// accumulates before it closes on its own (a demand — any session waiting
+// on one of its tickets — closes it earlier). With a session quorum
+// configured (SetWindow), windows are bounded by the quorum instead and the
+// cap does not apply.
+const windowCap = 256
 
 // Hub is the server-side accumulation window shared by the Shared
 // dispatchers of concurrent sessions (ROADMAP "cross-request batching").
@@ -42,7 +41,6 @@ const DefaultWindowCap = 256
 type Hub struct {
 	conn   *driver.Conn
 	stages []Stage
-	cap    int
 	// retry is the recovery policy for window executions (SetRetry); the
 	// zero value disables recovery. Read under box.mu by window closes.
 	retry RetryPolicy
@@ -90,13 +88,11 @@ type windowEntry struct {
 }
 
 // NewHub creates a shared accumulation window over a dedicated connection.
-// cap <= 0 selects DefaultWindowCap. The stages run once per window over
-// the combined cross-session batch.
-func NewHub(conn *driver.Conn, cap int, stages ...Stage) *Hub {
-	if cap <= 0 {
-		cap = DefaultWindowCap
-	}
-	return &Hub{conn: conn, stages: stages, cap: cap}
+// The stages run once per window over the combined cross-session batch;
+// their own counters (merge.Stats) are the window-level record of what they
+// did.
+func NewHub(conn *driver.Conn, stages ...Stage) *Hub {
+	return &Hub{conn: conn, stages: stages}
 }
 
 // Stats snapshots hub-level counters (windows closed, statements coalesced
@@ -185,7 +181,7 @@ func (h *Hub) add(t *Ticket, owner *Shared) {
 	}
 	h.open.entries = append(h.open.entries, e)
 	h.open.stmts += len(t.stmts)
-	if h.open.stmts >= h.cap {
+	if h.open.stmts >= windowCap {
 		w := h.open
 		h.open = nil
 		h.closeWindowLocked(w, -1)
@@ -321,29 +317,16 @@ func (h *Hub) closeWindowLocked(w *window, gen int) {
 	}
 
 	r := runBatch(h.conn, wctx, arrival, h.stages, combined, h.retry)
-	ss := r.ss
 	wctx.End(r.done)
 
 	// Window-level accounting: Windows and Coalesced count attempts, like
 	// addRun's StmtsOut, so a failed window is visible rather than silently
-	// under-reported; addRun lands the merge stage's window-level savings on
-	// the hub instead of letting them vanish.
+	// under-reported.
 	h.box.stats.Windows++
 	h.box.stats.Coalesced += int64(totalIn - len(combined))
 	h.box.stats.addRun(r)
 
-	// Pro-rate the window's merge savings across the contributing entries
-	// by the statements each introduced into the combined batch, so
-	// per-session (and per-store) merge counters sum to the hub totals.
-	intros := make([]int, len(entries))
-	for i, e := range entries {
-		intros[i] = e.intro
-	}
-	savedShares := prorate(ss.Saved, intros)
-	groupShares := prorate(ss.Groups, intros)
-	famShares := prorateFamilies(ss.SavedByFamily, savedShares)
-
-	for k, e := range entries {
+	for _, e := range entries {
 		t := e.t
 		t.completeAt = r.done
 		// The entry span lives in the session's own page tree (under its
@@ -355,14 +338,7 @@ func (h *Hub) closeWindowLocked(w *window, gen int) {
 				obs.Arg{K: "intro", V: e.intro},
 				obs.Arg{K: "hits", V: len(t.stmts) - e.intro}).End(r.done)
 		}
-		t.bs = BatchStats{
-			Sent:          e.intro,
-			SharedHits:    len(t.stmts) - e.intro,
-			Saved:         savedShares[k],
-			Groups:        groupShares[k],
-			SavedByFamily: famShares[k],
-			Shards:        r.shards,
-		}
+		t.bs = BatchStats{Sent: e.intro}
 		if r.err != nil {
 			t.err = r.err
 		} else {
@@ -385,68 +361,6 @@ func (h *Hub) closeWindowLocked(w *window, gen int) {
 		}
 		close(t.done)
 	}
-}
-
-// prorateFamilies splits per-family saved totals across entries INSIDE the
-// Saved shares already allotted: each entry's family breakdown sums to
-// exactly its Saved share (so a ticket's BatchStats is internally
-// consistent), and each family's cross-entry sum equals its window total.
-// Families fill entry capacity greedily in entry order; the fill pointer
-// only advances, so both invariants hold whenever the family totals sum to
-// the Saved total (which Plan.SavedByFamily guarantees).
-func prorateFamilies(famTotals [merge.NumFamilies]int, savedShares []int) [][merge.NumFamilies]int {
-	out := make([][merge.NumFamilies]int, len(savedShares))
-	remaining := append([]int(nil), savedShares...)
-	k := 0
-	for f, n := range famTotals {
-		for n > 0 && k < len(remaining) {
-			if remaining[k] == 0 {
-				k++
-				continue
-			}
-			take := n
-			if remaining[k] < take {
-				take = remaining[k]
-			}
-			out[k][f] += take
-			remaining[k] -= take
-			n -= take
-		}
-	}
-	return out
-}
-
-// prorate splits total across recipients proportionally to their weights,
-// handing the rounding remainder out one unit at a time in recipient order
-// so the shares always sum to total. Zero-weight recipients get nothing
-// unless every weight is zero, in which case the first recipient absorbs
-// the total (the degenerate case cannot arise for window entries, whose
-// weights sum to the combined batch size).
-func prorate(total int, weights []int) []int {
-	out := make([]int, len(weights))
-	if total == 0 || len(weights) == 0 {
-		return out
-	}
-	wsum := 0
-	for _, w := range weights {
-		wsum += w
-	}
-	if wsum == 0 {
-		out[0] = total
-		return out
-	}
-	given := 0
-	for i, w := range weights {
-		out[i] = total * w / wsum
-		given += out[i]
-	}
-	for i := 0; given < total; i = (i + 1) % len(weights) {
-		if weights[i] > 0 {
-			out[i]++
-			given++
-		}
-	}
-	return out
 }
 
 var _ Dispatcher = (*Shared)(nil)

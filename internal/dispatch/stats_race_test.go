@@ -47,7 +47,7 @@ func TestStatsRace(t *testing.T) {
 	}
 
 	hubConn, _ := connect(100 * time.Microsecond)
-	hub := NewHub(hubConn, 0)
+	hub := NewHub(hubConn)
 	spin(func() { srv.Stats() })
 	spin(func() { srv.Workers() })
 	spin(func() { hub.Stats() })

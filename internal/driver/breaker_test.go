@@ -20,7 +20,7 @@ func TestFaultOutageAndRecovery(t *testing.T) {
 		Outages: []faults.Outage{{Shard: 0, From: 0, To: 5 * time.Millisecond}},
 	}))
 	stmts := []Stmt{{SQL: "SELECT v FROM kv WHERE k = 2"}}
-	_, failAt, _, err := conn.Exec(obs.Ctx{}, 2*time.Millisecond, stmts)
+	_, failAt, err := conn.Exec(obs.Ctx{}, 2*time.Millisecond, stmts)
 	if !errors.Is(err, faults.ErrTransient) || !faults.Injected(err) {
 		t.Fatalf("inside outage: err = %v", err)
 	}
@@ -30,12 +30,12 @@ func TestFaultOutageAndRecovery(t *testing.T) {
 	if got := conn.Link().Stats().RoundTrips; got != 1 {
 		t.Fatalf("failed attempt charged %d trips, want 1", got)
 	}
-	results, _, _, err := conn.Exec(obs.Ctx{}, 6*time.Millisecond, stmts)
+	results, _, err := conn.Exec(obs.Ctx{}, 6*time.Millisecond, stmts)
 	if err != nil || results[0].Rows[0][0] != "two" {
 		t.Fatalf("after outage: results=%v err=%v", results, err)
 	}
 	srv.SetFaults(nil)
-	if _, _, _, err := conn.Exec(obs.Ctx{}, 3*time.Millisecond, stmts); err != nil {
+	if _, _, err := conn.Exec(obs.Ctx{}, 3*time.Millisecond, stmts); err != nil {
 		t.Fatalf("plane uninstalled: %v", err)
 	}
 }
@@ -49,7 +49,7 @@ func TestFaultLinkTimeoutHook(t *testing.T) {
 		LinkTimeoutRate: 1,
 		LinkTimeout:     3 * time.Millisecond,
 	}))
-	_, failAt, _, err := conn.Exec(obs.Ctx{}, time.Millisecond, []Stmt{{SQL: "SELECT * FROM kv"}})
+	_, failAt, err := conn.Exec(obs.Ctx{}, time.Millisecond, []Stmt{{SQL: "SELECT * FROM kv"}})
 	if !errors.Is(err, faults.ErrTimeout) {
 		t.Fatalf("err = %v", err)
 	}
@@ -66,14 +66,14 @@ func TestFaultLinkTimeoutHook(t *testing.T) {
 func TestFaultPoisonPermanent(t *testing.T) {
 	_, srv, conn := rig(t, time.Millisecond)
 	srv.SetFaults(faults.NewPlane(faults.Config{PoisonArgs: []sqldb.Value{int64(2)}}))
-	_, _, _, err := conn.Exec(obs.Ctx{}, 0, []Stmt{
+	_, _, err := conn.Exec(obs.Ctx{}, 0, []Stmt{
 		{SQL: "SELECT v FROM kv WHERE k = ?", Args: []sqldb.Value{int64(1)}},
 		{SQL: "SELECT v FROM kv WHERE k = ?", Args: []sqldb.Value{int64(2)}},
 	})
 	if !errors.Is(err, faults.ErrPermanent) || faults.Retriable(err) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, _, _, err := conn.Exec(obs.Ctx{}, 0, []Stmt{
+	if _, _, err := conn.Exec(obs.Ctx{}, 0, []Stmt{
 		{SQL: "SELECT v FROM kv WHERE k = ?", Args: []sqldb.Value{int64(1)}},
 	}); err != nil {
 		t.Fatalf("clean statement: %v", err)
@@ -96,7 +96,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	// Two consecutive outage failures trip the breaker...
 	for i := 0; i < 2; i++ {
 		at := time.Duration(i) * time.Millisecond
-		if _, _, _, err := conn.Exec(obs.Ctx{}, at, stmts); !errors.Is(err, faults.ErrTransient) {
+		if _, _, err := conn.Exec(obs.Ctx{}, at, stmts); !errors.Is(err, faults.ErrTransient) {
 			t.Fatalf("attempt %d: %v", i, err)
 		}
 	}
@@ -107,7 +107,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	// ...so the next attempt inside the cooldown fails fast: locally, with
 	// no round trip charged.
 	trips := conn.Link().Stats().RoundTrips
-	_, failAt, _, err := conn.Exec(obs.Ctx{}, 3*time.Millisecond, stmts)
+	_, failAt, err := conn.Exec(obs.Ctx{}, 3*time.Millisecond, stmts)
 	if !errors.Is(err, faults.ErrBreakerOpen) {
 		t.Fatalf("inside cooldown: %v", err)
 	}
@@ -119,7 +119,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 	// Past the cooldown the breaker half-opens; the probe still lands in
 	// the outage window, so it fails and re-opens for a fresh cooldown.
-	if _, _, _, err := conn.Exec(obs.Ctx{}, 6*time.Millisecond, stmts); !errors.Is(err, faults.ErrTransient) {
+	if _, _, err := conn.Exec(obs.Ctx{}, 6*time.Millisecond, stmts); !errors.Is(err, faults.ErrTransient) {
 		t.Fatalf("failed probe: %v", err)
 	}
 	st = srv.Stats()
@@ -127,14 +127,14 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatalf("after failed probe: probes=%d trips=%d, want 1/2", st.BreakerProbes, st.BreakerTrips)
 	}
 	// A probe past the outage window succeeds and closes the breaker.
-	if _, _, _, err := conn.Exec(obs.Ctx{}, 11*time.Millisecond, stmts); err != nil {
+	if _, _, err := conn.Exec(obs.Ctx{}, 11*time.Millisecond, stmts); err != nil {
 		t.Fatalf("closing probe: %v", err)
 	}
 	st = srv.Stats()
 	if st.BreakerProbes != 2 || st.BreakerFastFails != 1 {
 		t.Fatalf("final: %+v", st)
 	}
-	if _, _, _, err := conn.Exec(obs.Ctx{}, 12*time.Millisecond, stmts); err != nil {
+	if _, _, err := conn.Exec(obs.Ctx{}, 12*time.Millisecond, stmts); err != nil {
 		t.Fatalf("closed breaker: %v", err)
 	}
 	if reg.Counter("db.breaker.trips").Value() != 2 ||
@@ -151,14 +151,14 @@ func TestFaultSlowdownShiftsCompletion(t *testing.T) {
 	stmts := []Stmt{{SQL: "SELECT v FROM kv WHERE k = 3"}}
 	// Both arrivals land on an idle lane (well past the rig's setup
 	// statements), so their latencies differ by exactly the spike.
-	_, base, _, err := conn.Exec(obs.Ctx{}, 20*time.Millisecond, stmts)
+	_, base, err := conn.Exec(obs.Ctx{}, 20*time.Millisecond, stmts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.SetFaults(faults.NewPlane(faults.Config{
 		Slowdowns: []faults.Slowdown{{Shard: 0, From: 40 * time.Millisecond, To: 60 * time.Millisecond, Extra: 2 * time.Millisecond}},
 	}))
-	results, done, _, err := conn.Exec(obs.Ctx{}, 50*time.Millisecond, stmts)
+	results, done, err := conn.Exec(obs.Ctx{}, 50*time.Millisecond, stmts)
 	if err != nil || results[0].Rows[0][0] != "three" {
 		t.Fatalf("results=%v err=%v", results, err)
 	}

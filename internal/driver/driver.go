@@ -387,6 +387,16 @@ func (st Stmt) parsed() (sqlparse.Statement, error) {
 	return plan.ParseCached(st.SQL)
 }
 
+// IsWrite reports whether the statement mutates state or controls a
+// transaction: by the threaded AST when set, else by the keyword scan
+// (sqlparse.IsWriteSQL), which agrees on every parseable statement.
+func (st Stmt) IsWrite() bool {
+	if st.Parsed != nil {
+		return sqlparse.IsWrite(st.Parsed)
+	}
+	return sqlparse.IsWriteSQL(st.SQL)
+}
+
 // readOnly reports whether every statement parses to a SELECT. A parse
 // error reports false so the serial executor surfaces it in statement order.
 func readOnly(stmts []Stmt) bool {
@@ -713,11 +723,7 @@ func (c *Conn) Query(sql string, args ...sqldb.Value) (*sqldb.ResultSet, error) 
 // server capacity, then paying server cost and link latency. Deferred
 // dispatch strategies run the batch at Submit and pay (completion - now)
 // only when the session actually waits, which is how app-server compute
-// overlaps DB time on the virtual clock. The third result is how many
-// storage shards the batch occupied (its scatter width: 1 on an unsharded
-// server, up to the shard count for scans and cross-shard IN lists), which
-// the dispatch layer threads into BatchStats so the querystore's reports
-// can show routing effectiveness.
+// overlaps DB time on the virtual clock.
 //
 // When ctx records, the batch's round trip becomes an "exec" span under ctx
 // holding the queue wait (if the batch queued for a DB worker), the server
@@ -725,9 +731,9 @@ func (c *Conn) Query(sql string, args ...sqldb.Value) (*sqldb.ResultSet, error) 
 // (laid out by the parallel-group cost math, stamped with rows and access
 // path), and the link crossing. The virtual timeline is identical with
 // tracing on or off — spans observe the simulation, never perturb it.
-func (c *Conn) Exec(ctx obs.Ctx, arrival time.Duration, stmts []Stmt) ([]*sqldb.ResultSet, time.Duration, int, error) {
+func (c *Conn) Exec(ctx obs.Ctx, arrival time.Duration, stmts []Stmt) ([]*sqldb.ResultSet, time.Duration, error) {
 	if len(stmts) == 0 {
-		return nil, arrival, 0, nil
+		return nil, arrival, nil
 	}
 	reqBytes := 0
 	for _, st := range stmts {
@@ -747,7 +753,7 @@ func (c *Conn) Exec(ctx obs.Ctx, arrival time.Duration, stmts []Stmt) ([]*sqldb.
 			if traced {
 				ctx.Instant("fault", "exec", arrival, obs.Arg{K: "err", V: ferr.Error()})
 			}
-			return nil, failAt, 0, ferr
+			return nil, failAt, ferr
 		}
 	}
 	results, dbCost, layout, err := c.srv.execBatch(c.sess, stmts, traced)
@@ -755,7 +761,7 @@ func (c *Conn) Exec(ctx obs.Ctx, arrival time.Duration, stmts []Stmt) ([]*sqldb.
 		if traced {
 			ctx.Instant("error", "exec", arrival, obs.Arg{K: "err", V: err.Error()})
 		}
-		return nil, arrival, 0, err
+		return nil, arrival, err
 	}
 	if c.srv.faults != nil {
 		// Slow-shard spikes stretch the batch's server time (and the
@@ -803,7 +809,7 @@ func (c *Conn) Exec(ctx obs.Ctx, arrival time.Duration, stmts []Stmt) ([]*sqldb.
 			obs.Arg{K: "resp_b", V: respBytes}).End(done)
 		ex.End(done)
 	}
-	return results, done, len(lanes), nil
+	return results, done, nil
 }
 
 // ExecBatch ships all statements to the server in one round trip, blocks
@@ -811,7 +817,7 @@ func (c *Conn) Exec(ctx obs.Ctx, arrival time.Duration, stmts []Stmt) ([]*sqldb.
 // sets in order — the Sloth batch driver. Execution spans parent under the
 // connection's installed trace context (SetTraceCtx).
 func (c *Conn) ExecBatch(stmts []Stmt) ([]*sqldb.ResultSet, error) {
-	results, done, _, err := c.Exec(c.traceCtx, c.clock.Now(), stmts)
+	results, done, err := c.Exec(c.traceCtx, c.clock.Now(), stmts)
 	if err != nil {
 		return nil, err
 	}

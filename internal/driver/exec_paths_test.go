@@ -96,7 +96,7 @@ func TestReadBatchCostMatchesSerialPath(t *testing.T) {
 		t.Helper()
 		sd.tr.Reset()
 		sd.srv.ResetStats()
-		results, done, _, err := sd.conn.Exec(sd.tr.Root("test", "page", "p", arrival), arrival, stmts)
+		results, done, err := sd.conn.Exec(sd.tr.Root("test", "page", "p", arrival), arrival, stmts)
 		if err != nil {
 			t.Fatalf("batch %v: %v", stmts, err)
 		}
@@ -148,11 +148,11 @@ func TestTracingLeavesPlanCacheCountersAlone(t *testing.T) {
 		_, srvT, connT := rig(t, 0)
 		srvU.DB().PlanCache().ResetStats()
 		srvT.DB().PlanCache().ResetStats()
-		if _, _, _, err := connU.Exec(obs.Ctx{}, 0, stmts); err != nil {
+		if _, _, err := connU.Exec(obs.Ctx{}, 0, stmts); err != nil {
 			t.Fatal(err)
 		}
 		tr := obs.NewTracer()
-		if _, _, _, err := connT.Exec(tr.Root("test", "page", "p", 0), 0, stmts); err != nil {
+		if _, _, err := connT.Exec(tr.Root("test", "page", "p", 0), 0, stmts); err != nil {
 			t.Fatal(err)
 		}
 		if got := len(stmtLayout(t, tr)); got != len(stmts) {

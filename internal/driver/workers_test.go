@@ -19,7 +19,7 @@ import (
 func occupyProbe(t *testing.T, conn *Conn, arrival time.Duration) time.Duration {
 	t.Helper()
 	stmts := []Stmt{{SQL: "SELECT v FROM kv WHERE k = 1"}}
-	_, done, _, err := conn.Exec(obs.Ctx{}, arrival, stmts)
+	_, done, err := conn.Exec(obs.Ctx{}, arrival, stmts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,6 @@ import (
 
 	"repro/internal/driver"
 	"repro/internal/sqldb"
-	"repro/internal/sqldb/sqlparse"
 )
 
 // DefaultMaxInWidth bounds the IN list (or window list) of one merged
@@ -151,13 +150,6 @@ func (m *Merger) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.stats
-}
-
-// ResetStats zeroes the counters.
-func (m *Merger) ResetStats() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stats = Stats{}
 }
 
 // route records where one original statement's result comes from in the
@@ -273,7 +265,7 @@ func (m *Merger) Rewrite(stmts []driver.Stmt) *Plan {
 	gs := groupSet{groups: make([]group, 0, min(len(stmts), scanLimit))}
 	epoch := 0
 	for i, st := range stmts {
-		if sqlparse.IsWriteSQL(st.SQL) {
+		if st.IsWrite() {
 			// Writes close all open groups: merging must not move a read
 			// from one side of a write to the other.
 			epoch++

@@ -69,7 +69,7 @@ func chaosSharedRun(t *testing.T) faultRunResult {
 	retry := dispatch.RetryPolicy{MaxAttempts: 3, Backoff: 200 * time.Microsecond, MaxBackoff: time.Millisecond}
 
 	hubConn := srv.Connect(netsim.NewLink(netsim.NewVirtualClock(), time.Millisecond))
-	hub := dispatch.NewHub(hubConn, 0)
+	hub := dispatch.NewHub(hubConn)
 	hub.SetRetry(retry)
 	hub.SetWindow(8)
 

@@ -213,7 +213,7 @@ func TestExecPipelinedSyncParity(t *testing.T) {
 // tickets, executes on the session connection, and later reads observe it.
 func TestPipelinedWriteSharedEquivalence(t *testing.T) {
 	s, _ := rig(t, Config{})
-	hub := dispatch.NewHub(s.Conn(), 0)
+	hub := dispatch.NewHub(s.Conn())
 	sp := NewWithDispatcher(s.Conn(), Config{PipelineWrites: true},
 		dispatch.NewShared(hub, s.Conn()))
 	defer sp.Close()

@@ -110,9 +110,8 @@ type Config struct {
 	Record func(stmts []driver.Stmt)
 }
 
-// Stats counts store activity for the experiment harness. All counters are
-// per-store deltas: ResetStats zeroes every one of them, including the
-// merge counters.
+// Stats counts store activity for the experiment harness; ResetStats zeroes
+// it. What merging saved is the merger's to count (MergeStats).
 type Stats struct {
 	Registered    int64 // Register calls (after dedup)
 	DedupHits     int64 // Register calls answered with an existing id
@@ -120,23 +119,10 @@ type Stats struct {
 	Batches       int64 // batches flushed
 	MaxBatch      int   // largest batch size flushed (before merging)
 	ForcedByWrite int64 // flushes triggered by a write registration
-	MergeGroups   int64 // merged statements emitted by the merge optimizer
-	MergeSaved    int64 // statements eliminated by the merge optimizer
-	SharedHits    int64 // statements answered by another session's window entry
 	// ThunkAllocs counts result thunks handed out by Lazy for this store.
 	// Per-store (not process-global) so a page load's thunk count stays
 	// deterministic when sessions run concurrently.
 	ThunkAllocs int64
-	// MergeSavedByFamily breaks MergeSaved down per merge family (indexed
-	// by merge.FamilyID: equality, aggregate, range). Under shared
-	// dispatch these are this store's pro-rated shares of the window-level
-	// savings.
-	MergeSavedByFamily [merge.NumFamilies]int64
-	// ShardFanout sums each collected batch's scatter width (storage
-	// shards occupied): ShardFanout/Batches is the session's mean fanout —
-	// 1.0 when every batch routed to a single shard, the shard count when
-	// everything scanned. Zero on unsharded servers' empty collections.
-	ShardFanout int64
 }
 
 // inflight is one submitted batch whose results have not been collected.
@@ -293,15 +279,14 @@ func (s *Store) Dispatcher() dispatch.Dispatcher { return s.disp }
 func (s *Store) Stats() Stats { return s.stats }
 
 // ResetStats zeroes the counters (the cache and pending queue are kept).
-// Both merge counters restart from zero: they are per-store deltas, not
-// views of the optimizer's cumulative state.
 func (s *Store) ResetStats() {
 	s.stats = Stats{}
 }
 
 // MergeStats snapshots this store's merge stage counters (cumulative over
-// the store's lifetime); the zero value when merging is disabled or the
-// merging happens in a shared hub.
+// the store's lifetime); the zero value when merging is disabled. Under
+// shared dispatch it counts only this session's write batches: window
+// batches merge in the hub's own stage.
 func (s *Store) MergeStats() merge.Stats {
 	if s.merger == nil {
 		return merge.Stats{}
@@ -579,13 +564,6 @@ func (s *Store) collect() error {
 			s.writeErrs = append(s.writeErrs, errors.Join(ffErrs...))
 		}
 		s.stats.Executed += int64(bs.Sent)
-		s.stats.MergeSaved += int64(bs.Saved)
-		s.stats.MergeGroups += int64(bs.Groups)
-		s.stats.SharedHits += int64(bs.SharedHits)
-		s.stats.ShardFanout += int64(bs.Shards)
-		for f, n := range bs.SavedByFamily {
-			s.stats.MergeSavedByFamily[f] += int64(n)
-		}
 	}
 	s.inflight = s.inflight[:0]
 	return first

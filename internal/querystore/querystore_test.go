@@ -424,11 +424,8 @@ func TestMergeEnabledStoreEquivalence(t *testing.T) {
 
 	if p, m := plain.Stats(), merged.Stats(); m.Executed >= p.Executed {
 		t.Fatalf("merge saved nothing: plain executed %d, merged %d", p.Executed, m.Executed)
-	} else if m.MergeSaved != p.Executed-m.Executed {
-		t.Fatalf("MergeSaved = %d, want %d", m.MergeSaved, p.Executed-m.Executed)
-	}
-	if ms := merged.MergeStats(); ms.Merged != 3 || ms.Groups != 1 {
-		t.Fatalf("merge stats = %+v, want 3 merged into 1 group", ms)
+	} else if ms := merged.MergeStats(); ms.Saved != p.Executed-m.Executed || ms.Merged != 3 || ms.Groups != 1 {
+		t.Fatalf("merge stats = %+v, want 3 merged into 1 group, saving %d", ms, p.Executed-m.Executed)
 	}
 }
 
@@ -511,39 +508,6 @@ func TestBatchCapFlushUnderDisableDedup(t *testing.T) {
 	}
 }
 
-// TestMergeStatsPerStoreDeltas: MergeSaved and MergeGroups are both
-// per-store deltas — after ResetStats they reflect only subsequent
-// flushes. (MergeGroups used to be overwritten from the merger's
-// cumulative counter, so it double-counted after a reset.)
-func TestMergeStatsPerStoreDeltas(t *testing.T) {
-	s, _ := rig(t, Config{Merge: merge.Config{Enabled: true}})
-	family := func() {
-		for i := 1; i <= 3; i++ {
-			if _, err := s.Register("SELECT id, qty FROM items WHERE id = ?", int64(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	family()
-	st := s.Stats()
-	if st.MergeSaved != 2 || st.MergeGroups != 1 {
-		t.Fatalf("first flush stats = %+v, want saved 2 groups 1", st)
-	}
-	s.ResetStats()
-	family()
-	st = s.Stats()
-	if st.MergeSaved != 2 || st.MergeGroups != 1 {
-		t.Fatalf("post-reset stats = %+v, want per-store deltas saved 2 groups 1", st)
-	}
-	// The merger's own cumulative view keeps the full history.
-	if ms := s.MergeStats(); ms.Groups != 2 || ms.Saved != 4 {
-		t.Fatalf("cumulative merge stats = %+v, want groups 2 saved 4", ms)
-	}
-}
-
 // TestAsyncStoreDeferredWriteError: under the async dispatcher a failing
 // write-triggered flush does not fail Register — the error arrives at
 // force time for every id in the batch (pipelined flush semantics).
@@ -602,7 +566,7 @@ func TestAsyncStoreEquivalence(t *testing.T) {
 }
 
 // TestSharedStoresCoalesceViaHub: two stores feeding one hub execute an
-// identical lookup once, and the second store observes it as a shared hit.
+// identical lookup once, and the hub counts the second as coalesced.
 func TestSharedStoresCoalesceViaHub(t *testing.T) {
 	clock := netsim.NewVirtualClock()
 	db := engine.New()
@@ -616,7 +580,7 @@ func TestSharedStoresCoalesceViaHub(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hub := dispatch.NewHub(srv.Connect(netsim.NewLink(netsim.NewVirtualClock(), 0)), 0)
+	hub := dispatch.NewHub(srv.Connect(netsim.NewLink(netsim.NewVirtualClock(), 0)))
 	mk := func() *Store {
 		return New(srv.Connect(netsim.NewLink(netsim.NewVirtualClock(), 0)),
 			Config{Dispatch: dispatch.KindShared, Hub: hub})
@@ -638,9 +602,8 @@ func TestSharedStoresCoalesceViaHub(t *testing.T) {
 	if got := srv.Stats().Queries - before; got != 1 {
 		t.Fatalf("server executed %d statements, want 1", got)
 	}
-	if s1.Stats().SharedHits+s2.Stats().SharedHits != 1 {
-		t.Fatalf("shared hits: s1 %d s2 %d, want total 1",
-			s1.Stats().SharedHits, s2.Stats().SharedHits)
+	if c := hub.Stats().Coalesced; c != 1 {
+		t.Fatalf("hub coalesced %d statements, want 1", c)
 	}
 }
 
@@ -651,7 +614,7 @@ func TestSharedStoresCoalesceViaHub(t *testing.T) {
 // the same array; forcing A then closes the window with both batches, and
 // every id must still answer its own statement.
 func TestSharedWindowKeepsSubmittedBatch(t *testing.T) {
-	_, _, mk := sharedRig(t, merge.Config{})
+	_, _, _, mk := sharedRig(t, merge.Config{})
 	s := mk()
 	reg := func(sql string, arg int64) QueryID {
 		t.Helper()
@@ -679,9 +642,10 @@ func TestSharedWindowKeepsSubmittedBatch(t *testing.T) {
 	}
 }
 
-// sharedRig builds a server and a hub (with the given hub stages built
-// from cfgMerge) plus a store factory for shared-dispatch stores.
-func sharedRig(t *testing.T, cfgMerge merge.Config) (*driver.Server, *dispatch.Hub, func() *Store) {
+// sharedRig builds a server and a hub (merging with its own merger, returned
+// non-nil, when cfgMerge is enabled) plus a store factory for shared-dispatch
+// stores.
+func sharedRig(t *testing.T, cfgMerge merge.Config) (*driver.Server, *dispatch.Hub, *merge.Merger, func() *Store) {
 	t.Helper()
 	clock := netsim.NewVirtualClock()
 	db := engine.New()
@@ -696,27 +660,28 @@ func sharedRig(t *testing.T, cfgMerge merge.Config) (*driver.Server, *dispatch.H
 		}
 	}
 	var stages []dispatch.Stage
+	var m *merge.Merger
 	if cfgMerge.Enabled {
-		stages = append(stages, dispatch.MergeStage(merge.New(cfgMerge)))
+		m = merge.New(cfgMerge)
+		stages = append(stages, dispatch.MergeStage(m))
 	}
-	hub := dispatch.NewHub(srv.Connect(netsim.NewLink(netsim.NewVirtualClock(), 0)), 0, stages...)
+	hub := dispatch.NewHub(srv.Connect(netsim.NewLink(netsim.NewVirtualClock(), 0)), stages...)
 	mk := func() *Store {
 		return New(srv.Connect(netsim.NewLink(netsim.NewVirtualClock(), 0)),
 			Config{Dispatch: dispatch.KindShared, Hub: hub, Merge: cfgMerge})
 	}
-	return srv, hub, mk
+	return srv, hub, m, mk
 }
 
-// TestSharedStoreMergeStatsNonzero pins the end of the lost-attribution
-// bug: when the shared hub's merge stage coalesces a cross-session family,
-// each contributing store's MergeSaved/MergeGroups must be nonzero and the
-// per-store totals must sum to the hub's window-level savings.
+// TestSharedStoreMergeStatsNonzero: when the shared hub's merge stage
+// coalesces a cross-session family, the hub's merger counts the savings, once:
+// the stores' own mergers never see a window batch.
 func TestSharedStoreMergeStatsNonzero(t *testing.T) {
-	srv, hub, mk := sharedRig(t, merge.Config{Enabled: true})
+	srv, hub, hubMerger, mk := sharedRig(t, merge.Config{Enabled: true})
 	s1, s2 := mk(), mk()
 
 	// Each store contributes two members of the same point-lookup family:
-	// the combined window merges 4 statements into 1.
+	// the window coalesces the shared id 2 and merges the other 3 into 1.
 	ids1 := []QueryID{}
 	ids2 := []QueryID{}
 	for _, id := range []int64{1, 2} {
@@ -752,30 +717,16 @@ func TestSharedStoreMergeStatsNonzero(t *testing.T) {
 		t.Fatalf("server executed %d statements, want 1 merged", got)
 	}
 
-	hs := hub.Stats()
-	if hs.MergeSaved == 0 || hs.MergeGroups == 0 {
-		t.Fatalf("hub merge stats zero: %+v", hs)
+	if ms := hubMerger.Stats(); ms.Saved != 2 || ms.Groups != 1 || ms.SavedByFamily[merge.FamilyEquality] != 2 {
+		t.Fatalf("hub merge stats %+v, want saved 2 (equality) in 1 group", ms)
 	}
-	st1, st2 := s1.Stats(), s2.Stats()
-	if st1.MergeSaved == 0 && st2.MergeSaved == 0 {
-		t.Fatal("both stores report MergeSaved = 0 under shared dispatch")
+	if c := hub.Stats().Coalesced; c != 1 {
+		t.Fatalf("hub coalesced %d statements, want 1", c)
 	}
-	if st1.MergeSaved+st2.MergeSaved != hs.MergeSaved {
-		t.Fatalf("store shares %d+%d do not sum to hub %d",
-			st1.MergeSaved, st2.MergeSaved, hs.MergeSaved)
-	}
-	if st1.MergeGroups+st2.MergeGroups != hs.MergeGroups {
-		t.Fatalf("store group shares %d+%d do not sum to hub %d",
-			st1.MergeGroups, st2.MergeGroups, hs.MergeGroups)
-	}
-	famSum := int64(0)
-	for _, st := range []Stats{st1, st2} {
-		for _, n := range st.MergeSavedByFamily {
-			famSum += n
+	for i, s := range []*Store{s1, s2} {
+		if ms := s.MergeStats(); ms.Batches != 0 {
+			t.Fatalf("store %d merged window batches itself: %+v", i+1, ms)
 		}
-	}
-	if famSum != hs.MergeSaved {
-		t.Fatalf("per-family shares sum to %d, hub saved %d", famSum, hs.MergeSaved)
 	}
 }
 
@@ -785,7 +736,7 @@ func TestSharedStoreMergeStatsNonzero(t *testing.T) {
 // (not "unknown query id"), including ids registered by the session that
 // did not submit the failing statement.
 func TestSharedWindowErrorReachesEverySessionIDs(t *testing.T) {
-	_, hub, mk := sharedRig(t, merge.Config{})
+	_, hub, _, mk := sharedRig(t, merge.Config{})
 	s1, s2 := mk(), mk()
 
 	good1, err := s1.Register("SELECT name FROM items WHERE id = 1")
