@@ -92,6 +92,10 @@ func (a *App) preamble(c *webapp.Ctx, nKeys, nConfigs int) (*User, error) {
 // renderShell renders the frame shared by all pages, touching a few labels
 // so the label batch flushes.
 func renderShell(keys ...string) webapp.View {
+	open := make([]string, len(keys)) // each key's <div>, built once with the view
+	for i, k := range keys {
+		open[i] = "<div class='" + k + "'>"
+	}
 	return func(w *webapp.ThunkWriter, m webapp.Model) {
 		w.WriteString("<html><head><title>itracker</title></head><body><div id='menu'>")
 		w.WriteValue(m["login"])
@@ -105,9 +109,9 @@ func renderShell(keys ...string) webapp.View {
 			}
 		}
 		w.WriteString("</div>")
-		for _, k := range keys {
+		for i, k := range keys {
 			if v, ok := m[k]; ok {
-				w.WriteString("<div class='" + k + "'>")
+				w.WriteString(open[i])
 				w.WriteValue(v)
 				w.WriteString("</div>")
 			}

@@ -115,11 +115,15 @@ func refRelTypes() refLoader {
 // renderStdKeys renders the standard admin-page body: preamble plus the
 // model keys the family stores.
 func renderStdKeys(keys ...string) webapp.View {
+	open := make([]string, len(keys)) // each key's <div>, built once with the view
+	for i, k := range keys {
+		open[i] = "<div class='" + k + "'>"
+	}
 	return func(w *webapp.ThunkWriter, m webapp.Model) {
 		renderPreamble(w, m)
-		for _, k := range keys {
+		for i, k := range keys {
 			if v, ok := m[k]; ok {
-				w.WriteString("<div class='" + k + "'>")
+				w.WriteString(open[i])
 				w.WriteValue(v)
 				w.WriteString("</div>")
 			}

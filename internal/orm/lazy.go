@@ -23,23 +23,27 @@ type res[T any] struct {
 // Lazy is a lazily-produced value of type T. In ModeOriginal the value is
 // already computed; in ModeSloth forcing it may flush a query batch. Lazy
 // implements thunk.Any so it can flow through model maps and the thunk-
-// aware view writer without being evaluated.
-type Lazy[T any] struct {
-	th *thunk.Thunk[res[T]]
-	// sink is the session's thunk-allocation counter; derived lazies (Map)
-	// inherit it so every allocation is attributed to the session whose
-	// request created it. The process-global thunk counter cannot give a
-	// page load its own count when sessions run concurrently.
+// aware view writer without being evaluated. It is one pointer, so putting
+// it in a model map or a []any stores that pointer and allocates nothing.
+type Lazy[T any] struct{ c *lazyCell[T] }
+
+// lazyCell is a lazy's one allocation: its thunk and, beside it, sink — the
+// session's thunk-allocation counter. Derived lazies (Map) inherit sink so
+// every allocation is attributed to the session whose request created it.
+// The process-global thunk counter cannot give a page load its own count
+// when sessions run concurrently.
+type lazyCell[T any] struct {
+	thunk.Thunk[res[T]]
 	sink *int64
 }
 
 // lazyWith wraps a computation, attributing the allocation to sink. fn is
-// the thunk's own function: a lazy costs its closure and its thunk.
+// the thunk's own function: a lazy costs its closure and its cell.
 func lazyWith[T any](sink *int64, fn func() res[T]) Lazy[T] {
 	if sink != nil {
 		*sink++
 	}
-	return Lazy[T]{sink: sink, th: thunk.New(fn)}
+	return Lazy[T]{&lazyCell[T]{Thunk: thunk.Make(fn), sink: sink}}
 }
 
 // lazyOf wraps a computation for session s.
@@ -51,19 +55,19 @@ func lazyOf[T any](s *Session, fn func() res[T]) Lazy[T] {
 // mirroring the paper's LiteralThunk).
 func lazyDone[T any](s *Session, r res[T]) Lazy[T] {
 	s.stats.ThunkAllocs++
-	return Lazy[T]{sink: &s.stats.ThunkAllocs, th: thunk.Lit(r)}
+	return Lazy[T]{&lazyCell[T]{Thunk: thunk.MakeLit(r), sink: &s.stats.ThunkAllocs}}
 }
 
 // Get forces the value.
 func (l Lazy[T]) Get() (T, error) {
-	r := l.th.Force()
+	r := l.c.Force()
 	return r.val, r.err
 }
 
 // Must forces the value, panicking on error; for fixtures and views whose
 // queries are statically known to be valid.
 func (l Lazy[T]) Must() T {
-	r := l.th.Force()
+	r := l.c.Force()
 	if r.err != nil {
 		panic(r.err)
 	}
@@ -71,7 +75,7 @@ func (l Lazy[T]) Must() T {
 }
 
 // Forced reports whether the value has been computed.
-func (l Lazy[T]) Forced() bool { return l.th.Forced() }
+func (l Lazy[T]) Forced() bool { return l.c.Forced() }
 
 // ForceAny implements thunk.Any. Errors surface as panics at the force
 // point, which the web framework converts into a rendering error.
@@ -80,7 +84,7 @@ func (l Lazy[T]) ForceAny() any { return l.Must() }
 // Map derives a lazy value from l without forcing it. The derived value is
 // attributed to the same session as l.
 func Map[T, U any](l Lazy[T], f func(T) U) Lazy[U] {
-	return lazyWith(l.sink, func() res[U] {
+	return lazyWith(l.c.sink, func() res[U] {
 		v, err := l.Get()
 		if err != nil {
 			return res[U]{err: err}

@@ -26,7 +26,8 @@ func shardMaskOf(t *storage.Table, cands []accessCand, args []sqldb.Value) uint6
 	if !ok {
 		return 0
 	}
-	c, vals := pick(cands, args)
+	var key [1]sqldb.Value
+	c, vals := pick(cands, args, key[:0])
 	if c == nil || c.ord != pOrd {
 		return 0
 	}

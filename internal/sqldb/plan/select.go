@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 
@@ -26,6 +27,7 @@ type SelectPlan struct {
 	agg      *aggPlan
 	cols     []string
 	projs    []EvalFn
+	whole    bool // the select list is the source row, column for column
 	orderBy  []orderItem
 	orderSrc bool // some ORDER BY term is a source-row key
 	distinct bool
@@ -187,6 +189,7 @@ func CompileSelect(st *sqlparse.SelectStmt, store *storage.Store) (*SelectPlan, 
 		for _, e := range exprs {
 			p.projs = append(p.projs, Compile(e, env))
 		}
+		p.whole = wholeRow(env, exprs)
 	}
 
 	for _, ob := range st.OrderBy {
@@ -229,6 +232,26 @@ func (p *SelectPlan) pushOrder(st *sqlparse.SelectStmt, exprs []sqlparse.Expr) {
 			}
 		}
 	}
+}
+
+// wholeRow reports whether the select list projects the combined source row
+// as it is: one column reference per row position, in row order — `SELECT *`
+// over one table or a join, or every column named in declaration order.
+// Such a plan's output row is the source row itself (see sink.add).
+func wholeRow(env *Env, exprs []sqlparse.Expr) bool {
+	if len(exprs) != env.width {
+		return false
+	}
+	for i, e := range exprs {
+		ref, ok := e.(*sqlparse.ColRef)
+		if !ok {
+			return false
+		}
+		if pos, err := env.resolve(ref); err != nil || pos != i {
+			return false
+		}
+	}
+	return true
 }
 
 // outputCol resolves an ORDER BY term to the output column it denotes: an
@@ -288,15 +311,24 @@ func (p *SelectPlan) ExecSnap(args []sqldb.Value, snap *storage.Snap) (*sqldb.Re
 	return p.exec(args, snap)
 }
 
+// result is a SELECT's result set allocated together with room for its
+// first row, so a point query's answer — the set and its one-row slice — is
+// one object.
+type result struct {
+	rs    sqldb.ResultSet
+	first [1][]sqldb.Value
+}
+
 func (p *SelectPlan) exec(args []sqldb.Value, snap *storage.Snap) (*sqldb.ResultSet, error) {
-	s := sink{p: p, args: args, snap: snap}
+	res := new(result)
+	s := sink{p: p, args: args, snap: snap, rows: res.first[:0]}
 	if p.agg != nil {
 		s.run = p.agg.newRun()
 	}
 	if err := p.eachSource(&s); err != nil && err != errFull {
 		return nil, err
 	}
-	return s.finish()
+	return s.finish(res)
 }
 
 // errFull stops a source stream that arrives in ORDER BY order once
@@ -307,7 +339,7 @@ var errFull = errors.New("plan: limit reached")
 // chooses or a scan. The rows alias the immutable stored images — zero
 // copies; every consumer downstream only reads them.
 func (p *SelectPlan) eachSource(s *sink) error {
-	c, vals := pick(p.access, s.args)
+	c, vals := pick(p.access, s.args, s.key[:0])
 	switch {
 	case c == nil:
 		return p.from.ScanEach(s.snap, s.source)
@@ -339,6 +371,7 @@ type sink struct {
 	run     *aggRun         // aggregate plans: the accumulating groups
 	rows    [][]sqldb.Value // other plans: projected output rows
 	keys    [][]sqldb.Value // keys[i]: rows[i]'s ORDER BY keys, when p.orderSrc
+	key     [1]sqldb.Value  // pick's room for an equality lookup value
 }
 
 func (s *sink) source(r storage.Row) error {
@@ -399,13 +432,22 @@ func (s *sink) add(row []sqldb.Value) error {
 	if s.run != nil {
 		return s.run.add(row, s.args)
 	}
-	out := make([]sqldb.Value, len(p.projs))
-	for i, fn := range p.projs {
-		v, err := fn(row, s.args)
-		if err != nil {
-			return err
+	var out []sqldb.Value
+	if p.whole {
+		// The output row is the source row: a stored image is immutable and
+		// a joined row is built fresh for this match, so the result keeps
+		// either without a copy — capped, so no reader's append can write
+		// into the stored array.
+		out = row[:len(row):len(row)]
+	} else {
+		out = make([]sqldb.Value, len(p.projs))
+		for i, fn := range p.projs {
+			v, err := fn(row, s.args)
+			if err != nil {
+				return err
+			}
+			out[i] = v
 		}
-		out[i] = v
 	}
 	s.rows = append(s.rows, out)
 	if !p.orderSrc || s.sorted {
@@ -428,9 +470,12 @@ func (s *sink) add(row []sqldb.Value) error {
 	return nil
 }
 
-// finish turns the accumulated rows into the result set.
-func (s *sink) finish() (*sqldb.ResultSet, error) {
+// finish turns the accumulated rows into the result set, filling res.
+func (s *sink) finish(res *result) (*sqldb.ResultSet, error) {
 	p := s.p
+	if len(s.rows) == 0 {
+		s.rows = nil // a result with no rows has nil Rows
+	}
 	if s.run != nil {
 		var err error
 		if s.rows, err = s.run.finish(s.args); err != nil {
@@ -461,7 +506,8 @@ func (s *sink) finish() (*sqldb.ResultSet, error) {
 	if p.limit >= 0 && len(rows) > p.limit {
 		rows = rows[:p.limit]
 	}
-	return &sqldb.ResultSet{Cols: p.cols, Rows: rows, RowsScanned: s.scanned}, nil
+	res.rs = sqldb.ResultSet{Cols: p.cols, Rows: rows, RowsScanned: s.scanned}
+	return &res.rs, nil
 }
 
 // byOrder sorts output rows by the ORDER BY terms: output-column terms read
@@ -501,27 +547,29 @@ func (o *byOrder) Swap(a, b int) {
 // (shardMaskOf), so they cannot disagree about which index an execution
 // uses: the first candidate, in WHERE-traversal order, whose lookup values
 // evaluate, with those values. nil when none does and the execution scans.
-func pick(cands []accessCand, args []sqldb.Value) (*accessCand, []sqldb.Value) {
+// The values are appended to buf, so a caller that passes room for one
+// (every equality lookup) allocates nothing for them.
+func pick(cands []accessCand, args, buf []sqldb.Value) (*accessCand, []sqldb.Value) {
 	for i := range cands {
-		if vals, ok := cands[i].values(args); ok {
+		if vals, ok := cands[i].values(args, buf); ok {
 			return &cands[i], vals
 		}
 	}
 	return nil, nil
 }
 
-// values evaluates an access candidate's lookup values for this execution.
-// A candidate fails (ok=false) when its value errors or is NULL — the next
-// candidate, or ultimately the scan path, takes over.
-func (c *accessCand) values(args []sqldb.Value) ([]sqldb.Value, bool) {
+// values evaluates an access candidate's lookup values for this execution
+// onto buf. A candidate fails (ok=false) when its value errors or is NULL —
+// the next candidate, or ultimately the scan path, takes over.
+func (c *accessCand) values(args, buf []sqldb.Value) ([]sqldb.Value, bool) {
 	if c.eq != nil {
 		v, err := c.eq(nil, args)
 		if err != nil || v == nil {
 			return nil, false
 		}
-		return []sqldb.Value{v}, true
+		return append(buf, v), true
 	}
-	vals := make([]sqldb.Value, 0, len(c.in))
+	vals := slices.Grow(buf, len(c.in))
 	var seen map[string]bool
 	for _, fn := range c.in {
 		v, err := fn(nil, args)

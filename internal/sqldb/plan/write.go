@@ -148,7 +148,8 @@ func (a *TableAccess) Match(args []sqldb.Value) ([]storage.RowID, int, error) {
 		out = append(out, id)
 		return true
 	}
-	if c, vals := pick(a.access, args); c != nil {
+	var key [1]sqldb.Value
+	if c, vals := pick(a.access, args, key[:0]); c != nil {
 		for _, val := range vals {
 			for _, id := range a.t.Lookup(c.ord, val) {
 				if row, ok := a.t.RowAt(id, nil); ok && !visit(id, row) {

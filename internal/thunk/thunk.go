@@ -71,16 +71,30 @@ type Thunk[T any] struct {
 
 // New creates a thunk whose value is computed by fn on first force.
 func New[T any](fn func() T) *Thunk[T] {
-	atomic.AddInt64(&globalStats.allocs, 1)
-	return &Thunk[T]{fn: fn}
+	t := Make(fn)
+	return &t
 }
 
 // Lit wraps an already-computed value in a thunk. This mirrors the paper's
 // LiteralThunk, used to re-inject results of eagerly executed external calls
 // into the lazy world (Sec. 3.4).
 func Lit[T any](v T) *Thunk[T] {
+	t := MakeLit(v)
+	return &t
+}
+
+// Make is New by value, for a thunk embedded in a larger object that is
+// allocated once (the ORM's lazy cell). It counts as an allocation like New;
+// copy the result only before it is first forced.
+func Make[T any](fn func() T) Thunk[T] {
 	atomic.AddInt64(&globalStats.allocs, 1)
-	return &Thunk[T]{val: v, done: true}
+	return Thunk[T]{fn: fn}
+}
+
+// MakeLit is Lit by value, under Make's rules.
+func MakeLit[T any](v T) Thunk[T] {
+	atomic.AddInt64(&globalStats.allocs, 1)
+	return Thunk[T]{val: v, done: true}
 }
 
 // Force evaluates the thunk, memoizing the result; subsequent calls return

@@ -221,18 +221,20 @@ func (a *App) Load(name string, req Params, sess *orm.Session) (*Result, error) 
 	clock.Advance(a.profile.ControllerBase)
 
 	vctx := pctx.Child("app", "view", clock.Now())
-	w := NewThunkWriter(sess.Sloth())
+	w := getWriter(sess.Sloth())
 	page.View(w, ctx.Model)
 	html, err := w.Flush()
+	rendered := w.Rendered()
+	w.release()
 	if err != nil {
 		return nil, fmt.Errorf("webapp: page %q: %w", name, err)
 	}
-	vctx.EndArgs(clock.Now(), obs.Arg{K: "rendered", V: w.Rendered()})
+	vctx.EndArgs(clock.Now(), obs.Arg{K: "rendered", V: rendered})
 
 	res := &Result{
 		HTML:        html,
 		ModelPuts:   ctx.puts,
-		Rendered:    w.Rendered(),
+		Rendered:    rendered,
 		ThunkAllocs: sess.Stats().ThunkAllocs + sess.Store().Stats().ThunkAllocs - thunksBefore,
 		Entities:    sess.Stats().Deserialized - entitiesBefore,
 	}

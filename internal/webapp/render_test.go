@@ -55,9 +55,7 @@ func referenceRender(v any) string {
 
 // render is the production renderer applied to one value.
 func render(v any) string {
-	var sb strings.Builder
-	webapp.AppendValue(&sb, v)
-	return sb.String()
+	return string(webapp.AppendValue(nil, v))
 }
 
 type entity struct {
@@ -335,7 +333,7 @@ func TestLoadKeepsForceErrorChain(t *testing.T) {
 }
 
 // BenchmarkRender measures page rendering alone: forced values appended to
-// a builder that already has room, as in the middle of a page.
+// a buffer that already has room, as in the middle of a page.
 func BenchmarkRender(b *testing.B) {
 	e := &entity{ID: 1234, Name: "Glucose", Score: 5.25, Active: true}
 	list := make([]*entity, 30)
@@ -351,15 +349,14 @@ func BenchmarkRender(b *testing.B) {
 		{"scalars", []any{int64(42), "label", 2.5, true}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			var sb strings.Builder
+			buf := make([]byte, 0, 1<<17)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if sb.Len() > 1<<16 {
-					sb.Reset()
-					sb.Grow(1 << 17)
+				if len(buf) > 1<<16 {
+					buf = buf[:0]
 				}
 				for _, v := range c.vals {
-					webapp.AppendValue(&sb, v)
+					buf = webapp.AppendValue(buf, v)
 				}
 			}
 		})

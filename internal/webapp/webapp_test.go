@@ -116,6 +116,48 @@ func TestThunkWriterFlushConvertsPanics(t *testing.T) {
 	}
 }
 
+// TestRecycledWriterAllocatesOnlyThePage: once reset, a writer renders a
+// page — markup, eager values, thunks buffered and forced at Flush — into
+// one allocation, the page it returns; and a reset writer holds no
+// reference to what it rendered. (App.Load recycles writers through a
+// sync.Pool, which the race detector makes drop some at random, so the
+// count is taken on one writer reset by hand.)
+func TestRecycledWriterAllocatesOnlyThePage(t *testing.T) {
+	e := &Item{ID: 7, Name: "seven"}
+	lazy := thunk.New(func() *Item { return e })
+	var page string
+	w := NewThunkWriter(true)
+	render := func() {
+		w.reset()
+		w.deferred = true
+		w.WriteString("<ul>")
+		for i := 0; i < 40; i++ {
+			w.WriteString("<li>")
+			w.WriteValue(lazy)
+			w.WriteValue(e)
+			w.WriteString("</li>")
+		}
+		w.WriteString("</ul>")
+		var err error
+		if page, err = w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	render()
+	if n := testing.AllocsPerRun(100, render); n != 1 {
+		t.Errorf("a recycled render allocates %v objects, want 1 (the page)", n)
+	}
+	if want := "<ul>" + strings.Repeat("<li>{7 seven}{7 seven}</li>", 40) + "</ul>"; page != want {
+		t.Fatalf("page = %q, want %q", page, want)
+	}
+	w.reset()
+	for i, p := range w.parts[:cap(w.parts)] {
+		if p != (part{}) {
+			t.Fatalf("reset writer keeps part %d: %+v", i, p)
+		}
+	}
+}
+
 func TestPageLoadSlothBatchesQueries(t *testing.T) {
 	app, sess, link, _ := rig(t, orm.ModeSloth)
 	app.MustRegisterPage(itemPage())

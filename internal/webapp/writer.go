@@ -12,19 +12,33 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/thunk"
 )
 
-// ThunkWriter accumulates page output. Plain strings append immediately;
-// lazy values are buffered unforced when deferred mode is on, and are all
-// forced only at Flush — typically triggering a single batched round trip
-// for every query still pending in the session's query store.
+// ThunkWriter accumulates page output as a list of parts. Markup is kept as
+// the string it was given; a value written eagerly is rendered at once into
+// the writer's value buffer; a lazy value is buffered unforced when deferred
+// mode is on, and all of them are forced only at Flush — typically
+// triggering a single batched round trip for every query still pending in
+// the session's query store. Flush then writes the page once, into one
+// allocation of exactly its length.
 type ThunkWriter struct {
-	parts    []any // string or thunk.Any
+	parts    []part
+	vals     []byte // rendered values; a value part is a span of it
 	deferred bool
 	rendered int // values written via WriteValue
 	buffered int // thunk values buffered rather than forced
+}
+
+// part is one piece of the page, in page order: markup (text), a rendered
+// value (vals[from:to]), or a buffered thunk (t), which Flush forces and
+// renders into vals, turning it into a rendered value.
+type part struct {
+	text     string
+	t        thunk.Any
+	from, to int
 }
 
 // NewThunkWriter creates a writer. With deferred=false (original
@@ -34,9 +48,33 @@ func NewThunkWriter(deferred bool) *ThunkWriter {
 	return &ThunkWriter{deferred: deferred}
 }
 
+// writers recycles the writers App.Load renders with: a writer's part list
+// and value buffer are scratch, so what a load allocates for its page is
+// the page string Flush returns.
+var writers = sync.Pool{New: func() any { return new(ThunkWriter) }}
+
+func getWriter(deferred bool) *ThunkWriter {
+	w := writers.Get().(*ThunkWriter)
+	w.deferred = deferred
+	return w
+}
+
+// release resets w and returns it to the pool.
+func (w *ThunkWriter) release() {
+	w.reset()
+	writers.Put(w)
+}
+
+// reset empties w for its next page, keeping its buffers and dropping its
+// references to markup and thunks (and so to the entities they hold).
+func (w *ThunkWriter) reset() {
+	clear(w.parts)
+	*w = ThunkWriter{parts: w.parts[:0], vals: w.vals[:0]}
+}
+
 // WriteString appends literal markup.
 func (w *ThunkWriter) WriteString(s string) {
-	w.parts = append(w.parts, s)
+	w.parts = append(w.parts, part{text: s})
 }
 
 // WriteValue appends a dynamic value. Lazy values (thunk.Any) are buffered
@@ -45,15 +83,15 @@ func (w *ThunkWriter) WriteValue(v any) {
 	w.rendered++
 	if t, ok := v.(thunk.Any); ok {
 		if w.deferred {
-			w.parts = append(w.parts, t)
+			w.parts = append(w.parts, part{t: t})
 			w.buffered++
 			return
 		}
 		v = t.ForceAny()
 	}
-	var sb strings.Builder
-	appendValue(&sb, v)
-	w.parts = append(w.parts, sb.String())
+	from := len(w.vals)
+	w.vals = appendValue(w.vals, v)
+	w.parts = append(w.parts, part{from: from, to: len(w.vals)})
 }
 
 // Rendered reports how many dynamic values were written.
@@ -62,10 +100,10 @@ func (w *ThunkWriter) Rendered() int { return w.rendered }
 // Buffered reports how many thunks were buffered unforced.
 func (w *ThunkWriter) Buffered() int { return w.buffered }
 
-// Flush forces every buffered thunk (triggering query-store flushes as
-// needed) and returns the rendered page. Force-time panics from lazy
-// errors are converted to an error return that keeps the panicking error's
-// chain, so errors.Is sees through it.
+// Flush forces every buffered thunk in page order (triggering query-store
+// flushes as needed) and returns the rendered page. Force-time panics from
+// lazy errors are converted to an error return that keeps the panicking
+// error's chain, so errors.Is sees through it.
 func (w *ThunkWriter) Flush() (page string, err error) {
 	defer func() {
 		switch r := recover().(type) {
@@ -76,30 +114,38 @@ func (w *ThunkWriter) Flush() (page string, err error) {
 			err = fmt.Errorf("webapp: render failed: %v", r)
 		}
 	}()
-	var sb strings.Builder
-	for _, p := range w.parts {
-		switch x := p.(type) {
-		case string:
-			sb.WriteString(x)
-		case thunk.Any:
-			appendValue(&sb, x.ForceAny())
+	n := 0
+	for i := range w.parts {
+		p := &w.parts[i]
+		if p.t != nil {
+			p.from = len(w.vals)
+			w.vals = appendValue(w.vals, p.t.ForceAny())
+			p.to, p.t = len(w.vals), nil
 		}
+		n += len(p.text) + p.to - p.from
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	for _, p := range w.parts {
+		sb.WriteString(p.text)
+		sb.Write(w.vals[p.from:p.to])
 	}
 	return sb.String(), nil
 }
 
-// appendValue formats a forced value onto the page. Slices render as
-// comma-joined items so entity lists produce size-proportional output, and
-// pointers render their referent: page bytes must be a pure function of the
-// data (never of allocation addresses), which is what lets the golden
-// equality tests compare optimized and unoptimized executions byte for
-// byte. The bytes are fmt's %v of the data; what pages are made of — int64,
-// string, float64, bool and structs of those, behind any depth of pointers
-// and slices — is written with strconv, the rest is handed to fmt.
-func appendValue(sb *strings.Builder, v any) {
-	if v != nil {
-		appendReflected(sb, reflect.ValueOf(v))
+// appendValue formats a forced value onto b. Slices render as comma-joined
+// items so entity lists produce size-proportional output, and pointers
+// render their referent: page bytes must be a pure function of the data
+// (never of allocation addresses), which is what lets the golden equality
+// tests compare optimized and unoptimized executions byte for byte. The
+// bytes are fmt's %v of the data; what pages are made of — int64, string,
+// float64, bool and structs of those, behind any depth of pointers and
+// slices — is written with strconv, the rest is handed to fmt.
+func appendValue(b []byte, v any) []byte {
+	if v == nil {
+		return b
 	}
+	return appendReflected(b, reflect.ValueOf(v))
 }
 
 var (
@@ -110,10 +156,10 @@ var (
 // appendReflected renders rv. The walk never descends through a struct
 // field, so Interface is allowed on rv wherever it is needed: for a String
 // method and for what is left to fmt.
-func appendReflected(sb *strings.Builder, rv reflect.Value) {
+func appendReflected(b []byte, rv reflect.Value) []byte {
 	if rv.Kind() == reflect.Interface { // an element of a []any or the like
 		if rv.IsNil() {
-			return
+			return b
 		}
 		rv = rv.Elem()
 	}
@@ -121,39 +167,40 @@ func appendReflected(sb *strings.Builder, rv reflect.Value) {
 	case t == stringSliceType: // joined bare, without the brackets of other slices
 		for i := 0; i < rv.Len(); i++ {
 			if i > 0 {
-				sb.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			sb.WriteString(rv.Index(i).String())
+			b = append(b, rv.Index(i).String()...)
 		}
 	case t.Implements(stringerType):
-		sb.WriteString(rv.Interface().(fmt.Stringer).String())
+		b = append(b, rv.Interface().(fmt.Stringer).String()...)
 	case rv.Kind() == reflect.Pointer:
 		if !rv.IsNil() {
-			appendReflected(sb, rv.Elem())
+			b = appendReflected(b, rv.Elem())
 		}
 	case rv.Kind() == reflect.Slice:
-		sb.WriteByte('[')
+		b = append(b, '[')
 		for i := 0; i < rv.Len(); i++ {
 			if i > 0 {
-				sb.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			appendReflected(sb, rv.Index(i))
+			b = appendReflected(b, rv.Index(i))
 		}
-		sb.WriteByte(']')
+		b = append(b, ']')
 	case plain(rv):
-		appendPlain(sb, rv)
+		b = appendPlain(b, rv)
 	case plainStruct(rv):
-		sb.WriteByte('{')
+		b = append(b, '{')
 		for i := 0; i < rv.NumField(); i++ {
 			if i > 0 {
-				sb.WriteByte(' ')
+				b = append(b, ' ')
 			}
-			appendPlain(sb, rv.Field(i))
+			b = appendPlain(b, rv.Field(i))
 		}
-		sb.WriteByte('}')
+		b = append(b, '}')
 	default:
-		sb.WriteString(fmt.Sprint(rv.Interface()))
+		b = fmt.Append(b, rv.Interface())
 	}
+	return b
 }
 
 // plain reports whether %v of rv is just its value: one of the four kinds
@@ -182,16 +229,16 @@ func plainStruct(rv reflect.Value) bool {
 }
 
 // appendPlain writes a plain value exactly as %v does.
-func appendPlain(sb *strings.Builder, rv reflect.Value) {
-	var buf [32]byte
+func appendPlain(b []byte, rv reflect.Value) []byte {
 	switch rv.Kind() {
 	case reflect.Int64:
-		sb.Write(strconv.AppendInt(buf[:0], rv.Int(), 10))
+		return strconv.AppendInt(b, rv.Int(), 10)
 	case reflect.String:
-		sb.WriteString(rv.String())
+		return append(b, rv.String()...)
 	case reflect.Float64:
-		sb.Write(strconv.AppendFloat(buf[:0], rv.Float(), 'g', -1, 64))
+		return strconv.AppendFloat(b, rv.Float(), 'g', -1, 64)
 	case reflect.Bool:
-		sb.Write(strconv.AppendBool(buf[:0], rv.Bool()))
+		return strconv.AppendBool(b, rv.Bool())
 	}
+	return b
 }
