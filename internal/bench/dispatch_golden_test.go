@@ -19,23 +19,22 @@ import (
 
 func dispatchGoldenSuite(t *testing.T, id AppID) {
 	t.Helper()
-	env, err := NewEnv(id, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rtt := 500 * time.Microsecond
 	kinds := []dispatch.Kind{dispatch.KindAsync, dispatch.KindShared}
-	for _, page := range env.Pages() {
-		env.Srv.SetWorkers(1)
-		want, _, err := env.LoadPageHTML(page, orm.ModeSloth, rtt, querystore.Config{})
+	// The K-queue occupancy model may only change WHEN batches run on the
+	// virtual timeline, never what they observe: every strategy renders
+	// what sync renders, on a server of 1 and of 4 DB workers.
+	for _, workers := range []int{1, 4} {
+		env, err := NewEnv(id, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The K-queue occupancy model may only change WHEN batches run on
-		// the virtual timeline, never what they observe: every strategy
-		// renders identically at 1 and at 4 DB workers.
-		for _, workers := range []int{1, 4} {
-			env.Srv.SetWorkers(workers)
+		env.Srv.SetWorkers(workers)
+		for _, page := range env.Pages() {
+			want, _, err := env.LoadPageHTML(page, orm.ModeSloth, rtt, querystore.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, kind := range kinds {
 				got, _, err := env.LoadPageHTML(page, orm.ModeSloth, rtt, querystore.Config{Dispatch: kind})
 				if err != nil {
@@ -69,16 +68,16 @@ func TestDispatchGoldenWithMerge(t *testing.T) {
 	}
 	rtt := 500 * time.Microsecond
 	for _, tc := range cases {
-		env, err := NewEnv(tc.id, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, err := env.LoadPageHTML(tc.page, orm.ModeSloth, rtt, querystore.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, workers := range []int{1, 4} {
+			env, err := NewEnv(tc.id, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
 			env.Srv.SetWorkers(workers)
+			want, _, err := env.LoadPageHTML(tc.page, orm.ModeSloth, rtt, querystore.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, kind := range []dispatch.Kind{dispatch.KindSync, dispatch.KindAsync, dispatch.KindShared} {
 				cfg := MergeConfig()
 				cfg.Dispatch = kind

@@ -43,7 +43,7 @@ func chaosConfig() faults.Config {
 // attempts to walk out of every outage window (and through a breaker
 // cooldown) on the capped backoff schedule.
 func chaosRetry() dispatch.RetryPolicy {
-	return dispatch.RetryPolicy{MaxAttempts: 16, Backoff: 100 * time.Microsecond, MaxBackoff: 2 * time.Millisecond}
+	return dispatch.RetryPolicy{MaxAttempts: 16}
 }
 
 // TestChaosGoldenAllPages is the fault-plane bar: under the injected
@@ -154,7 +154,7 @@ func TestChaosHammerBlackouts(t *testing.T) {
 		},
 		Breaker: faults.Breaker{Threshold: 4, Cooldown: time.Millisecond},
 	})
-	retry := dispatch.RetryPolicy{MaxAttempts: 20, Backoff: 100 * time.Microsecond, MaxBackoff: 2 * time.Millisecond}
+	retry := dispatch.RetryPolicy{MaxAttempts: 20}
 	if _, err := env.Srv.DB().NewSession().Exec(visitSchema); err != nil {
 		t.Fatal(err)
 	}
@@ -224,5 +224,32 @@ func TestChaosHammerBlackouts(t *testing.T) {
 	}
 	if trips := env.Srv.Stats().BreakerTrips; trips == 0 {
 		t.Logf("note: breaker never tripped under this schedule")
+	}
+}
+
+// TestQuantileDurNearestRank: the q-quantile of n sorted samples is the
+// ⌈q·n⌉-th smallest — p50 of the 38- and 112-page suites is the 19th and
+// 56th latency, not the one above.
+func TestQuantileDurNearestRank(t *testing.T) {
+	for _, c := range []struct {
+		n       int
+		q       float64
+		wantRnk int
+	}{
+		{1, 0.5, 1}, {1, 0.99, 1},
+		{2, 0.5, 1}, {2, 0.99, 2},
+		{38, 0.5, 19}, {38, 0.99, 38},
+		{112, 0.5, 56}, {112, 0.99, 111},
+	} {
+		sorted := make([]time.Duration, c.n)
+		for i := range sorted {
+			sorted[i] = time.Duration(i+1) * time.Millisecond
+		}
+		if got, want := quantileDur(sorted, c.q), time.Duration(c.wantRnk)*time.Millisecond; got != want {
+			t.Errorf("n=%d q=%v: got %v, want rank %d (%v)", c.n, c.q, got, c.wantRnk, want)
+		}
+	}
+	if got := quantileDur(nil, 0.5); got != 0 {
+		t.Errorf("empty sample: got %v, want 0", got)
 	}
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -31,10 +32,7 @@ type FaultSweepOptions struct {
 	Rates []float64
 	// Seed keys the fault plane's deterministic PRNG.
 	Seed uint64
-	// Retry is the per-batch recovery policy; the zero value selects a
-	// default (8 attempts, 100µs base backoff capped at 2ms).
-	Retry dispatch.RetryPolicy
-	RTT   time.Duration
+	RTT  time.Duration
 	// Pages restricts the replay to a page subset (tests); nil replays the
 	// app's full suite.
 	Pages []string
@@ -101,13 +99,9 @@ func FaultSweep(id AppID, opts FaultSweepOptions) (FaultReport, error) {
 	if len(rates) == 0 {
 		rates = []float64{0, 0.05, 0.1, 0.2}
 	}
-	retry := opts.Retry
-	if retry.MaxAttempts == 0 {
-		retry = dispatch.RetryPolicy{MaxAttempts: 8, Backoff: 100 * time.Microsecond, MaxBackoff: 2 * time.Millisecond}
-	}
 	rep := FaultReport{App: id, Seed: opts.Seed, RTT: opts.RTT}
 	for _, rate := range rates {
-		row, err := replayFaulted(id, rate, retry, opts)
+		row, err := replayFaulted(id, rate, opts)
 		if err != nil {
 			return rep, fmt.Errorf("bench: faults rate %.2f: %w", rate, err)
 		}
@@ -118,7 +112,7 @@ func FaultSweep(id AppID, opts FaultSweepOptions) (FaultReport, error) {
 
 // replayFaulted is one sweep cell: a fresh environment, the fault plane at
 // one rate, every page loaded once through a retrying store.
-func replayFaulted(id AppID, rate float64, retry dispatch.RetryPolicy, opts FaultSweepOptions) (FaultRow, error) {
+func replayFaulted(id AppID, rate float64, opts FaultSweepOptions) (FaultRow, error) {
 	env, err := NewEnv(id, 1)
 	if err != nil {
 		return FaultRow{}, err
@@ -135,7 +129,7 @@ func replayFaulted(id AppID, rate float64, retry dispatch.RetryPolicy, opts Faul
 	if len(pages) == 0 {
 		pages = env.Pages()
 	}
-	cfg := env.shardCfg(querystore.Config{Retry: retry})
+	cfg := env.shardCfg(querystore.Config{Retry: dispatch.RetryPolicy{MaxAttempts: 8}})
 	start := env.Clock.Now()
 	var latencies []time.Duration
 	var batches int64
@@ -175,17 +169,15 @@ func replayFaulted(id AppID, rate float64, retry dispatch.RetryPolicy, opts Faul
 }
 
 // quantileDur reads the q-quantile from an ascending-sorted sample by the
-// nearest-rank method (the virtual-clock samples are exact, so no
-// interpolation — two same-seed runs produce identical quantiles).
+// nearest-rank method: the ⌈q·n⌉-th smallest value, the rank rule
+// obs.Histogram.Quantile follows (the virtual-clock samples are exact, so
+// no interpolation — two same-seed runs produce identical quantiles).
 func quantileDur(sorted []time.Duration, q float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(q * float64(len(sorted)))
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
+	i := int(math.Ceil(q*float64(len(sorted)))) - 1
+	return sorted[min(max(i, 0), len(sorted)-1)]
 }
 
 // Format renders the fault sweep table.

@@ -25,10 +25,11 @@ type TraceOptions struct {
 	RTT time.Duration
 	// Out, when non-empty, is the path of the Chrome trace JSON to write.
 	Out string
-	// SamplePage overrides which page's waterfall the report shows;
-	// "" selects the paper's running example (itracker's view-issue page).
-	SamplePage string
 }
+
+// waterfallPage is the page whose waterfall the report shows: the paper's
+// running example, itracker's view-issue page.
+const waterfallPage = "module-projects/view issue.jsp"
 
 // TraceAppRow is one application's traced replay.
 type TraceAppRow struct {
@@ -55,11 +56,6 @@ func TraceSuite(opts TraceOptions) (*TraceReport, error) {
 	if rtt <= 0 {
 		rtt = 500 * time.Microsecond
 	}
-	sample := opts.SamplePage
-	if sample == "" {
-		sample = "module-projects/view issue.jsp"
-	}
-
 	tr := obs.NewTracer()
 	rep := &TraceReport{}
 	for _, id := range []AppID{Itracker, OpenMRS} {
@@ -92,7 +88,7 @@ func TraceSuite(opts TraceOptions) (*TraceReport, error) {
 						id, mode2str(mode), page)
 				}
 				row.Pages++
-				if id == Itracker && page == sample && mode == orm.ModeSloth && rep.Sample == "" {
+				if id == Itracker && page == waterfallPage && mode == orm.ModeSloth && rep.Sample == "" {
 					if roots := tr.Roots(); len(roots) > rootsBefore {
 						rep.Sample = tr.Waterfall(roots[rootsBefore])
 					}

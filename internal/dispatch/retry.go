@@ -9,13 +9,14 @@ import (
 	"repro/internal/sqldb"
 )
 
-// Recovery defaults: the initial backoff is a fraction of a typical round
-// trip (retry soon — most injected faults are instantaneous rolls) and the
-// cap keeps walked-out schedules bounded so a long outage window is probed
-// every couple of milliseconds of virtual time.
+// The backoff schedule: the first retry waits a fraction of a typical
+// round trip (retry soon — most injected faults are instantaneous rolls),
+// each later one doubles it, and the cap keeps walked-out schedules bounded
+// so a long outage window is probed every couple of milliseconds of virtual
+// time.
 const (
-	DefaultRetryBackoff = 100 * time.Microsecond
-	DefaultMaxBackoff   = 2 * time.Millisecond
+	retryBackoff    = 100 * time.Microsecond
+	maxRetryBackoff = 2 * time.Millisecond
 )
 
 // RetryPolicy configures per-batch recovery for a dispatcher: capped
@@ -33,21 +34,12 @@ const (
 // Backoff is VIRTUAL: a retry re-attempts the batch at (failure time +
 // backoff) on the session's simulated timeline, which keys fresh fault
 // rolls — so under any fault schedule that eventually recovers, the walked-
-// out attempts deterministically find the recovery point.
+// out attempts deterministically find the recovery point. The schedule is
+// fixed (100 µs doubling to a 2 ms cap); the attempt budget is the policy.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of executions allowed per batch
 	// (first try included). <= 1 disables recovery.
 	MaxAttempts int
-	// Backoff is the delay before the first retry, doubling on each
-	// subsequent one; <= 0 selects DefaultRetryBackoff.
-	Backoff time.Duration
-	// MaxBackoff caps the doubling; <= 0 selects DefaultMaxBackoff.
-	MaxBackoff time.Duration
-	// Deadline bounds a batch's whole recovery effort in virtual time from
-	// its first arrival: a retry that would begin past the deadline is not
-	// attempted and the batch fails with the last error. 0 means no
-	// deadline.
-	Deadline time.Duration
 }
 
 // enabled reports whether the policy performs any recovery at all.
@@ -55,22 +47,12 @@ func (p RetryPolicy) enabled() bool { return p.MaxAttempts > 1 }
 
 // backoffAfter is the capped exponential delay scheduled after the n-th
 // failed attempt (1-based).
-func (p RetryPolicy) backoffAfter(attempt int) time.Duration {
-	b := p.Backoff
-	if b <= 0 {
-		b = DefaultRetryBackoff
-	}
-	ceil := p.MaxBackoff
-	if ceil <= 0 {
-		ceil = DefaultMaxBackoff
-	}
-	for i := 1; i < attempt && b < ceil; i++ {
+func backoffAfter(attempt int) time.Duration {
+	b := retryBackoff
+	for i := 1; i < attempt && b < maxRetryBackoff; i++ {
 		b *= 2
 	}
-	if b > ceil {
-		b = ceil
-	}
-	return b
+	return min(b, maxRetryBackoff)
 }
 
 // recovery is the outcome of one batch's trip down the pipeline — how many
@@ -90,16 +72,12 @@ type recovery struct {
 
 // execAttempts drives one statement list through the retry loop: execute at
 // `at`, and while the failure is retriable (injected transient/timeout) and
-// attempts and deadline allow, re-attempt at the failure's observation time
+// attempts remain, re-attempt at the failure's observation time
 // plus the capped exponential backoff. Returns the last attempt's outcome
 // and how many retries were spent; `done` carries the virtual completion
 // time on success and the last failure-observation time on error.
 func execAttempts(conn *driver.Conn, ctx obs.Ctx, arrival time.Duration, stmts []driver.Stmt, policy RetryPolicy) ([]*sqldb.ResultSet, time.Duration, int64, error) {
 	var retries int64
-	var deadline time.Duration
-	if policy.Deadline > 0 {
-		deadline = arrival + policy.Deadline
-	}
 	at := arrival
 	for attempt := 1; ; attempt++ {
 		results, done, err := conn.Exec(ctx, at, stmts)
@@ -111,10 +89,7 @@ func execAttempts(conn *driver.Conn, ctx obs.Ctx, arrival time.Duration, stmts [
 		if !faults.Retriable(err) || attempt >= policy.MaxAttempts {
 			return nil, done, retries, err
 		}
-		next := done + policy.backoffAfter(attempt)
-		if deadline > 0 && next > deadline {
-			return nil, done, retries, err
-		}
+		next := done + backoffAfter(attempt)
 		retries++
 		if ctx.Enabled() {
 			ctx.Instant("retry", "backoff", next,

@@ -308,7 +308,7 @@ func (h *Hub) closeWindowLocked(w *window, gen int) {
 	// single page tree. It spans first contribution to completion; the
 	// combined batch's execution spans parent under it.
 	var wctx obs.Ctx
-	if h.tr.Enabled() {
+	if h.tr != nil {
 		wctx = h.tr.Root(h.track, "window", "window", entries[0].t.arrival,
 			obs.Arg{K: "gen", V: gen},
 			obs.Arg{K: "entries", V: len(entries)},

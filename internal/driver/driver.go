@@ -101,13 +101,10 @@ type ServerStats struct {
 	BreakerTrips     int64
 	BreakerFastFails int64
 	BreakerProbes    int64
-	// RetiredBatches/RetiredBusy/RetiredWall accumulate per-worker
-	// attribution folded in by SetWorkers when the pool is resized mid-run,
-	// so resizing never silently under-counts totals: total batches placed
-	// is sum(WorkerBatches) + RetiredBatches, and likewise for busy/wall.
-	RetiredBatches int64
-	RetiredBusy    time.Duration
-	RetiredWall    time.Duration
+	// RetiredWall is always zero: the pool is sized before the first batch
+	// and never resized, so no wall time outlives its worker slot. It stays
+	// only because benchmark/ still adds it to sum(WorkerWall).
+	RetiredWall time.Duration
 }
 
 // Server fronts an engine.DB. It is safe for concurrent use by many
@@ -188,8 +185,7 @@ type Server struct {
 	// batch takes a token, executes its compiled plans against an MVCC
 	// snapshot concurrently with other holders, and returns the token.
 	// Writes never take a token — they serialize on the storage lock as
-	// before. Guarded by mu for replacement (SetWorkers); holders keep the
-	// channel they drew from, so a resize never strands a token.
+	// before. Replaced only by SetWorkers, before the first batch.
 	slots chan int
 }
 
@@ -256,22 +252,13 @@ func (l *laneBusy) insert(from, dur time.Duration) {
 	l.spans = append(l.spans[:i+1], l.spans[j:]...)
 }
 
-// newSlots builds the k-token worker semaphore.
-func newSlots(k int) chan int {
-	slots := make(chan int, k)
-	for i := 0; i < k; i++ {
-		slots <- i
-	}
-	return slots
-}
-
 // NewServer creates a server over db using the given clock and cost model.
 // The server starts with one DB worker queue per storage shard; SetWorkers
-// resizes the per-shard pool.
+// sizes the per-shard pool before the first batch.
 func NewServer(db *engine.DB, clock netsim.Clock, cost CostModel) *Server {
-	shards := db.Store().NumShards()
-	return &Server{db: db, clock: clock, cost: cost, shards: shards,
-		lanes: make([]laneBusy, shards), slots: newSlots(shards)}
+	s := &Server{db: db, clock: clock, cost: cost, shards: db.Store().NumShards()}
+	s.SetWorkers(1)
+	return s
 }
 
 // DB returns the underlying engine (for direct data loading in fixtures).
@@ -310,34 +297,24 @@ func (s *Server) SetMetrics(reg *obs.Registry) {
 }
 
 // SetWorkers sizes the DB worker pool to k queues per shard (k < 1
-// selects 1), resetting every lane's busy horizon. Per-worker stat
-// attribution folds into the Retired* buckets rather than being dropped (a
-// shrunk pool must not keep reporting load on workers that no longer
-// exist, but a mid-run resize must not silently under-count totals
-// either). Call it between replays, not while batches are in flight; a
-// batch already holding a worker slot finishes against the channel it drew
-// from and its wall time lands in RetiredWall if its slot index no longer
-// exists.
+// selects 1): the occupancy lanes, the execution slots and the per-worker
+// stat slices. The pool is configured once, before the first batch — a
+// deployment does not resize its server mid-run.
 func (s *Server) SetWorkers(k int) {
 	if k < 1 {
 		k = 1
 	}
+	n := s.shards * k
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, n := range s.stats.WorkerBatches {
-		s.stats.RetiredBatches += n
+	s.lanes = make([]laneBusy, n)
+	s.stats.WorkerBatches = make([]int64, n)
+	s.stats.WorkerBusy = make([]time.Duration, n)
+	s.stats.WorkerWall = make([]time.Duration, n)
+	s.slots = make(chan int, n)
+	for i := 0; i < n; i++ {
+		s.slots <- i
 	}
-	for _, d := range s.stats.WorkerBusy {
-		s.stats.RetiredBusy += d
-	}
-	for _, d := range s.stats.WorkerWall {
-		s.stats.RetiredWall += d
-	}
-	s.stats.WorkerBatches = nil
-	s.stats.WorkerBusy = nil
-	s.stats.WorkerWall = nil
-	s.lanes = make([]laneBusy, s.shards*k)
-	s.slots = newSlots(s.shards * k)
 }
 
 // Workers reports the size of the DB worker pool (per shard).
@@ -359,13 +336,6 @@ func (s *Server) Stats() ServerStats {
 	st.WorkerBusy = append([]time.Duration(nil), s.stats.WorkerBusy...)
 	st.WorkerWall = append([]time.Duration(nil), s.stats.WorkerWall...)
 	return st
-}
-
-// ResetStats zeroes the server counters.
-func (s *Server) ResetStats() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats = ServerStats{}
 }
 
 // stmtTrace is one statement's slot in a batch's server-time layout,
@@ -487,10 +457,7 @@ func (s *Server) execBatch(sess *engine.Session, stmts []Stmt, traced bool) ([]*
 		return results, total, layout, nil
 	}
 
-	s.mu.Lock()
-	slots := s.slots
-	s.mu.Unlock()
-	slot := <-slots
+	slot := <-s.slots
 	//slothvet:allow wallclock(host-side wall stats: measures real multicore speedup, never feeds virtual time)
 	wallStart := time.Now()
 	snap := s.db.BeginSnapshot()
@@ -498,7 +465,7 @@ func (s *Server) execBatch(sess *engine.Session, stmts []Stmt, traced bool) ([]*
 	snap.Close()
 	//slothvet:allow wallclock(host-side wall stats: measures real multicore speedup, never feeds virtual time)
 	wall := time.Since(wallStart)
-	slots <- slot
+	s.slots <- slot
 	if err != nil {
 		return nil, 0, nil, err
 	}
@@ -506,15 +473,7 @@ func (s *Server) execBatch(sess *engine.Session, stmts []Stmt, traced bool) ([]*
 	s.mu.Lock()
 	s.addBatchLocked(len(stmts), rowsVisited, total)
 	s.stats.SnapBatches++
-	if slot < len(s.lanes) {
-		for len(s.stats.WorkerWall) < len(s.lanes) {
-			s.stats.WorkerWall = append(s.stats.WorkerWall, 0)
-		}
-		s.stats.WorkerWall[slot] += wall
-	} else {
-		// The pool shrank while this batch held an old slot token.
-		s.stats.RetiredWall += wall
-	}
+	s.stats.WorkerWall[slot] += wall
 	s.met.wallNS.Add(int64(wall))
 	s.mu.Unlock()
 	return results, total, layout, nil
@@ -600,10 +559,6 @@ func (s *Server) occupy(arrival, cost time.Duration, mask uint64, lanes []int) (
 		if !again {
 			break
 		}
-	}
-	for len(s.stats.WorkerBatches) < len(s.lanes) {
-		s.stats.WorkerBatches = append(s.stats.WorkerBatches, 0)
-		s.stats.WorkerBusy = append(s.stats.WorkerBusy, 0)
 	}
 	for _, w := range lanes {
 		s.lanes[w].insert(start, share)
@@ -698,9 +653,6 @@ func (c *Conn) TraceCtx() obs.Ctx { return c.traceCtx }
 
 // QueriesSent reports how many statements this connection has shipped.
 func (c *Conn) QueriesSent() int64 { return c.queriesSent.Load() }
-
-// ResetStats zeroes the connection counter.
-func (c *Conn) ResetStats() { c.queriesSent.Store(0) }
 
 // InTxn reports whether the connection has an open transaction.
 func (c *Conn) InTxn() bool { return c.sess.InTxn() }

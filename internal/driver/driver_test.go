@@ -9,19 +9,25 @@ import (
 	"repro/internal/sqldb/engine"
 )
 
-// rig builds a server with a seeded table and one connection at the given
-// RTT over a virtual clock.
+// rig builds a server over a table seeded directly in the engine and one
+// connection at the given RTT over a virtual clock. The server has run no
+// batch yet, so its counters start at zero and SetWorkers may still size
+// its pool.
 func rig(t *testing.T, rtt time.Duration) (*netsim.VirtualClock, *Server, *Conn) {
 	t.Helper()
 	clock := netsim.NewVirtualClock()
 	db := engine.New()
+	seed := db.NewSession()
+	for _, sql := range []string{
+		"CREATE TABLE kv (k INT PRIMARY KEY, v TEXT)",
+		"INSERT INTO kv (k, v) VALUES (1, 'one'), (2, 'two'), (3, 'three')",
+	} {
+		if _, err := seed.Exec(sql); err != nil {
+			t.Fatalf("seed %q: %v", sql, err)
+		}
+	}
 	srv := NewServer(db, clock, DefaultCostModel())
 	conn := srv.Connect(netsim.NewLink(clock, rtt))
-	mustExec(t, conn, "CREATE TABLE kv (k INT PRIMARY KEY, v TEXT)")
-	mustExec(t, conn, "INSERT INTO kv (k, v) VALUES (1, 'one'), (2, 'two'), (3, 'three')")
-	conn.Link().ResetStats()
-	srv.ResetStats()
-	conn.ResetStats()
 	return clock, srv, conn
 }
 
@@ -206,12 +212,11 @@ func TestCostModelRowsScale(t *testing.T) {
 	for i := 1; i <= 200; i++ {
 		mustExec(t, conn, "INSERT INTO big (id, v) VALUES (?, ?)", int64(i), int64(i))
 	}
-	srv.ResetStats()
+	before := srv.Stats().DBTime
 	mustExec(t, conn, "SELECT COUNT(*) FROM big WHERE v > 0")
-	scanCost := srv.Stats().DBTime
-	srv.ResetStats()
+	mid := srv.Stats().DBTime
 	mustExec(t, conn, "SELECT * FROM big WHERE id = 5")
-	pointCost := srv.Stats().DBTime
+	scanCost, pointCost := mid-before, srv.Stats().DBTime-mid
 	if scanCost <= pointCost {
 		t.Fatalf("scan %v not more expensive than point lookup %v", scanCost, pointCost)
 	}

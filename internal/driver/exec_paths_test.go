@@ -82,7 +82,6 @@ func TestReadBatchCostMatchesSerialPath(t *testing.T) {
 	type side struct {
 		srv  *Server
 		conn *Conn
-		tr   *obs.Tracer
 	}
 	var snap, serial side
 	for _, sd := range []*side{&snap, &serial} {
@@ -90,17 +89,25 @@ func TestReadBatchCostMatchesSerialPath(t *testing.T) {
 		for k := 4; k <= 40; k++ {
 			mustExec(t, sd.conn, "INSERT INTO kv (k, v) VALUES (?, ?)", int64(k), fmt.Sprintf("v%d", k%7))
 		}
-		sd.tr = obs.NewTracer()
 	}
+	// run executes one traced batch and reports the server counters it
+	// moved (a delta: the serial side's BEGIN/COMMIT are batches too).
 	run := func(sd side, arrival time.Duration, stmts []Stmt) ([]*sqldb.ResultSet, time.Duration, ServerStats, []stmtSlot) {
 		t.Helper()
-		sd.tr.Reset()
-		sd.srv.ResetStats()
-		results, done, err := sd.conn.Exec(sd.tr.Root("test", "page", "p", arrival), arrival, stmts)
+		tr := obs.NewTracer()
+		before := sd.srv.Stats()
+		results, done, err := sd.conn.Exec(tr.Root("test", "page", "p", arrival), arrival, stmts)
 		if err != nil {
 			t.Fatalf("batch %v: %v", stmts, err)
 		}
-		return results, done, sd.srv.Stats(), stmtLayout(t, sd.tr)
+		st := sd.srv.Stats()
+		delta := ServerStats{
+			Queries:     st.Queries - before.Queries,
+			Rows:        st.Rows - before.Rows,
+			DBTime:      st.DBTime - before.DBTime,
+			SnapBatches: st.SnapBatches - before.SnapBatches,
+		}
+		return results, done, delta, stmtLayout(t, tr)
 	}
 
 	rng := rand.New(rand.NewSource(1))
@@ -146,8 +153,6 @@ func TestTracingLeavesPlanCacheCountersAlone(t *testing.T) {
 	for i, stmts := range batches {
 		_, srvU, connU := rig(t, 0)
 		_, srvT, connT := rig(t, 0)
-		srvU.DB().PlanCache().ResetStats()
-		srvT.DB().PlanCache().ResetStats()
 		if _, _, err := connU.Exec(obs.Ctx{}, 0, stmts); err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +219,6 @@ func TestExecErrorContract(t *testing.T) {
 			_, srv, conn := rig(t, 0)
 			if c.inTxn {
 				mustExec(t, conn, "BEGIN")
-				srv.ResetStats()
 			}
 			_, err := conn.ExecBatch(c.stmts)
 			if (c.wantErr == "") != (err == nil) || (err != nil && !strings.HasPrefix(err.Error(), c.wantErr)) {

@@ -133,56 +133,34 @@ func TestSnapshotReadsNoPhantomInserts(t *testing.T) {
 	}
 }
 
-// TestSetWorkersFoldsRetiredStats: resizing the pool mid-run folds the old
-// per-worker attribution into the Retired buckets instead of dropping it.
-func TestSetWorkersFoldsRetiredStats(t *testing.T) {
+// TestWorkerStatsSizedBySetWorkers: SetWorkers sizes the per-worker stat
+// slices once, before traffic, and every batch's placement, busy time and
+// snapshot wall time land in them — the per-worker columns sum to the
+// server totals with nothing left over.
+func TestWorkerStatsSizedBySetWorkers(t *testing.T) {
 	_, srv, conn := rig(t, 0)
 	srv.SetWorkers(2)
+	if st := srv.Stats(); len(st.WorkerBatches) != 2 || len(st.WorkerBusy) != 2 || len(st.WorkerWall) != 2 {
+		t.Fatalf("per-worker stats not sized by SetWorkers: %v / %v / %v", st.WorkerBatches, st.WorkerBusy, st.WorkerWall)
+	}
 	for i := 0; i < 4; i++ {
 		mustExec(t, conn, "SELECT v FROM kv WHERE k = 1")
 	}
-	before := srv.Stats()
+	st := srv.Stats()
 	var placed int64
 	var busy, wall time.Duration
-	for _, n := range before.WorkerBatches {
-		placed += n
+	for i := range st.WorkerBatches {
+		placed += st.WorkerBatches[i]
+		busy += st.WorkerBusy[i]
+		wall += st.WorkerWall[i]
 	}
-	for _, d := range before.WorkerBusy {
-		busy += d
+	if placed != st.Batches || placed != 4 {
+		t.Fatalf("placed %d batches across workers, server counted %d, want 4", placed, st.Batches)
 	}
-	for _, d := range before.WorkerWall {
-		wall += d
+	if busy != st.DBTime {
+		t.Fatalf("worker busy %v != DBTime %v", busy, st.DBTime)
 	}
-	if placed != 4 || busy <= 0 {
-		t.Fatalf("precondition: placed %d busy %v", placed, busy)
-	}
-	if wall <= 0 {
-		t.Fatal("precondition: no wall time attributed to worker slots")
-	}
-
-	srv.SetWorkers(1)
-	after := srv.Stats()
-	if len(after.WorkerBatches) > 1 || len(after.WorkerBusy) > 1 {
-		t.Fatalf("stale per-worker stats after shrink: %v / %v", after.WorkerBatches, after.WorkerBusy)
-	}
-	if after.RetiredBatches != placed {
-		t.Fatalf("RetiredBatches = %d, want %d", after.RetiredBatches, placed)
-	}
-	if after.RetiredBusy != busy {
-		t.Fatalf("RetiredBusy = %v, want %v", after.RetiredBusy, busy)
-	}
-	if after.RetiredWall != wall {
-		t.Fatalf("RetiredWall = %v, want %v", after.RetiredWall, wall)
-	}
-
-	// Totals reconcile across the resize: retired + live covers every batch.
-	mustExec(t, conn, "SELECT v FROM kv WHERE k = 2")
-	final := srv.Stats()
-	var live int64
-	for _, n := range final.WorkerBatches {
-		live += n
-	}
-	if got := live + final.RetiredBatches; got != final.Batches {
-		t.Fatalf("batch attribution lost on resize: live %d + retired %d != %d", live, final.RetiredBatches, final.Batches)
+	if wall <= 0 || st.RetiredWall != 0 {
+		t.Fatalf("wall time: workers %v, retired %v; want positive and zero", wall, st.RetiredWall)
 	}
 }

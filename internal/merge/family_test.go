@@ -369,18 +369,18 @@ func TestDemuxProRatesRowsScanned(t *testing.T) {
 	}
 }
 
-// TestMergedAggregateStatementCount sanity-checks the width cap applies to
-// aggregate families too.
+// TestAggregateMaxInWidthChunks: the width cap applies to aggregate
+// families too — 2·MaxInWidth+1 members split 64/64/1.
 func TestAggregateMaxInWidthChunks(t *testing.T) {
-	stmts := make([]driver.Stmt, 6)
+	stmts := make([]driver.Stmt, 2*merge.MaxInWidth+1)
 	for i := range stmts {
 		stmts[i] = countOf(int64(i))
 	}
-	plan := rewrite(t, merge.Config{Enabled: true, MaxInWidth: 4}, stmts)
-	if len(plan.Stmts) != 2 { // 4 + 2
-		t.Fatalf("want 2 chunks, got %d: %v", len(plan.Stmts), plan.Stmts)
+	plan := rewrite(t, merge.Config{Enabled: true}, stmts)
+	if len(plan.Stmts) != 3 { // 64 + 64 + 1
+		t.Fatalf("want 3 chunks, got %d: %v", len(plan.Stmts), plan.Stmts)
 	}
-	for i, width := range []int{4, 2} {
+	for i, width := range []int{merge.MaxInWidth, merge.MaxInWidth, 1} {
 		if got := len(plan.Stmts[i].Args); got != width {
 			t.Fatalf("chunk %d width = %d, want %d", i, got, width)
 		}

@@ -51,7 +51,7 @@
 //     (projected for equality/range, added as the GROUP BY key for
 //     aggregates), because demultiplexing keys on its value;
 //   - merged IN lists and OR-of-window lists are capped at
-//     Config.MaxInWidth members; wider groups split into chunks.
+//     MaxInWidth members; wider groups split into chunks.
 package merge
 
 import (
@@ -62,19 +62,16 @@ import (
 	"repro/internal/sqldb"
 )
 
-// DefaultMaxInWidth bounds the IN list (or window list) of one merged
-// statement, mirroring the way production drivers cap host-variable counts
-// per statement.
-const DefaultMaxInWidth = 64
+// MaxInWidth bounds the IN list (or window list) of one merged statement,
+// mirroring the way production drivers cap host-variable counts per
+// statement.
+const MaxInWidth = 64
 
 // Config controls the optimizer. The zero value disables merging, so a
 // zero-config query store behaves exactly as before this subsystem existed.
 type Config struct {
 	// Enabled turns the rewrite on.
 	Enabled bool
-	// MaxInWidth caps values per merged IN list; <= 0 means
-	// DefaultMaxInWidth.
-	MaxInWidth int
 	// DisableAggregates switches off the aggregate family (on by default
 	// whenever Enabled is set) — an ablation knob isolating the equality
 	// baseline.
@@ -92,14 +89,6 @@ type Config struct {
 	// equality bar therefore applies to merge-off configurations, which is
 	// what every default and throughput path runs.
 	ShardOf func(table, col string, v sqldb.Value) (int, bool)
-}
-
-// width returns the effective IN-list cap.
-func (c Config) width() int {
-	if c.MaxInWidth <= 0 {
-		return DefaultMaxInWidth
-	}
-	return c.MaxInWidth
 }
 
 // familyOn reports whether a family participates under this configuration.
@@ -293,7 +282,7 @@ func (m *Merger) Rewrite(stmts []driver.Stmt) *Plan {
 	// Partition each multi-member group into width-capped chunks of
 	// distinct varying parts. Duplicate values/windows (possible with dedup
 	// disabled) share the chunk that already carries them.
-	width, out := m.cfg.width(), len(stmts)
+	out := len(stmts)
 	for i := range cands {
 		c := &cands[i]
 		if c.sh == nil || gs.groups[c.group].n < 2 {
@@ -310,8 +299,8 @@ func (m *Merger) Rewrite(stmts []driver.Stmt) *Plan {
 			c.chunk = ord
 			continue
 		}
-		if len(ci.reps) == 0 || len(ci.reps[len(ci.reps)-1]) >= width {
-			ci.reps = append(ci.reps, make([]*candidate, 0, min(width, ci.left+1)))
+		if len(ci.reps) == 0 || len(ci.reps[len(ci.reps)-1]) >= MaxInWidth {
+			ci.reps = append(ci.reps, make([]*candidate, 0, min(MaxInWidth, ci.left+1)))
 			ci.stmt = append(ci.stmt, -1)
 			out++
 		}

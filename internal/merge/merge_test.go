@@ -89,21 +89,23 @@ func TestDemuxDuplicateKeysShareRows(t *testing.T) {
 	}
 }
 
+// TestMaxInWidthChunks: a family of 2·MaxInWidth+1 members splits into
+// two full IN lists and a one-member remainder.
 func TestMaxInWidthChunks(t *testing.T) {
-	stmts := make([]driver.Stmt, 10)
+	stmts := make([]driver.Stmt, 2*merge.MaxInWidth+1)
 	for i := range stmts {
 		stmts[i] = point(int64(i + 1))
 	}
-	plan := rewrite(t, merge.Config{Enabled: true, MaxInWidth: 4}, stmts)
-	if len(plan.Stmts) != 3 { // 4 + 4 + 2
+	plan := rewrite(t, merge.Config{Enabled: true}, stmts)
+	if len(plan.Stmts) != 3 { // 64 + 64 + 1
 		t.Fatalf("want 3 chunks, got %d: %v", len(plan.Stmts), plan.Stmts)
 	}
-	if plan.Saved() != 7 {
-		t.Fatalf("want 7 saved, got %d", plan.Saved())
+	if want := len(stmts) - 3; plan.Saved() != want {
+		t.Fatalf("want %d saved, got %d", want, plan.Saved())
 	}
-	for i, widths := range []int{4, 4, 2} {
-		if got := len(plan.Stmts[i].Args); got != widths {
-			t.Fatalf("chunk %d width = %d, want %d", i, got, widths)
+	for i, width := range []int{merge.MaxInWidth, merge.MaxInWidth, 1} {
+		if got := len(plan.Stmts[i].Args); got != width {
+			t.Fatalf("chunk %d width = %d, want %d", i, got, width)
 		}
 	}
 }

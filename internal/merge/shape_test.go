@@ -221,7 +221,11 @@ func TestAliasShadowUnderStarIneligible(t *testing.T) {
 // families, literal and parameter spellings, residual parameters, an
 // ineligible shape and a write — with arguments from small domains, so
 // duplicate keys, overlapping windows, NULLs and mixed key types are common.
+// One batch in five is instead a single wide family (genWideBatch).
 func genBatch(r *rand.Rand) []driver.Stmt {
+	if r.Intn(5) == 0 {
+		return genWideBatch(r)
+	}
 	key := func() sqldb.Value { // a match key for an indexed INT column
 		switch r.Intn(12) {
 		case 0:
@@ -288,22 +292,58 @@ func genBatch(r *rand.Rand) []driver.Stmt {
 	return stmts
 }
 
+// genWideBatch draws one family of 56..151 members — point lookups,
+// per-key counts or range windows over mostly distinct keys, a few repeated
+// — so its IN (or window) list crosses MaxInWidth once or twice and the
+// chunk boundaries at 64 and 128 are exercised on generated batches.
+func genWideBatch(r *rand.Rand) []driver.Stmt {
+	n := 56 + r.Intn(96)
+	tmpl := r.Intn(3)
+	stmts := make([]driver.Stmt, n)
+	for i := range stmts {
+		k := int64(i)
+		if r.Intn(16) == 0 {
+			k = int64(r.Intn(n))
+		}
+		switch tmpl {
+		case 0:
+			stmts[i] = q("SELECT id, v FROM kv WHERE id = ?", k)
+		case 1:
+			stmts[i] = q("SELECT COUNT(*) FROM kv WHERE grp = ?", k)
+		default:
+			stmts[i] = q("SELECT id, v FROM kv WHERE id BETWEEN ? AND ?", k, k+int64(r.Intn(3)))
+		}
+	}
+	return stmts
+}
+
 // TestMergeMetamorphic: merging must be invisible. 250 generated batches
 // return per-original results identical with merge on and off — with a cold
 // shape cache, a warm one, and with plan.SetCaching(false), under which the
 // cache must end up holding nothing.
 func TestMergeMetamorphic(t *testing.T) {
+	// chunks counts, per number of width-capped chunks, the generated
+	// batches wider than MaxInWidth whose rewrite emitted that many
+	// statements.
+	chunks := map[int]int{}
 	run := func(t *testing.T) merge.Stats {
 		plain, merged := newScored(t)
-		m := merge.New(merge.Config{Enabled: true, MaxInWidth: 3})
+		m := merge.New(merge.Config{Enabled: true})
 		r := rand.New(rand.NewSource(20140622))
 		for i := 0; i < 250; i++ {
-			execBothWays(t, m, plain, merged, genBatch(r))
+			stmts := genBatch(r)
+			p := execBothWays(t, m, plain, merged, stmts)
+			if len(stmts) > merge.MaxInWidth {
+				chunks[len(p.Stmts)]++
+			}
 		}
 		return m.Stats()
 	}
 	merge.ResetShapeCache()
 	cold := run(t)
+	if chunks[2] == 0 || chunks[3] == 0 {
+		t.Errorf("generated wide families never split into 2 and 3 chunks: %v", chunks)
+	}
 	for f, g := range cold.GroupsByFamily {
 		if g == 0 {
 			t.Errorf("generator never merged family %v: %+v", merge.FamilyID(f), cold)

@@ -7,18 +7,19 @@ import (
 )
 
 // Link models the network path between the application server and the
-// database server: a fixed round-trip latency plus a per-byte transfer cost.
-// Every database interaction in the reproduction flows through a Link, so
-// the link's counters are the ground truth for the paper's round-trip
-// metrics (Figs. 5b, 6b) and for the network share of the time breakdown
-// (Fig. 8).
+// database server: a round-trip latency fixed at NewLink. The paper's
+// links are latency-dominated — payloads are small next to the RTT — so a
+// trip costs the RTT whatever it carries; the byte counters record the
+// payloads without pricing them. Every database interaction in the
+// reproduction flows through a Link, so the link's counters are the ground
+// truth for the paper's round-trip metrics (Figs. 5b, 6b) and for the
+// network share of the time breakdown (Fig. 8).
 type Link struct {
-	mu sync.Mutex
+	clock Clock
+	rtt   time.Duration
 
-	clock   Clock
-	rtt     time.Duration
-	perByte time.Duration
-
+	// mu guards the counters; the clock and the RTT never change.
+	mu         sync.Mutex
 	roundTrips int64
 	bytesSent  int64
 	bytesRecv  int64
@@ -48,42 +49,18 @@ type LinkStats struct {
 }
 
 // NewLink creates a link with the given round-trip latency. The paper's
-// configurations are 0.5ms (same data center), 1ms, and 10ms (wide area).
+// configurations are 0.5ms (same data center), 1ms, and 10ms (wide area);
+// the network scaling experiment (Fig. 9) builds one link per RTT.
 func NewLink(clock Clock, rtt time.Duration) *Link {
-	return &Link{clock: clock, rtt: rtt, perByte: 0}
+	return &Link{clock: clock, rtt: rtt}
 }
 
-// SetPerByte sets the per-byte serialization/transfer cost. Zero (the
-// default) models a latency-dominated link, which matches the paper's
-// setting where payloads are small relative to latency.
-func (l *Link) SetPerByte(d time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.perByte = d
-}
-
-// RTT reports the configured round-trip latency.
-func (l *Link) RTT() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rtt
-}
-
-// SetRTT reconfigures the round-trip latency (used by the network scaling
-// experiment, Fig. 9).
-func (l *Link) SetRTT(rtt time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.rtt = rtt
-}
+// RTT reports the link's round-trip latency.
+func (l *Link) RTT() time.Duration { return l.rtt }
 
 // Clock returns the clock this link advances on round trips. The dispatch
 // layer uses it to pay deferred network time on the session's timeline.
-func (l *Link) Clock() Clock {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.clock
-}
+func (l *Link) Clock() Clock { return l.clock }
 
 // TripFault consults fault for a round trip starting at the given virtual
 // time. On a fault it charges the wasted delay to the link's net-time
@@ -112,12 +89,11 @@ func (l *Link) TripFault(fault LinkFault, at time.Duration) (time.Duration, erro
 func (l *Link) Charge(reqBytes, respBytes int) time.Duration {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	cost := l.rtt + time.Duration(reqBytes+respBytes)*l.perByte
 	l.roundTrips++
 	l.bytesSent += int64(reqBytes)
 	l.bytesRecv += int64(respBytes)
-	l.netTime += cost
-	return cost
+	l.netTime += l.rtt
+	return l.rtt
 }
 
 // RoundTrip charges one full round trip carrying reqBytes of request payload
@@ -125,10 +101,7 @@ func (l *Link) Charge(reqBytes, respBytes int) time.Duration {
 // returns the time charged.
 func (l *Link) RoundTrip(reqBytes, respBytes int) time.Duration {
 	cost := l.Charge(reqBytes, respBytes)
-	l.mu.Lock()
-	clock := l.clock
-	l.mu.Unlock()
-	clock.Advance(cost)
+	l.clock.Advance(cost)
 	return cost
 }
 
@@ -145,19 +118,7 @@ func (l *Link) Stats() LinkStats {
 	}
 }
 
-// ResetStats zeroes the counters without touching the configuration. The
-// benchmark harness resets between page loads.
-func (l *Link) ResetStats() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.roundTrips = 0
-	l.bytesSent = 0
-	l.bytesRecv = 0
-	l.timeouts = 0
-	l.netTime = 0
-}
-
-// String summarizes the link configuration and counters.
+// String summarizes the link's RTT and counters.
 func (l *Link) String() string {
 	s := l.Stats()
 	return fmt.Sprintf("link{rtt=%v trips=%d sent=%dB recv=%dB}", l.RTT(), s.RoundTrips, s.BytesSent, s.BytesRecv)

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,27 +27,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a last-value metric.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
-
-// Value reads the gauge.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // Histogram is a fixed-bucket latency histogram. Buckets are shared
@@ -195,7 +172,6 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 type Registry struct {
 	mu     sync.Mutex
 	counts map[string]*Counter
-	gauges map[string]*Gauge
 	hists  map[string]*Histogram
 }
 
@@ -203,7 +179,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counts: make(map[string]*Counter),
-		gauges: make(map[string]*Gauge),
 		hists:  make(map[string]*Histogram),
 	}
 }
@@ -221,21 +196,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counts[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -265,10 +225,6 @@ func (r *Registry) Snapshot() map[string]any {
 	for k, v := range r.counts {
 		counts[k] = v
 	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
 	hists := make(map[string]*Histogram, len(r.hists))
 	for k, v := range r.hists {
 		hists[k] = v
@@ -279,9 +235,6 @@ func (r *Registry) Snapshot() map[string]any {
 	for k, c := range counts {
 		out[k] = c.Value()
 	}
-	for k, g := range gauges {
-		out[k] = g.Value()
-	}
 	for k, h := range hists {
 		out[k+".count"] = h.Count()
 		out[k+".sum_ns"] = int64(h.Sum())
@@ -291,21 +244,6 @@ func (r *Registry) Snapshot() map[string]any {
 		out[k+".p99_ns"] = int64(h.Quantile(0.99))
 	}
 	return out
-}
-
-// Format renders the snapshot as sorted "name value" lines.
-func (r *Registry) Format() string {
-	snap := r.Snapshot()
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&sb, "%-32s %v\n", k, snap[k])
-	}
-	return sb.String()
 }
 
 // current is the process-default registry, published by the -debugaddr

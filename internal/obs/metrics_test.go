@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,18 +12,13 @@ func TestCounterGaugeNilSafe(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatal("nil counter")
 	}
-	var g *Gauge
-	g.Set(5)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge")
-	}
 	var h *Histogram
 	h.Observe(time.Second)
 	if h.Count() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil histogram")
 	}
 	var r *Registry
-	if r.Counter("x") != nil || r.Histogram("x") != nil || r.Gauge("x") != nil {
+	if r.Counter("x") != nil || r.Histogram("x") != nil {
 		t.Fatal("nil registry returned instruments")
 	}
 }
@@ -94,28 +88,17 @@ func TestRegistryGetOrCreate(t *testing.T) {
 		t.Fatal("histogram not idempotent")
 	}
 	r.Counter("db.batches").Add(3)
-	r.Gauge("queue.depth").Set(7)
 	r.Histogram("page.latency").Observe(5 * time.Millisecond)
 
 	snap := r.Snapshot()
 	if snap["db.batches"] != int64(3) {
 		t.Fatalf("snapshot counter = %v", snap["db.batches"])
 	}
-	if snap["queue.depth"] != int64(7) {
-		t.Fatalf("snapshot gauge = %v", snap["queue.depth"])
-	}
 	if snap["page.latency.count"] != int64(1) {
 		t.Fatalf("snapshot hist count = %v", snap["page.latency.count"])
 	}
 	if snap["page.latency.p50_ns"] != int64(5*time.Millisecond) {
 		t.Fatalf("snapshot p50 = %v", snap["page.latency.p50_ns"])
-	}
-
-	txt := r.Format()
-	for _, want := range []string{"db.batches", "queue.depth", "page.latency.p99_ns"} {
-		if !strings.Contains(txt, want) {
-			t.Fatalf("Format missing %s:\n%s", want, txt)
-		}
 	}
 }
 

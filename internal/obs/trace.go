@@ -11,13 +11,10 @@
 // golden-testable: two runs of the same page produce byte-identical
 // waterfalls, including timestamps.
 //
-// Tracing is zero-cost when disabled. The disabled state is a nil *Tracer
-// (the default everywhere): the span context Ctx is a value type whose
-// methods begin with a nil check and return immediately, so instrumented
-// code paths pay one predictable branch. A non-nil tracer can additionally
-// be switched off (SetEnabled), which turns every recording call into an
-// atomic load and allocates nothing — the "compiled in but disabled"
-// configuration internal/bench's TestDisabledTracerGolden pins.
+// Tracing is zero-cost when disabled, and disabled means a nil *Tracer (the
+// default everywhere): a tracer records iff it is non-nil. The span context
+// Ctx is a value type whose methods begin with a nil check and return
+// immediately, so instrumented code paths pay one predictable branch.
 //
 // Span parents are threaded explicitly, never through goroutine-local
 // state: webapp.Load opens a page root and hands the Ctx to the query
@@ -82,26 +79,14 @@ type Span struct {
 // record from their own goroutines, and a shared hub window records from
 // whichever session closes it.
 type Tracer struct {
-	enabled atomic.Bool
-	host    atomic.Bool
+	host atomic.Bool
 
 	mu    sync.Mutex
 	spans []span
 }
 
-// NewTracer returns an enabled tracer with the host clock off.
-func NewTracer() *Tracer {
-	t := &Tracer{}
-	t.enabled.Store(true)
-	return t
-}
-
-// SetEnabled switches recording on or off. A disabled tracer keeps its
-// recorded spans; recording calls become an atomic load and return.
-func (t *Tracer) SetEnabled(on bool) { t.enabled.Store(on) }
-
-// Enabled reports whether the tracer records.
-func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
+// NewTracer returns a recording tracer with the host clock off.
+func NewTracer() *Tracer { return &Tracer{} }
 
 // SetHostClock additionally stamps each span with the host-clock duration
 // between its Start and End calls. Host durations are advisory (profiling
@@ -117,16 +102,6 @@ func (t *Tracer) SpanCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.spans)
-}
-
-// Reset discards every recorded span.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.spans = nil
 }
 
 // Spans snapshots every recorded span in recording order.
@@ -185,7 +160,7 @@ func (t *Tracer) start(parent SpanID, track, cat, name string, at time.Duration,
 // Root opens a parentless span on the given exporter track (one track per
 // session, per DB worker, and for the shared hub).
 func (t *Tracer) Root(track, cat, name string, start time.Duration, args ...Arg) Ctx {
-	if !t.Enabled() {
+	if t == nil {
 		return Ctx{}
 	}
 	return t.start(0, track, cat, name, start, args)
@@ -204,7 +179,7 @@ type Ctx struct {
 }
 
 // Enabled reports whether this context records spans.
-func (c Ctx) Enabled() bool { return c.t != nil && c.t.enabled.Load() }
+func (c Ctx) Enabled() bool { return c.t != nil }
 
 // Tracer exposes the underlying tracer (nil when disabled).
 func (c Ctx) Tracer() *Tracer { return c.t }

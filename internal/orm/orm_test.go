@@ -57,8 +57,9 @@ func rig(t *testing.T, mode Mode) (*Session, *netsim.Link) {
 	clock := netsim.NewVirtualClock()
 	db := engine.New()
 	srv := driver.NewServer(db, clock, driver.DefaultCostModel())
-	link := netsim.NewLink(clock, time.Millisecond)
-	conn := srv.Connect(link)
+	// Seed over a connection of its own, so the test link's counters
+	// start at zero.
+	seed := srv.Connect(netsim.NewLink(clock, time.Millisecond))
 	for _, sql := range []string{
 		"CREATE TABLE patients (id INT PRIMARY KEY, name TEXT, age INT)",
 		"CREATE TABLE encounters (id INT PRIMARY KEY, patient_id INT, kind TEXT)",
@@ -69,11 +70,12 @@ func rig(t *testing.T, mode Mode) (*Session, *netsim.Link) {
 		"INSERT INTO encounters (id, patient_id, kind) VALUES (10, 1, 'checkup'), (11, 1, 'xray'), (12, 2, 'lab')",
 		"INSERT INTO visits (id, patient_id, active) VALUES (20, 1, TRUE), (21, 1, FALSE)",
 	} {
-		if _, err := conn.Query(sql); err != nil {
+		if _, err := seed.Query(sql); err != nil {
 			t.Fatal(err)
 		}
 	}
-	link.ResetStats()
+	link := netsim.NewLink(clock, time.Millisecond)
+	conn := srv.Connect(link)
 	store := querystore.New(conn, querystore.Config{})
 	return NewSession(store, mode), link
 }

@@ -19,17 +19,19 @@ func pipelineRig(t *testing.T) (*Session, *netsim.Link) {
 	clock := netsim.NewVirtualClock()
 	db := engine.New()
 	srv := driver.NewServer(db, clock, driver.DefaultCostModel())
-	link := netsim.NewLink(clock, time.Millisecond)
-	conn := srv.Connect(link)
+	// Seed over a connection of its own, so the test link's counters
+	// start at zero.
+	seed := srv.Connect(netsim.NewLink(clock, time.Millisecond))
 	for _, sql := range []string{
 		"CREATE TABLE patients (id INT PRIMARY KEY, name TEXT, age INT)",
 		"INSERT INTO patients (id, name, age) VALUES (1, 'Ann', 30), (2, 'Bob', 45)",
 	} {
-		if _, err := conn.Query(sql); err != nil {
+		if _, err := seed.Query(sql); err != nil {
 			t.Fatal(err)
 		}
 	}
-	link.ResetStats()
+	link := netsim.NewLink(clock, time.Millisecond)
+	conn := srv.Connect(link)
 	store := querystore.New(conn, querystore.Config{
 		Dispatch:       dispatch.KindAsync,
 		PipelineWrites: true,

@@ -1,6 +1,7 @@
 package querystore
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"sync"
@@ -28,16 +29,14 @@ type faultRunResult struct {
 	}
 }
 
-// sampleQuantile is the nearest-rank quantile of an ascending sample.
+// sampleQuantile is the nearest-rank quantile of an ascending sample: the
+// ⌈q·n⌉-th smallest value.
 func sampleQuantile(sorted []time.Duration, q float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(q * float64(len(sorted)))
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
+	i := int(math.Ceil(q*float64(len(sorted)))) - 1
+	return sorted[min(max(i, 0), len(sorted)-1)]
 }
 
 // chaosSharedRun replays the fixed 8-session workload once. The fault
@@ -66,7 +65,7 @@ func chaosSharedRun(t *testing.T) faultRunResult {
 			{Shard: 0, From: 5 * time.Millisecond, To: 30 * time.Millisecond},
 		},
 	}))
-	retry := dispatch.RetryPolicy{MaxAttempts: 3, Backoff: 200 * time.Microsecond, MaxBackoff: time.Millisecond}
+	retry := dispatch.RetryPolicy{MaxAttempts: 3}
 
 	hubConn := srv.Connect(netsim.NewLink(netsim.NewVirtualClock(), time.Millisecond))
 	hub := dispatch.NewHub(hubConn)

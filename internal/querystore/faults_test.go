@@ -34,7 +34,7 @@ func faultRig(t *testing.T, cfg Config) (*Store, *driver.Server) {
 }
 
 func faultRetry() dispatch.RetryPolicy {
-	return dispatch.RetryPolicy{MaxAttempts: 8, Backoff: 200 * time.Microsecond, MaxBackoff: 2 * time.Millisecond}
+	return dispatch.RetryPolicy{MaxAttempts: 8}
 }
 
 // TestUnknownQueryIDSentinel: the stringly error is now a typed sentinel —

@@ -110,8 +110,9 @@ type Config struct {
 	Record func(stmts []driver.Stmt)
 }
 
-// Stats counts store activity for the experiment harness; ResetStats zeroes
-// it. What merging saved is the merger's to count (MergeStats).
+// Stats counts store activity for the experiment harness; the counters only
+// grow, so callers measure an interval as a delta. What merging saved is the
+// merger's to count (MergeStats).
 type Stats struct {
 	Registered    int64 // Register calls (after dedup)
 	DedupHits     int64 // Register calls answered with an existing id
@@ -277,11 +278,6 @@ func (s *Store) Dispatcher() dispatch.Dispatcher { return s.disp }
 
 // Stats snapshots the store counters.
 func (s *Store) Stats() Stats { return s.stats }
-
-// ResetStats zeroes the counters (the cache and pending queue are kept).
-func (s *Store) ResetStats() {
-	s.stats = Stats{}
-}
 
 // MergeStats snapshots this store's merge stage counters (cumulative over
 // the store's lifetime); the zero value when merging is disabled. Under

@@ -21,17 +21,19 @@ func rig(t *testing.T, cfg Config) (*Store, *netsim.Link) {
 	clock := netsim.NewVirtualClock()
 	db := engine.New()
 	srv := driver.NewServer(db, clock, driver.DefaultCostModel())
-	link := netsim.NewLink(clock, time.Millisecond)
-	conn := srv.Connect(link)
+	// Seed over a connection of its own, so the test link's counters
+	// start at zero.
+	seed := srv.Connect(netsim.NewLink(clock, time.Millisecond))
 	for _, sql := range []string{
 		"CREATE TABLE items (id INT PRIMARY KEY, name TEXT, qty INT)",
 		"INSERT INTO items (id, name, qty) VALUES (1, 'apple', 5), (2, 'pear', 7), (3, 'fig', 2)",
 	} {
-		if _, err := conn.Query(sql); err != nil {
+		if _, err := seed.Query(sql); err != nil {
 			t.Fatal(err)
 		}
 	}
-	link.ResetStats()
+	link := netsim.NewLink(clock, time.Millisecond)
+	conn := srv.Connect(link)
 	return New(conn, cfg), link
 }
 

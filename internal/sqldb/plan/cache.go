@@ -119,13 +119,6 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
-// ResetStats zeroes the counters (cached plans are kept).
-func (c *Cache) ResetStats() {
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.invalidations.Store(0)
-}
-
 // Len reports how many distinct SQL texts hold cached plans.
 func (c *Cache) Len() int {
 	c.mu.RLock()

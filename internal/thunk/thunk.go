@@ -29,21 +29,15 @@ type Stats struct {
 // are atomic so concurrent page loads may share them.
 var globalStats Stats
 
-// Allocs reports the number of thunks allocated since the last Reset.
+// Allocs reports the number of thunks allocated. Counters only grow:
+// callers measure an interval as a before/after delta.
 func (s *Stats) Allocs() int64 { return atomic.LoadInt64(&s.allocs) }
 
-// Forces reports the number of Force calls since the last Reset.
+// Forces reports the number of Force calls.
 func (s *Stats) Forces() int64 { return atomic.LoadInt64(&s.forces) }
 
 // MemoHits reports how many Force calls returned a memoized value.
 func (s *Stats) MemoHits() int64 { return atomic.LoadInt64(&s.hits) }
-
-// Reset zeroes the counters.
-func (s *Stats) Reset() {
-	atomic.StoreInt64(&s.allocs, 0)
-	atomic.StoreInt64(&s.forces, 0)
-	atomic.StoreInt64(&s.hits, 0)
-}
 
 // GlobalStats returns the process-wide thunk counters.
 func GlobalStats() *Stats { return &globalStats }

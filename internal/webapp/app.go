@@ -187,7 +187,7 @@ func (a *App) Load(name string, req Params, sess *orm.Session) (*Result, error) 
 	// restored on exit so nested or sequential loads never cross-link.
 	store := sess.Store()
 	var pctx obs.Ctx
-	if tr := store.Tracer(); tr.Enabled() {
+	if tr := store.Tracer(); tr != nil {
 		mode := "original"
 		if sess.Sloth() {
 			mode = "sloth"

@@ -26,17 +26,19 @@ func rig(t *testing.T, mode orm.Mode) (*App, *orm.Session, *netsim.Link, *netsim
 	clock := netsim.NewVirtualClock()
 	db := engine.New()
 	srv := driver.NewServer(db, clock, driver.DefaultCostModel())
-	link := netsim.NewLink(clock, time.Millisecond)
-	conn := srv.Connect(link)
+	// Seed over a connection of its own, so the test link's counters
+	// start at zero.
+	seed := srv.Connect(netsim.NewLink(clock, time.Millisecond))
 	for _, sql := range []string{
 		"CREATE TABLE items (id INT PRIMARY KEY, name TEXT)",
 		"INSERT INTO items (id, name) VALUES (1, 'alpha'), (2, 'beta'), (3, 'gamma')",
 	} {
-		if _, err := conn.Query(sql); err != nil {
+		if _, err := seed.Query(sql); err != nil {
 			t.Fatal(err)
 		}
 	}
-	link.ResetStats()
+	link := netsim.NewLink(clock, time.Millisecond)
+	conn := srv.Connect(link)
 	sess := orm.NewSession(querystore.New(conn, querystore.Config{}), mode)
 	app := New(clock, DefaultCostProfile())
 	return app, sess, link, clock
