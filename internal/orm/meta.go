@@ -27,6 +27,11 @@ type Meta[T any] struct {
 	selList string
 	findSQL string // SELECT ... WHERE pk = ?
 
+	// The write statements' text, built at Register like findSQL.
+	insertSQL string // INSERT INTO ... (cols) VALUES (?, ...)
+	updateSQL string // UPDATE ... SET col = ?, ... WHERE pk = ?, pk not SET
+	deleteSQL string // DELETE FROM ... WHERE pk = ?
+
 	// conds caches the SELECT and COUNT text per WHERE condition. Conditions
 	// are the application's string constants, so the set is small and
 	// read-mostly: readers load the map, a miss publishes a copy with one
@@ -90,7 +95,18 @@ func Register[T any](table string) (*Meta[T], error) {
 		names[i] = c.name
 	}
 	m.selList = strings.Join(names, ", ")
+	pkCond := " WHERE " + m.PKColumn() + " = ?"
 	m.findSQL = m.buildSQL(m.PKColumn() + " = ?").sel
+	var sets []string
+	for i, name := range names {
+		if i != m.pkIdx {
+			sets = append(sets, name+" = ?")
+		}
+	}
+	m.insertSQL = "INSERT INTO " + table + " (" + m.selList + ") VALUES (" +
+		strings.Repeat("?, ", len(names)-1) + "?)"
+	m.updateSQL = "UPDATE " + table + " SET " + strings.Join(sets, ", ") + pkCond
+	m.deleteSQL = "DELETE FROM " + table + pkCond
 	return m, nil
 }
 

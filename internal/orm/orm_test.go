@@ -54,10 +54,20 @@ func newFixture(encMode, visitMode FetchMode) *fixture {
 // rig seeds the clinic schema and opens a session in the given mode.
 func rig(t *testing.T, mode Mode) (*Session, *netsim.Link) {
 	t.Helper()
+	srv, clock := clinic(t)
+	link := netsim.NewLink(clock, time.Millisecond)
+	conn := srv.Connect(link)
+	store := querystore.New(conn, querystore.Config{})
+	return NewSession(store, mode), link
+}
+
+// clinic serves a database seeded with the clinic schema.
+func clinic(t *testing.T) (*driver.Server, *netsim.VirtualClock) {
+	t.Helper()
 	clock := netsim.NewVirtualClock()
 	db := engine.New()
 	srv := driver.NewServer(db, clock, driver.DefaultCostModel())
-	// Seed over a connection of its own, so the test link's counters
+	// Seed over a connection of its own, so a test link's counters
 	// start at zero.
 	seed := srv.Connect(netsim.NewLink(clock, time.Millisecond))
 	for _, sql := range []string{
@@ -74,10 +84,7 @@ func rig(t *testing.T, mode Mode) (*Session, *netsim.Link) {
 			t.Fatal(err)
 		}
 	}
-	link := netsim.NewLink(clock, time.Millisecond)
-	conn := srv.Connect(link)
-	store := querystore.New(conn, querystore.Config{})
-	return NewSession(store, mode), link
+	return srv, clock
 }
 
 func TestRegisterRejectsBadTypes(t *testing.T) {

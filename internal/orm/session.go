@@ -3,6 +3,8 @@ package orm
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/driver"
 	"repro/internal/querystore"
@@ -46,7 +48,7 @@ type SessionStats struct {
 type Session struct {
 	store    *querystore.Store
 	mode     Mode
-	identity map[identityKey]any // created on first put, emptied by Clear
+	identity map[identityKey]any // borrowed on first put, emptied by Clear
 	stats    SessionStats
 }
 
@@ -93,9 +95,23 @@ func (s *Session) identityGet(table *string, pk int64) (any, bool) {
 
 func (s *Session) identityPut(table *string, pk int64, e any) {
 	if s.identity == nil {
-		s.identity = make(map[identityKey]any)
+		s.identity = identityPool.Get().(map[identityKey]any)
+		s.store.OnClose(s.releaseIdentity)
 	}
 	s.identity[identityKey{table, pk}] = e
+}
+
+// identityPool holds the identity maps of sessions whose store has closed,
+// emptied, so a per-request session fills a map grown by earlier requests
+// rather than growing its own from nothing.
+var identityPool = sync.Pool{New: func() any { return make(map[identityKey]any) }}
+
+// releaseIdentity runs when the session's store closes: the map goes back to
+// the pool empty, and a later put borrows again.
+func (s *Session) releaseIdentity() {
+	clear(s.identity)
+	identityPool.Put(s.identity)
+	s.identity = nil
 }
 
 // read is a SELECT issued according to the session mode: executed already
@@ -243,15 +259,7 @@ func (r read) count() res[int64] {
 
 // Insert stores a new entity. Writes are never deferred.
 func (m *Meta[T]) Insert(s *Session, e *T) error {
-	placeholders := make([]byte, 0, 2*len(m.cols))
-	for i := range m.cols {
-		if i > 0 {
-			placeholders = append(placeholders, ',', ' ')
-		}
-		placeholders = append(placeholders, '?')
-	}
-	sql := "INSERT INTO " + m.table + " (" + m.selList + ") VALUES (" + string(placeholders) + ")"
-	if _, err := s.write(sql, m.values(e)...); err != nil {
+	if _, err := s.write(m.insertSQL, m.values(e)...); err != nil {
 		return err
 	}
 	s.identityPut(&m.table, m.pkOf(e), e)
@@ -260,28 +268,17 @@ func (m *Meta[T]) Insert(s *Session, e *T) error {
 
 // Update flushes the entity's current field values to the database.
 func (m *Meta[T]) Update(s *Session, e *T) error {
-	var sets []byte
-	args := make([]sqldb.Value, 0, len(m.cols))
-	vals := m.values(e)
-	for i, c := range m.cols {
-		if i == m.pkIdx {
-			continue
-		}
-		if len(sets) > 0 {
-			sets = append(sets, ", "...)
-		}
-		sets = append(sets, (c.name + " = ?")...)
-		args = append(args, vals[i])
-	}
-	args = append(args, m.pkOf(e))
-	sql := "UPDATE " + m.table + " SET " + string(sets) + " WHERE " + m.PKColumn() + " = ?"
-	_, err := s.write(sql, args...)
+	// The SET values in column order without the key, then the key.
+	args := m.values(e)
+	pk := args[m.pkIdx]
+	args = append(slices.Delete(args, m.pkIdx, m.pkIdx+1), pk)
+	_, err := s.write(m.updateSQL, args...)
 	return err
 }
 
 // Delete removes the entity with the given primary key.
 func (m *Meta[T]) Delete(s *Session, id int64) error {
-	_, err := s.write("DELETE FROM "+m.table+" WHERE "+m.PKColumn()+" = ?", id)
+	_, err := s.write(m.deleteSQL, id)
 	delete(s.identity, identityKey{&m.table, id})
 	return err
 }

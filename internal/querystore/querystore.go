@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/dispatch"
@@ -150,9 +151,11 @@ type Store struct {
 	disp   dispatch.Dispatcher
 	merger *merge.Merger // nil unless cfg.Merge.Enabled
 	// queue is the pending batch: queue[i] holds id nextID-len(queue)+i.
-	// dedup indexes its reads by statement identity.
+	// dedup indexes its reads by statement identity. Both are borrowed from
+	// scratchPool (held) at the first Register and given back at Close.
 	queue []driver.Stmt
 	dedup driver.StmtIndex
+	held  *scratch
 	// results[id-base] is id's result set once its batch ran; nil while it
 	// has not, or when it failed (then errs has the id). Ids below base were
 	// released at a request boundary. errs is created on first use.
@@ -174,7 +177,22 @@ type Store struct {
 	// Close so none is ever dropped.
 	fireAndForget map[QueryID]struct{}
 	writeErrs     []error
+
+	// onClose are the release hooks registered with OnClose, run by the
+	// next Close.
+	onClose []func()
 }
+
+// scratch is a store's registration scratch: the queue array and the dedup
+// table. Neither is visible to a caller, so a closed store hands them to
+// the next store to open instead of leaving them to the collector, and a
+// per-request store registers into storage grown by earlier requests.
+type scratch struct {
+	queue []driver.Stmt
+	dedup driver.StmtIndex
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // New creates a query store over an established connection, building the
 // configured dispatch pipeline.
@@ -219,15 +237,36 @@ func NewWithDispatcher(conn *driver.Conn, cfg Config, disp dispatch.Dispatcher) 
 // pipelined write that failed after the last force is never dropped — and
 // then closes the dispatcher. Close is the last delivery point: a pending
 // pipelined-write error joins any batch error in the return value rather
-// than being discarded. Results
-// already cached remain readable; no further registrations should follow.
+// than being discarded. Results already cached remain readable.
 // Statements still pending in the unsubmitted queue are discarded, as the
-// paper's store does for speculative reads nobody forced.
+// paper's store does for speculative reads nobody forced; the queue array
+// and dedup table go back to a pool for the next store, and the hooks
+// registered with OnClose run. A store used after Close starts again
+// from empty scratch.
 func (s *Store) Close() error {
 	err := s.barrierErr(s.collect())
 	s.disp.Close()
+	if s.held != nil {
+		clear(s.queue[:cap(s.queue)]) // submitted batches stay behind len
+		s.dedup.Reset()
+		*s.held = scratch{queue: s.queue[:0], dedup: s.dedup}
+		scratchPool.Put(s.held)
+		s.queue, s.dedup, s.held = nil, driver.StmtIndex{}, nil
+	}
+	hooks := s.onClose
+	s.onClose = nil
+	for _, f := range hooks {
+		f()
+	}
 	return err
 }
+
+// OnClose registers f to run at the store's next Close, after every
+// registered before it. Each registration runs at most once: a store used
+// after Close starts with no hooks. It is how request-scoped state kept
+// beside the store (the ORM session's identity map) is given back when the
+// request ends.
+func (s *Store) OnClose(f func()) { s.onClose = append(s.onClose, f) }
 
 // EndRequest marks a request boundary on a store that outlives one request
 // (a long-lived session serving page after page): every resolved entry —
@@ -305,6 +344,10 @@ func (s *Store) Register(sql string, args ...sqldb.Value) (QueryID, error) {
 	// execution error surfaces here.
 	isWrite := sqlparse.IsWriteSQL(sql)
 	st := driver.Stmt{SQL: sql, Args: args}
+	if s.held == nil {
+		s.held = scratchPool.Get().(*scratch)
+		s.queue, s.dedup = s.held.queue, s.held.dedup
+	}
 
 	if !isWrite && !s.cfg.DisableDedup {
 		if pos, dup := s.dedup.Add(s.queue, st); dup {

@@ -2,6 +2,7 @@ package webapp
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/netsim"
@@ -25,7 +26,9 @@ func (p Params) Get(name string, def int64) int64 {
 // orm.Lazy thunks.
 type Model map[string]any
 
-// Ctx is the per-request context handed to controllers.
+// Ctx is the per-request context handed to controllers. Load recycles it,
+// with its Model, once the page is rendered, so neither may be kept past
+// the load that handed it out.
 type Ctx struct {
 	Session *orm.Session
 	Req     Params
@@ -167,6 +170,40 @@ func (a *App) Load(name string, req Params, sess *orm.Session) (*Result, error) 
 	if !ok {
 		return nil, fmt.Errorf("webapp: no page %q", name)
 	}
+	r := requests.Get().(*request)
+	defer r.release()
+	return a.load(r, page, req, sess)
+}
+
+// request is the scratch a load borrows: the controller's context with its
+// model map, and the view's writer with its part list and value buffer.
+// Nothing in it outlives the load — the page string Flush returns and the
+// Result are allocated fresh — so Load gives it back, emptied, on every
+// return path, and what a load allocates for its page is what it keeps.
+type request struct {
+	ctx Ctx
+	w   ThunkWriter
+}
+
+var requests = sync.Pool{New: func() any { return &request{ctx: Ctx{Model: make(Model)}} }}
+
+// reset empties r for its next load, keeping the model map's and the
+// writer's storage and dropping every reference to what the load built.
+func (r *request) reset() {
+	clear(r.ctx.Model)
+	r.ctx = Ctx{Model: r.ctx.Model}
+	r.w.reset()
+}
+
+// release resets r and returns it to the pool.
+func (r *request) release() {
+	r.reset()
+	requests.Put(r)
+}
+
+// load is Load on a borrowed request.
+func (a *App) load(r *request, page *Page, req Params, sess *orm.Session) (*Result, error) {
+	name := page.Name
 	clock := a.clock
 	if c := sess.Conn().Clock(); c != nil {
 		clock = c
@@ -204,7 +241,8 @@ func (a *App) Load(name string, req Params, sess *orm.Session) (*Result, error) 
 		}()
 	}
 
-	ctx := &Ctx{Session: sess, Req: req, Model: make(Model)}
+	ctx := &r.ctx
+	ctx.Session, ctx.Req = sess, req
 	cctx := pctx.Child("app", "controller", clock.Now())
 	if err := page.Controller(ctx); err != nil {
 		return nil, fmt.Errorf("webapp: page %q controller: %w", name, err)
@@ -221,11 +259,11 @@ func (a *App) Load(name string, req Params, sess *orm.Session) (*Result, error) 
 	clock.Advance(a.profile.ControllerBase)
 
 	vctx := pctx.Child("app", "view", clock.Now())
-	w := getWriter(sess.Sloth())
+	w := &r.w
+	w.deferred = sess.Sloth()
 	page.View(w, ctx.Model)
 	html, err := w.Flush()
 	rendered := w.Rendered()
-	w.release()
 	if err != nil {
 		return nil, fmt.Errorf("webapp: page %q: %w", name, err)
 	}

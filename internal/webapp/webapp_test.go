@@ -1,6 +1,8 @@
 package webapp
 
 import (
+	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -156,6 +158,64 @@ func TestRecycledWriterAllocatesOnlyThePage(t *testing.T) {
 	for i, p := range w.parts[:cap(w.parts)] {
 		if p != (part{}) {
 			t.Fatalf("reset writer keeps part %d: %+v", i, p)
+		}
+	}
+}
+
+// TestRecycledLoadAllocatesNoModelGrowth: a load on a recycled request
+// allocates the same whether its controller puts none or 64 model entries —
+// the context and model map are the request's, emptied by reset — and the
+// reset request holds nothing the load built, on the error paths too. (As
+// above, the request is reset by hand rather than drawn from the pool.)
+func TestRecycledLoadAllocatesNoModelGrowth(t *testing.T) {
+	app, sess, _, _ := rig(t, orm.ModeSloth)
+	keys := make([]string, 64)
+	vals := make([]any, len(keys))
+	for i := range keys {
+		keys[i], vals[i] = "k"+strconv.Itoa(i), &Item{ID: int64(i)}
+	}
+	errController, errView := errors.New("controller failed"), errors.New("view failed")
+	page := func(puts int, fail error) *Page {
+		return &Page{
+			Name: "model.jsp",
+			Controller: func(c *Ctx) error {
+				for i := 0; i < puts; i++ {
+					c.Put(keys[i], vals[i])
+				}
+				if fail == errController {
+					return fail
+				}
+				return nil
+			},
+			View: func(w *ThunkWriter, m Model) {
+				w.WriteString("<p>")
+				if fail == errView {
+					w.WriteValue(thunk.New(func() string { panic(fail) }))
+				}
+			},
+		}
+	}
+	var r request
+	r.ctx.Model = make(Model)
+	allocs := func(p *Page) float64 {
+		load := func() {
+			app.load(&r, p, nil, sess)
+			r.reset()
+		}
+		load()
+		return testing.AllocsPerRun(100, load)
+	}
+	if none, full := allocs(page(0, nil)), allocs(page(len(keys), nil)); full != none {
+		t.Errorf("a recycled load with %d puts allocates %v objects, with none %v", len(keys), full, none)
+	}
+	for _, fail := range []error{nil, errController, errView} {
+		res, err := app.load(&r, page(len(keys), fail), nil, sess)
+		if !errors.Is(err, fail) || (fail == nil) != (res != nil) {
+			t.Fatalf("load failing with %v: %v, %v", fail, res, err)
+		}
+		r.reset()
+		if len(r.ctx.Model) != 0 || r.ctx.Session != nil || r.ctx.puts != 0 || len(r.w.parts) != 0 {
+			t.Fatalf("reset after a load failing with %v keeps %+v", fail, r.ctx)
 		}
 	}
 }

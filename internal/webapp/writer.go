@@ -12,7 +12,6 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/thunk"
 )
@@ -46,23 +45,6 @@ type part struct {
 // a stock JspWriter printing an entity.
 func NewThunkWriter(deferred bool) *ThunkWriter {
 	return &ThunkWriter{deferred: deferred}
-}
-
-// writers recycles the writers App.Load renders with: a writer's part list
-// and value buffer are scratch, so what a load allocates for its page is
-// the page string Flush returns.
-var writers = sync.Pool{New: func() any { return new(ThunkWriter) }}
-
-func getWriter(deferred bool) *ThunkWriter {
-	w := writers.Get().(*ThunkWriter)
-	w.deferred = deferred
-	return w
-}
-
-// release resets w and returns it to the pool.
-func (w *ThunkWriter) release() {
-	w.reset()
-	writers.Put(w)
 }
 
 // reset empties w for its next page, keeping its buffers and dropping its
