@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/dispatch"
-	"repro/internal/obs"
 )
 
 // options carries every flag into run.
@@ -58,7 +57,7 @@ func main() {
 	shardsFlag := flag.String("shards", "", "database shard counts for -exp throughput, comma-separated (empty = unsharded; rendering is byte-identical at any count, only occupancy changes)")
 	flag.BoolVar(&o.visits, "visits", true, "record a visit-log write per page load in -exp throughput (false = read-only replay; with -dispatch shared the output is byte-stable)")
 	flag.StringVar(&o.traceOut, "traceout", "BENCH_trace.json", "Chrome trace-event JSON path for -exp trace (empty disables; load in Perfetto or chrome://tracing)")
-	flag.StringVar(&o.debugAddr, "debugaddr", "", "serve net/http/pprof and expvar (unified metrics under /debug/vars key \"sloth\") on this address, e.g. localhost:6060 (empty disables)")
+	flag.StringVar(&o.debugAddr, "debugaddr", "", "serve net/http/pprof and expvar (the live cell's counters under /debug/vars key \"sloth\") on this address, e.g. localhost:6060 (empty disables)")
 	faultsFlag := flag.String("faults", "", "injected transient-failure rates for -exp faults, comma-separated (empty = sweep 0,0.05,0.1,0.2; include 0 for the clean baseline)")
 	flag.Uint64Var(&o.faultSeed, "faultseed", 1, "seed for the deterministic fault plane in -exp faults (same seed, same faults, same report)")
 	flag.Parse()
@@ -140,14 +139,15 @@ func parseRates(s string) ([]float64, error) {
 }
 
 // serveDebug starts the diagnostics endpoint: net/http/pprof's handlers on
-// the default mux plus an expvar key publishing the current unified metrics
-// registry, so a long throughput or faults run can be profiled and its
-// counters watched live (`go tool pprof host:port/debug/pprof/profile`,
+// the default mux plus an expvar key publishing the live throughput or
+// faults cell (bench.Live: server counters, fault counts, queue-wait and
+// page-latency quantiles), so a long run can be profiled and its counters
+// watched live (`go tool pprof host:port/debug/pprof/profile`,
 // `curl host:port/debug/vars`).
 func serveDebug(addr string) error {
 	expvar.Publish("sloth", expvar.Func(func() any {
-		if r := obs.Current(); r != nil {
-			return r.Snapshot()
+		if snap, ok := bench.Live(); ok {
+			return snap
 		}
 		return nil
 	}))

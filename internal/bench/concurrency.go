@@ -82,10 +82,10 @@ type ConcurrencyRow struct {
 	Rate            float64       // pages per simulated second
 	AvgPage         time.Duration // mean page latency across sessions
 
-	// P50/P95/P99 are page-latency percentiles from the unified metrics
-	// registry's page.latency histogram (per-load virtual-clock deltas, so
-	// the tail is visible, not just the mean). QW95 is the 95th-percentile
-	// batch queue wait for DB worker capacity.
+	// P50/P95/P99 are page-latency percentiles from the cell's page-latency
+	// histogram (per-load virtual-clock deltas, so the tail is visible, not
+	// just the mean). QW95 is the 95th-percentile batch queue wait for DB
+	// worker capacity, from the server's queue-wait histogram.
 	P50  time.Duration
 	P95  time.Duration
 	P99  time.Duration
@@ -190,15 +190,10 @@ func replayConcurrent(id AppID, n int, kind dispatch.Kind, pipelineWrites bool, 
 		return ConcurrencyRow{}, err
 	}
 	env.Srv.SetWorkers(workers)
-	// Unified metrics: a fresh registry per cell (counts never leak between
-	// configurations), published as the process-wide current registry so a
-	// -debugaddr expvar endpoint shows the live cell. The server feeds the
-	// db.* counters and the queue-wait histogram; the replay loop feeds
-	// page.latency below.
-	reg := obs.NewRegistry()
-	obs.SetCurrent(reg)
-	env.Srv.SetMetrics(reg)
-	pageLat := reg.Histogram("page.latency")
+	// The replay loop feeds pageLat below; the server keeps the queue-wait
+	// histogram. Both are fresh per cell and published for -debugaddr.
+	pageLat := obs.NewHistogram()
+	live.Store(&liveCell{srv: env.Srv, pageLat: pageLat})
 	row := ConcurrencyRow{Kind: kind, PipelinedWrites: pipelineWrites, Sessions: n, Workers: workers, Shards: shards}
 	pages := opts.Pages
 	if len(pages) == 0 {
@@ -337,7 +332,7 @@ func replayConcurrent(id AppID, n int, kind dispatch.Kind, pipelineWrites bool, 
 	row.P50 = pageLat.Quantile(0.50)
 	row.P95 = pageLat.Quantile(0.95)
 	row.P99 = pageLat.Quantile(0.99)
-	row.QW95 = reg.Histogram("db.queue_wait").Quantile(0.95)
+	row.QW95 = env.Srv.QueueWaits().Quantile(0.95)
 	if hub != nil {
 		hs := hub.Stats()
 		row.Windows = hs.Windows

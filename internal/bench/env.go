@@ -113,15 +113,12 @@ func NewEnvSharded(id AppID, scale, shards int) (*Env, error) {
 // Pages lists the benchmark pages.
 func (e *Env) Pages() []string { return e.app.Pages() }
 
-// SetFaults installs a deterministic fault plane on the env's server and
-// returns it. Pass the zero Config to NewPlane for a no-op plane, or call
-// e.Srv.SetFaults(nil) to remove injection entirely. Loads issued after
-// this call see injected faults; pair it with StoreCfg.Retry so sessions
-// can recover.
-func (e *Env) SetFaults(cfg faults.Config) *faults.Plane {
-	p := faults.NewPlane(cfg)
-	e.Srv.SetFaults(p)
-	return p
+// SetFaults installs a deterministic fault plane built from cfg on the
+// env's server. Call e.Srv.SetFaults(nil) to remove injection entirely.
+// Loads issued after this call see injected faults; pair it with
+// StoreCfg.Retry so sessions can recover.
+func (e *Env) SetFaults(cfg faults.Config) {
+	e.Srv.SetFaults(faults.NewPlane(cfg))
 }
 
 // shardCfg completes a store config against this env: when the merge

@@ -9,7 +9,6 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/faults"
 	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/orm"
 	"repro/internal/querystore"
 	"repro/internal/sqldb/storage"
@@ -118,11 +117,10 @@ func TestChaosSameSeedReproducible(t *testing.T) {
 	if faulted.Retries == 0 || faulted.Drops == 0 {
 		t.Errorf("faulted sweep injected nothing: %+v", faulted)
 	}
-	// The last cell's registry is the published one, so -debugaddr serves
-	// the sweep's own counters.
-	reg := obs.Current()
-	if reg == nil || reg.Counter("fault.exec_drops").Value()+reg.Counter("fault.outages").Value() != faulted.Drops {
-		t.Errorf("obs.Current() is not the faulted cell's registry")
+	// The last cell is the published one, so -debugaddr serves the
+	// sweep's own counters.
+	if snap, ok := Live(); !ok || snap.Server.FaultDrops != faulted.Drops || snap.LinkTimeouts != faulted.Timeouts {
+		t.Errorf("live snapshot is not the faulted cell's: %+v", snap)
 	}
 	clean, _ := a.Row(0)
 	if clean.Retries != 0 || clean.Failed != 0 {

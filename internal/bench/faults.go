@@ -10,7 +10,6 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/faults"
 	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/orm"
 	"repro/internal/querystore"
 )
@@ -117,12 +116,11 @@ func replayFaulted(id AppID, rate float64, opts FaultSweepOptions) (FaultRow, er
 	if err != nil {
 		return FaultRow{}, err
 	}
-	// Published like replayConcurrent's, so -debugaddr shows the live cell.
-	reg := obs.NewRegistry()
-	obs.SetCurrent(reg)
-	env.Srv.SetMetrics(reg)
-	plane := env.SetFaults(faultSweepConfig(opts.Seed, rate))
-	plane.SetMetrics(reg)
+	env.SetFaults(faultSweepConfig(opts.Seed, rate))
+	// Pages run one after another on env.Clock, so they share one link: its
+	// Timeouts is the cell's. Published like replayConcurrent's cell.
+	link := netsim.NewLink(env.Clock, opts.RTT)
+	live.Store(&liveCell{srv: env.Srv, link: link})
 
 	row := FaultRow{Rate: rate}
 	pages := opts.Pages
@@ -134,7 +132,7 @@ func replayFaulted(id AppID, rate float64, opts FaultSweepOptions) (FaultRow, er
 	var latencies []time.Duration
 	var batches int64
 	for _, page := range pages {
-		conn := env.Srv.Connect(netsim.NewLink(env.Clock, opts.RTT))
+		conn := env.Srv.Connect(link)
 		store := querystore.New(conn, cfg)
 		sess := orm.NewSession(store, orm.ModeSloth)
 		loadStart := env.Clock.Now()
@@ -162,9 +160,10 @@ func replayFaulted(id AppID, rate float64, opts FaultSweepOptions) (FaultRow, er
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	row.P50 = quantileDur(latencies, 0.50)
 	row.P99 = quantileDur(latencies, 0.99)
-	row.Drops = reg.Counter("fault.exec_drops").Value() + reg.Counter("fault.outages").Value()
-	row.Timeouts = reg.Counter("fault.link_timeouts").Value()
-	row.Trips = env.Srv.Stats().BreakerTrips
+	srv := env.Srv.Stats()
+	row.Drops = srv.FaultDrops
+	row.Timeouts = link.Stats().Timeouts
+	row.Trips = srv.BreakerTrips
 	return row, nil
 }
 

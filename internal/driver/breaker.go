@@ -85,8 +85,8 @@ func (s *Server) touchedShards(mask uint64) []int {
 //     already charged that delay to its own accounting);
 //  3. poisoned arguments — the server rejects the batch permanently after
 //     one wasted round trip;
-//  4. per-shard outage/drop rolls — transient, one wasted round trip, and
-//     the failed shard's breaker counts the failure.
+//  4. per-shard outage/drop rolls — transient, one wasted round trip,
+//     counted in ServerStats.FaultDrops and against the shard's breaker.
 //
 // A batch that clears all four resets the breakers of every shard it
 // touched (the shard demonstrably responded).
@@ -106,7 +106,7 @@ func (s *Server) preExecFault(link *netsim.Link, arrival time.Duration, reqBytes
 	}
 	for _, sh := range shards {
 		if err := s.faults.ShardFault(sh, arrival); err != nil {
-			s.breakerFail(sh, arrival)
+			s.shardFailed(sh, arrival)
 			link.Charge(reqBytes, 0)
 			return arrival + link.RTT(), err
 		}
@@ -129,14 +129,17 @@ func (s *Server) shardDelay(mask uint64, arrival time.Duration) time.Duration {
 }
 
 // breakerCheck rejects the batch if any touched shard's breaker is open
-// and still cooling down at `at`; a breaker past its cooldown lets the
-// batch through as a half-open probe.
+// and still cooling down at `at`; breakers past their cooldown let the
+// batch through as half-open probes. Probes are counted only once every
+// touched shard has passed, so a batch rejected by a later shard probes
+// nothing whatever the shard order.
 func (s *Server) breakerCheck(shards []int, at time.Duration) error {
 	if s.brk == nil {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var probes int64
 	for _, sh := range shards {
 		b := &s.brk[sh]
 		if !b.open {
@@ -144,24 +147,24 @@ func (s *Server) breakerCheck(shards []int, at time.Duration) error {
 		}
 		if at < b.openUntil {
 			s.stats.BreakerFastFails++
-			s.met.breakerFastFails.Add(1)
 			return faults.ErrBreakerOpen
 		}
-		s.stats.BreakerProbes++
-		s.met.breakerProbes.Add(1)
+		probes++
 	}
+	s.stats.BreakerProbes += probes
 	return nil
 }
 
-// breakerFail counts one injected failure against a shard's breaker,
-// tripping it open (or re-opening a failed half-open probe) for a fresh
-// cooldown starting at `at`.
-func (s *Server) breakerFail(shard int, at time.Duration) {
+// shardFailed counts one injected shard failure (an outage or a drop) and
+// charges it against the shard's breaker, tripping it open (or re-opening
+// a failed half-open probe) for a fresh cooldown starting at `at`.
+func (s *Server) shardFailed(shard int, at time.Duration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stats.FaultDrops++
 	if s.brk == nil {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	b := &s.brk[shard]
 	b.fails++
 	if b.open || b.fails >= s.brkCfg.Threshold {
@@ -169,7 +172,6 @@ func (s *Server) breakerFail(shard int, at time.Duration) {
 		b.openUntil = at + s.brkCfg.Cooldown
 		b.fails = 0
 		s.stats.BreakerTrips++
-		s.met.breakerTrips.Add(1)
 	}
 }
 

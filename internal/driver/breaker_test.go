@@ -6,8 +6,10 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/sqldb"
+	"repro/internal/sqldb/engine"
 )
 
 // TestFaultOutageAndRecovery: inside a scheduled outage window every batch
@@ -85,8 +87,6 @@ func TestFaultPoisonPermanent(t *testing.T) {
 // counters that the reproducibility assertions compare.
 func TestBreakerStateMachine(t *testing.T) {
 	_, srv, conn := rig(t, time.Millisecond)
-	reg := obs.NewRegistry()
-	srv.SetMetrics(reg)
 	srv.SetFaults(faults.NewPlane(faults.Config{
 		Outages: []faults.Outage{{Shard: 0, From: 0, To: 10 * time.Millisecond}},
 		Breaker: faults.Breaker{Threshold: 2, Cooldown: 4 * time.Millisecond},
@@ -137,10 +137,58 @@ func TestBreakerStateMachine(t *testing.T) {
 	if _, _, err := conn.Exec(obs.Ctx{}, 12*time.Millisecond, stmts); err != nil {
 		t.Fatalf("closed breaker: %v", err)
 	}
-	if reg.Counter("db.breaker.trips").Value() != 2 ||
-		reg.Counter("db.breaker.fast_fails").Value() != 1 ||
-		reg.Counter("db.breaker.probes").Value() != 2 {
-		t.Fatalf("metric shadows diverged from stats")
+	if st := srv.Stats(); st.BreakerTrips != 2 || st.BreakerFastFails != 1 || st.BreakerProbes != 2 {
+		t.Fatalf("closed breaker: %+v", st)
+	}
+}
+
+// TestBreakerRejectedScatterProbesNothing: a scatter touching one breaker
+// past its cooldown and one still cooling is rejected, and the rejection
+// counts one fast fail and no probe whichever shard is the cooling one.
+func TestBreakerRejectedScatterProbesNothing(t *testing.T) {
+	for cooling := 0; cooling < 2; cooling++ {
+		db := engine.NewSharded(2)
+		if _, err := db.NewSession().Exec("CREATE TABLE kv (k INT PRIMARY KEY, v TEXT)"); err != nil {
+			t.Fatal(err)
+		}
+		clock := netsim.NewVirtualClock()
+		srv := NewServer(db, clock, DefaultCostModel())
+		srv.SetFaults(faults.NewPlane(faults.Config{Breaker: faults.Breaker{Threshold: 1}}))
+		srv.brk[1-cooling] = breaker{open: true, openUntil: 5 * time.Millisecond}
+		srv.brk[cooling] = breaker{open: true, openUntil: 12 * time.Millisecond}
+		conn := srv.Connect(netsim.NewLink(clock, time.Millisecond))
+		_, _, err := conn.Exec(obs.Ctx{}, 10*time.Millisecond, []Stmt{{SQL: "SELECT * FROM kv"}})
+		if !errors.Is(err, faults.ErrBreakerOpen) {
+			t.Fatalf("cooling shard %d: err = %v", cooling, err)
+		}
+		if st := srv.Stats(); st.BreakerProbes != 0 || st.BreakerFastFails != 1 {
+			t.Fatalf("cooling shard %d: probes=%d fastFails=%d, want 0/1", cooling, st.BreakerProbes, st.BreakerFastFails)
+		}
+	}
+}
+
+// TestFaultDropsCountShardFailures: a scheduled outage and an injected
+// drop each add exactly one to FaultDrops; a poisoned batch and a link
+// timeout fail before any shard is consulted and add nothing.
+func TestFaultDropsCountShardFailures(t *testing.T) {
+	_, srv, conn := rig(t, time.Millisecond)
+	stmts := []Stmt{{SQL: "SELECT v FROM kv WHERE k = ?", Args: []sqldb.Value{int64(1)}}}
+	for i, tc := range []struct {
+		cfg  faults.Config
+		want int64
+	}{
+		{faults.Config{Outages: []faults.Outage{{Shard: 0, From: 0, To: 5 * time.Millisecond}}}, 1},
+		{faults.Config{ExecErrorRate: 1}, 2},
+		{faults.Config{PoisonArgs: []sqldb.Value{int64(1)}}, 2},
+		{faults.Config{LinkTimeoutRate: 1}, 2},
+	} {
+		srv.SetFaults(faults.NewPlane(tc.cfg))
+		if _, _, err := conn.Exec(obs.Ctx{}, 2*time.Millisecond, stmts); !faults.Injected(err) {
+			t.Fatalf("case %d: err = %v, want an injected fault", i, err)
+		}
+		if got := srv.Stats().FaultDrops; got != tc.want {
+			t.Fatalf("case %d: FaultDrops = %d, want %d", i, got, tc.want)
+		}
 	}
 }
 

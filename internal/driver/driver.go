@@ -80,12 +80,14 @@ type ServerStats struct {
 	// QueueWait is total virtual time batches spent queued behind other
 	// batches for server capacity (only nonzero under concurrent sessions).
 	QueueWait time.Duration
-	// WorkerBatches attributes batch placement per DB worker queue
-	// (SetWorkers): WorkerBatches[i] is how many batches worker i executed.
+	// WorkerBatches attributes batch placement per DB worker lane
+	// (SetWorkers): WorkerBatches[i] is how many batches lane i executed.
+	// Lanes are shard-major (lane = shard*K + w), so a shard's totals are
+	// the sum over its K lanes.
 	WorkerBatches []int64
-	// WorkerBusy is the virtual execution time each worker accumulated —
-	// together with WorkerBatches it makes the K-queue occupancy model's
-	// load balance legible in the throughput reports.
+	// WorkerBusy is the virtual execution time each lane accumulated —
+	// together with WorkerBatches it makes the occupancy model's load
+	// balance legible to the driver tests and the -debugaddr endpoint.
 	WorkerBusy []time.Duration
 	// WorkerWall is the real (host) execution time each worker slot spent
 	// running snapshot read batches — the wall-clock shadow of the virtual
@@ -101,6 +103,9 @@ type ServerStats struct {
 	BreakerTrips     int64
 	BreakerFastFails int64
 	BreakerProbes    int64
+	// FaultDrops counts batches the fault plane failed at a shard before
+	// execution: scheduled outages and injected drops (preExecFault).
+	FaultDrops int64
 	// RetiredWall is always zero: the pool is sized before the first batch
 	// and never resized, so no wall time outlives its worker slot. It stays
 	// only because benchmark/ still adds it to sum(WorkerWall).
@@ -135,29 +140,9 @@ type Server struct {
 
 	mu    sync.Mutex
 	stats ServerStats
-	// met holds the optional live-metrics instruments (SetMetrics): the
-	// unified registry's view of the same accounting ServerStats keeps,
-	// plus the queue-wait distribution that scalar QueueWait cannot carry.
-	met struct {
-		batches   *obs.Counter
-		stmts     *obs.Counter
-		rows      *obs.Counter
-		timeNS    *obs.Counter
-		wallNS    *obs.Counter
-		queueWait *obs.Histogram
-		// shardBatches/shardBusyNS are the per-shard occupancy instruments
-		// ("db.shard.<i>.batches" / "db.shard.<i>.busy_ns"), registered only
-		// for sharded stores: how many batches landed a lane on shard i and
-		// the virtual busy time charged there.
-		shardBatches []*obs.Counter
-		shardBusyNS  []*obs.Counter
-		// breaker transition counters ("db.breaker.*"), live shadows of the
-		// Breaker* fields in ServerStats. obs counters are nil-safe, so they
-		// cost nothing unmetered.
-		breakerTrips     *obs.Counter
-		breakerFastFails *obs.Counter
-		breakerProbes    *obs.Counter
-	}
+	// queueWait is the distribution of the waits QueueWait sums, one
+	// observation per batch (occupy), for the percentile reports.
+	queueWait *obs.Histogram
 	// lanes holds the busy timeline of each DB worker queue — the
 	// multi-queue occupancy model for concurrent sessions (the paper's
 	// server runs a pool of DB worker threads; SetWorkers sizes it). A batch
@@ -256,45 +241,13 @@ func (l *laneBusy) insert(from, dur time.Duration) {
 // The server starts with one DB worker queue per storage shard; SetWorkers
 // sizes the per-shard pool before the first batch.
 func NewServer(db *engine.DB, clock netsim.Clock, cost CostModel) *Server {
-	s := &Server{db: db, clock: clock, cost: cost, shards: db.Store().NumShards()}
+	s := &Server{db: db, clock: clock, cost: cost, shards: db.Store().NumShards(), queueWait: obs.NewHistogram()}
 	s.SetWorkers(1)
 	return s
 }
 
 // DB returns the underlying engine (for direct data loading in fixtures).
 func (s *Server) DB() *engine.DB { return s.db }
-
-// SetMetrics registers the server's live instruments into reg (nil
-// detaches): per-batch counters under "db.*" and the queue-wait
-// distribution histogram, so throughput reports and the expvar endpoint
-// read the same accounting ServerStats keeps.
-func (s *Server) SetMetrics(reg *obs.Registry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if reg == nil {
-		s.met.batches, s.met.stmts, s.met.rows, s.met.timeNS, s.met.wallNS, s.met.queueWait = nil, nil, nil, nil, nil, nil
-		s.met.shardBatches, s.met.shardBusyNS = nil, nil
-		s.met.breakerTrips, s.met.breakerFastFails, s.met.breakerProbes = nil, nil, nil
-		return
-	}
-	s.met.breakerTrips = reg.Counter("db.breaker.trips")
-	s.met.breakerFastFails = reg.Counter("db.breaker.fast_fails")
-	s.met.breakerProbes = reg.Counter("db.breaker.probes")
-	s.met.batches = reg.Counter("db.batches")
-	s.met.stmts = reg.Counter("db.stmts")
-	s.met.rows = reg.Counter("db.rows")
-	s.met.timeNS = reg.Counter("db.time_ns")
-	s.met.wallNS = reg.Counter("db.exec_wall_ns")
-	s.met.queueWait = reg.Histogram("db.queue_wait")
-	if s.shards > 1 {
-		s.met.shardBatches = make([]*obs.Counter, s.shards)
-		s.met.shardBusyNS = make([]*obs.Counter, s.shards)
-		for i := 0; i < s.shards; i++ {
-			s.met.shardBatches[i] = reg.Counter(fmt.Sprintf("db.shard.%d.batches", i))
-			s.met.shardBusyNS[i] = reg.Counter(fmt.Sprintf("db.shard.%d.busy_ns", i))
-		}
-	}
-}
 
 // SetWorkers sizes the DB worker pool to k queues per shard (k < 1
 // selects 1): the occupancy lanes, the execution slots and the per-worker
@@ -326,6 +279,10 @@ func (s *Server) Workers() int {
 
 // Shards reports the occupancy model's shard count.
 func (s *Server) Shards() int { return s.shards }
+
+// QueueWaits returns the per-batch queue-wait distribution (live: it
+// keeps observing as batches arrive).
+func (s *Server) QueueWaits() *obs.Histogram { return s.queueWait }
 
 // Stats snapshots the server counters.
 func (s *Server) Stats() ServerStats {
@@ -474,22 +431,17 @@ func (s *Server) execBatch(sess *engine.Session, stmts []Stmt, traced bool) ([]*
 	s.addBatchLocked(len(stmts), rowsVisited, total)
 	s.stats.SnapBatches++
 	s.stats.WorkerWall[slot] += wall
-	s.met.wallNS.Add(int64(wall))
 	s.mu.Unlock()
 	return results, total, layout, nil
 }
 
-// addBatchLocked merges one executed batch into the server counters and
-// their live-metrics shadows. The caller holds s.mu.
+// addBatchLocked merges one executed batch into the server counters. The
+// caller holds s.mu.
 func (s *Server) addBatchLocked(stmts int, rowsVisited int64, total time.Duration) {
 	s.stats.Queries += int64(stmts)
 	s.stats.Batches++
 	s.stats.Rows += rowsVisited
 	s.stats.DBTime += total
-	s.met.batches.Add(1)
-	s.met.stmts.Add(int64(stmts))
-	s.met.rows.Add(rowsVisited)
-	s.met.timeNS.Add(int64(total))
 }
 
 // occupy reserves server capacity for a batch arriving at the given virtual
@@ -506,8 +458,8 @@ func (s *Server) addBatchLocked(stmts int, rowsVisited int64, total time.Duratio
 // exactly as the unsharded server would price it, keeping goldens
 // shard-count-independent, and sharding shows up only in the occupancy a
 // batch leaves behind — other sessions queue behind the share, not the
-// whole cost. The wait is attributed to ServerStats.QueueWait once and
-// the placement to WorkerBatches/WorkerBusy per lane. Returns the start
+// whole cost. The wait is attributed to ServerStats.QueueWait and the
+// queue-wait histogram once, and the placement to WorkerBatches/WorkerBusy per lane. Returns the start
 // time, the per-lane share, and the chosen lanes appended to the caller's
 // buffer (lanes[0], the lowest shard's, is the primary for trace
 // attribution). At shards == 1 this is the flat K-queue model with
@@ -564,13 +516,9 @@ func (s *Server) occupy(arrival, cost time.Duration, mask uint64, lanes []int) (
 		s.lanes[w].insert(start, share)
 		s.stats.WorkerBatches[w]++
 		s.stats.WorkerBusy[w] += share
-		if s.met.shardBatches != nil {
-			s.met.shardBatches[w/k].Add(1)
-			s.met.shardBusyNS[w/k].Add(int64(share))
-		}
 	}
 	s.stats.QueueWait += start - arrival
-	s.met.queueWait.Observe(start - arrival)
+	s.queueWait.Observe(start - arrival)
 	return start, share, lanes
 }
 

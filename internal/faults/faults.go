@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/sqldb"
 )
 
@@ -191,21 +190,11 @@ type Config struct {
 // DefaultLinkTimeout is the timeout charged when Config.LinkTimeout is 0.
 const DefaultLinkTimeout = 2 * time.Millisecond
 
-// Plane is an installed fault schedule. It is immutable after NewPlane
-// (metrics attach via SetMetrics before traffic starts) and safe for
-// concurrent use: all decision state is read-only, counters are atomic.
+// Plane is an installed fault schedule: an immutable, stateless decision
+// function, safe for concurrent use. It counts nothing — the callers that
+// act on a decision do (the driver's ServerStats, the link's LinkStats).
 type Plane struct {
 	cfg Config
-
-	// met holds the optional obs instruments (SetMetrics); obs counters are
-	// nil-safe, so an unmetered plane costs nothing.
-	met struct {
-		execDrops  *obs.Counter
-		outages    *obs.Counter
-		timeouts   *obs.Counter
-		poisoned   *obs.Counter
-		slowdownNS *obs.Counter
-	}
 }
 
 // NewPlane builds a fault plane from cfg, normalizing defaulted fields.
@@ -222,20 +211,6 @@ func NewPlane(cfg Config) *Plane {
 // Config returns the plane's normalized configuration (the driver reads
 // the breaker settings from it).
 func (p *Plane) Config() Config { return p.cfg }
-
-// SetMetrics registers the plane's live counters into reg under "fault.*"
-// (nil detaches). Call before traffic starts.
-func (p *Plane) SetMetrics(reg *obs.Registry) {
-	if reg == nil {
-		p.met.execDrops, p.met.outages, p.met.timeouts, p.met.poisoned, p.met.slowdownNS = nil, nil, nil, nil, nil
-		return
-	}
-	p.met.execDrops = reg.Counter("fault.exec_drops")
-	p.met.outages = reg.Counter("fault.outages")
-	p.met.timeouts = reg.Counter("fault.link_timeouts")
-	p.met.poisoned = reg.Counter("fault.poisoned")
-	p.met.slowdownNS = reg.Counter("fault.slowdown_ns")
-}
 
 // ---------------------------------------------------------------------------
 // The keyed roll.
@@ -282,7 +257,6 @@ func (p *Plane) LinkFault(at time.Duration) (time.Duration, error) {
 	if p.roll("link", 0, at) >= p.cfg.LinkTimeoutRate {
 		return 0, nil
 	}
-	p.met.timeouts.Add(1)
 	return p.cfg.LinkTimeout, &Error{Class: Timeout, Site: "link", Kind: "timeout", At: at + p.cfg.LinkTimeout}
 }
 
@@ -295,12 +269,10 @@ func (p *Plane) ShardFault(shard int, at time.Duration) error {
 	}
 	for _, o := range p.cfg.Outages {
 		if o.Shard == shard && at >= o.From && at < o.To {
-			p.met.outages.Add(1)
 			return &Error{Class: Transient, Site: fmt.Sprintf("shard%d", shard), Kind: "outage", At: at}
 		}
 	}
 	if p.cfg.ExecErrorRate > 0 && p.roll("exec", uint64(shard), at) < p.cfg.ExecErrorRate {
-		p.met.execDrops.Add(1)
 		return &Error{Class: Transient, Site: fmt.Sprintf("shard%d", shard), Kind: "drop", At: at}
 	}
 	return nil
@@ -318,9 +290,6 @@ func (p *Plane) ShardDelay(shard int, at time.Duration) time.Duration {
 			extra += s.Extra
 		}
 	}
-	if extra > 0 {
-		p.met.slowdownNS.Add(int64(extra))
-	}
 	return extra
 }
 
@@ -335,7 +304,6 @@ func (p *Plane) Poisoned(args []sqldb.Value, at time.Duration) error {
 		na := sqldb.Normalize(a)
 		for _, bad := range p.cfg.PoisonArgs {
 			if na == sqldb.Normalize(bad) {
-				p.met.poisoned.Add(1)
 				return &Error{Class: Permanent, Site: "exec", Kind: "poison", At: at}
 			}
 		}

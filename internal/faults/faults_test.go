@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/sqldb"
 )
 
@@ -147,17 +146,5 @@ func TestPoison(t *testing.T) {
 	}
 	if err := (*Plane)(nil).Poisoned([]sqldb.Value{int64(13)}, 0); err != nil {
 		t.Fatalf("nil plane: %v", err)
-	}
-}
-
-// TestMetrics: counters register and tick under injection.
-func TestMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
-	p := NewPlane(Config{LinkTimeoutRate: 1})
-	p.SetMetrics(reg)
-	p.LinkFault(0)
-	p.LinkFault(time.Millisecond)
-	if n := reg.Counter("fault.link_timeouts").Value(); n != 2 {
-		t.Fatalf("timeout counter %d", n)
 	}
 }

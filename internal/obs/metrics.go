@@ -2,32 +2,9 @@ package obs
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// Counter is a monotonically increasing metric. All methods are atomic;
-// hot paths (the driver's per-batch accounting) call Add without locks.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Add increments the counter.
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Value reads the counter.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
 
 // Histogram is a fixed-bucket latency histogram. Buckets are shared
 // geometric bounds (latencyBounds) so histograms merge and compare
@@ -164,95 +141,3 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	}
 	return time.Duration(h.max.Load())
 }
-
-// Registry is a named collection of metrics. Get-or-create is idempotent,
-// so each layer registers its instruments by name without coordinating
-// with the others — the unified replacement for hand-threading deltas
-// between *Stats structs.
-type Registry struct {
-	mu     sync.Mutex
-	counts map[string]*Counter
-	hists  map[string]*Histogram
-}
-
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counts: make(map[string]*Counter),
-		hists:  make(map[string]*Histogram),
-	}
-}
-
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counts[name]
-	if !ok {
-		c = &Counter{}
-		r.counts[name] = c
-	}
-	return c
-}
-
-// Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = NewHistogram()
-		r.hists[name] = h
-	}
-	return h
-}
-
-// Snapshot returns every metric's current value keyed by name, with
-// histograms expanded to count/sum/mean/p50/p95/p99. Values are
-// JSON-encodable (the expvar endpoint publishes this map).
-func (r *Registry) Snapshot() map[string]any {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	counts := make(map[string]*Counter, len(r.counts))
-	for k, v := range r.counts {
-		counts[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	r.mu.Unlock()
-
-	out := make(map[string]any)
-	for k, c := range counts {
-		out[k] = c.Value()
-	}
-	for k, h := range hists {
-		out[k+".count"] = h.Count()
-		out[k+".sum_ns"] = int64(h.Sum())
-		out[k+".mean_ns"] = int64(h.Mean())
-		out[k+".p50_ns"] = int64(h.Quantile(0.50))
-		out[k+".p95_ns"] = int64(h.Quantile(0.95))
-		out[k+".p99_ns"] = int64(h.Quantile(0.99))
-	}
-	return out
-}
-
-// current is the process-default registry, published by the -debugaddr
-// expvar endpoint. Benchmarks install their per-run registry here so a
-// profiling run exposes live metrics over HTTP.
-var current atomic.Pointer[Registry]
-
-// SetCurrent installs the process-default registry.
-func SetCurrent(r *Registry) { current.Store(r) }
-
-// Current returns the process-default registry (nil if none installed).
-func Current() *Registry { return current.Load() }

@@ -1,5 +1,6 @@
 // Package obs is the observability spine of the reproduction: a
-// deterministic query-lifecycle tracer and a unified metrics registry.
+// deterministic query-lifecycle tracer and fixed-bucket latency histograms.
+// Counts are not kept here: each layer's Stats struct holds its own.
 //
 // The paper's entire argument is about where time goes inside a page load —
 // round trips deferred, batched, and overlapped — so the tracer records
