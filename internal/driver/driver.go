@@ -166,12 +166,21 @@ type Server struct {
 	shards int
 
 	// slots is the execution-side worker pool matching the occupancy model:
-	// a counting semaphore preloaded with one token per worker. A read-only
-	// batch takes a token, executes its compiled plans against an MVCC
-	// snapshot concurrently with other holders, and returns the token.
-	// Writes never take a token — they serialize on the storage lock as
-	// before. Replaced only by SetWorkers, before the first batch.
-	slots chan int
+	// a channel preloaded with one worker per lane. A read-only batch takes a
+	// worker, executes its compiled plans against an MVCC snapshot
+	// concurrently with other holders, and gives the worker back. Writes
+	// never take one — they serialize on the storage lock as before.
+	// Replaced only by SetWorkers, before the first batch.
+	slots chan *worker
+}
+
+// worker is one DB worker slot: its index into the per-worker stats and the
+// snapshot session it runs every read batch on, re-pinned per batch, whose
+// plan scratch those batches' SELECTs work in. Only the goroutine holding
+// the worker (between taking it from slots and giving it back) touches it.
+type worker struct {
+	idx  int
+	sess *engine.SnapSession // nil until the worker's first batch
 }
 
 // busySpan is one half-open busy interval [from, to) on a lane's virtual
@@ -264,9 +273,9 @@ func (s *Server) SetWorkers(k int) {
 	s.stats.WorkerBatches = make([]int64, n)
 	s.stats.WorkerBusy = make([]time.Duration, n)
 	s.stats.WorkerWall = make([]time.Duration, n)
-	s.slots = make(chan int, n)
+	s.slots = make(chan *worker, n)
 	for i := 0; i < n; i++ {
-		s.slots <- i
+		s.slots <- &worker{idx: i}
 	}
 }
 
@@ -414,15 +423,19 @@ func (s *Server) execBatch(sess *engine.Session, stmts []Stmt, traced bool) ([]*
 		return results, total, layout, nil
 	}
 
-	slot := <-s.slots
+	w := <-s.slots
 	//slothvet:allow wallclock(host-side wall stats: measures real multicore speedup, never feeds virtual time)
 	wallStart := time.Now()
-	snap := s.db.BeginSnapshot()
-	results, total, rowsVisited, layout, err := s.priceStmts(snap.ExecSelect, stmts, traced)
-	snap.Close()
+	if w.sess == nil {
+		w.sess = s.db.BeginSnapshot()
+	} else {
+		w.sess.Repin()
+	}
+	results, total, rowsVisited, layout, err := s.priceStmts(w.sess.ExecSelect, stmts, traced)
+	w.sess.Close()
 	//slothvet:allow wallclock(host-side wall stats: measures real multicore speedup, never feeds virtual time)
 	wall := time.Since(wallStart)
-	s.slots <- slot
+	s.slots <- w
 	if err != nil {
 		return nil, 0, nil, err
 	}
@@ -430,7 +443,7 @@ func (s *Server) execBatch(sess *engine.Session, stmts []Stmt, traced bool) ([]*
 	s.mu.Lock()
 	s.addBatchLocked(len(stmts), rowsVisited, total)
 	s.stats.SnapBatches++
-	s.stats.WorkerWall[slot] += wall
+	s.stats.WorkerWall[w.idx] += wall
 	s.mu.Unlock()
 	return results, total, layout, nil
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/sqldb"
 )
 
 // These tests are the snapshot-isolation stress for `go test -race`:
@@ -162,5 +163,73 @@ func TestWorkerStatsSizedBySetWorkers(t *testing.T) {
 	}
 	if wall <= 0 || st.RetiredWall != 0 {
 		t.Fatalf("wall time: workers %v, retired %v; want positive and zero", wall, st.RetiredWall)
+	}
+}
+
+// TestWorkerScratchNotShared: two readers run read batches at once on a
+// 2-worker server, each batch sorting, grouping and deduplicating in its
+// worker's scratch, and append to every result they get. Each batch must
+// return what a serial run returns, and no result may change once handed
+// back — under -race, any memory a result shared with a worker's scratch,
+// or one worker's scratch with the other's, is reported.
+func TestWorkerScratchNotShared(t *testing.T) {
+	_, srv, setup := rig(t, 0)
+	srv.SetWorkers(2)
+	mustExec(t, setup, "CREATE TABLE m (id INT PRIMARY KEY, g INT, a INT)")
+	for id := int64(1); id <= 60; id++ {
+		mustExec(t, setup, "INSERT INTO m (id, g, a) VALUES (?, ?, ?)", id, id%4, id%9)
+	}
+	batch := []Stmt{
+		{SQL: "SELECT id, a FROM m ORDER BY a DESC, id LIMIT 25 OFFSET 5"},
+		{SQL: "SELECT DISTINCT a, g FROM m ORDER BY g, a"},
+		{SQL: "SELECT g, COUNT(*), SUM(a) FROM m GROUP BY g ORDER BY g"},
+		{SQL: "SELECT COUNT(*) FROM m WHERE a > 3"},
+		{SQL: "SELECT * FROM m WHERE g = 1 ORDER BY a + id"},
+	}
+	want := make([]string, len(batch))
+	for i, st := range batch {
+		want[i] = fmt.Sprint(mustExec(t, setup, st.SQL).Rows)
+	}
+
+	const readers, batches = 2, 100
+	var wg sync.WaitGroup
+	errs := make(chan error, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			conn := srv.Connect(netsim.NewLink(netsim.NewVirtualClock(), 0))
+			type handed struct {
+				rows [][]sqldb.Value
+				want string
+			}
+			var held []handed // every result this reader got, as handed back
+			for i := 0; i < batches; i++ {
+				results, err := conn.ExecBatch(batch)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for k, rs := range results {
+					if got := fmt.Sprint(rs.Rows); got != want[k] {
+						errs <- fmt.Errorf("%q: got %s, want %s", batch[k].SQL, got, want[k])
+						return
+					}
+					held = append(held, handed{rs.Rows, want[k]})
+					rs.Rows = append(rs.Rows, []sqldb.Value{"appended"})
+				}
+			}
+			for _, h := range held {
+				if got := fmt.Sprint(h.rows); got != h.want {
+					errs <- fmt.Errorf("a result changed after it returned: %s, want %s", got, h.want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

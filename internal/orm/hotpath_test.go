@@ -2,6 +2,7 @@ package orm
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -34,6 +35,54 @@ func TestLazyAllocationBudget(t *testing.T) {
 		b.call() // make the statement pending and its SQL text cached
 		if n := testing.AllocsPerRun(200, b.call); n > b.budget {
 			t.Errorf("%s allocates %v times, budget %v", b.name, n, b.budget)
+		}
+	}
+}
+
+// TestLazyClosureCapturesOnlyItsID: in Sloth mode a Where's thunk closure
+// holds the mapping, the session and the query id, and a Find's the key
+// besides — at most 48 bytes, where it once carried the whole read. Bytes,
+// not objects: on a pending statement a call allocates its argument slice,
+// as the bare Register does, plus its cell and its closure, so the closure
+// is what is left after the other two.
+func TestLazyClosureCapturesOnlyItsID(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	s, _ := rig(t, ModeSloth)
+	f := newFixture(FetchLazy, FetchLazy)
+	const n = 4000
+	bytesPer := func(call func()) float64 {
+		call() // make the statement pending and its SQL text cached
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			call()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / n
+	}
+	encCells := make([]*lazyCell[[]*Encounter], 0, n+1)
+	patCells := make([]*lazyCell[*Patient], 0, n+1)
+	encCell := bytesPer(func() { encCells = append(encCells, new(lazyCell[[]*Encounter])) })
+	patCell := bytesPer(func() { patCells = append(patCells, new(lazyCell[*Patient])) })
+	for _, c := range []struct {
+		name           string
+		call, register func()
+		cell           float64
+	}{
+		{"Meta.Where",
+			func() { f.encounters.Where(s, "patient_id = ?", int64(1)) },
+			func() { _, _ = s.store.Register(f.encounters.sqlFor("patient_id = ?").sel, int64(1)) },
+			encCell},
+		{"Meta.Find",
+			func() { f.patients.Find(s, 3) },
+			func() { _, _ = s.store.Register(f.patients.findSQL, int64(3)) },
+			patCell},
+	} {
+		call, register := bytesPer(c.call), bytesPer(c.register)
+		if closure := call - register - c.cell; closure > 48 {
+			t.Errorf("%s: closure %v B (call %v B, Register %v B, cell %v B), want <= 48", c.name, closure, call, register, c.cell)
 		}
 	}
 }

@@ -25,6 +25,12 @@ type res[T any] struct {
 // implements thunk.Any so it can flow through model maps and the thunk-
 // aware view writer without being evaluated. It is one pointer, so putting
 // it in a model map or a []any stores that pointer and allocates nothing.
+//
+// A ModeSloth load's lazy is its cell plus the thunk's closure, and the
+// closure captures only what forcing needs: the mapping, the session and
+// the QueryID Register returned (and, for Find, the key) — never the
+// registration's text, arguments or a result slot. A registration that
+// fails yields an already-computed lazy carrying the error.
 type Lazy[T any] struct{ c *lazyCell[T] }
 
 // lazyCell is a lazy's one allocation: its thunk and, beside it, sink — the

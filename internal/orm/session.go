@@ -114,36 +114,6 @@ func (s *Session) releaseIdentity() {
 	s.identity = nil
 }
 
-// read is a SELECT issued according to the session mode: executed already
-// (ModeOriginal, or a registration that failed) when store is nil, otherwise
-// registered with the query store under id and retrieved — forcing the
-// batch if need be — by get.
-type read struct {
-	store *querystore.Store
-	id    querystore.QueryID
-	rs    *sqldb.ResultSet
-	err   error
-}
-
-func (s *Session) read(sql string, args ...sqldb.Value) read {
-	if s.mode == ModeOriginal {
-		rs, err := s.store.Conn().Query(sql, args...)
-		return read{rs: rs, err: err}
-	}
-	id, err := s.store.Register(sql, args...)
-	if err != nil {
-		return read{err: err}
-	}
-	return read{store: s.store, id: id}
-}
-
-func (r read) get() (*sqldb.ResultSet, error) {
-	if r.store == nil {
-		return r.rs, r.err
-	}
-	return r.store.ResultSet(r.id)
-}
-
 // write executes a mutating statement. Under ModeSloth the registration
 // flushes the pending batch first, preserving order (paper Sec. 3.3).
 // When the store pipelines writes, the statement rides the dispatch
@@ -179,25 +149,26 @@ func (m *Meta[T]) Find(s *Session, id int64) Lazy[*T] {
 		s.stats.IdentityHits++
 		return lazyDone(s, res[*T]{val: e.(*T)})
 	}
-	rd := s.read(m.findSQL, id)
 	if s.mode == ModeOriginal {
-		return lazyDone(s, m.one(s, rd, id))
+		rs, err := s.store.Conn().Query(m.findSQL, id)
+		return lazyDone(s, m.one(s, rs, err, id))
 	}
-	return lazyOf(s, func() res[*T] { return m.one(s, rd, id) })
-}
-
-// load hydrates the rows of a read.
-func (m *Meta[T]) load(s *Session, rd read) ([]*T, error) {
-	rs, err := rd.get()
+	q, err := s.store.Register(m.findSQL, id)
 	if err != nil {
-		return nil, err
+		return lazyDone(s, res[*T]{err: err})
 	}
-	return m.deserialize(s, rs)
+	return lazyOf(s, func() res[*T] {
+		rs, err := s.store.ResultSet(q)
+		return m.one(s, rs, err, id)
+	})
 }
 
 // one is the value of a Find: the single entity, or ErrNotFound.
-func (m *Meta[T]) one(s *Session, rd read, id int64) res[*T] {
-	es, err := m.load(s, rd)
+func (m *Meta[T]) one(s *Session, rs *sqldb.ResultSet, err error, id int64) res[*T] {
+	if err != nil {
+		return res[*T]{err: err}
+	}
+	es, err := m.deserialize(s, rs)
 	if err != nil {
 		return res[*T]{err: err}
 	}
@@ -208,9 +179,12 @@ func (m *Meta[T]) one(s *Session, rd read, id int64) res[*T] {
 	return res[*T]{val: es[0]}
 }
 
-// all is the value of a Where: every entity the read returned.
-func (m *Meta[T]) all(s *Session, rd read) res[[]*T] {
-	es, err := m.load(s, rd)
+// all is the value of a Where: every entity the result holds.
+func (m *Meta[T]) all(s *Session, rs *sqldb.ResultSet, err error) res[[]*T] {
+	if err != nil {
+		return res[[]*T]{err: err}
+	}
+	es, err := m.deserialize(s, rs)
 	if err == nil {
 		m.runEagerCascades(s, es)
 	}
@@ -228,11 +202,19 @@ func (m *Meta[T]) FindNow(s *Session, id int64) (*T, error) {
 // `?` params).
 func (m *Meta[T]) Where(s *Session, cond string, args ...sqldb.Value) Lazy[[]*T] {
 	s.stats.Loads++
-	rd := s.read(m.sqlFor(cond).sel, args...)
+	sql := m.sqlFor(cond).sel
 	if s.mode == ModeOriginal {
-		return lazyDone(s, m.all(s, rd))
+		rs, err := s.store.Conn().Query(sql, args...)
+		return lazyDone(s, m.all(s, rs, err))
 	}
-	return lazyOf(s, func() res[[]*T] { return m.all(s, rd) })
+	q, err := s.store.Register(sql, args...)
+	if err != nil {
+		return lazyDone(s, res[[]*T]{err: err})
+	}
+	return lazyOf(s, func() res[[]*T] {
+		rs, err := s.store.ResultSet(q)
+		return m.all(s, rs, err)
+	})
 }
 
 // All loads every entity of the type.
@@ -240,16 +222,19 @@ func (m *Meta[T]) All(s *Session) Lazy[[]*T] { return m.Where(s, "") }
 
 // CountWhere returns the number of rows matching cond.
 func (m *Meta[T]) CountWhere(s *Session, cond string, args ...sqldb.Value) Lazy[int64] {
-	rd := s.read(m.sqlFor(cond).count, args...)
+	sql := m.sqlFor(cond).count
 	if s.mode == ModeOriginal {
-		return lazyDone(s, rd.count())
+		return lazyDone(s, count(s.store.Conn().Query(sql, args...)))
 	}
-	return lazyOf(s, rd.count)
+	q, err := s.store.Register(sql, args...)
+	if err != nil {
+		return lazyDone(s, res[int64]{err: err})
+	}
+	return lazyOf(s, func() res[int64] { return count(s.store.ResultSet(q)) })
 }
 
 // count reads the COUNT(*) AS n column of a CountWhere result.
-func (r read) count() res[int64] {
-	rs, err := r.get()
+func count(rs *sqldb.ResultSet, err error) res[int64] {
 	if err != nil {
 		return res[int64]{err: err}
 	}

@@ -38,12 +38,16 @@ func (db *DB) Store() *storage.Store { return db.store }
 // plan-correctness tests).
 func (db *DB) PlanCache() *plan.Cache { return db.plans }
 
-// Session is one client's execution context, holding its transaction state.
-// Sessions are not safe for concurrent use; the server gives each
-// connection its own session.
+// Session is one client's execution context, holding its transaction state
+// and the scratch its SELECTs work in. Sessions are not safe for concurrent
+// use; the server gives each connection its own session.
 type Session struct {
 	db  *DB
 	txn *storage.Txn
+	// scratch is allocated by the session's first SELECT: a connection
+	// opened per request whose reads all run on DB workers' snapshots never
+	// needs one.
+	scratch *plan.Scratch
 }
 
 // NewSession opens a session.
@@ -113,7 +117,10 @@ func (s *Session) execLocked(sql string, st sqlparse.Statement, args []sqldb.Val
 			if withPath {
 				path = p.Select.AccessDesc()
 			}
-			rs, err = p.Select.Exec(args)
+			if s.scratch == nil {
+				s.scratch = new(plan.Scratch)
+			}
+			rs, err = p.Select.Exec(args, s.scratch)
 		case p.Insert != nil:
 			rs, err = s.execWrite(func() (*sqldb.ResultSet, error) { return s.execInsert(p.Insert, args) })
 		case p.Update != nil:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/sqldb"
+	"repro/internal/sqldb/plan"
 	"repro/internal/sqldb/sqlparse"
 	"repro/internal/sqldb/storage"
 )
@@ -13,13 +14,17 @@ import (
 // the snapshot's epoch, concurrent with other snapshot sessions and with
 // the serialized writer. The driver opens one per read-only batch, runs
 // the batch's statements on a worker goroutine, and closes it — the
-// snapshot lifecycle IS the batch lifecycle.
+// snapshot lifecycle IS the batch lifecycle. A DB worker keeps one session
+// for every batch it runs, re-pinning it (Repin) after each Close, so the
+// snapshot and the plan scratch its SELECTs work in are allocated once per
+// worker rather than once per batch.
 //
 // A SnapSession is not safe for concurrent use by multiple goroutines;
 // different SnapSessions are.
 type SnapSession struct {
-	db   *DB
-	snap *storage.Snap
+	db      *DB
+	snap    *storage.Snap
+	scratch plan.Scratch
 }
 
 // BeginSnapshot pins the current committed epoch and returns a session
@@ -28,6 +33,10 @@ type SnapSession struct {
 func (db *DB) BeginSnapshot() *SnapSession {
 	return &SnapSession{db: db, snap: db.store.Snapshot()}
 }
+
+// Repin pins a closed session again at the current committed epoch,
+// keeping its snapshot and scratch. Callers must Close it again.
+func (ss *SnapSession) Repin() { ss.db.store.Repin(ss.snap) }
 
 // Epoch reports the pinned committed epoch (tests assert torn-read freedom
 // by comparing it across a batch).
@@ -56,7 +65,7 @@ func (ss *SnapSession) ExecSelect(sql string, st sqlparse.Statement, args []sqld
 	if withPath {
 		path = p.Select.AccessDesc()
 	}
-	rs, err := p.Select.ExecSnap(args, ss.snap)
+	rs, err := p.Select.ExecSnap(args, ss.snap, &ss.scratch)
 	if err != nil {
 		return nil, "", err
 	}

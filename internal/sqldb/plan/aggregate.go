@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/sqlparse"
@@ -263,83 +264,89 @@ func (a *aggState) result() sqldb.Value {
 	}
 }
 
-// groupState is one GROUP BY bucket.
-type groupState struct {
-	aggs   []aggState
-	sample []sqldb.Value // a representative source row for group-key output
-}
-
 // aggRun is an in-flight aggregation: rows stream in through add and finish
-// renders the output. Group samples alias the source rows handed to add —
-// safe because source rows are immutable stored images (or freshly built
-// join rows).
+// renders the output. It lives in a Scratch and is reused execution after
+// execution: start readies it for a plan and end empties what the
+// execution filled. Group i's sample row is samples[i] and its accumulators
+// are aggs[i*n:(i+1)*n], n the plan's call count. Samples alias the source
+// rows handed to add — safe because source rows are immutable stored
+// images (or freshly built join rows).
+//
+// A global aggregate (no GROUP BY) has exactly one group, created by start:
+// it hashes nothing and never touches set.
 type aggRun struct {
 	p       *aggPlan
-	groups  []*groupState
-	set     *rowSet
+	samples [][]sqldb.Value
+	aggs    []aggState
+	set     rowSet // GROUP BY keys -> group index
 	keyVals []sqldb.Value
+	vals    []sqldb.Value // finish's per-group aggregate values
 }
 
-func (p *aggPlan) newRun() *aggRun {
-	return &aggRun{
-		p:       p,
-		set:     newRowSet(16),
-		keyVals: make([]sqldb.Value, len(p.groupBy)),
+// start readies the run for one execution of p.
+func (r *aggRun) start(p *aggPlan) *aggRun {
+	r.p = p
+	r.keyVals = slices.Grow(r.keyVals[:0], len(p.groupBy))[:len(p.groupBy)]
+	r.vals = slices.Grow(r.vals[:0], len(p.calls))[:len(p.calls)]
+	if len(p.groupBy) == 0 {
+		r.newGroup(nil)
 	}
+	return r
 }
 
-func (r *aggRun) newGroup(sample []sqldb.Value) *groupState {
-	g := &groupState{sample: sample, aggs: make([]aggState, len(r.p.calls))}
-	for i := range g.aggs {
-		g.aggs[i].call = &r.p.calls[i]
+// newGroup appends a group whose sample is row.
+func (r *aggRun) newGroup(sample []sqldb.Value) {
+	r.samples = append(r.samples, sample)
+	for i := range r.p.calls {
+		r.aggs = append(r.aggs, aggState{call: &r.p.calls[i]})
 	}
-	return g
 }
 
 // add buckets one source row and accumulates every aggregate call.
 func (r *aggRun) add(row, args []sqldb.Value) error {
-	for i, fn := range r.p.groupBy {
-		v, err := fn(row, args)
-		if err != nil {
-			return err
+	g := 0
+	if len(r.p.groupBy) == 0 {
+		if r.samples[0] == nil {
+			r.samples[0] = row
 		}
-		r.keyVals[i] = v
-	}
-	idx, fresh := r.set.Add(r.keyVals)
-	var g *groupState
-	if fresh {
-		g = r.newGroup(row)
-		r.groups = append(r.groups, g)
 	} else {
-		g = r.groups[idx]
+		for i, fn := range r.p.groupBy {
+			v, err := fn(row, args)
+			if err != nil {
+				return err
+			}
+			r.keyVals[i] = v
+		}
+		idx, fresh := r.set.Add(r.keyVals)
+		if fresh {
+			r.newGroup(row)
+		}
+		g = idx
 	}
-	for i := range g.aggs {
-		if err := g.aggs[i].add(row, args); err != nil {
+	n := len(r.p.calls)
+	aggs := r.aggs[g*n : (g+1)*n]
+	for i := range aggs {
+		if err := aggs[i].add(row, args); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// finish renders output rows in first-seen group order, applying HAVING.
-func (r *aggRun) finish(args []sqldb.Value) ([][]sqldb.Value, error) {
+// finish renders output rows in first-seen group order, applying HAVING,
+// and appends them to rows.
+func (r *aggRun) finish(args []sqldb.Value, rows [][]sqldb.Value) ([][]sqldb.Value, error) {
 	p := r.p
-	groups := r.groups
-	// A global aggregate with no rows still yields one row.
-	if len(p.groupBy) == 0 && len(groups) == 0 {
-		groups = append(groups, r.newGroup(nil))
-	}
-
-	var rows [][]sqldb.Value
-	aggVals := make([]sqldb.Value, len(p.calls))
-	for _, g := range groups {
-		for i := range g.aggs {
-			aggVals[i] = g.aggs[i].result()
+	n := len(p.calls)
+	for gi, sample := range r.samples {
+		aggs := r.aggs[gi*n : (gi+1)*n]
+		for i := range aggs {
+			r.vals[i] = aggs[i].result()
 		}
 		if p.having != nil {
-			hv, err := p.having(g.sample, args, aggVals)
+			hv, err := p.having(sample, args, r.vals)
 			if err != nil {
-				return nil, err
+				return rows, err
 			}
 			if hv == nil || !sqldb.Truthy(hv) {
 				continue
@@ -347,13 +354,25 @@ func (r *aggRun) finish(args []sqldb.Value) ([][]sqldb.Value, error) {
 		}
 		out := make([]sqldb.Value, len(p.outs))
 		for i, fn := range p.outs {
-			v, err := fn(g.sample, args, aggVals)
+			v, err := fn(sample, args, r.vals)
 			if err != nil {
-				return nil, err
+				return rows, err
 			}
 			out[i] = v
 		}
 		rows = append(rows, out)
 	}
 	return rows, nil
+}
+
+// end empties the run after an execution, finished or failed: it drops
+// every row and value the execution left in it, clearing only what was
+// used.
+func (r *aggRun) end() {
+	clear(r.samples)
+	clear(r.aggs)
+	clear(r.keyVals)
+	clear(r.vals)
+	r.samples, r.aggs = r.samples[:0], r.aggs[:0]
+	r.set.reset()
 }

@@ -10,9 +10,9 @@ import (
 // sqldb.Format string per row — one string allocation per row plus the
 // formatting garbage. The hash path below encodes each row into a reusable
 // scratch buffer (byte-identical to the old Format encoding, so the
-// equality relation is unchanged), hashes it with FNV-1a, and only keeps a
-// copy of the encoding for rows that start a new bucket entry. Collisions
-// fall back to comparing the stored encodings.
+// equality relation is unchanged), hashes it with FNV-1a, and keeps the
+// encodings of new rows back to back in one arena. Collisions fall back to
+// comparing the stored encodings.
 
 // appendRow encodes a row: formatted values separated by 0x1f.
 func appendRow(buf []byte, r []sqldb.Value) []byte {
@@ -33,16 +33,27 @@ func fnv1a(b []byte) uint64 {
 	return h
 }
 
-// rowSet is a hash set over row encodings preserving insertion order
-// semantics: Add reports whether the encoded row was new.
+// rowSet is a hash set over row encodings numbering rows in insertion
+// order: Add reports whether the encoded row was new. Its zero value is
+// empty and ready; reset empties it for the next execution, keeping what
+// it grew, so a set that lives in a Scratch allocates only while it grows
+// past its largest earlier use.
 type rowSet struct {
-	buckets map[uint64][]int
-	encs    [][]byte
+	heads   map[uint64]int // hash -> the newest entry with that hash
+	hashes  []uint64       // hashes[j]: entry j's hash
+	next    []int          // next[j]: the previous entry with j's hash, -1 at the end
+	ends    []int          // entry j's encoding is arena[ends[j-1]:ends[j]]
+	arena   []byte
 	scratch []byte
 }
 
-func newRowSet(sizeHint int) *rowSet {
-	return &rowSet{buckets: make(map[uint64][]int, sizeHint), scratch: make([]byte, 0, 64)}
+// enc is entry j's stored encoding.
+func (s *rowSet) enc(j int) []byte {
+	from := 0
+	if j > 0 {
+		from = s.ends[j-1]
+	}
+	return s.arena[from:s.ends[j]]
 }
 
 // Add inserts the row's identity, reporting (index, true) for a new row and
@@ -50,25 +61,46 @@ func newRowSet(sizeHint int) *rowSet {
 func (s *rowSet) Add(r []sqldb.Value) (int, bool) {
 	s.scratch = appendRow(s.scratch[:0], r)
 	h := fnv1a(s.scratch)
-	for _, j := range s.buckets[h] {
-		if bytes.Equal(s.encs[j], s.scratch) {
+	head, ok := s.heads[h]
+	if !ok {
+		head = -1
+	}
+	for j := head; j >= 0; j = s.next[j] {
+		if bytes.Equal(s.enc(j), s.scratch) {
 			return j, false
 		}
 	}
-	j := len(s.encs)
-	s.encs = append(s.encs, append([]byte(nil), s.scratch...))
-	s.buckets[h] = append(s.buckets[h], j)
+	if s.heads == nil {
+		s.heads = make(map[uint64]int)
+	}
+	j := len(s.ends)
+	s.heads[h] = j
+	s.hashes = append(s.hashes, h)
+	s.next = append(s.next, head)
+	s.arena = append(s.arena, s.scratch...)
+	s.ends = append(s.ends, len(s.arena))
 	return j, true
 }
 
-// distinctRows removes duplicate rows preserving first occurrence.
-func distinctRows(rows [][]sqldb.Value) [][]sqldb.Value {
-	set := newRowSet(len(rows))
-	out := rows[:0:0]
+// reset empties the set. It deletes only the hashes this use inserted, so
+// its cost follows the rows the last execution saw, not the largest one
+// the set ever held.
+func (s *rowSet) reset() {
+	for _, h := range s.hashes {
+		delete(s.heads, h)
+	}
+	s.hashes, s.next, s.ends, s.arena = s.hashes[:0], s.next[:0], s.ends[:0], s.arena[:0]
+}
+
+// distinct removes duplicate rows preserving first occurrence, compacting
+// rows in place, and leaves the set empty.
+func (s *rowSet) distinct(rows [][]sqldb.Value) [][]sqldb.Value {
+	out := rows[:0]
 	for _, r := range rows {
-		if _, fresh := set.Add(r); fresh {
+		if _, fresh := s.Add(r); fresh {
 			out = append(out, r)
 		}
 	}
+	s.reset()
 	return out
 }

@@ -102,7 +102,7 @@ func TestRowSetDedupAndOrder(t *testing.T) {
 		{int64(1), "b"},
 		{int64(2), "b"}, // dup of row 1
 	}
-	out := distinctRows(rows)
+	out := new(rowSet).distinct(rows)
 	want := [][]sqldb.Value{rows[0], rows[1], rows[3]}
 	if len(out) != len(want) {
 		t.Fatalf("got %d rows, want %d", len(out), len(want))
@@ -193,7 +193,7 @@ func TestCacheHitsAndEpochInvalidation(t *testing.T) {
 func (p *SelectPlan) lockedExec(store *storage.Store, args []sqldb.Value) (*sqldb.ResultSet, error) {
 	store.Lock()
 	defer store.Unlock()
-	return p.Exec(args)
+	return p.Exec(args, new(Scratch))
 }
 
 func TestCacheDisabledCompilesEveryCall(t *testing.T) {
@@ -295,7 +295,7 @@ func TestAccessDescOrderedForms(t *testing.T) {
 		if tc.scanned < 0 {
 			continue
 		}
-		rs, err := p.Exec([]sqldb.Value{int64(7)})
+		rs, err := p.Exec([]sqldb.Value{int64(7)}, new(Scratch))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.sql, err)
 		}

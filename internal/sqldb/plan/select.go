@@ -298,37 +298,57 @@ func colIndex(cols []string, name string) (int, bool) {
 	return 0, false
 }
 
-// Exec runs the plan against the latest store state. The caller must hold
-// the store lock.
-func (p *SelectPlan) Exec(args []sqldb.Value) (*sqldb.ResultSet, error) {
-	return p.exec(args, nil)
+// Exec runs the plan against the latest store state, working in sc. The
+// caller must hold the store lock.
+func (p *SelectPlan) Exec(args []sqldb.Value, sc *Scratch) (*sqldb.ResultSet, error) {
+	return p.exec(args, nil, sc)
 }
 
-// ExecSnap runs the plan against a pinned snapshot. The caller holds the
-// store's structural read lock, not the writer mutex: snapshot executions
-// run concurrently with each other while writes stay serialized.
-func (p *SelectPlan) ExecSnap(args []sqldb.Value, snap *storage.Snap) (*sqldb.ResultSet, error) {
-	return p.exec(args, snap)
+// ExecSnap runs the plan against a pinned snapshot, working in sc. The
+// caller holds the store's structural read lock, not the writer mutex:
+// snapshot executions run concurrently with each other while writes stay
+// serialized.
+func (p *SelectPlan) ExecSnap(args []sqldb.Value, snap *storage.Snap, sc *Scratch) (*sqldb.ResultSet, error) {
+	return p.exec(args, snap, sc)
+}
+
+// Scratch is an executing context's working room for SELECTs: the rows and
+// ORDER BY keys an execution accumulates, the sort over them, DISTINCT's
+// row set and the aggregation state. An engine session owns one, and so
+// does each DB worker for the snapshot batches it runs; each runs one
+// execution in it at a time. A result never refers to a Scratch — finish
+// copies the final window out — and every execution clears the part it
+// used, so a Scratch keeps the capacity its largest execution needed but no
+// row of it. The zero value is ready to use.
+type Scratch struct {
+	rows    [][]sqldb.Value
+	keys    []sqldb.Value   // the rows' ORDER BY keys, len(orderBy) per row
+	keyRows [][]sqldb.Value // keyRows[i]: rows[i]'s keys, built for the sort
+	order   byOrder
+	set     rowSet
+	agg     aggRun
 }
 
 // result is a SELECT's result set allocated together with room for its
-// first row, so a point query's answer — the set and its one-row slice — is
-// one object.
+// first row, so a one-row answer — the set and its one-row slice — is one
+// object.
 type result struct {
 	rs    sqldb.ResultSet
 	first [1][]sqldb.Value
 }
 
-func (p *SelectPlan) exec(args []sqldb.Value, snap *storage.Snap) (*sqldb.ResultSet, error) {
-	res := new(result)
-	s := sink{p: p, args: args, snap: snap, rows: res.first[:0]}
+func (p *SelectPlan) exec(args []sqldb.Value, snap *storage.Snap, sc *Scratch) (*sqldb.ResultSet, error) {
+	s := sink{p: p, args: args, snap: snap, sc: sc, rows: sc.rows[:0], keys: sc.keys[:0]}
 	if p.agg != nil {
-		s.run = p.agg.newRun()
+		s.run = sc.agg.start(p.agg)
 	}
-	if err := p.eachSource(&s); err != nil && err != errFull {
-		return nil, err
+	err := p.eachSource(&s)
+	var rs *sqldb.ResultSet
+	if err == nil || err == errFull {
+		rs, err = s.finish()
 	}
-	return s.finish(res)
+	s.end()
+	return rs, err
 }
 
 // errFull stops a source stream that arrives in ORDER BY order once
@@ -366,11 +386,12 @@ type sink struct {
 	p       *SelectPlan
 	args    []sqldb.Value
 	snap    *storage.Snap
+	sc      *Scratch
 	scanned int
 	sorted  bool            // the source delivers in ORDER BY order: no sort, stop when full
 	run     *aggRun         // aggregate plans: the accumulating groups
-	rows    [][]sqldb.Value // other plans: projected output rows
-	keys    [][]sqldb.Value // keys[i]: rows[i]'s ORDER BY keys, when p.orderSrc
+	rows    [][]sqldb.Value // output rows, in sc: projected, or the aggregates' at finish
+	keys    []sqldb.Value   // in sc: rows[i]'s ORDER BY keys at [i*w, (i+1)*w), when p.orderSrc
 	key     [1]sqldb.Value  // pick's room for an equality lookup value
 }
 
@@ -455,30 +476,29 @@ func (s *sink) add(row []sqldb.Value) error {
 	}
 	// Output rows carry only projected values, so keys over source columns
 	// are computed now, while the source row is at hand.
-	ks := make([]sqldb.Value, len(p.orderBy))
-	for k, ob := range p.orderBy {
-		if ob.key == nil {
-			continue
+	for _, ob := range p.orderBy {
+		var v sqldb.Value
+		if ob.key != nil {
+			var err error
+			if v, err = ob.key(row, s.args); err != nil {
+				return err
+			}
 		}
-		v, err := ob.key(row, s.args)
-		if err != nil {
-			return err
-		}
-		ks[k] = v
+		s.keys = append(s.keys, v)
 	}
-	s.keys = append(s.keys, ks)
 	return nil
 }
 
-// finish turns the accumulated rows into the result set, filling res.
-func (s *sink) finish(res *result) (*sqldb.ResultSet, error) {
+// finish renders aggregates, sorts once, applies DISTINCT/OFFSET/LIMIT
+// and allocates the result at its final size: a result with no rows has
+// nil Rows, a one-row result keeps its row in the result's own slot, and
+// any other gets one slice with cap == len. Everything before that copy
+// works in the scratch.
+func (s *sink) finish() (*sqldb.ResultSet, error) {
 	p := s.p
-	if len(s.rows) == 0 {
-		s.rows = nil // a result with no rows has nil Rows
-	}
 	if s.run != nil {
 		var err error
-		if s.rows, err = s.run.finish(s.args); err != nil {
+		if s.rows, err = s.run.finish(s.args, s.rows); err != nil {
 			return nil, err
 		}
 	}
@@ -490,24 +510,53 @@ func (s *sink) finish(res *result) (*sqldb.ResultSet, error) {
 		}
 		// ORDER BY runs before DISTINCT: DISTINCT then keeps the first
 		// occurrence, preserving sortedness.
-		sort.Stable(&byOrder{terms: p.orderBy, rows: s.rows, keys: s.keys})
+		o := &s.sc.order
+		*o = byOrder{terms: p.orderBy, rows: s.rows}
+		if len(s.keys) > 0 {
+			w := len(p.orderBy)
+			for i := range s.rows {
+				s.sc.keyRows = append(s.sc.keyRows, s.keys[i*w:(i+1)*w:(i+1)*w])
+			}
+			o.keys = s.sc.keyRows
+		}
+		sort.Stable(o)
 	}
 	rows := s.rows
 	if p.distinct {
-		rows = distinctRows(rows)
+		rows = s.sc.set.distinct(rows)
 	}
 	if p.offset > 0 {
-		if p.offset >= len(rows) {
-			rows = nil
-		} else {
-			rows = rows[p.offset:]
-		}
+		rows = rows[min(p.offset, len(rows)):]
 	}
 	if p.limit >= 0 && len(rows) > p.limit {
 		rows = rows[:p.limit]
 	}
-	res.rs = sqldb.ResultSet{Cols: p.cols, Rows: rows, RowsScanned: s.scanned}
+	res := &result{rs: sqldb.ResultSet{Cols: p.cols, RowsScanned: s.scanned}}
+	switch len(rows) {
+	case 0:
+	case 1:
+		res.first[0] = rows[0]
+		res.rs.Rows = res.first[:]
+	default:
+		res.rs.Rows = make([][]sqldb.Value, len(rows))
+		copy(res.rs.Rows, rows)
+	}
 	return &res.rs, nil
+}
+
+// end hands the execution's buffers back to the scratch, cleared: the rows,
+// keys, sort views and aggregation state an execution left behind must not
+// stay reachable from it.
+func (s *sink) end() {
+	sc := s.sc
+	clear(s.rows)
+	clear(s.keys)
+	clear(sc.keyRows)
+	sc.rows, sc.keys, sc.keyRows = s.rows[:0], s.keys[:0], sc.keyRows[:0]
+	sc.order = byOrder{}
+	if s.run != nil {
+		s.run.end()
+	}
 }
 
 // byOrder sorts output rows by the ORDER BY terms: output-column terms read

@@ -169,11 +169,18 @@ func (m *mvccState) sweepLocked() {
 
 // acquire pins the current committed epoch.
 func (m *mvccState) acquire() *Snap {
+	sn := new(Snap)
+	m.pin(sn)
+	return sn
+}
+
+// pin pins the current committed epoch into sn.
+func (m *mvccState) pin(sn *Snap) {
 	m.snapMu.Lock()
 	e := m.committed.Load()
 	m.snaps[e]++
 	m.snapMu.Unlock()
-	return &Snap{m: m, epoch: e}
+	*sn = Snap{m: m, epoch: e}
 }
 
 // Snap is one pinned snapshot: reads against it see exactly the state

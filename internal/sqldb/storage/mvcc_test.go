@@ -303,3 +303,50 @@ func BenchmarkSnapshotAcquire(b *testing.B) {
 		s.Snapshot().Release()
 	}
 }
+
+// TestRepinReusesReleasedSnapshot: on a plain and a sharded store, Repin
+// pins a released snapshot at the current epoch without allocating — a
+// sharded snapshot's parts included — it reads what a fresh snapshot reads,
+// holds back the sweep like one, and releases like one.
+func TestRepinReusesReleasedSnapshot(t *testing.T) {
+	for _, s := range []*Store{NewStore(), NewShardedStore(2)} {
+		tbl, err := s.CreateTable("kv", []Column{
+			{Name: "k", Type: sqldb.TypeInt, PrimaryKey: true},
+			{Name: "v", Type: sqldb.TypeText},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := tbl.Insert(Row{int64(1), "v0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := s.Snapshot()
+		snap.Release()
+		if _, err := tbl.Update(id, Row{int64(1), "v1"}); err != nil {
+			t.Fatal(err)
+		}
+		s.Repin(snap)
+		fresh := s.Snapshot()
+		fresh.Release()
+		if snap.Epoch() != fresh.Epoch() || s.ActiveSnapshots() != 1 {
+			t.Fatalf("repinned epoch %d, fresh %d, %d snapshots active", snap.Epoch(), fresh.Epoch(), s.ActiveSnapshots())
+		}
+		if _, err := tbl.Update(id, Row{int64(1), "v2"}); err != nil {
+			t.Fatal(err)
+		}
+		if r, ok := lookupOne(t, tbl, 1, snap); !ok || r[1] != "v1" {
+			t.Fatalf("repinned snapshot reads %v, want v1", r)
+		}
+		if tbl.PendingGC() == 0 {
+			t.Fatal("a repinned snapshot does not hold back the sweep")
+		}
+		snap.Release()
+		if n := s.ActiveSnapshots(); n != 0 || tbl.PendingGC() != 0 {
+			t.Fatalf("after release: %d snapshots active, %d pending garbage", n, tbl.PendingGC())
+		}
+		if n := testing.AllocsPerRun(100, func() { s.Repin(snap); snap.Release() }); n != 0 {
+			t.Fatalf("Repin allocates %v times", n)
+		}
+	}
+}

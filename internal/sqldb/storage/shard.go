@@ -189,15 +189,24 @@ func (s *Store) endStmtAll() {
 // returned coordinator snap's epoch is the sum of the part epochs — a
 // monotone clock for callers; visibility always goes through the parts.
 func (s *Store) snapshotAll() *Snap {
+	sn := &Snap{parts: make([]*Snap, len(s.shards))}
+	for i := range sn.parts {
+		sn.parts[i] = new(Snap)
+	}
+	s.pinAll(sn)
+	return sn
+}
+
+// pinAll pins every shard's committed epoch into sn's parts under snapGate.
+func (s *Store) pinAll(sn *Snap) {
 	s.snapGate.Lock()
-	parts := make([]*Snap, len(s.shards))
 	var sum uint64
 	for i, sh := range s.shards {
-		parts[i] = sh.mv.acquire()
-		sum += parts[i].epoch
+		sh.mv.pin(sn.parts[i])
+		sum += sn.parts[i].epoch
 	}
 	s.snapGate.Unlock()
-	return &Snap{epoch: sum, parts: parts}
+	*sn = Snap{epoch: sum, parts: sn.parts}
 }
 
 // partSnap selects the part snapshot for shard i (nil-safe: latest reads

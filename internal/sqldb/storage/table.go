@@ -671,6 +671,21 @@ func (s *Store) Snapshot() *Snap {
 	return s.mv.acquire()
 }
 
+// Repin pins sn again at the current committed epoch, reusing its memory:
+// the owner of a snapshot it has released (a DB worker between read
+// batches) takes the next one without allocating. sn must come from this
+// store's Snapshot and be released.
+func (s *Store) Repin(sn *Snap) {
+	if !sn.done {
+		panic("storage: Repin of a snapshot that is still pinned")
+	}
+	if s.shards != nil {
+		s.pinAll(sn)
+		return
+	}
+	s.mv.pin(sn)
+}
+
 // ActiveSnapshots reports how many snapshots are currently pinned. A
 // cross-shard snapshot pins every shard once; report shard 0's count so
 // the number still means "snapshots out".
