@@ -51,11 +51,11 @@ func main() {
 	flag.IntVar(&o.reps, "reps", 25, "repetitions per Fig. 12 configuration")
 	flag.BoolVar(&o.mergeOn, "merge", false, "enable the batch query-merge optimizer for suite experiments")
 	families := flag.String("families", "all", "merge families when -merge is set: all (equality+aggregate+range) | eq (equality only, the PR 1 baseline)")
-	dispatchFlag := flag.String("dispatch", "", "dispatch strategy: sync|async|shared (suite experiments; empty = sync, throughput compares all three unless set)")
+	dispatchFlag := flag.String("dispatch", "", "dispatch strategy: sync|async (suite experiments; empty = sync, throughput compares both unless set)")
 	flag.IntVar(&o.sessions, "sessions", 0, "concurrent sessions for -exp throughput (0 = sweep 1,2,4,8)")
 	workersFlag := flag.String("workers", "", "server DB worker queues for -exp throughput, comma-separated (empty = sweep 1,4)")
 	shardsFlag := flag.String("shards", "", "database shard counts for -exp throughput, comma-separated (empty = unsharded; rendering is byte-identical at any count, only occupancy changes)")
-	flag.BoolVar(&o.visits, "visits", true, "record a visit-log write per page load in -exp throughput (false = read-only replay; with -dispatch shared the output is byte-stable)")
+	flag.BoolVar(&o.visits, "visits", true, "record a visit-log write per page load in -exp throughput (false = read-only replay; either way single-session cells are byte-stable run to run, multi-session cells are not)")
 	flag.StringVar(&o.traceOut, "traceout", "BENCH_trace.json", "Chrome trace-event JSON path for -exp trace (empty disables; load in Perfetto or chrome://tracing)")
 	flag.StringVar(&o.debugAddr, "debugaddr", "", "serve net/http/pprof and expvar (the live cell's counters under /debug/vars key \"sloth\") on this address, e.g. localhost:6060 (empty disables)")
 	faultsFlag := flag.String("faults", "", "injected transient-failure rates for -exp faults, comma-separated (empty = sweep 0,0.05,0.1,0.2; include 0 for the clean baseline)")
@@ -327,7 +327,7 @@ func run(o options) error {
 			if len(workers) > 0 {
 				wlist = workers
 			}
-			kinds := []dispatch.Kind{dispatch.KindSync, dispatch.KindAsync, dispatch.KindShared}
+			kinds := []dispatch.Kind{dispatch.KindSync, dispatch.KindAsync}
 			if kindSet {
 				kinds = []dispatch.Kind{kind}
 			}

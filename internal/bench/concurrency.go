@@ -20,9 +20,8 @@ import (
 // Unlike the queueing-model Throughput (fig7), which derives curves from
 // single-session demands, this experiment actually RUNS the concurrency:
 // session goroutines share the server's occupancy timeline (batches queue
-// for the K DB worker queues), the async dispatcher overlaps batch
-// execution with app-server compute, and the shared dispatcher coalesces
-// identical lookups across sessions in the hub window. Each page load also
+// for the K DB worker queues), and the async dispatcher overlaps batch
+// execution with app-server compute. Each page load also
 // records a visit-log write (the audit/analytics INSERT every production
 // handler makes), so the workload exercises write pipelining: with
 // PipelineWrites the mutation rides the pipeline instead of costing its
@@ -95,8 +94,6 @@ type ConcurrencyRow struct {
 	DBTime    time.Duration // server busy time
 	QueueWait time.Duration // time batches queued for DB worker capacity
 	Overlap   time.Duration // execution time hidden behind app compute
-	Windows   int64         // shared windows closed
-	Coalesced int64         // statements answered by another session's entry
 }
 
 // Strategy labels the row's dispatch configuration.
@@ -171,12 +168,7 @@ func ConcurrentThroughput(id AppID, opts ThroughputOptions) (ConcurrencyReport, 
 // replayConcurrent is one cell: n sessions, one strategy, one DB worker
 // count. Sessions load pages in lockstep rounds — every session loads page
 // k concurrently, then a barrier — which keeps their virtual clocks
-// aligned (the occupancy model assumes comparable timelines) and gives the
-// shared window its natural coalescing opportunity, concurrent requests
-// for the same page. The symmetric lockstep replay is also what the shared
-// hub's virtual-time window policy assumes: every session submits the same
-// batch sequence, so each window generation's quorum deterministically
-// fills.
+// aligned (the occupancy model assumes comparable timelines).
 func replayConcurrent(id AppID, n int, kind dispatch.Kind, pipelineWrites bool, workers, shards int, opts ThroughputOptions) (ConcurrencyRow, error) {
 	if shards < 1 {
 		shards = 1
@@ -209,15 +201,6 @@ func replayConcurrent(id AppID, n int, kind dispatch.Kind, pipelineWrites bool, 
 		}
 	}
 
-	var hub *dispatch.Hub
-	if kind == dispatch.KindShared {
-		hub, _ = env.newHub(opts.RTT, querystore.Config{})
-		// Deterministic virtual-time close: each session's j-th read batch
-		// joins window generation j, which closes exactly when all n
-		// sessions have contributed — no wall-clock grace anywhere.
-		hub.SetWindow(n)
-	}
-
 	clocks := make([]*netsim.VirtualClock, n)
 	sessions := make([]*orm.Session, n)
 	stores := make([]*querystore.Store, n)
@@ -226,7 +209,6 @@ func replayConcurrent(id AppID, n int, kind dispatch.Kind, pipelineWrites bool, 
 		conn := env.Srv.Connect(netsim.NewLink(clocks[i], opts.RTT))
 		stores[i] = querystore.New(conn, querystore.Config{
 			Dispatch:       kind,
-			Hub:            hub,
 			PipelineWrites: pipelineWrites,
 		})
 		sessions[i] = orm.NewSession(stores[i], orm.ModeSloth)
@@ -239,20 +221,12 @@ func replayConcurrent(id AppID, n int, kind dispatch.Kind, pipelineWrites bool, 
 
 	var mu sync.Mutex
 	var firstErr error
-	// fail records a session error and, under a quorum window, poisons the
-	// hub: the dead session will never fill its generations, so the
-	// survivors' parked Waits must be released (demand-close mode) or the
-	// round barrier would deadlock instead of reporting the error.
 	fail := func(err error) {
 		mu.Lock()
 		if firstErr == nil {
 			firstErr = err
 		}
 		mu.Unlock()
-		if hub != nil {
-			hub.SetWindow(0)
-			hub.CloseWindow()
-		}
 	}
 
 	for p, page := range pages {
@@ -289,12 +263,6 @@ func replayConcurrent(id AppID, n int, kind dispatch.Kind, pipelineWrites bool, 
 		wg.Wait()
 		if firstErr != nil {
 			return row, firstErr
-		}
-		if hub != nil {
-			// Drain speculative reads nobody forced, so windows never mix
-			// statements from different lockstep rounds, and realign the
-			// window generations for the next round.
-			hub.CloseWindow()
 		}
 	}
 
@@ -333,11 +301,6 @@ func replayConcurrent(id AppID, n int, kind dispatch.Kind, pipelineWrites bool, 
 	row.P95 = pageLat.Quantile(0.95)
 	row.P99 = pageLat.Quantile(0.99)
 	row.QW95 = env.Srv.QueueWaits().Quantile(0.95)
-	if hub != nil {
-		hs := hub.Stats()
-		row.Windows = hs.Windows
-		row.Coalesced = hs.Coalesced
-	}
 	return row, nil
 }
 
@@ -346,15 +309,15 @@ func (r ConcurrencyReport) Format() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "== Throughput: %d-page %s suite, concurrent sessions, rtt %v ==\n",
 		pagesPerRow(r), r.App, r.RTT)
-	fmt.Fprintf(&sb, "%8s %10s %7s %6s %10s %12s %10s %10s %10s %12s %9s %11s %11s %10s\n",
-		"sessions", "dispatch", "workers", "shards", "pages/s", "p50 page", "p95", "p99", "qw p95", "makespan", "db stmts", "queue wait", "overlapped", "coalesced")
+	fmt.Fprintf(&sb, "%8s %10s %7s %6s %10s %12s %10s %10s %10s %12s %9s %11s %11s\n",
+		"sessions", "dispatch", "workers", "shards", "pages/s", "p50 page", "p95", "p99", "qw p95", "makespan", "db stmts", "queue wait", "overlapped")
 	last := -1
 	for _, row := range r.Rows {
 		if last != -1 && row.Sessions != last {
 			sb.WriteByte('\n')
 		}
 		last = row.Sessions
-		fmt.Fprintf(&sb, "%8d %10s %7d %6d %10.1f %12v %10v %10v %10v %12v %9d %11v %11v %10d\n",
+		fmt.Fprintf(&sb, "%8d %10s %7d %6d %10.1f %12v %10v %10v %10v %12v %9d %11v %11v\n",
 			row.Sessions, row.Strategy(), row.Workers, row.Shards, row.Rate,
 			row.P50.Round(time.Microsecond),
 			row.P95.Round(time.Microsecond),
@@ -363,27 +326,21 @@ func (r ConcurrencyReport) Format() string {
 			row.Makespan.Round(10*time.Microsecond),
 			row.DBStmts,
 			row.QueueWait.Round(time.Microsecond),
-			row.Overlap.Round(time.Microsecond),
-			row.Coalesced)
+			row.Overlap.Round(time.Microsecond))
 	}
 	for _, n := range sessionCounts(r) {
 		for _, w := range workerCounts(r) {
 			for _, sc := range shardCounts(r) {
 				s, okS := r.RowSharded(dispatch.KindSync, false, n, w, sc)
 				a, okA := r.RowSharded(dispatch.KindAsync, false, n, w, sc)
-				sh, okSh := r.RowSharded(dispatch.KindShared, false, n, w, sc)
-				if okS && okA && okSh && s.Rate > 0 {
-					fmt.Fprintf(&sb, "x%d w%d s%d: async %.2fx, shared %.2fx over sync\n",
-						n, w, sc, a.Rate/s.Rate, sh.Rate/s.Rate)
+				if okS && okA && s.Rate > 0 {
+					fmt.Fprintf(&sb, "x%d w%d s%d: async %.2fx over sync\n",
+						n, w, sc, a.Rate/s.Rate)
 				}
 				apw, okApw := r.RowSharded(dispatch.KindAsync, true, n, w, sc)
-				shpw, okShpw := r.RowSharded(dispatch.KindShared, true, n, w, sc)
 				if okA && okApw && a.Rate > 0 {
-					line := fmt.Sprintf("x%d w%d s%d: write pipelining async %.3fx", n, w, sc, apw.Rate/a.Rate)
-					if okSh && okShpw && sh.Rate > 0 {
-						line += fmt.Sprintf(", shared %.3fx", shpw.Rate/sh.Rate)
-					}
-					sb.WriteString(line + "\n")
+					fmt.Fprintf(&sb, "x%d w%d s%d: write pipelining async %.3fx\n",
+						n, w, sc, apw.Rate/a.Rate)
 				}
 			}
 			// Sharding speedups: each partitioned cell against its
@@ -392,7 +349,7 @@ func (r ConcurrencyReport) Format() string {
 				if sc <= 1 {
 					continue
 				}
-				for _, kind := range []dispatch.Kind{dispatch.KindSync, dispatch.KindAsync, dispatch.KindShared} {
+				for _, kind := range []dispatch.Kind{dispatch.KindSync, dispatch.KindAsync} {
 					for _, pw := range []bool{false, true} {
 						base, okBase := r.RowSharded(kind, pw, n, w, 1)
 						part, okPart := r.RowSharded(kind, pw, n, w, sc)

@@ -11,16 +11,16 @@ import (
 
 // These tests are the dispatch pipeline's golden-equality harness: every
 // page of both evaluation applications must render byte-identically under
-// the synchronous, asynchronous, and shared dispatch strategies — the
-// strategies may only change WHEN batches execute, never what any query
-// observes. The throughput test pins the acceptance criterion: at 8
-// concurrent sessions the deferred strategies must beat the synchronous
-// one in simulated pages per second.
+// the synchronous and asynchronous dispatch strategies — the strategies may
+// only change WHEN batches execute, never what any query observes. The
+// throughput test pins the acceptance criterion: at 8 concurrent sessions
+// the deferred strategy must beat the synchronous one in simulated pages
+// per second.
 
 func dispatchGoldenSuite(t *testing.T, id AppID) {
 	t.Helper()
 	rtt := 500 * time.Microsecond
-	kinds := []dispatch.Kind{dispatch.KindAsync, dispatch.KindShared}
+	kinds := []dispatch.Kind{dispatch.KindAsync}
 	// The K-queue occupancy model may only change WHEN batches run on the
 	// virtual timeline, never what they observe: every strategy renders
 	// what sync renders, on a server of 1 and of 4 DB workers.
@@ -78,7 +78,7 @@ func TestDispatchGoldenWithMerge(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, kind := range []dispatch.Kind{dispatch.KindSync, dispatch.KindAsync, dispatch.KindShared} {
+			for _, kind := range []dispatch.Kind{dispatch.KindSync, dispatch.KindAsync} {
 				cfg := MergeConfig()
 				cfg.Dispatch = kind
 				got, _, err := env.LoadPageHTML(tc.page, orm.ModeSloth, rtt, cfg)
@@ -94,20 +94,19 @@ func TestDispatchGoldenWithMerge(t *testing.T) {
 }
 
 // TestConcurrentThroughputGains is the Fig. 7-style acceptance check at 8
-// concurrent sessions. The deferred strategies' mechanisms — async
-// overlapping round trips with render work, shared coalescing ~8x of the
-// statement stream — both cut network-stall time, so their win is
-// asserted at the paper's cross-data-center RTT (10 ms), where stalls
-// dominate and the margin is far above occupancy-placement noise. (At
+// concurrent sessions. The deferred strategy's mechanism — async
+// overlapping round trips with render work — cuts network-stall time, so
+// its win is asserted at the paper's cross-data-center RTT (10 ms), where
+// stalls dominate and the margin is far above occupancy-placement noise. (At
 // data-center RTT the suite is app-time-bound and the strategies
 // legitimately tie within a percent: the backfill occupancy model charges
 // no phantom queue wait for sync to lose.) Pipelining the per-page visit
 // write must additionally gain measured pages per second over forcing it
 // — the write sync points are what serialize a session's own batches.
 func TestConcurrentThroughputGains(t *testing.T) {
-	// Read-only replay: the deferred strategies' structural advantages
-	// (overlap, cross-session coalescing) where round-trip stalls bite.
-	kinds := []dispatch.Kind{dispatch.KindSync, dispatch.KindAsync, dispatch.KindShared}
+	// Read-only replay: the deferred strategy's structural advantage
+	// (overlap) where round-trip stalls bite.
+	kinds := []dispatch.Kind{dispatch.KindSync, dispatch.KindAsync}
 	rep, err := ConcurrentThroughput(Itracker, ThroughputOptions{
 		Sessions: []int{8},
 		Kinds:    kinds,
@@ -121,19 +120,12 @@ func TestConcurrentThroughputGains(t *testing.T) {
 		t.Fatal("missing sync row")
 	}
 	asyncRow, _ := rep.Row(dispatch.KindAsync, false, 8, 1)
-	sharedRow, _ := rep.Row(dispatch.KindShared, false, 8, 1)
 
 	if asyncRow.Rate <= syncRow.Rate {
 		t.Errorf("async rate %.1f <= sync rate %.1f", asyncRow.Rate, syncRow.Rate)
 	}
-	if sharedRow.Rate <= syncRow.Rate {
-		t.Errorf("shared rate %.1f <= sync rate %.1f", sharedRow.Rate, syncRow.Rate)
-	}
 	if asyncRow.Overlap <= 0 {
 		t.Error("async overlapped no execution time")
-	}
-	if sharedRow.Coalesced <= 0 {
-		t.Error("shared window coalesced nothing across 8 identical sessions")
 	}
 	t.Log("\n" + rep.Format())
 

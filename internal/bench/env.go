@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/apps/itracker"
 	"repro/internal/apps/openmrs"
-	"repro/internal/dispatch"
 	"repro/internal/driver"
 	"repro/internal/faults"
 	"repro/internal/merge"
@@ -132,28 +131,6 @@ func (e *Env) shardCfg(cfg querystore.Config) querystore.Config {
 	return cfg
 }
 
-// newHub builds a cross-session accumulation window over its own
-// connection to the env's server, mirroring the store config's merge stage
-// at the window level; it returns that stage's merger (nil with merging
-// off), the one count of what the windows' merging saved.
-func (e *Env) newHub(rtt time.Duration, cfg querystore.Config) (*dispatch.Hub, *merge.Merger) {
-	conn := e.Srv.Connect(netsim.NewLink(netsim.NewVirtualClock(), rtt))
-	var stages []dispatch.Stage
-	var m *merge.Merger
-	if cfg.Merge.Enabled {
-		m = merge.New(cfg.Merge)
-		stages = append(stages, dispatch.MergeStage(m))
-	}
-	hub := dispatch.NewHub(conn, stages...)
-	if cfg.Retry.MaxAttempts > 1 {
-		hub.SetRetry(cfg.Retry)
-	}
-	if cfg.Trace != nil {
-		hub.SetTracer(cfg.Trace, "hub")
-	}
-	return hub, m
-}
-
 // LoadInto replays one page into an existing session — the concurrent
 // throughput experiment's entry point, where sessions keep their own
 // clocks, connections, and dispatchers across a whole replay.
@@ -195,18 +172,11 @@ func loadPageWithStore(e *Env, page string, cfg querystore.Config) (PageMetrics,
 // the metrics. It is the single load implementation (LoadPage and the
 // ablation loaders delegate here) and the golden-equality hook used to
 // assert that neither the merge optimizer nor any dispatch strategy
-// changes what a page renders. A shared-dispatch config without a Hub gets
-// an ephemeral single-session hub (its window closes on demand); note that
-// shared windows execute on the hub's connection, so the per-session
-// NetTime/RoundTrips metrics understate shared-mode traffic.
+// changes what a page renders.
 func (e *Env) LoadPageHTML(page string, mode orm.Mode, rtt time.Duration, cfg querystore.Config) (string, PageMetrics, error) {
 	cfg = e.shardCfg(cfg)
 	link := netsim.NewLink(e.Clock, rtt)
 	conn := e.Srv.Connect(link)
-	var hubMerger *merge.Merger
-	if cfg.Dispatch == dispatch.KindShared && cfg.Hub == nil {
-		cfg.Hub, hubMerger = e.newHub(rtt, cfg)
-	}
 	store := querystore.New(conn, cfg)
 	defer store.Close()
 	sess := orm.NewSession(store, mode)
@@ -216,16 +186,8 @@ func (e *Env) LoadPageHTML(page string, mode orm.Mode, rtt time.Duration, cfg qu
 	if err != nil {
 		return "", PageMetrics{}, fmt.Errorf("bench: %s page %q: %w", mode2str(mode), page, err)
 	}
-	// The store is fresh per load, so its merger's totals are this page's;
-	// under shared dispatch the page's own hub merged the window batches.
+	// The store is fresh per load, so its merger's totals are this page's.
 	ms := store.MergeStats()
-	if hubMerger != nil {
-		hs := hubMerger.Stats()
-		ms.Saved += hs.Saved
-		for f, n := range hs.SavedByFamily {
-			ms.SavedByFamily[f] += n
-		}
-	}
 	m := PageMetrics{
 		Page:             page,
 		Total:            e.Clock.Now() - start,

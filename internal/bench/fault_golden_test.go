@@ -53,7 +53,7 @@ func chaosRetry() dispatch.RetryPolicy {
 // pre-publication, so content is invariant.
 func TestChaosGoldenAllPages(t *testing.T) {
 	const rtt = 500 * time.Microsecond
-	kinds := []dispatch.Kind{dispatch.KindSync, dispatch.KindAsync, dispatch.KindShared}
+	kinds := []dispatch.Kind{dispatch.KindSync, dispatch.KindAsync}
 	for _, app := range []AppID{Itracker, OpenMRS} {
 		base, err := NewEnv(app, 1)
 		if err != nil {

@@ -23,8 +23,7 @@ import (
 
 // goldenSuite loads every page with merging off and on under one dispatcher
 // kind. The merger's count of what it saved must equal the statements the
-// session's connection stopped sending (shared dispatch is left out: its
-// windows execute on the hub's connection).
+// session's connection stopped sending.
 func goldenSuite(t *testing.T, id AppID, kind dispatch.Kind) {
 	t.Helper()
 	env, err := NewEnv(id, 1)

@@ -21,7 +21,7 @@ import (
 // unsharded baseline at every shard count.
 func TestShardGoldenAllPages(t *testing.T) {
 	const rtt = 500 * time.Microsecond
-	kinds := []dispatch.Kind{dispatch.KindSync, dispatch.KindAsync, dispatch.KindShared}
+	kinds := []dispatch.Kind{dispatch.KindSync, dispatch.KindAsync}
 	for _, app := range []AppID{Itracker, OpenMRS} {
 		base, err := NewEnv(app, 1)
 		if err != nil {

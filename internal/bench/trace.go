@@ -16,7 +16,7 @@ import (
 // cross-checks every rendered page against an untraced replay — proving the
 // instrumentation is observation-only — and exports the span record as
 // Chrome trace-event JSON that Perfetto or chrome://tracing loads directly,
-// one lane per application session, per DB worker, and for the shared hub.
+// one lane per application session and per DB worker.
 
 // TraceOptions configures TraceSuite.
 type TraceOptions struct {

@@ -45,8 +45,8 @@ func tracedWaterfall(t *testing.T, id AppID, page string, kind dispatch.Kind, wo
 	if len(roots) == 0 {
 		t.Fatalf("%v %q: no spans recorded", id, page)
 	}
-	// The page root is recorded first (on the session goroutine, before any
-	// flush can reach a worker or the hub); later roots are hub windows.
+	// The page root is recorded first, on the session goroutine, before any
+	// flush can reach a worker.
 	return cfg.Trace.Waterfall(roots[0]), html
 }
 
@@ -72,7 +72,7 @@ func untracedHTML(t *testing.T, id AppID, page string, kind dispatch.Kind, worke
 // dispatch strategy, and that tracing does not change the rendered bytes.
 func TestTraceGoldenDeterminism(t *testing.T) {
 	for _, tc := range traceGoldenPages {
-		for _, kind := range []dispatch.Kind{dispatch.KindSync, dispatch.KindAsync, dispatch.KindShared} {
+		for _, kind := range []dispatch.Kind{dispatch.KindSync, dispatch.KindAsync} {
 			w1a, html1 := tracedWaterfall(t, tc.id, tc.page, kind, 1)
 			w1b, _ := tracedWaterfall(t, tc.id, tc.page, kind, 1)
 			if w1a != w1b {

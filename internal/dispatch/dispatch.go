@@ -11,16 +11,10 @@
 //     session clock where it was, so app-server compute after Submit
 //     overlaps the round trip on the virtual timeline; Wait pays only the
 //     completion time the session has not already spent computing.
-//   - Shared is the cross-session batching strategy (ROADMAP
-//     "cross-request batching", exercised by the Fig. 7-style throughput
-//     experiment): read-only batches from concurrent sessions accumulate
-//     in a server-side window, identical lookups collapse across sessions,
-//     the combined batch executes once, and results demultiplex back per
-//     session. Write-containing batches act as per-session barriers.
 //
 // Sync and Async are one type, Local, which runs every batch on the
 // submitting session's goroutine inside Submit; the package starts no
-// goroutine (a shared window runs on whichever session closes it).
+// goroutine.
 //
 // Pipeline stages (today: the batch query-merge optimizer of
 // internal/merge) rewrite a batch before execution and demultiplex results
@@ -28,12 +22,10 @@
 package dispatch
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/driver"
 	"repro/internal/merge"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/sqldb"
 )
@@ -49,9 +41,6 @@ const (
 	// KindAsync executes batches at submit time but charges the session
 	// only when it waits.
 	KindAsync
-	// KindShared accumulates read batches across sessions in a shared
-	// window.
-	KindShared
 )
 
 // String names the strategy (benchmark report labels).
@@ -59,8 +48,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindAsync:
 		return "async"
-	case KindShared:
-		return "shared"
 	default:
 		return "sync"
 	}
@@ -73,8 +60,6 @@ func ParseKind(s string) (Kind, bool) {
 		return KindSync, true
 	case "async":
 		return KindAsync, true
-	case "shared":
-		return KindShared, true
 	}
 	return KindSync, false
 }
@@ -83,8 +68,7 @@ func ParseKind(s string) (Kind, bool) {
 // query store's per-store accounting.
 type BatchStats struct {
 	// Sent is how many statements this batch contributed to the database
-	// after pipeline rewriting (and, for shared windows, after
-	// cross-session coalescing of the statements this batch introduced).
+	// after pipeline rewriting.
 	Sent int
 }
 
@@ -94,24 +78,9 @@ type BatchStats struct {
 // the next batch; any other ticket may be waited again, returning the same
 // outcome and charging nothing.
 type Ticket struct {
-	// stmts is the batch. Only a shared window reads it after Submit, so
-	// Shared parks a copy and the caller may reuse its slice.
-	stmts   []driver.Stmt
 	arrival time.Duration // session virtual time at Submit
+	waited  bool          // settle has charged this ticket
 
-	// ctx is the connection's trace context at Submit (the submitting
-	// flush), which the batch's execution spans parent under. It is an
-	// immutable value, so whichever goroutine closes a window reads it
-	// race-free.
-	ctx obs.Ctx
-
-	// done, allocated by Shared only, is closed when the ticket is final: a
-	// window entry completes on whichever goroutine closes the window, while
-	// a Local ticket is final when Submit returns.
-	done   chan struct{}
-	waited bool // settle has charged this ticket
-
-	// Owned by the executing goroutine until the ticket is final.
 	results []*sqldb.ResultSet
 	err     error
 	// stmtErrs holds per-original-statement errors when the batch fell
@@ -167,17 +136,12 @@ type Stats struct {
 	Degraded int64
 	// OverlapSaved is virtual time that batch execution spent overlapped
 	// with app-server compute: the portion of completion time a session
-	// did not have to wait for (async and shared only).
+	// did not have to wait for (async only).
 	OverlapSaved time.Duration
 	// PeakQueue is the high-water mark of a deferred dispatcher's tickets
 	// submitted but not yet waited — how many pipelined flushes a session
 	// had in flight at once (0 under sync, where Submit pays for each).
 	PeakQueue int64
-	// Windows and Coalesced describe shared-window activity: windows
-	// closed (attempts, like StmtsOut), and statements answered by another
-	// in-window statement.
-	Windows   int64
-	Coalesced int64
 }
 
 // Demux maps executed results back onto a batch's original statements.
@@ -255,45 +219,7 @@ func applyStages(ctx obs.Ctx, at time.Duration, stages []Stage, stmts []driver.S
 	return out, demux
 }
 
-// containsWrite reports whether any statement in the batch mutates state
-// or controls a transaction — the per-session barrier condition.
-func containsWrite(stmts []driver.Stmt) bool {
-	for _, st := range stmts {
-		if st.IsWrite() {
-			return true
-		}
-	}
-	return false
-}
-
-// statsBox is the mutex-guarded counter block shared by the strategies.
-type statsBox struct {
-	mu    sync.Mutex
-	stats Stats
-	// pending counts a deferred dispatcher's tickets submitted and not yet
-	// settled; stats.PeakQueue is its high-water mark.
-	pending int64
-}
-
-func (b *statsBox) snapshot() Stats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.stats
-}
-
-// addSubmit counts one submitted batch of n statements; a deferred
-// dispatcher's ticket stays pending until settle charges it. The caller
-// holds the box's lock.
-func (b *statsBox) addSubmit(n int, deferred bool) {
-	b.stats.Submitted++
-	b.stats.StmtsIn += int64(n)
-	if deferred {
-		b.pending++
-		b.stats.PeakQueue = max(b.stats.PeakQueue, b.pending)
-	}
-}
-
-// addRun accounts one batch run; the caller holds the box's lock. Attempts
+// addRun accounts one batch run; the caller holds the dispatcher's lock. Attempts
 // (StmtsOut) count whether or not the batch then failed, so the error path
 // accounts exactly like the success path. Retried
 // attempts that recovered count in Retries, NOT Errors — only a terminal
@@ -307,42 +233,4 @@ func (st *Stats) addRun(r recovery) {
 	if r.err != nil {
 		st.Errors++
 	}
-}
-
-// runTicket executes t's own batch on conn at its stamped arrival, without
-// advancing any clock, makes the ticket final (the caller closes t.done
-// where one exists), and counts the batch's submission and run under one
-// acquisition of the lock.
-func (b *statsBox) runTicket(t *Ticket, conn *driver.Conn, stages []Stage, policy RetryPolicy, deferred bool) {
-	r := runBatch(conn, t.ctx, t.arrival, stages, t.stmts, policy)
-	t.results, t.err, t.stmtErrs = r.results, r.err, r.stmtErrs
-	t.completeAt = r.done
-	t.bs = BatchStats{Sent: r.sent}
-	b.mu.Lock()
-	b.addSubmit(len(t.stmts), deferred)
-	b.stats.addRun(r)
-	b.mu.Unlock()
-}
-
-// settle is Wait for a deferred strategy once t is final: the session pays
-// only the completion time it has not already overlapped with compute, and
-// the rest is credited to OverlapSaved. A terminal failure still advances
-// the session to the time the failure was observed (no overlap credit): a
-// frozen clock would replay the identical time-keyed fault rolls on the
-// next batch.
-func (b *statsBox) settle(clock netsim.Clock, t *Ticket) ([]*sqldb.ResultSet, BatchStats, error) {
-	waited := netsim.AdvanceTo(clock, t.completeAt)
-	if !t.waited {
-		t.waited = true
-		b.mu.Lock()
-		b.pending--
-		if hidden := max(0, t.completeAt-t.arrival) - waited; t.err == nil && hidden > 0 {
-			b.stats.OverlapSaved += hidden
-		}
-		b.mu.Unlock()
-	}
-	if t.err != nil {
-		return nil, t.bs, t.err
-	}
-	return t.results, t.bs, nil
 }

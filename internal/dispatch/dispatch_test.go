@@ -47,6 +47,28 @@ func mustWait(t *testing.T, d Dispatcher, tk *Ticket) []*sqldb.ResultSet {
 	return rs
 }
 
+// TestParseKind: the flag surface names exactly the two strategies.
+func TestParseKind(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want Kind
+		ok   bool
+	}{
+		{"", KindSync, true},
+		{"sync", KindSync, true},
+		{"async", KindAsync, true},
+		{"shared", KindSync, false},
+		{"bogus", KindSync, false},
+	} {
+		if got, ok := ParseKind(c.in); got != c.want || ok != c.ok {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v, %v", c.in, got, ok, c.want, c.ok)
+		}
+		if c.ok && c.in != "" && c.want.String() != c.in {
+			t.Errorf("%v.String() = %q, want %q", c.want, c.want.String(), c.in)
+		}
+	}
+}
+
 // TestSyncAsyncSameResults runs the same batch through both strategies and
 // requires identical rows per original statement.
 func TestSyncAsyncSameResults(t *testing.T) {
@@ -103,99 +125,6 @@ func TestAsyncOverlapsCompute(t *testing.T) {
 	}
 }
 
-// TestSharedCoalescesAcrossSessions: identical lookups from two sessions
-// execute once at the server and both sessions read correct rows.
-func TestSharedCoalescesAcrossSessions(t *testing.T) {
-	srv, connect := rig(t)
-	hubConn, _ := connect(time.Millisecond)
-	hub := NewHub(hubConn)
-
-	conn1, _ := connect(time.Millisecond)
-	conn2, _ := connect(time.Millisecond)
-	d1 := NewShared(hub, conn1)
-	d2 := NewShared(hub, conn2)
-
-	before := srv.Stats().Queries
-	t1 := d1.Submit([]driver.Stmt{sel(1), sel(2)})
-	t2 := d2.Submit([]driver.Stmt{sel(2), sel(1)})
-
-	rs1 := mustWait(t, d1, t1)
-	rs2 := mustWait(t, d2, t2)
-	if rs1[0].Rows[0][1] != "apple" || rs1[1].Rows[0][1] != "pear" {
-		t.Fatalf("session 1 rows: %v %v", rs1[0].Rows, rs1[1].Rows)
-	}
-	if rs2[0].Rows[0][1] != "pear" || rs2[1].Rows[0][1] != "apple" {
-		t.Fatalf("session 2 rows: %v %v", rs2[0].Rows, rs2[1].Rows)
-	}
-	if got := srv.Stats().Queries - before; got != 2 {
-		t.Fatalf("server executed %d statements, want 2 (coalesced window)", got)
-	}
-	if hub.Stats().Coalesced != 2 {
-		t.Fatalf("coalesced = %d, want 2", hub.Stats().Coalesced)
-	}
-	_, bs2, _ := d2.Wait(t2) // waitable again: already-done ticket
-	if bs2.Sent != 0 {
-		t.Fatalf("session 2 sent %d statements, want 0 (both answered by session 1's)", bs2.Sent)
-	}
-}
-
-// TestSharedWriteBarrier: a session's window reads registered before its
-// write must observe pre-write state, and a read after the write must
-// observe the new value.
-func TestSharedWriteBarrier(t *testing.T) {
-	_, connect := rig(t)
-	hubConn, _ := connect(0)
-	hub := NewHub(hubConn)
-	conn, _ := connect(0)
-	d := NewShared(hub, conn)
-
-	readT := d.Submit([]driver.Stmt{{SQL: "SELECT qty FROM items WHERE id = 1"}})
-	writeT := d.Submit([]driver.Stmt{{SQL: "UPDATE items SET qty = 99 WHERE id = 1"}})
-	afterT := d.Submit([]driver.Stmt{{SQL: "SELECT qty FROM items WHERE id = 1"}})
-
-	if rs := mustWait(t, d, readT); rs[0].Rows[0][0] != int64(5) {
-		t.Fatalf("pre-write read saw %v, want 5", rs[0].Rows[0][0])
-	}
-	if rs := mustWait(t, d, writeT); rs[0].RowsAffected != 1 {
-		t.Fatalf("write affected %d rows", rs[0].RowsAffected)
-	}
-	if rs := mustWait(t, d, afterT); rs[0].Rows[0][0] != int64(99) {
-		t.Fatalf("post-write read saw %v, want 99", rs[0].Rows[0][0])
-	}
-}
-
-// TestSharedQuorumClosesWindow: with an expected batch count, the quorum
-// submitter closes the window without any demand.
-func TestSharedQuorumClosesWindow(t *testing.T) {
-	srv, connect := rig(t)
-	hubConn, _ := connect(0)
-	hub := NewHub(hubConn)
-	hub.SetWindow(2)
-	conn1, _ := connect(0)
-	conn2, _ := connect(0)
-	d1 := NewShared(hub, conn1)
-	d2 := NewShared(hub, conn2)
-
-	before := srv.Stats().Queries
-	t1 := d1.Submit([]driver.Stmt{sel(3)})
-	select {
-	case <-t1.done:
-		t.Fatal("window closed before quorum")
-	default:
-	}
-	t2 := d2.Submit([]driver.Stmt{sel(3)}) // quorum: closes inline
-	select {
-	case <-t2.done:
-	default:
-		t.Fatal("quorum did not close the window")
-	}
-	mustWait(t, d1, t1)
-	mustWait(t, d2, t2)
-	if got := srv.Stats().Queries - before; got != 1 {
-		t.Fatalf("server executed %d statements, want 1", got)
-	}
-}
-
 // TestMergeStageThroughDispatchers: the merge stage coalesces a 1+N family
 // under every strategy: the ticket reports the one statement sent, and the
 // merger counts what it saved.
@@ -242,144 +171,6 @@ func TestAsyncErrorDeferredToWait(t *testing.T) {
 	tk := a.Submit([]driver.Stmt{{SQL: "SELECT * FROM no_such_table"}})
 	if _, _, err := a.Wait(tk); err == nil {
 		t.Fatal("missing execution error at Wait")
-	}
-}
-
-// TestSharedWindowAttributesMergeStats: when the hub's merge stage coalesces
-// a cross-session family, the hub's own merger counts the window-level
-// savings once, and each ticket reports only the statements it introduced.
-func TestSharedWindowAttributesMergeStats(t *testing.T) {
-	_, connect := rig(t)
-	hubConn, _ := connect(0)
-	m := merge.New(merge.Config{Enabled: true})
-	hub := NewHub(hubConn, MergeStage(m))
-	conn1, _ := connect(0)
-	conn2, _ := connect(0)
-	d1 := NewShared(hub, conn1)
-	d2 := NewShared(hub, conn2)
-
-	// Two sessions contribute distinct members of one equality family:
-	// the combined window merges 3 of its 4 statements into 1.
-	t1 := d1.Submit([]driver.Stmt{sel(1), sel(2)})
-	t2 := d2.Submit([]driver.Stmt{sel(3), {SQL: "SELECT id, name, qty FROM items WHERE qty > ?", Args: []sqldb.Value{int64(100)}}})
-	_, bs1, _ := d1.Wait(t1)
-	_, bs2, _ := d2.Wait(t2)
-
-	if ms := m.Stats(); ms.Batches != 1 || ms.Saved != 2 || ms.Groups != 1 || ms.SavedByFamily[merge.FamilyEquality] != 2 {
-		t.Fatalf("hub merge stats %+v, want one batch, saved 2 (equality), groups 1", ms)
-	}
-	if hs := hub.Stats(); hs.Windows != 1 || hs.StmtsOut != 2 {
-		t.Fatalf("hub stats %+v, want one window sending 2 statements", hs)
-	}
-	if bs1.Sent != 2 || bs2.Sent != 2 {
-		t.Fatalf("tickets sent %d and %d, want the 2 each introduced", bs1.Sent, bs2.Sent)
-	}
-}
-
-// TestSharedWindowErrorAccounting pins the error-path consistency fix: a
-// failing window still counts its attempt (Windows, StmtsOut) and counts
-// the failure in Errors, and every contributing session observes the
-// error.
-func TestSharedWindowErrorAccounting(t *testing.T) {
-	_, connect := rig(t)
-	hubConn, _ := connect(0)
-	hub := NewHub(hubConn)
-	conn1, _ := connect(0)
-	conn2, _ := connect(0)
-	d1 := NewShared(hub, conn1)
-	d2 := NewShared(hub, conn2)
-
-	t1 := d1.Submit([]driver.Stmt{sel(1)})
-	t2 := d2.Submit([]driver.Stmt{{SQL: "SELECT * FROM no_such_table"}})
-	hub.CloseWindow()
-
-	if _, _, err := d1.Wait(t1); err == nil {
-		t.Fatal("session 1 did not observe the window error")
-	}
-	if _, _, err := d2.Wait(t2); err == nil {
-		t.Fatal("session 2 did not observe the window error")
-	}
-	hs := hub.Stats()
-	if hs.Errors != 1 {
-		t.Fatalf("Errors = %d, want 1", hs.Errors)
-	}
-	if hs.Windows != 1 {
-		t.Fatalf("Windows = %d, want 1 (attempts count on the error path)", hs.Windows)
-	}
-	if hs.StmtsOut != 2 {
-		t.Fatalf("StmtsOut = %d, want 2 (attempted statements count on the error path)", hs.StmtsOut)
-	}
-}
-
-// TestSharedExtraSessionBeyondQuorum: a front end registered past the
-// SetWindow quorum must not resurrect closed generations — its batches
-// join the lowest open generation, and CloseWindow drains everything
-// without spinning.
-func TestSharedExtraSessionBeyondQuorum(t *testing.T) {
-	srv, connect := rig(t)
-	hubConn, _ := connect(0)
-	hub := NewHub(hubConn)
-	hub.SetWindow(2)
-	conns := make([]*Shared, 3)
-	for i := range conns {
-		c, _ := connect(0)
-		conns[i] = NewShared(hub, c)
-	}
-
-	t1 := conns[0].Submit([]driver.Stmt{sel(1)})
-	t2 := conns[1].Submit([]driver.Stmt{sel(1)}) // quorum: generation 0 closes
-	mustWait(t, conns[0], t1)
-	mustWait(t, conns[1], t2)
-
-	before := srv.Stats().Queries
-	t3 := conns[2].Submit([]driver.Stmt{sel(2)}) // would be gen 0, clamps to gen 1
-	done := make(chan struct{})
-	go func() {
-		hub.CloseWindow() // must terminate, not scan ints forever
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("CloseWindow did not terminate with an entry below nextClose")
-	}
-	if rs := mustWait(t, conns[2], t3); rs[0].Rows[0][1] != "pear" {
-		t.Fatalf("extra session rows: %v", rs[0].Rows)
-	}
-	if got := srv.Stats().Queries - before; got != 1 {
-		t.Fatalf("drain executed %d statements, want 1", got)
-	}
-}
-
-// TestSharedPoisonReleasesParkedWaiter: dropping the quorum (SetWindow(0))
-// and draining releases a session parked on a generation that will never
-// fill — the escape hatch the throughput harness uses when a session dies
-// mid-round.
-func TestSharedPoisonReleasesParkedWaiter(t *testing.T) {
-	_, connect := rig(t)
-	hubConn, _ := connect(0)
-	hub := NewHub(hubConn)
-	hub.SetWindow(2)
-	conn1, _ := connect(0)
-	d1 := NewShared(hub, conn1)
-
-	tk := d1.Submit([]driver.Stmt{sel(3)})
-	released := make(chan struct{})
-	go func() {
-		mustWait(t, d1, tk) // parks: the second session never arrives
-		close(released)
-	}()
-	select {
-	case <-released:
-		t.Fatal("waiter returned before the quorum or a drain")
-	case <-time.After(10 * time.Millisecond):
-	}
-	hub.SetWindow(0)
-	hub.CloseWindow()
-	select {
-	case <-released:
-	case <-time.After(10 * time.Second):
-		t.Fatal("poisoned hub did not release the parked waiter")
 	}
 }
 

@@ -1,6 +1,8 @@
 package dispatch
 
 import (
+	"sync"
+
 	"repro/internal/driver"
 	"repro/internal/netsim"
 	"repro/internal/sqldb"
@@ -22,11 +24,17 @@ type Local struct {
 	stages   []Stage
 	retry    RetryPolicy
 	deferred bool
-	box      statsBox
 	// ticket is the one ticket NewSync hands out, reset by every Submit (see
 	// Ticket). NewAsync allocates one per batch: several are in flight at
 	// once.
 	ticket Ticket
+
+	// mu guards stats and pending, which Stats reads from other goroutines.
+	mu    sync.Mutex
+	stats Stats
+	// pending counts NewAsync tickets submitted and not yet charged by
+	// Wait; stats.PeakQueue is its high-water mark.
+	pending int64
 }
 
 // NewSync creates the synchronous dispatcher.
@@ -43,7 +51,9 @@ func NewAsync(conn *driver.Conn, stages ...Stage) *Local {
 // dispatcher's batches. Call before submitting.
 func (d *Local) SetRetry(p RetryPolicy) { d.retry = p }
 
-// Submit executes the batch now; the returned ticket is already final. Under
+// Submit executes the batch now, under the connection's current trace
+// context (the submitting flush), and counts its submission and run under
+// one acquisition of the lock; the returned ticket is already final. Under
 // NewSync it is the dispatcher's own ticket, valid until the next Submit.
 func (d *Local) Submit(stmts []driver.Stmt) *Ticket {
 	clock := d.conn.Clock()
@@ -51,8 +61,20 @@ func (d *Local) Submit(stmts []driver.Stmt) *Ticket {
 	if d.deferred {
 		t = new(Ticket)
 	}
-	*t = Ticket{stmts: stmts, arrival: clock.Now(), ctx: d.conn.TraceCtx()}
-	d.box.runTicket(t, d.conn, d.stages, d.retry, d.deferred)
+	*t = Ticket{arrival: clock.Now()}
+	r := runBatch(d.conn, d.conn.TraceCtx(), t.arrival, d.stages, stmts, d.retry)
+	t.results, t.err, t.stmtErrs = r.results, r.err, r.stmtErrs
+	t.completeAt = r.done
+	t.bs = BatchStats{Sent: r.sent}
+	d.mu.Lock()
+	d.stats.Submitted++
+	d.stats.StmtsIn += int64(len(stmts))
+	if d.deferred {
+		d.pending++
+		d.stats.PeakQueue = max(d.stats.PeakQueue, d.pending)
+	}
+	d.stats.addRun(r)
+	d.mu.Unlock()
 	if !d.deferred {
 		// The session pays the virtual time it observed — on terminal failure
 		// too, where completeAt is the last failure-observation time (the
@@ -64,20 +86,39 @@ func (d *Local) Submit(stmts []driver.Stmt) *Ticket {
 	return t
 }
 
-// Wait returns the ticket's results; under NewAsync it first pays the
-// completion time the session has not already overlapped with compute.
+// Wait returns the ticket's results. Under NewAsync it first pays only the
+// completion time the session has not already overlapped with compute,
+// crediting the rest to OverlapSaved; a terminal failure still advances the
+// session to the time the failure was observed (no overlap credit), for the
+// same reason Submit does under NewSync.
 func (d *Local) Wait(t *Ticket) ([]*sqldb.ResultSet, BatchStats, error) {
 	if d.deferred {
-		return d.box.settle(d.conn.Clock(), t)
+		waited := netsim.AdvanceTo(d.conn.Clock(), t.completeAt)
+		if !t.waited {
+			t.waited = true
+			d.mu.Lock()
+			d.pending--
+			if hidden := max(0, t.completeAt-t.arrival) - waited; t.err == nil && hidden > 0 {
+				d.stats.OverlapSaved += hidden
+			}
+			d.mu.Unlock()
+		}
 	}
-	return t.results, t.bs, t.err
+	if t.err != nil {
+		return nil, t.bs, t.err
+	}
+	return t.results, t.bs, nil
 }
 
 // Deferred reports whether the session pays at Wait (NewAsync).
 func (d *Local) Deferred() bool { return d.deferred }
 
 // Stats snapshots the dispatcher counters.
-func (d *Local) Stats() Stats { return d.box.snapshot() }
+func (d *Local) Stats() Stats {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.stats
+}
 
 // Close is a no-op: a Local dispatcher holds no resources.
 func (d *Local) Close() {}

@@ -100,14 +100,14 @@ func execAttempts(conn *driver.Conn, ctx obs.Ctx, arrival time.Duration, stmts [
 	}
 }
 
-// runBatch is the one road from a held batch to the driver, shared by every
-// dispatch strategy and the hub's windows: the stages rewrite the batch, and
+// runBatch is the one road from a held batch to the driver, shared by both
+// dispatch strategies: the stages rewrite the batch, and
 // the rewritten batch runs under the retry loop, modeled as arriving at
 // virtual time `arrival`; if it still fails on an INJECTED error (so the
 // attempt demonstrably had no data effects) and the original batch has more
 // than one statement, execution degrades to the ORIGINAL statements one at a
 // time — each with its own retry budget — so one poisoned key fails one
-// statement instead of every query that was merged or coalesced with it.
+// statement instead of every query that was merged with it.
 // Degraded results need no demux: they are already per original statement.
 func runBatch(conn *driver.Conn, ctx obs.Ctx, arrival time.Duration, stages []Stage, orig []driver.Stmt, policy RetryPolicy) recovery {
 	out, demux := applyStages(ctx, arrival, stages, orig)

@@ -174,44 +174,6 @@ func TestSyncTicketReuse(t *testing.T) {
 	}
 }
 
-// TestSharedWindowDegradation: a poisoned key contributed by one session
-// fails that session's statement only; the other session's coalesced window
-// queries all succeed, and the hub counts retries separately from errors.
-func TestSharedWindowDegradation(t *testing.T) {
-	srv, connect := rig(t)
-	srv.SetFaults(faults.NewPlane(faults.Config{PoisonArgs: []sqldb.Value{int64(3)}}))
-	hubConn, _ := connect(time.Millisecond)
-	hub := NewHub(hubConn)
-	hub.SetRetry(retryPolicy())
-	hub.SetWindow(2)
-
-	connA, _ := connect(time.Millisecond)
-	connB, _ := connect(time.Millisecond)
-	a, b := NewShared(hub, connA), NewShared(hub, connB)
-
-	ta := a.Submit([]driver.Stmt{sel(1), sel(3)})
-	tb := b.Submit([]driver.Stmt{sel(1), sel(2)})
-
-	rsA, _, errA := a.Wait(ta)
-	rsB, _, errB := b.Wait(tb)
-	if errA != nil || errB != nil {
-		t.Fatalf("terminal errors: %v / %v", errA, errB)
-	}
-	if se := ta.StmtErrs(); se == nil || se[0] != nil || !errors.Is(se[1], faults.ErrPermanent) {
-		t.Fatalf("session A stmtErrs = %v", ta.StmtErrs())
-	}
-	if se := tb.StmtErrs(); se != nil {
-		t.Fatalf("session B stmtErrs = %v, want none", se)
-	}
-	if rsA[0].Rows[0][1] != "apple" || rsB[0].Rows[0][1] != "apple" || rsB[1].Rows[0][1] != "pear" {
-		t.Fatalf("results lost: %v / %v", rsA, rsB)
-	}
-	hs := hub.Stats()
-	if hs.Degraded != 1 || hs.Errors != 0 {
-		t.Fatalf("hub stats = %+v, want degraded 1, errors 0", hs)
-	}
-}
-
 // TestAsyncWriteRetryExactlyOnce: a pipelined write that retries through an
 // outage executes its data effect exactly once (injected failures fire
 // pre-execution, so only the final successful attempt lands).

@@ -12,11 +12,10 @@ import (
 )
 
 // This file is the concurrency audit for the stats surfaces, written after
-// reviewing every counter the three dispatchers expose:
+// reviewing every counter the dispatchers expose:
 //
-//   - All Dispatcher.Stats() counters live in the mutex-guarded statsBox
-//     (snapshot copies under box.mu).
-//   - Hub window state and Hub.Stats() are guarded by the same box.mu.
+//   - All Dispatcher.Stats() counters live in Local.stats (snapshot copies
+//     under Local.mu).
 //   - Server.Stats() copies under Server.mu, including the per-worker
 //     slices (deep-copied, so a caller cannot race the next batch's
 //     append).
@@ -24,8 +23,7 @@ import (
 //
 // The audit found no unguarded read, but only -race keeps it that way: this
 // test hammers every Stats surface concurrently with Submit/Wait — reads
-// and writes, so the shared strategy's write-barrier path is exercised too —
-// across all three strategies at once against one server.
+// and writes — across both strategies at once against one server.
 
 // TestStatsRace runs n sessions per strategy submitting read and write
 // batches while reader goroutines spin on every stats surface.
@@ -46,11 +44,8 @@ func TestStatsRace(t *testing.T) {
 		}()
 	}
 
-	hubConn, _ := connect(100 * time.Microsecond)
-	hub := NewHub(hubConn)
 	spin(func() { srv.Stats() })
 	spin(func() { srv.Workers() })
-	spin(func() { hub.Stats() })
 
 	var workers sync.WaitGroup
 	var firstErr atomic.Value
@@ -58,16 +53,11 @@ func TestStatsRace(t *testing.T) {
 		firstErr.CompareAndSwap(nil, err)
 	}
 	for s := 0; s < sessions; s++ {
-		for _, kind := range []Kind{KindSync, KindAsync, KindShared} {
+		for _, kind := range []Kind{KindSync, KindAsync} {
 			conn, _ := connect(100 * time.Microsecond)
-			var d Dispatcher
-			switch kind {
-			case KindSync:
-				d = NewSync(conn)
-			case KindAsync:
+			d := NewSync(conn)
+			if kind == KindAsync {
 				d = NewAsync(conn)
-			default:
-				d = NewShared(hub, conn)
 			}
 			spin(func() { d.Stats() })
 			spin(func() { conn.QueriesSent() })
@@ -78,8 +68,7 @@ func TestStatsRace(t *testing.T) {
 				for r := 0; r < rounds; r++ {
 					var stmts []driver.Stmt
 					if r%4 == 3 {
-						// A write batch: the shared strategy's per-session
-						// barrier path, the others' serial write path.
+						// A write batch.
 						stmts = []driver.Stmt{{
 							SQL:  "UPDATE items SET qty = ? WHERE id = ?",
 							Args: []sqldb.Value{int64(r), int64(1 + r%3)},
@@ -96,19 +85,7 @@ func TestStatsRace(t *testing.T) {
 		}
 	}
 
-	// Demand-close the hub while submitters run: Stats readers plus window
-	// closes from a non-session goroutine is the worst interleaving the
-	// throughput experiment produces.
-	workers.Add(1)
-	go func() {
-		defer workers.Done()
-		for i := 0; i < rounds; i++ {
-			hub.CloseWindow()
-		}
-	}()
-
 	workers.Wait()
-	hub.CloseWindow() // release any parked read batch from a failed round
 	stop.Store(true)
 	readers.Wait()
 	if err := firstErr.Load(); err != nil {

@@ -27,8 +27,7 @@ import (
 // piece of the fault plane. "Consecutive failures" is a property of the
 // host-time order in which concurrent sessions' batches reach the server,
 // so breaker transitions are reproducible for serialized workloads (one
-// session, or shared dispatch where the hub serializes windows) but not
-// across arbitrary concurrent interleavings. The determinism tests run
+// session) but not across arbitrary concurrent interleavings. The determinism tests run
 // with the breaker disabled; the chaos hammer runs with it enabled and
 // asserts only safety, not schedules.
 type breaker struct {

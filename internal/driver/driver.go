@@ -573,10 +573,8 @@ func (s *Server) laneName(lane int) string {
 }
 
 // Conn is a client connection: an engine session reached across a link.
-// It has one executing goroutine, its session's, matching JDBC connections
-// (a shared hub's connection executes under the hub's window lock, on
-// whichever session closes the window); its counters are safe to read
-// concurrently.
+// It has one executing goroutine, its session's, matching JDBC
+// connections; its counters are safe to read concurrently.
 type Conn struct {
 	srv   *Server
 	link  *netsim.Link

@@ -14,9 +14,8 @@ import (
 // pairwise equal arguments OF THE SAME TYPE after sqldb.Normalize: int64(5)
 // and "5", NULL and "~", 1.0 and int64(1) are different queries, while the
 // int / int32 / int64 spellings of one value are the same. This file is the
-// one definition; the query store's within-batch dedup and the shared
-// window's cross-session coalescing both go through StmtIndex. Parsed never
-// takes part.
+// one definition; the query store's within-batch dedup goes through
+// StmtIndex. Parsed never takes part.
 
 // argID is one argument's identity: its type after Normalize ('n'ull,
 // 'i'nt, 'f'loat, 'b'ool, 's'tring, 'o'ther) and its value, in bits or text.

@@ -9,10 +9,9 @@ import (
 // mapdet: Go map iteration order is deliberately randomized, so a range
 // over a map that accumulates into a slice, prints, or builds an error
 // from the iteration variables produces run-dependent output unless a
-// deterministic sort follows — the exact bug class behind the PR 6
-// ThunkAllocs bleed and the shared-hub ordering fixes, and the one most
-// likely to silently corrupt the 150 byte-identical golden pages. Three
-// patterns are flagged:
+// deterministic sort follows — the exact bug class behind the ThunkAllocs
+// bleed fix, and the one most likely to silently corrupt the 150
+// byte-identical golden pages. Three patterns are flagged:
 //
 //  1. appending to a slice declared outside the loop, with no later call
 //     in the same function that sorts that slice (sort.Slice(ids, ...)

@@ -10,8 +10,7 @@ import (
 // the Fig. 13 overhead timer), each marked
 // //slothvet:allow wallclock(reason). Everywhere else a time.Now or
 // time.Sleep is a determinism bug by construction: it couples golden
-// output, window close decisions, or stats to host speed — the exact
-// class of flake PR 4 removed from the shared hub. Types like
+// output or stats to host speed. Types like
 // time.Duration remain fine; only the clock-reading and timer functions
 // are banned, in test-free shipped code, across every package.
 

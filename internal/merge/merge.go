@@ -117,10 +117,9 @@ type Stats struct {
 	GroupsByFamily [NumFamilies]int64
 }
 
-// Merger is the batch optimizer. A session's own merger rewrites on that
-// session's goroutine, inside Submit; the mutex is there for a shared hub's
-// merger, whose rewrites run on whichever session closes a window while
-// other sessions may read Stats.
+// Merger is the batch optimizer. A session's merger rewrites on that
+// session's goroutine, inside Submit; the mutex lets Stats be read from any
+// other goroutine meanwhile.
 type Merger struct {
 	cfg Config
 

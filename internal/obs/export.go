@@ -29,7 +29,7 @@ type chromeTrace struct {
 }
 
 // WriteChromeTrace exports every recorded span as Chrome trace-event JSON.
-// Tracks (sessions, DB workers, the shared hub) become "threads" of one
+// Tracks (sessions, DB workers) become "threads" of one
 // process: each distinct track gets a tid in sorted-name order plus a
 // thread_name metadata event, so Perfetto shows one lane per session and
 // per DB worker. Timestamps are virtual microseconds; the optional

@@ -51,7 +51,6 @@ func TestSpanTreeAndWaterfall(t *testing.T) {
 }
 
 // The golden rendering sorts children by virtual time, so recording order
-// (which races when a shared window closes on another session's goroutine)
 // must not affect the waterfall.
 func TestWaterfallOrderIndependent(t *testing.T) {
 	build := func(order []int) string {

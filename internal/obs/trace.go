@@ -5,11 +5,10 @@
 // The paper's entire argument is about where time goes inside a page load —
 // round trips deferred, batched, and overlapped — so the tracer records
 // SPANS ON THE VIRTUAL CLOCK: every span is stamped with the virtual
-// start/end times of the timeline it happened on (a session's clock, the
-// shared hub's, a DB worker queue's horizon), not with host time. Because
-// the simulation is deterministic (PR 4 made even shared dispatch
-// bit-for-bit reproducible), a page's span tree is itself deterministic and
-// golden-testable: two runs of the same page produce byte-identical
+// start/end times of the timeline it happened on (a session's clock, a DB
+// worker queue's horizon), not with host time. Because a single session's
+// simulation is deterministic, a page's span tree is itself deterministic
+// and golden-testable: two runs of the same page produce byte-identical
 // waterfalls, including timestamps.
 //
 // Tracing is zero-cost when disabled, and disabled means a nil *Tracer (the
@@ -20,10 +19,9 @@
 // Span parents are threaded explicitly, never through goroutine-local
 // state: webapp.Load opens a page root and hands the Ctx to the query
 // store, which parents flush spans under it and installs the flush Ctx on
-// its connection while it submits; the dispatcher stamps it on the
-// dispatch Ticket, so a shared hub window — closed on another session's
-// goroutine — still attaches execution spans to the right branch of the
-// right page tree.
+// its connection while it submits; the dispatcher parents the batch's
+// execution spans under that context, on the right branch of the right
+// page tree.
 package obs
 
 import (
@@ -77,8 +75,7 @@ type Span struct {
 }
 
 // Tracer records spans. It is safe for concurrent use: concurrent sessions
-// record from their own goroutines, and a shared hub window records from
-// whichever session closes it.
+// record from their own goroutines.
 type Tracer struct {
 	host atomic.Bool
 
@@ -124,8 +121,7 @@ func (t *Tracer) Spans() []Span {
 	return out
 }
 
-// Roots lists the ids of parentless spans (page roots, hub windows) in
-// recording order.
+// Roots lists the ids of parentless spans (page roots) in recording order.
 func (t *Tracer) Roots() []SpanID {
 	if t == nil {
 		return nil
@@ -159,7 +155,7 @@ func (t *Tracer) start(parent SpanID, track, cat, name string, at time.Duration,
 }
 
 // Root opens a parentless span on the given exporter track (one track per
-// session, per DB worker, and for the shared hub).
+// session and per DB worker).
 func (t *Tracer) Root(track, cat, name string, start time.Duration, args ...Arg) Ctx {
 	if t == nil {
 		return Ctx{}
@@ -171,8 +167,7 @@ func (t *Tracer) Root(track, cat, name string, start time.Duration, args ...Arg)
 // The zero value is the disabled context — every method on it is a no-op —
 // so instrumentation threads Ctx values unconditionally and pays only a
 // nil check when tracing is off. Ctx is an immutable value and safe to
-// hand across goroutines (a shared window's ticket contexts are read by
-// whichever session closes it).
+// hand across goroutines.
 type Ctx struct {
 	t     *Tracer
 	id    SpanID

@@ -124,19 +124,15 @@ func TestRequestCycleAllocatesNoGrowth(t *testing.T) {
 
 // TestConcurrentRequestCyclesMatchSerial: two goroutines run per-request
 // cycles against one server, drawing on the same pools, under each dispatch
-// strategy (shared: one Hub for both); every page they build matches the
-// one a serial run builds. Run with -race.
+// strategy; every page they build matches the one a serial run builds. Run with -race.
 func TestConcurrentRequestCyclesMatchSerial(t *testing.T) {
 	const workers, requests = 2, 40
-	for _, kind := range []dispatch.Kind{dispatch.KindSync, dispatch.KindAsync, dispatch.KindShared} {
+	for _, kind := range []dispatch.Kind{dispatch.KindSync, dispatch.KindAsync} {
 		t.Run(fmt.Sprint(kind), func(t *testing.T) {
 			f := newFixture(FetchLazy, FetchLazy)
 			srv, _ := clinic(t)
 			patientRange(t, srv, 100, 24)
 			cfg := querystore.Config{Dispatch: kind}
-			if kind == dispatch.KindShared {
-				cfg.Hub = dispatch.NewHub(srv.Connect(netsim.NewLink(netsim.NewVirtualClock(), 0)))
-			}
 			// page is request r of worker g: a few patients (some twice, so
 			// the identity map answers), one patient's encounters, rendered.
 			page := func(conn *driver.Conn, g, r int) string {

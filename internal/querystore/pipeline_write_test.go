@@ -207,32 +207,3 @@ func TestExecPipelinedSyncParity(t *testing.T) {
 		t.Fatalf("qty = %v, want 9", rs.Rows[0][0])
 	}
 }
-
-// TestPipelinedWriteSharedEquivalence: pipelined writes return the same
-// data under the shared dispatcher — the write barriers on its own window
-// tickets, executes on the session connection, and later reads observe it.
-func TestPipelinedWriteSharedEquivalence(t *testing.T) {
-	s, _ := rig(t, Config{})
-	hub := dispatch.NewHub(s.Conn())
-	sp := NewWithDispatcher(s.Conn(), Config{PipelineWrites: true},
-		dispatch.NewShared(hub, s.Conn()))
-	defer sp.Close()
-	if !sp.WritesPipelined() {
-		t.Fatal("shared store with PipelineWrites does not pipeline writes")
-	}
-	if id, err := sp.Register("SELECT name FROM items WHERE id = 2"); err != nil {
-		t.Fatal(err)
-	} else if _, err := sp.ResultSet(id); err != nil {
-		t.Fatal(err) // demand-close: single session, no quorum configured
-	}
-	if err := sp.ExecPipelined("UPDATE items SET qty = 77 WHERE id = 1"); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := sp.Exec("SELECT qty FROM items WHERE id = 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Rows[0][0] != int64(77) {
-		t.Fatalf("shared read after pipelined write saw %v, want 77", rs.Rows[0][0])
-	}
-}

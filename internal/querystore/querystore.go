@@ -19,12 +19,12 @@
 //
 // WHEN a flushed batch executes, and when the session pays for it, is
 // delegated to a dispatch.Dispatcher (internal/dispatch): synchronously at
-// the flush point (the paper's strategy), at the flush point but paid only
-// at force time so app compute overlaps the round trip on the virtual
-// clock, or through a cross-session shared accumulation window. The
-// store's own contract is unchanged under every strategy: results per
-// query id are identical, and a batch that failed reports its execution
-// error at force time for every id it carried (deferred-error delivery).
+// the flush point (the paper's strategy), or at the flush point but paid
+// only at force time so app compute overlaps the round trip on the virtual
+// clock. The store's own contract is unchanged under either strategy:
+// results per query id are identical, and a batch that failed reports its
+// execution error at force time for every id it carried (deferred-error
+// delivery).
 // Under a deferred dispatcher, writes can additionally ride the pipeline
 // as fire-and-forget tickets (Config.PipelineWrites, ExecPipelined): the
 // write still flushes in statement order, but the session stops paying a
@@ -79,13 +79,8 @@ type Config struct {
 	// Retry is the recovery policy installed on the store's dispatcher
 	// (capped-backoff retry of injected transient failures plus degraded
 	// per-statement execution; see dispatch.RetryPolicy). The zero value —
-	// no recovery — leaves behaviour identical to a fault-free build. For
-	// shared dispatch this configures the session front end's write path;
-	// install the window policy on the Hub itself (Hub.SetRetry).
+	// no recovery — leaves behaviour identical to a fault-free build.
 	Retry dispatch.RetryPolicy
-	// Hub is the shared cross-session accumulation window, required when
-	// Dispatch is dispatch.KindShared and ignored otherwise.
-	Hub *dispatch.Hub
 	// PipelineWrites lets mutating statements ride a deferred dispatcher
 	// as fire-and-forget tickets (ExecPipelined): the write still flushes
 	// the batch in order — per-session FIFO execution preserves
@@ -142,9 +137,7 @@ type inflight struct {
 // Store is a per-request (per-session) query store; a session that serves
 // many requests marks each boundary with EndRequest. It is not safe for
 // concurrent use: Sloth's execution model is one request thread evaluating
-// its own lazy computation, matching the paper's per-client batching. (A
-// shared window may execute this store's reads on another session's
-// goroutine; every other batch runs on the store's own.)
+// its own lazy computation, matching the paper's per-client batching.
 type Store struct {
 	conn   *driver.Conn
 	cfg    Config
@@ -203,31 +196,19 @@ func New(conn *driver.Conn, cfg Config) *Store {
 		s.merger = merge.New(cfg.Merge)
 		stages = append(stages, dispatch.MergeStage(s.merger))
 	}
-	var local *dispatch.Local
-	switch cfg.Dispatch {
-	case dispatch.KindShared:
-		if cfg.Hub == nil {
-			panic("querystore: KindShared requires Config.Hub")
-		}
-		shared := dispatch.NewShared(cfg.Hub, conn, stages...)
-		if cfg.Retry.MaxAttempts > 1 { // else keep the hub's policy
-			shared.SetRetry(cfg.Retry)
-		}
-		s.disp = shared
-		return s
-	case dispatch.KindAsync:
-		local = dispatch.NewAsync(conn, stages...)
-	default:
-		local = dispatch.NewSync(conn, stages...)
+	newLocal := dispatch.NewSync
+	if cfg.Dispatch == dispatch.KindAsync {
+		newLocal = dispatch.NewAsync
 	}
+	local := newLocal(conn, stages...)
 	local.SetRetry(cfg.Retry)
 	s.disp = local
 	return s
 }
 
 // NewWithDispatcher creates a store over a caller-built dispatcher
-// (custom pipelines and tests). cfg.Dispatch, cfg.Hub, and cfg.Merge are
-// ignored: the caller's dispatcher already embodies them.
+// (custom pipelines and tests). cfg.Dispatch and cfg.Merge are ignored:
+// the caller's dispatcher already embodies them.
 func NewWithDispatcher(conn *driver.Conn, cfg Config, disp dispatch.Dispatcher) *Store {
 	return &Store{conn: conn, cfg: cfg, disp: disp}
 }
@@ -319,9 +300,7 @@ func (s *Store) Dispatcher() dispatch.Dispatcher { return s.disp }
 func (s *Store) Stats() Stats { return s.stats }
 
 // MergeStats snapshots this store's merge stage counters (cumulative over
-// the store's lifetime); the zero value when merging is disabled. Under
-// shared dispatch it counts only this session's write batches: window
-// batches merge in the hub's own stage.
+// the store's lifetime); the zero value when merging is disabled.
 func (s *Store) MergeStats() merge.Stats {
 	if s.merger == nil {
 		return merge.Stats{}
@@ -524,8 +503,8 @@ func (s *Store) submit(trigger string) {
 	if len(batch) > s.stats.MaxBatch {
 		s.stats.MaxBatch = len(batch)
 	}
-	// The dispatcher is done with the batch when Submit returns (a shared
-	// window parks its own copy), so the next batch reuses the array.
+	// The dispatcher is done with the batch when Submit returns, so the next
+	// batch reuses the array.
 	s.queue = batch[:0]
 }
 

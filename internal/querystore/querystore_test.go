@@ -566,208 +566,3 @@ func TestAsyncStoreEquivalence(t *testing.T) {
 		t.Fatalf("async results diverge:\nsync  %v\nasync %v", want, got)
 	}
 }
-
-// TestSharedStoresCoalesceViaHub: two stores feeding one hub execute an
-// identical lookup once, and the hub counts the second as coalesced.
-func TestSharedStoresCoalesceViaHub(t *testing.T) {
-	clock := netsim.NewVirtualClock()
-	db := engine.New()
-	srv := driver.NewServer(db, clock, driver.DefaultCostModel())
-	boot := srv.Connect(netsim.NewLink(clock, 0))
-	for _, sql := range []string{
-		"CREATE TABLE items (id INT PRIMARY KEY, name TEXT)",
-		"INSERT INTO items (id, name) VALUES (1, 'apple')",
-	} {
-		if _, err := boot.Query(sql); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hub := dispatch.NewHub(srv.Connect(netsim.NewLink(netsim.NewVirtualClock(), 0)))
-	mk := func() *Store {
-		return New(srv.Connect(netsim.NewLink(netsim.NewVirtualClock(), 0)),
-			Config{Dispatch: dispatch.KindShared, Hub: hub})
-	}
-	s1, s2 := mk(), mk()
-	id1, _ := s1.Register("SELECT name FROM items WHERE id = 1")
-	id2, _ := s2.Register("SELECT name FROM items WHERE id = 1")
-	s1.FlushAsync()
-	s2.FlushAsync()
-	before := srv.Stats().Queries
-	rs1, err := s1.ResultSet(id1)
-	if err != nil || rs1.Rows[0][0] != "apple" {
-		t.Fatalf("s1: %v %v", rs1, err)
-	}
-	rs2, err := s2.ResultSet(id2)
-	if err != nil || rs2.Rows[0][0] != "apple" {
-		t.Fatalf("s2: %v %v", rs2, err)
-	}
-	if got := srv.Stats().Queries - before; got != 1 {
-		t.Fatalf("server executed %d statements, want 1", got)
-	}
-	if c := hub.Stats().Coalesced; c != 1 {
-		t.Fatalf("hub coalesced %d statements, want 1", c)
-	}
-}
-
-// TestSharedWindowKeepsSubmittedBatch: the store hands its queue to the
-// dispatcher and reuses the array for the next batch, so a shared window —
-// which reads its entries only when it closes — must park its own copy.
-// A and B wait in a quorum-less window while C and D are registered into
-// the same array; forcing A then closes the window with both batches, and
-// every id must still answer its own statement.
-func TestSharedWindowKeepsSubmittedBatch(t *testing.T) {
-	_, _, _, mk := sharedRig(t, merge.Config{})
-	s := mk()
-	reg := func(sql string, arg int64) QueryID {
-		t.Helper()
-		id, err := s.Register(sql, arg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return id
-	}
-	const byID = "SELECT name FROM items WHERE id = ?"
-	a, b := reg(byID, 1), reg(byID, 2)
-	s.FlushAsync()
-	c, d := reg(byID, 3), reg("SELECT name FROM items WHERE qty > ? ORDER BY id", 6)
-	for _, tc := range []struct {
-		id   QueryID
-		want string
-	}{{a, "[[apple]]"}, {b, "[[pear]]"}, {c, "[[fig]]"}, {d, "[[pear]]"}} {
-		rs, err := s.ResultSet(tc.id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fmt.Sprint(rs.Rows); got != tc.want {
-			t.Fatalf("id %d: rows %s, want %s", tc.id, got, tc.want)
-		}
-	}
-}
-
-// sharedRig builds a server and a hub (merging with its own merger, returned
-// non-nil, when cfgMerge is enabled) plus a store factory for shared-dispatch
-// stores.
-func sharedRig(t *testing.T, cfgMerge merge.Config) (*driver.Server, *dispatch.Hub, *merge.Merger, func() *Store) {
-	t.Helper()
-	clock := netsim.NewVirtualClock()
-	db := engine.New()
-	srv := driver.NewServer(db, clock, driver.DefaultCostModel())
-	boot := srv.Connect(netsim.NewLink(clock, 0))
-	for _, sql := range []string{
-		"CREATE TABLE items (id INT PRIMARY KEY, name TEXT, qty INT)",
-		"INSERT INTO items (id, name, qty) VALUES (1, 'apple', 5), (2, 'pear', 7), (3, 'fig', 2)",
-	} {
-		if _, err := boot.Query(sql); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var stages []dispatch.Stage
-	var m *merge.Merger
-	if cfgMerge.Enabled {
-		m = merge.New(cfgMerge)
-		stages = append(stages, dispatch.MergeStage(m))
-	}
-	hub := dispatch.NewHub(srv.Connect(netsim.NewLink(netsim.NewVirtualClock(), 0)), stages...)
-	mk := func() *Store {
-		return New(srv.Connect(netsim.NewLink(netsim.NewVirtualClock(), 0)),
-			Config{Dispatch: dispatch.KindShared, Hub: hub, Merge: cfgMerge})
-	}
-	return srv, hub, m, mk
-}
-
-// TestSharedStoreMergeStatsNonzero: when the shared hub's merge stage
-// coalesces a cross-session family, the hub's merger counts the savings, once:
-// the stores' own mergers never see a window batch.
-func TestSharedStoreMergeStatsNonzero(t *testing.T) {
-	srv, hub, hubMerger, mk := sharedRig(t, merge.Config{Enabled: true})
-	s1, s2 := mk(), mk()
-
-	// Each store contributes two members of the same point-lookup family:
-	// the window coalesces the shared id 2 and merges the other 3 into 1.
-	ids1 := []QueryID{}
-	ids2 := []QueryID{}
-	for _, id := range []int64{1, 2} {
-		qid, err := s1.Register("SELECT id, name FROM items WHERE id = ?", id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids1 = append(ids1, qid)
-	}
-	for _, id := range []int64{3, 2} {
-		qid, err := s2.Register("SELECT id, name FROM items WHERE id = ?", id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids2 = append(ids2, qid)
-	}
-	s1.FlushAsync()
-	s2.FlushAsync()
-	before := srv.Stats().Queries
-	for i, want := range []string{"apple", "pear"} {
-		rs, err := s1.ResultSet(ids1[i])
-		if err != nil || rs.Rows[0][1] != want {
-			t.Fatalf("s1 id %d: %v %v", i, rs, err)
-		}
-	}
-	for i, want := range []string{"fig", "pear"} {
-		rs, err := s2.ResultSet(ids2[i])
-		if err != nil || rs.Rows[0][1] != want {
-			t.Fatalf("s2 id %d: %v %v", i, rs, err)
-		}
-	}
-	if got := srv.Stats().Queries - before; got != 1 {
-		t.Fatalf("server executed %d statements, want 1 merged", got)
-	}
-
-	if ms := hubMerger.Stats(); ms.Saved != 2 || ms.Groups != 1 || ms.SavedByFamily[merge.FamilyEquality] != 2 {
-		t.Fatalf("hub merge stats %+v, want saved 2 (equality) in 1 group", ms)
-	}
-	if c := hub.Stats().Coalesced; c != 1 {
-		t.Fatalf("hub coalesced %d statements, want 1", c)
-	}
-	for i, s := range []*Store{s1, s2} {
-		if ms := s.MergeStats(); ms.Batches != 0 {
-			t.Fatalf("store %d merged window batches itself: %+v", i+1, ms)
-		}
-	}
-}
-
-// TestSharedWindowErrorReachesEverySessionIDs pins deferred-error delivery
-// through the shared window: when the combined window fails, every id of
-// every contributing store must report the execution error at force time
-// (not "unknown query id"), including ids registered by the session that
-// did not submit the failing statement.
-func TestSharedWindowErrorReachesEverySessionIDs(t *testing.T) {
-	_, hub, _, mk := sharedRig(t, merge.Config{})
-	s1, s2 := mk(), mk()
-
-	good1, err := s1.Register("SELECT name FROM items WHERE id = 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	good2, err := s1.Register("SELECT name FROM items WHERE id = 2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad, err := s2.Register("SELECT name FROM no_such_table")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1.FlushAsync()
-	s2.FlushAsync()
-	hub.CloseWindow()
-
-	for _, id := range []QueryID{good1, good2} {
-		if _, err := s1.ResultSet(id); err == nil {
-			t.Fatalf("s1 id %d: window error not delivered", id)
-		} else if strings.Contains(err.Error(), "unknown query id") {
-			t.Fatalf("s1 id %d: got %q, want the execution error", id, err)
-		}
-	}
-	if _, err := s2.ResultSet(bad); err == nil {
-		t.Fatal("s2: window error not delivered")
-	}
-	if hub.Stats().Errors != 1 {
-		t.Fatalf("hub Errors = %d, want 1", hub.Stats().Errors)
-	}
-}

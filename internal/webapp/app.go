@@ -277,11 +277,10 @@ func (a *App) load(r *request, page *Page, req Params, sess *orm.Session) (*Resu
 		Entities:    sess.Stats().Deserialized - entitiesBefore,
 	}
 	// PerRoundTrip is the client-side driver work of shipping one batch. A
-	// Sloth session counts the batches it SUBMITTED (deterministic — a
-	// deferred dispatcher's worker may still be crossing the link for
-	// speculative batches when the page finishes, and shared windows cross
-	// on the hub's link, not the session's); an original-mode session
-	// counts its link round trips, which it always blocked for.
+	// Sloth session counts the batches its store SUBMITTED, one per flush
+	// however many link trips retries or degradation then spend on it; an
+	// original-mode session counts its link round trips, which it always
+	// blocked for.
 	trips := sess.Store().Stats().Batches - batchesBefore
 	if !sess.Sloth() {
 		trips = sess.Conn().Link().Stats().RoundTrips - tripsBefore
