@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fuzz bench shardbench
+.PHONY: all build test race vet fuzz bench shardbench golden
 
 all: vet build test
 
@@ -35,3 +35,17 @@ bench:
 # bytes staying identical across shard counts) is visible locally.
 shardbench:
 	$(GO) run ./cmd/slothbench -exp throughput -shards 1,4 -workers 2
+
+# The deterministic figures' committed reports, compared byte for byte by
+# TestExperimentsGolden (cmd/slothbench/golden_test.go, which lists the same
+# experiments and arguments). Regenerate after an intended change to a
+# figure and review it with `git diff cmd/slothbench/testdata`.
+GOLDEN_DIR = cmd/slothbench/testdata
+GOLDEN_EXPS = fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 appendix ablation merge faults
+
+golden:
+	mkdir -p $(GOLDEN_DIR) .golden_build
+	$(GO) build -o .golden_build/slothbench ./cmd/slothbench
+	for e in $(GOLDEN_EXPS); do .golden_build/slothbench -exp $$e > $(GOLDEN_DIR)/$$e.txt || exit 1; done
+	.golden_build/slothbench -exp trace -traceout '' > $(GOLDEN_DIR)/trace.txt
+	.golden_build/slothbench -exp throughput -sessions 1 -workers 1,4 > $(GOLDEN_DIR)/throughput.txt

@@ -11,6 +11,7 @@ import (
 	"expvar"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	_ "net/http/pprof"
@@ -44,49 +45,8 @@ type options struct {
 }
 
 func main() {
-	var o options
-	flag.StringVar(&o.exp, "exp", "all", "experiment: fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|appendix|ablation|merge|throughput|trace|faults|all")
-	flag.DurationVar(&o.rtt, "rtt", 500*time.Microsecond, "round-trip latency for suite experiments")
-	flag.IntVar(&o.txns, "txns", 500, "transactions per Fig. 13 workload")
-	flag.IntVar(&o.reps, "reps", 25, "repetitions per Fig. 12 configuration")
-	flag.BoolVar(&o.mergeOn, "merge", false, "enable the batch query-merge optimizer for suite experiments")
-	families := flag.String("families", "all", "merge families when -merge is set: all (equality+aggregate+range) | eq (equality only, the PR 1 baseline)")
-	dispatchFlag := flag.String("dispatch", "", "dispatch strategy: sync|async (suite experiments; empty = sync, throughput compares both unless set)")
-	flag.IntVar(&o.sessions, "sessions", 0, "concurrent sessions for -exp throughput (0 = sweep 1,2,4,8)")
-	workersFlag := flag.String("workers", "", "server DB worker queues for -exp throughput, comma-separated (empty = sweep 1,4)")
-	shardsFlag := flag.String("shards", "", "database shard counts for -exp throughput, comma-separated (empty = unsharded; rendering is byte-identical at any count, only occupancy changes)")
-	flag.BoolVar(&o.visits, "visits", true, "record a visit-log write per page load in -exp throughput (false = read-only replay; either way single-session cells are byte-stable run to run, multi-session cells are not)")
-	flag.StringVar(&o.traceOut, "traceout", "BENCH_trace.json", "Chrome trace-event JSON path for -exp trace (empty disables; load in Perfetto or chrome://tracing)")
-	flag.StringVar(&o.debugAddr, "debugaddr", "", "serve net/http/pprof and expvar (the live cell's counters under /debug/vars key \"sloth\") on this address, e.g. localhost:6060 (empty disables)")
-	faultsFlag := flag.String("faults", "", "injected transient-failure rates for -exp faults, comma-separated (empty = sweep 0,0.05,0.1,0.2; include 0 for the clean baseline)")
-	flag.Uint64Var(&o.faultSeed, "faultseed", 1, "seed for the deterministic fault plane in -exp faults (same seed, same faults, same report)")
-	flag.Parse()
-
-	var ok bool
-	o.kind, ok = dispatch.ParseKind(*dispatchFlag)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "slothbench: unknown -dispatch %q\n", *dispatchFlag)
-		os.Exit(1)
-	}
-	o.kindSet = *dispatchFlag != ""
-
-	if *families != "all" && *families != "eq" {
-		fmt.Fprintf(os.Stderr, "slothbench: unknown -families %q (want all or eq)\n", *families)
-		os.Exit(1)
-	}
-	o.eqOnly = *families == "eq"
-
-	var err error
-	if o.workers, err = parseCounts(*workersFlag, "-workers"); err != nil {
-		fmt.Fprintf(os.Stderr, "slothbench: %v\n", err)
-		os.Exit(1)
-	}
-	if o.shards, err = parseCounts(*shardsFlag, "-shards"); err != nil {
-		fmt.Fprintf(os.Stderr, "slothbench: %v\n", err)
-		os.Exit(1)
-	}
-
-	if o.faults, err = parseRates(*faultsFlag); err != nil {
+	o, err := parseFlags(os.Args[1:])
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "slothbench: %v\n", err)
 		os.Exit(1)
 	}
@@ -98,10 +58,57 @@ func main() {
 		}
 	}
 
-	if err := run(o); err != nil {
+	if err := run(os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, "slothbench:", err)
 		os.Exit(1)
 	}
+}
+
+// parseFlags turns the command line into options. Malformed values exit 2
+// through the flag package; values it parses but the experiments cannot use
+// come back as an error naming the flag.
+func parseFlags(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("slothbench", flag.ExitOnError)
+	fs.StringVar(&o.exp, "exp", "all", "experiment: fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|appendix|ablation|merge|throughput|trace|faults|all")
+	fs.DurationVar(&o.rtt, "rtt", 500*time.Microsecond, "round-trip latency for suite experiments")
+	fs.IntVar(&o.txns, "txns", 500, "transactions per Fig. 13 workload")
+	fs.IntVar(&o.reps, "reps", 25, "repetitions per Fig. 12 configuration")
+	fs.BoolVar(&o.mergeOn, "merge", false, "enable the batch query-merge optimizer for suite experiments")
+	families := fs.String("families", "all", "merge families when -merge is set: all (equality+aggregate+range) | eq (equality only, the PR 1 baseline)")
+	dispatchFlag := fs.String("dispatch", "", "dispatch strategy: sync|async (suite experiments; empty = sync, throughput compares both unless set)")
+	fs.IntVar(&o.sessions, "sessions", 0, "concurrent sessions for -exp throughput (0 = sweep 1,2,4,8)")
+	workersFlag := fs.String("workers", "", "server DB worker queues for -exp throughput, comma-separated (empty = sweep 1,4)")
+	shardsFlag := fs.String("shards", "", "database shard counts for -exp throughput, comma-separated (empty = unsharded; rendering is byte-identical at any count, only occupancy changes)")
+	fs.BoolVar(&o.visits, "visits", true, "record a visit-log write per page load in -exp throughput (false = read-only replay; either way single-session cells are byte-stable run to run, multi-session cells are not)")
+	fs.StringVar(&o.traceOut, "traceout", "BENCH_trace.json", "Chrome trace-event JSON path for -exp trace (empty disables; load in Perfetto or chrome://tracing)")
+	fs.StringVar(&o.debugAddr, "debugaddr", "", "serve net/http/pprof and expvar (the live cell's counters under /debug/vars key \"sloth\") on this address, e.g. localhost:6060 (empty disables)")
+	faultsFlag := fs.String("faults", "", "injected transient-failure rates for -exp faults, comma-separated (empty = sweep 0,0.05,0.1,0.2; include 0 for the clean baseline)")
+	fs.Uint64Var(&o.faultSeed, "faultseed", 1, "seed for the deterministic fault plane in -exp faults (same seed, same faults, same report)")
+	fs.Parse(args)
+
+	var ok bool
+	if o.kind, ok = dispatch.ParseKind(*dispatchFlag); !ok {
+		return o, fmt.Errorf("unknown -dispatch %q", *dispatchFlag)
+	}
+	o.kindSet = *dispatchFlag != ""
+
+	if *families != "all" && *families != "eq" {
+		return o, fmt.Errorf("unknown -families %q (want all or eq)", *families)
+	}
+	o.eqOnly = *families == "eq"
+
+	var err error
+	if o.workers, err = parseCounts(*workersFlag, "-workers"); err != nil {
+		return o, err
+	}
+	if o.shards, err = parseCounts(*shardsFlag, "-shards"); err != nil {
+		return o, err
+	}
+	if o.faults, err = parseRates(*faultsFlag); err != nil {
+		return o, err
+	}
+	return o, nil
 }
 
 // parseCounts parses a comma-separated positive count list; empty means
@@ -164,7 +171,7 @@ func serveDebug(addr string) error {
 	return nil
 }
 
-func run(o options) error {
+func run(w io.Writer, o options) error {
 	exp, rtt := o.exp, o.rtt
 	txns, reps := o.txns, o.reps
 	mergeOn, eqOnly := o.mergeOn, o.eqOnly
@@ -200,7 +207,7 @@ func run(o options) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(bench.BuildCDF(id, comps).Format())
+		fmt.Fprint(w, bench.BuildCDF(id, comps).Format())
 		return nil
 	}
 
@@ -216,7 +223,7 @@ func run(o options) error {
 			if err != nil {
 				return err
 			}
-			fmt.Print(rep.Format())
+			fmt.Fprint(w, rep.Format())
 			return nil
 		},
 		"fig8": func() error {
@@ -229,7 +236,7 @@ func run(o options) error {
 				if err != nil {
 					return err
 				}
-				fmt.Print(bench.TimeBreakdown(id, comps).Format())
+				fmt.Fprint(w, bench.TimeBreakdown(id, comps).Format())
 			}
 			return nil
 		},
@@ -244,7 +251,7 @@ func run(o options) error {
 				if err != nil {
 					return err
 				}
-				fmt.Print(rep.Format())
+				fmt.Fprint(w, rep.Format())
 			}
 			return nil
 		},
@@ -254,12 +261,12 @@ func run(o options) error {
 				if err != nil {
 					return err
 				}
-				fmt.Print(rep.Format())
+				fmt.Fprint(w, rep.Format())
 			}
 			return nil
 		},
 		"fig11": func() error {
-			fmt.Print(bench.PersistentMethods().Format())
+			fmt.Fprint(w, bench.PersistentMethods().Format())
 			return nil
 		},
 		"fig12": func() error {
@@ -267,7 +274,7 @@ func run(o options) error {
 			if err != nil {
 				return err
 			}
-			fmt.Print(rep.Format())
+			fmt.Fprint(w, rep.Format())
 			return nil
 		},
 		"fig13": func() error {
@@ -275,7 +282,7 @@ func run(o options) error {
 			if err != nil {
 				return err
 			}
-			fmt.Print(rep.Format())
+			fmt.Fprint(w, rep.Format())
 			return nil
 		},
 		"appendix": func() error {
@@ -288,7 +295,7 @@ func run(o options) error {
 				if err != nil {
 					return err
 				}
-				fmt.Print(bench.AppendixTable(id, comps))
+				fmt.Fprint(w, bench.AppendixTable(id, comps))
 			}
 			return nil
 		},
@@ -301,7 +308,7 @@ func run(o options) error {
 			if err != nil {
 				return err
 			}
-			fmt.Print(rep.Format())
+			fmt.Fprint(w, rep.Format())
 			return nil
 		},
 		"merge": func() error {
@@ -314,7 +321,7 @@ func run(o options) error {
 				if err != nil {
 					return err
 				}
-				fmt.Print(rep.Format())
+				fmt.Fprint(w, rep.Format())
 			}
 			return nil
 		},
@@ -343,7 +350,7 @@ func run(o options) error {
 				if err != nil {
 					return err
 				}
-				fmt.Print(rep.Format())
+				fmt.Fprint(w, rep.Format())
 			}
 			return nil
 		},
@@ -352,7 +359,7 @@ func run(o options) error {
 			if err != nil {
 				return err
 			}
-			fmt.Print(rep.Format())
+			fmt.Fprint(w, rep.Format())
 			return nil
 		},
 		"faults": func() error {
@@ -365,7 +372,7 @@ func run(o options) error {
 				if err != nil {
 					return err
 				}
-				fmt.Print(rep.Format())
+				fmt.Fprint(w, rep.Format())
 			}
 			return nil
 		},
@@ -376,7 +383,7 @@ func run(o options) error {
 			if err := experiments[name](); err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 		return nil
 	}
