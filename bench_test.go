@@ -1,225 +1,10 @@
 package sloth
 
-// One benchmark per table/figure in the paper's evaluation (Sec. 6). Each
-// regenerates its artifact through internal/bench and logs the formatted
-// report; `go test -bench=. -benchmem` therefore reproduces the full
-// evaluation. EXPERIMENTS.md records paper-vs-measured for each.
+import "testing"
 
-import (
-	"sync"
-	"testing"
-	"time"
-
-	"repro/internal/bench"
-)
-
-var (
-	envOnce sync.Once
-	envIT   *bench.Env
-	envOM   *bench.Env
-	envErr  error
-)
-
-func envs(b *testing.B) (*bench.Env, *bench.Env) {
-	b.Helper()
-	envOnce.Do(func() {
-		envIT, envErr = bench.NewEnv(bench.Itracker, 1)
-		if envErr != nil {
-			return
-		}
-		envOM, envErr = bench.NewEnv(bench.OpenMRS, 1)
-	})
-	if envErr != nil {
-		b.Fatal(envErr)
-	}
-	return envIT, envOM
-}
-
-// BenchmarkFig5_ItrackerCDF regenerates Fig. 5: itracker speedup,
-// round-trip, and issued-query CDFs over the 38 page benchmarks.
-func BenchmarkFig5_ItrackerCDF(b *testing.B) {
-	it, _ := envs(b)
-	var report string
-	for i := 0; i < b.N; i++ {
-		comps, err := it.RunSuite(500 * time.Microsecond)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report = bench.BuildCDF(bench.Itracker, comps).Format()
-	}
-	b.Log("\n" + report)
-}
-
-// BenchmarkFig6_OpenMRSCDF regenerates Fig. 6: OpenMRS CDFs over the 112
-// page benchmarks.
-func BenchmarkFig6_OpenMRSCDF(b *testing.B) {
-	_, om := envs(b)
-	var report string
-	for i := 0; i < b.N; i++ {
-		comps, err := om.RunSuite(500 * time.Microsecond)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report = bench.BuildCDF(bench.OpenMRS, comps).Format()
-	}
-	b.Log("\n" + report)
-}
-
-// BenchmarkFig7_Throughput regenerates Fig. 7: closed-loop throughput vs
-// client count for original and Sloth OpenMRS.
-func BenchmarkFig7_Throughput(b *testing.B) {
-	_, om := envs(b)
-	clients := []int{1, 2, 5, 10, 25, 50, 100, 200, 300, 400, 500, 600}
-	var report string
-	for i := 0; i < b.N; i++ {
-		rep, err := bench.Throughput(om, clients)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report = rep.Format()
-	}
-	b.Log("\n" + report)
-}
-
-// BenchmarkFig8_TimeBreakdown regenerates Fig. 8: aggregate network / app
-// server / DB time for both applications.
-func BenchmarkFig8_TimeBreakdown(b *testing.B) {
-	it, om := envs(b)
-	var report string
-	for i := 0; i < b.N; i++ {
-		report = ""
-		for _, env := range []*bench.Env{it, om} {
-			comps, err := env.RunSuite(500 * time.Microsecond)
-			if err != nil {
-				b.Fatal(err)
-			}
-			report += bench.TimeBreakdown(env.ID, comps).Format()
-		}
-	}
-	b.Log("\n" + report)
-}
-
-// BenchmarkFig9_NetworkScaling regenerates Fig. 9: speedup CDFs at 0.5, 1,
-// and 10 ms RTT for both applications.
-func BenchmarkFig9_NetworkScaling(b *testing.B) {
-	it, om := envs(b)
-	rtts := []time.Duration{500 * time.Microsecond, time.Millisecond, 10 * time.Millisecond}
-	var report string
-	for i := 0; i < b.N; i++ {
-		report = ""
-		for _, env := range []*bench.Env{it, om} {
-			rep, err := bench.NetworkScaling(env, rtts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			report += rep.Format()
-		}
-	}
-	b.Log("\n" + report)
-}
-
-// BenchmarkFig10_DBScaling regenerates Fig. 10: load time vs database size
-// for itracker's list_projects and OpenMRS's encounterDisplay.
-func BenchmarkFig10_DBScaling(b *testing.B) {
-	scales := []int{1, 2, 4, 8}
-	var report string
-	for i := 0; i < b.N; i++ {
-		report = ""
-		for _, app := range []bench.AppID{bench.Itracker, bench.OpenMRS} {
-			rep, err := bench.DBScaling(app, scales)
-			if err != nil {
-				b.Fatal(err)
-			}
-			report += rep.Format()
-		}
-	}
-	b.Log("\n" + report)
-}
-
-// BenchmarkFig11_PersistentMethods regenerates Fig. 11: the selective-
-// compilation analysis over application-scale call graphs.
-func BenchmarkFig11_PersistentMethods(b *testing.B) {
-	var report string
-	for i := 0; i < b.N; i++ {
-		report = bench.PersistentMethods().Format()
-	}
-	b.Log("\n" + report)
-}
-
-// BenchmarkFig12_Optimizations regenerates Fig. 12: total kernel-benchmark
-// runtime as the optimizations enable cumulatively.
-func BenchmarkFig12_Optimizations(b *testing.B) {
-	var report string
-	for i := 0; i < b.N; i++ {
-		rep, err := bench.OptimizationAblation(10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report = rep.Format()
-	}
-	b.Log("\n" + report)
-}
-
-// BenchmarkFig13_Overhead regenerates Fig. 13: TPC-C / TPC-W wall-clock
-// overhead of lazy evaluation.
-func BenchmarkFig13_Overhead(b *testing.B) {
-	var report string
-	for i := 0; i < b.N; i++ {
-		rep, err := bench.Overhead(150)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report = rep.Format()
-	}
-	b.Log("\n" + report)
-}
-
-// BenchmarkAppendix_PerPageTables regenerates the appendix per-benchmark
-// tables for both applications.
-func BenchmarkAppendix_PerPageTables(b *testing.B) {
-	it, om := envs(b)
-	var report string
-	for i := 0; i < b.N; i++ {
-		report = ""
-		for _, env := range []*bench.Env{it, om} {
-			comps, err := env.RunSuite(500 * time.Microsecond)
-			if err != nil {
-				b.Fatal(err)
-			}
-			report += bench.AppendixTable(env.ID, comps)
-		}
-	}
-	b.Log("\n" + report)
-}
-
-// BenchmarkAblation_QueryStore compares store configurations (dedup off,
-// batch caps) — the design-choice ablations from DESIGN.md.
-func BenchmarkAblation_QueryStore(b *testing.B) {
-	it, _ := envs(b)
-	var report string
-	for i := 0; i < b.N; i++ {
-		rep, err := bench.StoreAblation(it, []int{4, 16})
-		if err != nil {
-			b.Fatal(err)
-		}
-		report = rep.Format()
-	}
-	b.Log("\n" + report)
-}
-
-// BenchmarkAblation_ParallelBatch compares parallel vs serial server-side
-// execution of one read batch (the batch-driver design choice, Sec. 5).
-func BenchmarkAblation_ParallelBatch(b *testing.B) {
-	var report string
-	for i := 0; i < b.N; i++ {
-		rep, err := bench.ParallelBatchAblation(64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report = rep.Format()
-	}
-	b.Log("\n" + report)
-}
+// The paper's figures are run by cmd/slothbench and pinned byte for byte by
+// its TestExperimentsGolden; what stays here is the one micro-benchmark
+// that has no other driver.
 
 // BenchmarkAblation_Memoization prices thunk forcing with and without a
 // memoized value — the reason repeated forces are free (Sec. 3.2).
@@ -232,23 +17,4 @@ func BenchmarkAblation_Memoization(b *testing.B) {
 	if sum == 0 {
 		b.Fatal("unexpected zero")
 	}
-}
-
-// BenchmarkAblation_BatchMerge regenerates the batch-merge ladder (no dedup
-// / dedup only / dedup + IN-list merging) over both application suites —
-// the internal/merge optimization on top of the paper's batching.
-func BenchmarkAblation_BatchMerge(b *testing.B) {
-	it, om := envs(b)
-	var report string
-	for i := 0; i < b.N; i++ {
-		report = ""
-		for _, env := range []*bench.Env{it, om} {
-			rep, err := bench.MergeAblation(env)
-			if err != nil {
-				b.Fatal(err)
-			}
-			report += rep.Format()
-		}
-	}
-	b.Log("\n" + report)
 }

@@ -2,10 +2,8 @@ package main
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -54,48 +52,9 @@ func TestExperimentsGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got.Bytes(), want) {
-				t.Errorf("-exp %s %s differs from testdata/%s.txt (regenerate with `make golden` if intended):\n%s",
-					g.name, strings.Join(g.args, " "), g.name, firstDiff(string(want), got.String()))
+				t.Errorf("-exp %s %s differs from testdata/%s.txt; `make golden` then `git diff` shows how:\n%s",
+					g.name, strings.Join(g.args, " "), g.name, got.String())
 			}
 		})
 	}
-}
-
-// TestGoldenFilesHaveACase keeps testdata and the table in step: a report
-// nobody regenerates or compares is dead weight.
-func TestGoldenFilesHaveACase(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join("testdata", "*.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var have, want []string
-	for _, f := range files {
-		have = append(have, strings.TrimSuffix(filepath.Base(f), ".txt"))
-	}
-	for _, g := range goldens {
-		want = append(want, g.name)
-	}
-	sort.Strings(have)
-	sort.Strings(want)
-	if strings.Join(have, " ") != strings.Join(want, " ") {
-		t.Errorf("testdata holds %v, the table names %v", have, want)
-	}
-}
-
-// firstDiff shows the first line where two reports part.
-func firstDiff(want, got string) string {
-	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
-	for i := 0; i < len(w) || i < len(g); i++ {
-		var wl, gl string
-		if i < len(w) {
-			wl = w[i]
-		}
-		if i < len(g) {
-			gl = g[i]
-		}
-		if wl != gl {
-			return fmt.Sprintf("line %d:\nwant %s\ngot  %s", i+1, wl, gl)
-		}
-	}
-	return "(same lines, different bytes)"
 }

@@ -5,6 +5,11 @@
 //	slothbench -exp fig6
 //	slothbench -exp fig9 -rtt 10ms
 //	slothbench -exp appendix
+//
+// Every report but Fig. 13 (host clock) and multi-session throughput cells
+// (host scheduler) is a pure function of the code; testdata holds them at
+// the default flags, TestExperimentsGolden compares them byte for byte, and
+// `make golden` regenerates them.
 package main
 
 import (
@@ -22,6 +27,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/dispatch"
+	"repro/internal/querystore"
 )
 
 // options carries every flag into run.
@@ -30,8 +36,7 @@ type options struct {
 	rtt       time.Duration
 	txns      int
 	reps      int
-	mergeOn   bool
-	eqOnly    bool
+	storeCfg  querystore.Config // the suite experiments' store: -merge, -families, -dispatch
 	kind      dispatch.Kind
 	kindSet   bool
 	sessions  int
@@ -74,7 +79,7 @@ func parseFlags(args []string) (options, error) {
 	fs.DurationVar(&o.rtt, "rtt", 500*time.Microsecond, "round-trip latency for suite experiments")
 	fs.IntVar(&o.txns, "txns", 500, "transactions per Fig. 13 workload")
 	fs.IntVar(&o.reps, "reps", 25, "repetitions per Fig. 12 configuration")
-	fs.BoolVar(&o.mergeOn, "merge", false, "enable the batch query-merge optimizer for suite experiments")
+	mergeOn := fs.Bool("merge", false, "enable the batch query-merge optimizer for suite experiments")
 	families := fs.String("families", "all", "merge families when -merge is set: all (equality+aggregate+range) | eq (equality only, the PR 1 baseline)")
 	dispatchFlag := fs.String("dispatch", "", "dispatch strategy: sync|async (suite experiments; empty = sync, throughput compares both unless set)")
 	fs.IntVar(&o.sessions, "sessions", 0, "concurrent sessions for -exp throughput (0 = sweep 1,2,4,8)")
@@ -87,16 +92,32 @@ func parseFlags(args []string) (options, error) {
 	fs.Uint64Var(&o.faultSeed, "faultseed", 1, "seed for the deterministic fault plane in -exp faults (same seed, same faults, same report)")
 	fs.Parse(args)
 
+	switch {
+	case o.rtt < 0:
+		return o, fmt.Errorf("bad -rtt %v: want a latency >= 0", o.rtt)
+	case o.txns < 1:
+		return o, fmt.Errorf("bad -txns %d: want at least 1", o.txns)
+	case o.reps < 1:
+		return o, fmt.Errorf("bad -reps %d: want at least 1", o.reps)
+	case o.sessions < 0:
+		return o, fmt.Errorf("bad -sessions %d: want a count >= 1, or 0 to sweep 1,2,4,8", o.sessions)
+	}
+
 	var ok bool
 	if o.kind, ok = dispatch.ParseKind(*dispatchFlag); !ok {
 		return o, fmt.Errorf("unknown -dispatch %q", *dispatchFlag)
 	}
 	o.kindSet = *dispatchFlag != ""
 
-	if *families != "all" && *families != "eq" {
+	switch {
+	case *families != "all" && *families != "eq":
 		return o, fmt.Errorf("unknown -families %q (want all or eq)", *families)
+	case *mergeOn && *families == "eq":
+		o.storeCfg = bench.EqualityMergeConfig()
+	case *mergeOn:
+		o.storeCfg = bench.MergeConfig()
 	}
-	o.eqOnly = *families == "eq"
+	o.storeCfg.Dispatch = o.kind
 
 	var err error
 	if o.workers, err = parseCounts(*workersFlag, "-workers"); err != nil {
@@ -171,225 +192,161 @@ func serveDebug(addr string) error {
 	return nil
 }
 
+// format renders a report or passes its error on.
+func format[R interface{ Format() string }](r R, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return r.Format(), nil
+}
+
+// run prints the experiment o.exp names to w.
 func run(w io.Writer, o options) error {
-	exp, rtt := o.exp, o.rtt
-	txns, reps := o.txns, o.reps
-	mergeOn, eqOnly := o.mergeOn, o.eqOnly
-	kind, kindSet := o.kind, o.kindSet
-	sessions, workers, shards, visits := o.sessions, o.workers, o.shards, o.visits
 	envs := map[bench.AppID]*bench.Env{}
 	needEnv := func(id bench.AppID) (*bench.Env, error) {
 		if env := envs[id]; env != nil {
 			return env, nil
 		}
-		env, err := bench.NewEnv(id, 1)
+		env, err := bench.NewEnv(id, 1, 1)
 		if err != nil {
 			return nil, err
 		}
-		if mergeOn {
-			if eqOnly {
-				env.StoreCfg = bench.EqualityMergeConfig()
-			} else {
-				env.StoreCfg = bench.MergeConfig()
-			}
-		}
-		env.StoreCfg.Dispatch = kind
+		env.StoreCfg = o.storeCfg
 		envs[id] = env
 		return env, nil
 	}
-
-	suiteCDF := func(id bench.AppID) error {
+	// onEnv renders one report from an application's environment.
+	onEnv := func(id bench.AppID, report func(*bench.Env) (string, error)) (string, error) {
 		env, err := needEnv(id)
 		if err != nil {
-			return err
+			return "", err
 		}
-		comps, err := env.RunSuite(rtt)
-		if err != nil {
-			return err
+		return report(env)
+	}
+	// onSuite renders one report from an application's page suite, every
+	// page loaded in both modes at -rtt.
+	onSuite := func(id bench.AppID, report func([]bench.Comparison) string) (string, error) {
+		return onEnv(id, func(env *bench.Env) (string, error) {
+			comps, err := env.RunSuite(o.rtt)
+			if err != nil {
+				return "", err
+			}
+			return report(comps), nil
+		})
+	}
+	// bothApps concatenates one report per application, itracker first.
+	bothApps := func(report func(bench.AppID) (string, error)) (string, error) {
+		var sb strings.Builder
+		for _, id := range []bench.AppID{bench.Itracker, bench.OpenMRS} {
+			s, err := report(id)
+			if err != nil {
+				return "", err
+			}
+			sb.WriteString(s)
 		}
-		fmt.Fprint(w, bench.BuildCDF(id, comps).Format())
-		return nil
+		return sb.String(), nil
+	}
+	cdf := func(id bench.AppID) (string, error) {
+		return onSuite(id, func(comps []bench.Comparison) string { return bench.BuildCDF(id, comps).Format() })
 	}
 
-	experiments := map[string]func() error{
-		"fig5": func() error { return suiteCDF(bench.Itracker) },
-		"fig6": func() error { return suiteCDF(bench.OpenMRS) },
-		"fig7": func() error {
-			env, err := needEnv(bench.OpenMRS)
-			if err != nil {
-				return err
-			}
-			rep, err := bench.Throughput(env, []int{1, 2, 5, 10, 25, 50, 100, 200, 300, 400, 500, 600})
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, rep.Format())
-			return nil
+	experiments := map[string]func() (string, error){
+		"fig5": func() (string, error) { return cdf(bench.Itracker) },
+		"fig6": func() (string, error) { return cdf(bench.OpenMRS) },
+		"fig7": func() (string, error) {
+			return onEnv(bench.OpenMRS, func(env *bench.Env) (string, error) {
+				return format(bench.Throughput(env, []int{1, 2, 5, 10, 25, 50, 100, 200, 300, 400, 500, 600}))
+			})
 		},
-		"fig8": func() error {
-			for _, id := range []bench.AppID{bench.Itracker, bench.OpenMRS} {
-				env, err := needEnv(id)
-				if err != nil {
-					return err
-				}
-				comps, err := env.RunSuite(rtt)
-				if err != nil {
-					return err
-				}
-				fmt.Fprint(w, bench.TimeBreakdown(id, comps).Format())
-			}
-			return nil
+		"fig8": func() (string, error) {
+			return bothApps(func(id bench.AppID) (string, error) {
+				return onSuite(id, func(comps []bench.Comparison) string { return bench.TimeBreakdown(id, comps).Format() })
+			})
 		},
-		"fig9": func() error {
+		"fig9": func() (string, error) {
 			rtts := []time.Duration{500 * time.Microsecond, time.Millisecond, 10 * time.Millisecond}
-			for _, id := range []bench.AppID{bench.Itracker, bench.OpenMRS} {
-				env, err := needEnv(id)
-				if err != nil {
-					return err
-				}
-				rep, err := bench.NetworkScaling(env, rtts)
-				if err != nil {
-					return err
-				}
-				fmt.Fprint(w, rep.Format())
-			}
-			return nil
+			return bothApps(func(id bench.AppID) (string, error) {
+				return onEnv(id, func(env *bench.Env) (string, error) { return format(bench.NetworkScaling(env, rtts)) })
+			})
 		},
-		"fig10": func() error {
-			for _, id := range []bench.AppID{bench.Itracker, bench.OpenMRS} {
-				rep, err := bench.DBScaling(id, []int{1, 2, 4, 8, 16})
-				if err != nil {
-					return err
-				}
-				fmt.Fprint(w, rep.Format())
-			}
-			return nil
+		"fig10": func() (string, error) {
+			return bothApps(func(id bench.AppID) (string, error) { return format(bench.DBScaling(id, []int{1, 2, 4, 8, 16})) })
 		},
-		"fig11": func() error {
-			fmt.Fprint(w, bench.PersistentMethods().Format())
-			return nil
+		"fig11": func() (string, error) { return bench.PersistentMethods().Format(), nil },
+		"fig12": func() (string, error) { return format(bench.OptimizationAblation(o.reps)) },
+		"fig13": func() (string, error) { return format(bench.Overhead(o.txns)) },
+		"appendix": func() (string, error) {
+			return bothApps(func(id bench.AppID) (string, error) {
+				return onSuite(id, func(comps []bench.Comparison) string { return bench.AppendixTable(id, comps) })
+			})
 		},
-		"fig12": func() error {
-			rep, err := bench.OptimizationAblation(reps)
+		"ablation": func() (string, error) {
+			store, err := onEnv(bench.Itracker, func(env *bench.Env) (string, error) {
+				return format(bench.StoreAblation(env, []int{4, 16}))
+			})
 			if err != nil {
-				return err
+				return "", err
 			}
-			fmt.Fprint(w, rep.Format())
-			return nil
+			par, err := format(bench.ParallelBatchAblation(64))
+			return store + par, err
 		},
-		"fig13": func() error {
-			rep, err := bench.Overhead(txns)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, rep.Format())
-			return nil
+		"merge": func() (string, error) {
+			return bothApps(func(id bench.AppID) (string, error) {
+				return onEnv(id, func(env *bench.Env) (string, error) { return format(bench.MergeAblation(env)) })
+			})
 		},
-		"appendix": func() error {
-			for _, id := range []bench.AppID{bench.Itracker, bench.OpenMRS} {
-				env, err := needEnv(id)
-				if err != nil {
-					return err
-				}
-				comps, err := env.RunSuite(rtt)
-				if err != nil {
-					return err
-				}
-				fmt.Fprint(w, bench.AppendixTable(id, comps))
-			}
-			return nil
-		},
-		"ablation": func() error {
-			env, err := needEnv(bench.Itracker)
-			if err != nil {
-				return err
-			}
-			rep, err := bench.StoreAblation(env, []int{4, 16})
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, rep.Format())
-			return nil
-		},
-		"merge": func() error {
-			for _, id := range []bench.AppID{bench.Itracker, bench.OpenMRS} {
-				env, err := needEnv(id)
-				if err != nil {
-					return err
-				}
-				rep, err := bench.MergeAblation(env)
-				if err != nil {
-					return err
-				}
-				fmt.Fprint(w, rep.Format())
-			}
-			return nil
-		},
-		"throughput": func() error {
+		"throughput": func() (string, error) {
 			counts := []int{1, 2, 4, 8}
-			if sessions > 0 {
-				counts = []int{sessions}
+			if o.sessions > 0 {
+				counts = []int{o.sessions}
 			}
 			wlist := []int{1, 4}
-			if len(workers) > 0 {
-				wlist = workers
+			if len(o.workers) > 0 {
+				wlist = o.workers
 			}
 			kinds := []dispatch.Kind{dispatch.KindSync, dispatch.KindAsync}
-			if kindSet {
-				kinds = []dispatch.Kind{kind}
+			if o.kindSet {
+				kinds = []dispatch.Kind{o.kind}
 			}
-			for _, id := range []bench.AppID{bench.Itracker, bench.OpenMRS} {
-				rep, err := bench.ConcurrentThroughput(id, bench.ThroughputOptions{
+			return bothApps(func(id bench.AppID) (string, error) {
+				return format(bench.ConcurrentThroughput(id, bench.ThroughputOptions{
 					Sessions: counts,
 					Kinds:    kinds,
 					Workers:  wlist,
-					Shards:   shards,
-					RTT:      rtt,
-					Visits:   visits,
-				})
-				if err != nil {
-					return err
-				}
-				fmt.Fprint(w, rep.Format())
-			}
-			return nil
+					Shards:   o.shards,
+					RTT:      o.rtt,
+					Visits:   o.visits,
+				}))
+			})
 		},
-		"trace": func() error {
-			rep, err := bench.TraceSuite(bench.TraceOptions{RTT: rtt, Out: o.traceOut})
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, rep.Format())
-			return nil
+		"trace": func() (string, error) {
+			return format(bench.TraceSuite(bench.TraceOptions{RTT: o.rtt, Out: o.traceOut}))
 		},
-		"faults": func() error {
-			for _, id := range []bench.AppID{bench.Itracker, bench.OpenMRS} {
-				rep, err := bench.FaultSweep(id, bench.FaultSweepOptions{
-					Rates: o.faults,
-					Seed:  o.faultSeed,
-					RTT:   rtt,
-				})
-				if err != nil {
-					return err
-				}
-				fmt.Fprint(w, rep.Format())
-			}
-			return nil
+		"faults": func() (string, error) {
+			return bothApps(func(id bench.AppID) (string, error) {
+				return format(bench.FaultSweep(id, bench.FaultSweepOptions{Rates: o.faults, Seed: o.faultSeed, RTT: o.rtt}))
+			})
 		},
 	}
 
-	if exp == "all" {
+	if o.exp == "all" {
 		for _, name := range []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "appendix", "ablation", "merge", "throughput"} {
-			if err := experiments[name](); err != nil {
+			out, err := experiments[name]()
+			if err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}
-			fmt.Fprintln(w)
+			fmt.Fprintln(w, out)
 		}
 		return nil
 	}
-	fn, ok := experiments[exp]
+	fn, ok := experiments[o.exp]
 	if !ok {
-		return fmt.Errorf("unknown experiment %q", exp)
+		return fmt.Errorf("unknown experiment %q", o.exp)
 	}
-	return fn()
+	out, err := fn()
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprint(w, out)
+	return err
 }

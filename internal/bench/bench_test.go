@@ -14,7 +14,7 @@ func getEnv(t *testing.T, id AppID) *Env {
 	if e, ok := envCache[id]; ok {
 		return e
 	}
-	e, err := NewEnv(id, 1)
+	e, err := NewEnv(id, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,9 +85,6 @@ type AblationReport struct {
 // thunk costs and round trips to a virtual clock, exactly the progression
 // of Fig. 12.
 func OptimizationAblation(repeats int) (AblationReport, error) {
-	if repeats < 1 {
-		repeats = 1
-	}
 	configs := []struct {
 		label string
 		opts  lazyc.Options

@@ -177,7 +177,7 @@ func replayConcurrent(id AppID, n int, kind dispatch.Kind, pipelineWrites bool, 
 	if scale < 1 {
 		scale = 1
 	}
-	env, err := NewEnvSharded(id, scale, shards)
+	env, err := NewEnv(id, scale, shards)
 	if err != nil {
 		return ConcurrencyRow{}, err
 	}

@@ -12,7 +12,7 @@ import (
 // sessions over a small page subset, with the visit-log writes on.
 func throughputCells(t *testing.T) ConcurrencyReport {
 	t.Helper()
-	env, err := NewEnv(Itracker, 1)
+	env, err := NewEnv(Itracker, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func dispatchGoldenSuite(t *testing.T, id AppID) {
 	// virtual timeline, never what they observe: every strategy renders
 	// what sync renders, on a server of 1 and of 4 DB workers.
 	for _, workers := range []int{1, 4} {
-		env, err := NewEnv(id, 1)
+		env, err := NewEnv(id, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestDispatchGoldenWithMerge(t *testing.T) {
 	rtt := 500 * time.Microsecond
 	for _, tc := range cases {
 		for _, workers := range []int{1, 4} {
-			env, err := NewEnv(tc.id, 1)
+			env, err := NewEnv(tc.id, 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,13 +193,13 @@ func TestConcurrentReplaySingleSessionParity(t *testing.T) {
 		t.Errorf("sync dispatch overlapped %v", row.Overlap)
 	}
 
-	env, err := NewEnv(Itracker, 1)
+	env, err := NewEnv(Itracker, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var queries int64
 	for _, page := range env.Pages() {
-		m, err := env.LoadPage(page, orm.ModeSloth, 500*time.Microsecond)
+		_, m, err := env.LoadPageHTML(page, orm.ModeSloth, 500*time.Microsecond, querystore.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

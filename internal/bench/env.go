@@ -1,8 +1,8 @@
 // Package bench is the experiment harness: it reproduces every table and
 // figure in the paper's evaluation (Sec. 6) on top of the reproduction's
-// substrates. Each experiment has a Run function returning a typed report
-// with a Format method that prints rows in the paper's layout, and a
-// corresponding benchmark in the repository root.
+// substrates. Each experiment is a function returning a typed report with a
+// Format method that prints rows in the paper's layout; cmd/slothbench is
+// the one driver that runs and prints them.
 package bench
 
 import (
@@ -51,12 +51,12 @@ type Env struct {
 	ID    AppID
 	Clock *netsim.VirtualClock
 	Srv   *driver.Server
-	// DB is the engine behind Srv; the sharded constructors partition its
-	// storage, and the merge wiring asks it for a shard router.
+	// DB is the engine behind Srv; NewEnv partitions its storage when
+	// asked for shards, and the merge wiring asks it for a shard router.
 	DB *engine.DB
-	// StoreCfg is the query-store configuration used by LoadPage for
-	// Sloth-mode loads; the zero value is the paper's configuration. The
-	// slothbench -merge flag sets StoreCfg.Merge.Enabled here.
+	// StoreCfg is the query-store configuration RunSuite and Throughput
+	// load pages under; the zero value is the paper's configuration. The
+	// slothbench -merge and -dispatch flags set it.
 	StoreCfg querystore.Config
 	app      appAdapter
 	req      webapp.Params
@@ -64,17 +64,12 @@ type Env struct {
 
 // NewEnv builds and seeds an environment. scale multiplies the default data
 // sizes for the scaling experiment; pass 1 for the standard database.
-func NewEnv(id AppID, scale int) (*Env, error) {
-	return NewEnvSharded(id, scale, 1)
-}
-
-// NewEnvSharded is NewEnv over a horizontally partitioned database: every
-// table's rows hash across shards stores, each with its own version
-// chains and GC, and the driver models shards independent worker groups.
-// Rendering is byte-identical to the unsharded environment at any shard
-// count; only the occupancy model (and therefore throughput under
-// concurrency) changes. shards <= 1 yields the plain single-store env.
-func NewEnvSharded(id AppID, scale, shards int) (*Env, error) {
+// shards > 1 partitions the database horizontally: every table's rows hash
+// across shards stores, each with its own version chains and GC, and the
+// driver models shards independent worker groups. Rendering is
+// byte-identical at any shard count; only the occupancy model (and
+// therefore throughput under concurrency) changes.
+func NewEnv(id AppID, scale, shards int) (*Env, error) {
 	if scale < 1 {
 		scale = 1
 	}
@@ -144,65 +139,66 @@ type PageMetrics struct {
 	Total      time.Duration
 	AppTime    time.Duration
 	DBTime     time.Duration
+	DBRows     int64 // physical rows the executor visited
 	NetTime    time.Duration
 	RoundTrips int64
+	Timeouts   int64 // round trips that failed at the link (injected)
 	Queries    int64 // statements executed at the database
 	MaxBatch   int
-	MergeSaved int64 // statements eliminated by the merge optimizer
+	// Batches, Retries, Degraded and Errors are the dispatcher's counts
+	// (dispatch.Stats): batches submitted, backed-off re-attempts,
+	// per-statement fallbacks and terminal batch failures.
+	Batches, Retries, Degraded, Errors int64
+	MergeSaved                         int64 // statements eliminated by the merge optimizer
 	// MergeFamilySaved breaks MergeSaved down per merge family
 	// (merge.FamilyID-indexed).
 	MergeFamilySaved [merge.NumFamilies]int64
 }
 
-// LoadPage runs one page in the given mode at the given RTT, on a fresh
-// connection and session (the paper restarts state between measurements).
-func (e *Env) LoadPage(page string, mode orm.Mode, rtt time.Duration) (PageMetrics, error) {
-	_, m, err := e.LoadPageHTML(page, mode, rtt, e.StoreCfg)
-	return m, err
-}
-
-// loadPageWithStore runs one Sloth-mode page load with a custom query-store
-// configuration (the store and merge ablations).
-func loadPageWithStore(e *Env, page string, cfg querystore.Config) (PageMetrics, error) {
-	_, m, err := e.LoadPageHTML(page, orm.ModeSloth, 500*time.Microsecond, cfg)
-	return m, err
-}
-
-// LoadPageHTML runs one page load and returns the rendered output alongside
-// the metrics. It is the single load implementation (LoadPage and the
-// ablation loaders delegate here) and the golden-equality hook used to
-// assert that neither the merge optimizer nor any dispatch strategy
-// changes what a page renders.
+// LoadPageHTML runs one page in the given mode at the given RTT under the
+// given query-store configuration, on a fresh link, connection, store and
+// session (the paper restarts state between measurements), and returns the
+// rendered output alongside the metrics. It is the only single-session
+// load: the suite, every figure and ablation, the fault sweep, and the
+// golden-equality tests that assert neither the merge optimizer nor any
+// dispatch strategy changes what a page renders. A failed load still
+// reports what it cost (time, retries, errors) beside the error.
 func (e *Env) LoadPageHTML(page string, mode orm.Mode, rtt time.Duration, cfg querystore.Config) (string, PageMetrics, error) {
-	cfg = e.shardCfg(cfg)
 	link := netsim.NewLink(e.Clock, rtt)
 	conn := e.Srv.Connect(link)
-	store := querystore.New(conn, cfg)
+	store := querystore.New(conn, e.shardCfg(cfg))
 	defer store.Close()
 	sess := orm.NewSession(store, mode)
-	dbBefore := e.Srv.Stats().DBTime
+	before := e.Srv.Stats()
 	start := e.Clock.Now()
 	res, err := e.app.Load(page, e.req, sess)
-	if err != nil {
-		return "", PageMetrics{}, fmt.Errorf("bench: %s page %q: %w", mode2str(mode), page, err)
-	}
-	// The store is fresh per load, so its merger's totals are this page's.
-	ms := store.MergeStats()
+	// The link, connection and store are fresh per load, so their totals
+	// are this page's; the server's are deltas.
+	after, ls, ds, ms := e.Srv.Stats(), link.Stats(), store.Dispatcher().Stats(), store.MergeStats()
 	m := PageMetrics{
 		Page:             page,
 		Total:            e.Clock.Now() - start,
-		AppTime:          res.AppTime,
-		DBTime:           e.Srv.Stats().DBTime - dbBefore,
-		NetTime:          link.Stats().NetTime,
-		RoundTrips:       link.Stats().RoundTrips,
+		DBTime:           after.DBTime - before.DBTime,
+		DBRows:           after.Rows - before.Rows,
+		NetTime:          ls.NetTime,
+		RoundTrips:       ls.RoundTrips,
+		Timeouts:         ls.Timeouts,
 		Queries:          conn.QueriesSent(),
 		MaxBatch:         store.Stats().MaxBatch,
+		Batches:          ds.Submitted,
+		Retries:          ds.Retries,
+		Degraded:         ds.Degraded,
+		Errors:           ds.Errors,
 		MergeSaved:       ms.Saved,
 		MergeFamilySaved: ms.SavedByFamily,
 	}
 	if mode == orm.ModeOriginal {
 		m.MaxBatch = 1
 	}
+	if err != nil {
+		return "", m, fmt.Errorf("bench: %s page %q: %w", mode2str(mode), page, err)
+	}
+	m.AppTime = res.AppTime
 	return res.HTML, m, nil
 }
 
@@ -244,15 +240,41 @@ func (c Comparison) QueryRatio() float64 {
 	return float64(c.Orig.Queries) / float64(c.Sloth.Queries)
 }
 
-// RunSuite loads every page in both modes at the given RTT.
+// suiteSum loads every page once in one mode at the paper's 500µs RTT under
+// cfg and sums the pages' metrics (MaxBatch and the dispatcher counts stay
+// zero): the aggregate the throughput model and the store and merge
+// ablations read.
+func (e *Env) suiteSum(mode orm.Mode, cfg querystore.Config) (PageMetrics, error) {
+	var sum PageMetrics
+	for _, page := range e.Pages() {
+		_, m, err := e.LoadPageHTML(page, mode, 500*time.Microsecond, cfg)
+		if err != nil {
+			return sum, err
+		}
+		sum.Total += m.Total
+		sum.AppTime += m.AppTime
+		sum.DBTime += m.DBTime
+		sum.DBRows += m.DBRows
+		sum.NetTime += m.NetTime
+		sum.RoundTrips += m.RoundTrips
+		sum.Queries += m.Queries
+		sum.MergeSaved += m.MergeSaved
+		for f, n := range m.MergeFamilySaved {
+			sum.MergeFamilySaved[f] += n
+		}
+	}
+	return sum, nil
+}
+
+// RunSuite loads every page in both modes at the given RTT under StoreCfg.
 func (e *Env) RunSuite(rtt time.Duration) ([]Comparison, error) {
 	var out []Comparison
 	for _, page := range e.Pages() {
-		orig, err := e.LoadPage(page, orm.ModeOriginal, rtt)
+		_, orig, err := e.LoadPageHTML(page, orm.ModeOriginal, rtt, e.StoreCfg)
 		if err != nil {
 			return nil, err
 		}
-		sloth, err := e.LoadPage(page, orm.ModeSloth, rtt)
+		_, sloth, err := e.LoadPageHTML(page, orm.ModeSloth, rtt, e.StoreCfg)
 		if err != nil {
 			return nil, err
 		}

@@ -55,7 +55,7 @@ func TestChaosGoldenAllPages(t *testing.T) {
 	const rtt = 500 * time.Microsecond
 	kinds := []dispatch.Kind{dispatch.KindSync, dispatch.KindAsync}
 	for _, app := range []AppID{Itracker, OpenMRS} {
-		base, err := NewEnv(app, 1)
+		base, err := NewEnv(app, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestChaosGoldenAllPages(t *testing.T) {
 			html[page] = h
 		}
 		for _, shards := range []int{1, 2, 4} {
-			env, err := NewEnvSharded(app, 1, shards)
+			env, err := NewEnv(app, 1, shards)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +135,7 @@ func TestChaosSameSeedReproducible(t *testing.T) {
 // race nor lose a write: every insert lands exactly once.
 func TestChaosHammerBlackouts(t *testing.T) {
 	const rtt = 500 * time.Microsecond
-	env, err := NewEnvSharded(Itracker, 1, 4)
+	env, err := NewEnv(Itracker, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/dispatch"
 	"repro/internal/faults"
-	"repro/internal/netsim"
 	"repro/internal/orm"
 	"repro/internal/querystore"
 )
@@ -32,9 +31,6 @@ type FaultSweepOptions struct {
 	// Seed keys the fault plane's deterministic PRNG.
 	Seed uint64
 	RTT  time.Duration
-	// Pages restricts the replay to a page subset (tests); nil replays the
-	// app's full suite.
-	Pages []string
 }
 
 // FaultRow is one fault-rate measurement.
@@ -100,7 +96,7 @@ func FaultSweep(id AppID, opts FaultSweepOptions) (FaultReport, error) {
 	}
 	rep := FaultReport{App: id, Seed: opts.Seed, RTT: opts.RTT}
 	for _, rate := range rates {
-		row, err := replayFaulted(id, rate, opts)
+		row, err := faultCell(id, rate, opts)
 		if err != nil {
 			return rep, fmt.Errorf("bench: faults rate %.2f: %w", rate, err)
 		}
@@ -109,46 +105,36 @@ func FaultSweep(id AppID, opts FaultSweepOptions) (FaultReport, error) {
 	return rep, nil
 }
 
-// replayFaulted is one sweep cell: a fresh environment, the fault plane at
-// one rate, every page loaded once through a retrying store.
-func replayFaulted(id AppID, rate float64, opts FaultSweepOptions) (FaultRow, error) {
-	env, err := NewEnv(id, 1)
+// faultCell is one sweep cell: a fresh environment, the fault plane at one
+// rate, every page loaded once through a retrying store.
+func faultCell(id AppID, rate float64, opts FaultSweepOptions) (FaultRow, error) {
+	env, err := NewEnv(id, 1, 1)
 	if err != nil {
 		return FaultRow{}, err
 	}
 	env.SetFaults(faultSweepConfig(opts.Seed, rate))
-	// Pages run one after another on env.Clock, so they share one link: its
-	// Timeouts is the cell's. Published like replayConcurrent's cell.
-	link := netsim.NewLink(env.Clock, opts.RTT)
-	live.Store(&liveCell{srv: env.Srv, link: link})
+	cell := &liveCell{srv: env.Srv}
+	live.Store(cell)
 
 	row := FaultRow{Rate: rate}
-	pages := opts.Pages
-	if len(pages) == 0 {
-		pages = env.Pages()
-	}
-	cfg := env.shardCfg(querystore.Config{Retry: dispatch.RetryPolicy{MaxAttempts: 8}})
+	cfg := querystore.Config{Retry: dispatch.RetryPolicy{MaxAttempts: 8}}
 	start := env.Clock.Now()
 	var latencies []time.Duration
 	var batches int64
-	for _, page := range pages {
-		conn := env.Srv.Connect(link)
-		store := querystore.New(conn, cfg)
-		sess := orm.NewSession(store, orm.ModeSloth)
-		loadStart := env.Clock.Now()
-		_, err := env.LoadInto(page, sess)
-		ds := store.Dispatcher().Stats()
-		store.Close()
+	for _, page := range env.Pages() {
+		_, m, err := env.LoadPageHTML(page, orm.ModeSloth, opts.RTT, cfg)
 		row.Pages++
-		row.Retries += ds.Retries
-		row.Degraded += ds.Degraded
-		row.Errors += ds.Errors
-		batches += ds.Submitted
+		row.Retries += m.Retries
+		row.Degraded += m.Degraded
+		row.Errors += m.Errors
+		row.Timeouts += m.Timeouts
+		cell.linkTimeouts.Add(m.Timeouts)
+		batches += m.Batches
 		if err != nil {
 			row.Failed++
 			continue
 		}
-		latencies = append(latencies, env.Clock.Now()-loadStart)
+		latencies = append(latencies, m.Total)
 	}
 	row.Makespan = env.Clock.Now() - start
 	if row.Makespan > 0 {
@@ -162,7 +148,6 @@ func replayFaulted(id AppID, rate float64, opts FaultSweepOptions) (FaultRow, er
 	row.P99 = quantileDur(latencies, 0.99)
 	srv := env.Srv.Stats()
 	row.Drops = srv.FaultDrops
-	row.Timeouts = link.Stats().Timeouts
 	row.Trips = srv.BreakerTrips
 	return row, nil
 }

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/orm"
 )
 
 // This file implements the per-figure reports for Figs. 5, 6, 8, 9, 10 and
@@ -216,15 +218,15 @@ func DBScaling(app AppID, scales []int) (DBScalingReport, error) {
 		r.Page = "encounters/encounterDisplay.jsp"
 	}
 	for _, scale := range scales {
-		env, err := NewEnv(app, scale)
+		env, err := NewEnv(app, scale, 1)
 		if err != nil {
 			return DBScalingReport{}, err
 		}
-		orig, err := env.LoadPage(r.Page, 0, 500*time.Microsecond)
+		_, orig, err := env.LoadPageHTML(r.Page, orm.ModeOriginal, 500*time.Microsecond, env.StoreCfg)
 		if err != nil {
 			return DBScalingReport{}, err
 		}
-		sloth, err := env.LoadPage(r.Page, 1, 500*time.Microsecond)
+		_, sloth, err := env.LoadPageHTML(r.Page, orm.ModeSloth, 500*time.Microsecond, env.StoreCfg)
 		if err != nil {
 			return DBScalingReport{}, err
 		}

@@ -4,16 +4,16 @@ import (
 	"sync/atomic"
 
 	"repro/internal/driver"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 )
 
 // liveCell is the throughput or fault-sweep cell replaying now: its server,
-// its page-latency histogram (throughput cells) and its link (fault cells).
+// its page-latency histogram (throughput cells) and the link timeouts its
+// page loads have seen so far (fault cells).
 type liveCell struct {
-	srv     *driver.Server
-	pageLat *obs.Histogram
-	link    *netsim.Link
+	srv          *driver.Server
+	pageLat      *obs.Histogram
+	linkTimeouts atomic.Int64
 }
 
 // live is the most recently started cell; each cell replaces it.
@@ -54,9 +54,7 @@ func Live() (snap LiveSnapshot, ok bool) {
 		return snap, false
 	}
 	snap.Server = c.srv.Stats()
-	if c.link != nil {
-		snap.LinkTimeouts = c.link.Stats().Timeouts
-	}
+	snap.LinkTimeouts = c.linkTimeouts.Load()
 	snap.QueueWait = quantiles(c.srv.QueueWaits())
 	snap.PageLatency = quantiles(c.pageLat)
 	return snap, true

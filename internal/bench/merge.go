@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/merge"
+	"repro/internal/orm"
 	"repro/internal/querystore"
 )
 
@@ -72,24 +73,14 @@ func MergeAblation(env *Env) (MergeAblationReport, error) {
 	}
 	rep := MergeAblationReport{App: env.ID}
 	for _, c := range configs {
-		row := MergeAblationRow{Label: c.label}
-		for _, page := range env.Pages() {
-			rowsBefore := env.Srv.Stats().Rows
-			m, err := loadPageWithStore(env, page, c.cfg)
-			if err != nil {
-				return rep, fmt.Errorf("bench: merge ablation %s/%s: %w", c.label, page, err)
-			}
-			row.Time += m.Total
-			row.DBTime += m.DBTime
-			row.RoundTrips += m.RoundTrips
-			row.Queries += m.Queries
-			row.Saved += m.MergeSaved
-			for f, n := range m.MergeFamilySaved {
-				row.FamilySaved[f] += n
-			}
-			row.DBRows += env.Srv.Stats().Rows - rowsBefore
+		m, err := env.suiteSum(orm.ModeSloth, c.cfg)
+		if err != nil {
+			return rep, fmt.Errorf("bench: merge ablation %s: %w", c.label, err)
 		}
-		rep.Rows = append(rep.Rows, row)
+		rep.Rows = append(rep.Rows, MergeAblationRow{
+			Label: c.label, Time: m.Total, DBTime: m.DBTime, RoundTrips: m.RoundTrips, Queries: m.Queries,
+			DBRows: m.DBRows, Saved: m.MergeSaved, FamilySaved: m.MergeFamilySaved,
+		})
 	}
 	return rep, nil
 }

@@ -26,7 +26,7 @@ import (
 // session's connection stopped sending.
 func goldenSuite(t *testing.T, id AppID, kind dispatch.Kind) {
 	t.Helper()
-	env, err := NewEnv(id, 1)
+	env, err := NewEnv(id, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestMergeListPagesStrictlyFewer(t *testing.T) {
 		{OpenMRS, "encounters/encounterDisplay.jsp"},
 	}
 	for _, tc := range cases {
-		env, err := NewEnv(tc.id, 1)
+		env, err := NewEnv(tc.id, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestMergeListPagesStrictlyFewer(t *testing.T) {
 // and that merging also reduces charged DB time relative to dedup-only
 // batching.
 func TestMergeAblationLadder(t *testing.T) {
-	env, err := NewEnv(Itracker, 1)
+	env, err := NewEnv(Itracker, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestMergeTPCCRuns(t *testing.T) {
 // statements beyond the equality-only baseline (the per-visit and per-user
 // COUNT fan-outs).
 func TestAggregateFamilyBeatsEqualityBaselineOpenMRS(t *testing.T) {
-	env, err := NewEnv(OpenMRS, 1)
+	env, err := NewEnv(OpenMRS, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/apps/tpcw"
 	"repro/internal/driver"
 	"repro/internal/netsim"
+	"repro/internal/orm"
 	"repro/internal/querystore"
 	"repro/internal/sqldb/engine"
 )
@@ -177,18 +178,11 @@ func StoreAblation(env *Env, caps []int) (AblationConfigsReport, error) {
 	}
 	var rep AblationConfigsReport
 	for _, c := range configs {
-		var total time.Duration
-		var trips, queries int64
-		for _, page := range env.Pages() {
-			m, err := loadPageWithStore(env, page, c.cfg)
-			if err != nil {
-				return rep, err
-			}
-			total += m.Total
-			trips += m.RoundTrips
-			queries += m.Queries
+		m, err := env.suiteSum(orm.ModeSloth, c.cfg)
+		if err != nil {
+			return rep, err
 		}
-		rep.Rows = append(rep.Rows, AblationConfigRow{Label: c.label, Time: total, RoundTrips: trips, Queries: queries})
+		rep.Rows = append(rep.Rows, AblationConfigRow{Label: c.label, Time: m.Total, RoundTrips: m.RoundTrips, Queries: m.Queries})
 	}
 	return rep, nil
 }

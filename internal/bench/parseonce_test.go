@@ -19,7 +19,7 @@ func TestParseOncePerDistinctSQL(t *testing.T) {
 	if !plan.CachingEnabled() {
 		t.Fatal("plan caching unexpectedly disabled")
 	}
-	env, err := NewEnv(Itracker, 1)
+	env, err := NewEnv(Itracker, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

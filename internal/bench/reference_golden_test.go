@@ -58,7 +58,7 @@ func requireSameLoads(t *testing.T, id AppID, what string, want, got []goldenLoa
 // of a comparison start from the same history, under their own settings.
 func freshEnv(t *testing.T, id AppID) *Env {
 	t.Helper()
-	env, err := NewEnv(id, 1)
+	env, err := NewEnv(id, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestShardGoldenAllPages(t *testing.T) {
 	const rtt = 500 * time.Microsecond
 	kinds := []dispatch.Kind{dispatch.KindSync, dispatch.KindAsync}
 	for _, app := range []AppID{Itracker, OpenMRS} {
-		base, err := NewEnv(app, 1)
+		base, err := NewEnv(app, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +38,7 @@ func TestShardGoldenAllPages(t *testing.T) {
 			metrics[page] = m
 		}
 		for _, shards := range []int{1, 2, 4} {
-			env, err := NewEnvSharded(app, 1, shards)
+			env, err := NewEnv(app, 1, shards)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +70,7 @@ func TestShardGoldenAllPages(t *testing.T) {
 // cross-shard snapshot gate against single-shard version-chain writes.
 func TestShardHammerPinnedWriter(t *testing.T) {
 	const rtt = 500 * time.Microsecond
-	env, err := NewEnvSharded(Itracker, 1, 4)
+	env, err := NewEnv(Itracker, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

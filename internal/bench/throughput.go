@@ -46,19 +46,9 @@ func Throughput(env *Env, clients []int) (ThroughputReport, error) {
 	rep := ThroughputReport{WebCores: webCores, DBCores: dbCores}
 
 	measure := func(mode orm.Mode) (demand, error) {
-		var d demand
-		pages := env.Pages()
-		for _, page := range pages {
-			m, err := env.LoadPage(page, mode, 500*time.Microsecond)
-			if err != nil {
-				return demand{}, err
-			}
-			d.app += m.AppTime
-			d.db += m.DBTime
-			d.net += m.NetTime
-		}
-		n := time.Duration(len(pages))
-		return demand{app: d.app / n, db: d.db / n, net: d.net / n}, nil
+		sum, err := env.suiteSum(mode, env.StoreCfg)
+		n := time.Duration(len(env.Pages()))
+		return demand{app: sum.AppTime / n, db: sum.DBTime / n, net: sum.NetTime / n}, err
 	}
 	orig, err := measure(orm.ModeOriginal)
 	if err != nil {
@@ -105,17 +95,10 @@ func mvaThroughput(n int, d demand, webCores, dbCores int) float64 {
 	// Contention penalty: each concurrent client past the knee costs a
 	// little extra CPU (context switching), so throughput declines rather
 	// than plateauing.
-	knee := 1.0 / maxf(dWeb, dDB) // asymptotic service rate
-	sat := x / knee               // 0..1 utilization of the bottleneck
+	knee := 1.0 / max(dWeb, dDB) // asymptotic service rate
+	sat := x / knee              // 0..1 utilization of the bottleneck
 	penalty := 1.0 + 0.0008*float64(n)*sat*sat
 	return x / penalty
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // PeakRatio reports the ratio of Sloth's peak throughput to the original's,

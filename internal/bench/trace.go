@@ -20,8 +20,7 @@ import (
 
 // TraceOptions configures TraceSuite.
 type TraceOptions struct {
-	// RTT is the link round-trip latency of the replayed suites; <= 0
-	// selects the paper's 500µs data-center RTT.
+	// RTT is the link round-trip latency of the replayed suites.
 	RTT time.Duration
 	// Out, when non-empty, is the path of the Chrome trace JSON to write.
 	Out string
@@ -52,18 +51,14 @@ type TraceReport struct {
 // the combined trace. One tracer spans both applications so the exported
 // file shows their sessions as separate lanes.
 func TraceSuite(opts TraceOptions) (*TraceReport, error) {
-	rtt := opts.RTT
-	if rtt <= 0 {
-		rtt = 500 * time.Microsecond
-	}
 	tr := obs.NewTracer()
 	rep := &TraceReport{}
 	for _, id := range []AppID{Itracker, OpenMRS} {
-		base, err := NewEnv(id, 1)
+		base, err := NewEnv(id, 1, 1)
 		if err != nil {
 			return nil, err
 		}
-		traced, err := NewEnv(id, 1)
+		traced, err := NewEnv(id, 1, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -74,12 +69,12 @@ func TraceSuite(opts TraceOptions) (*TraceReport, error) {
 		row := TraceAppRow{App: id.String()}
 		for _, page := range traced.Pages() {
 			for _, mode := range []orm.Mode{orm.ModeOriginal, orm.ModeSloth} {
-				want, _, err := base.LoadPageHTML(page, mode, rtt, base.StoreCfg)
+				want, _, err := base.LoadPageHTML(page, mode, opts.RTT, base.StoreCfg)
 				if err != nil {
 					return nil, err
 				}
 				rootsBefore := len(tr.Roots())
-				got, _, err := traced.LoadPageHTML(page, mode, rtt, tcfg)
+				got, _, err := traced.LoadPageHTML(page, mode, opts.RTT, tcfg)
 				if err != nil {
 					return nil, err
 				}

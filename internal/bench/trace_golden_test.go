@@ -29,7 +29,7 @@ var traceGoldenPages = []struct {
 // page root's waterfall plus the rendered HTML.
 func tracedWaterfall(t *testing.T, id AppID, page string, kind dispatch.Kind, workers int) (string, string) {
 	t.Helper()
-	env, err := NewEnv(id, 1)
+	env, err := NewEnv(id, 1, 1)
 	if err != nil {
 		t.Fatalf("NewEnv(%v): %v", id, err)
 	}
@@ -53,7 +53,7 @@ func tracedWaterfall(t *testing.T, id AppID, page string, kind dispatch.Kind, wo
 // untracedHTML is the baseline render for the trace/no-trace cross-check.
 func untracedHTML(t *testing.T, id AppID, page string, kind dispatch.Kind, workers int) string {
 	t.Helper()
-	env, err := NewEnv(id, 1)
+	env, err := NewEnv(id, 1, 1)
 	if err != nil {
 		t.Fatalf("NewEnv(%v): %v", id, err)
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/driver"
 	"repro/internal/orm"
+	"repro/internal/querystore"
 	"repro/internal/sqldb/sqlparse"
 )
 
@@ -96,21 +97,21 @@ func goldenSQL(f *testing.F) []string {
 	f.Helper()
 	seen := make(map[string]bool)
 	var out []string
+	cfg := querystore.Config{Record: func(stmts []driver.Stmt) {
+		for _, st := range stmts {
+			if !seen[st.SQL] {
+				seen[st.SQL] = true
+				out = append(out, st.SQL)
+			}
+		}
+	}}
 	for _, id := range []bench.AppID{bench.Itracker, bench.OpenMRS} {
-		env, err := bench.NewEnv(id, 1)
+		env, err := bench.NewEnv(id, 1, 1)
 		if err != nil {
 			f.Fatal(err)
 		}
-		env.StoreCfg.Record = func(stmts []driver.Stmt) {
-			for _, st := range stmts {
-				if !seen[st.SQL] {
-					seen[st.SQL] = true
-					out = append(out, st.SQL)
-				}
-			}
-		}
 		for _, page := range env.Pages() {
-			if _, err := env.LoadPage(page, orm.ModeSloth, 0); err != nil {
+			if _, _, err := env.LoadPageHTML(page, orm.ModeSloth, 0, cfg); err != nil {
 				f.Fatalf("seed corpus: %s page %s: %v", env.ID, page, err)
 			}
 		}
