@@ -4,7 +4,7 @@ import "testing"
 
 // The paper's figures are run by cmd/slothbench and pinned byte for byte by
 // its TestExperimentsGolden; what stays here is the one micro-benchmark
-// that has no other driver.
+// that nothing else runs.
 
 // BenchmarkAblation_Memoization prices thunk forcing with and without a
 // memoized value — the reason repeated forces are free (Sec. 3.2).

@@ -80,7 +80,7 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.txns, "txns", 500, "transactions per Fig. 13 workload")
 	fs.IntVar(&o.reps, "reps", 25, "repetitions per Fig. 12 configuration")
 	mergeOn := fs.Bool("merge", false, "enable the batch query-merge optimizer for suite experiments")
-	families := fs.String("families", "all", "merge families when -merge is set: all (equality+aggregate+range) | eq (equality only, the PR 1 baseline)")
+	families := fs.String("families", "all", "merge families when -merge is set: all (equality+aggregate+range) | eq (equality only, the optimizer before the aggregate and range families)")
 	dispatchFlag := fs.String("dispatch", "", "dispatch strategy: sync|async (suite experiments; empty = sync, throughput compares both unless set)")
 	fs.IntVar(&o.sessions, "sessions", 0, "concurrent sessions for -exp throughput (0 = sweep 1,2,4,8)")
 	workersFlag := fs.String("workers", "", "server DB worker queues for -exp throughput, comma-separated (empty = sweep 1,4)")
@@ -203,23 +203,17 @@ func format[R interface{ Format() string }](r R, err error) (string, error) {
 // run prints the experiment o.exp names to w.
 func run(w io.Writer, o options) error {
 	envs := map[bench.AppID]*bench.Env{}
-	needEnv := func(id bench.AppID) (*bench.Env, error) {
-		if env := envs[id]; env != nil {
-			return env, nil
-		}
-		env, err := bench.NewEnv(id, 1, 1)
-		if err != nil {
-			return nil, err
-		}
-		env.StoreCfg = o.storeCfg
-		envs[id] = env
-		return env, nil
-	}
-	// onEnv renders one report from an application's environment.
+	// onEnv renders one report from an application's environment, seeded
+	// once per run and shared by every report that reads it.
 	onEnv := func(id bench.AppID, report func(*bench.Env) (string, error)) (string, error) {
-		env, err := needEnv(id)
-		if err != nil {
-			return "", err
+		env := envs[id]
+		if env == nil {
+			var err error
+			if env, err = bench.NewEnv(id, 1, 1); err != nil {
+				return "", err
+			}
+			env.StoreCfg = o.storeCfg
+			envs[id] = env
 		}
 		return report(env)
 	}

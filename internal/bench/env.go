@@ -2,7 +2,7 @@
 // figure in the paper's evaluation (Sec. 6) on top of the reproduction's
 // substrates. Each experiment is a function returning a typed report with a
 // Format method that prints rows in the paper's layout; cmd/slothbench is
-// the one driver that runs and prints them.
+// the one command that runs and prints them.
 package bench
 
 import (
