@@ -172,6 +172,9 @@ func MergeStage(m *merge.Merger) Stage { return mergeStage{m: m} }
 
 func (s mergeStage) Apply(stmts []driver.Stmt) ([]driver.Stmt, Demux, StageStats) {
 	plan := s.m.Rewrite(stmts)
+	if plan.Groups() == 0 { // pass-through: the batch itself, nothing to demultiplex
+		return plan.Stmts, nil, StageStats{}
+	}
 	return plan.Stmts, plan.Demux, StageStats{Saved: plan.Saved(), Groups: plan.Groups()}
 }
 
@@ -183,16 +186,14 @@ func (s mergeStage) Apply(stmts []driver.Stmt) ([]driver.Stmt, Demux, StageStats
 // happens inside the driver round trip the paper's extended driver already
 // pays for — so the span is an annotation, not a duration.
 func applyStages(ctx obs.Ctx, at time.Duration, stages []Stage, stmts []driver.Stmt) ([]driver.Stmt, Demux) {
-	var demuxes []Demux
+	var demux Demux
 	var total StageStats
 	out := stmts
 	for _, st := range stages {
 		var d Demux
 		var ss StageStats
 		out, d, ss = st.Apply(out)
-		if d != nil {
-			demuxes = append(demuxes, d)
-		}
+		demux = then(d, demux)
 		total.Saved += ss.Saved
 		total.Groups += ss.Groups
 	}
@@ -203,20 +204,25 @@ func applyStages(ctx obs.Ctx, at time.Duration, stages []Stage, stmts []driver.S
 			obs.Arg{K: "saved", V: total.Saved},
 			obs.Arg{K: "groups", V: total.Groups})
 	}
-	if len(demuxes) == 0 {
-		return out, nil
-	}
-	demux := func(results []*sqldb.ResultSet) ([]*sqldb.ResultSet, error) {
-		var err error
-		for i := len(demuxes) - 1; i >= 0; i-- {
-			results, err = demuxes[i](results)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return results, nil
-	}
 	return out, demux
+}
+
+// then composes two demuxes, first applied first; a nil one is the
+// identity, so a lone stage's demux comes back as it is.
+func then(first, next Demux) Demux {
+	if first == nil {
+		return next
+	}
+	if next == nil {
+		return first
+	}
+	return func(results []*sqldb.ResultSet) ([]*sqldb.ResultSet, error) {
+		results, err := first(results)
+		if err != nil {
+			return nil, err
+		}
+		return next(results)
+	}
 }
 
 // addRun accounts one batch run; the caller holds the dispatcher's lock. Attempts

@@ -1,12 +1,14 @@
 package dispatch
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/driver"
 	"repro/internal/merge"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/engine"
 )
@@ -239,5 +241,57 @@ func TestAsyncExecutesAtSubmit(t *testing.T) {
 	mustWait(t, s, s.Submit([]driver.Stmt{sel(1)}))
 	if peak := s.Stats().PeakQueue; peak != 0 {
 		t.Fatalf("sync PeakQueue = %d, want 0", peak)
+	}
+}
+
+// tagStage passes a batch through and returns a demux that logs its tag
+// (nil when tag is empty: a stage with nothing to demultiplex).
+type tagStage struct {
+	tag string
+	log *[]string
+}
+
+func (s tagStage) Apply(stmts []driver.Stmt) ([]driver.Stmt, Demux, StageStats) {
+	if s.tag == "" {
+		return stmts, nil, StageStats{}
+	}
+	return stmts, func(rs []*sqldb.ResultSet) ([]*sqldb.ResultSet, error) {
+		*s.log = append(*s.log, s.tag)
+		return rs, nil
+	}, StageStats{}
+}
+
+// TestApplyStagesComposesDemuxes: demuxes run last stage first, stages
+// without one drop out, and a lone stage's demux comes back as it is — no
+// composing closure around it.
+func TestApplyStagesComposesDemuxes(t *testing.T) {
+	var log []string
+	stmts := []driver.Stmt{sel(1)}
+	for _, tc := range []struct {
+		stages []Stage
+		want   string
+	}{
+		{[]Stage{tagStage{"", &log}}, ""},
+		{[]Stage{tagStage{"a", &log}, tagStage{"", &log}}, "a"},
+		{[]Stage{tagStage{"a", &log}, tagStage{"b", &log}, tagStage{"c", &log}}, "cba"},
+	} {
+		log = log[:0]
+		_, demux := applyStages(obs.Ctx{}, 0, tc.stages, stmts)
+		if demux == nil {
+			if tc.want != "" {
+				t.Errorf("%v: no demux, want %q", tc.stages, tc.want)
+			}
+			continue
+		}
+		if _, err := demux(nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(log, ""); got != tc.want {
+			t.Errorf("%v: demuxes ran %q, want %q", tc.stages, got, tc.want)
+		}
+	}
+	lone := []Stage{MergeStage(merge.New(merge.Config{Enabled: true}))}
+	if got := testing.AllocsPerRun(100, func() { applyStages(obs.Ctx{}, 0, lone, stmts) }); got != 0 && !raceEnabled {
+		t.Errorf("a pass-through batch through a lone merge stage allocates %v times", got)
 	}
 }

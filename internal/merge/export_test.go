@@ -8,8 +8,10 @@ func CachedShapes() (shapes, tmpls int) {
 	return shapes, tmpls
 }
 
-// ResetShapeCache empties both, so a test can start cold.
+// ResetShapeCache empties both, and the merged-text cache keyed by shape,
+// so a test can start cold.
 func ResetShapeCache() {
 	shapeCache.Clear()
 	templates.Clear()
+	texts.Clear()
 }

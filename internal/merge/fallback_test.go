@@ -15,8 +15,8 @@ import (
 // corrupted), and demux must hand their results back unchanged.
 func TestRenderMergedFallback(t *testing.T) {
 	orig := renderMergedFn
-	renderMergedFn = func(c *candidate, members []*candidate) (string, []sqldb.Value, error) {
-		return "", nil, fmt.Errorf("forced render failure")
+	renderMergedFn = func(c *candidate, members []*candidate) (driver.Stmt, error) {
+		return driver.Stmt{}, fmt.Errorf("forced render failure")
 	}
 	defer func() { renderMergedFn = orig }()
 

@@ -75,12 +75,15 @@ func (w window) contains(v sqldb.Value) bool {
 // of analysis. A batch's candidates live in one slab, indexed like the
 // batch; sh is nil for statements that are not candidates.
 type candidate struct {
-	sh       *shape
-	args     []sqldb.Value
-	matchVal sqldb.Value // equality and aggregate families: the match constant
-	win      window      // range family: the value window over sh.matchRef
-	group    int32       // group ordinal within the batch
-	chunk    int32       // chunk ordinal within a multi-member group
+	sh                 *shape
+	args               []sqldb.Value
+	matchVal           sqldb.Value // equality and aggregate families: the match constant
+	win                window      // range family: the value window over sh.matchRef
+	group              int32       // group ordinal within the batch
+	chunk              int32       // chunk index within the batch (multi-member groups)
+	rep                int32       // the candidate carrying this varying part first (itself, or the one it duplicates)
+	out                int32       // unmerged: its index in Plan.Stmts
+	nrows, first, last int32       // on a rep, in Demux: merged rows matched, first and last in scratch.hits
 }
 
 // varying is the candidate's varying part — the IN-list member it
@@ -107,7 +110,7 @@ type groupKey struct {
 // statement bound to the shape.
 func (sh *shape) key(class byte, args []sqldb.Value) groupKey {
 	k := groupKey{tmpl: sh.tmpl, class: class, consts: sh.consts}
-	if len(sh.holes) > 0 {
+	if !sh.fixed {
 		k.consts = formatHoles(sh.holes, args)
 	}
 	return k

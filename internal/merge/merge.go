@@ -56,6 +56,7 @@ package merge
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/driver"
@@ -118,10 +119,13 @@ type Stats struct {
 }
 
 // Merger is the batch optimizer. A session's merger rewrites on that
-// session's goroutine, inside Submit; the mutex lets Stats be read from any
-// other goroutine meanwhile.
+// session's goroutine, inside Submit, one batch at a time; the mutex lets
+// Stats be read from any other goroutine meanwhile.
 type Merger struct {
 	cfg Config
+	// pass is the plan Rewrite hands back when nothing merges, reused so
+	// that a pass-through batch allocates nothing.
+	pass Plan
 
 	mu    sync.Mutex
 	stats Stats
@@ -140,30 +144,28 @@ func (m *Merger) Stats() Stats {
 	return m.stats
 }
 
-// route records where one original statement's result comes from in the
-// rewritten batch.
-type route struct {
-	stmtIdx int        // index into Plan.Stmts
-	merged  bool       // true when the result must be demultiplexed
-	cand    *candidate // this original's analysis (merged routes only)
-}
-
 // Plan is a rewritten batch plus the routing needed to reconstruct
-// per-original results.
+// per-original results. A pass-through plan (nothing merged: Groups() == 0)
+// is its Merger's own and valid until that Merger's next Rewrite; its
+// Stmts is the batch itself and its Demux the identity. A merged plan holds
+// the batch's working memory until Demux gives it back, so it is
+// single-use: a second Demux returns an error rather than stale rows.
 type Plan struct {
 	// Stmts is the batch to hand to the driver, in an order consistent with
 	// the original: each merged statement sits at its first member's
 	// position, and no read crosses a write.
-	Stmts  []driver.Stmt
-	routes []route
-	m      *Merger
+	Stmts   []driver.Stmt
+	n       int      // original statements
+	s       *scratch // a merged plan's working memory, until Demux
+	demuxed bool     // a merged plan whose Demux has run
+	m       *Merger
 
 	groupsBy [NumFamilies]int
 	mergedBy [NumFamilies]int
 }
 
 // Saved reports how many statements the rewrite eliminated.
-func (p *Plan) Saved() int { return len(p.routes) - len(p.Stmts) }
+func (p *Plan) Saved() int { return p.n - len(p.Stmts) }
 
 // Groups reports how many merged statements this plan emitted — the
 // per-batch delta behind the Merger's cumulative Groups counter.
@@ -184,18 +186,18 @@ func (p *Plan) SavedByFamily() [NumFamilies]int {
 	return out
 }
 
-// group is one group key seen in the batch, with its member count; ci is
-// set only once the group turns out to have more than one member, so
-// singleton groups allocate nothing of their own.
+// group is one group key seen in the batch, with its member count, how
+// many of them partition has walked, and the chunk its next distinct member
+// joins (-1: none yet).
 type group struct {
-	key groupKey
-	n   int
-	ci  *chunkInfo
+	key       groupKey
+	n, walked int
+	open      int32
 }
 
 // groupSet finds a candidate's group by key. Most batches carry a handful
-// of distinct keys, so the set scans its groups and only builds a map once
-// there are more than scanLimit of them.
+// of distinct keys, so the set scans its groups and only indexes them in
+// byKey (emptied, not dropped, between batches) past scanLimit of them.
 type groupSet struct {
 	groups []group
 	byKey  map[groupKey]int32
@@ -205,8 +207,9 @@ const scanLimit = 8
 
 // add counts one more member of key's group and returns the group's ordinal.
 func (gs *groupSet) add(key groupKey) int32 {
-	g, ok := gs.byKey[key] // a nil map finds nothing
-	if gs.byKey == nil {
+	g, ok := gs.byKey[key]
+	indexed := len(gs.byKey) > 0
+	if !indexed {
 		for i := range gs.groups {
 			if gs.groups[i].key == key {
 				g, ok = int32(i), true
@@ -216,13 +219,15 @@ func (gs *groupSet) add(key groupKey) int32 {
 	}
 	if !ok {
 		g = int32(len(gs.groups))
-		gs.groups = append(gs.groups, group{key: key})
-		if gs.byKey == nil && g >= scanLimit {
-			gs.byKey = make(map[groupKey]int32, 4*scanLimit)
+		gs.groups = append(gs.groups, group{key: key, open: -1})
+		if !indexed && g >= scanLimit {
+			if gs.byKey == nil {
+				gs.byKey = make(map[groupKey]int32, 4*scanLimit)
+			}
 			for i := range gs.groups {
 				gs.byKey[gs.groups[i].key] = int32(i)
 			}
-		} else if gs.byKey != nil {
+		} else if indexed {
 			gs.byKey[key] = g
 		}
 	}
@@ -230,27 +235,70 @@ func (gs *groupSet) add(key groupKey) int32 {
 	return g
 }
 
-// chunkInfo partitions one multi-member group into width-capped merged
-// statements.
-type chunkInfo struct {
-	reps [][]*candidate   // per chunk, distinct-valued members in order
-	stmt []int            // per chunk, rewritten-batch index (-1 until emitted)
-	left int              // members not yet placed, sizing the next chunk
-	seen map[window]int32 // varying part -> chunk ordinal
+// chunk is one width-capped merged statement of a multi-member group.
+type chunk struct {
+	off, width int32 // its distinct members: scratch.members[off : off+width]
+	stmt       int32 // rewritten-batch index (-1 until emitted, -2: render failed)
+	routes     int32 // originals routed to it
+	handed     int32 // scan shares Demux has handed out
+}
+
+// partKey names a varying part within a group.
+type partKey struct {
+	group int32
+	w     window
+}
+
+// hit is one merged row routed to a varying part, chained to its next one.
+type hit struct {
+	row  []sqldb.Value
+	next int32
+}
+
+// scratch is one batch's working memory, borrowed from scratchPool by
+// Rewrite and given back by Rewrite when nothing merges, else by Demux.
+// Everything is emptied on the way back, so cands is zero on the way out.
+type scratch struct {
+	cands   []candidate // indexed like the batch
+	gs      groupSet
+	chunks  []chunk
+	members []*candidate      // the chunks' distinct members, chunk by chunk
+	dedup   map[partKey]int32 // varying part -> the candidate carrying it first
+	hits    []hit             // Demux: merged rows, chained per varying part
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func (s *scratch) release() {
+	clear(s.cands)
+	clear(s.gs.groups)
+	clear(s.gs.byKey)
+	clear(s.members)
+	clear(s.dedup)
+	clear(s.hits)
+	s.cands, s.gs.groups, s.chunks, s.members, s.hits = s.cands[:0], s.gs.groups[:0], s.chunks[:0], s.members[:0], s.hits[:0]
+	scratchPool.Put(s)
+}
+
+// inGroup reports whether c belongs to a multi-member group; its result
+// then comes out of a merged statement unless its chunk failed to render.
+func (s *scratch) inGroup(c *candidate) bool {
+	return c.sh != nil && s.gs.groups[c.group].n > 1
 }
 
 // Rewrite analyzes a pending batch and coalesces mergeable groups. The
 // returned plan's Stmts execute in place of the originals; Demux then maps
-// the results back. Rewrite never fails: statements it cannot improve (or
-// cannot parse) pass through verbatim. The counters are added under the lock
-// at the end, so neither analysis nor the caller-supplied ShardOf hook runs
-// with the Merger locked.
+// the results back (see Plan for how long each kind of plan stays valid).
+// Rewrite never fails: statements it cannot improve (or cannot parse) pass
+// through verbatim, and a batch in which nothing merges costs its analysis
+// and nothing else. The counters are added under the lock at the end, so
+// neither analysis nor the caller-supplied ShardOf hook runs with the
+// Merger locked.
 func (m *Merger) Rewrite(stmts []driver.Stmt) *Plan {
-	p := &Plan{m: m, routes: make([]route, len(stmts))}
+	s := scratchPool.Get().(*scratch)
+	s.cands = slices.Grow(s.cands, len(stmts))[:len(stmts)]
 	var ineligible int64
-
-	cands := make([]candidate, len(stmts))
-	gs := groupSet{groups: make([]group, 0, min(len(stmts), scanLimit))}
+	merging := false
 	epoch := 0
 	for i, st := range stmts {
 		if st.IsWrite() {
@@ -259,7 +307,7 @@ func (m *Merger) Rewrite(stmts []driver.Stmt) *Plan {
 			epoch++
 			continue
 		}
-		c := &cands[i]
+		c := &s.cands[i]
 		key, ok := m.analyze(st, c)
 		if !ok {
 			ineligible++
@@ -275,74 +323,88 @@ func (m *Merger) Rewrite(stmts []driver.Stmt) *Plan {
 				key.shard = sh
 			}
 		}
-		c.group = gs.add(key)
+		c.group = s.gs.add(key)
+		merging = merging || s.gs.groups[c.group].n > 1
+	}
+	if !merging {
+		s.release()
+		m.pass = Plan{Stmts: stmts, n: len(stmts), m: m}
+		m.count(&m.pass, ineligible)
+		return &m.pass
 	}
 
 	// Partition each multi-member group into width-capped chunks of
-	// distinct varying parts. Duplicate values/windows (possible with dedup
-	// disabled) share the chunk that already carries them.
-	out := len(stmts)
-	for i := range cands {
-		c := &cands[i]
-		if c.sh == nil || gs.groups[c.group].n < 2 {
+	// distinct varying parts, in batch order; a duplicate value or window
+	// (possible with dedup disabled) rides on the candidate carrying it
+	// first, and so shares its chunk.
+	if s.dedup == nil {
+		s.dedup = make(map[partKey]int32)
+	}
+	absorbed := 0
+	for i := range s.cands {
+		c := &s.cands[i]
+		if !s.inGroup(c) {
 			continue
 		}
-		g := &gs.groups[c.group]
-		if g.ci == nil {
-			g.ci = &chunkInfo{left: g.n, seen: make(map[window]int32, g.n)}
-		}
-		ci, key := g.ci, c.varying()
-		ci.left--
-		out--
-		if ord, dup := ci.seen[key]; dup {
-			c.chunk = ord
+		absorbed++
+		g := &s.gs.groups[c.group]
+		g.walked++
+		k := partKey{c.group, c.varying()}
+		if rep, dup := s.dedup[k]; dup {
+			c.rep, c.chunk = rep, s.cands[rep].chunk
 			continue
 		}
-		if len(ci.reps) == 0 || len(ci.reps[len(ci.reps)-1]) >= MaxInWidth {
-			ci.reps = append(ci.reps, make([]*candidate, 0, min(MaxInWidth, ci.left+1)))
-			ci.stmt = append(ci.stmt, -1)
-			out++
+		s.dedup[k], c.rep = int32(i), int32(i)
+		if g.open < 0 || s.chunks[g.open].width == MaxInWidth {
+			// Room for every member the group has left, up to the cap.
+			off, room := len(s.members), min(MaxInWidth, g.n-g.walked+1)
+			s.members = slices.Grow(s.members, room)[:off+room]
+			g.open = int32(len(s.chunks))
+			s.chunks = append(s.chunks, chunk{off: int32(off), stmt: -1})
 		}
-		c.chunk = int32(len(ci.reps) - 1)
-		ci.reps[c.chunk] = append(ci.reps[c.chunk], c)
-		ci.seen[key] = c.chunk
+		ch := &s.chunks[g.open]
+		c.chunk, s.members[ch.off+ch.width] = g.open, c
+		ch.width++
 	}
 
 	// Emit pass: walk originals in order; each merged statement is emitted
 	// at its chunk's first member, so relative order with pass-through
 	// statements (and any write barrier) is preserved.
-	p.Stmts = make([]driver.Stmt, 0, out)
+	p := &Plan{n: len(stmts), s: s, m: m}
+	p.Stmts = make([]driver.Stmt, 0, len(stmts)-absorbed+len(s.chunks))
 	for i, st := range stmts {
-		c := &cands[i]
-		var ci *chunkInfo
-		if c.sh != nil {
-			ci = gs.groups[c.group].ci
-		}
-		if ci == nil {
-			// Pass-through: write, ineligible, or singleton group.
-			p.routes[i] = route{stmtIdx: len(p.Stmts)}
-			p.Stmts = append(p.Stmts, st)
-			continue
-		}
-		fam := c.sh.fam
-		if ci.stmt[c.chunk] == -1 {
-			sql, args, err := renderMergedFn(c, ci.reps[c.chunk])
-			if err != nil {
-				// Defensive fallback — candidate shapes are all
-				// renderer-supported, but never let a render bug change
-				// results: execute this statement unmerged.
-				p.routes[i] = route{stmtIdx: len(p.Stmts)}
-				p.Stmts = append(p.Stmts, st)
-				ineligible++
+		c := &s.cands[i]
+		if s.inGroup(c) {
+			fam, ch := c.sh.fam, &s.chunks[c.chunk]
+			if ch.stmt == -1 {
+				// A render error is defensive — candidate shapes are all
+				// renderer-supported — but never let a render bug change
+				// results: the chunk's members then execute unmerged.
+				if merged, err := renderMergedFn(c, s.members[ch.off:ch.off+ch.width]); err != nil {
+					ch.stmt = -2
+				} else {
+					ch.stmt = int32(len(p.Stmts))
+					p.Stmts = append(p.Stmts, merged)
+					p.groupsBy[fam]++
+				}
+			}
+			if ch.stmt >= 0 {
+				ch.routes++
+				p.mergedBy[fam]++
 				continue
 			}
-			ci.stmt[c.chunk] = len(p.Stmts)
-			p.Stmts = append(p.Stmts, driver.Stmt{SQL: sql, Args: args})
-			p.groupsBy[fam]++
+			ineligible++
 		}
-		p.routes[i] = route{stmtIdx: ci.stmt[c.chunk], merged: true, cand: c}
-		p.mergedBy[fam]++
+		// Pass-through: write, ineligible, singleton group or failed render.
+		c.out = int32(len(p.Stmts))
+		p.Stmts = append(p.Stmts, st)
 	}
+	m.count(p, ineligible)
+	return p
+}
+
+// count adds one rewritten batch to the Merger's counters.
+func (m *Merger) count(p *Plan, ineligible int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stats.Batches++
@@ -354,67 +416,153 @@ func (m *Merger) Rewrite(stmts []driver.Stmt) *Plan {
 		m.stats.GroupsByFamily[f] += int64(p.groupsBy[f])
 		m.stats.SavedByFamily[f] += int64(s)
 	}
-	return p
 }
 
 // Demux routes the rewritten batch's results back to the original
 // statements: pass-through statements forward their ResultSet unchanged,
-// and each merged statement's rows are partitioned per family — by match
-// value (equality), by GROUP BY key with zero-row synthesis (aggregate),
-// or by window membership (range). Originals whose key matched no row
-// receive exactly what their own execution would have returned: an empty
-// ResultSet for equality/range, a one-row zero/NULL result for aggregates.
-//
-// The merged statement's scan work (ResultSet.RowsScanned) is pro-rated
-// across its routes — earlier routes absorb the remainder — so per-original
-// cost accounting stays comparable with unmerged execution.
+// and each merged statement's rows, routed once (route), are partitioned
+// per family — by match value (equality), by GROUP BY key with zero-row
+// synthesis (aggregate), or by window membership (range) — into results
+// carved from one ResultSet slab and one row backing. Every original gets
+// exactly what its own execution would have returned, duplicates the whole
+// bag of their key's rows, a key with no rows an empty ResultSet (a one-row
+// zero/NULL result for aggregates). The merged statement's scan work
+// (ResultSet.RowsScanned) is pro-rated across its routes — earlier routes
+// absorb the remainder — so per-original cost accounting stays comparable
+// with unmerged execution.
 func (p *Plan) Demux(results []*sqldb.ResultSet) ([]*sqldb.ResultSet, error) {
 	if len(results) != len(p.Stmts) {
 		return nil, fmt.Errorf("merge: demux: %d results for %d statements", len(results), len(p.Stmts))
 	}
-	// Pro-rating denominators: how many originals share each merged
-	// statement, and how many of its shares have been handed out.
-	shares := make(map[int]int)
-	for _, r := range p.routes {
-		if r.merged {
-			shares[r.stmtIdx]++
+	s := p.s
+	if s == nil {
+		if p.demuxed {
+			return nil, fmt.Errorf("merge: demux: plan already demultiplexed")
+		}
+		return results, nil
+	}
+	p.s, p.demuxed = nil, true
+	defer s.release()
+
+	nsub, nrows, nvals := 0, 0, 0
+	for k := range s.chunks {
+		if ch := &s.chunks[k]; ch.stmt >= 0 {
+			if err := s.route(results[ch.stmt], int32(k)); err != nil {
+				return nil, err
+			}
 		}
 	}
-	handed := make(map[int]int)
-
-	out := make([]*sqldb.ResultSet, len(p.routes))
+	for i := range s.cands {
+		if c := &s.cands[i]; !s.inGroup(c) || s.chunks[c.chunk].stmt < 0 {
+			continue
+		} else if c.sh.fam == FamilyAggregate {
+			nsub, nrows, nvals = nsub+1, nrows+1, nvals+len(c.sh.aggs)
+		} else {
+			nsub, nrows = nsub+1, nrows+int(s.cands[c.rep].nrows)
+		}
+	}
+	out := make([]*sqldb.ResultSet, p.n)
+	subs := make([]sqldb.ResultSet, nsub)
+	rows := make([][]sqldb.Value, nrows)
+	vals := make([]sqldb.Value, nvals)
 	var demuxedRows int64
-	for i, r := range p.routes {
-		rs := results[r.stmtIdx]
-		if !r.merged {
-			out[i] = rs
+	for i := range s.cands {
+		c := &s.cands[i]
+		if !s.inGroup(c) || s.chunks[c.chunk].stmt < 0 {
+			out[i] = results[c.out]
 			continue
 		}
-		var sub *sqldb.ResultSet
-		var err error
-		switch r.cand.sh.fam {
-		case FamilyAggregate:
-			sub = demuxAggregate(rs, r.cand)
-		case FamilyRange:
-			sub, err = demuxRange(rs, r.cand)
-		default:
-			sub, err = demuxEquality(rs, r.cand)
+		rep, ch, sub := &s.cands[c.rep], &s.chunks[c.chunk], &subs[0]
+		rs := results[ch.stmt]
+		subs = subs[1:]
+		if n := len(c.sh.aggs); c.sh.fam == FamilyAggregate {
+			// Key first, then the aggregates in select-list order, under
+			// the original's own labels; a key with no group row gets the
+			// empty-set values.
+			v := vals[:n:n]
+			if vals = vals[n:]; rep.nrows > 0 {
+				copy(v, s.hits[rep.first].row[1:1+n])
+			} else {
+				for j, fc := range c.sh.aggs {
+					v[j] = zeroValue(fc)
+				}
+			}
+			sub.Cols, sub.Rows, rows = c.sh.labels, rows[:1:1], rows[1:]
+			sub.Rows[0] = v
+		} else if n := int(rep.nrows); n > 0 {
+			sub.Cols, sub.Rows, rows = rs.Cols, rows[:n:n], rows[n:]
+			for j, h := 0, rep.first; j < n; j, h = j+1, s.hits[h].next {
+				sub.Rows[j] = s.hits[h].row
+			}
+		} else {
+			sub.Cols = rs.Cols
 		}
-		if err != nil {
-			return nil, err
-		}
-		n, k := shares[r.stmtIdx], handed[r.stmtIdx]
-		sub.RowsScanned = scanShare(rs.RowsScanned, n, k)
-		handed[r.stmtIdx]++
+		sub.RowsScanned = scanShare(rs.RowsScanned, int(ch.routes), int(ch.handed))
+		ch.handed++
 		demuxedRows += int64(len(sub.Rows))
 		out[i] = sub
 	}
-	if p.m != nil {
-		p.m.mu.Lock()
-		p.m.stats.RowsDemuxed += demuxedRows
-		p.m.mu.Unlock()
-	}
+	p.m.mu.Lock()
+	p.m.stats.RowsDemuxed += demuxedRows
+	p.m.mu.Unlock()
 	return out, nil
+}
+
+// route matches every row of chunk k's merged statement against the
+// chunk's distinct members once, chaining each match onto the member it
+// matched. Range rows are tested against every window, since windows
+// overlap. An equality or aggregate row whose match value has the members'
+// type class, where that class is one in which Go == agrees with
+// sqldb.Equal (int64, string, bool), takes one dedup-map lookup; any other
+// row — NULL, a float, an int key against a FLOAT column (numeric
+// promotion) — is compared with sqldb.Equal member by member.
+func (s *scratch) route(rs *sqldb.ResultSet, k int32) error {
+	ch := &s.chunks[k]
+	members := s.members[ch.off : ch.off+ch.width]
+	sh := members[0].sh
+	col, ok := 0, true // aggregate: the GROUP BY key leads
+	if sh.fam != FamilyAggregate {
+		col, ok = rs.ColIndex(sh.matchRef.Name)
+	}
+	if !ok {
+		return fmt.Errorf("merge: demux: merged result lacks match column %q", sh.matchRef.Name)
+	}
+	group, class := members[0].group, scalarClass(members[0].matchVal)
+	for _, row := range rs.Rows {
+		v := sqldb.Normalize(row[col])
+		switch {
+		case sh.fam == FamilyRange:
+			for _, m := range members {
+				if m.win.contains(v) {
+					s.hit(m, row)
+				}
+			}
+		case class != 'f' && scalarClass(v) == class:
+			if rep, ok := s.dedup[partKey{group, window{lo: v}}]; ok && s.cands[rep].chunk == k {
+				s.hit(&s.cands[rep], row)
+			}
+		default:
+			for _, m := range members {
+				if sqldb.Equal(v, m.matchVal) {
+					s.hit(m, row)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// hit chains row onto c's matches.
+func (s *scratch) hit(c *candidate, row []sqldb.Value) {
+	h := int32(len(s.hits))
+	s.hits = append(s.hits, hit{row: row, next: -1})
+	if c.nrows == 0 {
+		c.first = h
+	} else {
+		s.hits[c.last].next = h
+	}
+	c.last = h
+	c.nrows++
 }
 
 // scanShare splits a merged statement's scan count across its n routes:
@@ -429,60 +577,4 @@ func scanShare(scanned, n, k int) int {
 		share++
 	}
 	return share
-}
-
-// demuxEquality partitions merged rows by the match column's value.
-func demuxEquality(rs *sqldb.ResultSet, c *candidate) (*sqldb.ResultSet, error) {
-	ci, ok := rs.ColIndex(c.sh.matchRef.Name)
-	if !ok {
-		return nil, fmt.Errorf("merge: demux: merged result lacks match column %q", c.sh.matchRef.Name)
-	}
-	sub := &sqldb.ResultSet{Cols: rs.Cols}
-	for _, row := range rs.Rows {
-		if sqldb.Equal(sqldb.Normalize(row[ci]), c.matchVal) {
-			sub.Rows = append(sub.Rows, row)
-		}
-	}
-	return sub, nil
-}
-
-// demuxAggregate reconstructs the one-row scalar result of an original
-// aggregate statement from the merged GROUP BY result. The merged
-// projection is positional — key first, then the aggregates in the
-// original select-list order — and the output carries the original
-// statement's own labels. A key with no group row gets the empty-set
-// aggregate values: zero for COUNT, NULL otherwise.
-func demuxAggregate(rs *sqldb.ResultSet, c *candidate) *sqldb.ResultSet {
-	sub := &sqldb.ResultSet{Cols: c.sh.labels}
-	for _, row := range rs.Rows {
-		if !sqldb.Equal(sqldb.Normalize(row[0]), c.matchVal) {
-			continue
-		}
-		vals := make([]sqldb.Value, len(c.sh.aggs))
-		copy(vals, row[1:1+len(c.sh.aggs)])
-		sub.Rows = append(sub.Rows, vals)
-		return sub
-	}
-	vals := make([]sqldb.Value, len(c.sh.aggs))
-	for i, fc := range c.sh.aggs {
-		vals[i] = zeroValue(fc)
-	}
-	sub.Rows = append(sub.Rows, vals)
-	return sub
-}
-
-// demuxRange partitions merged rows by membership in the original's value
-// window.
-func demuxRange(rs *sqldb.ResultSet, c *candidate) (*sqldb.ResultSet, error) {
-	ci, ok := rs.ColIndex(c.sh.matchRef.Name)
-	if !ok {
-		return nil, fmt.Errorf("merge: demux: merged result lacks range column %q", c.sh.matchRef.Name)
-	}
-	sub := &sqldb.ResultSet{Cols: rs.Cols}
-	for _, row := range rs.Rows {
-		if c.win.contains(sqldb.Normalize(row[ci])) {
-			sub.Rows = append(sub.Rows, row)
-		}
-	}
-	return sub, nil
 }

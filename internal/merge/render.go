@@ -1,43 +1,31 @@
 package merge
 
 import (
+	"sync"
+
+	"repro/internal/driver"
 	"repro/internal/sqldb"
+	"repro/internal/sqldb/plan"
 	"repro/internal/sqldb/sqlparse"
 )
 
-// The merged-statement renderer is a thin mode over sqlparse.Renderer:
-// every Literal and Param renders as a `?` placeholder and its value is
-// appended to args, producing an executable statement whose argument list
-// is rebuilt in render order. Emitting all values as parameters sidesteps
-// literal round-tripping (string quoting, float formats) entirely. (The
-// other mode, the fingerprint template, is rendered once per shape — see
-// newShape.)
+// The merged-statement renderer is a thin mode over sqlparse.Renderer that
+// writes every value as a `?` (no literal round-tripping), the values
+// following in render order: the members' match values (range: window
+// bounds), then the exemplar's residual constants, its shape's holes. So an
+// equality or aggregate chunk's text depends only on the exemplar's shape
+// and the member count; range text also spells each bound's strictness.
+// (The fingerprint template is rendered once per shape — see newShape.)
 
-// emitter builds executable SQL, rebuilding the argument list.
-type emitter struct {
-	sqlparse.Renderer
-	outArgs []sqldb.Value
+// texts caches equality and aggregate merged statements without arguments
+// (text and interned AST), at most MaxInWidth per shape, for the life of
+// the shape cache; plan.SetCaching(false) bypasses it, as it does shapesOf.
+var texts sync.Map // textKey -> driver.Stmt
+
+type textKey struct {
+	sh    *shape
+	width int
 }
-
-func newEmitter(inArgs []sqldb.Value) *emitter {
-	e := &emitter{}
-	e.Value = func(r *sqlparse.Renderer, v sqldb.Value) {
-		r.WriteString("?")
-		e.outArgs = append(e.outArgs, v)
-	}
-	e.Param = func(r *sqlparse.Renderer, idx int) {
-		if idx < 0 || idx >= len(inArgs) {
-			r.Fail("param %d out of range (%d args)", idx, len(inArgs))
-			return
-		}
-		e.Value(r, inArgs[idx])
-	}
-	return e
-}
-
-// value renders one value not present in the expression tree (IN-list
-// members, window bounds) through the emit hook.
-func (e *emitter) value(v sqldb.Value) { e.Value(&e.Renderer, v) }
 
 // renderMergedFn is the merged-statement renderer, indirected so tests can
 // force the defensive pass-through fallback in Rewrite.
@@ -46,9 +34,58 @@ var renderMergedFn = renderMerged
 // renderMerged emits the merged statement for one group chunk. members are
 // the chunk's candidates in first-occurrence order (deduplicated); c is the
 // exemplar whose projection and residual conjuncts every member shares.
-// The prologue (projection, FROM), the residual conjuncts, and the
-// trailing clause are shared emit paths; only the projection head and the
-// match predicate vary per family:
+func renderMerged(c *candidate, members []*candidate) (driver.Stmt, error) {
+	st, err := textOf(c, members)
+	if err != nil {
+		return st, err
+	}
+	n := len(members)
+	if c.sh.fam == FamilyRange {
+		n *= 2
+	}
+	args := make([]sqldb.Value, 0, n+len(c.sh.holes))
+	for _, m := range members {
+		if c.sh.fam == FamilyRange {
+			args = append(args, m.win.lo, m.win.hi)
+		} else {
+			args = append(args, m.matchVal)
+		}
+	}
+	for _, h := range c.sh.holes { // as the statement spells them
+		if h.param < 0 {
+			args = append(args, h.lit)
+		} else {
+			args = append(args, c.args[h.param])
+		}
+	}
+	st.Args = args
+	return st, nil
+}
+
+// textOf returns the chunk's merged statement without arguments, rendering
+// it only on a cache miss or for a range chunk.
+func textOf(c *candidate, members []*candidate) (driver.Stmt, error) {
+	if c.sh.fam == FamilyRange || !plan.CachingEnabled() {
+		sql, err := renderText(c, members)
+		return driver.Stmt{SQL: sql}, err
+	}
+	k := textKey{c.sh, len(members)}
+	if v, ok := texts.Load(k); ok {
+		return v.(driver.Stmt), nil
+	}
+	sql, err := renderText(c, members)
+	if err != nil {
+		return driver.Stmt{}, err
+	}
+	parsed, _ := plan.ParseCached(sql) // nil on error: the driver parses the text
+	v, _ := texts.LoadOrStore(k, driver.Stmt{SQL: sql, Parsed: parsed})
+	return v.(driver.Stmt), nil
+}
+
+// renderText renders one chunk's merged statement. The prologue
+// (projection, FROM), the residual conjuncts, and the trailing clause are
+// shared emit paths; only the projection head and the match predicate vary
+// per family:
 //
 //   - equality:  shared cols ... WHERE col IN (?, ...) [ORDER BY]
 //   - aggregate: key col + aggregate calls positionally (labels are
@@ -56,8 +93,8 @@ var renderMergedFn = renderMerged
 //     original's own output labels) ... WHERE col IN (?, ...) GROUP BY col
 //   - range:     shared cols ... WHERE (OR of explicit bound comparisons)
 //     [ORDER BY]
-func renderMerged(c *candidate, members []*candidate) (string, []sqldb.Value, error) {
-	e := newEmitter(c.args)
+func renderText(c *candidate, members []*candidate) (string, error) {
+	e := sqlparse.Renderer{Value: func(r *sqlparse.Renderer, _ sqldb.Value) { r.WriteString("?") }}
 	e.WriteString("SELECT ")
 	if c.sh.fam == FamilyAggregate {
 		e.WriteString(c.sh.matchRef.String())
@@ -76,10 +113,15 @@ func renderMerged(c *candidate, members []*candidate) (string, []sqldb.Value, er
 	e.WriteString(" FROM ")
 	e.TableRef(c.sh.sel.From)
 	e.WriteString(" WHERE ")
+	col := c.sh.matchRef.String()
 	if c.sh.fam == FamilyRange {
-		e.windowList(c.sh.matchRef.String(), members)
+		windowList(&e, col, members)
 	} else {
-		e.inList(c.sh.matchRef.String(), members)
+		e.WriteString(col + " IN (?")
+		for range len(members) - 1 {
+			e.WriteString(", ?")
+		}
+		e.WriteString(")")
 	}
 	for _, other := range c.sh.others {
 		e.WriteString(" AND ")
@@ -90,29 +132,12 @@ func renderMerged(c *candidate, members []*candidate) (string, []sqldb.Value, er
 	} else {
 		e.OrderBy(c.sh.sel.OrderBy)
 	}
-	sql, err := e.SQL()
-	if err != nil {
-		return "", nil, err
-	}
-	return sql, e.outArgs, nil
-}
-
-// inList emits `col IN (?, ...)` over the members' match values.
-func (e *emitter) inList(col string, members []*candidate) {
-	e.WriteString(col)
-	e.WriteString(" IN (")
-	for i, m := range members {
-		if i > 0 {
-			e.WriteString(", ")
-		}
-		e.value(m.matchVal)
-	}
-	e.WriteString(")")
+	return e.SQL()
 }
 
 // windowList emits a parenthesized OR of explicit bound comparisons over
 // the members' windows.
-func (e *emitter) windowList(col string, members []*candidate) {
+func windowList(e *sqlparse.Renderer, col string, members []*candidate) {
 	e.WriteString("(")
 	for i, m := range members {
 		if i > 0 {
@@ -120,19 +145,16 @@ func (e *emitter) windowList(col string, members []*candidate) {
 		}
 		e.WriteString("(" + col)
 		if m.win.loStrict {
-			e.WriteString(" > ")
+			e.WriteString(" > ?")
 		} else {
-			e.WriteString(" >= ")
+			e.WriteString(" >= ?")
 		}
-		e.value(m.win.lo)
 		e.WriteString(" AND " + col)
 		if m.win.hiStrict {
-			e.WriteString(" < ")
+			e.WriteString(" < ?)")
 		} else {
-			e.WriteString(" <= ")
+			e.WriteString(" <= ?)")
 		}
-		e.value(m.win.hi)
-		e.WriteString(")")
 	}
 	e.WriteString(")")
 }

@@ -63,16 +63,18 @@ type shape struct {
 	// tmpl canonicalizes everything about the shape except constants:
 	// family, table, projection, match column, residual conjuncts and ORDER
 	// BY, with each Literal/Param rendered as a hole; holes lists those
-	// constants in render order. Two statements differ only in their
+	// constants in render order (also a merged statement's residual values,
+	// render.go). Two statements differ only in their
 	// varying part exactly when template, match type class and resolved
 	// hole values all agree — so `id = 3` and `id = ?` with 3 (two texts,
 	// two ASTs, one template) still share a group. Templates are interned:
 	// equal ones share a backing array, so comparing two group keys is a
 	// pointer check, not a scan. When no hole is a Param the formatted
-	// values are fixed too: consts holds them and holes is dropped.
+	// values are fixed too: consts holds them.
 	tmpl   string
 	holes  []constant
 	consts string
+	fixed  bool // consts is set
 }
 
 // eqSite is one `col = const` conjunct over the FROM table. sh is nil when
@@ -216,7 +218,7 @@ func newShape(base shape, ref *sqlparse.ColRef, conjuncts []sqlparse.Expr, a, b 
 	tmpl, _ := r.SQL() // buildShapes' trial render already proved this cannot fail
 	sh.tmpl = intern(tmpl)
 	if !slices.ContainsFunc(sh.holes, func(k constant) bool { return k.param >= 0 }) {
-		sh.consts, sh.holes = formatHoles(sh.holes, nil), nil
+		sh.consts, sh.fixed = formatHoles(sh.holes, nil), true
 	}
 	return &sh
 }

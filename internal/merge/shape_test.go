@@ -366,13 +366,16 @@ func TestMergeMetamorphic(t *testing.T) {
 	}
 }
 
-// TestRewriteAllocBudget keeps the per-batch bookkeeping of the two commonest
-// batch kinds — nothing merges, every statement is analyzed — within a fixed
-// allocation count (20 and 74 before shapes were cached).
+// TestRewriteAllocBudget: the two commonest batch kinds — nothing merges,
+// every statement is analyzed — allocate nothing (20 and 74 before shapes
+// were cached, 5 each before a pass-through batch stopped building a plan).
 func TestRewriteAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
 	batches := benchBatches()
 	m := merge.New(merge.Config{Enabled: true})
-	for name, budget := range map[string]float64{"single": 8, "mixed4": 16} {
+	for name, budget := range map[string]float64{"single": 0, "mixed4": 0} {
 		m.Rewrite(batches[name]) // warm the shape cache
 		if got := testing.AllocsPerRun(200, func() { m.Rewrite(batches[name]) }); got > budget {
 			t.Errorf("Rewrite(%s): %v allocs per batch, budget %v", name, got, budget)
