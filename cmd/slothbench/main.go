@@ -80,7 +80,7 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.txns, "txns", 500, "transactions per Fig. 13 workload")
 	fs.IntVar(&o.reps, "reps", 25, "repetitions per Fig. 12 configuration")
 	mergeOn := fs.Bool("merge", false, "enable the batch query-merge optimizer for suite experiments")
-	families := fs.String("families", "all", "merge families when -merge is set: all (equality+aggregate+range) | eq (equality only, the optimizer before the aggregate and range families)")
+	families := fs.String("families", "all", "merge families when -merge is set: all (equality+aggregate) | eq (equality only)")
 	dispatchFlag := fs.String("dispatch", "", "dispatch strategy: sync|async (suite experiments; empty = sync, throughput compares both unless set)")
 	fs.IntVar(&o.sessions, "sessions", 0, "concurrent sessions for -exp throughput (0 = sweep 1,2,4,8)")
 	workersFlag := fs.String("workers", "", "server DB worker queues for -exp throughput, comma-separated (empty = sweep 1,4)")

@@ -31,9 +31,9 @@ func TestAsyncTimelineGolden(t *testing.T) {
 		cfg  querystore.Config
 		want string
 	}{
-		{"async", async, "5685d853f33f6c5d71b8a5eaa67ba8208747eb4ced7975c1a24584ec3ecf6d3d"},
-		{"async+pipelined-writes", pipelined, "bb632b5b65db9bfcfe4bf49aeec9a90926cacfa62db7659a6606df514eb74c7e"},
-		{"async+merge", merged, "c7dcf97f80112d7296653c0a9344eee47abff7df893db6474880ea06a9b9cc6a"},
+		{"async", async, "4c8bb683704112b5d4dc652a759202e981f1c47566f1608f402edb566d2a1e1f"},
+		{"async+pipelined-writes", pipelined, "3f35651059e78083830e00af1c97b917ac3677b35d59182900338422a10405c4"},
+		{"async+merge", merged, "e642ef4bbbaa2f2b04ccfc3ecb2a281c586495e03848ca676267e521e2e75658"},
 	} {
 		if got := asyncSuiteDigest(t, tc.cfg); got != tc.want {
 			t.Errorf("%s: digest %s, want %s", tc.name, got, tc.want)
@@ -66,7 +66,7 @@ func asyncSuiteDigest(t *testing.T, cfg querystore.Config) string {
 		for p, page := range env.Pages() {
 			link := netsim.NewLink(env.Clock, rtt)
 			conn := env.Srv.Connect(link)
-			store := querystore.New(conn, env.shardCfg(cfg))
+			store := querystore.New(conn, cfg)
 			sess := orm.NewSession(store, orm.ModeSloth)
 			dbBefore, start := env.Srv.Stats().DBTime, env.Clock.Now()
 			if err := visitMeta.Insert(sess, &visit{ID: int64(p) + 1, Page: int64(p)}); err != nil {

@@ -115,17 +115,6 @@ func (e *Env) SetFaults(cfg faults.Config) {
 	e.Srv.SetFaults(faults.NewPlane(cfg))
 }
 
-// shardCfg completes a store config against this env: when the merge
-// optimizer runs over a sharded database it needs the engine's shard
-// router so merge families split per shard before any IN-list rewrite
-// (ShardRouter is nil on an unsharded env, so this is a no-op there).
-func (e *Env) shardCfg(cfg querystore.Config) querystore.Config {
-	if cfg.Merge.Enabled && cfg.Merge.ShardOf == nil {
-		cfg.Merge.ShardOf = e.DB.ShardRouter()
-	}
-	return cfg
-}
-
 // LoadInto replays one page into an existing session — the concurrent
 // throughput experiment's entry point, where sessions keep their own
 // clocks, connections, and dispatchers across a whole replay.
@@ -166,7 +155,7 @@ type PageMetrics struct {
 func (e *Env) LoadPageHTML(page string, mode orm.Mode, rtt time.Duration, cfg querystore.Config) (string, PageMetrics, error) {
 	link := netsim.NewLink(e.Clock, rtt)
 	conn := e.Srv.Connect(link)
-	store := querystore.New(conn, e.shardCfg(cfg))
+	store := querystore.New(conn, cfg)
 	defer store.Close()
 	sess := orm.NewSession(store, mode)
 	before := e.Srv.Stats()

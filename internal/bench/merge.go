@@ -16,7 +16,7 @@ import (
 // top of the paper's batching. Dedup removes statements that are textually
 // identical; the "merge" rung additionally coalesces the 1+N point-lookup
 // families that remain (the PR 1 baseline); the "agg" rung switches on the
-// aggregate and range families too, folding the per-row COUNT(*) fan-outs
+// aggregate family too, folding the per-row COUNT(*) fan-outs
 // into GROUP BY statements. The four rows form a ladder of within-batch
 // optimization.
 
@@ -30,7 +30,7 @@ type MergeAblationRow struct {
 	DBRows     int64 // physical rows visited by the executor
 	Saved      int64 // statements eliminated by merging
 	// FamilySaved breaks Saved down per merge family (merge.FamilyID-
-	// indexed: equality, aggregate, range).
+	// indexed: equality, aggregate).
 	FamilySaved [merge.NumFamilies]int64
 }
 
@@ -48,14 +48,10 @@ func MergeConfig() querystore.Config {
 }
 
 // EqualityMergeConfig isolates the equality family — the optimizer as it
-// stood before the aggregate and range families existed (the ablation
-// ladder's "merge" rung).
+// stood before the aggregate family existed (the ablation ladder's "merge"
+// rung).
 func EqualityMergeConfig() querystore.Config {
-	return querystore.Config{Merge: merge.Config{
-		Enabled:           true,
-		DisableAggregates: true,
-		DisableRanges:     true,
-	}}
+	return querystore.Config{Merge: merge.Config{Enabled: true, DisableAggregates: true}}
 }
 
 // MergeAblation runs the app's full page suite in Sloth mode under the
@@ -112,16 +108,15 @@ func (r MergeAblationReport) StatementsSaved() int64 {
 func (r MergeAblationReport) Format() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "== Ablation: batch merging, %s full suite (sloth mode) ==\n", r.App)
-	fmt.Fprintf(&sb, "%-8s %14s %14s %12s %10s %10s %8s %8s %8s %8s\n",
+	fmt.Fprintf(&sb, "%-8s %14s %14s %12s %10s %10s %8s %8s %8s\n",
 		"config", "total time", "db time", "round trips", "queries", "db rows",
-		"saved", "sv-eq", "sv-agg", "sv-range")
+		"saved", "sv-eq", "sv-agg")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&sb, "%-8s %14v %14v %12d %10d %10d %8d %8d %8d %8d\n",
+		fmt.Fprintf(&sb, "%-8s %14v %14v %12d %10d %10d %8d %8d %8d\n",
 			row.Label, row.Time.Round(time.Microsecond), row.DBTime.Round(time.Microsecond),
 			row.RoundTrips, row.Queries, row.DBRows, row.Saved,
 			row.FamilySaved[merge.FamilyEquality],
-			row.FamilySaved[merge.FamilyAggregate],
-			row.FamilySaved[merge.FamilyRange])
+			row.FamilySaved[merge.FamilyAggregate])
 	}
 	base, haveBase := r.Row("dedup")
 	if haveBase && base.Queries > 0 {
@@ -141,7 +136,7 @@ func (r MergeAblationReport) Format() string {
 		diff("agg")
 		if eq, ok := r.Row("merge"); ok {
 			if agg, ok := r.Row("agg"); ok && eq.Queries > 0 {
-				fmt.Fprintf(&sb, "agg vs merge: %d fewer statements (%.1f%%) from the aggregate + range families\n",
+				fmt.Fprintf(&sb, "agg vs merge: %d fewer statements (%.1f%%) from the aggregate family\n",
 					eq.Queries-agg.Queries,
 					100*float64(eq.Queries-agg.Queries)/float64(eq.Queries))
 			}

@@ -14,48 +14,57 @@ import (
 )
 
 // TestShardGoldenAllPages is the sharding bar: every page of both
-// applications renders byte-identical HTML at 1, 2, and 4 shards under
-// every dispatch strategy, and — because the virtual timeline is
-// shard-count-independent for merge-off configs — the sync-mode
-// PageMetrics (total, app, db, net, trips, queries) are deep-equal to the
-// unsharded baseline at every shard count.
+// applications, with merging off and on, renders byte-identical HTML at 1,
+// 2, and 4 shards under every dispatch strategy, and — because a session's
+// virtual timeline does not depend on the shard count — the sync-mode
+// PageMetrics (total, app, db, net, trips, queries, merge savings) are
+// deep-equal to the unsharded baseline of the same config at every shard
+// count.
 func TestShardGoldenAllPages(t *testing.T) {
 	const rtt = 500 * time.Microsecond
 	kinds := []dispatch.Kind{dispatch.KindSync, dispatch.KindAsync}
+	configs := []struct {
+		name string
+		cfg  querystore.Config
+	}{{"merge off", querystore.Config{}}, {"merge on", MergeConfig()}}
 	for _, app := range []AppID{Itracker, OpenMRS} {
-		base, err := NewEnv(app, 1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		html := make(map[string]string)
-		metrics := make(map[string]PageMetrics)
-		for _, page := range base.Pages() {
-			h, m, err := base.LoadPageHTML(page, orm.ModeSloth, rtt, querystore.Config{})
+		for _, c := range configs {
+			name, cfg := c.name, c.cfg
+			base, err := NewEnv(app, 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			html[page] = h
-			metrics[page] = m
-		}
-		for _, shards := range []int{1, 2, 4} {
-			env, err := NewEnv(app, 1, shards)
-			if err != nil {
-				t.Fatal(err)
+			html := make(map[string]string)
+			metrics := make(map[string]PageMetrics)
+			for _, page := range base.Pages() {
+				h, m, err := base.LoadPageHTML(page, orm.ModeSloth, rtt, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				html[page] = h
+				metrics[page] = m
 			}
-			// The sync pass runs first so its load sequence — and
-			// therefore its virtual timeline — mirrors the baseline
-			// env's exactly.
-			for _, kind := range kinds {
-				for _, page := range env.Pages() {
-					h, m, err := env.LoadPageHTML(page, orm.ModeSloth, rtt, querystore.Config{Dispatch: kind})
-					if err != nil {
-						t.Fatalf("%v shards=%d %v %q: %v", app, shards, kind, page, err)
-					}
-					if h != html[page] {
-						t.Fatalf("%v shards=%d %v %q: HTML diverged from unsharded baseline", app, shards, kind, page)
-					}
-					if kind == dispatch.KindSync && !reflect.DeepEqual(m, metrics[page]) {
-						t.Errorf("%v shards=%d %q: metrics diverged\n got %+v\nwant %+v", app, shards, page, m, metrics[page])
+			for _, shards := range []int{1, 2, 4} {
+				env, err := NewEnv(app, 1, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The sync pass runs first so its load sequence — and
+				// therefore its virtual timeline — mirrors the baseline
+				// env's exactly.
+				for _, kind := range kinds {
+					cfg.Dispatch = kind
+					for _, page := range env.Pages() {
+						h, m, err := env.LoadPageHTML(page, orm.ModeSloth, rtt, cfg)
+						if err != nil {
+							t.Fatalf("%v %s shards=%d %v %q: %v", app, name, shards, kind, page, err)
+						}
+						if h != html[page] {
+							t.Fatalf("%v %s shards=%d %v %q: HTML diverged from unsharded baseline", app, name, shards, kind, page)
+						}
+						if kind == dispatch.KindSync && !reflect.DeepEqual(m, metrics[page]) {
+							t.Errorf("%v %s shards=%d %q: metrics diverged\n got %+v\nwant %+v", app, name, shards, page, m, metrics[page])
+						}
 					}
 				}
 			}

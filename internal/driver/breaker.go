@@ -56,9 +56,6 @@ func (s *Server) SetFaults(plane *faults.Plane) {
 	}
 }
 
-// Faults returns the installed fault plane (nil when infallible).
-func (s *Server) Faults() *faults.Plane { return s.faults }
-
 // touchedShards expands an occupancy mask into the shard indexes a batch
 // lands on: the set bits, or every shard when the mask is 0 (unroutable
 // batch, or an unsharded store).

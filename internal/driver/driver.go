@@ -286,9 +286,6 @@ func (s *Server) Workers() int {
 	return len(s.lanes) / s.shards
 }
 
-// Shards reports the occupancy model's shard count.
-func (s *Server) Shards() int { return s.shards }
-
 // QueueWaits returns the per-batch queue-wait distribution (live: it
 // keeps observing as batches arrive).
 func (s *Server) QueueWaits() *obs.Histogram { return s.queueWait }

@@ -114,12 +114,6 @@ func (in *LazyInterp) Output() string { return in.out.String() }
 // Stats returns lazy-evaluation counters.
 func (in *LazyInterp) Stats() LazyStats { return in.stats }
 
-// Heap exposes the heap for equivalence checks.
-func (in *LazyInterp) Heap() *Heap { return in.heap }
-
-// Analysis exposes the static analysis results (Fig. 11 reporting).
-func (in *LazyInterp) Analysis() *Analysis { return in.analysis }
-
 // Run executes main(). Reads still pending in the store when main returns
 // are never executed: nothing forced them, so nothing observed them.
 func (in *LazyInterp) Run() error {

@@ -689,3 +689,71 @@ func TestLazyNeverMoreTrips(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelOperators runs the unary operators, == / !=, and the && / ||
+// whose right operand decides, over plain and thunked (query-result)
+// operands: the lazy interpreter under every option set prints what the
+// standard one prints, and fails wherever it fails.
+func TestKernelOperators(t *testing.T) {
+	const v2 = `let v = col(row(R("SELECT v FROM t WHERE id = 2"), 0), "v");`
+	const n2 = `let n = col(row(R("SELECT name FROM t WHERE id = 2"), 0), "name");`
+	cases := []struct {
+		name, body, want string // want "" means the standard run fails
+	}{
+		{"negate and not", `let a = 3; let z = 0; print(-a); print(-(-a)); print(!a); print(!z); print(!null);`,
+			"-3\n3\nfalse\ntrue\ntrue\n"},
+		{"unary over thunks", v2 + ` print(-v); print(!v); print(!!v); print(-v + 1);`,
+			"-20\nfalse\ntrue\n-19\n"},
+		{"equality", `let a = 1; let s = "a"; let b = true; print(a == 1); print(a != 1); print(s == "a"); print(s != "b"); print(b == true); print(a == s); print(null == null); print(a == null);`,
+			"true\nfalse\ntrue\ntrue\ntrue\nfalse\ntrue\nfalse\n"},
+		{"equality over thunks", v2 + n2 + ` print(v == 20); print(v != 20); print(n == "b"); print(n != "b"); print(v == n);`,
+			"true\nfalse\ntrue\nfalse\nfalse\n"},
+		{"right operand decides", `let t = true; let f = false; let z = 0; print(t && z); print(t && 7); print(f || z); print(f || 5); print(z || null);`,
+			"false\ntrue\nfalse\ntrue\nfalse\n"},
+		{"right operand decides over thunks", v2 + ` let t = true; let z = 0; print(t && v); print(z || v); print(v && z); print(v > 100 || v);`,
+			"true\ntrue\nfalse\ntrue\n"},
+		{"negate a string", `let s = "s"; print(-s);`, ""},
+		{"negate a bool", `let b = true; print(-b);`, ""},
+		{"not a string", n2 + ` print(!n);`, ""},
+		{"right operand not a condition", `let t = true; print(t && "s");`, ""},
+		{"thunked right operand not a condition", n2 + ` let z = 0; print(z || n);`, ""},
+	}
+	var optionSets []Options
+	for _, sc := range []bool{false, true} {
+		for _, tc := range []bool{false, true} {
+			for _, bd := range []bool{false, true} {
+				optionSets = append(optionSets, Options{SC: sc, TC: tc, BD: bd})
+			}
+		}
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			prog, err := ParseProgram("fn main() { " + c.body + " }")
+			if err != nil {
+				t.Fatal(err)
+			}
+			Simplify(prog)
+			conn, _ := rig(t, 0)
+			std := NewStd(prog, conn)
+			stdErr := std.Run()
+			if c.want == "" {
+				if stdErr == nil {
+					t.Fatalf("standard run succeeded, printing %q", std.Output())
+				}
+			} else if stdErr != nil || std.Output() != c.want {
+				t.Fatalf("standard run: %q, %v; want %q", std.Output(), stdErr, c.want)
+			}
+			for _, opts := range optionSets {
+				conn, _ := rig(t, 0)
+				lazy := NewLazy(prog, querystore.New(conn, querystore.Config{}), opts, nil, CostModel{})
+				lazyErr := lazy.Run()
+				switch {
+				case stdErr != nil && lazyErr == nil:
+					t.Errorf("opts %+v: lazy run succeeded, printing %q; standard failed: %v", opts, lazy.Output(), stdErr)
+				case stdErr == nil && (lazyErr != nil || lazy.Output() != std.Output()):
+					t.Errorf("opts %+v: lazy run %q, %v; standard %q", opts, lazy.Output(), lazyErr, std.Output())
+				}
+			}
+		})
+	}
+}

@@ -44,9 +44,6 @@ func NewStd(prog *Program, db Queryer) *StdInterp {
 // Output returns everything printed so far.
 func (in *StdInterp) Output() string { return in.w.out.String() }
 
-// Heap exposes the interpreter heap (equivalence checks inspect it).
-func (in *StdInterp) Heap() *Heap { return in.w.heap }
-
 // Stats returns execution counters.
 func (in *StdInterp) Stats() StdStats { return in.stats }
 

@@ -6,8 +6,8 @@ import (
 
 // wallclock: the reproduction's entire measured world runs on virtual
 // time (netsim clocks); the host's wall clock may appear only at the few
-// sanctioned attribution points (driver wall stats, obs host durations,
-// the Fig. 13 overhead timer), each marked
+// sanctioned attribution points (driver wall stats, the Fig. 13 overhead
+// timer, the benchmark harness's clock), each marked
 // //slothvet:allow wallclock(reason). Everywhere else a time.Now or
 // time.Sleep is a determinism bug by construction: it couples golden
 // output or stats to host speed. Types like

@@ -46,8 +46,6 @@ func benchBatches() map[string][]driver.Stmt {
 		},
 		"fanout32": fanout("SELECT id, project_id, title FROM issues WHERE project_id = ? AND status = 'open' ORDER BY id", key),
 		"agg32":    fanout("SELECT COUNT(*) FROM issues WHERE project_id = ? AND status = 'open'", key),
-		"range32": fanout("SELECT id, created, title FROM issues WHERE created >= ? AND created < ? ORDER BY created",
-			func(k int64) []sqldb.Value { return []sqldb.Value{10 * k, 10*k + 15} }),
 	}
 }
 
@@ -61,11 +59,6 @@ func mergedRows(batch string) *sqldb.ResultSet {
 		rs.Cols = []string{"project_id", "COUNT(*)"}
 		for k := int64(0); k < 30; k++ {
 			rs.Rows = append(rs.Rows, []sqldb.Value{k, 3 + k})
-		}
-	case "range32":
-		rs.Cols = []string{"id", "created", "title"}
-		for c := int64(0); c < 310; c += 3 {
-			rs.Rows = append(rs.Rows, []sqldb.Value{c, c, fmt.Sprintf("issue %d", c)})
 		}
 	default:
 		rs.Cols = []string{"id", "project_id", "title"}
@@ -125,7 +118,7 @@ var benchDemuxed []*sqldb.ResultSet
 func BenchmarkDemux(b *testing.B) {
 	batches := benchBatches()
 	for _, bc := range []struct{ name, batch string }{
-		{"passthrough", "mixed4"}, {"fanout32", "fanout32"}, {"agg32", "agg32"}, {"range32", "range32"},
+		{"passthrough", "mixed4"}, {"fanout32", "fanout32"}, {"agg32", "agg32"},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			m := merge.New(merge.Config{Enabled: true})

@@ -25,10 +25,6 @@ const (
 	// WHERE fk IN (...) GROUP BY fk`, with demux synthesizing the per-key
 	// scalar row — including the zero row for keys that matched nothing.
 	FamilyAggregate
-	// FamilyRange merges statements identical except for one value window
-	// (`col BETWEEN ? AND ?` / `col >= ? AND col < ?`) into a single
-	// OR-of-windows scan with range-membership demux.
-	FamilyRange
 	// NumFamilies sizes per-family counter arrays.
 	NumFamilies = iota
 )
@@ -40,35 +36,9 @@ func (f FamilyID) String() string {
 		return "eq"
 	case FamilyAggregate:
 		return "agg"
-	case FamilyRange:
-		return "range"
 	default:
 		return fmt.Sprintf("family(%d)", int(f))
 	}
-}
-
-// window is one half-open-or-closed value interval of a range candidate.
-type window struct {
-	lo, hi             sqldb.Value
-	loStrict, hiStrict bool // strict bound: `>` / `<` instead of `>=` / `<=`
-}
-
-// contains reports whether v falls inside the window under the engine's
-// comparison semantics (numeric promotion; NULL and incomparable values
-// never match).
-func (w window) contains(v sqldb.Value) bool {
-	if v == nil {
-		return false
-	}
-	cl, err := sqldb.Compare(v, w.lo)
-	if err != nil || cl < 0 || (cl == 0 && w.loStrict) {
-		return false
-	}
-	ch, err := sqldb.Compare(v, w.hi)
-	if err != nil || ch > 0 || (ch == 0 && w.hiStrict) {
-		return false
-	}
-	return true
 }
 
 // candidate is one statement bound to a shape: the argument-dependent half
@@ -77,33 +47,21 @@ func (w window) contains(v sqldb.Value) bool {
 type candidate struct {
 	sh                 *shape
 	args               []sqldb.Value
-	matchVal           sqldb.Value // equality and aggregate families: the match constant
-	win                window      // range family: the value window over sh.matchRef
+	matchVal           sqldb.Value // the match constant
 	group              int32       // group ordinal within the batch
 	chunk              int32       // chunk index within the batch (multi-member groups)
-	rep                int32       // the candidate carrying this varying part first (itself, or the one it duplicates)
+	rep                int32       // the candidate carrying this match value first (itself, or the one it duplicates)
 	out                int32       // unmerged: its index in Plan.Stmts
 	nrows, first, last int32       // on a rep, in Demux: merged rows matched, first and last in scratch.hits
 }
 
-// varying is the candidate's varying part — the IN-list member it
-// contributes (equality, aggregate) or its window (range) — as a comparable
-// value, for chunk-level dedup when upstream dedup is disabled.
-func (c *candidate) varying() window {
-	if c.sh.fam == FamilyRange {
-		return c.win
-	}
-	return window{lo: c.matchVal}
-}
-
 // groupKey identifies a group: statements merge exactly when their keys are
-// equal. epoch counts the write barriers seen so far and shard is the match
-// value's owning shard (-1: unrouted), both filled in by Rewrite.
+// equal. epoch counts the write barriers seen so far, filled in by Rewrite.
 type groupKey struct {
-	epoch, shard int
-	tmpl         string
-	class        byte   // match value type / window bound class
-	consts       string // the template's hole values, formatted
+	epoch  int
+	tmpl   string
+	class  byte   // match value type
+	consts string // the template's hole values, formatted
 }
 
 // key builds the candidate-independent part of the group key for one
@@ -136,11 +94,10 @@ func splitConjuncts(e sqlparse.Expr, out []sqlparse.Expr) []sqlparse.Expr {
 }
 
 // scalarClass tags a match value's type (0: not mergeable — only these
-// scalar types are, and NULL never equals anything). The type is
-// part of the group key: the engine's index lookup is type-strict while
-// general comparison promotes int/float, so values of different types must
-// never share an IN list — merging them could hand a statement rows its own
-// execution would not return.
+// scalar types are, and NULL never equals anything). The type is part of
+// the group key, so a merged IN list carries values of one type, as its
+// members' own statements did, and route can find a row's member with one
+// lookup keyed on the value.
 func scalarClass(v sqldb.Value) byte {
 	switch v.(type) {
 	case int64:
@@ -155,22 +112,8 @@ func scalarClass(v sqldb.Value) byte {
 	return 0
 }
 
-// rangeClass buckets a window bound (0: not a usable bound): the engine
-// promotes int/float freely in comparisons, so the numeric types share a
-// class, but mixing classes across a group could make the merged OR-eval
-// fail where an original would not — so the class is part of the group key.
-func rangeClass(v sqldb.Value) byte {
-	switch v.(type) {
-	case int64, float64:
-		return 'n'
-	case string:
-		return 's'
-	}
-	return 0
-}
-
 // analyze binds one statement to a shape under the enabled families,
-// filling c and returning its group key (epoch and shard left for Rewrite)
+// filling c and returning its group key (epoch left for Rewrite)
 // when it is mergeable. It consumes the AST the query store threaded
 // through the batch (falling back to the parse interner), so analysis never
 // re-parses SQL text, and the AST's cached shapes, so it never re-derives
@@ -189,7 +132,7 @@ func (m *Merger) analyze(st driver.Stmt, c *candidate) (groupKey, bool) {
 		return groupKey{}, false
 	}
 	ss := shapesOf(sel)
-	if ss == nil || len(st.Args) < ss.minArgs || (ss.agg && !m.cfg.familyOn(FamilyAggregate)) {
+	if ss == nil || len(st.Args) < ss.minArgs || (ss.agg && m.cfg.DisableAggregates) {
 		return groupKey{}, false
 	}
 	// The match conjunct is the first `col = const` whose constant is not
@@ -205,10 +148,7 @@ func (m *Merger) analyze(st driver.Stmt, c *candidate) (groupKey, bool) {
 		}
 		break
 	}
-	if ss.agg || !m.cfg.familyOn(FamilyRange) {
-		return groupKey{}, false
-	}
-	return ss.bindRange(st.Args, c)
+	return groupKey{}, false
 }
 
 // projectionAggregates reports whether any select expression contains an
@@ -302,66 +242,6 @@ func zeroValue(fc *sqlparse.FuncCall) sqldb.Value {
 		return int64(0)
 	}
 	return nil
-}
-
-// bindRange picks the statement's value window: the first bounded column —
-// in order of its first usable bound — carrying exactly one lower and one
-// upper bound (a BETWEEN supplies both) of one class, whose shape exists.
-// Bounds whose constant is NULL drop out first; ambiguous columns — two
-// lower bounds, say — are skipped rather than guessed at. The remaining
-// conjuncts are the shape's residual.
-func (ss *stmtShapes) bindRange(args []sqldb.Value, c *candidate) (groupKey, bool) {
-	type colState struct {
-		nLo, nHi int
-		lo, hi   int // ss.bounds indexes
-		win      window
-	}
-	var colBuf [4]colState
-	var orderBuf [4]int
-	cols, order := colBuf[:], orderBuf[:0]
-	if ss.nCols > len(cols) {
-		cols = make([]colState, ss.nCols)
-	}
-	for i := range ss.bounds {
-		b := &ss.bounds[i]
-		var lo, hi sqldb.Value
-		if b.isLo {
-			lo = b.lo.value(args)
-		}
-		if b.isHi {
-			hi = b.hi.value(args)
-		}
-		if (b.isLo && lo == nil) || (b.isHi && hi == nil) {
-			continue
-		}
-		st := &cols[b.col]
-		if st.nLo+st.nHi == 0 {
-			order = append(order, b.col)
-		}
-		if b.isLo {
-			st.nLo, st.lo, st.win.lo, st.win.loStrict = st.nLo+1, i, lo, b.strict
-		}
-		if b.isHi {
-			st.nHi, st.hi, st.win.hi, st.win.hiStrict = st.nHi+1, i, hi, b.strict
-		}
-	}
-	for _, col := range order {
-		st := &cols[col]
-		if st.nLo != 1 || st.nHi != 1 {
-			continue
-		}
-		class := rangeClass(st.win.lo)
-		if class == 0 || class != rangeClass(st.win.hi) {
-			continue
-		}
-		for _, w := range ss.windows {
-			if w.lo == st.lo && w.hi == st.hi {
-				*c = candidate{sh: w.sh, args: args, win: st.win}
-				return w.sh.key(class, args), true
-			}
-		}
-	}
-	return groupKey{}, false
 }
 
 // projectionCarries reports whether the select list outputs the match

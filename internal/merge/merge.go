@@ -2,7 +2,7 @@
 // pass that runs between the query store's flush and the batch driver's
 // dispatch. The query store already collapses *identical* statements; this
 // subsystem goes further and coalesces statements that are identical except
-// for one varying part, organized as a registry of three families:
+// for one match value, organized as a registry of two families:
 //
 //   - equality (FamilyEquality): the classic ORM 1+N shape — `SELECT ...
 //     WHERE owner_id = ?` issued once per rendered row — becomes a single
@@ -11,11 +11,9 @@
 //     `SELECT COUNT(*) FROM t WHERE fk = ?` once per listed row — becomes
 //     one `SELECT fk, COUNT(*) FROM t WHERE fk IN (...) GROUP BY fk`, and
 //     demux synthesizes each original's one-row result (including the
-//     zero-count row for keys that matched nothing);
-//   - range (FamilyRange): statements identical except for one value
-//     window (`col BETWEEN ? AND ?` / `col >= ? AND col < ?`) become a
-//     single OR-of-windows statement — one table scan instead of N — with
-//     range-membership demux.
+//     zero-count row for keys that matched nothing).
+//
+// A family arrives together with a workload that exercises it.
 //
 // After execution the merged result set is demultiplexed back into one
 // ResultSet per original statement, so callers and cached query ids observe
@@ -25,9 +23,12 @@
 // batch as an optimization surface; merging makes batches *smaller* (fewer,
 // wider statements) rather than just fewer. Every per-statement cost —
 // server dispatch, parse, per-query execution overhead, result-set framing
-// — is paid once per group instead of once per statement, and the aggregate
-// and range families also cut row work (one GROUP BY probe / one scan
-// instead of N).
+// — is paid once per group instead of once per statement, and the
+// aggregate family also cuts row work (one GROUP BY probe instead of N).
+//
+// Merging knows nothing of storage sharding: a merged IN list may span
+// shards, and the driver prices it with one occupancy-mask bit per key, so
+// a session's virtual timeline does not depend on the shard count.
 //
 // Safety rules (checked per statement, conservatively):
 //
@@ -35,23 +36,23 @@
 //     act as barriers that close all open groups, so no read is ever moved
 //     across a write;
 //   - single-table SELECTs without DISTINCT, JOIN, GROUP BY, HAVING,
-//     LIMIT, or OFFSET; the equality and range families additionally
-//     reject computed projections, while the aggregate family requires
-//     every output column to be a plain aggregate call;
-//   - the varying part must resolve to literal or parameter values; the
+//     LIMIT, or OFFSET; the equality family additionally rejects computed
+//     projections, while the aggregate family requires every output column
+//     to be a plain aggregate call;
+//   - the match value must resolve to a literal or parameter value; the
 //     remaining conjuncts, the projection, and the ORDER BY must be
 //     identical across a group. That is what a group key says: the shape's
 //     interned template (all of the above with constants as holes), the
-//     match value's type class, the resolved residual constants, the
-//     write-barrier epoch and the owning shard — a comparable struct, not a
-//     rendered string. What depends only on the AST is analyzed once per
-//     statement template per process (shape.go); only argument values are
-//     resolved per statement (family.go);
+//     match value's type class, the resolved residual constants and the
+//     write-barrier epoch — a comparable struct, not a rendered string.
+//     What depends only on the AST is analyzed once per statement template
+//     per process (shape.go); only argument values are resolved per
+//     statement (family.go);
 //   - the match column must be recoverable from the merged result rows
-//     (projected for equality/range, added as the GROUP BY key for
-//     aggregates), because demultiplexing keys on its value;
-//   - merged IN lists and OR-of-window lists are capped at
-//     MaxInWidth members; wider groups split into chunks.
+//     (projected for equality, added as the GROUP BY key for aggregates),
+//     because demultiplexing keys on its value;
+//   - merged IN lists are capped at MaxInWidth members; wider groups split
+//     into chunks.
 package merge
 
 import (
@@ -63,7 +64,7 @@ import (
 	"repro/internal/sqldb"
 )
 
-// MaxInWidth bounds the IN list (or window list) of one merged statement,
+// MaxInWidth bounds the IN list of one merged statement,
 // mirroring the way production drivers cap host-variable counts per
 // statement.
 const MaxInWidth = 64
@@ -77,31 +78,6 @@ type Config struct {
 	// whenever Enabled is set) — an ablation knob isolating the equality
 	// baseline.
 	DisableAggregates bool
-	// DisableRanges switches off the range family, likewise.
-	DisableRanges bool
-	// ShardOf, when set on a sharded deployment, maps a (table, column,
-	// value) match conjunct to its owning storage shard (ok=false:
-	// unroutable — not the partition column, or a NULL). Merge families
-	// then split per shard BEFORE rewriting, so an emitted `IN (...)` list
-	// never spans shards and every merged statement stays routable by the
-	// driver's occupancy mask. Splitting changes statement widths, so with
-	// merging enabled the virtual timeline is shard-count-DEPENDENT (page
-	// HTML never changes — demux is transparent); the golden timeline
-	// equality bar therefore applies to merge-off configurations, which is
-	// what every default and throughput path runs.
-	ShardOf func(table, col string, v sqldb.Value) (int, bool)
-}
-
-// familyOn reports whether a family participates under this configuration.
-func (c Config) familyOn(f FamilyID) bool {
-	switch f {
-	case FamilyAggregate:
-		return !c.DisableAggregates
-	case FamilyRange:
-		return !c.DisableRanges
-	default:
-		return true
-	}
 }
 
 // Stats counts optimizer activity across the batches of one Merger.
@@ -133,9 +109,6 @@ type Merger struct {
 
 // New creates a merger.
 func New(cfg Config) *Merger { return &Merger{cfg: cfg} }
-
-// Enabled reports whether the rewrite pass is active.
-func (m *Merger) Enabled() bool { return m.cfg.Enabled }
 
 // Stats snapshots the optimizer counters.
 func (m *Merger) Stats() Stats {
@@ -243,13 +216,13 @@ type chunk struct {
 	handed     int32 // scan shares Demux has handed out
 }
 
-// partKey names a varying part within a group.
+// partKey names a match value within a group.
 type partKey struct {
 	group int32
-	w     window
+	v     sqldb.Value
 }
 
-// hit is one merged row routed to a varying part, chained to its next one.
+// hit is one merged row routed to a match value, chained to its next one.
 type hit struct {
 	row  []sqldb.Value
 	next int32
@@ -263,8 +236,8 @@ type scratch struct {
 	gs      groupSet
 	chunks  []chunk
 	members []*candidate      // the chunks' distinct members, chunk by chunk
-	dedup   map[partKey]int32 // varying part -> the candidate carrying it first
-	hits    []hit             // Demux: merged rows, chained per varying part
+	dedup   map[partKey]int32 // match value -> the candidate carrying it first
+	hits    []hit             // Demux: merged rows, chained per match value
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -292,8 +265,7 @@ func (s *scratch) inGroup(c *candidate) bool {
 // Rewrite never fails: statements it cannot improve (or cannot parse) pass
 // through verbatim, and a batch in which nothing merges costs its analysis
 // and nothing else. The counters are added under the lock at the end, so
-// neither analysis nor the caller-supplied ShardOf hook runs with the
-// Merger locked.
+// analysis never runs with the Merger locked.
 func (m *Merger) Rewrite(stmts []driver.Stmt) *Plan {
 	s := scratchPool.Get().(*scratch)
 	s.cands = slices.Grow(s.cands, len(stmts))[:len(stmts)]
@@ -313,16 +285,7 @@ func (m *Merger) Rewrite(stmts []driver.Stmt) *Plan {
 			ineligible++
 			continue
 		}
-		// Equality and aggregate candidates carry one match value, so
-		// their owning shard is known before rewrite and same-key
-		// candidates keep grouping together. Range windows span keys and
-		// stay unsplit (they fan out at execution regardless).
-		key.epoch, key.shard = epoch, -1
-		if m.cfg.ShardOf != nil && c.sh.fam != FamilyRange {
-			if sh, ok := m.cfg.ShardOf(c.sh.sel.From.Name, c.sh.matchRef.Name, c.matchVal); ok {
-				key.shard = sh
-			}
-		}
+		key.epoch = epoch
 		c.group = s.gs.add(key)
 		merging = merging || s.gs.groups[c.group].n > 1
 	}
@@ -334,9 +297,9 @@ func (m *Merger) Rewrite(stmts []driver.Stmt) *Plan {
 	}
 
 	// Partition each multi-member group into width-capped chunks of
-	// distinct varying parts, in batch order; a duplicate value or window
-	// (possible with dedup disabled) rides on the candidate carrying it
-	// first, and so shares its chunk.
+	// distinct match values, in batch order; a duplicate value (possible
+	// with dedup disabled) rides on the candidate carrying it first, and so
+	// shares its chunk.
 	if s.dedup == nil {
 		s.dedup = make(map[partKey]int32)
 	}
@@ -349,7 +312,7 @@ func (m *Merger) Rewrite(stmts []driver.Stmt) *Plan {
 		absorbed++
 		g := &s.gs.groups[c.group]
 		g.walked++
-		k := partKey{c.group, c.varying()}
+		k := partKey{c.group, c.matchVal}
 		if rep, dup := s.dedup[k]; dup {
 			c.rep, c.chunk = rep, s.cands[rep].chunk
 			continue
@@ -421,8 +384,8 @@ func (m *Merger) count(p *Plan, ineligible int64) {
 // Demux routes the rewritten batch's results back to the original
 // statements: pass-through statements forward their ResultSet unchanged,
 // and each merged statement's rows, routed once (route), are partitioned
-// per family — by match value (equality), by GROUP BY key with zero-row
-// synthesis (aggregate), or by window membership (range) — into results
+// per family — by match value (equality) or by GROUP BY key with zero-row
+// synthesis (aggregate) — into results
 // carved from one ResultSet slab and one row backing. Every original gets
 // exactly what its own execution would have returned, duplicates the whole
 // bag of their key's rows, a key with no rows an empty ResultSet (a one-row
@@ -510,9 +473,7 @@ func (p *Plan) Demux(results []*sqldb.ResultSet) ([]*sqldb.ResultSet, error) {
 
 // route matches every row of chunk k's merged statement against the
 // chunk's distinct members once, chaining each match onto the member it
-// matched. Range rows are tested against every window, since windows
-// overlap. An equality or aggregate row whose match value has the members'
-// type class, where that class is one in which Go == agrees with
+// matched. A row whose match value has the members' type class, where that class is one in which Go == agrees with
 // sqldb.Equal (int64, string, bool), takes one dedup-map lookup; any other
 // row — NULL, a float, an int key against a FLOAT column (numeric
 // promotion) — is compared with sqldb.Equal member by member.
@@ -530,22 +491,15 @@ func (s *scratch) route(rs *sqldb.ResultSet, k int32) error {
 	group, class := members[0].group, scalarClass(members[0].matchVal)
 	for _, row := range rs.Rows {
 		v := sqldb.Normalize(row[col])
-		switch {
-		case sh.fam == FamilyRange:
-			for _, m := range members {
-				if m.win.contains(v) {
-					s.hit(m, row)
-				}
-			}
-		case class != 'f' && scalarClass(v) == class:
-			if rep, ok := s.dedup[partKey{group, window{lo: v}}]; ok && s.cands[rep].chunk == k {
+		if class != 'f' && scalarClass(v) == class {
+			if rep, ok := s.dedup[partKey{group, v}]; ok && s.cands[rep].chunk == k {
 				s.hit(&s.cands[rep], row)
 			}
-		default:
-			for _, m := range members {
-				if sqldb.Equal(v, m.matchVal) {
-					s.hit(m, row)
-				}
+			continue
+		}
+		for _, m := range members {
+			if sqldb.Equal(v, m.matchVal) {
+				s.hit(m, row)
 			}
 		}
 	}

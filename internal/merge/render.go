@@ -11,13 +11,12 @@ import (
 
 // The merged-statement renderer is a thin mode over sqlparse.Renderer that
 // writes every value as a `?` (no literal round-tripping), the values
-// following in render order: the members' match values (range: window
-// bounds), then the exemplar's residual constants, its shape's holes. So an
-// equality or aggregate chunk's text depends only on the exemplar's shape
-// and the member count; range text also spells each bound's strictness.
-// (The fingerprint template is rendered once per shape — see newShape.)
+// following in render order: the members' match values, then the
+// exemplar's residual constants, its shape's holes. So a chunk's text
+// depends only on the exemplar's shape and the member count. (The
+// fingerprint template is rendered once per shape — see newShape.)
 
-// texts caches equality and aggregate merged statements without arguments
+// texts caches merged statements without arguments
 // (text and interned AST), at most MaxInWidth per shape, for the life of
 // the shape cache; plan.SetCaching(false) bypasses it, as it does shapesOf.
 var texts sync.Map // textKey -> driver.Stmt
@@ -39,17 +38,9 @@ func renderMerged(c *candidate, members []*candidate) (driver.Stmt, error) {
 	if err != nil {
 		return st, err
 	}
-	n := len(members)
-	if c.sh.fam == FamilyRange {
-		n *= 2
-	}
-	args := make([]sqldb.Value, 0, n+len(c.sh.holes))
+	args := make([]sqldb.Value, 0, len(members)+len(c.sh.holes))
 	for _, m := range members {
-		if c.sh.fam == FamilyRange {
-			args = append(args, m.win.lo, m.win.hi)
-		} else {
-			args = append(args, m.matchVal)
-		}
+		args = append(args, m.matchVal)
 	}
 	for _, h := range c.sh.holes { // as the statement spells them
 		if h.param < 0 {
@@ -63,9 +54,9 @@ func renderMerged(c *candidate, members []*candidate) (driver.Stmt, error) {
 }
 
 // textOf returns the chunk's merged statement without arguments, rendering
-// it only on a cache miss or for a range chunk.
+// it only on a cache miss.
 func textOf(c *candidate, members []*candidate) (driver.Stmt, error) {
-	if c.sh.fam == FamilyRange || !plan.CachingEnabled() {
+	if !plan.CachingEnabled() {
 		sql, err := renderText(c, members)
 		return driver.Stmt{SQL: sql}, err
 	}
@@ -83,16 +74,14 @@ func textOf(c *candidate, members []*candidate) (driver.Stmt, error) {
 }
 
 // renderText renders one chunk's merged statement. The prologue
-// (projection, FROM), the residual conjuncts, and the trailing clause are
-// shared emit paths; only the projection head and the match predicate vary
+// (projection, FROM), the match predicate and the residual conjuncts are
+// shared emit paths; only the projection head and the trailing clause vary
 // per family:
 //
 //   - equality:  shared cols ... WHERE col IN (?, ...) [ORDER BY]
 //   - aggregate: key col + aggregate calls positionally (labels are
 //     irrelevant — demux reads by position and re-labels with the
 //     original's own output labels) ... WHERE col IN (?, ...) GROUP BY col
-//   - range:     shared cols ... WHERE (OR of explicit bound comparisons)
-//     [ORDER BY]
 func renderText(c *candidate, members []*candidate) (string, error) {
 	e := sqlparse.Renderer{Value: func(r *sqlparse.Renderer, _ sqldb.Value) { r.WriteString("?") }}
 	e.WriteString("SELECT ")
@@ -113,16 +102,11 @@ func renderText(c *candidate, members []*candidate) (string, error) {
 	e.WriteString(" FROM ")
 	e.TableRef(c.sh.sel.From)
 	e.WriteString(" WHERE ")
-	col := c.sh.matchRef.String()
-	if c.sh.fam == FamilyRange {
-		windowList(&e, col, members)
-	} else {
-		e.WriteString(col + " IN (?")
-		for range len(members) - 1 {
-			e.WriteString(", ?")
-		}
-		e.WriteString(")")
+	e.WriteString(c.sh.matchRef.String() + " IN (?")
+	for range len(members) - 1 {
+		e.WriteString(", ?")
 	}
+	e.WriteString(")")
 	for _, other := range c.sh.others {
 		e.WriteString(" AND ")
 		e.Expr(other)
@@ -133,28 +117,4 @@ func renderText(c *candidate, members []*candidate) (string, error) {
 		e.OrderBy(c.sh.sel.OrderBy)
 	}
 	return e.SQL()
-}
-
-// windowList emits a parenthesized OR of explicit bound comparisons over
-// the members' windows.
-func windowList(e *sqlparse.Renderer, col string, members []*candidate) {
-	e.WriteString("(")
-	for i, m := range members {
-		if i > 0 {
-			e.WriteString(" OR ")
-		}
-		e.WriteString("(" + col)
-		if m.win.loStrict {
-			e.WriteString(" > ?")
-		} else {
-			e.WriteString(" >= ?")
-		}
-		e.WriteString(" AND " + col)
-		if m.win.hiStrict {
-			e.WriteString(" < ?)")
-		} else {
-			e.WriteString(" <= ?)")
-		}
-	}
-	e.WriteString(")")
 }

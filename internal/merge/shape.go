@@ -11,8 +11,8 @@ import (
 )
 
 // Analysis is split in two. Everything that depends only on a statement's
-// AST — which conjuncts could carry a family's varying part, what is left
-// over as residual, the projection checks, and the fingerprint template —
+// AST — which conjuncts could carry the match value, what is left over as
+// residual, the projection checks, and the fingerprint template —
 // is a shape, built once per interned *sqlparse.SelectStmt and cached for
 // the life of the process (the parse interner never evicts, so neither does
 // this). What depends on the argument values — which eligible conjunct
@@ -47,12 +47,12 @@ func (k constant) value(args []sqldb.Value) sqldb.Value {
 }
 
 // shape is one way a statement template can merge: a family plus the
-// conjunct(s) carrying its varying part. Shapes are immutable and shared by
+// conjunct carrying its match value. Shapes are immutable and shared by
 // every goroutine that rewrites the template.
 type shape struct {
 	fam      FamilyID
 	sel      *sqlparse.SelectStmt
-	matchRef *sqlparse.ColRef // the match (equality, aggregate) or window (range) column
+	matchRef *sqlparse.ColRef // the match column
 	others   []sqlparse.Expr  // residual WHERE conjuncts
 
 	// Aggregate family: the projected aggregate calls in select-list order,
@@ -65,7 +65,7 @@ type shape struct {
 	// BY, with each Literal/Param rendered as a hole; holes lists those
 	// constants in render order (also a merged statement's residual values,
 	// render.go). Two statements differ only in their
-	// varying part exactly when template, match type class and resolved
+	// match value exactly when template, match type class and resolved
 	// hole values all agree — so `id = 3` and `id = ?` with 3 (two texts,
 	// two ASTs, one template) still share a group. Templates are interned:
 	// equal ones share a backing array, so comparing two group keys is a
@@ -84,30 +84,11 @@ type eqSite struct {
 	sh  *shape
 }
 
-// boundSite is one conjunct bounding a column of the FROM table: a BETWEEN
-// (both ends) or one ordering comparison (one end).
-type boundSite struct {
-	col, conj  int // column ordinal among the bounded columns; conjunct index
-	ref        *sqlparse.ColRef
-	lo, hi     constant
-	isLo, isHi bool
-	strict     bool // `>` / `<` instead of `>=` / `<=`
-}
-
-// windowShape is the range shape whose window is bounds[lo] and bounds[hi].
-type windowShape struct {
-	lo, hi int
-	sh     *shape
-}
-
 // stmtShapes is the cached analysis of one statement template.
 type stmtShapes struct {
 	minArgs int  // 1 + the highest `?` index in WHERE and ORDER BY
 	agg     bool // aggregate projection: the eq sites carry aggregate shapes
 	eq      []eqSite
-	bounds  []boundSite // in WHERE order
-	nCols   int         // distinct bounded columns
-	windows []windowShape
 }
 
 var (
@@ -176,16 +157,19 @@ func buildShapes(sel *sqlparse.SelectStmt) *stmtShapes {
 		return nil
 	}
 	ss.addSites(base)
+	if len(ss.eq) == 0 {
+		return nil
+	}
 	return ss
 }
 
-// newShape completes base for one choice of varying conjunct(s) a and b;
-// every other conjunct is residual.
-func newShape(base shape, ref *sqlparse.ColRef, conjuncts []sqlparse.Expr, a, b int) *shape {
+// newShape completes base for match conjunct m; every other conjunct is
+// residual.
+func newShape(base shape, ref *sqlparse.ColRef, conjuncts []sqlparse.Expr, m int) *shape {
 	sh := base
 	sh.matchRef = ref
 	for i, conj := range conjuncts {
-		if i != a && i != b {
+		if i != m {
 			sh.others = append(sh.others, conj)
 		}
 	}
@@ -223,108 +207,46 @@ func newShape(base shape, ref *sqlparse.ColRef, conjuncts []sqlparse.Expr, a, b 
 	return &sh
 }
 
-// addSites classifies each top-level conjunct: a `col = const` is an
-// equality site, a BETWEEN or an ordering comparison a bound site (equality
-// and range families only; an aggregate shape has no window). Range shapes
-// then come one per usable pair of bound sites — a BETWEEN alone, or a
-// lower-bound with an upper-bound comparison on the same column — because
-// which pair is THE window depends on the arguments (a NULL bound drops out).
-func (ss *stmtShapes) addSites(base shape) {
-	binding := base.sel.From.Binding()
-	conjuncts := splitConjuncts(base.sel.Where, nil)
-	var names []string // lower-cased bounded columns, by ordinal
-	for i, conj := range conjuncts {
-		b := boundSite{conj: i}
-		switch x := conj.(type) {
-		case *sqlparse.BetweenExpr:
-			ref, ok := x.Expr.(*sqlparse.ColRef)
-			lo, ok1 := constantOf(x.Lo)
-			hi, ok2 := constantOf(x.Hi)
-			if !ok || !ok1 || !ok2 || !ownColumn(ref, binding) {
-				continue
-			}
-			b.ref, b.lo, b.hi, b.isLo, b.isHi = ref, lo, hi, true, true
-		case *sqlparse.Binary:
-			ref, val, op, ok := cmpSiteOf(x, binding)
-			if !ok {
-				continue
-			}
-			if op == sqlparse.OpEq {
-				site := eqSite{val: val}
-				// Equality demux keys on the match column's value in the
-				// result rows; the aggregate rewrite adds the column itself.
-				if ss.agg || projectionCarries(base.sel.Cols, ref.Name) {
-					site.sh = newShape(base, ref, conjuncts, i, i)
-				}
-				ss.eq = append(ss.eq, site)
-				continue
-			}
-			b.ref, b.strict = ref, op == sqlparse.OpGt || op == sqlparse.OpLt
-			if op == sqlparse.OpGe || op == sqlparse.OpGt {
-				b.lo, b.isLo = val, true
-			} else {
-				b.hi, b.isHi = val, true
-			}
-		default:
-			continue
-		}
-		if ss.agg {
-			continue
-		}
-		name := strings.ToLower(b.ref.Name)
-		if b.col = slices.Index(names, name); b.col < 0 {
-			b.col = len(names)
-			names = append(names, name)
-		}
-		ss.bounds = append(ss.bounds, b)
-	}
-	ss.nCols = len(names)
-	base.fam = FamilyRange
-	for l, lo := range ss.bounds {
-		for h, hi := range ss.bounds {
-			if lo.col != hi.col || !lo.isLo || !hi.isHi || (l != h && (lo.isHi || hi.isLo)) {
-				continue
-			}
-			// The column is spelled as its earlier conjunct spells it, and
-			// the projection must carry it for membership demux.
-			if ref := ss.bounds[min(l, h)].ref; projectionCarries(base.sel.Cols, ref.Name) {
-				ss.windows = append(ss.windows, windowShape{l, h, newShape(base, ref, conjuncts, lo.conj, hi.conj)})
-			}
-		}
-	}
-}
-
 // ownColumn reports whether a column reference belongs to the FROM table.
 func ownColumn(ref *sqlparse.ColRef, binding string) bool {
 	return ref.Table == "" || strings.EqualFold(ref.Table, binding)
 }
 
-// cmpSiteOf matches one `col <op> const` (or mirrored) equality or ordering
-// comparison over the FROM table, returning the operator as read with the
-// column on the left.
-func cmpSiteOf(b *sqlparse.Binary, binding string) (*sqlparse.ColRef, constant, sqlparse.BinOp, bool) {
-	op, flipped := b.Op, b.Op
-	switch b.Op {
-	case sqlparse.OpEq:
-	case sqlparse.OpLt:
-		flipped = sqlparse.OpGt
-	case sqlparse.OpLe:
-		flipped = sqlparse.OpGe
-	case sqlparse.OpGt:
-		flipped = sqlparse.OpLt
-	case sqlparse.OpGe:
-		flipped = sqlparse.OpLe
-	default:
-		return nil, constant{}, 0, false
+// addSites records each top-level `col = const` conjunct over the FROM
+// table as an equality site, in WHERE order.
+func (ss *stmtShapes) addSites(base shape) {
+	binding := base.sel.From.Binding()
+	conjuncts := splitConjuncts(base.sel.Where, nil)
+	for i, conj := range conjuncts {
+		ref, val, ok := eqSiteOf(conj, binding)
+		if !ok {
+			continue
+		}
+		site := eqSite{val: val}
+		// Equality demux keys on the match column's value in the result
+		// rows; the aggregate rewrite adds the column itself.
+		if ss.agg || projectionCarries(base.sel.Cols, ref.Name) {
+			site.sh = newShape(base, ref, conjuncts, i)
+		}
+		ss.eq = append(ss.eq, site)
+	}
+}
+
+// eqSiteOf matches one `col = const` (or `const = col`) conjunct over the
+// FROM table.
+func eqSiteOf(e sqlparse.Expr, binding string) (*sqlparse.ColRef, constant, bool) {
+	b, ok := e.(*sqlparse.Binary)
+	if !ok || b.Op != sqlparse.OpEq {
+		return nil, constant{}, false
 	}
 	col, val := b.L, b.R
 	if _, ok := col.(*sqlparse.ColRef); !ok {
-		col, val, op = b.R, b.L, flipped
+		col, val = b.R, b.L
 	}
 	ref, ok := col.(*sqlparse.ColRef)
 	k, isConst := constantOf(val)
 	if !ok || !isConst || !ownColumn(ref, binding) {
-		return nil, constant{}, 0, false
+		return nil, constant{}, false
 	}
-	return ref, k, op, true
+	return ref, k, true
 }

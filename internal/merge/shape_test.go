@@ -23,13 +23,8 @@ func q(sql string, args ...sqldb.Value) driver.Stmt { return driver.Stmt{SQL: sq
 // are the equivalences that string encoded.
 func TestGroupingEquivalence(t *testing.T) {
 	const pt = "SELECT id, v FROM kv WHERE id = ?"
-	shardByParity := func(_, _ string, v sqldb.Value) (int, bool) {
-		id, ok := v.(int64)
-		return int(id % 2), ok && id > 0
-	}
 	cases := []struct {
 		name  string
-		cfg   merge.Config
 		stmts []driver.Stmt
 		want  []string
 	}{
@@ -89,41 +84,22 @@ func TestGroupingEquivalence(t *testing.T) {
 		{name: "a write closes every open group",
 			stmts: []driver.Stmt{q(pt, int64(1)), q("UPDATE kv SET v = 'z' WHERE id = 9"), q(pt, int64(2))},
 			want:  []string{pt + " [1]", "UPDATE kv SET v = 'z' WHERE id = 9 []", pt + " [2]"}},
-		{name: "groups split per owning shard; unroutable keys group apart",
-			cfg: merge.Config{ShardOf: shardByParity},
-			stmts: []driver.Stmt{
-				q(pt, int64(1)), q(pt, int64(2)), q(pt, int64(3)), q(pt, int64(4)), q(pt, int64(-1)), q(pt, int64(-2)),
-			},
-			want: []string{
-				"SELECT id, v FROM kv WHERE id IN (?, ?) [1 3]",
-				"SELECT id, v FROM kv WHERE id IN (?, ?) [2 4]",
-				"SELECT id, v FROM kv WHERE id IN (?, ?) [-1 -2]",
-			}},
-		{name: "windows share a group across strictness and int/float, not across classes",
+		{name: "keys merge whatever shards they live on",
+			stmts: []driver.Stmt{q(pt, int64(1)), q(pt, int64(2)), q(pt, int64(3)), q(pt, int64(-1))},
+			want:  []string{"SELECT id, v FROM kv WHERE id IN (?, ?, ?, ?) [1 2 3 -1]"}},
+		{name: "windows without an equality conjunct stay as written",
 			stmts: []driver.Stmt{
 				q("SELECT id, v FROM kv WHERE id >= ? AND id < ?", int64(1), int64(5)),
-				q("SELECT id, v FROM kv WHERE id >= ? AND id < ?", 2.5, int64(7)),
-				q("SELECT id, v FROM kv WHERE id >= ? AND id < ?", "a", "b"),
+				q("SELECT id, v FROM kv WHERE id >= ? AND id < ?", int64(3), int64(9)),
 			},
 			want: []string{
-				"SELECT id, v FROM kv WHERE ((id >= ? AND id < ?) OR (id >= ? AND id < ?)) [1 5 2.5 7]",
-				"SELECT id, v FROM kv WHERE id >= ? AND id < ? [a b]",
-			}},
-		{name: "a NULL bound drops out and the other pair is the window",
-			stmts: []driver.Stmt{
-				q("SELECT id, v FROM kv WHERE id >= ? AND id >= ? AND id < ?", nil, int64(1), int64(5)),
-				q("SELECT id, v FROM kv WHERE id >= ? AND id >= ? AND id < ?", nil, int64(3), int64(9)),
-				q("SELECT id, v FROM kv WHERE id >= ? AND id >= ? AND id < ?", int64(0), int64(3), int64(9)),
-			},
-			want: []string{
-				"SELECT id, v FROM kv WHERE ((id >= ? AND id < ?) OR (id >= ? AND id < ?)) AND (id >= ?) [1 5 3 9 <nil>]",
-				"SELECT id, v FROM kv WHERE id >= ? AND id >= ? AND id < ? [0 3 9]",
+				"SELECT id, v FROM kv WHERE id >= ? AND id < ? [1 5]",
+				"SELECT id, v FROM kv WHERE id >= ? AND id < ? [3 9]",
 			}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.cfg.Enabled = true
-			p := merge.New(tc.cfg).Rewrite(tc.stmts)
+			p := merge.New(merge.Config{Enabled: true}).Rewrite(tc.stmts)
 			var got []string
 			for _, st := range p.Stmts {
 				got = append(got, fmt.Sprintf("%s %v", st.SQL, st.Args))
@@ -194,8 +170,8 @@ func execBothWays(t *testing.T, m *merge.Merger, plain, merged *driver.Conn, stm
 	return p
 }
 
-// TestAliasShadowUnderStarIneligible: an alias spelling the match or window
-// column makes demux resolve the label to the wrong column whether or not a
+// TestAliasShadowUnderStarIneligible: an alias spelling the match column
+// makes demux resolve the label to the wrong column whether or not a
 // star also projects the real one, so such statements must not merge — and
 // must return what they return unmerged.
 func TestAliasShadowUnderStarIneligible(t *testing.T) {
@@ -217,10 +193,10 @@ func TestAliasShadowUnderStarIneligible(t *testing.T) {
 	}
 }
 
-// genBatch draws one batch from a fixed pool of templates — all three
-// families, literal and parameter spellings, residual parameters, an
-// ineligible shape and a write — with arguments from small domains, so
-// duplicate keys, overlapping windows, NULLs and mixed key types are common.
+// genBatch draws one batch from a fixed pool of templates — both families,
+// literal and parameter spellings, residual parameters, window statements
+// that never merge, an ineligible shape and a write — with arguments from
+// small domains, so duplicate keys, NULLs and mixed key types are common.
 // One batch in five is instead a single wide family (genWideBatch).
 func genBatch(r *rand.Rand) []driver.Stmt {
 	if r.Intn(5) == 0 {
@@ -293,8 +269,8 @@ func genBatch(r *rand.Rand) []driver.Stmt {
 }
 
 // genWideBatch draws one family of 56..151 members — point lookups,
-// per-key counts or range windows over mostly distinct keys, a few repeated
-// — so its IN (or window) list crosses MaxInWidth once or twice and the
+// per-key counts or ordered group lookups over mostly distinct keys, a few
+// repeated — so its IN list crosses MaxInWidth once or twice and the
 // chunk boundaries at 64 and 128 are exercised on generated batches.
 func genWideBatch(r *rand.Rand) []driver.Stmt {
 	n := 56 + r.Intn(96)
@@ -311,7 +287,7 @@ func genWideBatch(r *rand.Rand) []driver.Stmt {
 		case 1:
 			stmts[i] = q("SELECT COUNT(*) FROM kv WHERE grp = ?", k)
 		default:
-			stmts[i] = q("SELECT id, v FROM kv WHERE id BETWEEN ? AND ?", k, k+int64(r.Intn(3)))
+			stmts[i] = q("SELECT id, v, grp FROM kv WHERE grp = ? ORDER BY id DESC", k)
 		}
 	}
 	return stmts
@@ -384,9 +360,8 @@ func TestRewriteAllocBudget(t *testing.T) {
 }
 
 // TestConcurrentRewrite exercises the two kinds of sharing: one Merger's
-// counters read while it rewrites (its ShardOf hook reads them too, which
-// deadlocked when Rewrite held the lock across the hook), and many Mergers
-// racing to build and then share the same cached shapes.
+// counters read while it rewrites, and many Mergers racing to build and
+// then share the same cached shapes.
 func TestConcurrentRewrite(t *testing.T) {
 	merge.ResetShapeCache()
 	batch := func() []driver.Stmt {
@@ -403,17 +378,13 @@ func TestConcurrentRewrite(t *testing.T) {
 	rewriter := func(m *merge.Merger) {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			if p := m.Rewrite(batch()); len(p.Stmts) != 3 {
-				t.Errorf("want 3 merged statements, got %v", p.Stmts)
+			if p := m.Rewrite(batch()); len(p.Stmts) != 4 {
+				t.Errorf("want 2 merged and 2 unmerged statements, got %v", p.Stmts)
 				return
 			}
 		}
 	}
-	var shared *merge.Merger
-	shared = merge.New(merge.Config{Enabled: true, ShardOf: func(string, string, sqldb.Value) (int, bool) {
-		_ = shared.Stats()
-		return 0, true
-	}})
+	shared := merge.New(merge.Config{Enabled: true})
 	stop := make(chan struct{})
 	readerDone := make(chan struct{})
 	go func() {

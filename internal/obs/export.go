@@ -32,8 +32,7 @@ type chromeTrace struct {
 // Tracks (sessions, DB workers) become "threads" of one
 // process: each distinct track gets a tid in sorted-name order plus a
 // thread_name metadata event, so Perfetto shows one lane per session and
-// per DB worker. Timestamps are virtual microseconds; the optional
-// host-clock duration rides along as an arg.
+// per DB worker. Timestamps are virtual microseconds.
 func WriteChromeTrace(w io.Writer, t *Tracer) error {
 	spans := t.Spans()
 
@@ -66,13 +65,10 @@ func WriteChromeTrace(w io.Writer, t *Tracer) error {
 			Dur: float64(s.End-s.Start) / float64(time.Microsecond),
 			Pid: 1, Tid: tids[s.Track],
 		}
-		if len(s.Args) > 0 || s.HostDur > 0 {
-			ev.Args = make(map[string]any, len(s.Args)+1)
+		if len(s.Args) > 0 {
+			ev.Args = make(map[string]any, len(s.Args))
 			for _, a := range s.Args {
 				ev.Args[a.K] = formatArg(a.V)
-			}
-			if s.HostDur > 0 {
-				ev.Args["host_dur"] = s.HostDur.String()
 			}
 		}
 		events = append(events, ev)

@@ -29,7 +29,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -44,53 +43,40 @@ type Arg struct {
 	V any
 }
 
-// span is the internal record. Host-clock fields are populated only when
-// the tracer's host clock is on, and are excluded from the golden
-// waterfall rendering (host time is never deterministic).
+// span is the internal record.
 type span struct {
-	id      SpanID
-	parent  SpanID
-	cat     string
-	name    string
-	track   string
-	start   time.Duration // virtual
-	end     time.Duration // virtual; == start until End
-	ended   bool
-	hostAt  time.Time
-	hostDur time.Duration
-	args    []Arg
+	id     SpanID
+	parent SpanID
+	cat    string
+	name   string
+	track  string
+	start  time.Duration // virtual
+	end    time.Duration // virtual; == start until End
+	ended  bool
+	args   []Arg
 }
 
 // Span is the exported snapshot of one recorded span (tests, exporters).
 type Span struct {
-	ID      SpanID
-	Parent  SpanID
-	Cat     string
-	Name    string
-	Track   string
-	Start   time.Duration
-	End     time.Duration
-	HostDur time.Duration
-	Args    []Arg
+	ID     SpanID
+	Parent SpanID
+	Cat    string
+	Name   string
+	Track  string
+	Start  time.Duration
+	End    time.Duration
+	Args   []Arg
 }
 
 // Tracer records spans. It is safe for concurrent use: concurrent sessions
 // record from their own goroutines.
 type Tracer struct {
-	host atomic.Bool
-
 	mu    sync.Mutex
 	spans []span
 }
 
-// NewTracer returns a recording tracer with the host clock off.
+// NewTracer returns a recording tracer.
 func NewTracer() *Tracer { return &Tracer{} }
-
-// SetHostClock additionally stamps each span with the host-clock duration
-// between its Start and End calls. Host durations are advisory (profiling
-// runs); they are exported to trace args but never rendered in the golden
-// waterfall.
-func (t *Tracer) SetHostClock(on bool) { t.host.Store(on) }
 
 // SpanCount reports how many spans have been recorded.
 func (t *Tracer) SpanCount() int {
@@ -114,8 +100,7 @@ func (t *Tracer) Spans() []Span {
 		s := &t.spans[i]
 		out[i] = Span{
 			ID: s.id, Parent: s.parent, Cat: s.cat, Name: s.name,
-			Track: s.track, Start: s.start, End: s.end,
-			HostDur: s.hostDur, Args: s.args,
+			Track: s.track, Start: s.start, End: s.end, Args: s.args,
 		}
 	}
 	return out
@@ -139,16 +124,11 @@ func (t *Tracer) Roots() []SpanID {
 
 // start appends a span and returns its Ctx. Callers hold no locks.
 func (t *Tracer) start(parent SpanID, track, cat, name string, at time.Duration, args []Arg) Ctx {
-	var hostAt time.Time
-	if t.host.Load() {
-		//slothvet:allow wallclock(opt-in host-duration span attribution, off in golden runs)
-		hostAt = time.Now()
-	}
 	t.mu.Lock()
 	id := SpanID(len(t.spans) + 1)
 	t.spans = append(t.spans, span{
 		id: id, parent: parent, cat: cat, name: name, track: track,
-		start: at, end: at, hostAt: hostAt, args: args,
+		start: at, end: at, args: args,
 	})
 	t.mu.Unlock()
 	return Ctx{t: t, id: id, track: track}
@@ -176,12 +156,6 @@ type Ctx struct {
 
 // Enabled reports whether this context records spans.
 func (c Ctx) Enabled() bool { return c.t != nil }
-
-// Tracer exposes the underlying tracer (nil when disabled).
-func (c Ctx) Tracer() *Tracer { return c.t }
-
-// Track reports the exporter track this context's children inherit.
-func (c Ctx) Track() string { return c.track }
 
 // Child opens a span under c on the same track.
 func (c Ctx) Child(cat, name string, start time.Duration, args ...Arg) Ctx {
@@ -214,10 +188,6 @@ func (c Ctx) EndArgs(end time.Duration, args ...Arg) {
 	s := &c.t.spans[c.id-1]
 	s.end = end
 	s.ended = true
-	if !s.hostAt.IsZero() {
-		//slothvet:allow wallclock(opt-in host-duration span attribution, off in golden runs)
-		s.hostDur = time.Since(s.hostAt)
-	}
 	if len(args) > 0 {
 		s.args = append(s.args, args...)
 	}
@@ -281,10 +251,10 @@ func argString(args []Arg) string {
 // timeline on the virtual clock. The rendering is the GOLDEN FORM of a
 // trace: it includes span names, categories, annotations, and virtual
 // start/end timestamps, and deliberately excludes everything
-// non-deterministic or placement-dependent — host durations, exporter
-// tracks (a DB span lands on a different worker track under -workers 4,
-// but its virtual times are identical), and recording order (children sort
-// by virtual time, then category, name, and annotations).
+// placement-dependent — exporter tracks (a DB span lands on a different
+// worker track under -workers 4, but its virtual times are identical), and
+// recording order (children sort by virtual time, then category, name, and
+// annotations).
 func (t *Tracer) Waterfall(root SpanID) string {
 	if t == nil {
 		return ""

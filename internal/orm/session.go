@@ -64,9 +64,6 @@ func NewSession(store *querystore.Store, mode Mode) *Session {
 	return &Session{store: store, mode: mode}
 }
 
-// Mode reports the session's execution mode.
-func (s *Session) Mode() Mode { return s.mode }
-
 // Sloth reports whether the session defers queries.
 func (s *Session) Sloth() bool { return s.mode == ModeSloth }
 

@@ -58,15 +58,25 @@ var diffLegs = []string{
 // diffWorkload generates n statements over acct (pk id, indexed owner,
 // unique tag, bal, kind). Key domains are small so inserts collide, updates
 // and deletes hit, bal values tie within an owner, and primary-key rewrites
-// move rows between shards.
+// move rows between shards. One id or owner in ten is spelled as a float:
+// the same key, or one no INT equals (which an INSERT truncates).
 func diffWorkload(seed int64, n int) []diffStmt {
 	r := rand.New(rand.NewSource(seed))
-	id := func() sqldb.Value { return int64(r.Intn(60)) }
+	spell := func(k int64) sqldb.Value {
+		switch r.Intn(20) {
+		case 0:
+			return float64(k)
+		case 1:
+			return float64(k) + 0.5
+		}
+		return k
+	}
+	id := func() sqldb.Value { return spell(int64(r.Intn(60))) }
 	owner := func() sqldb.Value {
 		if r.Intn(8) == 0 {
 			return nil
 		}
-		return int64(r.Intn(6))
+		return spell(int64(r.Intn(6)))
 	}
 	tag := func() sqldb.Value {
 		if r.Intn(6) == 0 {

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/sqldb"
 )
 
 // Property tests over the relational operators, complementing the
@@ -117,29 +120,54 @@ func TestQuickDistinctExact(t *testing.T) {
 	}
 }
 
-// Property: an indexed point lookup agrees with a full-scan filter.
+// Property: an equality lookup through an index (primary key, INT, FLOAT)
+// finds the rows a scan finds and an UPDATE through it affects as many,
+// whichever numeric type spells the key — the column's own, the other one
+// with an equal value, or a float no INT equals — on a plain store and a
+// sharded one.
 func TestQuickIndexAgreesWithScan(t *testing.T) {
-	f := func(vals []int16, probe uint8) bool {
-		s, err := seedRandom(vals)
-		if err != nil {
-			return false
+	f := func(vals []int16, probe uint8, sharded bool) bool {
+		db := New()
+		if sharded {
+			db = NewSharded(2)
 		}
-		id := int64(probe%16) + 1
-		byIndex, err := s.Exec("SELECT v FROM q WHERE id = ?", id)
-		if err != nil {
-			return false
-		}
-		// id + 0 defeats the index matcher, forcing a scan.
-		byScan, err := s.Exec("SELECT v FROM q WHERE id + 0 = ?", id)
-		if err != nil {
-			return false
-		}
-		if byIndex.NumRows() != byScan.NumRows() {
-			return false
-		}
-		for i := range byIndex.Rows {
-			if byIndex.Rows[i][0] != byScan.Rows[i][0] {
+		s := db.NewSession()
+		for _, sql := range []string{
+			"CREATE TABLE q (id INT PRIMARY KEY, v INT, w FLOAT)",
+			"CREATE INDEX q_v ON q (v)",
+			"CREATE INDEX q_w ON q (w)",
+		} {
+			if _, err := s.Exec(sql); err != nil {
+				t.Log(err)
 				return false
+			}
+		}
+		for i, v := range vals {
+			if _, err := s.Exec("INSERT INTO q (id, v, w) VALUES (?, ?, ?)", int64(i+1), int64(v%8), float64(v%8)); err != nil {
+				t.Log(err)
+				return false
+			}
+		}
+		for _, col := range []string{"id", "v", "w"} {
+			k := int64(probe%16) - 7
+			if col == "id" {
+				k += 8
+			}
+			for _, key := range []sqldb.Value{k, float64(k), float64(k) + 0.5} {
+				// col + 0 defeats the index matcher, forcing a scan.
+				byIndex, err1 := s.Exec("SELECT id FROM q WHERE "+col+" = ?", key)
+				byScan, err2 := s.Exec("SELECT id FROM q WHERE "+col+" + 0 = ?", key)
+				upIndex, err3 := s.Exec("UPDATE q SET v = v WHERE "+col+" = ?", key)
+				upScan, err4 := s.Exec("UPDATE q SET v = v WHERE "+col+" + 0 = ?", key)
+				if err := errors.Join(err1, err2, err3, err4); err != nil {
+					t.Log(err)
+					return false
+				}
+				if fmt.Sprint(byIndex.Rows) != fmt.Sprint(byScan.Rows) || upIndex.RowsAffected != upScan.RowsAffected {
+					t.Logf("%s = %v (%T, sharded=%v): index %v, %d updated; scan %v, %d updated",
+						col, key, key, sharded, byIndex.Rows, upIndex.RowsAffected, byScan.Rows, upScan.RowsAffected)
+					return false
+				}
 			}
 		}
 		return true

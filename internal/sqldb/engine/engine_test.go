@@ -215,6 +215,50 @@ func TestGroupByHaving(t *testing.T) {
 	}
 }
 
+// TestAggregateExpressions: output and HAVING expressions that wrap
+// aggregate calls in IS NULL, BETWEEN, IN or AND/OR compile like any other
+// expression, each call reading its group's value. Groups 2 and 4 hold
+// only NULL x (one row and two), so NULL-valued aggregates meet
+// three-valued AND/OR; the wants are computed by hand.
+func TestAggregateExpressions(t *testing.T) {
+	s := New().NewSession()
+	for _, sql := range []string{
+		"CREATE TABLE t (id INT PRIMARY KEY, g INT, x INT)",
+		"INSERT INTO t (id, g, x) VALUES (1, 1, 5), (2, 1, NULL), (3, 2, NULL), (4, 3, 7), (5, 3, 9), (6, 3, 1), (7, 4, NULL), (8, 4, NULL)",
+	} {
+		query(t, s, sql)
+	}
+	// g: MAX(x), MIN(x), COUNT(*) — 1: 5, 5, 2; 2: NULL, NULL, 1; 3: 9, 1, 3; 4: NULL, NULL, 2.
+	for _, tc := range []struct {
+		sql  string
+		want [][]sqldb.Value
+	}{
+		{"SELECT g, MAX(x) IS NULL FROM t GROUP BY g",
+			[][]sqldb.Value{{int64(1), false}, {int64(2), true}, {int64(3), false}, {int64(4), true}}},
+		{"SELECT g FROM t GROUP BY g HAVING MAX(x) IS NULL", [][]sqldb.Value{{int64(2)}, {int64(4)}}},
+		{"SELECT g FROM t GROUP BY g HAVING COUNT(*) BETWEEN 2 AND 3", [][]sqldb.Value{{int64(1)}, {int64(3)}, {int64(4)}}},
+		{"SELECT g FROM t GROUP BY g HAVING COUNT(*) IN (1)", [][]sqldb.Value{{int64(2)}}},
+		{"SELECT MAX(x) IS NULL, COUNT(*) IN (8) FROM t", [][]sqldb.Value{{false, true}}},
+		{"SELECT MAX(x) IS NULL FROM t WHERE id > 100", [][]sqldb.Value{{true}}},
+		// NULL AND false is false, NULL AND true is NULL (the group drops).
+		{"SELECT g FROM t GROUP BY g HAVING MAX(x) > 4 AND COUNT(*) > 1", [][]sqldb.Value{{int64(1)}, {int64(3)}}},
+		// NULL OR true is true, NULL OR false is NULL (the group drops).
+		{"SELECT g FROM t GROUP BY g HAVING MAX(x) > 6 OR COUNT(*) = 1", [][]sqldb.Value{{int64(2)}, {int64(3)}}},
+		{"SELECT g, MAX(x) > 4 AND COUNT(*) > 1, MAX(x) > 6 OR MIN(x) < 2, NOT MAX(x) > 6 FROM t GROUP BY g",
+			[][]sqldb.Value{
+				{int64(1), true, false, true},
+				{int64(2), false, nil, nil},
+				{int64(3), true, true, false},
+				{int64(4), nil, nil, nil},
+			}},
+	} {
+		rs := query(t, s, tc.sql)
+		if fmt.Sprint(rs.Rows) != fmt.Sprint(tc.want) {
+			t.Errorf("%s:\n got %v\nwant %v", tc.sql, rs.Rows, tc.want)
+		}
+	}
+}
+
 func TestAggregateFloatSum(t *testing.T) {
 	_, s := testDB(t)
 	rs := query(t, s, "SELECT SUM(cost) FROM encounters WHERE patient_id = 1")

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"strings"
-
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/plan"
 	"repro/internal/sqldb/sqlparse"
@@ -17,38 +15,6 @@ import (
 func NewSharded(n int) *DB {
 	store := storage.NewShardedStore(n)
 	return &DB{store: store, plans: plan.NewCache(store)}
-}
-
-// NumShards reports the storage shard count.
-func (db *DB) NumShards() int { return db.store.NumShards() }
-
-// ShardRouter returns a callback in the shape merge.Config.ShardOf
-// expects: it resolves a table/column pair against the sharded store and
-// hashes a candidate key value to its owning shard, reporting ok only
-// when col is that table's partition column. It returns nil when the
-// database is not sharded, so callers can assign it unconditionally. The
-// callback reads schema without locking; callers must not race it with
-// DDL (the benchmarks seed all tables before any merge rewriting runs).
-func (db *DB) ShardRouter() func(table, col string, v sqldb.Value) (int, bool) {
-	if db.store.NumShards() <= 1 {
-		return nil
-	}
-	store := db.store
-	return func(table, col string, v sqldb.Value) (int, bool) {
-		t, ok := store.Table(table)
-		if !ok {
-			return 0, false
-		}
-		ord, n, ok := t.ShardBy()
-		if !ok || !strings.EqualFold(t.Columns[ord].Name, col) {
-			return 0, false
-		}
-		nv := sqldb.Normalize(v)
-		if nv == nil {
-			return 0, false
-		}
-		return storage.ShardOf(nv, n), true
-	}
 }
 
 // StmtShardMask predicts which shards a statement touches for the given

@@ -50,6 +50,32 @@ func TestShardMaskPointLookup(t *testing.T) {
 	}
 }
 
+// TestShardMaskFloatKey: a float key on the INT partition column is routed
+// as the int64 it equals, as the storage lookup routes it, so the mask names
+// the shard holding the row — whose canonical text ("1000000") is not the
+// float's ("1e+06"). A float no INT equals routes nowhere: mask 0.
+func TestShardMaskFloatKey(t *testing.T) {
+	db := shardedDB(t)
+	const k = 1_000_000
+	if _, err := db.NewSession().Exec("INSERT INTO kv (k, v) VALUES (?, 'big')", int64(k)); err != nil {
+		t.Fatal(err)
+	}
+	if storage.ShardOf(float64(k), 4) == storage.ShardOf(int64(k), 4) {
+		t.Fatal("pick a key whose float and int spellings hash apart")
+	}
+	want := uint64(1) << uint(storage.ShardOf(int64(k), 4))
+	if mask := maskOf(t, db, "SELECT * FROM kv WHERE k = ?", float64(k)); mask != want {
+		t.Errorf("float key mask %b, want %b", mask, want)
+	}
+	rs, err := db.NewSession().Exec("SELECT v FROM kv WHERE k = ?", float64(k))
+	if err != nil || len(rs.Rows) != 1 {
+		t.Fatalf("float key lookup: %v, %v", rs, err)
+	}
+	if mask := maskOf(t, db, "SELECT * FROM kv WHERE k = ?", k+0.5); mask != 0 {
+		t.Errorf("non-integral key mask %b, want 0", mask)
+	}
+}
+
 func TestShardMaskNullKeyMeansAllShards(t *testing.T) {
 	db := shardedDB(t)
 	if mask := maskOf(t, db, "SELECT * FROM kv WHERE k = ?", nil); mask != 0 {
@@ -118,26 +144,36 @@ func TestShardMaskUnshardedAlwaysZero(t *testing.T) {
 	}
 }
 
+// TestShardRouter: Table.ShardBy routes a key of the partition column to
+// the shard holding it, mapped onto the column's type; anything else
+// (another column, NULL, a key no row can equal, an unsharded table) does
+// not route.
 func TestShardRouter(t *testing.T) {
-	db := shardedDB(t)
-	route := db.ShardRouter()
-	if route == nil {
-		t.Fatal("sharded db returned nil router")
+	kv, ok := shardedDB(t).Store().Table("kv")
+	if !ok {
+		t.Fatal("no kv table")
 	}
-	if sh, ok := route("kv", "k", int64(7)); !ok || sh != storage.ShardOf(int64(7), 4) {
-		t.Errorf("route(kv.k, 7) = %d,%v", sh, ok)
+	want := storage.ShardOf(int64(7), 4)
+	for _, key := range []sqldb.Value{int64(7), 7, 7.0} {
+		if sh, ok := kv.ShardBy(0, key); !ok || sh != want {
+			t.Errorf("ShardBy(k, %#v) = %d, %v; want %d", key, sh, ok, want)
+		}
 	}
-	if _, ok := route("kv", "v", "x"); ok {
-		t.Error("non-partition column routed")
+	for _, tc := range []struct {
+		ord int
+		key sqldb.Value
+	}{{1, "x"}, {0, nil}, {0, 7.5}} {
+		if _, ok := kv.ShardBy(tc.ord, tc.key); ok {
+			t.Errorf("ShardBy(%d, %#v) routed", tc.ord, tc.key)
+		}
 	}
-	if _, ok := route("kv", "k", nil); ok {
-		t.Error("NULL key routed")
+	db := New()
+	if _, err := db.NewSession().Exec("CREATE TABLE kv (k INT PRIMARY KEY, v TEXT)"); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := route("nosuch", "k", int64(1)); ok {
-		t.Error("unknown table routed")
-	}
-	if New().ShardRouter() != nil {
-		t.Error("unsharded db returned a router")
+	plain, _ := db.Store().Table("kv")
+	if _, ok := plain.ShardBy(0, int64(7)); ok {
+		t.Error("an unsharded table routed a key")
 	}
 }
 

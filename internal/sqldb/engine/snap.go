@@ -38,10 +38,6 @@ func (db *DB) BeginSnapshot() *SnapSession {
 // keeping its snapshot and scratch. Callers must Close it again.
 func (ss *SnapSession) Repin() { ss.db.store.Repin(ss.snap) }
 
-// Epoch reports the pinned committed epoch (tests assert torn-read freedom
-// by comparing it across a batch).
-func (ss *SnapSession) Epoch() uint64 { return ss.snap.Epoch() }
-
 // ExecSelect executes one SELECT against the snapshot, returning the
 // result set and (when withPath is set) the access-path description the
 // tracing layer stamps on statement spans. Statements that are not

@@ -8,11 +8,6 @@ import (
 	"repro/internal/sqldb/sqlparse"
 )
 
-// aggEvalFn is a compiled expression in aggregation context: aggregate
-// calls resolve to precomputed per-group values, everything else evaluates
-// against the group's sample source row.
-type aggEvalFn func(row, args, aggVals []sqldb.Value) (sqldb.Value, error)
-
 // aggCall is one compiled aggregate call site.
 type aggCall struct {
 	name  string
@@ -24,58 +19,54 @@ type aggCall struct {
 }
 
 // aggPlan is the compiled aggregation pipeline: group-by key expressions,
-// the collected aggregate calls, and output/HAVING expressions with
-// aggregate substitution.
+// the collected aggregate calls, and the output and HAVING expressions,
+// compiled against a group row — the group's sample source row (width
+// columns) followed by its call values, one slot per call.
 type aggPlan struct {
-	outs    []aggEvalFn
+	outs    []EvalFn
 	calls   []aggCall
 	groupBy []EvalFn
-	having  aggEvalFn // nil when absent
+	having  EvalFn // nil when absent
+	width   int
+}
+
+// aggSlots is a group-row environment's aggregate resolution: every
+// distinct call site (identified by AST node, so each occurrence gets its
+// own accumulator) is assigned the next slot after the source columns, in
+// compile order, and its argument compiles against the source row.
+type aggSlots struct {
+	src   *Env
+	calls []aggCall
+	slot  map[*sqlparse.FuncCall]int
+}
+
+// pos returns the group-row position of fc's value.
+func (a *aggSlots) pos(fc *sqlparse.FuncCall) int {
+	i, ok := a.slot[fc]
+	if !ok {
+		i = len(a.calls)
+		a.slot[fc] = i
+		a.calls = append(a.calls, compileAggCall(fc, a.src))
+	}
+	return a.src.width + i
 }
 
 // compileAggPlan builds the aggregation plan for a statement that
 // hasAggregates; outs are its select-list expressions.
 func compileAggPlan(st *sqlparse.SelectStmt, outs []sqlparse.Expr, env *Env) *aggPlan {
-	p := &aggPlan{}
-
-	// Collect every aggregate call appearing in select list or HAVING, in
-	// traversal order; call sites are identified by AST node, so each
-	// occurrence gets its own accumulator exactly as the interpreter's
-	// pointer-matched substitution did.
-	callIdx := make(map[*sqlparse.FuncCall]int)
-	var collect func(e sqlparse.Expr)
-	collect = func(e sqlparse.Expr) {
-		switch x := e.(type) {
-		case *sqlparse.FuncCall:
-			if x.IsAggregate() {
-				if _, dup := callIdx[x]; !dup {
-					callIdx[x] = len(p.calls)
-					p.calls = append(p.calls, compileAggCall(x, env))
-				}
-			}
-		case *sqlparse.Binary:
-			collect(x.L)
-			collect(x.R)
-		case *sqlparse.Unary:
-			collect(x.Expr)
-		}
-	}
-	for _, o := range outs {
-		collect(o)
-	}
-	if st.Having != nil {
-		collect(st.Having)
-	}
-
+	p := &aggPlan{width: env.width}
 	for i := range st.GroupBy {
 		p.groupBy = append(p.groupBy, Compile(&st.GroupBy[i], env))
 	}
+	slots := &aggSlots{src: env, slot: make(map[*sqlparse.FuncCall]int)}
+	group := &Env{frames: env.frames, width: env.width, aggs: slots}
 	for _, o := range outs {
-		p.outs = append(p.outs, compileAggExpr(o, env, callIdx))
+		p.outs = append(p.outs, Compile(o, group))
 	}
 	if st.Having != nil {
-		p.having = compileAggExpr(st.Having, env, callIdx)
+		p.having = Compile(st.Having, group)
 	}
+	p.calls = slots.calls
 	return p
 }
 
@@ -90,72 +81,6 @@ func compileAggCall(fc *sqlparse.FuncCall, env *Env) aggCall {
 	}
 	c.argFn = Compile(fc.Args[0], env)
 	return c
-}
-
-// compileAggExpr compiles an output or HAVING expression: aggregate calls
-// index into the per-group values; other nodes mirror the interpreter's
-// aggregate-substitution evaluator (both operands evaluate before binary
-// operators combine — no short circuit, exactly as before).
-func compileAggExpr(e sqlparse.Expr, env *Env, callIdx map[*sqlparse.FuncCall]int) aggEvalFn {
-	switch x := e.(type) {
-	case *sqlparse.FuncCall:
-		if i, ok := callIdx[x]; ok {
-			return func(_, _, aggVals []sqldb.Value) (sqldb.Value, error) {
-				return aggVals[i], nil
-			}
-		}
-		err := fmt.Errorf("engine: unbound aggregate %s", x.Name)
-		return func(_, _, _ []sqldb.Value) (sqldb.Value, error) { return nil, err }
-	case *sqlparse.Binary:
-		l := compileAggExpr(x.L, env, callIdx)
-		r := compileAggExpr(x.R, env, callIdx)
-		op := x.Op
-		logical := op == sqlparse.OpAnd || op == sqlparse.OpOr
-		return func(row, args, aggVals []sqldb.Value) (sqldb.Value, error) {
-			lv, err := l(row, args, aggVals)
-			if err != nil {
-				return nil, err
-			}
-			rv, err := r(row, args, aggVals)
-			if err != nil {
-				return nil, err
-			}
-			if logical {
-				return applyLogical(op, lv, rv)
-			}
-			return applyBinary(op, lv, rv)
-		}
-	case *sqlparse.Unary:
-		inner := compileAggExpr(x.Expr, env, callIdx)
-		neg := x.Neg
-		return func(row, args, aggVals []sqldb.Value) (sqldb.Value, error) {
-			v, err := inner(row, args, aggVals)
-			if err != nil {
-				return nil, err
-			}
-			if neg {
-				switch n := v.(type) {
-				case int64:
-					return -n, nil
-				case float64:
-					return -n, nil
-				case nil:
-					return nil, nil
-				default:
-					return nil, fmt.Errorf("engine: cannot negate %T", v)
-				}
-			}
-			if v == nil {
-				return nil, nil
-			}
-			return !sqldb.Truthy(v), nil
-		}
-	default:
-		scalar := Compile(e, env)
-		return func(row, args, _ []sqldb.Value) (sqldb.Value, error) {
-			return scalar(row, args)
-		}
-	}
 }
 
 // aggState accumulates one aggregate call over a group.
@@ -280,14 +205,15 @@ type aggRun struct {
 	aggs    []aggState
 	set     rowSet // GROUP BY keys -> group index
 	keyVals []sqldb.Value
-	vals    []sqldb.Value // finish's per-group aggregate values
+	group   []sqldb.Value // finish's group row: sample columns, then call values
 }
 
 // start readies the run for one execution of p.
 func (r *aggRun) start(p *aggPlan) *aggRun {
 	r.p = p
 	r.keyVals = slices.Grow(r.keyVals[:0], len(p.groupBy))[:len(p.groupBy)]
-	r.vals = slices.Grow(r.vals[:0], len(p.calls))[:len(p.calls)]
+	n := p.width + len(p.calls)
+	r.group = slices.Grow(r.group[:0], n)[:n]
 	if len(p.groupBy) == 0 {
 		r.newGroup(nil)
 	}
@@ -336,15 +262,16 @@ func (r *aggRun) add(row, args []sqldb.Value) error {
 // finish renders output rows in first-seen group order, applying HAVING,
 // and appends them to rows.
 func (r *aggRun) finish(args []sqldb.Value, rows [][]sqldb.Value) ([][]sqldb.Value, error) {
-	p := r.p
+	p, grp := r.p, r.group
 	n := len(p.calls)
 	for gi, sample := range r.samples {
+		clear(grp[copy(grp[:p.width], sample):p.width]) // a global aggregate over no rows has no sample
 		aggs := r.aggs[gi*n : (gi+1)*n]
 		for i := range aggs {
-			r.vals[i] = aggs[i].result()
+			grp[p.width+i] = aggs[i].result()
 		}
 		if p.having != nil {
-			hv, err := p.having(sample, args, r.vals)
+			hv, err := p.having(grp, args)
 			if err != nil {
 				return rows, err
 			}
@@ -354,7 +281,7 @@ func (r *aggRun) finish(args []sqldb.Value, rows [][]sqldb.Value) ([][]sqldb.Val
 		}
 		out := make([]sqldb.Value, len(p.outs))
 		for i, fn := range p.outs {
-			v, err := fn(sample, args, r.vals)
+			v, err := fn(grp, args)
 			if err != nil {
 				return rows, err
 			}
@@ -372,7 +299,7 @@ func (r *aggRun) end() {
 	clear(r.samples)
 	clear(r.aggs)
 	clear(r.keyVals)
-	clear(r.vals)
+	clear(r.group)
 	r.samples, r.aggs = r.samples[:0], r.aggs[:0]
 	r.set.reset()
 }

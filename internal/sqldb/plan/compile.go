@@ -186,6 +186,10 @@ func Compile(e sqlparse.Expr, env *Env) EvalFn {
 			return cl >= 0 && ch <= 0, nil
 		}
 	case *sqlparse.FuncCall:
+		if env.aggs != nil && x.IsAggregate() {
+			pos := env.aggs.pos(x)
+			return func(row, _ []sqldb.Value) (sqldb.Value, error) { return row[pos], nil }
+		}
 		return errFn(fmt.Errorf("engine: aggregate %s used outside aggregation context", x.Name))
 	default:
 		return errFn(fmt.Errorf("engine: unsupported expression %T", e))
@@ -288,34 +292,6 @@ func applyBinary(op sqlparse.BinOp, l, r sqldb.Value) (sqldb.Value, error) {
 	}
 }
 
-// applyLogical combines pre-evaluated operands under AND/OR value
-// semantics — the aggregate-substitution path evaluates both sides before
-// combining (no short circuit), matching the interpreter it replaces.
-func applyLogical(op sqlparse.BinOp, l, r sqldb.Value) (sqldb.Value, error) {
-	if op == sqlparse.OpAnd {
-		if l != nil && !sqldb.Truthy(l) {
-			return false, nil
-		}
-		if r != nil && !sqldb.Truthy(r) {
-			return false, nil
-		}
-		if l == nil || r == nil {
-			return nil, nil
-		}
-		return true, nil
-	}
-	if l != nil && sqldb.Truthy(l) {
-		return true, nil
-	}
-	if r != nil && sqldb.Truthy(r) {
-		return true, nil
-	}
-	if l == nil || r == nil {
-		return nil, nil
-	}
-	return false, nil
-}
-
 func arith(op sqlparse.BinOp, l, r sqldb.Value) (sqldb.Value, error) {
 	// String concatenation via +.
 	if op == sqlparse.OpAdd {
@@ -382,6 +358,7 @@ func toFloat(v sqldb.Value) (float64, error) {
 type Env struct {
 	frames []frame
 	width  int
+	aggs   *aggSlots // a group-row environment's aggregate slots; nil for a source row
 }
 
 // NewEnv creates an empty environment (INSERT value lists and access-path

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"slices"
+
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/storage"
 )
@@ -19,25 +21,23 @@ import (
 // unsharded stores all report 0.
 
 // shardMaskOf folds the lookup values of the access path pick chooses — the
-// one the executor will use — into a mask. Returns 0 unless that path's
-// column IS the table's partition column.
+// one the executor will use — into a mask, each routed as the storage
+// lookup routes it (Table.ShardBy). Returns 0 unless that path's column IS
+// the table's partition column and every value routes (a NULL key, say,
+// makes storage fall back to an all-shard scan).
 func shardMaskOf(t *storage.Table, cands []accessCand, args []sqldb.Value) uint64 {
-	pOrd, n, ok := t.ShardBy()
-	if !ok {
-		return 0
-	}
 	var key [1]sqldb.Value
 	c, vals := pick(cands, args, key[:0])
-	if c == nil || c.ord != pOrd {
+	if c == nil {
 		return 0
 	}
 	var mask uint64
 	for _, v := range vals {
-		nv := sqldb.Normalize(v)
-		if nv == nil {
-			return 0 // NULL key: storage falls back to an all-shard scan
+		sh, ok := t.ShardBy(c.ord, v)
+		if !ok {
+			return 0
 		}
-		mask |= 1 << uint(storage.ShardOf(nv, n))
+		mask |= 1 << uint(sh)
 	}
 	return mask
 }
@@ -64,18 +64,9 @@ func (a *TableAccess) Shards(args []sqldb.Value) uint64 {
 // key expression errors or is NULL, spread by id — unpredictable here, so
 // the whole statement degrades to 0.
 func (p *InsertPlan) Shards(args []sqldb.Value) uint64 {
-	pOrd, n, ok := p.T.ShardBy()
-	if !ok {
-		return 0
-	}
-	keyPos := -1
-	for i, ord := range p.Ordinals {
-		if ord == pOrd {
-			keyPos = i
-			break
-		}
-	}
-	if keyPos < 0 {
+	pOrd := p.T.PKOrdinal() // a view's partition column
+	keyPos := slices.Index(p.Ordinals, pOrd)
+	if pOrd < 0 || keyPos < 0 {
 		return 0
 	}
 	var mask uint64
@@ -91,7 +82,11 @@ func (p *InsertPlan) Shards(args []sqldb.Value) uint64 {
 		if err != nil {
 			return 0
 		}
-		mask |= 1 << uint(storage.ShardOf(cv, n))
+		sh, ok := p.T.ShardBy(pOrd, cv)
+		if !ok {
+			return 0
+		}
+		mask |= 1 << uint(sh)
 	}
 	return mask
 }

@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/sqldb"
@@ -229,10 +230,10 @@ func (f *FuncCall) IsAggregate() bool {
 	return false
 }
 
-// HasAggregate reports whether e contains an aggregate call, looking
-// through arithmetic and unary operators — the test both the planner (does
-// this SELECT aggregate?) and the merge optimizer (is this projection safe
-// to widen?) must answer identically.
+// HasAggregate reports whether e contains an aggregate call outside any
+// function's arguments — the test both the planner (does this SELECT
+// aggregate?) and the merge optimizer (is this projection safe to widen?)
+// must answer identically.
 func HasAggregate(e Expr) bool {
 	switch x := e.(type) {
 	case *FuncCall:
@@ -241,6 +242,14 @@ func HasAggregate(e Expr) bool {
 		return HasAggregate(x.L) || HasAggregate(x.R)
 	case *Unary:
 		return HasAggregate(x.Expr)
+	case *IsNullExpr:
+		return HasAggregate(x.Expr)
+	case *LikeExpr:
+		return HasAggregate(x.Expr) || HasAggregate(x.Pattern)
+	case *BetweenExpr:
+		return HasAggregate(x.Expr) || HasAggregate(x.Lo) || HasAggregate(x.Hi)
+	case *InList:
+		return HasAggregate(x.Expr) || slices.ContainsFunc(x.List, HasAggregate)
 	default:
 		return false
 	}

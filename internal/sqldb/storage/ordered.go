@@ -247,7 +247,10 @@ func (c *ordCursor) before(d *ordCursor) bool {
 // (plus stale ones between them): the bounds are binary-searched, and fn
 // stops the walk by returning an error, which ProbeEach returns.
 func (t *Table) ProbeEach(ord int, v sqldb.Value, r Range, o Order, snap *Snap, fn func(Row) error) error {
-	nv := sqldb.Normalize(v)
+	nv, ok := t.eqKey(ord, v)
+	if !ok {
+		return nil
+	}
 	if p, psnap := t.keyedPart(ord, nv, snap); p != nil {
 		return p.ProbeEach(ord, nv, r, o, psnap, fn)
 	}

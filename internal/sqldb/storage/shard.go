@@ -72,10 +72,9 @@ func (s *Store) NumShards() int {
 func (s *Store) Shard(i int) *Store { return s.shards[i] }
 
 // ShardOf is the partition function: FNV-1a (32-bit) over the canonical
-// text of the normalized value — sqldb.Format's bytes — mod n. It is shared
-// by the storage router, the plan layer's shard masks, and the merge
-// optimizer's per-shard group split, so every layer agrees on which shard
-// owns a key.
+// text of the normalized value — sqldb.Format's bytes — mod n. It places
+// rows, and ShardBy routes keys with it, so the storage router and the
+// plan layer's shard masks agree on which shard owns a key.
 func ShardOf(v sqldb.Value, n int) int {
 	if n <= 1 {
 		return 0
@@ -88,15 +87,21 @@ func ShardOf(v sqldb.Value, n int) int {
 	return int(h % uint32(n))
 }
 
-// ShardBy reports the table's partition column ordinal and shard count.
-// ok is false when keyed routing is impossible: the table belongs to an
-// unsharded store, or has no primary key (rows spread by id, every keyed
-// route degrades to a fan-out).
-func (t *Table) ShardBy() (ord, n int, ok bool) {
-	if t.parts == nil || t.partOrd < 0 {
-		return -1, 1, false
+// ShardBy routes an equality key on column ord: shard is the one holding
+// every row the key can match, found from the key mapped onto the column's
+// type (eqKey), as the lookups find it. ok is false when keyed routing is
+// impossible — the table belongs to an unsharded store or has no primary
+// key (rows spread by id), ord is not the partition column, the key is
+// NULL, or no row can equal it.
+func (t *Table) ShardBy(ord int, v sqldb.Value) (shard int, ok bool) {
+	if t.parts == nil || ord != t.partOrd {
+		return 0, false
 	}
-	return t.partOrd, len(t.parts), true
+	key, ok := t.eqKey(ord, v)
+	if !ok || key == nil {
+		return 0, false
+	}
+	return ShardOf(key, len(t.parts)), true
 }
 
 // A view differs from a plain table in two selectors and a gather; every
@@ -311,10 +316,10 @@ func (t *Table) gather(ord int, nv sqldb.Value, r Range, snap *Snap) []idRow {
 // snapshot. nil means fan out (another column, or a NULL key) — or that t
 // is no view.
 func (t *Table) keyedPart(ord int, nv sqldb.Value, snap *Snap) (*Table, *Snap) {
-	if t.parts == nil || ord != t.partOrd || nv == nil {
+	i, ok := t.ShardBy(ord, nv)
+	if !ok {
 		return nil, nil
 	}
-	i := ShardOf(nv, len(t.parts))
 	return t.parts[i], partSnap(snap, i)
 }
 

@@ -11,6 +11,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -506,6 +507,31 @@ func (t *Table) Update(id RowID, vals Row) (Row, error) {
 	return head.row, nil
 }
 
+// eqKey maps an equality key onto column ord's type, the type of the values
+// the column's index and the shard router are keyed by, so a lookup finds
+// exactly the rows a WHERE comparison (sqldb.Equal) matches: an integral
+// float on an INT column becomes its int64, an int on a FLOAT column its
+// float64. ok is false when no row can match: a non-integral float (or one
+// past the int64 range) on an INT column. Other keys, NULL included, keep
+// their normalized value; a key of another type finds no posting.
+func (t *Table) eqKey(ord int, v sqldb.Value) (key sqldb.Value, ok bool) {
+	nv := sqldb.Normalize(v)
+	switch x := nv.(type) {
+	case float64:
+		if t.Columns[ord].Type == sqldb.TypeInt {
+			if x != math.Trunc(x) || x < math.MinInt64 || x >= math.MaxInt64 {
+				return nil, false
+			}
+			return int64(x), true
+		}
+	case int64:
+		if t.Columns[ord].Type == sqldb.TypeFloat {
+			return float64(x), true
+		}
+	}
+	return nv, true
+}
+
 // Lookup returns the ids of live rows whose indexed column i equals v, in
 // ascending id order for determinism. On the pristine fast path (no
 // pending garbage) the returned slice aliases the index's posting list: it
@@ -514,7 +540,10 @@ func (t *Table) Update(id RowID, vals Row) (Row, error) {
 // through match, so results — and scanned-row counts derived from them —
 // never depend on sweep timing.
 func (t *Table) Lookup(i int, v sqldb.Value) []RowID {
-	nv := sqldb.Normalize(v)
+	nv, ok := t.eqKey(i, v)
+	if !ok {
+		return nil
+	}
 	if t.parts != nil || (t.ordered != nil && t.ordered[i] != nil) {
 		if p, _ := t.keyedPart(i, nv, nil); p != nil {
 			return p.Lookup(i, nv)
@@ -544,7 +573,10 @@ func (t *Table) Lookup(i int, v sqldb.Value) []RowID {
 // ascending id order. Rows are passed without cloning: read-only. Stops on
 // the first error, returning it.
 func (t *Table) LookupEach(ord int, v sqldb.Value, snap *Snap, fn func(Row) error) error {
-	nv := sqldb.Normalize(v)
+	nv, ok := t.eqKey(ord, v)
+	if !ok {
+		return nil
+	}
 	if t.parts != nil || (t.ordered != nil && t.ordered[ord] != nil) {
 		if p, psnap := t.keyedPart(ord, nv, snap); p != nil {
 			return p.LookupEach(ord, nv, psnap, fn)

@@ -1,4 +1,4 @@
-package core
+package sloth
 
 import (
 	"testing"
@@ -67,5 +67,43 @@ func TestSessions(t *testing.T) {
 	}
 	if tb.Runtime.OriginalSession().Sloth() {
 		t.Fatal("OriginalSession() in sloth mode")
+	}
+}
+
+// TestNewRuntime: a runtime over a connection of one's own batches as the
+// testbed's does, and honours its store config (dedup off: the same query
+// registered twice ships twice, still in one round trip).
+func TestNewRuntime(t *testing.T) {
+	tb := seeded(t)
+	rt := NewRuntime(tb.Server.Connect(tb.Link), StoreConfig{DisableDedup: true})
+	a := rt.LazyQuery("SELECT body FROM notes WHERE id = ?", int64(2))
+	b := rt.LazyQuery("SELECT body FROM notes WHERE id = ?", int64(2))
+	if got := a.Force(); got.Err != nil || got.RS.Rows[0][0] != "two" {
+		t.Fatalf("a = %+v", got)
+	}
+	if got := b.Force(); got.Err != nil || got.RS.Rows[0][0] != "two" {
+		t.Fatalf("b = %+v", got)
+	}
+	if tb.RoundTrips() != 1 {
+		t.Fatalf("round trips = %d, want 1", tb.RoundTrips())
+	}
+	if sent := rt.Conn().QueriesSent(); sent != 2 {
+		t.Fatalf("statements sent = %d, want 2 with dedup off", sent)
+	}
+}
+
+// TestDeferAndValue: Defer runs its computation once, on the first force;
+// Value is already computed.
+func TestDeferAndValue(t *testing.T) {
+	calls := 0
+	d := Defer(func() int { calls++; return 7 })
+	if calls != 0 {
+		t.Fatal("Defer ran its computation before a force")
+	}
+	if d.Force() != 7 || d.Force() != 7 || calls != 1 {
+		t.Fatalf("forced twice: computation ran %d times", calls)
+	}
+	if v := Value("ready"); v.Force() != "ready" {
+		t.Fatalf("Value forced to %q", v.Force())
 	}
 }
