@@ -15,8 +15,8 @@ import (
 // into a closed queueing-network model (exact Mean Value Analysis over a
 // web-CPU station, a DB station, and a network delay station) with a mild
 // contention penalty past saturation — which recreates the published shape:
-// Sloth peaks ~1.5x higher and at a lower client count, then both decline
-// as the servers saturate.
+// Sloth peaks higher (1.13x on the committed golden, fig7.txt) and at a
+// lower client count, then both decline as the servers saturate.
 
 // ThroughputPoint is one (clients, pages/s) sample per mode.
 type ThroughputPoint struct {

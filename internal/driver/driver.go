@@ -172,6 +172,10 @@ type Server struct {
 	// never take one — they serialize on the storage lock as before.
 	// Replaced only by SetWorkers, before the first batch.
 	slots chan *worker
+
+	// arenas are the result arenas released connections gave back, for
+	// the next connection's first batch to draw (guarded by mu).
+	arenas []*sqldb.Arena
 }
 
 // worker is one DB worker slot: its index into the per-worker stats and the
@@ -345,9 +349,10 @@ func readOnly(stmts []Stmt) bool {
 	return true
 }
 
-// stmtExec executes one parsed statement and, when withPath is set, names
-// its access path: engine.Session.ExecPrepared or SnapSession.ExecSelect.
-type stmtExec func(sql string, st sqlparse.Statement, args []sqldb.Value, withPath bool) (*sqldb.ResultSet, string, error)
+// stmtExec executes one parsed statement, taking a SELECT's result from the
+// arena, and, when withPath is set, names its access path:
+// engine.Session.ExecPrepared or SnapSession.ExecSelectIn.
+type stmtExec func(a *sqldb.Arena, sql string, st sqlparse.Statement, args []sqldb.Value, withPath bool) (*sqldb.ResultSet, string, error)
 
 // priceStmts is the one statement loop: it runs each statement through exec
 // in order and prices the batch. Writes and transaction control cost their
@@ -357,10 +362,11 @@ type stmtExec func(sql string, st sqlparse.Statement, args []sqldb.Value, withPa
 // set it additionally returns the per-statement layout mirroring that cost
 // math: reads start where their parallel group stood, writes after the
 // group they closed. A parse error at statement i surfaces after
-// statements 0..i-1 have executed. Returns the results, the batch's server
-// time, the rows visited, and the layout.
-func (s *Server) priceStmts(exec stmtExec, stmts []Stmt, traced bool) ([]*sqldb.ResultSet, time.Duration, int64, []stmtTrace, error) {
-	results := make([]*sqldb.ResultSet, 0, len(stmts))
+// statements 0..i-1 have executed. Returns the results, taken with their
+// list from the arena a, the batch's server time, the rows visited, and the
+// layout.
+func (s *Server) priceStmts(exec stmtExec, a *sqldb.Arena, stmts []Stmt, traced bool) ([]*sqldb.ResultSet, time.Duration, int64, []stmtTrace, error) {
+	results := a.List(len(stmts))
 	var layout []stmtTrace
 	if traced {
 		layout = make([]stmtTrace, 0, len(stmts))
@@ -372,7 +378,7 @@ func (s *Server) priceStmts(exec stmtExec, stmts []Stmt, traced bool) ([]*sqldb.
 		if err != nil {
 			return nil, 0, 0, nil, fmt.Errorf("driver: %w", err)
 		}
-		rs, path, err := exec(st.SQL, parsed, st.Args, traced)
+		rs, path, err := exec(a, st.SQL, parsed, st.Args, traced)
 		if err != nil {
 			return nil, 0, 0, nil, err
 		}
@@ -408,9 +414,9 @@ func (s *Server) priceStmts(exec stmtExec, stmts []Stmt, traced bool) ([]*sqldb.
 // lock. The pricing loop's write arm is never taken on a read-only batch,
 // so the virtual timeline — and with it every golden page — is identical
 // whichever executor a batch gets.
-func (s *Server) execBatch(sess *engine.Session, stmts []Stmt, traced bool) ([]*sqldb.ResultSet, time.Duration, []stmtTrace, error) {
+func (s *Server) execBatch(sess *engine.Session, a *sqldb.Arena, stmts []Stmt, traced bool) ([]*sqldb.ResultSet, time.Duration, []stmtTrace, error) {
 	if sess.InTxn() || !readOnly(stmts) {
-		results, total, rowsVisited, layout, err := s.priceStmts(sess.ExecPrepared, stmts, traced)
+		results, total, rowsVisited, layout, err := s.priceStmts(sess.ExecPrepared, a, stmts, traced)
 		if err != nil {
 			return nil, 0, nil, err
 		}
@@ -428,7 +434,7 @@ func (s *Server) execBatch(sess *engine.Session, stmts []Stmt, traced bool) ([]*
 	} else {
 		w.sess.Repin()
 	}
-	results, total, rowsVisited, layout, err := s.priceStmts(w.sess.ExecSelect, stmts, traced)
+	results, total, rowsVisited, layout, err := s.priceStmts(w.sess.ExecSelectIn, a, stmts, traced)
 	w.sess.Close()
 	//slothvet:allow wallclock(host-side wall stats: measures real multicore speedup, never feeds virtual time)
 	wall := time.Since(wallStart)
@@ -443,6 +449,20 @@ func (s *Server) execBatch(sess *engine.Session, stmts []Stmt, traced bool) ([]*
 	s.stats.WorkerWall[w.idx] += wall
 	s.mu.Unlock()
 	return results, total, layout, nil
+}
+
+// takeArena hands a connection's first batch a released arena, or a new
+// one with empty slabs.
+func (s *Server) takeArena() *sqldb.Arena {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.arenas)
+	if n == 0 {
+		return new(sqldb.Arena)
+	}
+	a := s.arenas[n-1]
+	s.arenas[n-1], s.arenas = nil, s.arenas[:n-1]
+	return a
 }
 
 // addBatchLocked merges one executed batch into the server counters. The
@@ -577,6 +597,9 @@ type Conn struct {
 	link  *netsim.Link
 	sess  *engine.Session
 	clock netsim.Clock
+	// arena holds the result sets the connection's batches returned since
+	// its first batch or its last Release; nil until then.
+	arena *sqldb.Arena
 
 	queriesSent atomic.Int64
 
@@ -614,7 +637,9 @@ func (c *Conn) QueriesSent() int64 { return c.queriesSent.Load() }
 func (c *Conn) InTxn() bool { return c.sess.InTxn() }
 
 // Query executes one statement in its own round trip — the conventional
-// driver behaviour used by the original (non-Sloth) applications.
+// driver behaviour used by the original (non-Sloth) applications. Like
+// every result the connection returns, the result set stays valid until the
+// connection's next Release.
 func (c *Conn) Query(sql string, args ...sqldb.Value) (*sqldb.ResultSet, error) {
 	results, err := c.ExecBatch([]Stmt{{SQL: sql, Args: args}})
 	if err != nil {
@@ -664,7 +689,10 @@ func (c *Conn) Exec(ctx obs.Ctx, arrival time.Duration, stmts []Stmt) ([]*sqldb.
 			return nil, failAt, ferr
 		}
 	}
-	results, dbCost, layout, err := c.srv.execBatch(c.sess, stmts, traced)
+	if c.arena == nil {
+		c.arena = c.srv.takeArena()
+	}
+	results, dbCost, layout, err := c.srv.execBatch(c.sess, c.arena, stmts, traced)
 	if err != nil {
 		if traced {
 			ctx.Instant("error", "exec", arrival, obs.Arg{K: "err", V: err.Error()})
@@ -718,6 +746,25 @@ func (c *Conn) Exec(ctx obs.Ctx, arrival time.Duration, stmts []Stmt) ([]*sqldb.
 		ex.End(done)
 	}
 	return results, done, nil
+}
+
+// Release ends the connection's request: every result set its batches
+// returned since its first batch or its last Release is invalid from here
+// on — one from the arena's slabs reads as cleared until reused — and the
+// arena, its slabs grown toward this request's demand, goes back to the
+// server for the next connection. The connection stays usable: its next
+// batch draws an arena again. A connection that never releases allocates
+// every result on its own once its arena's slabs are used up, so its
+// results stay valid for as long as it is used.
+func (c *Conn) Release() {
+	if c.arena == nil {
+		return
+	}
+	c.arena.Reset()
+	c.srv.mu.Lock()
+	c.srv.arenas = append(c.srv.arenas, c.arena)
+	c.srv.mu.Unlock()
+	c.arena = nil
 }
 
 // ExecBatch ships all statements to the server in one round trip, blocks

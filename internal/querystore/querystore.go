@@ -144,14 +144,15 @@ type Store struct {
 	disp   dispatch.Dispatcher
 	merger *merge.Merger // nil unless cfg.Merge.Enabled
 	// queue is the pending batch: queue[i] holds id nextID-len(queue)+i.
-	// dedup indexes its reads by statement identity. Both are borrowed from
-	// scratchPool (held) at the first Register and given back at Close.
-	queue []driver.Stmt
-	dedup driver.StmtIndex
-	held  *scratch
-	// results[id-base] is id's result set once its batch ran; nil while it
-	// has not, or when it failed (then errs has the id). Ids below base were
-	// released at a request boundary. errs is created on first use.
+	// dedup indexes its reads by statement identity. results[id-base] is
+	// id's result set once its batch ran; nil while it has not, or when it
+	// failed (then errs has the id). Ids below base were released at a
+	// request boundary or at Close. All three are borrowed from scratchPool
+	// (held) at the first Register and given back at Close. errs is created
+	// on first use.
+	queue    []driver.Stmt
+	dedup    driver.StmtIndex
+	held     *scratch
 	results  []*sqldb.ResultSet
 	base     QueryID
 	errs     map[QueryID]error
@@ -176,13 +177,15 @@ type Store struct {
 	onClose []func()
 }
 
-// scratch is a store's registration scratch: the queue array and the dedup
-// table. Neither is visible to a caller, so a closed store hands them to
-// the next store to open instead of leaving them to the collector, and a
-// per-request store registers into storage grown by earlier requests.
+// scratch is a store's request scratch: the queue array, the dedup table
+// and the results index. None is visible to a caller once the store is
+// closed, so a closed store hands them to the next store to open instead of
+// leaving them to the collector, and a per-request store registers into
+// storage grown by earlier requests.
 type scratch struct {
-	queue []driver.Stmt
-	dedup driver.StmtIndex
+	queue   []driver.Stmt
+	dedup   driver.StmtIndex
+	results []*sqldb.ResultSet
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -218,21 +221,28 @@ func NewWithDispatcher(conn *driver.Conn, cfg Config, disp dispatch.Dispatcher) 
 // pipelined write that failed after the last force is never dropped — and
 // then closes the dispatcher. Close is the last delivery point: a pending
 // pipelined-write error joins any batch error in the return value rather
-// than being discarded. Results already cached remain readable.
+// than being discarded. Close ends the request: the connection releases
+// its results (driver.Conn.Release), so every result set the store handed
+// out is invalid after Close — one from the arena reads as cleared until a
+// later request reuses it — and its id reports ErrUnknownQueryID (an id
+// whose batch failed keeps reporting that error).
 // Statements still pending in the unsubmitted queue are discarded, as the
-// paper's store does for speculative reads nobody forced; the queue array
-// and dedup table go back to a pool for the next store, and the hooks
-// registered with OnClose run. A store used after Close starts again
-// from empty scratch.
+// paper's store does for speculative reads nobody forced; the queue array,
+// dedup table and results index go back to a pool for the next store, and
+// the hooks registered with OnClose run. A store used after Close starts
+// again from empty scratch.
 func (s *Store) Close() error {
 	err := s.barrierErr(s.collect())
 	s.disp.Close()
+	s.conn.Release()
+	s.base = s.nextID
 	if s.held != nil {
 		clear(s.queue[:cap(s.queue)]) // submitted batches stay behind len
 		s.dedup.Reset()
-		*s.held = scratch{queue: s.queue[:0], dedup: s.dedup}
+		clear(s.results)
+		*s.held = scratch{queue: s.queue[:0], dedup: s.dedup, results: s.results[:0]}
 		scratchPool.Put(s.held)
-		s.queue, s.dedup, s.held = nil, driver.StmtIndex{}, nil
+		s.queue, s.dedup, s.results, s.held = nil, driver.StmtIndex{}, nil, nil
 	}
 	hooks := s.onClose
 	s.onClose = nil
@@ -325,7 +335,7 @@ func (s *Store) Register(sql string, args ...sqldb.Value) (QueryID, error) {
 	st := driver.Stmt{SQL: sql, Args: args}
 	if s.held == nil {
 		s.held = scratchPool.Get().(*scratch)
-		s.queue, s.dedup = s.held.queue, s.held.dedup
+		s.queue, s.dedup, s.results = s.held.queue, s.held.dedup, s.held.results
 	}
 
 	if !isWrite && !s.cfg.DisableDedup {

@@ -219,3 +219,40 @@ func TestRetentionMatchesModel(t *testing.T) {
 			maxRetained, maxPerRequest, s.nextID)
 	}
 }
+
+// TestEndRequestKeepsInFlightWritesAndHeldResults: EndRequest releases no
+// result set. Writes still in flight at the boundary deliver after it — a
+// pipelined write's error at the next barrier, a forced write's result —
+// and a result set forced before the boundary still reads its rows after
+// it and after the next request's reads, as a caller that forces, ends the
+// request and then reads expects.
+func TestEndRequestKeepsInFlightWritesAndHeldResults(t *testing.T) {
+	s, _ := rig(t, Config{Dispatch: dispatch.KindAsync, PipelineWrites: true})
+	held, err := s.Exec("SELECT name FROM items WHERE id = 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	write, _ := s.Register("UPDATE items SET qty = 9 WHERE id = 2")
+	if err := s.ExecPipelined("UPDATE no_such_table SET qty = 1"); err != nil {
+		t.Fatalf("pipelined write surfaced its error eagerly: %v", err)
+	}
+	if len(s.inflight) != 2 {
+		t.Fatalf("%d batches in flight at the boundary, want 2", len(s.inflight))
+	}
+	s.EndRequest()
+	if _, err := s.Exec("SELECT qty FROM items WHERE id = 2"); err == nil || !strings.Contains(err.Error(), "no_such_table") {
+		t.Fatalf("first barrier after the boundary: %v, want the pipelined write's error", err)
+	}
+	if rs, err := s.ResultSet(write); err != nil || rs.RowsAffected != 1 {
+		t.Fatalf("in-flight write after the boundary: %v, %v, want 1 row affected", rs, err)
+	}
+	if rs, err := s.Exec("SELECT qty FROM items WHERE id = 2"); err != nil || rs.Rows[0][0] != int64(9) {
+		t.Fatalf("the in-flight write did not land: %v, %v", rs, err)
+	}
+	if len(held.Rows) != 1 || held.Rows[0][0] != "apple" || held.Cols[0] != "name" {
+		t.Fatalf("a result forced before the boundary reads %v", held)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("write error delivered twice: %v", err)
+	}
+}

@@ -35,7 +35,7 @@ func TestExecStmtDoesNotMutateArgs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, _, err := s.ExecPrepared(sql, st, args, false)
+	rs, _, err := s.ExecPrepared(nil, sql, st, args, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -179,14 +179,14 @@ func TestSelectFirstErrorInRowOrder(t *testing.T) {
 
 // TestOrderByMatchesSelectListExpression: an ORDER BY term that is
 // structurally a select-list expression sorts on that output column —
-// qualified columns and aggregate calls alike — in aggregate plans, where
-// there is no source row to fall back on.
+// qualified columns and aggregate calls alike — in aggregate plans; a term
+// that is none sorts on the group row, the group's sample columns.
 func TestOrderByMatchesSelectListExpression(t *testing.T) {
 	db := New()
 	s := db.NewSession()
 	mustExecT(t, s, "CREATE TABLE t (id INT PRIMARY KEY, g INT)")
 	const byKey = "SELECT t.id, COUNT(*) FROM t JOIN t u ON u.g = t.g GROUP BY t.id ORDER BY "
-	// Nothing to order: even an unresolvable term raises no error.
+	// Nothing to order.
 	if rs := query(t, s, byKey+"u.g"); rs.NumRows() != 0 {
 		t.Fatalf("rows = %v, want none", rs.Rows)
 	}
@@ -204,9 +204,47 @@ func TestOrderByMatchesSelectListExpression(t *testing.T) {
 			t.Errorf("ORDER BY %s: rows = %v, want %v", c.orderBy, rs.Rows, c.want)
 		}
 	}
-	// u.g is no output column, and now there are rows to order.
-	_, err := s.Exec(byKey + "u.g")
-	if err == nil || err.Error() != "engine: ORDER BY over aggregates must reference output columns" {
-		t.Fatalf("ORDER BY u.g: err = %v", err)
+	// u.g is no output column: each group sorts on its sample's u.g, which
+	// equals t.g, stably — g 7 (ids 1, 3, 4) before g 8 (ids 2, 5).
+	want := [][]sqldb.Value{{int64(1), int64(3)}, {int64(3), int64(3)}, {int64(4), int64(3)}, {int64(2), int64(2)}, {int64(5), int64(2)}}
+	if rs := query(t, s, byKey+"u.g"); !reflect.DeepEqual(rs.Rows, want) {
+		t.Fatalf("ORDER BY u.g: rows = %v, want %v", rs.Rows, want)
 	}
+}
+
+// TestOrderByTermOutsideAggregateSelectList: an aggregate statement's
+// ORDER BY term that names no output column — an aggregate call, or a
+// source column read from the group's sample row — sorts the groups
+// whether or not the table has rows, as HAVING and the select list read
+// the same group row.
+func TestOrderByTermOutsideAggregateSelectList(t *testing.T) {
+	db := New()
+	s := db.NewSession()
+	mustExecT(t, s, "CREATE TABLE t (id INT PRIMARY KEY, g INT, v INT)")
+	cases := []struct {
+		sql         string
+		empty, full [][]sqldb.Value
+	}{
+		// Groups in first-seen order: g 10 (ids 1, 3: COUNT 2, sample v 5),
+		// then g 20 (id 2: COUNT 1, sample v 1).
+		{"SELECT g FROM t GROUP BY g ORDER BY COUNT(*)", nil, [][]sqldb.Value{{int64(20)}, {int64(10)}}},
+		{"SELECT g FROM t GROUP BY g ORDER BY COUNT(*) DESC", nil, [][]sqldb.Value{{int64(10)}, {int64(20)}}},
+		{"SELECT COUNT(*) FROM t ORDER BY MAX(v)", [][]sqldb.Value{{int64(0)}}, [][]sqldb.Value{{int64(3)}}},
+		{"SELECT g FROM t GROUP BY g ORDER BY v", nil, [][]sqldb.Value{{int64(20)}, {int64(10)}}},
+		{"SELECT g FROM t GROUP BY g ORDER BY v DESC", nil, [][]sqldb.Value{{int64(10)}, {int64(20)}}},
+		{"SELECT g, v FROM t GROUP BY g", nil, [][]sqldb.Value{{int64(10), int64(5)}, {int64(20), int64(1)}}},
+	}
+	check := func(state string, want func(i int) [][]sqldb.Value) {
+		for i, c := range cases {
+			rs, err := s.Exec(c.sql)
+			if err != nil {
+				t.Errorf("%s table, %q: %v", state, c.sql, err)
+			} else if !reflect.DeepEqual(rs.Rows, want(i)) {
+				t.Errorf("%s table, %q: rows = %v, want %v", state, c.sql, rs.Rows, want(i))
+			}
+		}
+	}
+	check("empty", func(i int) [][]sqldb.Value { return cases[i].empty })
+	mustExecT(t, s, "INSERT INTO t (id, g, v) VALUES (1, 10, 5), (2, 20, 1), (3, 10, 3)")
+	check("3-row", func(i int) [][]sqldb.Value { return cases[i].full })
 }

@@ -63,24 +63,26 @@ func (s *Session) Exec(sql string, args ...sqldb.Value) (*sqldb.ResultSet, error
 	if err != nil {
 		return nil, err
 	}
-	rs, _, err := s.ExecPrepared(sql, st, args, false)
+	rs, _, err := s.ExecPrepared(nil, sql, st, args, false)
 	return rs, err
 }
 
 // ExecPrepared executes a parsed statement whose text is sql, going
-// through the compiled-plan cache, and (when withPath is set) names the
-// access path the tracing layer stamps on statement spans: "index-eq(col)"
+// through the compiled-plan cache, takes a SELECT's result from a (nil
+// allocates it, so Exec's results are the caller's to keep), and (when
+// withPath is set) names the access path the tracing layer stamps on
+// statement spans: "index-eq(col)"
 // / "index-in(col)" / "index-range(a,b)" / "index-order(a,b)" / "scan" for
 // SELECTs — read off the same compiled plan that executes, so tracing never
 // touches the plan cache a second time — "write" for mutations, "control" for transaction and DDL statements. It
 // acquires the store lock for the duration of the statement — the engine
 // serializes statements, which is sufficient for the reproduction's
 // single-store workloads.
-func (s *Session) ExecPrepared(sql string, st sqlparse.Statement, args []sqldb.Value, withPath bool) (*sqldb.ResultSet, string, error) {
+func (s *Session) ExecPrepared(a *sqldb.Arena, sql string, st sqlparse.Statement, args []sqldb.Value, withPath bool) (*sqldb.ResultSet, string, error) {
 	args = normalizeArgs(args)
 	s.db.store.Lock()
 	defer s.db.store.Unlock()
-	return s.execLocked(sql, st, args, withPath)
+	return s.execLocked(a, sql, st, args, withPath)
 }
 
 // normalizeArgs maps convenience Go types onto canonical values without
@@ -102,7 +104,7 @@ func normalizeArgs(args []sqldb.Value) []sqldb.Value {
 	return args
 }
 
-func (s *Session) execLocked(sql string, st sqlparse.Statement, args []sqldb.Value, withPath bool) (rs *sqldb.ResultSet, path string, err error) {
+func (s *Session) execLocked(a *sqldb.Arena, sql string, st sqlparse.Statement, args []sqldb.Value, withPath bool) (rs *sqldb.ResultSet, path string, err error) {
 	path = "control"
 	switch x := st.(type) {
 	case *sqlparse.SelectStmt, *sqlparse.InsertStmt, *sqlparse.UpdateStmt, *sqlparse.DeleteStmt:
@@ -120,7 +122,7 @@ func (s *Session) execLocked(sql string, st sqlparse.Statement, args []sqldb.Val
 			if s.scratch == nil {
 				s.scratch = new(plan.Scratch)
 			}
-			rs, err = p.Select.Exec(args, s.scratch)
+			rs, err = p.Select.Exec(args, s.scratch, a)
 		case p.Insert != nil:
 			rs, err = s.execWrite(func() (*sqldb.ResultSet, error) { return s.execInsert(p.Insert, args) })
 		case p.Update != nil:

@@ -39,14 +39,20 @@ func (db *DB) BeginSnapshot() *SnapSession {
 func (ss *SnapSession) Repin() { ss.db.store.Repin(ss.snap) }
 
 // ExecSelect executes one SELECT against the snapshot, returning the
-// result set and (when withPath is set) the access-path description the
-// tracing layer stamps on statement spans. Statements that are not
-// SELECTs error: writes go through the serialized Session path.
+// result set, the caller's to keep, and (when withPath is set) the
+// access-path description the tracing layer stamps on statement spans.
+// Statements that are not SELECTs error: writes go through the serialized
+// Session path.
+func (ss *SnapSession) ExecSelect(sql string, st sqlparse.Statement, args []sqldb.Value, withPath bool) (*sqldb.ResultSet, string, error) {
+	return ss.ExecSelectIn(nil, sql, st, args, withPath)
+}
+
+// ExecSelectIn is ExecSelect taking the result from a (nil: allocates it).
 //
 // The structural read lock is held per statement, so a writer
 // restructuring tables blocks readers only for those instants; the
 // snapshot keeps reads consistent across the whole batch regardless.
-func (ss *SnapSession) ExecSelect(sql string, st sqlparse.Statement, args []sqldb.Value, withPath bool) (*sqldb.ResultSet, string, error) {
+func (ss *SnapSession) ExecSelectIn(a *sqldb.Arena, sql string, st sqlparse.Statement, args []sqldb.Value, withPath bool) (*sqldb.ResultSet, string, error) {
 	args = normalizeArgs(args)
 	ss.db.store.ReadLock()
 	defer ss.db.store.ReadUnlock()
@@ -61,7 +67,7 @@ func (ss *SnapSession) ExecSelect(sql string, st sqlparse.Statement, args []sqld
 	if withPath {
 		path = p.Select.AccessDesc()
 	}
-	rs, err := p.Select.ExecSnap(args, ss.snap, &ss.scratch)
+	rs, err := p.Select.ExecSnap(args, ss.snap, &ss.scratch, a)
 	if err != nil {
 		return nil, "", err
 	}

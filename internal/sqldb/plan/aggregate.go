@@ -52,8 +52,9 @@ func (a *aggSlots) pos(fc *sqlparse.FuncCall) int {
 }
 
 // compileAggPlan builds the aggregation plan for a statement that
-// hasAggregates; outs are its select-list expressions.
-func compileAggPlan(st *sqlparse.SelectStmt, outs []sqlparse.Expr, env *Env) *aggPlan {
+// hasAggregates; outs are its select-list expressions and order its ORDER
+// BY terms, whose keys it compiles against the group row.
+func compileAggPlan(st *sqlparse.SelectStmt, outs []sqlparse.Expr, order []orderItem, env *Env) *aggPlan {
 	p := &aggPlan{width: env.width}
 	for i := range st.GroupBy {
 		p.groupBy = append(p.groupBy, Compile(&st.GroupBy[i], env))
@@ -66,6 +67,7 @@ func compileAggPlan(st *sqlparse.SelectStmt, outs []sqlparse.Expr, env *Env) *ag
 	if st.Having != nil {
 		p.having = Compile(st.Having, group)
 	}
+	compileOrderKeys(st, order, group)
 	p.calls = slots.calls
 	return p
 }
@@ -260,9 +262,10 @@ func (r *aggRun) add(row, args []sqldb.Value) error {
 }
 
 // finish renders output rows in first-seen group order, applying HAVING,
-// and appends them to rows.
-func (r *aggRun) finish(args []sqldb.Value, rows [][]sqldb.Value) ([][]sqldb.Value, error) {
-	p, grp := r.p, r.group
+// and appends them to the sink's rows, with their ORDER BY keys when the
+// plan sorts on more than output columns.
+func (r *aggRun) finish(s *sink) error {
+	p, grp, args := r.p, r.group, s.args
 	n := len(p.calls)
 	for gi, sample := range r.samples {
 		clear(grp[copy(grp[:p.width], sample):p.width]) // a global aggregate over no rows has no sample
@@ -273,7 +276,7 @@ func (r *aggRun) finish(args []sqldb.Value, rows [][]sqldb.Value) ([][]sqldb.Val
 		if p.having != nil {
 			hv, err := p.having(grp, args)
 			if err != nil {
-				return rows, err
+				return err
 			}
 			if hv == nil || !sqldb.Truthy(hv) {
 				continue
@@ -283,13 +286,18 @@ func (r *aggRun) finish(args []sqldb.Value, rows [][]sqldb.Value) ([][]sqldb.Val
 		for i, fn := range p.outs {
 			v, err := fn(grp, args)
 			if err != nil {
-				return rows, err
+				return err
 			}
 			out[i] = v
 		}
-		rows = append(rows, out)
+		s.rows = append(s.rows, out)
+		if s.p.orderSrc {
+			if err := s.addKeys(grp); err != nil {
+				return err
+			}
+		}
 	}
-	return rows, nil
+	return nil
 }
 
 // end empties the run after an execution, finished or failed: it drops

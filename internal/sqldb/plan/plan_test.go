@@ -193,7 +193,7 @@ func TestCacheHitsAndEpochInvalidation(t *testing.T) {
 func (p *SelectPlan) lockedExec(store *storage.Store, args []sqldb.Value) (*sqldb.ResultSet, error) {
 	store.Lock()
 	defer store.Unlock()
-	return p.Exec(args, new(Scratch))
+	return p.Exec(args, new(Scratch), nil)
 }
 
 func TestCacheDisabledCompilesEveryCall(t *testing.T) {
@@ -295,7 +295,7 @@ func TestAccessDescOrderedForms(t *testing.T) {
 		if tc.scanned < 0 {
 			continue
 		}
-		rs, err := p.Exec([]sqldb.Value{int64(7)}, new(Scratch))
+		rs, err := p.Exec([]sqldb.Value{int64(7)}, new(Scratch), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.sql, err)
 		}

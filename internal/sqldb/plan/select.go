@@ -29,7 +29,7 @@ type SelectPlan struct {
 	projs    []EvalFn
 	whole    bool // the select list is the source row, column for column
 	orderBy  []orderItem
-	orderSrc bool // some ORDER BY term is a source-row key
+	orderSrc bool // some ORDER BY term is a key over the source or group row
 	distinct bool
 	limit    int
 	offset   int
@@ -118,9 +118,9 @@ type joinPlan struct {
 
 // orderItem is one compiled ORDER BY term: an output-column index (the term
 // names an output label or is structurally a select-list expression), else
-// a compiled source-row expression. An aggregate plan has no source row to
-// evaluate at sort time, so there a term with neither is an error — raised
-// only when a row is actually ordered.
+// an expression compiled against the row each output row comes from — the
+// source row, or an aggregate plan's group row, where it reads the group's
+// sample columns and aggregate calls as the select list and HAVING do.
 type orderItem struct {
 	outCol int // >= 0: sort on the output column
 	key    EvalFn
@@ -183,25 +183,32 @@ func CompileSelect(st *sqlparse.SelectStmt, store *storage.Store) (*SelectPlan, 
 		return nil, err
 	}
 	p.cols = cols
+	for _, ob := range st.OrderBy {
+		item := orderItem{outCol: outputCol(env, cols, exprs, ob.Expr), desc: ob.Desc}
+		p.orderSrc = p.orderSrc || item.outCol < 0
+		p.orderBy = append(p.orderBy, item)
+	}
 	if agg {
-		p.agg = compileAggPlan(st, exprs, env)
+		p.agg = compileAggPlan(st, exprs, p.orderBy, env)
 	} else {
 		for _, e := range exprs {
 			p.projs = append(p.projs, Compile(e, env))
 		}
 		p.whole = wholeRow(env, exprs)
-	}
-
-	for _, ob := range st.OrderBy {
-		item := orderItem{outCol: outputCol(env, cols, exprs, ob.Expr), desc: ob.Desc}
-		if item.outCol < 0 && !agg {
-			item.key = Compile(ob.Expr, env)
-			p.orderSrc = true
-		}
-		p.orderBy = append(p.orderBy, item)
+		compileOrderKeys(st, p.orderBy, env)
 	}
 	p.pushOrder(st, exprs)
 	return p, nil
+}
+
+// compileOrderKeys compiles, against env, the ORDER BY terms that name no
+// output column.
+func compileOrderKeys(st *sqlparse.SelectStmt, order []orderItem, env *Env) {
+	for i := range order {
+		if order[i].outCol < 0 {
+			order[i].key = Compile(st.OrderBy[i].Expr, env)
+		}
+	}
 }
 
 // pushOrder marks the ordered candidates that deliver rows already in the
@@ -298,18 +305,19 @@ func colIndex(cols []string, name string) (int, bool) {
 	return 0, false
 }
 
-// Exec runs the plan against the latest store state, working in sc. The
-// caller must hold the store lock.
-func (p *SelectPlan) Exec(args []sqldb.Value, sc *Scratch) (*sqldb.ResultSet, error) {
-	return p.exec(args, nil, sc)
+// Exec runs the plan against the latest store state, working in sc, and
+// takes the result from a (nil: allocates it). The caller must hold the
+// store lock.
+func (p *SelectPlan) Exec(args []sqldb.Value, sc *Scratch, a *sqldb.Arena) (*sqldb.ResultSet, error) {
+	return p.exec(args, nil, sc, a)
 }
 
-// ExecSnap runs the plan against a pinned snapshot, working in sc. The
-// caller holds the store's structural read lock, not the writer mutex:
-// snapshot executions run concurrently with each other while writes stay
-// serialized.
-func (p *SelectPlan) ExecSnap(args []sqldb.Value, snap *storage.Snap, sc *Scratch) (*sqldb.ResultSet, error) {
-	return p.exec(args, snap, sc)
+// ExecSnap runs the plan against a pinned snapshot, working in sc, and
+// takes the result from a (nil: allocates it). The caller holds the store's
+// structural read lock, not the writer mutex: snapshot executions run
+// concurrently with each other while writes stay serialized.
+func (p *SelectPlan) ExecSnap(args []sqldb.Value, snap *storage.Snap, sc *Scratch, a *sqldb.Arena) (*sqldb.ResultSet, error) {
+	return p.exec(args, snap, sc, a)
 }
 
 // Scratch is an executing context's working room for SELECTs: the rows and
@@ -329,15 +337,7 @@ type Scratch struct {
 	agg     aggRun
 }
 
-// result is a SELECT's result set allocated together with room for its
-// first row, so a one-row answer — the set and its one-row slice — is one
-// object.
-type result struct {
-	rs    sqldb.ResultSet
-	first [1][]sqldb.Value
-}
-
-func (p *SelectPlan) exec(args []sqldb.Value, snap *storage.Snap, sc *Scratch) (*sqldb.ResultSet, error) {
+func (p *SelectPlan) exec(args []sqldb.Value, snap *storage.Snap, sc *Scratch, a *sqldb.Arena) (*sqldb.ResultSet, error) {
 	s := sink{p: p, args: args, snap: snap, sc: sc, rows: sc.rows[:0], keys: sc.keys[:0]}
 	if p.agg != nil {
 		s.run = sc.agg.start(p.agg)
@@ -345,7 +345,7 @@ func (p *SelectPlan) exec(args []sqldb.Value, snap *storage.Snap, sc *Scratch) (
 	err := p.eachSource(&s)
 	var rs *sqldb.ResultSet
 	if err == nil || err == errFull {
-		rs, err = s.finish()
+		rs, err = s.finish(a)
 	}
 	s.end()
 	return rs, err
@@ -474,13 +474,18 @@ func (s *sink) add(row []sqldb.Value) error {
 	if !p.orderSrc || s.sorted {
 		return nil
 	}
-	// Output rows carry only projected values, so keys over source columns
-	// are computed now, while the source row is at hand.
-	for _, ob := range p.orderBy {
+	return s.addKeys(row)
+}
+
+// addKeys computes the last output row's ORDER BY keys from the row it came
+// from (source or group row): output rows carry only projected values, so
+// keys over anything else are computed while that row is at hand.
+func (s *sink) addKeys(from []sqldb.Value) error {
+	for _, ob := range s.p.orderBy {
 		var v sqldb.Value
 		if ob.key != nil {
 			var err error
-			if v, err = ob.key(row, s.args); err != nil {
+			if v, err = ob.key(from, s.args); err != nil {
 				return err
 			}
 		}
@@ -490,24 +495,16 @@ func (s *sink) add(row []sqldb.Value) error {
 }
 
 // finish renders aggregates, sorts once, applies DISTINCT/OFFSET/LIMIT
-// and allocates the result at its final size: a result with no rows has
-// nil Rows, a one-row result keeps its row in the result's own slot, and
-// any other gets one slice with cap == len. Everything before that copy
-// works in the scratch.
-func (s *sink) finish() (*sqldb.ResultSet, error) {
+// and takes the result at its final size from a (sqldb.Arena.Result):
+// everything before that copy works in the scratch.
+func (s *sink) finish(a *sqldb.Arena) (*sqldb.ResultSet, error) {
 	p := s.p
 	if s.run != nil {
-		var err error
-		if s.rows, err = s.run.finish(s.args, s.rows); err != nil {
+		if err := s.run.finish(s); err != nil {
 			return nil, err
 		}
 	}
 	if len(p.orderBy) > 0 && len(s.rows) > 0 && !s.sorted {
-		for _, ob := range p.orderBy {
-			if ob.outCol < 0 && ob.key == nil {
-				return nil, fmt.Errorf("engine: ORDER BY over aggregates must reference output columns")
-			}
-		}
 		// ORDER BY runs before DISTINCT: DISTINCT then keeps the first
 		// occurrence, preserving sortedness.
 		o := &s.sc.order
@@ -531,17 +528,7 @@ func (s *sink) finish() (*sqldb.ResultSet, error) {
 	if p.limit >= 0 && len(rows) > p.limit {
 		rows = rows[:p.limit]
 	}
-	res := &result{rs: sqldb.ResultSet{Cols: p.cols, RowsScanned: s.scanned}}
-	switch len(rows) {
-	case 0:
-	case 1:
-		res.first[0] = rows[0]
-		res.rs.Rows = res.first[:]
-	default:
-		res.rs.Rows = make([][]sqldb.Value, len(rows))
-		copy(res.rs.Rows, rows)
-	}
-	return &res.rs, nil
+	return a.Result(p.cols, rows, s.scanned), nil
 }
 
 // end hands the execution's buffers back to the scratch, cleared: the rows,
