@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fuzz bench shardbench golden
+.PHONY: all build test race vet fuzz bench shardbench golden reach
 
 all: vet build test
 
@@ -49,3 +49,14 @@ golden:
 	for e in $(GOLDEN_EXPS); do .golden_build/slothbench -exp $$e > $(GOLDEN_DIR)/$$e.txt || exit 1; done
 	.golden_build/slothbench -exp trace -traceout '' > $(GOLDEN_DIR)/trace.txt
 	.golden_build/slothbench -exp throughput -sessions 1 -workers 1,4 > $(GOLDEN_DIR)/throughput.txt
+
+# The reach ledger, reach.txt: every non-test function that no real caller
+# runs (scripts/reach.sh builds and drives them all, ~1 min), with the reason
+# it stays. Regenerating keeps each surviving entry's reason; a new entry
+# reads UNEXPLAINED, which CI rejects until it has a reason or its function
+# is deleted.
+reach:
+	bash scripts/reach.sh > .reach.names
+	awk -F'\t' 'NR == FNR { r[$$1] = $$2; next } { print $$0 "\t" ($$0 in r ? r[$$0] : "UNEXPLAINED") }' reach.txt .reach.names > .reach.txt
+	mv .reach.txt reach.txt
+	rm -f .reach.names

@@ -2,6 +2,7 @@ package itracker
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/netsim"
 	"repro/internal/orm"
@@ -12,14 +13,28 @@ import (
 type App struct {
 	M   *Metas
 	Web *webapp.App
+	// configNames[i] is "config.<i>" and labelKeys[i] "itracker.web.<i>":
+	// the lookup keys are formatted once, here, not on every page.
+	configNames, labelKeys []string
 }
 
 // Build constructs the 38-page benchmark application (page names per the
 // paper's appendix).
 func Build(clock netsim.Clock, profile webapp.CostProfile) *App {
-	a := &App{M: NewMetas(), Web: webapp.New(clock, profile)}
+	size := DefaultSize()
+	a := &App{M: NewMetas(), Web: webapp.New(clock, profile),
+		configNames: numbered("config.", size.Configs), labelKeys: numbered("itracker.web.", size.LanguageKeys)}
 	a.registerPages()
 	return a
+}
+
+// numbered returns prefix+"0" … prefix+n, indexed by the number.
+func numbered(prefix string, n int) []string {
+	out := make([]string, n+1)
+	for i := range out {
+		out[i] = prefix + strconv.Itoa(i)
+	}
+	return out
 }
 
 // Pages returns the benchmark page names in registration order.
@@ -65,7 +80,7 @@ func (a *App) preamble(c *webapp.Ctx, nKeys, nConfigs int) (*User, error) {
 	// forced in turn — initialization checks the previous value before the
 	// next lookup), the remainder ride in the batch.
 	for i := 1; i <= 3; i++ {
-		cfg, err := a.M.Configurations.Where(c.Session, "name = ?", fmt.Sprintf("config.%d", i)).Get()
+		cfg, err := a.M.Configurations.Where(c.Session, "name = ?", a.configNames[i]).Get()
 		if err != nil {
 			return nil, err
 		}
@@ -76,14 +91,14 @@ func (a *App) preamble(c *webapp.Ctx, nKeys, nConfigs int) (*User, error) {
 	c.Put("systemEnabled", true)
 	configs := make([]any, 0, nConfigs)
 	for i := 2; i <= nConfigs+1; i++ {
-		configs = append(configs, a.M.Configurations.Where(c.Session, "name = ?", fmt.Sprintf("config.%d", i)))
+		configs = append(configs, a.M.Configurations.Where(c.Session, "name = ?", a.configNames[i]))
 	}
 	c.Put("configs", configs)
 
 	// i18n labels: one DB lookup per message key, all lazy.
 	keys := make([]any, 0, nKeys)
 	for i := 1; i <= nKeys; i++ {
-		keys = append(keys, a.M.LanguageKeys.Where(c.Session, "message_key = ? AND locale = 'en'", fmt.Sprintf("itracker.web.%d", i)))
+		keys = append(keys, a.M.LanguageKeys.Where(c.Session, "message_key = ? AND locale = 'en'", a.labelKeys[i]))
 	}
 	c.Put("labels", keys)
 	return u, nil

@@ -81,8 +81,7 @@ func (a *App) hasPrivilege(c *webapp.Ctx, u *User, privilege string) (bool, erro
 func (a *App) loadGlobalProps(c *webapp.Ctx, n int) {
 	props := make([]any, 0, n)
 	for i := 1; i <= n; i++ {
-		name := fmt.Sprintf("prop.%d", i)
-		props = append(props, a.M.GlobalProperties.Where(c.Session, "name = ?", name))
+		props = append(props, a.M.GlobalProperties.Where(c.Session, "name = ?", a.propNames[i]))
 	}
 	c.Put("globalProps", props)
 }
@@ -99,7 +98,7 @@ func (a *App) preamble(c *webapp.Ctx, nGlobals int) (*User, error) {
 	// The request dispatcher needs locale and theme before building the
 	// model: two sequential forced lookups (prop.1 gates prop.2).
 	for i := 1; i <= 2; i++ {
-		props, err := a.M.GlobalProperties.Where(c.Session, "name = ?", fmt.Sprintf("prop.%d", i)).Get()
+		props, err := a.M.GlobalProperties.Where(c.Session, "name = ?", a.propNames[i]).Get()
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package openmrs
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/netsim"
 	"repro/internal/orm"
@@ -12,14 +13,26 @@ import (
 type App struct {
 	M   *Metas
 	Web *webapp.App
+	// propNames[i] is "prop.<i>", the name of global property i: the
+	// lookup keys are formatted once, here, not on every page.
+	propNames []string
 }
 
 // Build constructs the application with its full 112-page benchmark set
 // (the page list mirrors the paper's appendix).
 func Build(clock netsim.Clock, profile webapp.CostProfile) *App {
-	a := &App{M: NewMetas(), Web: webapp.New(clock, profile)}
+	a := &App{M: NewMetas(), Web: webapp.New(clock, profile), propNames: numbered("prop.", DefaultSize().GlobalProps)}
 	a.registerPages()
 	return a
+}
+
+// numbered returns prefix+"0" … prefix+n, indexed by the number.
+func numbered(prefix string, n int) []string {
+	out := make([]string, n+1)
+	for i := range out {
+		out[i] = prefix + strconv.Itoa(i)
+	}
+	return out
 }
 
 // Pages returns the benchmark page names in registration order.

@@ -111,12 +111,6 @@ type ConcurrencyReport struct {
 	Rows []ConcurrencyRow
 }
 
-// Row returns the unsharded measurement for (kind, pipelined-writes,
-// sessions, workers), if present.
-func (r ConcurrencyReport) Row(kind dispatch.Kind, pw bool, sessions, workers int) (ConcurrencyRow, bool) {
-	return r.RowSharded(kind, pw, sessions, workers, 1)
-}
-
 // RowSharded returns the measurement for (kind, pipelined-writes,
 // sessions, workers, shards), if present.
 func (r ConcurrencyReport) RowSharded(kind dispatch.Kind, pw bool, sessions, workers, shards int) (ConcurrencyRow, bool) {

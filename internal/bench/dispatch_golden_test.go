@@ -115,11 +115,11 @@ func TestConcurrentThroughputGains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	syncRow, ok := rep.Row(dispatch.KindSync, false, 8, 1)
+	syncRow, ok := rep.RowSharded(dispatch.KindSync, false, 8, 1, 1)
 	if !ok {
 		t.Fatal("missing sync row")
 	}
-	asyncRow, _ := rep.Row(dispatch.KindAsync, false, 8, 1)
+	asyncRow, _ := rep.RowSharded(dispatch.KindAsync, false, 8, 1, 1)
 
 	if asyncRow.Rate <= syncRow.Rate {
 		t.Errorf("async rate %.1f <= sync rate %.1f", asyncRow.Rate, syncRow.Rate)
@@ -149,7 +149,7 @@ func TestConcurrentThroughputGains(t *testing.T) {
 	}
 	get := func(pw bool, sessions int) ConcurrencyRow {
 		t.Helper()
-		row, ok := wrep.Row(dispatch.KindAsync, pw, sessions, 1)
+		row, ok := wrep.RowSharded(dispatch.KindAsync, pw, sessions, 1, 1)
 		if !ok {
 			t.Fatalf("missing async row pw=%v x%d", pw, sessions)
 		}

@@ -91,19 +91,6 @@ func (r MergeAblationReport) Row(label string) (MergeAblationRow, bool) {
 	return MergeAblationRow{}, false
 }
 
-// StatementsSaved reports the statement reduction of the full-family merge
-// row relative to dedup-only batching.
-func (r MergeAblationReport) StatementsSaved() int64 {
-	var dedup, merged int64
-	if row, ok := r.Row("dedup"); ok {
-		dedup = row.Queries
-	}
-	if row, ok := r.Row("agg"); ok {
-		merged = row.Queries
-	}
-	return dedup - merged
-}
-
 // Format renders the ablation ladder with the dedup row as baseline.
 func (r MergeAblationReport) Format() string {
 	var sb strings.Builder

@@ -45,7 +45,6 @@ func TestStatsRace(t *testing.T) {
 	}
 
 	spin(func() { srv.Stats() })
-	spin(func() { srv.Workers() })
 
 	var workers sync.WaitGroup
 	var firstErr atomic.Value

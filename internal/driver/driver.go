@@ -94,7 +94,7 @@ type ServerStats struct {
 	// WorkerBusy (benchmark/ reports it as driver.worker_wall_share).
 	WorkerWall []time.Duration
 	// SnapBatches counts batches that took the parallel snapshot-read path
-	// (read-only, outside transactions) rather than the serialized path.
+	// (every statement a SELECT) rather than the serialized path.
 	SnapBatches int64
 	// BreakerTrips/BreakerFastFails/BreakerProbes count the per-shard
 	// circuit breaker's transitions (breaker.go): trips into the open
@@ -114,8 +114,9 @@ type ServerStats struct {
 
 // Server fronts an engine.DB. It is safe for concurrent use by many
 // connections: statement execution serializes on the storage lock, stats
-// and the occupancy timeline are mutex-guarded, and each connection owns
-// its engine session.
+// and the occupancy timeline are mutex-guarded, and the engine sessions
+// are the server's — one shared by every serial batch, one per DB worker
+// for read batches.
 //
 // The server no longer advances its clock directly: execution is PRICED
 // here (occupancy + cost model) but the time is PAID by the connection
@@ -127,6 +128,10 @@ type Server struct {
 	db    *engine.DB
 	clock netsim.Clock
 	cost  CostModel
+	// sess runs every batch that is not all SELECTs, for every connection.
+	// It holds only SELECT scratch, which it touches under the store's
+	// writer mutex, so sharing it is safe (engine.Session).
+	sess *engine.Session
 
 	// faults is the installed deterministic fault plane (SetFaults); nil —
 	// the default — means infallible execution and a zero-cost exec path.
@@ -254,7 +259,7 @@ func (l *laneBusy) insert(from, dur time.Duration) {
 // The server starts with one DB worker queue per storage shard; SetWorkers
 // sizes the per-shard pool before the first batch.
 func NewServer(db *engine.DB, clock netsim.Clock, cost CostModel) *Server {
-	s := &Server{db: db, clock: clock, cost: cost, shards: db.Store().NumShards(), queueWait: obs.NewHistogram()}
+	s := &Server{db: db, clock: clock, cost: cost, sess: db.NewSession(), shards: db.Store().NumShards(), queueWait: obs.NewHistogram()}
 	s.SetWorkers(1)
 	return s
 }
@@ -281,13 +286,6 @@ func (s *Server) SetWorkers(k int) {
 	for i := 0; i < n; i++ {
 		s.slots <- &worker{idx: i}
 	}
-}
-
-// Workers reports the size of the DB worker pool (per shard).
-func (s *Server) Workers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.lanes) / s.shards
 }
 
 // QueueWaits returns the per-batch queue-wait distribution (live: it
@@ -324,9 +322,9 @@ func (st Stmt) parsed() (sqlparse.Statement, error) {
 	return plan.ParseCached(st.SQL)
 }
 
-// IsWrite reports whether the statement mutates state or controls a
-// transaction: by the threaded AST when set, else by the keyword scan
-// (sqlparse.IsWriteSQL), which agrees on every parseable statement.
+// IsWrite reports whether the statement mutates state: by the threaded AST
+// when set, else by the keyword scan (sqlparse.IsWriteSQL), which agrees on
+// every parseable statement.
 func (st Stmt) IsWrite() bool {
 	if st.Parsed != nil {
 		return sqlparse.IsWrite(st.Parsed)
@@ -355,16 +353,15 @@ func readOnly(stmts []Stmt) bool {
 type stmtExec func(a *sqldb.Arena, sql string, st sqlparse.Statement, args []sqldb.Value, withPath bool) (*sqldb.ResultSet, string, error)
 
 // priceStmts is the one statement loop: it runs each statement through exec
-// in order and prices the batch. Writes and transaction control cost their
-// own time in order; consecutive runs of read statements execute "in
-// parallel", costing the maximum member cost plus a dispatch cost per
-// statement (the behaviour of the extended driver in Sec. 5). With traced
-// set it additionally returns the per-statement layout mirroring that cost
-// math: reads start where their parallel group stood, writes after the
-// group they closed. A parse error at statement i surfaces after
-// statements 0..i-1 have executed. Returns the results, taken with their
-// list from the arena a, the batch's server time, the rows visited, and the
-// layout.
+// in order and prices the batch. Writes cost their own time in order;
+// consecutive runs of read statements execute "in parallel", costing the
+// maximum member cost plus a dispatch cost per statement (the behaviour of
+// the extended driver in Sec. 5). With traced set it additionally returns
+// the per-statement layout mirroring that cost math: reads start where
+// their parallel group stood, writes after the group they closed. A parse
+// error at statement i surfaces after statements 0..i-1 have executed.
+// Returns the results, taken with their list from the arena a, the batch's
+// server time, the rows visited, and the layout.
 func (s *Server) priceStmts(exec stmtExec, a *sqldb.Arena, stmts []Stmt, traced bool) ([]*sqldb.ResultSet, time.Duration, int64, []stmtTrace, error) {
 	results := a.List(len(stmts))
 	var layout []stmtTrace
@@ -406,17 +403,16 @@ func (s *Server) priceStmts(exec stmtExec, a *sqldb.Arena, stmts []Stmt, traced 
 
 // execBatch runs the statements for one connection through priceStmts on
 // one of two executors and merges the outcome into the server's stats. A
-// read-only batch outside a transaction (a transaction's reads must observe
-// its own uncommitted writes, which only the serialized session sees) takes
-// a DB worker slot and runs against one pinned MVCC snapshot, concurrently
-// with other read batches; only the slot semaphore and the stats merge
-// serialize. Anything else runs on the connection's session under the store
-// lock. The pricing loop's write arm is never taken on a read-only batch,
-// so the virtual timeline — and with it every golden page — is identical
-// whichever executor a batch gets.
-func (s *Server) execBatch(sess *engine.Session, a *sqldb.Arena, stmts []Stmt, traced bool) ([]*sqldb.ResultSet, time.Duration, []stmtTrace, error) {
-	if sess.InTxn() || !readOnly(stmts) {
-		results, total, rowsVisited, layout, err := s.priceStmts(sess.ExecPrepared, a, stmts, traced)
+// batch whose every statement parses to a SELECT takes a DB worker slot and
+// runs against one pinned MVCC snapshot, concurrently with other read
+// batches; only the slot semaphore and the stats merge serialize. Anything
+// else runs on the server's session under the store lock, statement by
+// statement. The pricing loop's write arm is never taken on a read-only
+// batch, so the virtual timeline — and with it every golden page — is
+// identical whichever executor a batch gets.
+func (s *Server) execBatch(a *sqldb.Arena, stmts []Stmt, traced bool) ([]*sqldb.ResultSet, time.Duration, []stmtTrace, error) {
+	if !readOnly(stmts) {
+		results, total, rowsVisited, layout, err := s.priceStmts(s.sess.ExecPrepared, a, stmts, traced)
 		if err != nil {
 			return nil, 0, nil, err
 		}
@@ -589,13 +585,12 @@ func (s *Server) laneName(lane int) string {
 	return fmt.Sprintf("db-s%d-worker-%d", lane/k, lane%k)
 }
 
-// Conn is a client connection: an engine session reached across a link.
-// It has one executing goroutine, its session's, matching JDBC
-// connections; its counters are safe to read concurrently.
+// Conn is a client connection: a server reached across a link. It keeps
+// no engine state of its own. It has one executing goroutine, matching
+// JDBC connections; its counters are safe to read concurrently.
 type Conn struct {
 	srv   *Server
 	link  *netsim.Link
-	sess  *engine.Session
 	clock netsim.Clock
 	// arena holds the result sets the connection's batches returned since
 	// its first batch or its last Release; nil until then.
@@ -614,7 +609,7 @@ type Conn struct {
 // no record of its connections: the exec path hands the link whatever
 // fault plane is installed at the time of each batch.
 func (s *Server) Connect(link *netsim.Link) *Conn {
-	return &Conn{srv: s, link: link, sess: s.db.NewSession(), clock: link.Clock()}
+	return &Conn{srv: s, link: link, clock: link.Clock()}
 }
 
 // Link exposes the connection's network link (for stats and RTT sweeps).
@@ -632,9 +627,6 @@ func (c *Conn) TraceCtx() obs.Ctx { return c.traceCtx }
 
 // QueriesSent reports how many statements this connection has shipped.
 func (c *Conn) QueriesSent() int64 { return c.queriesSent.Load() }
-
-// InTxn reports whether the connection has an open transaction.
-func (c *Conn) InTxn() bool { return c.sess.InTxn() }
 
 // Query executes one statement in its own round trip — the conventional
 // driver behaviour used by the original (non-Sloth) applications. Like
@@ -692,7 +684,7 @@ func (c *Conn) Exec(ctx obs.Ctx, arrival time.Duration, stmts []Stmt) ([]*sqldb.
 	if c.arena == nil {
 		c.arena = c.srv.takeArena()
 	}
-	results, dbCost, layout, err := c.srv.execBatch(c.sess, c.arena, stmts, traced)
+	results, dbCost, layout, err := c.srv.execBatch(c.arena, stmts, traced)
 	if err != nil {
 		if traced {
 			ctx.Instant("error", "exec", arrival, obs.Arg{K: "err", V: err.Error()})

@@ -175,33 +175,6 @@ func TestEmptyBatchIsFree(t *testing.T) {
 	}
 }
 
-func TestTransactionsAcrossConnection(t *testing.T) {
-	_, _, conn := rig(t, 0)
-	mustExec(t, conn, "BEGIN")
-	if !conn.InTxn() {
-		t.Fatal("not in txn after BEGIN")
-	}
-	mustExec(t, conn, "UPDATE kv SET v = 'ONE' WHERE k = 1")
-	mustExec(t, conn, "ROLLBACK")
-	rs := mustExec(t, conn, "SELECT v FROM kv WHERE k = 1")
-	if rs.Rows[0][0] != "one" {
-		t.Fatalf("rollback over connection failed: %v", rs.Rows[0][0])
-	}
-}
-
-func TestTwoConnectionsIsolatedSessions(t *testing.T) {
-	clock := netsim.NewVirtualClock()
-	db := engine.New()
-	srv := NewServer(db, clock, DefaultCostModel())
-	c1 := srv.Connect(netsim.NewLink(clock, 0))
-	c2 := srv.Connect(netsim.NewLink(clock, 0))
-	mustExec(t, c1, "CREATE TABLE t (id INT PRIMARY KEY)")
-	mustExec(t, c1, "BEGIN")
-	if c2.InTxn() {
-		t.Fatal("txn leaked across connections")
-	}
-}
-
 func TestCostModelRowsScale(t *testing.T) {
 	// A scan over more rows must cost more DB time.
 	clock := netsim.NewVirtualClock()

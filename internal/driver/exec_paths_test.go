@@ -74,41 +74,18 @@ var readShapes = []func(rng *rand.Rand) Stmt{
 }
 
 // TestReadBatchCostMatchesSerialPath: for generated read batches, the
-// snapshot executor and the serialized executor (the same batch inside
-// BEGIN…COMMIT) must agree on results, completion time, DBTime, Rows and
-// the traced per-statement layout — golden timelines cannot depend on
-// which executor a batch gets.
+// snapshot executor (a DB worker's SnapSession.ExecSelectIn) and the serial
+// executor (the server session's ExecPrepared) must agree, through the one
+// pricing loop, on results, server time, rows visited and the traced
+// per-statement layout: golden timelines cannot depend on which executor a
+// batch gets.
 func TestReadBatchCostMatchesSerialPath(t *testing.T) {
-	type side struct {
-		srv  *Server
-		conn *Conn
+	_, srv, conn := rig(t, time.Millisecond)
+	for k := 4; k <= 40; k++ {
+		mustExec(t, conn, "INSERT INTO kv (k, v) VALUES (?, ?)", int64(k), fmt.Sprintf("v%d", k%7))
 	}
-	var snap, serial side
-	for _, sd := range []*side{&snap, &serial} {
-		_, sd.srv, sd.conn = rig(t, time.Millisecond)
-		for k := 4; k <= 40; k++ {
-			mustExec(t, sd.conn, "INSERT INTO kv (k, v) VALUES (?, ?)", int64(k), fmt.Sprintf("v%d", k%7))
-		}
-	}
-	// run executes one traced batch and reports the server counters it
-	// moved (a delta: the serial side's BEGIN/COMMIT are batches too).
-	run := func(sd side, arrival time.Duration, stmts []Stmt) ([]*sqldb.ResultSet, time.Duration, ServerStats, []stmtSlot) {
-		t.Helper()
-		tr := obs.NewTracer()
-		before := sd.srv.Stats()
-		results, done, err := sd.conn.Exec(tr.Root("test", "page", "p", arrival), arrival, stmts)
-		if err != nil {
-			t.Fatalf("batch %v: %v", stmts, err)
-		}
-		st := sd.srv.Stats()
-		delta := ServerStats{
-			Queries:     st.Queries - before.Queries,
-			Rows:        st.Rows - before.Rows,
-			DBTime:      st.DBTime - before.DBTime,
-			SnapBatches: st.SnapBatches - before.SnapBatches,
-		}
-		return results, done, delta, stmtLayout(t, tr)
-	}
+	ss := srv.DB().BeginSnapshot()
+	defer ss.Close()
 
 	rng := rand.New(rand.NewSource(1))
 	for b := 1; b <= 250; b++ {
@@ -116,23 +93,16 @@ func TestReadBatchCostMatchesSerialPath(t *testing.T) {
 		for i := range stmts {
 			stmts[i] = readShapes[rng.Intn(len(readShapes))](rng)
 		}
-		// Arrivals a second apart never queue, so completion times compare.
-		arrival := time.Duration(b) * time.Second
-
-		resA, doneA, stA, layA := run(snap, arrival, stmts)
-		mustExec(t, serial.conn, "BEGIN")
-		resB, doneB, stB, layB := run(serial, arrival, stmts)
-		mustExec(t, serial.conn, "COMMIT")
-
-		if stA.SnapBatches != 1 || stB.SnapBatches != 0 {
-			t.Fatalf("batch %d: SnapBatches snapshot=%d serial=%d, want 1 and 0", b, stA.SnapBatches, stB.SnapBatches)
+		resA, totalA, rowsA, layA, errA := srv.priceStmts(ss.ExecSelectIn, nil, stmts, true)
+		resB, totalB, rowsB, layB, errB := srv.priceStmts(srv.sess.ExecPrepared, nil, stmts, true)
+		if errA != nil || errB != nil {
+			t.Fatalf("batch %d: snapshot err %v, serial err %v", b, errA, errB)
 		}
 		if !reflect.DeepEqual(resA, resB) {
 			t.Fatalf("batch %d: results differ by executor\nsnapshot %v\nserial   %v", b, resA, resB)
 		}
-		if doneA != doneB || stA.DBTime != stB.DBTime || stA.Rows != stB.Rows || stA.Queries != stB.Queries {
-			t.Fatalf("batch %d: pricing differs by executor: done %v/%v DBTime %v/%v Rows %d/%d Queries %d/%d",
-				b, doneA, doneB, stA.DBTime, stB.DBTime, stA.Rows, stB.Rows, stA.Queries, stB.Queries)
+		if totalA != totalB || rowsA != rowsB {
+			t.Fatalf("batch %d: pricing differs by executor: total %v/%v rows %d/%d", b, totalA, totalB, rowsA, rowsB)
 		}
 		if len(layA) != len(stmts) || !reflect.DeepEqual(layA, layB) {
 			t.Fatalf("batch %d: traced layout differs by executor\nsnapshot %+v\nserial   %+v", b, layA, layB)
@@ -148,7 +118,7 @@ func TestTracingLeavesPlanCacheCountersAlone(t *testing.T) {
 	batches := [][]Stmt{
 		{{SQL: "INSERT INTO kv (k, v) VALUES (10, 'ten')"}, {SQL: "SELECT v FROM kv WHERE k = 10"}},
 		{{SQL: "SELECT v FROM kv WHERE k = 1"}, {SQL: "SELECT * FROM kv"}},
-		{{SQL: "BEGIN"}, {SQL: "SELECT v FROM kv WHERE k = 2"}, {SQL: "UPDATE kv SET v = 'x' WHERE k = 2"}, {SQL: "COMMIT"}},
+		{{SQL: "SELECT v FROM kv WHERE k = 2"}, {SQL: "UPDATE kv SET v = 'x' WHERE k = 2"}},
 	}
 	for i, stmts := range batches {
 		_, srvU, connU := rig(t, 0)
@@ -197,29 +167,23 @@ func TestExecErrorContract(t *testing.T) {
 		}
 	})
 
-	// Only an all-SELECT batch outside a transaction reaches the snapshot
-	// executor, so a non-SELECT can never be handed to it: anything else —
-	// including a batch that fails to parse, which reports the serial
-	// executor's error — runs on the session.
+	// Exactly the batches whose every statement parses to a SELECT reach
+	// the snapshot executor, so a non-SELECT can never be handed to it:
+	// anything else — including a batch that fails to parse, which reports
+	// the serial executor's error — runs on the server's session.
 	t.Run("classification", func(t *testing.T) {
 		sel := Stmt{SQL: "SELECT v FROM kv WHERE k = 1"}
 		for _, c := range []struct {
 			name    string
-			inTxn   bool
 			stmts   []Stmt
 			snap    int64
 			wantErr string
 		}{
-			{"all reads", false, []Stmt{sel, sel}, 1, ""},
-			{"reads in a transaction", true, []Stmt{sel, sel}, 0, ""},
-			{"read then write", false, []Stmt{sel, {SQL: "UPDATE kv SET v = 'x' WHERE k = 1"}}, 0, ""},
-			{"read then control", false, []Stmt{sel, {SQL: "COMMIT"}}, 0, ""},
-			{"read then garbage", false, []Stmt{sel, {SQL: "SELEKT nonsense"}}, 0, "driver: "},
+			{"all reads", []Stmt{sel, sel}, 1, ""},
+			{"read then write", []Stmt{sel, {SQL: "UPDATE kv SET v = 'x' WHERE k = 1"}}, 0, ""},
+			{"read then garbage", []Stmt{sel, {SQL: "SELEKT nonsense"}}, 0, "driver: "},
 		} {
 			_, srv, conn := rig(t, 0)
-			if c.inTxn {
-				mustExec(t, conn, "BEGIN")
-			}
 			_, err := conn.ExecBatch(c.stmts)
 			if (c.wantErr == "") != (err == nil) || (err != nil && !strings.HasPrefix(err.Error(), c.wantErr)) {
 				t.Errorf("%s: err = %v, want prefix %q", c.name, err, c.wantErr)

@@ -233,3 +233,65 @@ func TestWorkerScratchNotShared(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestConnsShareServerSession: every connection's serial batches run on
+// the server's one engine session. Several connections run batches that
+// mix writes and reads concurrently, each on its own key range; every read
+// must return its own connection's last write, whether it ran in the
+// write's batch (the serial executor, on the shared session's scratch) or
+// in a read-only batch after it (a DB worker's snapshot).
+func TestConnsShareServerSession(t *testing.T) {
+	_, srv, setup := rig(t, 0)
+	srv.SetWorkers(2)
+	mustExec(t, setup, "CREATE TABLE acc (k INT PRIMARY KEY, owner INT, v INT)")
+
+	const conns, rounds = 4, 150
+	var wg sync.WaitGroup
+	errs := make(chan error, conns)
+	for c := int64(0); c < conns; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			conn := srv.Connect(netsim.NewLink(netsim.NewVirtualClock(), 0))
+			base := c * 1000
+			if _, err := conn.Query("INSERT INTO acc (k, owner, v) VALUES (?, ?, 0)", base, c); err != nil {
+				errs <- err
+				return
+			}
+			for i := int64(1); i <= rounds; i++ {
+				mixed, err := conn.ExecBatch([]Stmt{
+					{SQL: "UPDATE acc SET v = ? WHERE k = ?", Args: []sqldb.Value{i, base}},
+					{SQL: "INSERT INTO acc (k, owner, v) VALUES (?, ?, ?)", Args: []sqldb.Value{base + i, c, i}},
+					{SQL: "SELECT v FROM acc WHERE k = ?", Args: []sqldb.Value{base}},
+					{SQL: "SELECT COUNT(*) FROM acc WHERE owner = ?", Args: []sqldb.Value{c}},
+				})
+				if err != nil {
+					errs <- err
+					return
+				}
+				reads, err := conn.ExecBatch([]Stmt{
+					{SQL: "SELECT v FROM acc WHERE k = ?", Args: []sqldb.Value{base}},
+					{SQL: "SELECT v FROM acc WHERE k = ?", Args: []sqldb.Value{base + i}},
+				})
+				if err != nil {
+					errs <- err
+					return
+				}
+				got := []sqldb.Value{mixed[2].Rows[0][0], mixed[3].Rows[0][0], reads[0].Rows[0][0], reads[1].Rows[0][0]}
+				if want := []sqldb.Value{i, i + 1, i, i}; fmt.Sprint(got) != fmt.Sprint(want) {
+					errs <- fmt.Errorf("conn %d round %d: reads %v, want %v", c, i, got, want)
+					return
+				}
+				conn.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.SnapBatches != conns*rounds || st.Batches != 1+conns*(1+2*rounds) {
+		t.Fatalf("SnapBatches %d, Batches %d; want %d read-only batches of %d", st.SnapBatches, st.Batches, conns*rounds, 1+conns*(1+2*rounds))
+	}
+}

@@ -205,18 +205,6 @@ func (in *LazyInterp) deepForce(v Value, seen map[Addr]bool) (Value, error) {
 	return v, nil
 }
 
-// ForceHeap forces every thunk reachable from the heap (equivalence tests
-// call this after Run, per the paper's theorem statement).
-func (in *LazyInterp) ForceHeap() error {
-	seen := make(map[Addr]bool)
-	for i := 0; i < in.heap.Len(); i++ {
-		if _, err := in.deepForce(Addr(i), seen); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------------
 // Function calls.
 
@@ -271,7 +259,7 @@ func (in *LazyInterp) forceAll(vals []Value) ([]Value, error) {
 
 // execNow is the strict walker's query hook and the lazy walker's W(): the
 // statement runs immediately. The store flushes every pending read before
-// it, keeping statement order and transaction boundaries (Sec. 3.3).
+// it, keeping statement order (Sec. 3.3).
 func (in *LazyInterp) execNow(sql string) (*sqldb.ResultSet, error) {
 	in.stats.Queries++
 	return in.store.Exec(sql)

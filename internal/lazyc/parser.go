@@ -172,15 +172,6 @@ func ParseProgram(src string) (*Program, error) {
 	return prog, nil
 }
 
-// MustParse parses or panics; for fixtures.
-func MustParse(src string) *Program {
-	p, err := ParseProgram(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 func (p *lparser) parseFunc() (*Func, error) {
 	if err := p.expect("ident", "fn"); err != nil {
 		return nil, err

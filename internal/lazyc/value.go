@@ -49,9 +49,6 @@ func (h *Heap) Get(a Addr) (any, error) {
 	return h.objs[a], nil
 }
 
-// Len reports the number of allocated objects.
-func (h *Heap) Len() int { return len(h.objs) }
-
 // record resolves a forced field-access receiver to the record it
 // addresses; verb ("read of", "write to") names the access in errors.
 func (h *Heap) record(recv Value, verb string) (record, error) {

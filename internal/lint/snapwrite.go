@@ -39,14 +39,13 @@ type snapwriteFact struct {
 
 // mutationSeeds are the storage-package functions that ARE the mutation
 // and locking surface: reaching any of them from a snapshot path is a
-// violation. Unexported implementation helpers (prepend, insertAt,
-// install) are included so transitive closure inside storage works from
-// names alone; Lock/Begin are included because taking the writer mutex on
-// the snapshot path deadlocks against a blocked writer.
+// violation. Unexported implementation helpers (prepend, install) are
+// included so transitive closure inside storage works from names alone;
+// Lock is included because taking the writer mutex on the snapshot path
+// deadlocks against a blocked writer.
 var mutationSeeds = map[string][]string{
-	"Table": {"Insert", "Update", "Delete", "AddIndex", "AddOrderedIndex", "addIndex", "insertAt", "install", "prepend"},
-	"Store": {"CreateTable", "BeginStmt", "EndStmt", "Begin", "Lock"},
-	"Txn":   {"Commit", "Rollback"},
+	"Table": {"Insert", "Update", "Delete", "AddIndex", "AddOrderedIndex", "addIndex", "install", "prepend"},
+	"Store": {"CreateTable", "BeginStmt", "EndStmt", "Lock"},
 }
 
 func isMutationSeed(f *types.Func) bool {

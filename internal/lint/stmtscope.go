@@ -21,12 +21,12 @@ import (
 // simple statements (no returns or branches) in between.
 //
 // Rule 2 (engine packages — import path suffix "sqldb/engine"): every
-// direct call to a storage mutation API (Table.Insert/Update/Delete,
-// Txn.Rollback) must execute inside an open scope: lexically within a
-// rule-1-valid scope region, inside a function literal passed to a scope
-// wrapper (a local function that opens a scope and invokes a func-typed
-// parameter inside it, like Session.execWrite), or inside a function
-// whose in-package callers are all themselves scoped. Bulk-load paths
+// direct call to a storage mutation API (Table.Insert/Update/Delete) must
+// execute inside an open scope: lexically within a rule-1-valid scope
+// region, inside a function literal passed to a scope wrapper (a local
+// function that opens a scope and invokes a func-typed parameter inside
+// it, like Session.execWrite), or inside a function whose in-package
+// callers are all themselves scoped. Bulk-load paths
 // outside the engine auto-publish per mutation by design and are not
 // checked; genuinely exempt engine sites take
 // //slothvet:allow stmtscope(reason).
@@ -56,8 +56,7 @@ func isEndStmt(f *types.Func) bool   { return isStorageMethod(f, "Store", "EndSt
 // isScopedMutation reports whether f is a mutation API that rule 2
 // requires inside a publication scope.
 func isScopedMutation(f *types.Func) bool {
-	return isStorageMethod(f, "Table", "Insert", "Update", "Delete") ||
-		isStorageMethod(f, "Txn", "Rollback")
+	return isStorageMethod(f, "Table", "Insert", "Update", "Delete")
 }
 
 // analysis state -----------------------------------------------------------

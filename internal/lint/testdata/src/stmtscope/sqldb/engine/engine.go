@@ -8,7 +8,6 @@ import "sqldb/storage"
 type Session struct {
 	store *storage.Store
 	tab   *storage.Table
-	txn   *storage.Txn
 }
 
 // execWrite is the wrapper shape: opens a scope, invokes the func-typed
@@ -35,12 +34,14 @@ func (s *Session) GoodStraight(v int) {
 	s.store.EndStmt()
 }
 
-// GoodRollback mirrors the real session's rollback arm.
-func (s *Session) GoodRollback() error {
+// GoodStraightAssign: an assignment between Begin and End is a simple
+// statement too.
+func (s *Session) GoodStraightAssign(v int) int {
 	s.store.BeginStmt()
-	err := s.txn.Rollback()
+	n := s.tab.Len()
+	s.tab.Update(v)
 	s.store.EndStmt()
-	return err
+	return n
 }
 
 // insertPair is only ever called from scoped contexts, so its mutations

@@ -15,9 +15,3 @@ func (t *Table) Insert(v int) { t.rows = append(t.rows, v) }
 func (t *Table) Update(v int) { t.rows[0] = v }
 func (t *Table) Delete(v int) { t.rows = t.rows[1:] }
 func (t *Table) Len() int     { return len(t.rows) }
-
-// Txn is the transaction handle.
-type Txn struct{}
-
-func (tx *Txn) Commit() error   { return nil }
-func (tx *Txn) Rollback() error { return nil }

@@ -52,14 +52,14 @@ func TestDemuxRoutesRowsByKey(t *testing.T) {
 	if len(out) != 3 {
 		t.Fatalf("want 3 demuxed results, got %d", len(out))
 	}
-	if out[0].NumRows() != 1 || out[0].MustGet(0, "v") != "a" {
+	if out[0].NumRows() != 1 || out[0].Rows[0][1] != "a" {
 		t.Fatalf("id=1 result wrong: %v", out[0].Rows)
 	}
 	// Missing key: an empty result set with the merged columns, not nil.
 	if out[1] == nil || out[1].NumRows() != 0 || len(out[1].Cols) != 2 {
 		t.Fatalf("id=2 (missing key) result wrong: %+v", out[1])
 	}
-	if out[2].NumRows() != 1 || out[2].MustGet(0, "v") != "c" {
+	if out[2].NumRows() != 1 || out[2].Rows[0][1] != "c" {
 		t.Fatalf("id=3 result wrong: %v", out[2].Rows)
 	}
 }
@@ -83,7 +83,7 @@ func TestDemuxDuplicateKeysShareRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, i := range []int{0, 2} {
-		if out[i].NumRows() != 1 || out[i].MustGet(0, "v") != "x" {
+		if out[i].NumRows() != 1 || out[i].Rows[0][1] != "x" {
 			t.Fatalf("original %d: want the id=7 row, got %v", i, out[i].Rows)
 		}
 	}

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"sync"
 	"time"
 )
@@ -96,15 +95,6 @@ func (l *Link) Charge(reqBytes, respBytes int) time.Duration {
 	return l.rtt
 }
 
-// RoundTrip charges one full round trip carrying reqBytes of request payload
-// and respBytes of response payload, advancing the clock accordingly. It
-// returns the time charged.
-func (l *Link) RoundTrip(reqBytes, respBytes int) time.Duration {
-	cost := l.Charge(reqBytes, respBytes)
-	l.clock.Advance(cost)
-	return cost
-}
-
 // Stats returns a snapshot of the link counters.
 func (l *Link) Stats() LinkStats {
 	l.mu.Lock()
@@ -116,10 +106,4 @@ func (l *Link) Stats() LinkStats {
 		Timeouts:   l.timeouts,
 		NetTime:    l.netTime,
 	}
-}
-
-// String summarizes the link's RTT and counters.
-func (l *Link) String() string {
-	s := l.Stats()
-	return fmt.Sprintf("link{rtt=%v trips=%d sent=%dB recv=%dB}", l.RTT(), s.RoundTrips, s.BytesSent, s.BytesRecv)
 }

@@ -56,20 +56,21 @@ func TestVirtualClockConcurrentAdvance(t *testing.T) {
 func TestLinkRoundTripChargesRTT(t *testing.T) {
 	c := NewVirtualClock()
 	l := NewLink(c, 500*time.Microsecond)
-	cost := l.RoundTrip(100, 200)
+	cost := l.Charge(100, 200)
 	if cost != 500*time.Microsecond {
-		t.Fatalf("RoundTrip cost = %v, want 500µs", cost)
+		t.Fatalf("Charge cost = %v, want 500µs", cost)
 	}
-	if got := c.Now(); got != 500*time.Microsecond {
-		t.Fatalf("clock = %v, want 500µs", got)
+	// The link prices the trip; the session that waits for it pays.
+	if got := c.Now(); got != 0 {
+		t.Fatalf("clock = %v, want 0: Charge advanced it", got)
 	}
 }
 
 func TestLinkStatsAccumulate(t *testing.T) {
 	c := NewVirtualClock()
 	l := NewLink(c, time.Millisecond)
-	l.RoundTrip(10, 20)
-	l.RoundTrip(1, 2)
+	l.Charge(10, 20)
+	l.Charge(1, 2)
 	s := l.Stats()
 	if s.RoundTrips != 2 {
 		t.Errorf("RoundTrips = %d, want 2", s.RoundTrips)
@@ -94,7 +95,7 @@ func TestLinkConcurrentRoundTrips(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 250; j++ {
-				l.RoundTrip(1, 1)
+				l.Charge(1, 1)
 			}
 		}()
 	}

@@ -16,7 +16,6 @@ type Histogram struct {
 	bounds []time.Duration // upper bound per bucket; last is +inf sentinel
 	counts []atomic.Int64
 	total  atomic.Int64
-	sum    atomic.Int64
 	min    atomic.Int64
 	max    atomic.Int64
 }
@@ -58,7 +57,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	idx := sort.Search(len(h.bounds), func(i int) bool { return h.bounds[i] >= d })
 	h.counts[idx].Add(1)
 	h.total.Add(1)
-	h.sum.Add(int64(d))
 	for {
 		cur := h.min.Load()
 		if int64(d) >= cur || h.min.CompareAndSwap(cur, int64(d)) {
@@ -79,23 +77,6 @@ func (h *Histogram) Count() int64 {
 		return 0
 	}
 	return h.total.Load()
-}
-
-// Sum reports the total of all observations.
-func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.sum.Load())
-}
-
-// Mean reports the average observation.
-func (h *Histogram) Mean() time.Duration {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / time.Duration(n)
 }
 
 // Quantile estimates the q-quantile (0 < q <= 1) by linear interpolation

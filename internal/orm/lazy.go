@@ -80,9 +80,6 @@ func (l Lazy[T]) Must() T {
 	return r.val
 }
 
-// Forced reports whether the value has been computed.
-func (l Lazy[T]) Forced() bool { return l.c.Forced() }
-
 // ForceAny implements thunk.Any. Errors surface as panics at the force
 // point, which the web framework converts into a rendering error.
 func (l Lazy[T]) ForceAny() any { return l.Must() }

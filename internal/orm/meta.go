@@ -27,10 +27,8 @@ type Meta[T any] struct {
 	selList string
 	findSQL string // SELECT ... WHERE pk = ?
 
-	// The write statements' text, built at Register like findSQL.
+	// insertSQL is Insert's statement text, built at Register like findSQL.
 	insertSQL string // INSERT INTO ... (cols) VALUES (?, ...)
-	updateSQL string // UPDATE ... SET col = ?, ... WHERE pk = ?, pk not SET
-	deleteSQL string // DELETE FROM ... WHERE pk = ?
 
 	// conds caches the SELECT and COUNT text per WHERE condition. Conditions
 	// are the application's string constants, so the set is small and
@@ -95,18 +93,9 @@ func Register[T any](table string) (*Meta[T], error) {
 		names[i] = c.name
 	}
 	m.selList = strings.Join(names, ", ")
-	pkCond := " WHERE " + m.PKColumn() + " = ?"
 	m.findSQL = m.buildSQL(m.PKColumn() + " = ?").sel
-	var sets []string
-	for i, name := range names {
-		if i != m.pkIdx {
-			sets = append(sets, name+" = ?")
-		}
-	}
 	m.insertSQL = "INSERT INTO " + table + " (" + m.selList + ") VALUES (" +
 		strings.Repeat("?, ", len(names)-1) + "?)"
-	m.updateSQL = "UPDATE " + table + " SET " + strings.Join(sets, ", ") + pkCond
-	m.deleteSQL = "DELETE FROM " + table + pkCond
 	return m, nil
 }
 
@@ -118,9 +107,6 @@ func MustRegister[T any](table string) *Meta[T] {
 	}
 	return m
 }
-
-// Table returns the mapped table name.
-func (m *Meta[T]) Table() string { return m.table }
 
 // PKColumn returns the primary key column name.
 func (m *Meta[T]) PKColumn() string { return m.cols[m.pkIdx].name }

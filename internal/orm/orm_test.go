@@ -124,10 +124,7 @@ func TestFindOriginalModeImmediate(t *testing.T) {
 	f := newFixture(FetchLazy, FetchLazy)
 	s, link := rig(t, ModeOriginal)
 	p := f.patients.Find(s, 1)
-	if !p.Forced() {
-		t.Fatal("ModeOriginal Find returned unforced lazy")
-	}
-	if link.Stats().RoundTrips != 1 {
+	if link.Stats().RoundTrips != 1 { // ran at Find, not at Get
 		t.Fatalf("round trips = %d, want 1", link.Stats().RoundTrips)
 	}
 	got, err := p.Get()
@@ -140,14 +137,11 @@ func TestFindSlothModeDefers(t *testing.T) {
 	f := newFixture(FetchLazy, FetchLazy)
 	s, link := rig(t, ModeSloth)
 	p := f.patients.Find(s, 1)
-	if p.Forced() {
-		t.Fatal("ModeSloth Find forced eagerly")
-	}
 	if link.Stats().RoundTrips != 0 {
 		t.Fatal("query executed before force")
 	}
-	if s.Store().PendingLen() != 1 {
-		t.Fatalf("pending = %d, want 1", s.Store().PendingLen())
+	if st := s.Store().Stats(); st.Registered != 1 || st.Executed != 0 {
+		t.Fatalf("store registered %d, executed %d; want 1 pending", st.Registered, st.Executed)
 	}
 	got, err := p.Get()
 	if err != nil || got.Name != "Ann" {
@@ -301,8 +295,8 @@ func TestInsertUpdateDelete(t *testing.T) {
 	if err != nil || got.Name != "Cid" {
 		t.Fatalf("after insert: %+v, %v", got, err)
 	}
-	got.Age = 28
-	if err := f.patients.Update(s, got); err != nil {
+	// Updates and deletes are plain statements through the session's store.
+	if _, err := s.Store().Exec("UPDATE patients SET age = ? WHERE id = ?", int64(28), int64(3)); err != nil {
 		t.Fatal(err)
 	}
 	s.Clear()
@@ -310,7 +304,7 @@ func TestInsertUpdateDelete(t *testing.T) {
 	if fresh.Age != 28 {
 		t.Fatalf("age after update = %d", fresh.Age)
 	}
-	if err := f.patients.Delete(s, 3); err != nil {
+	if _, err := s.Store().Exec("DELETE FROM patients WHERE id = ?", int64(3)); err != nil {
 		t.Fatal(err)
 	}
 	s.Clear()
@@ -325,37 +319,12 @@ func TestWriteFlushesPendingReads(t *testing.T) {
 	f := newFixture(FetchLazy, FetchLazy)
 	s, _ := rig(t, ModeSloth)
 	before := f.patients.Find(s, 1)
-	p := &Patient{ID: 1, Name: "Ann", Age: 99}
-	if err := f.patients.Update(s, p); err != nil {
+	if _, err := s.Store().Exec("UPDATE patients SET age = 99 WHERE id = 1"); err != nil {
 		t.Fatal(err)
 	}
-	// The deferred read ran before the UPDATE inside the same batch. Its
-	// deserialization happens now but reflects pre-write data... except the
-	// identity map was updated by Update's entity. Clear first.
-	got := before.Must()
-	if got.Age != 30 && got.Age != 99 {
-		t.Fatalf("age = %d", got.Age)
-	}
-}
-
-func TestTransactionsThroughSession(t *testing.T) {
-	f := newFixture(FetchLazy, FetchLazy)
-	s, _ := rig(t, ModeSloth)
-	if err := s.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	p, _ := f.patients.FindNow(s, 1)
-	p.Age = 77
-	if err := f.patients.Update(s, p); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	s.Clear()
-	fresh, _ := f.patients.FindNow(s, 1)
-	if fresh.Age != 30 {
-		t.Fatalf("age after rollback = %d", fresh.Age)
+	// The deferred read ran before the UPDATE inside the same batch.
+	if got := before.Must(); got.Age != 30 {
+		t.Fatalf("age = %d, want the pre-write 30", got.Age)
 	}
 }
 

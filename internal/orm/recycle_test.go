@@ -45,7 +45,7 @@ func TestClosedSessionStartsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := first.Close(); err != nil {
+	if err := first.Store().Close(); err != nil {
 		t.Fatal(err)
 	}
 	if first.identity != nil {
@@ -71,8 +71,8 @@ func TestClosedSessionStartsFresh(t *testing.T) {
 		t.Fatalf("entities %+v, %+v", ann, after)
 	}
 	// A second Close gives the map back once; the session borrows again.
-	first.Close()
-	first.Close()
+	first.Store().Close()
+	first.Store().Close()
 	if _, err := f.patients.FindNow(first, 2); err != nil || len(first.identity) != 1 {
 		t.Fatalf("Find after a double Close: %v, map of %d", err, len(first.identity))
 	}
@@ -106,7 +106,7 @@ func TestRequestCycleAllocatesNoGrowth(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := s.Close(); err != nil {
+			if err := s.Store().Close(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -137,7 +137,7 @@ func TestConcurrentRequestCyclesMatchSerial(t *testing.T) {
 			// the identity map answers), one patient's encounters, rendered.
 			page := func(conn *driver.Conn, g, r int) string {
 				s := NewSession(querystore.New(conn, cfg), ModeSloth)
-				defer s.Close()
+				defer s.Store().Close()
 				var ps []Lazy[*Patient]
 				for i := 0; i < 3+(g+r)%5; i++ {
 					ps = append(ps, f.patients.Find(s, int64(100+(g*7+r*3+i)%24)))

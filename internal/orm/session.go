@@ -3,7 +3,6 @@ package orm
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/driver"
@@ -247,31 +246,3 @@ func (m *Meta[T]) Insert(s *Session, e *T) error {
 	s.identityPut(&m.table, m.pkOf(e), e)
 	return nil
 }
-
-// Update flushes the entity's current field values to the database.
-func (m *Meta[T]) Update(s *Session, e *T) error {
-	// The SET values in column order without the key, then the key.
-	args := m.values(e)
-	pk := args[m.pkIdx]
-	args = append(slices.Delete(args, m.pkIdx, m.pkIdx+1), pk)
-	_, err := s.write(m.updateSQL, args...)
-	return err
-}
-
-// Delete removes the entity with the given primary key.
-func (m *Meta[T]) Delete(s *Session, id int64) error {
-	_, err := s.write(m.deleteSQL, id)
-	delete(s.identity, identityKey{&m.table, id})
-	return err
-}
-
-// Begin / Commit / Rollback forward transaction control through the store,
-// which flushes pending reads first (transaction-boundary preservation).
-func (s *Session) Begin() error    { _, err := s.write("BEGIN"); return err }
-func (s *Session) Commit() error   { _, err := s.write("COMMIT"); return err }
-func (s *Session) Rollback() error { _, err := s.write("ROLLBACK"); return err }
-
-// Close closes the session's query store: in-flight batches are collected
-// so any pipelined write that failed after the last read barrier reports
-// its error here instead of being dropped.
-func (s *Session) Close() error { return s.store.Close() }

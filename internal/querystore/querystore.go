@@ -10,10 +10,11 @@
 //     if the identical statement — same SQL text, pairwise equal arguments
 //     of the same type (driver.Stmt.Equal) — is already pending, the
 //     existing id is returned (dedup within the batch).
-//   - RegisterQuery(write) — INSERT, UPDATE, DELETE, BEGIN, COMMIT,
-//     ROLLBACK, DDL — causes the current batch, including the write, to be
-//     sent immediately, preserving statement order and transaction
-//     boundaries.
+//   - RegisterQuery(write) — every non-SELECT: INSERT, UPDATE, DELETE,
+//     DDL — causes the current batch, including the write, to be sent
+//     immediately, preserving statement order. (The paper also flushes on
+//     COMMIT and ABORT; the engine has no transaction control, so each
+//     statement is its own unit of atomicity.)
 //   - GetResultSet(id) returns the cached result if the id's batch already
 //     ran, and otherwise flushes the pending batch in one round trip.
 //
@@ -318,9 +319,6 @@ func (s *Store) MergeStats() merge.Stats {
 	return s.merger.Stats()
 }
 
-// PendingLen reports the size of the unexecuted batch.
-func (s *Store) PendingLen() int { return len(s.queue) }
-
 // Register adds a query to the store per the paper's RegisterQuery rules
 // and returns its id. Write statements flush the batch immediately; under
 // the synchronous dispatcher the returned id's result is then already
@@ -359,8 +357,7 @@ func (s *Store) Register(sql string, args ...sqldb.Value) (QueryID, error) {
 	}
 
 	// Writes force the whole batch out now, in order, so updates are never
-	// left lingering in the query store (Sec. 3.3) and transaction
-	// boundaries hold.
+	// left lingering in the query store (Sec. 3.3).
 	s.stats.ForcedByWrite++
 	if err := s.flushForProgress("write"); err != nil {
 		return 0, err

@@ -46,8 +46,8 @@ func TestRegisterDefersExecution(t *testing.T) {
 	if link.Stats().RoundTrips != 0 {
 		t.Fatal("Register executed the query eagerly")
 	}
-	if s.PendingLen() != 1 {
-		t.Fatalf("pending = %d, want 1", s.PendingLen())
+	if len(s.queue) != 1 {
+		t.Fatalf("pending = %d, want 1", len(s.queue))
 	}
 	rs, err := s.ResultSet(id)
 	if err != nil {
@@ -108,8 +108,8 @@ func TestDedupWithinBatch(t *testing.T) {
 	if id3 == id1 {
 		t.Fatal("different args deduped")
 	}
-	if s.PendingLen() != 2 {
-		t.Fatalf("pending = %d, want 2", s.PendingLen())
+	if len(s.queue) != 2 {
+		t.Fatalf("pending = %d, want 2", len(s.queue))
 	}
 }
 
@@ -120,8 +120,8 @@ func TestDedupDisabled(t *testing.T) {
 	if id1 == id2 {
 		t.Fatal("dedup happened despite DisableDedup")
 	}
-	if s.PendingLen() != 2 {
-		t.Fatalf("pending = %d, want 2", s.PendingLen())
+	if len(s.queue) != 2 {
+		t.Fatalf("pending = %d, want 2", len(s.queue))
 	}
 }
 
@@ -136,7 +136,7 @@ func TestWriteFlushesBatchImmediately(t *testing.T) {
 	if got := link.Stats().RoundTrips; got != 1 {
 		t.Fatalf("round trips = %d, want 1", got)
 	}
-	if s.PendingLen() != 0 {
+	if len(s.queue) != 0 {
 		t.Fatal("queue not drained by write")
 	}
 	if s.Stats().ForcedByWrite != 1 {
@@ -178,22 +178,27 @@ func TestOrderPreservedReadBeforeWrite(t *testing.T) {
 	}
 }
 
-func TestTransactionBoundariesFlush(t *testing.T) {
+// TestDeleteAndDDLFlush: the flush rule is "every non-SELECT", not "INSERT
+// and UPDATE". A DELETE and a CREATE INDEX each send the pending read with
+// them, in statement order: the read sees the row the DELETE removes.
+func TestDeleteAndDDLFlush(t *testing.T) {
 	s, link := rig(t, Config{})
-	s.Register("SELECT * FROM items WHERE id = 1")
-	if _, err := s.Register("BEGIN"); err != nil {
+	rid, _ := s.Register("SELECT qty FROM items WHERE id = 2")
+	if _, err := s.Register("DELETE FROM items WHERE id = 2"); err != nil {
 		t.Fatal(err)
 	}
 	if link.Stats().RoundTrips != 1 {
-		t.Fatalf("BEGIN did not flush: %d trips", link.Stats().RoundTrips)
+		t.Fatalf("DELETE did not flush: %d trips", link.Stats().RoundTrips)
 	}
-	s.Register("UPDATE items SET qty = 0 WHERE id = 2")
-	if _, err := s.Register("ROLLBACK"); err != nil {
+	if rs, err := s.ResultSet(rid); err != nil || rs.NumRows() != 1 || rs.Rows[0][0] != int64(7) {
+		t.Fatalf("read before the DELETE = %+v, %v; want the deleted row's qty 7", rs, err)
+	}
+	s.Register("SELECT qty FROM items WHERE id = 3")
+	if _, err := s.Register("CREATE INDEX items_qty ON items (qty)"); err != nil {
 		t.Fatal(err)
 	}
-	rs, _ := s.Exec("SELECT qty FROM items WHERE id = 2")
-	if rs.Rows[0][0] != int64(7) {
-		t.Fatalf("rollback through store failed: qty = %v", rs.Rows[0][0])
+	if link.Stats().RoundTrips != 2 || s.Stats().ForcedByWrite != 2 {
+		t.Fatalf("CREATE INDEX did not flush: %d trips, ForcedByWrite %d", link.Stats().RoundTrips, s.Stats().ForcedByWrite)
 	}
 }
 
@@ -207,7 +212,7 @@ func TestBatchCapTriggersFlush(t *testing.T) {
 	if link.Stats().RoundTrips != 1 {
 		t.Fatalf("cap did not flush: %d trips", link.Stats().RoundTrips)
 	}
-	if s.PendingLen() != 0 {
+	if len(s.queue) != 0 {
 		t.Fatal("queue not drained at cap")
 	}
 }
@@ -247,7 +252,7 @@ func TestFlushErrorSurfacesAndQueueDrains(t *testing.T) {
 func TestLazyThunkRegistersEagerly(t *testing.T) {
 	s, link := rig(t, Config{})
 	th := Lazy(s, "SELECT name FROM items WHERE id = 2")
-	if s.PendingLen() != 1 {
+	if len(s.queue) != 1 {
 		t.Fatal("Lazy did not register eagerly")
 	}
 	if link.Stats().RoundTrips != 0 {
@@ -496,7 +501,7 @@ func TestBatchCapFlushUnderDisableDedup(t *testing.T) {
 	if link.Stats().RoundTrips != 1 {
 		t.Fatalf("cap did not flush: %d trips", link.Stats().RoundTrips)
 	}
-	if s.PendingLen() != 0 {
+	if len(s.queue) != 0 {
 		t.Fatal("queue not drained at cap")
 	}
 	for _, id := range []QueryID{id1, id2} {

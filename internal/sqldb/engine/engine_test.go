@@ -316,62 +316,6 @@ func TestDelete(t *testing.T) {
 	}
 }
 
-func TestTransactionCommit(t *testing.T) {
-	_, s := testDB(t)
-	query(t, s, "BEGIN")
-	query(t, s, "UPDATE patients SET age = 99 WHERE id = 1")
-	query(t, s, "COMMIT")
-	if q := query(t, s, "SELECT age FROM patients WHERE id = 1"); q.Rows[0][0] != int64(99) {
-		t.Fatalf("age = %v", q.Rows[0][0])
-	}
-}
-
-func TestTransactionRollback(t *testing.T) {
-	_, s := testDB(t)
-	query(t, s, "BEGIN")
-	query(t, s, "UPDATE patients SET age = 99 WHERE id = 1")
-	query(t, s, "INSERT INTO patients (id, name, age, city) VALUES (100, 'Tmp', 1, 'X')")
-	query(t, s, "DELETE FROM patients WHERE id = 2")
-	query(t, s, "ROLLBACK")
-	if q := query(t, s, "SELECT age FROM patients WHERE id = 1"); q.Rows[0][0] != int64(30) {
-		t.Fatalf("age after rollback = %v", q.Rows[0][0])
-	}
-	if q := query(t, s, "SELECT COUNT(*) FROM patients"); q.Rows[0][0] != int64(5) {
-		t.Fatalf("count after rollback = %v", q.Rows[0][0])
-	}
-	if q := query(t, s, "SELECT name FROM patients WHERE id = 2"); q.NumRows() != 1 {
-		t.Fatal("deleted row not restored")
-	}
-}
-
-func TestNestedBeginFails(t *testing.T) {
-	_, s := testDB(t)
-	query(t, s, "BEGIN")
-	if _, err := s.Exec("BEGIN"); err == nil {
-		t.Fatal("nested BEGIN succeeded")
-	}
-}
-
-func TestCommitOutsideTxnIsNoop(t *testing.T) {
-	_, s := testDB(t)
-	if _, err := s.Exec("COMMIT"); err != nil {
-		t.Fatalf("COMMIT outside txn: %v", err)
-	}
-	if _, err := s.Exec("ROLLBACK"); err != nil {
-		t.Fatalf("ROLLBACK outside txn: %v", err)
-	}
-}
-
-func TestTwoSessionsIndependentTxns(t *testing.T) {
-	db, s1 := testDB(t)
-	s2 := db.NewSession()
-	query(t, s1, "BEGIN")
-	if s2.InTxn() {
-		t.Fatal("session 2 inherited session 1's txn")
-	}
-	query(t, s1, "ROLLBACK")
-}
-
 func TestInListAndLike(t *testing.T) {
 	_, s := testDB(t)
 	rs := query(t, s, "SELECT name FROM patients WHERE id IN (1, 3) ORDER BY id")

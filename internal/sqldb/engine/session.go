@@ -1,6 +1,8 @@
 // Package engine implements the query processor of the reproduction's
-// database: statement execution over the storage layer, transaction
-// control, and DDL. Since the prepared-plan layer (internal/sqldb/plan)
+// database: statement execution over the storage layer, and DDL. Each
+// statement is atomic — its writes publish to snapshots in one step — and
+// that is the only atomicity: the dialect has no multi-statement
+// transactions. Since the prepared-plan layer (internal/sqldb/plan)
 // was introduced, the engine executes compiled plans: parsing is interned
 // per distinct SQL text, and column resolution, select-list expansion, and
 // access-path choice happen once per (SQL text, schema epoch) instead of
@@ -38,23 +40,21 @@ func (db *DB) Store() *storage.Store { return db.store }
 // plan-correctness tests).
 func (db *DB) PlanCache() *plan.Cache { return db.plans }
 
-// Session is one client's execution context, holding its transaction state
-// and the scratch its SELECTs work in. Sessions are not safe for concurrent
-// use; the server gives each connection its own session.
+// Session executes statements under the store's writer mutex. It holds
+// only the scratch its SELECTs work in: the engine keeps no per-client
+// state. ExecPrepared allocates and uses that scratch only while it holds
+// the mutex, and no result it returns references the scratch, so one
+// session is safe to share between goroutines: the driver's server runs
+// every connection's serial batches on one.
 type Session struct {
-	db  *DB
-	txn *storage.Txn
-	// scratch is allocated by the session's first SELECT: a connection
-	// opened per request whose reads all run on DB workers' snapshots never
-	// needs one.
+	db *DB
+	// scratch is allocated by the session's first SELECT: a server whose
+	// reads all run on DB workers' snapshots never needs one.
 	scratch *plan.Scratch
 }
 
 // NewSession opens a session.
 func (db *DB) NewSession() *Session { return &Session{db: db} }
-
-// InTxn reports whether an explicit transaction is open.
-func (s *Session) InTxn() bool { return s.txn != nil }
 
 // Exec parses (through the process-wide parse interner) and executes one
 // statement with optional positional args.
@@ -74,8 +74,8 @@ func (s *Session) Exec(sql string, args ...sqldb.Value) (*sqldb.ResultSet, error
 // statement spans: "index-eq(col)"
 // / "index-in(col)" / "index-range(a,b)" / "index-order(a,b)" / "scan" for
 // SELECTs — read off the same compiled plan that executes, so tracing never
-// touches the plan cache a second time — "write" for mutations, "control" for transaction and DDL statements. It
-// acquires the store lock for the duration of the statement — the engine
+// touches the plan cache a second time — "write" for mutations, "control"
+// for DDL. It acquires the store lock for the duration of the statement — the engine
 // serializes statements, which is sufficient for the reproduction's
 // single-store workloads.
 func (s *Session) ExecPrepared(a *sqldb.Arena, sql string, st sqlparse.Statement, args []sqldb.Value, withPath bool) (*sqldb.ResultSet, string, error) {
@@ -134,28 +134,6 @@ func (s *Session) execLocked(a *sqldb.Arena, sql string, st sqlparse.Statement, 
 		rs, err = s.execCreateTable(x)
 	case *sqlparse.CreateIndexStmt:
 		rs, err = s.execCreateIndex(x)
-	case *sqlparse.BeginStmt:
-		if s.txn != nil {
-			return nil, "", fmt.Errorf("engine: transaction already open")
-		}
-		s.txn = s.db.store.Begin()
-		rs = &sqldb.ResultSet{}
-	case *sqlparse.CommitStmt:
-		rs = &sqldb.ResultSet{}
-		if s.txn != nil { // commit outside txn is a no-op
-			err = s.txn.Commit()
-			s.txn = nil
-		}
-	case *sqlparse.RollbackStmt:
-		rs = &sqldb.ResultSet{}
-		if s.txn != nil {
-			// The whole undo replay is one publication scope: readers see the
-			// rollback atomically, never a half-undone transaction.
-			s.db.store.BeginStmt()
-			err = s.txn.Rollback()
-			s.db.store.EndStmt()
-			s.txn = nil
-		}
 	default:
 		return nil, "", fmt.Errorf("engine: unsupported statement %T", st)
 	}
@@ -219,12 +197,8 @@ func (s *Session) execInsert(p *plan.InsertPlan, args []sqldb.Value) (*sqldb.Res
 			row[p.Ordinals[j]] = v
 		}
 		// Storage adopts row as the stored image: from here on it is only read.
-		id, err := t.Insert(row)
-		if err != nil {
+		if _, err := t.Insert(row); err != nil {
 			return nil, err
-		}
-		if s.txn != nil {
-			s.txn.LogInsert(t, id)
 		}
 		if pk := t.PKOrdinal(); pk >= 0 {
 			if v, ok := row[pk].(int64); ok {
@@ -256,12 +230,8 @@ func (s *Session) execUpdate(p *plan.UpdatePlan, args []sqldb.Value) (*sqldb.Res
 			}
 			newRow[p.SetOrds[i]] = v
 		}
-		old, err := p.T.Update(id, newRow) // storage adopts newRow
-		if err != nil {
+		if _, err := p.T.Update(id, newRow); err != nil { // storage adopts newRow
 			return nil, err
-		}
-		if s.txn != nil {
-			s.txn.LogUpdate(p.T, id, old)
 		}
 		rs.RowsAffected++
 	}
@@ -275,12 +245,8 @@ func (s *Session) execDelete(p *plan.DeletePlan, args []sqldb.Value) (*sqldb.Res
 	}
 	rs := &sqldb.ResultSet{RowsScanned: scanned}
 	for _, id := range ids {
-		old, ok := p.T.Delete(id)
-		if !ok {
+		if _, ok := p.T.Delete(id); !ok {
 			continue
-		}
-		if s.txn != nil {
-			s.txn.LogDelete(p.T, id, old)
 		}
 		rs.RowsAffected++
 	}

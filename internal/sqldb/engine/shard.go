@@ -19,7 +19,7 @@ func NewSharded(n int) *DB {
 
 // StmtShardMask predicts which shards a statement touches for the given
 // args, as a bitset over shard indexes; 0 means "all shards / unknown"
-// (scans, joins, DDL, transaction control, NULL keys). The prediction
+// (scans, joins, DDL, NULL keys). The prediction
 // feeds the driver's per-shard occupancy model only — execution always
 // routes through the storage layer regardless — so it is free to be
 // approximate. The caller must hold the store's read or write lock (the

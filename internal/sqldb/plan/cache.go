@@ -21,8 +21,8 @@ type Prepared struct {
 	Err    error
 }
 
-// compile builds the plan for any statement kind. Non-DML statements (DDL,
-// transaction control) carry no plan: the engine executes them directly.
+// compile builds the plan for any statement kind. DDL statements carry no
+// plan: the engine executes them directly.
 func compile(st sqlparse.Statement, store *storage.Store) *Prepared {
 	p := &Prepared{Stmt: st}
 	switch x := st.(type) {

@@ -10,8 +10,8 @@ import (
 
 // Write plans cache the resolution work of mutating statements: table and
 // column ordinals, compiled value/SET expressions, and the compiled WHERE
-// access path. The engine keeps the execution loops (it owns transaction
-// undo logging); the plans supply everything that used to be re-derived
+// access path. The engine keeps the execution loops (it owns the
+// statement's publication scope); the plans supply everything that used to be re-derived
 // per call.
 
 // InsertPlan is a compiled INSERT. Row arity is checked at execution time

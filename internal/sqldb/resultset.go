@@ -45,15 +45,6 @@ func (rs *ResultSet) Get(row int, col string) (Value, error) {
 	return rs.Rows[row][i], nil
 }
 
-// MustGet is Get panicking on error; for fixtures and tests.
-func (rs *ResultSet) MustGet(row int, col string) Value {
-	v, err := rs.Get(row, col)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
 // Int returns the value at (row, col) as int64, treating NULL as 0.
 func (rs *ResultSet) Int(row int, col string) (int64, error) {
 	v, err := rs.Get(row, col)
@@ -70,21 +61,6 @@ func (rs *ResultSet) Int(row int, col string) (int64, error) {
 	default:
 		return 0, fmt.Errorf("sqldb: column %q is %T, not numeric", col, v)
 	}
-}
-
-// Text returns the value at (row, col) as a string; NULL becomes "".
-func (rs *ResultSet) Text(row int, col string) (string, error) {
-	v, err := rs.Get(row, col)
-	if err != nil {
-		return "", err
-	}
-	if v == nil {
-		return "", nil
-	}
-	if s, ok := v.(string); ok {
-		return s, nil
-	}
-	return Format(v), nil
 }
 
 // WireSize estimates the serialized size of the result set in bytes for the

@@ -120,28 +120,19 @@ type CreateIndexStmt struct {
 	Unique bool
 }
 
-// BeginStmt starts a transaction (BEGIN or START TRANSACTION).
-type BeginStmt struct{}
-
-// CommitStmt commits the current transaction.
-type CommitStmt struct{}
-
-// RollbackStmt aborts the current transaction (ROLLBACK or ABORT).
-type RollbackStmt struct{}
-
 func (*SelectStmt) stmt()      {}
 func (*InsertStmt) stmt()      {}
 func (*UpdateStmt) stmt()      {}
 func (*DeleteStmt) stmt()      {}
 func (*CreateTableStmt) stmt() {}
 func (*CreateIndexStmt) stmt() {}
-func (*BeginStmt) stmt()       {}
-func (*CommitStmt) stmt()      {}
-func (*RollbackStmt) stmt()    {}
 
-// IsWrite reports whether the statement can mutate database or transaction
-// state. The query store uses this to decide when a pending batch must be
-// flushed (paper Sec. 3.3: INSERT, UPDATE, ABORT, COMMIT force the batch).
+// IsWrite reports whether the statement can mutate database state: every
+// statement but a SELECT. The query store uses this to decide when a pending
+// batch must be flushed. Paper Sec. 3.3 names INSERT, UPDATE, ABORT and
+// COMMIT; this dialect has no transaction control, so its rule is that every
+// non-SELECT (INSERT, UPDATE, DELETE, DDL) forces the batch, in statement
+// order.
 func IsWrite(s Statement) bool {
 	switch s.(type) {
 	case *SelectStmt:
@@ -366,33 +357,6 @@ func CollectColRefs(e Expr, out []*ColRef) []*ColRef {
 		return CollectColRefs(x.Hi, out)
 	default:
 		return out
-	}
-}
-
-// StatementKind returns a short tag for a statement, used in logs and
-// benchmark reports.
-func StatementKind(s Statement) string {
-	switch s.(type) {
-	case *SelectStmt:
-		return "SELECT"
-	case *InsertStmt:
-		return "INSERT"
-	case *UpdateStmt:
-		return "UPDATE"
-	case *DeleteStmt:
-		return "DELETE"
-	case *CreateTableStmt:
-		return "CREATE TABLE"
-	case *CreateIndexStmt:
-		return "CREATE INDEX"
-	case *BeginStmt:
-		return "BEGIN"
-	case *CommitStmt:
-		return "COMMIT"
-	case *RollbackStmt:
-		return "ROLLBACK"
-	default:
-		return "UNKNOWN"
 	}
 }
 

@@ -2,7 +2,8 @@
 // database engine: a hand-written lexer and recursive-descent parser for
 // the SQL subset the Sloth applications issue (SELECT with joins,
 // aggregates, ordering and limits; INSERT, UPDATE, DELETE; CREATE TABLE /
-// CREATE INDEX; and transaction control statements).
+// CREATE INDEX). There is no transaction control: BEGIN, COMMIT and the
+// rest are syntax errors.
 package sqlparse
 
 import (
@@ -50,10 +51,9 @@ var keywords = map[string]bool{
 	"LEFT": true, "OUTER": true, "ORDER": true, "BY": true, "GROUP": true,
 	"ASC": true, "DESC": true, "LIMIT": true, "OFFSET": true, "AS": true,
 	"IN": true, "IS": true, "NULL": true, "LIKE": true, "BETWEEN": true,
-	"TRUE": true, "FALSE": true, "BEGIN": true, "COMMIT": true,
-	"ROLLBACK": true, "DISTINCT": true, "COUNT": true, "SUM": true,
-	"AVG": true, "MIN": true, "MAX": true, "HAVING": true, "UNIQUE": true,
-	"START": true, "TRANSACTION": true, "ABORT": true,
+	"TRUE": true, "FALSE": true, "DISTINCT": true, "COUNT": true,
+	"SUM": true, "AVG": true, "MIN": true, "MAX": true, "HAVING": true,
+	"UNIQUE": true,
 }
 
 // lexError reports a lexical error with byte position context.

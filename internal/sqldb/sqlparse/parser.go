@@ -46,16 +46,6 @@ func Parse(input string) (Statement, error) {
 	return st, nil
 }
 
-// MustParse parses or panics; intended for statically-known SQL in tests and
-// application fixtures.
-func MustParse(input string) Statement {
-	st, err := Parse(input)
-	if err != nil {
-		panic(err)
-	}
-	return st
-}
-
 type parser struct {
 	toks []token
 	pos  int
@@ -139,23 +129,6 @@ func (p *parser) parseStatement() (Statement, error) {
 		return p.parseDelete()
 	case "CREATE":
 		return p.parseCreate()
-	case "BEGIN":
-		p.next()
-		if p.acceptKeyword("TRANSACTION") { // BEGIN TRANSACTION
-		}
-		return &BeginStmt{}, nil
-	case "START":
-		p.next()
-		if err := p.expectKeyword("TRANSACTION"); err != nil {
-			return nil, err
-		}
-		return &BeginStmt{}, nil
-	case "COMMIT":
-		p.next()
-		return &CommitStmt{}, nil
-	case "ROLLBACK", "ABORT":
-		p.next()
-		return &RollbackStmt{}, nil
 	default:
 		return nil, p.errf("unsupported statement %s", t)
 	}

@@ -9,9 +9,8 @@ type rowSlot struct {
 // rowHeap is a table's row store: one slot per row, kept in ascending id
 // order as rows are inserted and reclaimed, so every scan enumerates rows
 // in id order with no per-scan sort or allocation. Ids are issued
-// ascending, which makes insert an append; only a rollback that restores
-// an already-reclaimed id (or a cross-shard move onto a part) inserts in
-// the middle. A reclaimed row leaves a tombstone (head == nil) that scans
+// ascending, which makes insert an append; only a cross-shard move onto a
+// part inserts in the middle. A reclaimed row leaves a tombstone (head == nil) that scans
 // skip and compact drops once tombstones outnumber rows, so reclaim is
 // amortized O(1) whatever the table size.
 //

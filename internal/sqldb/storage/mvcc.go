@@ -197,9 +197,6 @@ type Snap struct {
 	parts []*Snap
 }
 
-// Epoch reports the committed epoch the snapshot pinned.
-func (sn *Snap) Epoch() uint64 { return sn.epoch }
-
 // Release drops the snapshot's pin. If it was the oldest pin holding back
 // garbage, the dead versions are swept here — this is what the version-GC
 // guarantee ("reclaimed after the last snapshot releases") rests on.
@@ -319,27 +316,4 @@ func (t *Table) addGarbage(id RowID, to uint64) {
 		t.inGCList = true
 		t.mv.gcTabs = append(t.mv.gcTabs, t)
 	}
-}
-
-// PendingGC reports how many deferred cleanup records await sweeping
-// (tests and metrics; call under the store lock or with no writer active).
-func (t *Table) PendingGC() int {
-	n := len(t.garbage)
-	for _, p := range t.parts {
-		n += len(p.garbage)
-	}
-	return n
-}
-
-// Versions reports the length of id's version chain, 0 when the row has
-// been fully reclaimed (tests; same locking caveat as PendingGC).
-func (t *Table) Versions(id RowID) int {
-	n := 0
-	for _, p := range t.parts {
-		n += p.Versions(id)
-	}
-	for v := t.rows.get(id); v != nil; v = v.prev {
-		n++
-	}
-	return n
 }

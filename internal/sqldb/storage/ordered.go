@@ -64,7 +64,7 @@ func lastRun(es []ordEntry) int {
 
 // add posts (b, id) under a. Within one key both the ordering value and the
 // row id usually ascend, so the common case is an append; anything else —
-// a rollback's re-insert, an update of the ordering column — is placed by
+// an update of the ordering column, a cross-shard move — is placed by
 // binary search, never by re-sorting the list.
 func (oi *ordIndex) add(a, b sqldb.Value, id RowID) {
 	if a == nil {

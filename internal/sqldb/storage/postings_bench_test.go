@@ -155,7 +155,7 @@ func BenchmarkIndexUpdate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		id := RowID(i%(64*16) + 1)
 		stored, _ := t.RowAt(id, nil)
-		row := stored.clone()
+		row := append(Row(nil), stored...)
 		row[1] = int64((i + 1) % 64)
 		if _, err := t.Update(id, row); err != nil {
 			b.Fatal(err)

@@ -12,8 +12,8 @@ import (
 // per-shard Stores, each keeping its own MVCC version chains, snapshot
 // registry, and epoch GC. The engine and plan layers keep talking to ONE
 // Store and ONE *Table per name — the coordinator's table is a routing
-// view whose methods branch to the shard parts — so compiled plans, the
-// SELECT executor, and the transaction undo log work unchanged.
+// view whose methods branch to the shard parts — so compiled plans and the
+// SELECT executor work unchanged.
 //
 // Determinism contract (what keeps the 150 golden pages and the virtual
 // timeline byte-identical at any shard count): all parts share one global
@@ -67,9 +67,6 @@ func (s *Store) NumShards() int {
 	}
 	return len(s.shards)
 }
-
-// Shard exposes shard store i — tests and DDL-epoch assertions.
-func (s *Store) Shard(i int) *Store { return s.shards[i] }
 
 // ShardOf is the partition function: FNV-1a (32-bit) over the canonical
 // text of the normalized value — sqldb.Format's bytes — mod n. It places

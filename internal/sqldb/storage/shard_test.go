@@ -348,7 +348,11 @@ func TestShardCrossShardMovePublishesAtomically(t *testing.T) {
 	}
 }
 
-func TestShardRollbackRestoresMovedRow(t *testing.T) {
+// TestShardMoveBackRestoresSourceShard: a row moved cross-shard and then
+// moved back supersedes its image on the destination and lands on the
+// source shard again, over the dead chain it left there: one live image,
+// on the source.
+func TestShardMoveBackRestoresSourceShard(t *testing.T) {
 	s, tbl := shardedStore(t, 4)
 	k1 := int64(1)
 	var k2 int64
@@ -358,28 +362,27 @@ func TestShardRollbackRestoresMovedRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Move the row cross-shard inside a transaction, then roll back: the
-	// undo log's restore must supersede the moved image on the destination
-	// shard and land the old image back on the source shard.
-	txn := s.Begin()
-	old, err := tbl.Update(id, Row{k2, "moved"})
-	if err != nil {
-		t.Fatal(err)
+	pin := s.Snapshot() // keeps the source's dead chain from being swept
+	defer pin.Release()
+	for _, row := range []Row{{k2, "moved"}, {k1, "back"}} {
+		if _, err := tbl.Update(id, row); err != nil {
+			t.Fatal(err)
+		}
 	}
-	txn.LogUpdate(tbl, id, old)
-	txn.Rollback()
 
-	if r, ok := tbl.RowAt(id, nil); !ok || r[0] != k1 || r[1] != "orig" {
-		t.Fatalf("after rollback Get = %v, want original row", r)
+	if r, ok := tbl.RowAt(id, nil); !ok || r[0] != k1 || r[1] != "back" {
+		t.Fatalf("after the move back RowAt = %v, want the source key's row", r)
 	}
 	srcPart, _ := s.Shard(ShardOf(k1, 4)).Table("kv")
 	dstPart, _ := s.Shard(ShardOf(k2, 4)).Table("kv")
 	if srcPart.NumRows() != 1 || dstPart.NumRows() != 0 {
-		t.Fatalf("rollback left src=%d dst=%d live rows", srcPart.NumRows(), dstPart.NumRows())
+		t.Fatalf("move back left src=%d dst=%d live rows", srcPart.NumRows(), dstPart.NumRows())
 	}
-	rows := collectScan(t, tbl, nil)
-	if len(rows) != 1 {
-		t.Fatalf("rollback left %d live images", len(rows))
+	if rows := collectScan(t, tbl, nil); len(rows) != 1 {
+		t.Fatalf("move back left %d live images", len(rows))
+	}
+	if rows := collectScan(t, tbl, pin); len(rows) != 1 || rows[0][1] != "orig" {
+		t.Fatalf("snapshot pinned before the moves scans %v, want the original row", rows)
 	}
 }
 

@@ -300,113 +300,6 @@ func TestStoreCreateAndResolve(t *testing.T) {
 	}
 }
 
-func TestTxnRollbackInsert(t *testing.T) {
-	s := NewStore()
-	s.Lock()
-	tbl, _ := s.CreateTable("t", []Column{{Name: "id", Type: sqldb.TypeInt, PrimaryKey: true}})
-	s.Unlock()
-
-	tx := s.Begin()
-	s.Lock()
-	id, _ := tbl.Insert(Row{int64(1)})
-	tx.LogInsert(tbl, id)
-	if err := tx.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	s.Unlock()
-	if tbl.NumRows() != 0 {
-		t.Fatal("insert not rolled back")
-	}
-}
-
-func TestTxnRollbackDelete(t *testing.T) {
-	s := NewStore()
-	s.Lock()
-	tbl, _ := s.CreateTable("t", []Column{
-		{Name: "id", Type: sqldb.TypeInt, PrimaryKey: true},
-		{Name: "v", Type: sqldb.TypeText},
-	})
-	id, _ := tbl.Insert(Row{int64(1), "keep"})
-	s.Unlock()
-
-	tx := s.Begin()
-	s.Lock()
-	old, _ := tbl.Delete(id)
-	tx.LogDelete(tbl, id, old)
-	tx.Rollback()
-	row, ok := tbl.RowAt(id, nil)
-	s.Unlock()
-	if !ok || row[1] != "keep" {
-		t.Fatalf("delete not rolled back: %v %v", row, ok)
-	}
-	// Index must be restored too.
-	if ids := tbl.Lookup(0, int64(1)); len(ids) != 1 {
-		t.Fatalf("index after rollback = %v", ids)
-	}
-}
-
-func TestTxnRollbackUpdate(t *testing.T) {
-	s := NewStore()
-	s.Lock()
-	tbl, _ := s.CreateTable("t", []Column{
-		{Name: "id", Type: sqldb.TypeInt, PrimaryKey: true},
-		{Name: "v", Type: sqldb.TypeInt},
-	})
-	id, _ := tbl.Insert(Row{int64(1), int64(10)})
-	s.Unlock()
-
-	tx := s.Begin()
-	s.Lock()
-	old, _ := tbl.Update(id, Row{int64(1), int64(99)})
-	tx.LogUpdate(tbl, id, old)
-	tx.Rollback()
-	row, _ := tbl.RowAt(id, nil)
-	s.Unlock()
-	if row[1] != int64(10) {
-		t.Fatalf("update not rolled back: %v", row)
-	}
-}
-
-func TestTxnRollbackReverseOrder(t *testing.T) {
-	s := NewStore()
-	s.Lock()
-	tbl, _ := s.CreateTable("t", []Column{
-		{Name: "id", Type: sqldb.TypeInt, PrimaryKey: true},
-		{Name: "v", Type: sqldb.TypeInt},
-	})
-	id, _ := tbl.Insert(Row{int64(1), int64(1)})
-	s.Unlock()
-
-	tx := s.Begin()
-	s.Lock()
-	old1, _ := tbl.Update(id, Row{int64(1), int64(2)})
-	tx.LogUpdate(tbl, id, old1)
-	old2, _ := tbl.Update(id, Row{int64(1), int64(3)})
-	tx.LogUpdate(tbl, id, old2)
-	tx.Rollback()
-	row, _ := tbl.RowAt(id, nil)
-	s.Unlock()
-	if row[1] != int64(1) {
-		t.Fatalf("chained rollback gave %v, want original 1", row[1])
-	}
-}
-
-func TestTxnCommitDiscardsLog(t *testing.T) {
-	s := NewStore()
-	tx := s.Begin()
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err == nil {
-		t.Fatal("double commit succeeded")
-	}
-	tx2 := s.Begin()
-	tx2.Rollback()
-	if err := tx2.Rollback(); err == nil {
-		t.Fatal("double rollback succeeded")
-	}
-}
-
 // Property: after inserting N distinct keys, every key is retrievable via
 // the primary key index and NumRows matches.
 func TestQuickInsertLookup(t *testing.T) {
@@ -452,74 +345,10 @@ func TestQuickInsertLookup(t *testing.T) {
 	}
 }
 
-// Property: a rollback restores the exact pre-transaction table contents
-// regardless of the interleaving of inserts, updates, and deletes.
-func TestQuickRollbackRestoresState(t *testing.T) {
-	type op struct {
-		Kind uint8
-		Key  int16
-		Val  int16
-	}
-	f := func(ops []op) bool {
-		s := NewStore()
-		s.Lock()
-		tbl, _ := s.CreateTable("t", []Column{
-			{Name: "id", Type: sqldb.TypeInt, PrimaryKey: true},
-			{Name: "v", Type: sqldb.TypeInt},
-		})
-		// Seed fixed baseline rows.
-		for i := int64(1); i <= 10; i++ {
-			tbl.Insert(Row{i, i * 100})
-		}
-		baseline := snapshot(tbl)
-		tx := s.Begin()
-		for _, o := range ops {
-			key := int64(o.Key%20) + 1
-			switch o.Kind % 3 {
-			case 0: // insert
-				if id, err := tbl.Insert(Row{key + 1000, int64(o.Val)}); err == nil {
-					tx.LogInsert(tbl, id)
-				}
-			case 1: // update first row matching key
-				ids := tbl.Lookup(0, key)
-				if len(ids) == 1 {
-					old, err := tbl.Update(ids[0], Row{key, int64(o.Val)})
-					if err == nil {
-						tx.LogUpdate(tbl, ids[0], old)
-					}
-				}
-			case 2: // delete
-				ids := tbl.Lookup(0, key)
-				if len(ids) == 1 {
-					if old, ok := tbl.Delete(ids[0]); ok {
-						tx.LogDelete(tbl, ids[0], old)
-					}
-				}
-			}
-		}
-		tx.Rollback()
-		after := snapshot(tbl)
-		s.Unlock()
-		if len(baseline) != len(after) {
-			return false
-		}
-		for id, row := range baseline {
-			got, ok := after[id]
-			if !ok || got[0] != row[0] || got[1] != row[1] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func snapshot(t *Table) map[RowID]Row {
 	out := make(map[RowID]Row)
 	t.Scan(func(id RowID, r Row) bool {
-		out[id] = r.clone()
+		out[id] = append(Row(nil), r...)
 		return true
 	})
 	return out

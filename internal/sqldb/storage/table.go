@@ -1,12 +1,10 @@
 // Package storage implements the row store beneath the reproduction's SQL
 // engine: typed tables with auto-assigned row ids, hash indexes on primary
 // key and secondary columns (optionally with postings ordered by a second
-// column, ordered.go), undo-log transactions that give the engine
-// BEGIN/COMMIT/ROLLBACK semantics, and MVCC snapshot reads — epoch-stamped
-// row versions (see mvcc.go) so a read batch can pin a consistent snapshot
-// and execute in parallel with the single writer. The Sloth query store
-// relies on the transaction boundary behaviour (writes flush pending read
-// batches) so the storage layer must expose real transactional state.
+// column, ordered.go), statement publication scopes that make each
+// statement's writes visible in one step, and MVCC snapshot reads —
+// epoch-stamped row versions (see mvcc.go) so a read batch can pin a
+// consistent snapshot and execute in parallel with the single writer.
 package storage
 
 import (
@@ -32,13 +30,6 @@ type Column struct {
 // never written again, which is what makes the read-only accessors
 // (RowAt, LookupEach, ScanEach) safe to alias.
 type Row []sqldb.Value
-
-// clone copies a row so callers can't alias stored state.
-func (r Row) clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}
 
 // RowID identifies a physical row within a table.
 type RowID int64
@@ -265,8 +256,8 @@ func addToIndex(idx map[sqldb.Value][]RowID, v sqldb.Value, id RowID) {
 	}
 	ids := idx[v]
 	// Row ids are assigned in increasing order, so the common case is an
-	// append that keeps the posting list sorted; out-of-order restores
-	// (transaction rollback) insert at the right position.
+	// append that keeps the posting list sorted; an update to this value or
+	// a cross-shard move inserts an older id at the right position.
 	if n := len(ids); n == 0 || ids[n-1] < id {
 		idx[v] = append(ids, id)
 		return
@@ -403,8 +394,8 @@ func (t *Table) install(id RowID, row Row) {
 }
 
 // prepend installs row as the new live head for id. Whatever it supersedes
-// (a live image, or a dead chain under a rollback re-insert) becomes
-// deferred garbage. Caller holds the structural write lock.
+// (a live image, or the dead chain a row left when it moved off this part)
+// becomes deferred garbage. Caller holds the structural write lock.
 func (t *Table) prepend(id RowID, row Row) {
 	stamp := t.mv.stamp()
 	prev := t.rows.get(id)
@@ -430,28 +421,6 @@ func (t *Table) prepend(id RowID, row Row) {
 	}
 }
 
-// moveTo makes row the live image of id on dst, first superseding the live
-// image a different table still holds: a cross-shard move, or the undo of
-// one. On a plain table cur is dst (or nil) and this is install.
-func moveTo(dst, cur *Table, id RowID, row Row) {
-	if cur != nil && cur != dst {
-		cur.Delete(id)
-	}
-	dst.install(id, row)
-}
-
-// insertAt puts row back under id without admission checks — transaction
-// rollback of a delete or an update, whose logged image was valid when
-// logged. The row may be live (an update's newer image, possibly on
-// another shard), deleted, or already reclaimed.
-func (t *Table) insertAt(id RowID, row Row) {
-	cur, _ := t.holder(id)
-	moveTo(t.home(row, id), cur, id, row)
-	if id >= t.nextID {
-		t.nextID = id + 1
-	}
-}
-
 // RowAt returns the stored row image visible to snap (the live image when
 // snap is nil). The returned slice is the immutable stored image: callers
 // must treat it as read-only.
@@ -467,7 +436,7 @@ func (t *Table) RowAt(id RowID, snap *Snap) (Row, bool) {
 	return r, r != nil
 }
 
-// Delete removes a row, returning the removed contents for undo logging.
+// Delete removes a row, returning the removed contents.
 // Under MVCC the image is only superseded (to-stamped); the chain and its
 // postings are reclaimed by the sweep once no snapshot can see them.
 func (t *Table) Delete(id RowID) (Row, bool) {
@@ -503,7 +472,10 @@ func (t *Table) Update(id RowID, vals Row) (Row, error) {
 		t.coord.beginStmtAll()
 		defer t.coord.endStmtAll()
 	}
-	moveTo(dst, cur, id, vals)
+	if dst != cur {
+		cur.Delete(id)
+	}
+	dst.install(id, vals)
 	return head.row, nil
 }
 
@@ -718,26 +690,10 @@ func (s *Store) Repin(sn *Snap) {
 	s.mv.pin(sn)
 }
 
-// ActiveSnapshots reports how many snapshots are currently pinned. A
-// cross-shard snapshot pins every shard once; report shard 0's count so
-// the number still means "snapshots out".
-func (s *Store) ActiveSnapshots() int {
-	if s.shards != nil {
-		return s.shards[0].ActiveSnapshots()
-	}
-	s.mv.snapMu.Lock()
-	defer s.mv.snapMu.Unlock()
-	n := 0
-	for _, c := range s.mv.snaps {
-		n += c
-	}
-	return n
-}
-
 // BeginStmt opens a statement publication scope: every mutation until the
 // matching EndStmt carries one stamp and becomes visible atomically. The
-// caller holds the writer mutex. Scopes nest (a transaction rollback spans
-// many restores).
+// caller holds the writer mutex. Scopes nest; the outermost EndStmt
+// publishes.
 func (s *Store) BeginStmt() {
 	if s.shards != nil {
 		s.beginStmtAll()

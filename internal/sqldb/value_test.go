@@ -137,16 +137,15 @@ func TestResultSetAccessors(t *testing.T) {
 	if rs.NumRows() != 2 {
 		t.Fatalf("NumRows = %d", rs.NumRows())
 	}
-	if v := rs.MustGet(0, "NAME"); v != "Ann" {
-		t.Fatalf("MustGet = %v", v)
+	if v, err := rs.Get(0, "NAME"); err != nil || v != "Ann" {
+		t.Fatalf("Get = %v, %v", v, err)
 	}
 	n, err := rs.Int(1, "id")
 	if err != nil || n != 2 {
 		t.Fatalf("Int = %d, %v", n, err)
 	}
-	txt, err := rs.Text(1, "name")
-	if err != nil || txt != "" {
-		t.Fatalf("Text(NULL) = %q, %v", txt, err)
+	if v, err := rs.Get(1, "name"); err != nil || v != nil {
+		t.Fatalf("Get(NULL) = %v, %v", v, err)
 	}
 	if _, err := rs.Get(5, "id"); err == nil {
 		t.Fatal("out-of-range row accepted")

@@ -105,27 +105,8 @@ func (t *Thunk[T]) Force() T {
 	return t.val
 }
 
-// Forced reports whether the thunk has already been evaluated.
-func (t *Thunk[T]) Forced() bool { return t.done }
-
 // ForceAny implements Any.
 func (t *Thunk[T]) ForceAny() any { return t.Force() }
-
-// Map builds a thunk that applies f to the forced value of t. Neither t nor
-// f runs until the result is forced.
-func Map[T, U any](t *Thunk[T], f func(T) U) *Thunk[U] {
-	return New(func() U { return f(t.Force()) })
-}
-
-// Force is a convenience that forces an Any if the value is one, and
-// otherwise returns the value unchanged. The web framework uses it when
-// rendering model entries that may or may not be lazy.
-func Force(v any) any {
-	if t, ok := v.(Any); ok {
-		return t.ForceAny()
-	}
-	return v
-}
 
 // IsThunk reports whether v is a lazy value.
 func IsThunk(v any) bool {

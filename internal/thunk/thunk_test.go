@@ -51,34 +51,10 @@ func TestForcedFlag(t *testing.T) {
 	}
 }
 
-func TestMapIsLazy(t *testing.T) {
-	baseRan, mapRan := false, false
-	base := New(func() int { baseRan = true; return 10 })
-	mapped := Map(base, func(v int) int { mapRan = true; return v * 2 })
-	if baseRan || mapRan {
-		t.Fatal("Map forced something eagerly")
-	}
-	if got := mapped.Force(); got != 20 {
-		t.Fatalf("mapped.Force() = %d, want 20", got)
-	}
-	if !baseRan || !mapRan {
-		t.Fatal("Map did not run both computations on force")
-	}
-}
-
 func TestForceAnyThroughInterface(t *testing.T) {
 	var v Any = New(func() int { return 7 })
 	if got := v.ForceAny(); got != any(7) {
 		t.Fatalf("ForceAny = %v, want 7", got)
-	}
-}
-
-func TestForceHelper(t *testing.T) {
-	if got := Force(5); got != 5 {
-		t.Fatalf("Force(plain) = %v, want 5", got)
-	}
-	if got := Force(Lit(6)); got != any(6) {
-		t.Fatalf("Force(thunk) = %v, want 6", got)
 	}
 }
 
@@ -117,21 +93,6 @@ func TestQuickLitRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: Map composes — Map(f) then Map(g) equals Map(g∘f).
-func TestQuickMapCompose(t *testing.T) {
-	f := func(v int32, a, b int32) bool {
-		add := func(x int32) int32 { return x + a }
-		mul := func(x int32) int32 { return x * b }
-		lhs := Map(Map(Lit(v), add), mul).Force()
-		rhs := Map(Lit(v), func(x int32) int32 { return mul(add(x)) }).Force()
-		return lhs == rhs
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: forcing is idempotent — repeated forces yield identical values.
 func TestQuickForceIdempotent(t *testing.T) {
 	f := func(v uint16, reps uint8) bool {
 		calls := 0

@@ -22,3 +22,13 @@ func (w *ThunkWriter) Parts() []any {
 	}
 	return out
 }
+
+// NewThunkWriter creates a writer. With deferred=false (original
+// application behaviour) lazy values are forced at write time, exactly like
+// a stock JspWriter printing an entity.
+func NewThunkWriter(deferred bool) *ThunkWriter {
+	return &ThunkWriter{deferred: deferred}
+}
+
+// Buffered reports how many thunks were buffered unforced.
+func (w *ThunkWriter) Buffered() int { return w.buffered }

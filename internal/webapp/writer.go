@@ -40,13 +40,6 @@ type part struct {
 	from, to int
 }
 
-// NewThunkWriter creates a writer. With deferred=false (original
-// application behaviour) lazy values are forced at write time, exactly like
-// a stock JspWriter printing an entity.
-func NewThunkWriter(deferred bool) *ThunkWriter {
-	return &ThunkWriter{deferred: deferred}
-}
-
 // reset empties w for its next page, keeping its buffers and dropping its
 // references to markup and thunks (and so to the entities they hold).
 func (w *ThunkWriter) reset() {
@@ -78,9 +71,6 @@ func (w *ThunkWriter) WriteValue(v any) {
 
 // Rendered reports how many dynamic values were written.
 func (w *ThunkWriter) Rendered() int { return w.rendered }
-
-// Buffered reports how many thunks were buffered unforced.
-func (w *ThunkWriter) Buffered() int { return w.buffered }
 
 // Flush forces every buffered thunk in page order (triggering query-store
 // flushes as needed) and returns the rendered page. Force-time panics from

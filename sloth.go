@@ -85,7 +85,7 @@ func (r *Runtime) LazyQuery(sql string, args ...sqldb.Value) *thunk.Thunk[querys
 }
 
 // Exec runs a statement demanding its result immediately. Writes flush any
-// pending batch first, preserving order and transaction boundaries.
+// pending batch first, preserving statement order.
 func (r *Runtime) Exec(sql string, args ...sqldb.Value) (*sqldb.ResultSet, error) {
 	return r.store.Exec(sql, args...)
 }
