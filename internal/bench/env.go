@@ -134,11 +134,11 @@ type PageMetrics struct {
 	Timeouts   int64 // round trips that failed at the link (injected)
 	Queries    int64 // statements executed at the database
 	MaxBatch   int
-	// Batches, Retries, Degraded and Errors are the dispatcher's counts
-	// (dispatch.Stats): batches submitted, backed-off re-attempts,
-	// per-statement fallbacks and terminal batch failures.
-	Batches, Retries, Degraded, Errors int64
-	MergeSaved                         int64 // statements eliminated by the merge optimizer
+	// Batches, Retries and Errors are the dispatcher's counts
+	// (dispatch.Stats): batches submitted, backed-off re-attempts and
+	// terminal batch failures.
+	Batches, Retries, Errors int64
+	MergeSaved               int64 // statements eliminated by the merge optimizer
 	// MergeFamilySaved breaks MergeSaved down per merge family
 	// (merge.FamilyID-indexed).
 	MergeFamilySaved [merge.NumFamilies]int64
@@ -176,7 +176,6 @@ func (e *Env) LoadPageHTML(page string, mode orm.Mode, rtt time.Duration, cfg qu
 		MaxBatch:         store.Stats().MaxBatch,
 		Batches:          ds.Submitted,
 		Retries:          ds.Retries,
-		Degraded:         ds.Degraded,
 		Errors:           ds.Errors,
 		MergeSaved:       ms.Saved,
 		MergeFamilySaved: ms.SavedByFamily,

@@ -14,9 +14,8 @@ import (
 )
 
 // This file is the fault-plane experiment (`slothbench -exp faults`): the
-// page suite replayed under a swept injected-failure rate, with the
-// recovery machinery (capped-backoff retries, merged-family degradation,
-// per-shard breaker) turned on. The report shows what robustness costs —
+// page suite replayed under a swept injected-failure rate, with
+// capped-backoff retries turned on. The report shows what robustness costs —
 // goodput and tail latency versus the clean run — and what the retry plane
 // absorbed (recovered attempts vs terminal failures). Every run is
 // deterministic in the fault seed: same seed, same drops, same retries,
@@ -42,7 +41,6 @@ type FaultRow struct {
 	Goodput  float64       // successfully rendered pages per simulated second
 
 	Retries  int64   // backed-off re-attempts that recovered batches
-	Degraded int64   // batches that fell back to per-statement execution
 	Errors   int64   // terminal batch failures
 	Overhead float64 // retries per submitted batch
 
@@ -50,7 +48,6 @@ type FaultRow struct {
 
 	Drops    int64 // injected exec failures
 	Timeouts int64 // injected link timeouts
-	Trips    int64 // breaker trips
 }
 
 // FaultReport is the fault-rate sweep.
@@ -72,23 +69,21 @@ func (r FaultReport) Row(rate float64) (FaultRow, bool) {
 }
 
 // faultSweepConfig is the injection schedule for one sweep cell: the swept
-// drop rate, link timeouts at half that rate, a fixed early outage window
-// so the backoff schedule is exercised even at low rates, and a breaker so
-// sustained shard failure fails fast instead of queueing retries.
+// drop rate, link timeouts at half that rate, and a fixed early outage
+// window so the backoff schedule is exercised even at low rates.
 func faultSweepConfig(seed uint64, rate float64) faults.Config {
 	return faults.Config{
 		Seed:            seed,
 		ExecErrorRate:   rate,
 		LinkTimeoutRate: rate / 2,
 		Outages:         []faults.Outage{{Shard: 0, From: 5 * time.Millisecond, To: 8 * time.Millisecond}},
-		Breaker:         faults.Breaker{Threshold: 5},
 	}
 }
 
 // FaultSweep replays the app's page suite once per fault rate on a freshly
 // seeded environment, with the fault plane keyed by opts.Seed and the
 // recovery policy active. Terminal page failures are counted, not fatal:
-// the sweep reports how gracefully the pipeline degrades.
+// the sweep reports what the retry budget could not absorb.
 func FaultSweep(id AppID, opts FaultSweepOptions) (FaultReport, error) {
 	rates := opts.Rates
 	if len(rates) == 0 {
@@ -125,7 +120,6 @@ func faultCell(id AppID, rate float64, opts FaultSweepOptions) (FaultRow, error)
 		_, m, err := env.LoadPageHTML(page, orm.ModeSloth, opts.RTT, cfg)
 		row.Pages++
 		row.Retries += m.Retries
-		row.Degraded += m.Degraded
 		row.Errors += m.Errors
 		row.Timeouts += m.Timeouts
 		cell.linkTimeouts.Add(m.Timeouts)
@@ -146,9 +140,7 @@ func faultCell(id AppID, rate float64, opts FaultSweepOptions) (FaultRow, error)
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	row.P50 = quantileDur(latencies, 0.50)
 	row.P99 = quantileDur(latencies, 0.99)
-	srv := env.Srv.Stats()
-	row.Drops = srv.FaultDrops
-	row.Trips = srv.BreakerTrips
+	row.Drops = env.Srv.Stats().FaultDrops
 	return row, nil
 }
 
@@ -169,13 +161,13 @@ func (r FaultReport) Format() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "== Fault plane: %s suite under injected failures, seed %d, rtt %v ==\n",
 		r.App, r.Seed, r.RTT)
-	fmt.Fprintf(&sb, "%6s %6s %7s %10s %12s %10s %8s %9s %7s %8s %9s %6s\n",
-		"rate", "pages", "failed", "goodput/s", "p50 page", "p99", "retries", "retry/bat", "degrad", "drops", "timeouts", "trips")
+	fmt.Fprintf(&sb, "%6s %6s %7s %10s %12s %10s %8s %9s %8s %9s\n",
+		"rate", "pages", "failed", "goodput/s", "p50 page", "p99", "retries", "retry/bat", "drops", "timeouts")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&sb, "%6.2f %6d %7d %10.1f %12v %10v %8d %9.3f %7d %8d %9d %6d\n",
+		fmt.Fprintf(&sb, "%6.2f %6d %7d %10.1f %12v %10v %8d %9.3f %8d %9d\n",
 			row.Rate, row.Pages, row.Failed, row.Goodput,
 			row.P50.Round(time.Microsecond), row.P99.Round(time.Microsecond),
-			row.Retries, row.Overhead, row.Degraded, row.Drops, row.Timeouts, row.Trips)
+			row.Retries, row.Overhead, row.Drops, row.Timeouts)
 	}
 	if base, ok := r.Row(0); ok && base.Goodput > 0 {
 		for _, row := range r.Rows {

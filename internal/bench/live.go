@@ -35,10 +35,9 @@ func quantiles(h *obs.Histogram) Quantiles {
 }
 
 // LiveSnapshot is what the -debugaddr expvar endpoint publishes: the live
-// cell's server counters (FaultDrops and the Breaker* fields are its fault
-// counts), its link timeouts, and the queue-wait and page-latency
-// quantiles. Every value is read from the struct or histogram that counts
-// it.
+// cell's server counters (FaultDrops is its fault count), its link
+// timeouts, and the queue-wait and page-latency quantiles. Every value is
+// read from the struct or histogram that counts it.
 type LiveSnapshot struct {
 	Server       driver.ServerStats
 	LinkTimeouts int64

@@ -81,11 +81,8 @@ type Ticket struct {
 	arrival time.Duration // session virtual time at Submit
 	waited  bool          // settle has charged this ticket
 
-	results []*sqldb.ResultSet
-	err     error
-	// stmtErrs holds per-original-statement errors when the batch fell
-	// back to degraded per-statement execution (StmtErrs); nil otherwise.
-	stmtErrs   []error
+	results    []*sqldb.ResultSet
+	err        error
 	bs         BatchStats
 	completeAt time.Duration // absolute virtual completion time
 }
@@ -131,9 +128,6 @@ type Stats struct {
 	// Retries counts re-attempted batch executions under a RetryPolicy
 	// (each backed-off attempt after the first, across all batches).
 	Retries int64
-	// Degraded counts batches that fell back to per-statement execution
-	// after exhausting batch-level recovery.
-	Degraded int64
 	// OverlapSaved is virtual time that batch execution spent overlapped
 	// with app-server compute: the portion of completion time a session
 	// did not have to wait for (async only).
@@ -233,9 +227,6 @@ func then(first, next Demux) Demux {
 func (st *Stats) addRun(r recovery) {
 	st.StmtsOut += int64(r.sent)
 	st.Retries += r.retries
-	if r.degraded {
-		st.Degraded++
-	}
 	if r.err != nil {
 		st.Errors++
 	}

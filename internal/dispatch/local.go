@@ -47,8 +47,8 @@ func NewAsync(conn *driver.Conn, stages ...Stage) *Local {
 	return &Local{conn: conn, stages: stages, deferred: true}
 }
 
-// SetRetry installs the recovery policy (retry/degradation) for this
-// dispatcher's batches. Call before submitting.
+// SetRetry installs the retry policy for this dispatcher's batches. Call
+// before submitting.
 func (d *Local) SetRetry(p RetryPolicy) { d.retry = p }
 
 // Submit executes the batch now, under the connection's current trace
@@ -63,7 +63,7 @@ func (d *Local) Submit(stmts []driver.Stmt) *Ticket {
 	}
 	*t = Ticket{arrival: clock.Now()}
 	r := runBatch(d.conn, d.conn.TraceCtx(), t.arrival, d.stages, stmts, d.retry)
-	t.results, t.err, t.stmtErrs = r.results, r.err, r.stmtErrs
+	t.results, t.err = r.results, r.err
 	t.completeAt = r.done
 	t.bs = BatchStats{Sent: r.sent}
 	d.mu.Lock()
@@ -80,7 +80,7 @@ func (d *Local) Submit(stmts []driver.Stmt) *Ticket {
 		// too, where completeAt is the last failure-observation time (the
 		// arrival for real engine errors, making this a no-op). A frozen clock
 		// after a failure would replay the identical time-keyed fault rolls
-		// (and re-arrive inside the same breaker-open window) forever.
+		// forever.
 		netsim.AdvanceTo(clock, t.completeAt)
 	}
 	return t

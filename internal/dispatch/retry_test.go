@@ -50,7 +50,7 @@ func TestSyncRetryRecovers(t *testing.T) {
 }
 
 // TestRetryExhaustionIsTerminal: with too few attempts to clear the window
-// the batch fails with a typed, Is-able transient error.
+// the batch fails with the typed, retriable outage fault.
 func TestRetryExhaustionIsTerminal(t *testing.T) {
 	srv, connect := rig(t)
 	srv.SetFaults(faults.NewPlane(faults.Config{
@@ -60,7 +60,8 @@ func TestRetryExhaustionIsTerminal(t *testing.T) {
 	d := NewSync(conn)
 	d.SetRetry(RetryPolicy{MaxAttempts: 2})
 	_, _, err := d.Wait(d.Submit([]driver.Stmt{sel(1)}))
-	if !errors.Is(err, faults.ErrTransient) {
+	var fe *faults.Error
+	if !errors.As(err, &fe) || fe.Kind != "outage" || !faults.Retriable(err) {
 		t.Fatalf("err = %v", err)
 	}
 	st := d.Stats()
@@ -69,54 +70,23 @@ func TestRetryExhaustionIsTerminal(t *testing.T) {
 	}
 }
 
-// TestDegradationIsolatesPoison: a poisoned key inside a merged batch fails
-// only its own statement; the siblings degrade to per-statement execution
-// and still return rows. This is the merged-family degradation path.
-func TestDegradationIsolatesPoison(t *testing.T) {
-	srv, connect := rig(t)
-	srv.SetFaults(faults.NewPlane(faults.Config{PoisonArgs: []sqldb.Value{int64(2)}}))
-	conn, _ := connect(time.Millisecond)
-	d := NewSync(conn, MergeStage(merge.New(merge.Config{Enabled: true})))
-	d.SetRetry(retryPolicy())
-	tk := d.Submit([]driver.Stmt{sel(1), sel(2), sel(3)})
-	rs, _, err := d.Wait(tk)
-	if err != nil {
-		t.Fatalf("degraded batch returned terminal error: %v", err)
-	}
-	se := tk.StmtErrs()
-	if se == nil {
-		t.Fatalf("no per-statement errors recorded")
-	}
-	if se[0] != nil || se[2] != nil || !errors.Is(se[1], faults.ErrPermanent) {
-		t.Fatalf("stmtErrs = %v", se)
-	}
-	if rs[0].Rows[0][1] != "apple" || rs[2].Rows[0][1] != "fig" {
-		t.Fatalf("sibling results lost: %v", rs)
-	}
-	if rs[1] != nil {
-		t.Fatalf("poisoned statement has a result: %v", rs[1])
-	}
-	st := d.Stats()
-	if st.Degraded != 1 || st.Errors != 0 {
-		t.Fatalf("stats = %+v, want degraded 1, errors 0", st)
-	}
-}
-
 // TestSyncTicketReuse: a synchronous dispatcher hands out one ticket, and
 // each Submit makes it the next batch's alone. Three batches — a merged read
-// family that degrades around a poisoned key, a write, then a clean read —
-// each return their own results, batch stats, per-statement errors, arrival
-// and completion time, none of them left over from the batch before.
+// family whose retries run out inside an outage, a write, then a clean read
+// — each return their own results, batch stats, error, arrival and
+// completion time, none of them left over from the batch before.
 func TestSyncTicketReuse(t *testing.T) {
 	srv, connect := rig(t)
-	srv.SetFaults(faults.NewPlane(faults.Config{PoisonArgs: []sqldb.Value{int64(2)}}))
+	srv.SetFaults(faults.NewPlane(faults.Config{
+		Outages: []faults.Outage{{Shard: 0, From: 0, To: time.Second}},
+	}))
 	conn, clock := connect(time.Millisecond)
 	m := merge.New(merge.Config{Enabled: true})
 	d := NewSync(conn, MergeStage(m))
 	d.SetRetry(retryPolicy())
 
 	var first *Ticket
-	submit := func(step string, stmts ...driver.Stmt) (*Ticket, []*sqldb.ResultSet, BatchStats) {
+	submit := func(step string, stmts ...driver.Stmt) ([]*sqldb.ResultSet, BatchStats, error) {
 		t.Helper()
 		before := clock.Now()
 		tk := d.Submit(stmts)
@@ -129,44 +99,39 @@ func TestSyncTicketReuse(t *testing.T) {
 			t.Fatalf("%s: arrival %v, completion %v, clock %v -> %v", step, tk.arrival, tk.completeAt, before, clock.Now())
 		}
 		rs, bs, err := d.Wait(tk)
-		if err != nil {
-			t.Fatalf("%s: %v", step, err)
-		}
-		if len(rs) != len(stmts) {
+		if err == nil && len(rs) != len(stmts) {
 			t.Fatalf("%s: %d results for %d statements", step, len(rs), len(stmts))
 		}
-		return tk, rs, bs
+		return rs, bs, err
 	}
 
-	tk, rs, bs := submit("read", sel(1), sel(2), sel(3))
-	if se := tk.StmtErrs(); se == nil || se[0] != nil || !errors.Is(se[1], faults.ErrPermanent) || se[2] != nil {
-		t.Fatalf("read: stmtErrs = %v", se)
-	}
-	if rs[0].Rows[0][1] != "apple" || rs[1] != nil || rs[2].Rows[0][1] != "fig" {
-		t.Fatalf("read: results %v", rs)
+	rs, bs, err := submit("read", sel(1), sel(2), sel(3))
+	if fe := (*faults.Error)(nil); !errors.As(err, &fe) || fe.Kind != "outage" || rs != nil {
+		t.Fatalf("read: results %v, err %v, want the outage", rs, err)
 	}
 	if bs != (BatchStats{Sent: 1}) {
 		t.Fatalf("read: batch stats %+v, want the merged family's", bs)
 	}
 
-	tk, rs, bs = submit("write", driver.Stmt{SQL: "UPDATE items SET qty = ? WHERE id = ?", Args: []sqldb.Value{int64(40), int64(3)}})
-	if tk.StmtErrs() != nil || rs[0].RowsAffected != 1 || len(rs[0].Rows) != 0 {
-		t.Fatalf("write: stmtErrs %v, result %+v", tk.StmtErrs(), rs[0])
+	srv.SetFaults(nil)
+	rs, bs, err = submit("write", driver.Stmt{SQL: "UPDATE items SET qty = ? WHERE id = ?", Args: []sqldb.Value{int64(40), int64(3)}})
+	if err != nil || rs[0].RowsAffected != 1 || len(rs[0].Rows) != 0 {
+		t.Fatalf("write: err %v, result %+v", err, rs)
 	}
 	if bs != (BatchStats{Sent: 1}) {
 		t.Fatalf("write: batch stats %+v", bs)
 	}
 
-	tk, rs, bs = submit("read again", sel(3))
-	if tk.StmtErrs() != nil || rs[0].Rows[0][2] != int64(40) {
-		t.Fatalf("read again: stmtErrs %v, rows %v", tk.StmtErrs(), rs[0].Rows)
+	rs, bs, err = submit("read again", sel(3))
+	if err != nil || rs[0].Rows[0][2] != int64(40) {
+		t.Fatalf("read again: err %v, rows %v", err, rs)
 	}
 	if bs != (BatchStats{Sent: 1}) {
 		t.Fatalf("read again: batch stats %+v", bs)
 	}
 
 	st := d.Stats()
-	if st.Submitted != 3 || st.StmtsIn != 5 || st.StmtsOut != 3 || st.Degraded != 1 || st.Errors != 0 || st.PeakQueue != 0 {
+	if st.Submitted != 3 || st.StmtsIn != 5 || st.StmtsOut != 3 || st.Retries != 7 || st.Errors != 1 || st.PeakQueue != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if ms := m.Stats(); ms.Batches != 3 || ms.Saved != 2 || ms.Groups != 1 {

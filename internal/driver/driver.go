@@ -96,13 +96,6 @@ type ServerStats struct {
 	// SnapBatches counts batches that took the parallel snapshot-read path
 	// (every statement a SELECT) rather than the serialized path.
 	SnapBatches int64
-	// BreakerTrips/BreakerFastFails/BreakerProbes count the per-shard
-	// circuit breaker's transitions (breaker.go): trips into the open
-	// state, batches rejected locally while open, and half-open probes let
-	// through. All zero unless a fault plane with a breaker is installed.
-	BreakerTrips     int64
-	BreakerFastFails int64
-	BreakerProbes    int64
 	// FaultDrops counts batches the fault plane failed at a shard before
 	// execution: scheduled outages and injected drops (preExecFault).
 	FaultDrops int64
@@ -137,11 +130,6 @@ type Server struct {
 	// the default — means infallible execution and a zero-cost exec path.
 	// Set between replays only: the exec path reads it without locking.
 	faults *faults.Plane
-	// brk is the per-shard circuit breaker state (nil when the plane's
-	// breaker is disabled) and brkCfg its thresholds; see breaker.go.
-	// Guarded by mu.
-	brk    []breaker
-	brkCfg faults.Breaker
 
 	mu    sync.Mutex
 	stats ServerStats
@@ -286,6 +274,44 @@ func (s *Server) SetWorkers(k int) {
 	for i := 0; i < n; i++ {
 		s.slots <- &worker{idx: i}
 	}
+}
+
+// SetFaults installs plane as the server's fault schedule (nil
+// uninstalls). Every connection sees it from its next batch on. Call
+// between replays, not while batches are in flight: the exec path reads
+// the plane pointer without locking.
+func (s *Server) SetFaults(plane *faults.Plane) { s.faults = plane }
+
+// preExecFault rolls the fault plane for a batch arriving at `arrival` and
+// touching the shards in mask (0 = every shard), BEFORE it executes, so a
+// failed attempt never has data effects and the dispatch layer may retry
+// any batch — reads and pipelined writes alike — without risking double
+// execution. On injection it returns the virtual time at which the failure
+// is OBSERVED by the session (the retry layer schedules its backoff from
+// this instant) and the fault:
+//
+//  1. link timeout — the request is lost in flight and the failure is
+//     observed only after the timeout's wasted delay (the link has
+//     already charged that delay to its own accounting);
+//  2. per-shard outage/drop rolls — one wasted round trip, counted in
+//     ServerStats.FaultDrops.
+func (s *Server) preExecFault(link *netsim.Link, arrival time.Duration, reqBytes int, mask uint64) (time.Duration, error) {
+	if delay, err := link.TripFault(s.faults, arrival); err != nil {
+		return arrival + delay, err
+	}
+	for sh := 0; sh < s.shards; sh++ {
+		if mask != 0 && mask&(1<<uint(sh)) == 0 {
+			continue
+		}
+		if err := s.faults.ShardFault(sh, arrival); err != nil {
+			s.mu.Lock()
+			s.stats.FaultDrops++
+			s.mu.Unlock()
+			link.Charge(reqBytes, 0)
+			return arrival + link.RTT(), err
+		}
+	}
+	return 0, nil
 }
 
 // QueueWaits returns the per-batch queue-wait distribution (live: it
@@ -674,7 +700,7 @@ func (c *Conn) Exec(ctx obs.Ctx, arrival time.Duration, stmts []Stmt) ([]*sqldb.
 	// as the post-exec computation did.
 	mask := c.srv.shardMask(stmts)
 	if c.srv.faults != nil {
-		if failAt, ferr := c.srv.preExecFault(c.link, arrival, reqBytes, mask, stmts); ferr != nil {
+		if failAt, ferr := c.srv.preExecFault(c.link, arrival, reqBytes, mask); ferr != nil {
 			if traced {
 				ctx.Instant("fault", "exec", arrival, obs.Arg{K: "err", V: ferr.Error()})
 			}
@@ -690,11 +716,6 @@ func (c *Conn) Exec(ctx obs.Ctx, arrival time.Duration, stmts []Stmt) ([]*sqldb.
 			ctx.Instant("error", "exec", arrival, obs.Arg{K: "err", V: err.Error()})
 		}
 		return nil, arrival, err
-	}
-	if c.srv.faults != nil {
-		// Slow-shard spikes stretch the batch's server time (and the
-		// occupancy it leaves behind); content is untouched.
-		dbCost += c.srv.shardDelay(mask, arrival)
 	}
 	respBytes := 0
 	for _, rs := range results {

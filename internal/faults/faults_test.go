@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"repro/internal/sqldb"
 )
 
 // TestRollDeterminism is the plane's contract: the same (seed, site, salt,
@@ -63,36 +61,34 @@ func TestRollOrderIndependence(t *testing.T) {
 	}
 }
 
-// TestClassification: every injected error matches exactly its class
-// sentinel, Retriable follows class, and real errors are never injected.
+// TestClassification: every injected fault — drop, outage, link timeout,
+// however deeply wrapped — is retriable, and a real error never is.
 func TestClassification(t *testing.T) {
+	p := NewPlane(Config{
+		LinkTimeoutRate: 1,
+		Outages:         []Outage{{Shard: 1, From: 0, To: time.Millisecond}},
+		ExecErrorRate:   1,
+	})
+	_, timeout := p.LinkFault(time.Millisecond)
 	cases := []struct {
-		err       error
-		transient bool
-		timeout   bool
-		permanent bool
+		err  error
+		kind string
 	}{
-		{&Error{Class: Transient, Site: "shard0", Kind: "drop"}, true, false, false},
-		{&Error{Class: Timeout, Site: "link", Kind: "timeout"}, false, true, false},
-		{&Error{Class: Permanent, Site: "exec", Kind: "poison"}, false, false, true},
-		{ErrBreakerOpen, true, false, false},
-		{fmt.Errorf("wrapped: %w", &Error{Class: Timeout, Site: "link", Kind: "timeout"}), false, true, false},
+		{p.ShardFault(0, 0), "drop"},
+		{p.ShardFault(1, 0), "outage"},
+		{timeout, "timeout"},
+		{fmt.Errorf("wrapped: %w", timeout), "timeout"},
 	}
 	for i, c := range cases {
-		if errors.Is(c.err, ErrTransient) != c.transient ||
-			errors.Is(c.err, ErrTimeout) != c.timeout ||
-			errors.Is(c.err, ErrPermanent) != c.permanent {
-			t.Errorf("case %d %v: class match wrong", i, c.err)
+		var fe *Error
+		if !errors.As(c.err, &fe) || fe.Kind != c.kind {
+			t.Errorf("case %d %v: want an injected %s", i, c.err, c.kind)
 		}
-		if Retriable(c.err) != (c.transient || c.timeout) {
-			t.Errorf("case %d %v: Retriable = %v", i, c.err, Retriable(c.err))
-		}
-		if !Injected(c.err) {
-			t.Errorf("case %d %v: not recognized as injected", i, c.err)
+		if !Retriable(c.err) {
+			t.Errorf("case %d %v: not retriable", i, c.err)
 		}
 	}
-	real := errors.New("syntax error near FROM")
-	if Retriable(real) || Injected(real) {
+	if Retriable(errors.New("syntax error near FROM")) || Retriable(nil) {
 		t.Errorf("real error misclassified")
 	}
 }
@@ -100,7 +96,7 @@ func TestClassification(t *testing.T) {
 // TestOutageWindow: outages fail exactly inside [From, To) for their shard.
 func TestOutageWindow(t *testing.T) {
 	p := NewPlane(Config{Outages: []Outage{{Shard: 1, From: 2 * time.Millisecond, To: 4 * time.Millisecond}}})
-	if err := p.ShardFault(1, 2*time.Millisecond); !errors.Is(err, ErrTransient) {
+	if err := p.ShardFault(1, 2*time.Millisecond); !Retriable(err) {
 		t.Fatalf("at window start: %v", err)
 	}
 	if err := p.ShardFault(1, 4*time.Millisecond); err != nil {
@@ -114,37 +110,23 @@ func TestOutageWindow(t *testing.T) {
 	}
 }
 
-// TestSlowdownAndTimeout: spikes add exactly Extra inside their window and
-// timeouts report the configured delay with timeout class.
+// TestSlowdownAndTimeout: the only virtual time a plane adds to a trip is a
+// timed-out trip's LinkTimeout. A trip the roll spares costs nothing extra,
+// and a timeout reports the configured delay and is observed after it.
 func TestSlowdownAndTimeout(t *testing.T) {
-	p := NewPlane(Config{
-		LinkTimeoutRate: 1,
-		LinkTimeout:     3 * time.Millisecond,
-		Slowdowns:       []Slowdown{{Shard: 0, From: 0, To: time.Millisecond, Extra: 500 * time.Microsecond}},
-	})
-	if d := p.ShardDelay(0, 500*time.Microsecond); d != 500*time.Microsecond {
-		t.Fatalf("in-window delay %v", d)
+	if d, err := NewPlane(Config{LinkTimeout: 3 * time.Millisecond}).LinkFault(time.Millisecond); d != 0 || err != nil {
+		t.Fatalf("spared trip: delay=%v err=%v", d, err)
 	}
-	if d := p.ShardDelay(0, 2*time.Millisecond); d != 0 {
-		t.Fatalf("out-of-window delay %v", d)
-	}
+	p := NewPlane(Config{LinkTimeoutRate: 1, LinkTimeout: 3 * time.Millisecond})
 	delay, err := p.LinkFault(time.Millisecond)
-	if delay != 3*time.Millisecond || !errors.Is(err, ErrTimeout) {
+	var fe *Error
+	if delay != 3*time.Millisecond || !errors.As(err, &fe) || fe.Kind != "timeout" {
 		t.Fatalf("timeout: delay=%v err=%v", delay, err)
 	}
-}
-
-// TestPoison: poisoned values match through normalization, everything else
-// passes, and the error is permanent (never retried, only degraded around).
-func TestPoison(t *testing.T) {
-	p := NewPlane(Config{PoisonArgs: []sqldb.Value{int64(13)}})
-	if err := p.Poisoned([]sqldb.Value{int(13)}, 0); !errors.Is(err, ErrPermanent) {
-		t.Fatalf("normalized poison: %v", err)
+	if fe.At != 4*time.Millisecond {
+		t.Fatalf("timeout observed at %v, want start + delay = 4ms", fe.At)
 	}
-	if err := p.Poisoned([]sqldb.Value{int64(14), "x"}, 0); err != nil {
-		t.Fatalf("clean args: %v", err)
-	}
-	if err := (*Plane)(nil).Poisoned([]sqldb.Value{int64(13)}, 0); err != nil {
-		t.Fatalf("nil plane: %v", err)
+	if d, _ := NewPlane(Config{LinkTimeoutRate: 1}).LinkFault(0); d != DefaultLinkTimeout {
+		t.Fatalf("defaulted timeout delay = %v, want %v", d, DefaultLinkTimeout)
 	}
 }

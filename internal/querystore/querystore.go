@@ -78,9 +78,10 @@ type Config struct {
 	// zero value (dispatch.KindSync) is the paper's blocking flush.
 	Dispatch dispatch.Kind
 	// Retry is the recovery policy installed on the store's dispatcher
-	// (capped-backoff retry of injected transient failures plus degraded
-	// per-statement execution; see dispatch.RetryPolicy). The zero value —
-	// no recovery — leaves behaviour identical to a fault-free build.
+	// (capped-backoff retry of injected failures; see dispatch.RetryPolicy).
+	// A batch whose retries run out fails terminally, and every id in it
+	// reports that error. The zero value — no recovery — leaves behaviour
+	// identical to a fault-free build.
 	Retry dispatch.RetryPolicy
 	// PipelineWrites lets mutating statements ride a deferred dispatcher
 	// as fire-and-forget tickets (ExecPipelined): the write still flushes
@@ -559,34 +560,13 @@ func (s *Store) collect() error {
 			}
 			continue
 		}
-		// A degraded batch (one that fell back to per-statement execution
-		// after an injected failure) succeeds as a whole but may carry
-		// per-statement errors: each failed id records its OWN error for
-		// force-time delivery, while the sibling ids keep their results — a
-		// poisoned key no longer fails every query merged with it. A failed
-		// fire-and-forget write still latches for the next barrier, exactly
-		// once.
-		stmtErrs := f.t.StmtErrs()
-		var ffErrs []error
 		off := int(f.first - s.base)
 		s.results = slices.Grow(s.results, off+f.n-len(s.results))[:off+f.n]
-		for i := 0; i < f.n; i++ {
-			id := f.first + QueryID(i)
-			if stmtErrs != nil && stmtErrs[i] != nil {
-				s.recordErr(id, stmtErrs[i])
-				if _, ff := s.fireAndForget[id]; ff {
-					delete(s.fireAndForget, id)
-					ffErrs = append(ffErrs, stmtErrs[i])
-				}
-				continue
-			}
-			s.results[off+i] = results[i]
-			if len(s.fireAndForget) > 0 {
+		copy(s.results[off:], results)
+		if len(s.fireAndForget) > 0 {
+			for id := f.first; id < f.first+QueryID(f.n); id++ {
 				delete(s.fireAndForget, id)
 			}
-		}
-		if len(ffErrs) > 0 {
-			s.writeErrs = append(s.writeErrs, errors.Join(ffErrs...))
 		}
 		s.stats.Executed += int64(bs.Sent)
 	}

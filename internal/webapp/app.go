@@ -278,7 +278,7 @@ func (a *App) load(r *request, page *Page, req Params, sess *orm.Session) (*Resu
 	}
 	// PerRoundTrip is the client-side driver work of shipping one batch. A
 	// Sloth session counts the batches its store SUBMITTED, one per flush
-	// however many link trips retries or degradation then spend on it; an
+	// however many link trips its retries then spend on it; an
 	// original-mode session counts its link round trips, which it always
 	// blocked for.
 	trips := sess.Store().Stats().Batches - batchesBefore
