@@ -196,7 +196,12 @@ func Seed(db *engine.DB, size SizeConfig) error {
 	}
 
 	// Users: each has a person and 1–2 roles. User 1 is the admin used by
-	// the harness and always holds role 1 (which carries "View Patients").
+	// the harness and always holds role 1. Role r above is seeded with
+	// privileges[(r+p)%10] for p < PrivsPerRole, so with the default sizes
+	// (4 roles, 6 privileges each) role 1 holds indexes 1..6 and no role
+	// holds index 0, "View Patients": patientDashboardForm.jsp's privilege
+	// check fails for every user and the page takes its "insufficient
+	// privileges" branch, rendering only the preamble's sections.
 	for u := 1; u <= size.Users; u++ {
 		pid, err := newPerson()
 		if err != nil {

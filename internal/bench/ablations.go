@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/driver"
 	"repro/internal/netsim"
-	"repro/internal/sqldb"
 	"repro/internal/sqldb/engine"
 )
 
@@ -48,7 +47,11 @@ func ParallelBatchAblation(batchSize int) (ParallelBatchReport, error) {
 
 	stmts := make([]driver.Stmt, batchSize)
 	for i := range stmts {
-		stmts[i] = driver.Stmt{SQL: "SELECT v FROM kv WHERE k = ?", Args: []sqldb.Value{int64(i + 1)}}
+		st, err := driver.Prepare("SELECT v FROM kv WHERE k = ?", int64(i+1))
+		if err != nil {
+			return rep, err
+		}
+		stmts[i] = st
 	}
 
 	// Parallel: the batch driver (one ExecBatch call).

@@ -36,8 +36,17 @@ func rig(t *testing.T) (*driver.Server, func(rtt time.Duration) (*driver.Conn, *
 	return srv, connect
 }
 
+// prep prepares a statement as the query store's Register does.
+func prep(sql string, args ...sqldb.Value) driver.Stmt {
+	st, err := driver.Prepare(sql, args...)
+	if err != nil {
+		panic(err)
+	}
+	return st
+}
+
 func sel(id int64) driver.Stmt {
-	return driver.Stmt{SQL: "SELECT id, name, qty FROM items WHERE id = ?", Args: []sqldb.Value{id}}
+	return prep("SELECT id, name, qty FROM items WHERE id = ?", id)
 }
 
 func mustWait(t *testing.T, d Dispatcher, tk *Ticket) []*sqldb.ResultSet {
@@ -75,7 +84,7 @@ func TestParseKind(t *testing.T) {
 // requires identical rows per original statement.
 func TestSyncAsyncSameResults(t *testing.T) {
 	_, connect := rig(t)
-	stmts := []driver.Stmt{sel(1), sel(2), {SQL: "SELECT name FROM items WHERE qty > ?", Args: []sqldb.Value{int64(3)}}}
+	stmts := []driver.Stmt{sel(1), sel(2), prep("SELECT name FROM items WHERE qty > ?", int64(3))}
 
 	connS, _ := connect(time.Millisecond)
 	syncD := NewSync(connS)
@@ -170,7 +179,7 @@ func TestAsyncErrorDeferredToWait(t *testing.T) {
 	conn, _ := connect(0)
 	a := NewAsync(conn)
 	defer a.Close()
-	tk := a.Submit([]driver.Stmt{{SQL: "SELECT * FROM no_such_table"}})
+	tk := a.Submit([]driver.Stmt{prep("SELECT * FROM no_such_table")})
 	if _, _, err := a.Wait(tk); err == nil {
 		t.Fatal("missing execution error at Wait")
 	}
@@ -194,7 +203,7 @@ func TestAsyncExecutesAtSubmit(t *testing.T) {
 	for k := range tickets {
 		stmts := []driver.Stmt{sel(1)}
 		if k%2 == 0 {
-			stmts = []driver.Stmt{{SQL: "UPDATE items SET qty = ? WHERE id = 1", Args: []sqldb.Value{int64(100 + k)}}}
+			stmts = []driver.Stmt{prep("UPDATE items SET qty = ? WHERE id = 1", int64(100+k))}
 		}
 		before := srv.Stats().Queries
 		tickets[k] = a.Submit(stmts)

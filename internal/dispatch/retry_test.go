@@ -114,7 +114,7 @@ func TestSyncTicketReuse(t *testing.T) {
 	}
 
 	srv.SetFaults(nil)
-	rs, bs, err = submit("write", driver.Stmt{SQL: "UPDATE items SET qty = ? WHERE id = ?", Args: []sqldb.Value{int64(40), int64(3)}})
+	rs, bs, err = submit("write", prep("UPDATE items SET qty = ? WHERE id = ?", int64(40), int64(3)))
 	if err != nil || rs[0].RowsAffected != 1 || len(rs[0].Rows) != 0 {
 		t.Fatalf("write: err %v, result %+v", err, rs)
 	}
@@ -151,7 +151,7 @@ func TestAsyncWriteRetryExactlyOnce(t *testing.T) {
 	d := NewAsync(conn)
 	defer d.Close()
 	d.SetRetry(retryPolicy())
-	tk := d.Submit([]driver.Stmt{{SQL: "UPDATE items SET qty = qty + 1 WHERE id = ?", Args: []sqldb.Value{int64(1)}}})
+	tk := d.Submit([]driver.Stmt{prep("UPDATE items SET qty = qty + 1 WHERE id = ?", int64(1))})
 	if _, _, err := d.Wait(tk); err != nil {
 		t.Fatalf("write failed: %v", err)
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/driver"
-	"repro/internal/sqldb"
 )
 
 // This file is the concurrency audit for the stats surfaces, written after
@@ -68,10 +67,7 @@ func TestStatsRace(t *testing.T) {
 					var stmts []driver.Stmt
 					if r%4 == 3 {
 						// A write batch.
-						stmts = []driver.Stmt{{
-							SQL:  "UPDATE items SET qty = ? WHERE id = ?",
-							Args: []sqldb.Value{int64(r), int64(1 + r%3)},
-						}}
+						stmts = []driver.Stmt{prep("UPDATE items SET qty = ? WHERE id = ?", int64(r), int64(1+r%3))}
 					} else {
 						stmts = []driver.Stmt{sel(int64(1 + r%3)), sel(int64(1 + (r+1)%3))}
 					}

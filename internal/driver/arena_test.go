@@ -26,9 +26,9 @@ func zeroCostRig(t *testing.T) *Server {
 // arenaBatch returns no row, one row and three rows, each the stored row
 // itself (whole-row SELECTs project nothing).
 var arenaBatch = []Stmt{
-	{SQL: "SELECT * FROM kv WHERE k = 9"},
-	{SQL: "SELECT * FROM kv WHERE k = 1"},
-	{SQL: "SELECT * FROM kv"},
+	prep("SELECT * FROM kv WHERE k = 9"),
+	prep("SELECT * FROM kv WHERE k = 1"),
+	prep("SELECT * FROM kv"),
 }
 
 func checkArenaBatch(t *testing.T, results []*sqldb.ResultSet) {

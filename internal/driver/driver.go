@@ -24,16 +24,30 @@ import (
 	"repro/internal/sqldb/sqlparse"
 )
 
-// Stmt is one statement with its positional arguments.
+// Stmt is one statement with its positional arguments, built by Prepare:
+// Parsed is its AST and Args are canonical (sqldb.NormalizeArgs). Every
+// layer below — the query store's read/write classification, the merge
+// analyzer, the server's cost loop and shard mask, the engine — reads
+// Parsed and nothing parses the text again. A batch carrying a Stmt
+// without Parsed fails before anything executes. Parsed never takes part
+// in statement identity (identity.go).
 type Stmt struct {
-	SQL  string
-	Args []sqldb.Value
-	// Parsed is the statement's AST, populated by the query store at
-	// submit time from the process-wide parse interner so SQL text is
-	// parsed once per distinct template per run. Consumers (the merge
-	// analyzer, the server's cost loop) use it when set and fall back to
-	// the interner when nil; it never affects statement identity (identity.go).
+	SQL    string
+	Args   []sqldb.Value
 	Parsed sqlparse.Statement
+}
+
+// Prepare builds the statement for sql with args: it parses the text
+// through the process-wide interner (plan.ParseCached), so each distinct
+// text is parsed once per run, and copies args to their canonical values
+// only when some are not (sqldb.NormalizeArgs). A malformed statement
+// returns the parse error and no Stmt.
+func Prepare(sql string, args ...sqldb.Value) (Stmt, error) {
+	parsed, err := plan.ParseCached(sql)
+	if err != nil {
+		return Stmt{}, fmt.Errorf("driver: %w", err)
+	}
+	return Stmt{SQL: sql, Args: sqldb.NormalizeArgs(args), Parsed: parsed}, nil
 }
 
 // CostModel prices server-side query execution on the virtual clock. The
@@ -339,34 +353,10 @@ type stmtTrace struct {
 	rows int64
 }
 
-// parsed returns the statement's AST: the one the query store threaded in,
-// else the interner's for the text.
-func (st Stmt) parsed() (sqlparse.Statement, error) {
-	if st.Parsed != nil {
-		return st.Parsed, nil
-	}
-	return plan.ParseCached(st.SQL)
-}
-
-// IsWrite reports whether the statement mutates state: by the threaded AST
-// when set, else by the keyword scan (sqlparse.IsWriteSQL), which agrees on
-// every parseable statement.
-func (st Stmt) IsWrite() bool {
-	if st.Parsed != nil {
-		return sqlparse.IsWrite(st.Parsed)
-	}
-	return sqlparse.IsWriteSQL(st.SQL)
-}
-
-// readOnly reports whether every statement parses to a SELECT. A parse
-// error reports false so the serial executor surfaces it in statement order.
+// readOnly reports whether every statement is a SELECT.
 func readOnly(stmts []Stmt) bool {
 	for _, st := range stmts {
-		p, err := st.parsed()
-		if err != nil {
-			return false
-		}
-		if _, ok := p.(*sqlparse.SelectStmt); !ok {
+		if _, ok := st.Parsed.(*sqlparse.SelectStmt); !ok {
 			return false
 		}
 	}
@@ -384,10 +374,10 @@ type stmtExec func(a *sqldb.Arena, sql string, st sqlparse.Statement, args []sql
 // maximum member cost plus a dispatch cost per statement (the behaviour of
 // the extended driver in Sec. 5). With traced set it additionally returns
 // the per-statement layout mirroring that cost math: reads start where
-// their parallel group stood, writes after the group they closed. A parse
-// error at statement i surfaces after statements 0..i-1 have executed.
-// Returns the results, taken with their list from the arena a, the batch's
-// server time, the rows visited, and the layout.
+// their parallel group stood, writes after the group they closed. An
+// execution error at statement i surfaces after statements 0..i-1 have
+// executed. Returns the results, taken with their list from the arena a,
+// the batch's server time, the rows visited, and the layout.
 func (s *Server) priceStmts(exec stmtExec, a *sqldb.Arena, stmts []Stmt, traced bool) ([]*sqldb.ResultSet, time.Duration, int64, []stmtTrace, error) {
 	results := a.List(len(stmts))
 	var layout []stmtTrace
@@ -397,17 +387,13 @@ func (s *Server) priceStmts(exec stmtExec, a *sqldb.Arena, stmts []Stmt, traced 
 	var total, parallelMax time.Duration
 	var rowsVisited int64
 	for _, st := range stmts {
-		parsed, err := st.parsed()
-		if err != nil {
-			return nil, 0, 0, nil, fmt.Errorf("driver: %w", err)
-		}
-		rs, path, err := exec(a, st.SQL, parsed, st.Args, traced)
+		rs, path, err := exec(a, st.SQL, st.Parsed, st.Args, traced)
 		if err != nil {
 			return nil, 0, 0, nil, err
 		}
 		cost := s.cost.queryCost(rs)
 		rowsVisited += int64(rs.RowsScanned)
-		write := sqlparse.IsWrite(parsed)
+		write := sqlparse.IsWrite(st.Parsed)
 		if write {
 			// Writes serialize: close the current parallel group first.
 			total += parallelMax
@@ -575,7 +561,7 @@ func (s *Server) occupy(arrival, cost time.Duration, mask uint64, lanes []int) (
 }
 
 // shardMask predicts the batch's shard bitset by asking the plan router
-// per statement; any unroutable statement (scan, join, DDL, parse issue)
+// per statement; any unroutable statement (scan, join, DDL, compile error)
 // degrades the whole batch to 0 — every shard. Only meaningful when the
 // store is sharded; the mask is advisory (it prices occupancy, never
 // routes execution).
@@ -587,11 +573,7 @@ func (s *Server) shardMask(stmts []Stmt) uint64 {
 	s.db.Store().ReadLock()
 	defer s.db.Store().ReadUnlock()
 	for _, st := range stmts {
-		parsed, err := st.parsed()
-		if err != nil {
-			return 0
-		}
-		m := s.db.StmtShardMask(st.SQL, parsed, st.Args)
+		m := s.db.StmtShardMask(st.SQL, st.Parsed, st.Args)
 		if m == 0 {
 			return 0
 		}
@@ -624,10 +606,12 @@ type Conn struct {
 
 	queriesSent atomic.Int64
 
-	// traceCtx is the span context this connection's work records under:
-	// the page root for blocking calls (ExecBatch, Query) while a load is in
-	// flight, the flush span while the query store submits a batch (the
-	// dispatcher stamps it on the ticket). Session goroutine only.
+	// traceCtx is the span context this connection's work records under,
+	// and the only one a session holds: the page root while a load is in
+	// flight (blocking calls — ExecBatch, Query — and the query store's
+	// force and flush spans parent under it), the flush span while the
+	// query store submits a batch (the dispatcher stamps it on the ticket).
+	// Session goroutine only.
 	traceCtx obs.Ctx
 }
 
@@ -659,7 +643,11 @@ func (c *Conn) QueriesSent() int64 { return c.queriesSent.Load() }
 // every result the connection returns, the result set stays valid until the
 // connection's next Release.
 func (c *Conn) Query(sql string, args ...sqldb.Value) (*sqldb.ResultSet, error) {
-	results, err := c.ExecBatch([]Stmt{{SQL: sql, Args: args}})
+	st, err := Prepare(sql, args...)
+	if err != nil {
+		return nil, err
+	}
+	results, err := c.ExecBatch([]Stmt{st})
 	if err != nil {
 		return nil, err
 	}
@@ -687,7 +675,10 @@ func (c *Conn) Exec(ctx obs.Ctx, arrival time.Duration, stmts []Stmt) ([]*sqldb.
 		return nil, arrival, nil
 	}
 	reqBytes := 0
-	for _, st := range stmts {
+	for i, st := range stmts {
+		if st.Parsed == nil {
+			return nil, arrival, fmt.Errorf("driver: statement %d (%q) was not built by Prepare", i, st.SQL)
+		}
 		reqBytes += len(st.SQL) + 8
 		for _, a := range st.Args {
 			reqBytes += sqldb.SizeOf(a)

@@ -31,6 +31,15 @@ func rig(t *testing.T, rtt time.Duration) (*netsim.VirtualClock, *Server, *Conn)
 	return clock, srv, conn
 }
 
+// prep prepares a statement as the query store's Register does.
+func prep(sql string, args ...sqldb.Value) Stmt {
+	st, err := Prepare(sql, args...)
+	if err != nil {
+		panic(err)
+	}
+	return st
+}
+
 func mustExec(t *testing.T, c *Conn, sql string, args ...sqldb.Value) *sqldb.ResultSet {
 	t.Helper()
 	rs, err := c.Query(sql, args...)
@@ -67,9 +76,9 @@ func TestEachQueryCostsOneRoundTrip(t *testing.T) {
 func TestExecBatchOneRoundTripManyQueries(t *testing.T) {
 	_, srv, conn := rig(t, time.Millisecond)
 	stmts := []Stmt{
-		{SQL: "SELECT v FROM kv WHERE k = 1"},
-		{SQL: "SELECT v FROM kv WHERE k = 2"},
-		{SQL: "SELECT v FROM kv WHERE k = 3"},
+		prep("SELECT v FROM kv WHERE k = 1"),
+		prep("SELECT v FROM kv WHERE k = 2"),
+		prep("SELECT v FROM kv WHERE k = 3"),
 	}
 	results, err := conn.ExecBatch(stmts)
 	if err != nil {
@@ -104,7 +113,7 @@ func TestBatchedReadsRunInParallel(t *testing.T) {
 	_, srvB, connB := rig(t, 0)
 	var stmts []Stmt
 	for k := 1; k <= 3; k++ {
-		stmts = append(stmts, Stmt{SQL: "SELECT * FROM kv WHERE k = ?", Args: []sqldb.Value{int64(k)}})
+		stmts = append(stmts, prep("SELECT * FROM kv WHERE k = ?", int64(k)))
 	}
 	if _, err := connB.ExecBatch(stmts); err != nil {
 		t.Fatal(err)
@@ -118,8 +127,8 @@ func TestBatchedReadsRunInParallel(t *testing.T) {
 func TestWritesSerializeInBatch(t *testing.T) {
 	_, srv, conn := rig(t, 0)
 	stmts := []Stmt{
-		{SQL: "INSERT INTO kv (k, v) VALUES (10, 'a')"},
-		{SQL: "INSERT INTO kv (k, v) VALUES (11, 'b')"},
+		prep("INSERT INTO kv (k, v) VALUES (10, 'a')"),
+		prep("INSERT INTO kv (k, v) VALUES (11, 'b')"),
 	}
 	if _, err := conn.ExecBatch(stmts); err != nil {
 		t.Fatal(err)
@@ -152,8 +161,8 @@ func TestClockAdvancesByRTTAndDBTime(t *testing.T) {
 func TestBatchErrorPropagates(t *testing.T) {
 	_, _, conn := rig(t, 0)
 	_, err := conn.ExecBatch([]Stmt{
-		{SQL: "SELECT * FROM kv"},
-		{SQL: "SELECT * FROM missing_table"},
+		prep("SELECT * FROM kv"),
+		prep("SELECT * FROM missing_table"),
 	})
 	if err == nil {
 		t.Fatal("expected error from bad statement in batch")

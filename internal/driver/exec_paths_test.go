@@ -8,8 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/sqldb"
+	"repro/internal/sqldb/engine"
 )
 
 // These tests pin the one statement loop behind Conn.Exec: whichever
@@ -56,20 +57,19 @@ func stmtLayout(t *testing.T, tr *obs.Tracer) []stmtSlot {
 // table so some lookups miss.
 var readShapes = []func(rng *rand.Rand) Stmt{
 	func(rng *rand.Rand) Stmt {
-		return Stmt{SQL: "SELECT v FROM kv WHERE k = ?", Args: []sqldb.Value{int64(rng.Intn(50))}}
+		return prep("SELECT v FROM kv WHERE k = ?", int64(rng.Intn(50)))
 	},
 	func(rng *rand.Rand) Stmt {
-		return Stmt{SQL: "SELECT k, v FROM kv WHERE k IN (?, ?, ?)",
-			Args: []sqldb.Value{int64(rng.Intn(50)), int64(rng.Intn(50)), int64(rng.Intn(50))}}
+		return prep("SELECT k, v FROM kv WHERE k IN (?, ?, ?)", int64(rng.Intn(50)), int64(rng.Intn(50)), int64(rng.Intn(50)))
 	},
 	func(rng *rand.Rand) Stmt {
-		return Stmt{SQL: "SELECT * FROM kv WHERE v <> ?", Args: []sqldb.Value{fmt.Sprintf("v%d", rng.Intn(50))}}
+		return prep("SELECT * FROM kv WHERE v <> ?", fmt.Sprintf("v%d", rng.Intn(50)))
 	},
 	func(rng *rand.Rand) Stmt {
-		return Stmt{SQL: "SELECT COUNT(*) AS n, MAX(k) AS hi FROM kv WHERE k > ?", Args: []sqldb.Value{int64(rng.Intn(50))}}
+		return prep("SELECT COUNT(*) AS n, MAX(k) AS hi FROM kv WHERE k > ?", int64(rng.Intn(50)))
 	},
 	func(rng *rand.Rand) Stmt {
-		return Stmt{SQL: fmt.Sprintf("SELECT k, v FROM kv ORDER BY v DESC LIMIT %d", 1+rng.Intn(8))}
+		return prep(fmt.Sprintf("SELECT k, v FROM kv ORDER BY v DESC LIMIT %d", 1+rng.Intn(8)))
 	},
 }
 
@@ -116,9 +116,9 @@ func TestReadBatchCostMatchesSerialPath(t *testing.T) {
 // traced write-containing batch reported one extra hit per SELECT.)
 func TestTracingLeavesPlanCacheCountersAlone(t *testing.T) {
 	batches := [][]Stmt{
-		{{SQL: "INSERT INTO kv (k, v) VALUES (10, 'ten')"}, {SQL: "SELECT v FROM kv WHERE k = 10"}},
-		{{SQL: "SELECT v FROM kv WHERE k = 1"}, {SQL: "SELECT * FROM kv"}},
-		{{SQL: "SELECT v FROM kv WHERE k = 2"}, {SQL: "UPDATE kv SET v = 'x' WHERE k = 2"}},
+		{prep("INSERT INTO kv (k, v) VALUES (10, 'ten')"), prep("SELECT v FROM kv WHERE k = 10")},
+		{prep("SELECT v FROM kv WHERE k = 1"), prep("SELECT * FROM kv")},
+		{prep("SELECT v FROM kv WHERE k = 2"), prep("UPDATE kv SET v = 'x' WHERE k = 2")},
 	}
 	for i, stmts := range batches {
 		_, srvU, connU := rig(t, 0)
@@ -146,33 +146,33 @@ func TestExecErrorContract(t *testing.T) {
 		return mustExec(t, conn, "SELECT k FROM kv WHERE k = ?", k).NumRows()
 	}
 
-	// A parse error at statement i surfaces as "driver: …" after statements
-	// 0..i-1 have executed and before any later one does; nothing is
-	// accounted for the failed batch.
-	t.Run("parse error mid-batch after a landed write", func(t *testing.T) {
+	// An execution error at statement i surfaces after statements 0..i-1
+	// have executed and before any later one does; nothing is accounted for
+	// the failed batch. (A parse error never reaches a batch: Prepare
+	// returns it.)
+	t.Run("execution error mid-batch after a landed write", func(t *testing.T) {
 		_, srv, conn := rig(t, 0)
 		_, err := conn.ExecBatch([]Stmt{
-			{SQL: "INSERT INTO kv (k, v) VALUES (10, 'ten')"},
-			{SQL: "SELEKT nonsense"},
-			{SQL: "INSERT INTO kv (k, v) VALUES (11, 'eleven')"},
+			prep("INSERT INTO kv (k, v) VALUES (10, 'ten')"),
+			prep("UPDATE no_such_table SET v = 'x'"),
+			prep("INSERT INTO kv (k, v) VALUES (11, 'eleven')"),
 		})
-		if err == nil || !strings.HasPrefix(err.Error(), "driver: ") {
-			t.Fatalf("err = %v, want a driver: parse error", err)
+		if err == nil || !strings.Contains(err.Error(), "no_such_table") {
+			t.Fatalf("err = %v, want the unknown table's error", err)
 		}
 		if st := srv.Stats(); st.Batches != 0 || st.Queries != 0 || st.DBTime != 0 {
 			t.Fatalf("failed batch was accounted: %+v", st)
 		}
 		if count(t, conn, 10) != 1 || count(t, conn, 11) != 0 {
-			t.Fatal("want the write before the parse error landed and the one after it not executed")
+			t.Fatal("want the write before the failing statement landed and the one after it not executed")
 		}
 	})
 
-	// Exactly the batches whose every statement parses to a SELECT reach
-	// the snapshot executor, so a non-SELECT can never be handed to it:
-	// anything else — including a batch that fails to parse, which reports
-	// the serial executor's error — runs on the server's session.
+	// Exactly the batches whose every statement is a SELECT reach the
+	// snapshot executor, so a non-SELECT can never be handed to it:
+	// anything else runs on the server's session.
 	t.Run("classification", func(t *testing.T) {
-		sel := Stmt{SQL: "SELECT v FROM kv WHERE k = 1"}
+		sel := prep("SELECT v FROM kv WHERE k = 1")
 		for _, c := range []struct {
 			name    string
 			stmts   []Stmt
@@ -180,8 +180,8 @@ func TestExecErrorContract(t *testing.T) {
 			wantErr string
 		}{
 			{"all reads", []Stmt{sel, sel}, 1, ""},
-			{"read then write", []Stmt{sel, {SQL: "UPDATE kv SET v = 'x' WHERE k = 1"}}, 0, ""},
-			{"read then garbage", []Stmt{sel, {SQL: "SELEKT nonsense"}}, 0, "driver: "},
+			{"read then write", []Stmt{sel, prep("UPDATE kv SET v = 'x' WHERE k = 1")}, 0, ""},
+			{"read then failing write", []Stmt{sel, prep("UPDATE no_such_table SET v = 'x'")}, 0, "engine: "},
 		} {
 			_, srv, conn := rig(t, 0)
 			_, err := conn.ExecBatch(c.stmts)
@@ -200,8 +200,8 @@ func TestExecErrorContract(t *testing.T) {
 		_, srv, conn := rig(t, 0)
 		srv.SetWorkers(1)
 		_, err := conn.ExecBatch([]Stmt{
-			{SQL: "SELECT v FROM kv WHERE k = 1"},
-			{SQL: "SELECT * FROM no_such_table"},
+			prep("SELECT v FROM kv WHERE k = 1"),
+			prep("SELECT * FROM no_such_table"),
 		})
 		if err == nil {
 			t.Fatal("want an execution error from the unknown table")
@@ -212,11 +212,44 @@ func TestExecErrorContract(t *testing.T) {
 		if st := srv.Stats(); st.SnapBatches != 0 || st.Batches != 0 {
 			t.Fatalf("failed batch was accounted: %+v", st)
 		}
-		if _, err := conn.ExecBatch([]Stmt{{SQL: "SELECT v FROM kv WHERE k = 2"}}); err != nil {
+		if _, err := conn.ExecBatch([]Stmt{prep("SELECT v FROM kv WHERE k = 2")}); err != nil {
 			t.Fatal(err)
 		}
 		if got := srv.Stats().SnapBatches; got != 1 {
 			t.Fatalf("following batch: SnapBatches = %d, want 1", got)
 		}
 	})
+}
+
+// TestUnpreparedStmtFailsBatch: a Stmt literal that did not come from
+// Prepare carries no AST. Its batch fails with an error before anything
+// executes or crosses the link, on a plain and on a sharded server, and the
+// plan cache is left as it was for the same text prepared properly.
+func TestUnpreparedStmtFailsBatch(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		db := engine.NewSharded(shards)
+		if _, err := db.NewSession().Exec("CREATE TABLE kv (k INT PRIMARY KEY, v TEXT)"); err != nil {
+			t.Fatal(err)
+		}
+		clock := netsim.NewVirtualClock()
+		srv := NewServer(db, clock, DefaultCostModel())
+		conn := srv.Connect(netsim.NewLink(clock, time.Millisecond))
+		const write = "INSERT INTO kv (k, v) VALUES (1, 'one')"
+		_, err := conn.ExecBatch([]Stmt{prep("SELECT v FROM kv WHERE k = 1"), {SQL: write}})
+		if err == nil || !strings.HasPrefix(err.Error(), "driver: ") {
+			t.Fatalf("shards %d: err = %v, want a driver: error", shards, err)
+		}
+		if st := srv.Stats(); st.Batches != 0 || st.Queries != 0 {
+			t.Fatalf("shards %d: failed batch was accounted: %+v", shards, st)
+		}
+		if trips := conn.Link().Stats().RoundTrips; trips != 0 {
+			t.Fatalf("shards %d: failed batch cost %d round trips", shards, trips)
+		}
+		if _, err := conn.ExecBatch([]Stmt{prep(write)}); err != nil {
+			t.Fatalf("shards %d: the same text, prepared: %v", shards, err)
+		}
+		if n := mustExec(t, conn, "SELECT v FROM kv WHERE k = 1").NumRows(); n != 1 {
+			t.Fatalf("shards %d: %d rows after the prepared write, want 1", shards, n)
+		}
+	}
 }

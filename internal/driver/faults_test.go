@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/sqldb"
 )
 
 // TestFaultOutageAndRecovery: inside a scheduled outage window every batch
@@ -19,7 +18,7 @@ func TestFaultOutageAndRecovery(t *testing.T) {
 	srv.SetFaults(faults.NewPlane(faults.Config{
 		Outages: []faults.Outage{{Shard: 0, From: 0, To: 5 * time.Millisecond}},
 	}))
-	stmts := []Stmt{{SQL: "SELECT v FROM kv WHERE k = 2"}}
+	stmts := []Stmt{prep("SELECT v FROM kv WHERE k = 2")}
 	_, failAt, err := conn.Exec(obs.Ctx{}, 2*time.Millisecond, stmts)
 	var fe *faults.Error
 	if !errors.As(err, &fe) || fe.Kind != "outage" || !faults.Retriable(err) {
@@ -50,7 +49,7 @@ func TestFaultLinkTimeoutHook(t *testing.T) {
 		LinkTimeoutRate: 1,
 		LinkTimeout:     3 * time.Millisecond,
 	}))
-	_, failAt, err := conn.Exec(obs.Ctx{}, time.Millisecond, []Stmt{{SQL: "SELECT * FROM kv"}})
+	_, failAt, err := conn.Exec(obs.Ctx{}, time.Millisecond, []Stmt{prep("SELECT * FROM kv")})
 	if fe := (*faults.Error)(nil); !errors.As(err, &fe) || fe.Kind != "timeout" {
 		t.Fatalf("err = %v", err)
 	}
@@ -67,7 +66,7 @@ func TestFaultLinkTimeoutHook(t *testing.T) {
 // shard is consulted and adds nothing.
 func TestFaultDropsCountShardFailures(t *testing.T) {
 	_, srv, conn := rig(t, time.Millisecond)
-	stmts := []Stmt{{SQL: "SELECT v FROM kv WHERE k = ?", Args: []sqldb.Value{int64(1)}}}
+	stmts := []Stmt{prep("SELECT v FROM kv WHERE k = ?", int64(1))}
 	for i, tc := range []struct {
 		cfg  faults.Config
 		want int64

@@ -67,7 +67,7 @@ func randomStmt(rng *rand.Rand) Stmt {
 		"SELECT b FROM t WHERE x = ?",
 		"SELECT a FROM t",
 	}
-	st := Stmt{SQL: sqls[rng.Intn(len(sqls))]}
+	st := prep(sqls[rng.Intn(len(sqls))])
 	for n := rng.Intn(3); n > 0; n-- {
 		st.Args = append(st.Args, identityArgs[rng.Intn(len(identityArgs))])
 	}
@@ -129,8 +129,8 @@ func TestStmtIndexMatchesQuadraticOracle(t *testing.T) {
 // TestStmtIdentityDoesNotAllocate: hashing and comparing statements whose
 // arguments are canonical values is free — this runs once per registration.
 func TestStmtIdentityDoesNotAllocate(t *testing.T) {
-	a := Stmt{SQL: "SELECT a FROM t WHERE x = ? AND y = ? AND z = ?", Args: []sqldb.Value{int64(91235), "eu-west", 3.25}}
-	b := Stmt{SQL: a.SQL, Args: []sqldb.Value{int64(91235), "eu-west", 3.25}}
+	a := prep("SELECT a FROM t WHERE x = ? AND y = ? AND z = ?", int64(91235), "eu-west", 3.25)
+	b := prep(a.SQL, int64(91235), "eu-west", 3.25)
 	var idx StmtIndex
 	idx.Add(nil, a)
 	stmts := []Stmt{a}

@@ -48,8 +48,8 @@ func TestSnapshotReadsNoTornWrites(t *testing.T) {
 			conn := srv.Connect(netsim.NewLink(netsim.NewVirtualClock(), 0))
 			for i := 0; i < batches; i++ {
 				results, err := conn.ExecBatch([]Stmt{
-					{SQL: "SELECT val FROM pair WHERE id = 1"},
-					{SQL: "SELECT val FROM pair WHERE id = 2"},
+					prep("SELECT val FROM pair WHERE id = 1"),
+					prep("SELECT val FROM pair WHERE id = 2"),
 				})
 				if err != nil {
 					errs <- err
@@ -107,8 +107,8 @@ func TestSnapshotReadsNoPhantomInserts(t *testing.T) {
 			conn := srv.Connect(netsim.NewLink(netsim.NewVirtualClock(), 0))
 			for i := 0; i < batches; i++ {
 				results, err := conn.ExecBatch([]Stmt{
-					{SQL: "SELECT COUNT(*) FROM ev"},
-					{SQL: "SELECT COUNT(*) FROM ev"},
+					prep("SELECT COUNT(*) FROM ev"),
+					prep("SELECT COUNT(*) FROM ev"),
 				})
 				if err != nil {
 					errs <- err
@@ -180,11 +180,11 @@ func TestWorkerScratchNotShared(t *testing.T) {
 		mustExec(t, setup, "INSERT INTO m (id, g, a) VALUES (?, ?, ?)", id, id%4, id%9)
 	}
 	batch := []Stmt{
-		{SQL: "SELECT id, a FROM m ORDER BY a DESC, id LIMIT 25 OFFSET 5"},
-		{SQL: "SELECT DISTINCT a, g FROM m ORDER BY g, a"},
-		{SQL: "SELECT g, COUNT(*), SUM(a) FROM m GROUP BY g ORDER BY g"},
-		{SQL: "SELECT COUNT(*) FROM m WHERE a > 3"},
-		{SQL: "SELECT * FROM m WHERE g = 1 ORDER BY a + id"},
+		prep("SELECT id, a FROM m ORDER BY a DESC, id LIMIT 25 OFFSET 5"),
+		prep("SELECT DISTINCT a, g FROM m ORDER BY g, a"),
+		prep("SELECT g, COUNT(*), SUM(a) FROM m GROUP BY g ORDER BY g"),
+		prep("SELECT COUNT(*) FROM m WHERE a > 3"),
+		prep("SELECT * FROM m WHERE g = 1 ORDER BY a + id"),
 	}
 	want := make([]string, len(batch))
 	for i, st := range batch {
@@ -260,18 +260,18 @@ func TestConnsShareServerSession(t *testing.T) {
 			}
 			for i := int64(1); i <= rounds; i++ {
 				mixed, err := conn.ExecBatch([]Stmt{
-					{SQL: "UPDATE acc SET v = ? WHERE k = ?", Args: []sqldb.Value{i, base}},
-					{SQL: "INSERT INTO acc (k, owner, v) VALUES (?, ?, ?)", Args: []sqldb.Value{base + i, c, i}},
-					{SQL: "SELECT v FROM acc WHERE k = ?", Args: []sqldb.Value{base}},
-					{SQL: "SELECT COUNT(*) FROM acc WHERE owner = ?", Args: []sqldb.Value{c}},
+					prep("UPDATE acc SET v = ? WHERE k = ?", i, base),
+					prep("INSERT INTO acc (k, owner, v) VALUES (?, ?, ?)", base+i, c, i),
+					prep("SELECT v FROM acc WHERE k = ?", base),
+					prep("SELECT COUNT(*) FROM acc WHERE owner = ?", c),
 				})
 				if err != nil {
 					errs <- err
 					return
 				}
 				reads, err := conn.ExecBatch([]Stmt{
-					{SQL: "SELECT v FROM acc WHERE k = ?", Args: []sqldb.Value{base}},
-					{SQL: "SELECT v FROM acc WHERE k = ?", Args: []sqldb.Value{base + i}},
+					prep("SELECT v FROM acc WHERE k = ?", base),
+					prep("SELECT v FROM acc WHERE k = ?", base+i),
 				})
 				if err != nil {
 					errs <- err

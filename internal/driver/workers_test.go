@@ -18,7 +18,7 @@ import (
 // queueing delay (completion minus the unqueued completion).
 func occupyProbe(t *testing.T, conn *Conn, arrival time.Duration) time.Duration {
 	t.Helper()
-	stmts := []Stmt{{SQL: "SELECT v FROM kv WHERE k = 1"}}
+	stmts := []Stmt{prep("SELECT v FROM kv WHERE k = 1")}
 	_, done, err := conn.Exec(obs.Ctx{}, arrival, stmts)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestSetWorkersOneMatchesSerialAccounting(t *testing.T) {
 	clock, srv, conn := rig(t, time.Millisecond)
 	srv.SetWorkers(1)
 	for i := 0; i < 5; i++ {
-		if _, err := conn.ExecBatch([]Stmt{{SQL: "SELECT v FROM kv WHERE k = 2"}}); err != nil {
+		if _, err := conn.ExecBatch([]Stmt{prep("SELECT v FROM kv WHERE k = 2")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,8 +137,8 @@ func TestWorkersConcurrentRace(t *testing.T) {
 			conn := srv.Connect(netsim.NewLink(netsim.NewVirtualClock(), 100*time.Microsecond))
 			for j := 0; j < batches; j++ {
 				if _, err := conn.ExecBatch([]Stmt{
-					{SQL: "SELECT v FROM kv WHERE k = 1"},
-					{SQL: "SELECT v FROM kv WHERE k = 2"},
+					prep("SELECT v FROM kv WHERE k = 1"),
+					prep("SELECT v FROM kv WHERE k = 2"),
 				}); err != nil {
 					errs <- err
 					return

@@ -7,25 +7,14 @@ import (
 	"repro/internal/driver"
 	"repro/internal/merge"
 	"repro/internal/sqldb"
-	"repro/internal/sqldb/plan"
 )
-
-// threaded attaches the interned AST the way the query store does at submit
-// time, so the benchmarks measure analysis, not parsing.
-func threaded(sql string, args ...sqldb.Value) driver.Stmt {
-	parsed, err := plan.ParseCached(sql)
-	if err != nil {
-		panic(err)
-	}
-	return driver.Stmt{SQL: sql, Args: args, Parsed: parsed}
-}
 
 // fanout is a parent lookup followed by 31 statements of one template, one
 // per key — the shape of the ORM's 1+N fan-out.
 func fanout(tmpl string, args func(k int64) []sqldb.Value) []driver.Stmt {
-	out := []driver.Stmt{threaded("SELECT id, title FROM projects WHERE id = ?", int64(1))}
+	out := []driver.Stmt{q("SELECT id, title FROM projects WHERE id = ?", int64(1))}
 	for k := int64(0); k < 31; k++ {
-		out = append(out, threaded(tmpl, args(k)...))
+		out = append(out, q(tmpl, args(k)...))
 	}
 	return out
 }
@@ -37,12 +26,12 @@ func key(k int64) []sqldb.Value { return []sqldb.Value{k} }
 // statement is analyzed), and the 1+N fan-out of each family.
 func benchBatches() map[string][]driver.Stmt {
 	return map[string][]driver.Stmt{
-		"single": {threaded("SELECT id, name, email FROM users WHERE id = ?", int64(7))},
+		"single": {q("SELECT id, name, email FROM users WHERE id = ?", int64(7))},
 		"mixed4": {
-			threaded("SELECT id, name, email FROM users WHERE id = ?", int64(7)),
-			threaded("SELECT COUNT(*) FROM issues WHERE project_id = ?", int64(3)),
-			threaded("SELECT id, title FROM issues WHERE created >= ? AND created < ? ORDER BY created", int64(10), int64(20)),
-			threaded("SELECT * FROM language_keys WHERE message_key = ? AND locale = 'en'", "greeting"),
+			q("SELECT id, name, email FROM users WHERE id = ?", int64(7)),
+			q("SELECT COUNT(*) FROM issues WHERE project_id = ?", int64(3)),
+			q("SELECT id, title FROM issues WHERE created >= ? AND created < ? ORDER BY created", int64(10), int64(20)),
+			q("SELECT * FROM language_keys WHERE message_key = ? AND locale = 'en'", "greeting"),
 		},
 		"fanout32": fanout("SELECT id, project_id, title FROM issues WHERE project_id = ? AND status = 'open' ORDER BY id", key),
 		"agg32":    fanout("SELECT COUNT(*) FROM issues WHERE project_id = ? AND status = 'open'", key),

@@ -20,9 +20,13 @@ func TestRenderMergedFallback(t *testing.T) {
 	}
 	defer func() { renderMergedFn = orig }()
 
-	stmts := []driver.Stmt{
-		{SQL: "SELECT id, v FROM kv WHERE id = ?", Args: []sqldb.Value{int64(1)}},
-		{SQL: "SELECT id, v FROM kv WHERE id = ?", Args: []sqldb.Value{int64(2)}},
+	stmts := make([]driver.Stmt, 2)
+	for i := range stmts {
+		st, err := driver.Prepare("SELECT id, v FROM kv WHERE id = ?", int64(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stmts[i] = st
 	}
 	m := New(Config{Enabled: true})
 	plan := m.Rewrite(stmts)

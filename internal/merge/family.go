@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/driver"
 	"repro/internal/sqldb"
-	"repro/internal/sqldb/plan"
 	"repro/internal/sqldb/sqlparse"
 )
 
@@ -114,20 +113,11 @@ func scalarClass(v sqldb.Value) byte {
 
 // analyze binds one statement to a shape under the enabled families,
 // filling c and returning its group key (epoch left for Rewrite)
-// when it is mergeable. It consumes the AST the query store threaded
-// through the batch (falling back to the parse interner), so analysis never
-// re-parses SQL text, and the AST's cached shapes, so it never re-derives
-// what the arguments cannot change.
+// when it is mergeable. It consumes the AST driver.Prepare gave the
+// statement, so analysis never parses SQL text, and the AST's cached
+// shapes, so it never re-derives what the arguments cannot change.
 func (m *Merger) analyze(st driver.Stmt, c *candidate) (groupKey, bool) {
-	parsed := st.Parsed
-	if parsed == nil {
-		var err error
-		parsed, err = plan.ParseCached(st.SQL)
-		if err != nil {
-			return groupKey{}, false
-		}
-	}
-	sel, ok := parsed.(*sqlparse.SelectStmt)
+	sel, ok := st.Parsed.(*sqlparse.SelectStmt)
 	if !ok {
 		return groupKey{}, false
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 func countOf(grp int64) driver.Stmt {
-	return driver.Stmt{SQL: "SELECT COUNT(*) AS n FROM kv WHERE grp = ?", Args: []sqldb.Value{grp}}
+	return q("SELECT COUNT(*) AS n FROM kv WHERE grp = ?", grp)
 }
 
 func TestAggregateFamilyMerges(t *testing.T) {
@@ -41,7 +41,7 @@ func TestAggregateFamilyDisabled(t *testing.T) {
 func TestAggregateEndToEnd(t *testing.T) {
 	conn := newKV(t, 30)
 	mk := func(sql string, grp int64) driver.Stmt {
-		return driver.Stmt{SQL: sql, Args: []sqldb.Value{grp}}
+		return q(sql, grp)
 	}
 	stmts := []driver.Stmt{
 		countOf(0),
@@ -89,10 +89,7 @@ func TestAggregateEndToEnd(t *testing.T) {
 // with a residual predicate shared across the family.
 func TestAggregateResidualConjuncts(t *testing.T) {
 	mk := func(id int64) driver.Stmt {
-		return driver.Stmt{
-			SQL:  "SELECT COUNT(*) AS n FROM kv WHERE grp = ? AND id < 20",
-			Args: []sqldb.Value{id},
-		}
+		return q("SELECT COUNT(*) AS n FROM kv WHERE grp = ? AND id < 20", id)
 	}
 	conn := newKV(t, 30)
 	stmts := []driver.Stmt{mk(0), mk(1), mk(2)}
@@ -154,10 +151,7 @@ func TestAggregateDuplicateKeysShareGroup(t *testing.T) {
 }
 
 func rangeStmt(lo, hi int64) driver.Stmt {
-	return driver.Stmt{
-		SQL:  "SELECT id, v, grp FROM kv WHERE id >= ? AND id < ?",
-		Args: []sqldb.Value{lo, hi},
-	}
+	return q("SELECT id, v, grp FROM kv WHERE id >= ? AND id < ?", lo, hi)
 }
 
 // TestRangeEndToEnd: statements whose only varying part is a value window
@@ -167,10 +161,7 @@ func rangeStmt(lo, hi int64) driver.Stmt {
 func TestRangeEndToEnd(t *testing.T) {
 	conn := newKV(t, 30)
 	between := func(lo, hi int64) driver.Stmt {
-		return driver.Stmt{
-			SQL:  "SELECT id, v, grp FROM kv WHERE id BETWEEN ? AND ?",
-			Args: []sqldb.Value{lo, hi},
-		}
+		return q("SELECT id, v, grp FROM kv WHERE id BETWEEN ? AND ?", lo, hi)
 	}
 	stmts := []driver.Stmt{
 		rangeStmt(1, 6),
@@ -210,8 +201,8 @@ func TestRangeEndToEnd(t *testing.T) {
 // same column stay as written.
 func TestRangeMixedClassesDoNotMerge(t *testing.T) {
 	stmts := []driver.Stmt{
-		{SQL: "SELECT v FROM kv WHERE v >= ? AND v < ?", Args: []sqldb.Value{"a", "m"}},
-		{SQL: "SELECT v FROM kv WHERE v >= ? AND v < ?", Args: []sqldb.Value{int64(1), int64(5)}},
+		q("SELECT v FROM kv WHERE v >= ? AND v < ?", "a", "m"),
+		q("SELECT v FROM kv WHERE v >= ? AND v < ?", int64(1), int64(5)),
 	}
 	plan := rewrite(t, merge.Config{Enabled: true}, stmts)
 	if len(plan.Stmts) != 2 {
@@ -223,7 +214,7 @@ func TestRangeMixedClassesDoNotMerge(t *testing.T) {
 // projection drops stay as written.
 func TestRangeColumnNotProjectedIneligible(t *testing.T) {
 	mk := func(lo int64) driver.Stmt {
-		return driver.Stmt{SQL: "SELECT v FROM kv WHERE id >= ? AND id < ?", Args: []sqldb.Value{lo, lo + 5}}
+		return q("SELECT v FROM kv WHERE id >= ? AND id < ?", lo, lo+5)
 	}
 	plan := rewrite(t, merge.Config{Enabled: true}, []driver.Stmt{mk(1), mk(10)})
 	if len(plan.Stmts) != 2 {
@@ -236,10 +227,7 @@ func TestRangeColumnNotProjectedIneligible(t *testing.T) {
 // as a residual conjunct.
 func TestEqualityPreferredOverRange(t *testing.T) {
 	mk := func(grp int64) driver.Stmt {
-		return driver.Stmt{
-			SQL:  "SELECT id, v, grp FROM kv WHERE grp = ? AND id >= 0 AND id < 100",
-			Args: []sqldb.Value{grp},
-		}
+		return q("SELECT id, v, grp FROM kv WHERE grp = ? AND id >= 0 AND id < 100", grp)
 	}
 	plan := rewrite(t, merge.Config{Enabled: true}, []driver.Stmt{mk(0), mk(1)})
 	if len(plan.Stmts) != 1 {

@@ -62,6 +62,7 @@ import (
 
 	"repro/internal/driver"
 	"repro/internal/sqldb"
+	"repro/internal/sqldb/sqlparse"
 )
 
 // MaxInWidth bounds the IN list of one merged statement,
@@ -262,10 +263,11 @@ func (s *scratch) inGroup(c *candidate) bool {
 // Rewrite analyzes a pending batch and coalesces mergeable groups. The
 // returned plan's Stmts execute in place of the originals; Demux then maps
 // the results back (see Plan for how long each kind of plan stays valid).
-// Rewrite never fails: statements it cannot improve (or cannot parse) pass
-// through verbatim, and a batch in which nothing merges costs its analysis
-// and nothing else. The counters are added under the lock at the end, so
-// analysis never runs with the Merger locked.
+// Rewrite never fails: statements it cannot improve (or whose merged text
+// fails to render or parse) pass through verbatim, and a batch in which
+// nothing merges costs its analysis and nothing else. The counters are
+// added under the lock at the end, so analysis never runs with the Merger
+// locked.
 func (m *Merger) Rewrite(stmts []driver.Stmt) *Plan {
 	s := scratchPool.Get().(*scratch)
 	s.cands = slices.Grow(s.cands, len(stmts))[:len(stmts)]
@@ -273,7 +275,7 @@ func (m *Merger) Rewrite(stmts []driver.Stmt) *Plan {
 	merging := false
 	epoch := 0
 	for i, st := range stmts {
-		if st.IsWrite() {
+		if sqlparse.IsWrite(st.Parsed) {
 			// Writes close all open groups: merging must not move a read
 			// from one side of a write to the other.
 			epoch++

@@ -13,7 +13,7 @@ import (
 )
 
 func point(id int64) driver.Stmt {
-	return driver.Stmt{SQL: "SELECT id, v FROM kv WHERE id = ?", Args: []sqldb.Value{id}}
+	return q("SELECT id, v FROM kv WHERE id = ?", id)
 }
 
 func rewrite(t *testing.T, cfg merge.Config, stmts []driver.Stmt) *merge.Plan {
@@ -112,10 +112,7 @@ func TestMaxInWidthChunks(t *testing.T) {
 
 func TestResidualConjunctsAndLiterals(t *testing.T) {
 	mk := func(key string) driver.Stmt {
-		return driver.Stmt{
-			SQL:  "SELECT id, message_key, locale, content FROM language_keys WHERE message_key = ? AND locale = 'en'",
-			Args: []sqldb.Value{key},
-		}
+		return q("SELECT id, message_key, locale, content FROM language_keys WHERE message_key = ? AND locale = 'en'", key)
 	}
 	plan := rewrite(t, merge.Config{Enabled: true}, []driver.Stmt{mk("a"), mk("b")})
 	if len(plan.Stmts) != 1 {
@@ -132,10 +129,7 @@ func TestResidualConjunctsAndLiterals(t *testing.T) {
 
 func TestResidualValueMismatchSplitsGroups(t *testing.T) {
 	mk := func(key, locale string) driver.Stmt {
-		return driver.Stmt{
-			SQL:  "SELECT message_key, locale FROM language_keys WHERE message_key = ? AND locale = ?",
-			Args: []sqldb.Value{key, locale},
-		}
+		return q("SELECT message_key, locale FROM language_keys WHERE message_key = ? AND locale = ?", key, locale)
 	}
 	// Same SQL text, different residual value: must NOT merge together.
 	plan := rewrite(t, merge.Config{Enabled: true}, []driver.Stmt{
@@ -150,18 +144,18 @@ func TestIneligibleShapesPassThrough(t *testing.T) {
 	shapes := []driver.Stmt{
 		// Aggregates over computed expressions stay out of the aggregate
 		// family; so do aggregate statements with an ORDER BY.
-		{SQL: "SELECT SUM(id + 1) FROM kv WHERE grp = ?", Args: []sqldb.Value{int64(1)}},
-		{SQL: "SELECT SUM(id + 1) FROM kv WHERE grp = ?", Args: []sqldb.Value{int64(2)}},
-		{SQL: "SELECT COUNT(*) AS n FROM kv WHERE id = ? ORDER BY n", Args: []sqldb.Value{int64(1)}},
-		{SQL: "SELECT COUNT(*) AS n FROM kv WHERE id = ? ORDER BY n", Args: []sqldb.Value{int64(2)}},
-		{SQL: "SELECT id FROM kv WHERE id = ? LIMIT 1", Args: []sqldb.Value{int64(1)}},
-		{SQL: "SELECT id FROM kv WHERE id = ? LIMIT 1", Args: []sqldb.Value{int64(2)}},
-		{SQL: "SELECT v FROM kv WHERE id = ?", Args: []sqldb.Value{int64(1)}}, // match col not projected
-		{SQL: "SELECT v FROM kv WHERE id = ?", Args: []sqldb.Value{int64(2)}},
-		{SQL: "SELECT a.id FROM kv AS a JOIN kv AS b ON a.id = b.id WHERE a.id = ?", Args: []sqldb.Value{int64(1)}},
-		{SQL: "SELECT a.id FROM kv AS a JOIN kv AS b ON a.id = b.id WHERE a.id = ?", Args: []sqldb.Value{int64(2)}},
-		{SQL: "SELECT id FROM kv WHERE v > ?", Args: []sqldb.Value{int64(1)}}, // no equality conjunct
-		{SQL: "SELECT id FROM kv WHERE v > ?", Args: []sqldb.Value{int64(2)}},
+		q("SELECT SUM(id + 1) FROM kv WHERE grp = ?", int64(1)),
+		q("SELECT SUM(id + 1) FROM kv WHERE grp = ?", int64(2)),
+		q("SELECT COUNT(*) AS n FROM kv WHERE id = ? ORDER BY n", int64(1)),
+		q("SELECT COUNT(*) AS n FROM kv WHERE id = ? ORDER BY n", int64(2)),
+		q("SELECT id FROM kv WHERE id = ? LIMIT 1", int64(1)),
+		q("SELECT id FROM kv WHERE id = ? LIMIT 1", int64(2)),
+		q("SELECT v FROM kv WHERE id = ?", int64(1)), // match col not projected
+		q("SELECT v FROM kv WHERE id = ?", int64(2)),
+		q("SELECT a.id FROM kv AS a JOIN kv AS b ON a.id = b.id WHERE a.id = ?", int64(1)),
+		q("SELECT a.id FROM kv AS a JOIN kv AS b ON a.id = b.id WHERE a.id = ?", int64(2)),
+		q("SELECT id FROM kv WHERE v > ?", int64(1)), // no equality conjunct
+		q("SELECT id FROM kv WHERE v > ?", int64(2)),
 	}
 	plan := rewrite(t, merge.Config{Enabled: true}, shapes)
 	if len(plan.Stmts) != len(shapes) {
@@ -178,7 +172,7 @@ func TestWriteBarrierSplitsGroups(t *testing.T) {
 	stmts := []driver.Stmt{
 		point(1),
 		point(2),
-		{SQL: "UPDATE kv SET v = 'z' WHERE id = 1"},
+		q("UPDATE kv SET v = 'z' WHERE id = 1"),
 		point(3),
 		point(4),
 	}
@@ -195,7 +189,7 @@ func TestWriteBarrierSplitsGroups(t *testing.T) {
 func TestSingletonGroupsKeepOriginalSQL(t *testing.T) {
 	stmts := []driver.Stmt{
 		point(1),
-		{SQL: "SELECT id, name FROM users WHERE id = ?", Args: []sqldb.Value{int64(5)}},
+		q("SELECT id, name FROM users WHERE id = ?", int64(5)),
 	}
 	plan := rewrite(t, merge.Config{Enabled: true}, stmts)
 	if len(plan.Stmts) != 2 || plan.Stmts[0].SQL != stmts[0].SQL || plan.Stmts[1].SQL != stmts[1].SQL {
@@ -234,8 +228,8 @@ func TestEndToEndEquivalence(t *testing.T) {
 		point(4),
 		point(11),
 		point(999), // no such row
-		{SQL: "SELECT id, v, grp FROM kv WHERE grp = ? ORDER BY v DESC", Args: []sqldb.Value{int64(0)}},
-		{SQL: "SELECT id, v, grp FROM kv WHERE grp = ? ORDER BY v DESC", Args: []sqldb.Value{int64(2)}},
+		q("SELECT id, v, grp FROM kv WHERE grp = ? ORDER BY v DESC", int64(0)),
+		q("SELECT id, v, grp FROM kv WHERE grp = ? ORDER BY v DESC", int64(2)),
 		point(4), // duplicate of the first
 	}
 
@@ -275,7 +269,7 @@ func TestEndToEndEquivalence(t *testing.T) {
 func TestOrderByPreservedUnderMerge(t *testing.T) {
 	conn := newKV(t, 30)
 	mk := func(g int64) driver.Stmt {
-		return driver.Stmt{SQL: "SELECT id, v, grp FROM kv WHERE grp = ? ORDER BY id DESC", Args: []sqldb.Value{g}}
+		return q("SELECT id, v, grp FROM kv WHERE grp = ? ORDER BY id DESC", g)
 	}
 	stmts := []driver.Stmt{mk(0), mk(1), mk(2)}
 	plain, err := conn.ExecBatch(stmts)
@@ -308,8 +302,8 @@ func TestOrderByPreservedUnderMerge(t *testing.T) {
 // them could hand the float statement rows its own execution would miss.
 func TestMixedValueTypesDoNotMerge(t *testing.T) {
 	stmts := []driver.Stmt{
-		{SQL: "SELECT id, v FROM kv WHERE id = ?", Args: []sqldb.Value{int64(1)}},
-		{SQL: "SELECT id, v FROM kv WHERE id = ?", Args: []sqldb.Value{float64(1)}},
+		q("SELECT id, v FROM kv WHERE id = ?", int64(1)),
+		q("SELECT id, v FROM kv WHERE id = ?", float64(1)),
 	}
 	plan := rewrite(t, merge.Config{Enabled: true}, stmts)
 	if len(plan.Stmts) != 2 {
@@ -328,7 +322,7 @@ func TestMixedValueTypesDoNotMerge(t *testing.T) {
 // through unmerged.
 func TestAliasShadowingMatchColumnIneligible(t *testing.T) {
 	mk := func(id int64) driver.Stmt {
-		return driver.Stmt{SQL: "SELECT v AS id, id AS other FROM kv WHERE id = ?", Args: []sqldb.Value{id}}
+		return q("SELECT v AS id, id AS other FROM kv WHERE id = ?", id)
 	}
 	plan := rewrite(t, merge.Config{Enabled: true}, []driver.Stmt{mk(1), mk(2)})
 	if len(plan.Stmts) != 2 {

@@ -16,9 +16,10 @@ import (
 // depends only on the exemplar's shape and the member count. (The
 // fingerprint template is rendered once per shape — see newShape.)
 
-// texts caches merged statements without arguments
-// (text and interned AST), at most MaxInWidth per shape, for the life of
-// the shape cache; plan.SetCaching(false) bypasses it, as it does shapesOf.
+// texts caches merged statements without arguments (as driver.Prepare
+// built them from the rendered text), at most MaxInWidth per shape, for
+// the life of the shape cache; plan.SetCaching(false) bypasses it, as it
+// does shapesOf.
 var texts sync.Map // textKey -> driver.Stmt
 
 type textKey struct {
@@ -53,23 +54,23 @@ func renderMerged(c *candidate, members []*candidate) (driver.Stmt, error) {
 	return st, nil
 }
 
-// textOf returns the chunk's merged statement without arguments, rendering
-// it only on a cache miss.
+// textOf returns the chunk's merged statement without arguments: rendered
+// and prepared on a cache miss, and cached unless caching is off.
 func textOf(c *candidate, members []*candidate) (driver.Stmt, error) {
-	if !plan.CachingEnabled() {
-		sql, err := renderText(c, members)
-		return driver.Stmt{SQL: sql}, err
-	}
+	caching := plan.CachingEnabled()
 	k := textKey{c.sh, len(members)}
-	if v, ok := texts.Load(k); ok {
+	if v, ok := texts.Load(k); ok && caching {
 		return v.(driver.Stmt), nil
 	}
 	sql, err := renderText(c, members)
 	if err != nil {
 		return driver.Stmt{}, err
 	}
-	parsed, _ := plan.ParseCached(sql) // nil on error: the driver parses the text
-	v, _ := texts.LoadOrStore(k, driver.Stmt{SQL: sql, Parsed: parsed})
+	st, err := driver.Prepare(sql)
+	if err != nil || !caching {
+		return st, err
+	}
+	v, _ := texts.LoadOrStore(k, st)
 	return v.(driver.Stmt), nil
 }
 

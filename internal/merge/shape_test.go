@@ -15,7 +15,14 @@ import (
 	"repro/internal/sqldb/plan"
 )
 
-func q(sql string, args ...sqldb.Value) driver.Stmt { return driver.Stmt{SQL: sql, Args: args} }
+// q prepares a statement as the query store's Register does.
+func q(sql string, args ...sqldb.Value) driver.Stmt {
+	st, err := driver.Prepare(sql, args...)
+	if err != nil {
+		panic(err)
+	}
+	return st
+}
 
 // TestGroupingEquivalence pins WHICH statements share a merged statement:
 // each case lists a batch and the exact rewritten batch (SQL plus
@@ -261,9 +268,6 @@ func genBatch(r *rand.Rand) []driver.Stmt {
 	stmts := make([]driver.Stmt, 1+r.Intn(14))
 	for i := range stmts {
 		stmts[i] = pool[r.Intn(len(pool))]()
-		if r.Intn(2) == 0 { // thread the AST as the query store does
-			stmts[i].Parsed, _ = plan.ParseCached(stmts[i].SQL)
-		}
 	}
 	return stmts
 }

@@ -205,7 +205,7 @@ func TestRegisterAllocationBudget(t *testing.T) {
 		t.Fatalf("Register of a pending statement allocates %v times, budget 1", n)
 	}
 	fresh, _ := rig(t, Config{})
-	if fresh.errs != nil || fresh.fireAndForget != nil {
+	if fresh.errs != nil {
 		t.Fatal("a fresh store already holds maps")
 	}
 }

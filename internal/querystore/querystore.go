@@ -4,7 +4,10 @@
 // round trip when any of its results is demanded, and caches result sets so
 // repeated forces never re-issue a query.
 //
-// The store enforces the paper's semantics-preserving rules:
+// The store enforces the paper's semantics-preserving rules. Register
+// builds each statement once (driver.Prepare: parsed through the
+// process-wide interner, arguments canonical) and classifies it by its
+// AST; a malformed statement fails there, alone, with nothing queued.
 //
 //   - RegisterQuery(read) appends to the current batch and returns an id;
 //     if the identical statement — same SQL text, pairwise equal arguments
@@ -45,7 +48,6 @@ import (
 	"repro/internal/merge"
 	"repro/internal/obs"
 	"repro/internal/sqldb"
-	"repro/internal/sqldb/plan"
 	"repro/internal/sqldb/sqlparse"
 	"repro/internal/thunk"
 )
@@ -94,14 +96,16 @@ type Config struct {
 	PipelineWrites bool
 	// Trace, when non-nil, records query-lifecycle spans (flush, force,
 	// wait, dispatch, execution) on the virtual clock. Spans parent under
-	// the context installed with SetTraceCtx (typically the page root the
-	// web framework opens); with no context installed nothing records.
+	// the connection's trace context (driver.Conn.SetTraceCtx; the web
+	// framework installs the page root there); with none installed nothing
+	// records.
 	Trace *obs.Tracer
 	// TraceTrack is the exporter track (Perfetto lane) for this store's
 	// session spans; empty selects "session".
 	TraceTrack string
-	// Record, when non-nil, observes every submitted batch (after dedup and
-	// parse-once threading, before merge rewriting). benchmark/probes.go
+	// Record, when non-nil, observes every submitted batch (after dedup,
+	// before merge rewriting); each statement is as driver.Prepare built it
+	// at Register, AST and canonical Args included. benchmark/probes.go
 	// uses it to capture the golden suites' real batch shapes for its
 	// per-layer probes. The slice is the callback's to keep; statement Args
 	// must be treated as read-only.
@@ -134,6 +138,10 @@ type inflight struct {
 	first QueryID
 	n     int
 	ctx   obs.Ctx // the flush span the batch was submitted under
+	// pipelined marks a batch whose last statement is a pipelined write
+	// (ExecPipelined): nobody forces that id, so if the batch fails its
+	// error is latched in writeErrs for the next read barrier or Close.
+	pipelined bool
 }
 
 // Store is a per-request (per-session) query store; a session that serves
@@ -162,17 +170,10 @@ type Store struct {
 	nextID   QueryID
 	stats    Stats
 
-	// traceCtx is the span context store activity records under — the
-	// current page root while a load is in flight (webapp installs it).
-	// The zero value disables recording.
-	traceCtx obs.Ctx
-
-	// fireAndForget marks pipelined-write ids (ExecPipelined) whose result
-	// nobody will force; when such an id's batch fails, writeErrs carries
-	// the error (one entry per failed batch) to the next read barrier or
-	// Close so none is ever dropped.
-	fireAndForget map[QueryID]struct{}
-	writeErrs     []error
+	// writeErrs carries the error of each failed pipelined batch
+	// (inflight.pipelined) to the next read barrier or Close, so none is
+	// ever dropped.
+	writeErrs []error
 
 	// onClose are the release hooks registered with OnClose, run by the
 	// next Close.
@@ -268,7 +269,7 @@ func (s *Store) OnClose(f func()) { s.onClose = append(s.onClose, f) }
 // than by its age. Forcing an id resolved before the boundary afterwards
 // yields ErrUnknownQueryID. Work still in progress crosses the boundary
 // untouched: statements pending in the queue, in-flight tickets (their
-// results are cached when next collected), fire-and-forget bookkeeping,
+// results are cached when next collected, their pipelined marks kept),
 // and latched pipelined-write errors, which the next barrier still
 // delivers.
 //
@@ -298,13 +299,6 @@ func (s *Store) TraceTrack() string {
 	return s.cfg.TraceTrack
 }
 
-// SetTraceCtx installs the span context store activity parents under
-// (the page root during a load; the zero Ctx detaches).
-func (s *Store) SetTraceCtx(ctx obs.Ctx) { s.traceCtx = ctx }
-
-// TraceCtx returns the installed span context.
-func (s *Store) TraceCtx() obs.Ctx { return s.traceCtx }
-
 // Dispatcher exposes the store's dispatch strategy (stats inspection).
 func (s *Store) Dispatcher() dispatch.Dispatcher { return s.disp }
 
@@ -321,17 +315,19 @@ func (s *Store) MergeStats() merge.Stats {
 }
 
 // Register adds a query to the store per the paper's RegisterQuery rules
-// and returns its id. Write statements flush the batch immediately; under
-// the synchronous dispatcher the returned id's result is then already
-// available and execution errors surface here, while deferred dispatchers
-// report them at force time.
+// and returns its id. The statement is prepared here (driver.Prepare: its
+// interned AST classifies it as a read or a write); a malformed one
+// returns its parse error with nothing queued and no round trip. Write
+// statements flush the batch immediately; under the synchronous
+// dispatcher the returned id's result is then already available and
+// execution errors surface here, while deferred dispatchers report them at
+// force time.
 func (s *Store) Register(sql string, args ...sqldb.Value) (QueryID, error) {
-	// Lightweight keyword classification keeps registration off the full
-	// parser: the statement is parsed once, server-side, at flush time.
-	// Malformed SQL classifies as a write, flushes immediately, and the
-	// execution error surfaces here.
-	isWrite := sqlparse.IsWriteSQL(sql)
-	st := driver.Stmt{SQL: sql, Args: args}
+	st, err := driver.Prepare(sql, args...)
+	if err != nil {
+		return 0, err
+	}
+	isWrite := sqlparse.IsWrite(st.Parsed)
 	if s.held == nil {
 		s.held = scratchPool.Get().(*scratch)
 		s.queue, s.dedup, s.results = s.held.queue, s.held.dedup, s.held.results
@@ -392,8 +388,8 @@ func (s *Store) ResultSet(id QueryID) (*sqldb.ResultSet, error) {
 	// The force span covers the cache-miss path end to end: the flush it
 	// triggers plus the wait for every in-flight batch.
 	var fc obs.Ctx
-	if s.traceCtx.Enabled() {
-		fc = s.traceCtx.Child("force", "force", s.conn.Clock().Now(),
+	if ctx := s.conn.TraceCtx(); ctx.Enabled() {
+		fc = ctx.Child("force", "force", s.conn.Clock().Now(),
 			obs.Arg{K: "q", V: int64(id)})
 	}
 	s.submit("force")
@@ -470,19 +466,6 @@ func (s *Store) submit(trigger string) {
 	}
 	batch := s.queue
 	s.dedup.Reset()
-
-	for i := range batch {
-		// Parse-once threading: attach the interned AST here, at submit
-		// time, so the merge analyzer, the driver's cost loop, and the
-		// engine all consume one parse per distinct SQL text. Malformed
-		// statements keep a nil AST — execution re-derives the (interned)
-		// parse error and reports it through the usual deferred path.
-		if batch[i].Parsed == nil {
-			if parsed, err := plan.ParseCached(batch[i].SQL); err == nil {
-				batch[i].Parsed = parsed
-			}
-		}
-	}
 	if s.cfg.Record != nil {
 		// Hand the recorder its own copy: the queue's array holds the next
 		// batch once this one is submitted.
@@ -492,16 +475,16 @@ func (s *Store) submit(trigger string) {
 	// dispatcher that is the whole blocking round trip, under deferred
 	// dispatchers it is a zero-width handoff on the session clock, with the
 	// execution spans under it stamped at their own virtual times.
-	var fctx obs.Ctx
-	if s.traceCtx.Enabled() {
-		fctx = s.traceCtx.Child("flush", "flush", s.conn.Clock().Now(),
-			obs.Arg{K: "trigger", V: trigger},
-			obs.Arg{K: "stmts", V: len(batch)})
-	}
 	// A dispatcher takes the batch's span context from the connection, as it
 	// takes the arrival time from the connection's clock: the flush span is
 	// the connection's context for the duration of Submit.
 	prev := s.conn.TraceCtx()
+	var fctx obs.Ctx
+	if prev.Enabled() {
+		fctx = prev.Child("flush", "flush", s.conn.Clock().Now(),
+			obs.Arg{K: "trigger", V: trigger},
+			obs.Arg{K: "stmts", V: len(batch)})
+	}
 	s.conn.SetTraceCtx(fctx)
 	t := s.disp.Submit(batch)
 	s.conn.SetTraceCtx(prev)
@@ -518,9 +501,9 @@ func (s *Store) submit(trigger string) {
 
 // collect waits for every in-flight batch, caching results and recording
 // deferred errors per id. Returns the first batch error observed. A failed
-// batch carrying a fire-and-forget write additionally latches writeErr, so
-// the failure reaches the next barrier even though nobody forces the
-// write's own id.
+// pipelined batch additionally latches its error in writeErrs, so the
+// failure reaches the next barrier even though nobody forces the write's
+// own id.
 func (s *Store) collect() error {
 	var first error
 	deferred := s.disp.Deferred()
@@ -545,15 +528,10 @@ func (s *Store) collect() error {
 			// Deferred-error delivery: every id of the failed batch
 			// reports the original execution error at force time instead
 			// of "unknown query id".
-			ffHit := false
 			for id := f.first; id < f.first+QueryID(f.n); id++ {
 				s.recordErr(id, err)
-				if _, ff := s.fireAndForget[id]; ff {
-					delete(s.fireAndForget, id)
-					ffHit = true
-				}
 			}
-			if ffHit {
+			if f.pipelined {
 				// Latch per failed batch: two pipelined writes that failed
 				// in separate batches both reach the next barrier.
 				s.writeErrs = append(s.writeErrs, err)
@@ -563,11 +541,6 @@ func (s *Store) collect() error {
 		off := int(f.first - s.base)
 		s.results = slices.Grow(s.results, off+f.n-len(s.results))[:off+f.n]
 		copy(s.results[off:], results)
-		if len(s.fireAndForget) > 0 {
-			for id := f.first; id < f.first+QueryID(f.n); id++ {
-				delete(s.fireAndForget, id)
-			}
-		}
 		s.stats.Executed += int64(bs.Sent)
 	}
 	s.inflight = s.inflight[:0]
@@ -610,10 +583,12 @@ func (s *Store) ExecPipelined(sql string, args ...sqldb.Value) error {
 		_, err := s.ResultSet(id)
 		return err
 	}
-	if s.fireAndForget == nil {
-		s.fireAndForget = make(map[QueryID]struct{})
+	// A write flushed its batch at Register, so it is the last statement of
+	// the batch submit just put in flight (a read flushes nothing and is
+	// left to its force, like any registered read).
+	if n := len(s.inflight); n > 0 && s.inflight[n-1].first+QueryID(s.inflight[n-1].n-1) == id {
+		s.inflight[n-1].pipelined = true
 	}
-	s.fireAndForget[id] = struct{}{}
 	return nil
 }
 

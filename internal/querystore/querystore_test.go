@@ -224,10 +224,41 @@ func TestResultSetUnknownID(t *testing.T) {
 	}
 }
 
+// TestRegisterParseError: a statement that does not parse fails at
+// Register with nothing queued, counted or sent, whatever its first word.
 func TestRegisterParseError(t *testing.T) {
-	s, _ := rig(t, Config{})
-	if _, err := s.Register("SELEC WRONG"); err == nil {
-		t.Fatal("bad SQL accepted")
+	s, link := rig(t, Config{})
+	for _, sql := range []string{"SELEC WRONG", "UPDATE items SET", "SELECT name FROM"} {
+		if _, err := s.Register(sql); err == nil || !strings.HasPrefix(err.Error(), "driver: sql: ") {
+			t.Fatalf("Register(%q) err = %v, want the parse error", sql, err)
+		}
+	}
+	if len(s.queue) != 0 || s.Stats().Registered != 0 || s.Stats().ForcedByWrite != 0 || link.Stats().RoundTrips != 0 {
+		t.Fatalf("a parse error left traces: queue %d, stats %+v, round trips %d", len(s.queue), s.Stats(), link.Stats().RoundTrips)
+	}
+}
+
+// TestMalformedReadFailsAlone: a malformed statement that starts with
+// SELECT fails at its own Register and costs no round trip; the valid read
+// registered beside it is not failed by it.
+func TestMalformedReadFailsAlone(t *testing.T) {
+	s, link := rig(t, Config{})
+	good, err := s.Register("SELECT name FROM items WHERE id = ?", int64(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Register("SELECT 'oops FROM items"); err == nil {
+		t.Fatal("a malformed read was accepted at Register")
+	}
+	if link.Stats().RoundTrips != 0 {
+		t.Fatal("the malformed read cost a round trip")
+	}
+	rs, err := s.ResultSet(good)
+	if err != nil {
+		t.Fatalf("the valid read failed beside a malformed one: %v", err)
+	}
+	if rs.Rows[0][0] != "pear" || link.Stats().RoundTrips != 1 || s.Stats().Executed != 1 {
+		t.Fatalf("rows %v, round trips %d, executed %d; want pear in one trip of one statement", rs.Rows, link.Stats().RoundTrips, s.Stats().Executed)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/plan"
-	"repro/internal/sqldb/sqlparse"
 )
 
 // withCaching runs f under the given plan-cache mode, restoring after.
@@ -22,7 +21,8 @@ func withCaching(t *testing.T, on bool, f func()) {
 // TestExecStmtDoesNotMutateArgs is the regression test for the argument
 // aliasing bugfix: normalization used to write canonical values back into
 // the caller's slice, an aliasing hazard once dispatch tickets retain their
-// argument slices across deferred execution.
+// argument slices across deferred execution. Session.Exec is the engine's
+// normalizing door (sqldb.NormalizeArgs copies).
 func TestExecStmtDoesNotMutateArgs(t *testing.T) {
 	db := New()
 	s := db.NewSession()
@@ -30,12 +30,7 @@ func TestExecStmtDoesNotMutateArgs(t *testing.T) {
 	mustExecT(t, s, "INSERT INTO alias_t (id, score) VALUES (1, 2.5)")
 
 	args := []sqldb.Value{int(1), float32(2.5)}
-	const sql = "SELECT id FROM alias_t WHERE id = ? AND score = ?"
-	st, err := sqlparse.Parse(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, _, err := s.ExecPrepared(nil, sql, st, args, false)
+	rs, err := s.Exec("SELECT id FROM alias_t WHERE id = ? AND score = ?", args...)
 	if err != nil {
 		t.Fatal(err)
 	}

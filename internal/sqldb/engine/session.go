@@ -57,21 +57,24 @@ type Session struct {
 func (db *DB) NewSession() *Session { return &Session{db: db} }
 
 // Exec parses (through the process-wide parse interner) and executes one
-// statement with optional positional args.
+// statement with optional positional args, which may be any Go spelling
+// sqldb.Normalize knows: it is the engine's own door (fixtures, the SQL
+// shell), and it canonicalizes them for ExecPrepared.
 func (s *Session) Exec(sql string, args ...sqldb.Value) (*sqldb.ResultSet, error) {
 	st, err := plan.ParseCached(sql)
 	if err != nil {
 		return nil, err
 	}
-	rs, _, err := s.ExecPrepared(nil, sql, st, args, false)
+	rs, _, err := s.ExecPrepared(nil, sql, st, sqldb.NormalizeArgs(args), false)
 	return rs, err
 }
 
-// ExecPrepared executes a parsed statement whose text is sql, going
-// through the compiled-plan cache, takes a SELECT's result from a (nil
-// allocates it, so Exec's results are the caller's to keep), and (when
-// withPath is set) names the access path the tracing layer stamps on
-// statement spans: "index-eq(col)"
+// ExecPrepared executes a parsed statement whose text is sql, with
+// canonical args (sqldb.NormalizeArgs; driver.Prepare delivers them so),
+// going through the compiled-plan cache, takes a SELECT's result from a
+// (nil allocates it, so Exec's results are the caller's to keep), and
+// (when withPath is set) names the access path the tracing layer stamps
+// on statement spans: "index-eq(col)"
 // / "index-in(col)" / "index-range(a,b)" / "index-order(a,b)" / "scan" for
 // SELECTs — read off the same compiled plan that executes, so tracing never
 // touches the plan cache a second time — "write" for mutations, "control"
@@ -79,29 +82,9 @@ func (s *Session) Exec(sql string, args ...sqldb.Value) (*sqldb.ResultSet, error
 // serializes statements, which is sufficient for the reproduction's
 // single-store workloads.
 func (s *Session) ExecPrepared(a *sqldb.Arena, sql string, st sqlparse.Statement, args []sqldb.Value, withPath bool) (*sqldb.ResultSet, string, error) {
-	args = normalizeArgs(args)
 	s.db.store.Lock()
 	defer s.db.store.Unlock()
 	return s.execLocked(a, sql, st, args, withPath)
-}
-
-// normalizeArgs maps convenience Go types onto canonical values without
-// mutating the caller's slice: tickets in the dispatch pipeline retain
-// their argument slices across deferred execution, so normalizing in place
-// (as an earlier version did) would alias state the caller still owns.
-func normalizeArgs(args []sqldb.Value) []sqldb.Value {
-	for i, v := range args {
-		switch v.(type) {
-		case int, int32, int16, int8, uint, uint32, uint64, float32:
-			out := make([]sqldb.Value, len(args))
-			copy(out, args[:i])
-			for j := i; j < len(args); j++ {
-				out[j] = sqldb.Normalize(args[j])
-			}
-			return out
-		}
-	}
-	return args
 }
 
 func (s *Session) execLocked(a *sqldb.Arena, sql string, st sqlparse.Statement, args []sqldb.Value, withPath bool) (rs *sqldb.ResultSet, path string, err error) {

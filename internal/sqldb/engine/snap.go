@@ -48,12 +48,12 @@ func (ss *SnapSession) ExecSelect(sql string, st sqlparse.Statement, args []sqld
 }
 
 // ExecSelectIn is ExecSelect taking the result from a (nil: allocates it).
+// Its args are canonical, as for Session.ExecPrepared.
 //
 // The structural read lock is held per statement, so a writer
 // restructuring tables blocks readers only for those instants; the
 // snapshot keeps reads consistent across the whole batch regardless.
 func (ss *SnapSession) ExecSelectIn(a *sqldb.Arena, sql string, st sqlparse.Statement, args []sqldb.Value, withPath bool) (*sqldb.ResultSet, string, error) {
-	args = normalizeArgs(args)
 	ss.db.store.ReadLock()
 	defer ss.db.store.ReadUnlock()
 	p := ss.db.plans.Prepare(sql, st)

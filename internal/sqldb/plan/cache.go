@@ -79,13 +79,12 @@ func NewCache(store *storage.Store) *Cache {
 	return &Cache{store: store, entries: make(map[string]cacheEntry)}
 }
 
-// Prepare returns the compiled plan for (sql, st), compiling on first
-// sight or when the schema epoch moved since the cached compile. An empty
-// sql key (a caller holding only an AST) and a disabled cache both compile
-// afresh. The caller must hold the store's writer mutex or its structural
-// read lock.
+// Prepare returns the compiled plan for st, whose text is sql, compiling
+// on first sight or when the schema epoch moved since the cached compile;
+// a disabled cache compiles afresh. The caller must hold the store's
+// writer mutex or its structural read lock.
 func (c *Cache) Prepare(sql string, st sqlparse.Statement) *Prepared {
-	if sql == "" || !CachingEnabled() {
+	if !CachingEnabled() {
 		c.misses.Add(1)
 		return compile(st, c.store)
 	}

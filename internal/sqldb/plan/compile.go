@@ -51,7 +51,7 @@ func Compile(e sqlparse.Expr, env *Env) EvalFn {
 			if idx < 0 || idx >= len(args) {
 				return nil, fmt.Errorf("engine: parameter %d out of range (%d args)", idx, len(args))
 			}
-			return sqldb.Normalize(args[idx]), nil
+			return args[idx], nil
 		}
 	case *sqlparse.ColRef:
 		pos, err := env.resolve(x)

@@ -9,11 +9,13 @@
 // column ordinals, select lists, and index choices on every call. This
 // package makes SQL text a compile-once artifact:
 //
-//   - ParseCached interns parsing per distinct SQL text, process-wide. The
-//     query store populates driver.Stmt.Parsed from it at submit time, and
-//     every downstream consumer (merge analyze, driver cost loop, engine)
-//     reuses the threaded AST, so each distinct text is parsed exactly once
-//     per run (asserted by tests against sqlparse.ParseCalls).
+//   - ParseCached interns parsing per distinct SQL text, process-wide.
+//     driver.Prepare, the one constructor of a statement, parses through
+//     it, and every downstream consumer (the query store's read/write
+//     classification, merge analyze, driver cost loop, engine) reads the
+//     statement's AST, so each distinct text is parsed exactly once per run
+//     (asserted by tests against sqlparse.ParseCalls). Compiled plans take
+//     canonical arguments (sqldb.NormalizeArgs), which Prepare delivers.
 //   - Cache holds compiled plans per database store, keyed by (SQL text,
 //     schema epoch): resolved tables and column ordinals, the chosen access
 //     path (index-eq / index-IN / scan), WHERE predicates and projections

@@ -368,10 +368,11 @@ func QuoteString(s string) string {
 // ParseTypeName resolves a SQL type name to the engine's value type.
 func ParseTypeName(s string) (sqldb.Type, error) { return sqldb.ParseType(s) }
 
-// IsWriteSQL classifies raw SQL text as write (batch-flushing) or read
-// without a full parse, by inspecting the leading keyword. The query store
-// uses it on its hot registration path; malformed statements classify as
-// writes, which flushes them immediately so execution reports the error.
+// IsWriteSQL classifies raw SQL text as write or read without a full
+// parse, by inspecting the leading keyword; malformed statements classify
+// as writes. The query store does not use it: it classifies by IsWrite of
+// the statement's parsed AST. It stays for the benchmark harness's
+// per-statement span classes.
 func IsWriteSQL(sql string) bool {
 	i := 0
 	for i < len(sql) {

@@ -226,6 +226,25 @@ func Normalize(v Value) Value {
 	}
 }
 
+// NormalizeArgs maps every argument onto its canonical Value without
+// mutating the caller's slice: it returns args itself when every argument
+// is already canonical, and otherwise a normalized copy — callers (the
+// dispatch pipeline's tickets among them) may retain their argument slices.
+func NormalizeArgs(args []Value) []Value {
+	for i, v := range args {
+		switch v.(type) {
+		case int, int32, int16, int8, uint, uint32, uint64, float32:
+			out := make([]Value, len(args))
+			copy(out, args[:i])
+			for j := i; j < len(args); j++ {
+				out[j] = Normalize(args[j])
+			}
+			return out
+		}
+	}
+	return args
+}
+
 // Format renders a value as it would appear in a result set dump; strings
 // are quoted, NULL renders as NULL.
 func Format(v Value) string {

@@ -217,11 +217,11 @@ func (a *App) load(r *request, page *Page, req Params, sess *orm.Session) (*Resu
 	tripsBefore := sess.Conn().Link().Stats().RoundTrips
 	batchesBefore := sess.Store().Stats().Batches
 
-	// Page root span: the top of this load's trace tree. The store and
-	// the connection get the root as their parent context for the load's
-	// duration — flush/force spans (Sloth) and per-query round trips
-	// (original mode) both land under it — and the previous contexts are
-	// restored on exit so nested or sequential loads never cross-link.
+	// Page root span: the top of this load's trace tree. The connection
+	// gets the root as its parent context for the load's duration — the
+	// store's flush/force spans (Sloth) and per-query round trips (original
+	// mode) both land under it — and the previous context is restored on
+	// exit so nested or sequential loads never cross-link.
 	store := sess.Store()
 	var pctx obs.Ctx
 	if tr := store.Tracer(); tr != nil {
@@ -231,12 +231,10 @@ func (a *App) load(r *request, page *Page, req Params, sess *orm.Session) (*Resu
 		}
 		pctx = tr.Root(store.TraceTrack(), "page", name, clock.Now(),
 			obs.Arg{K: "mode", V: mode})
-		prevStore, prevConn := store.TraceCtx(), sess.Conn().TraceCtx()
-		store.SetTraceCtx(pctx)
+		prev := sess.Conn().TraceCtx()
 		sess.Conn().SetTraceCtx(pctx)
 		defer func() {
-			store.SetTraceCtx(prevStore)
-			sess.Conn().SetTraceCtx(prevConn)
+			sess.Conn().SetTraceCtx(prev)
 			pctx.End(clock.Now())
 		}()
 	}
