@@ -83,9 +83,9 @@ func asyncSuiteDigest(t *testing.T, cfg querystore.Config) string {
 			fmt.Fprintf(h, "%v %q\n%s\ntotal=%v app=%v db=%v queries=%d\n%+v\n", id, page, res.HTML,
 				env.Clock.Now()-start, res.AppTime, env.Srv.Stats().DBTime-dbBefore, conn.QueriesSent(), link.Stats())
 			fmt.Fprintf(h, "registered=%d dedup=%d executed=%d batches=%d max=%d forced=%d thunks=%d\n",
-				qs.Registered, qs.DedupHits, qs.Executed, qs.Batches, qs.MaxBatch, qs.ForcedByWrite, qs.ThunkAllocs)
+				qs.Registered, qs.DedupHits, conn.QueriesSent(), qs.Batches, qs.MaxBatch, qs.ForcedByWrite, qs.ThunkAllocs)
 			fmt.Fprintf(h, "saved=%d groups=%d families=%v\nsubmitted=%d out=%d overlap=%v\n",
-				ms.Saved, ms.Groups, ms.SavedByFamily, ds.Submitted, ds.StmtsOut, ds.OverlapSaved)
+				ms.Saved, ms.Groups, ms.SavedByFamily, qs.Batches, ds.StmtsOut, ds.OverlapSaved)
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))

@@ -163,7 +163,7 @@ func (e *Env) LoadPageHTML(page string, mode orm.Mode, rtt time.Duration, cfg qu
 	res, err := e.app.Load(page, e.req, sess)
 	// The link, connection and store are fresh per load, so their totals
 	// are this page's; the server's are deltas.
-	after, ls, ds, ms := e.Srv.Stats(), link.Stats(), store.Dispatcher().Stats(), store.MergeStats()
+	after, ls, ds, ms, qs := e.Srv.Stats(), link.Stats(), store.Dispatcher().Stats(), store.MergeStats(), store.Stats()
 	m := PageMetrics{
 		Page:             page,
 		Total:            e.Clock.Now() - start,
@@ -173,8 +173,8 @@ func (e *Env) LoadPageHTML(page string, mode orm.Mode, rtt time.Duration, cfg qu
 		RoundTrips:       ls.RoundTrips,
 		Timeouts:         ls.Timeouts,
 		Queries:          conn.QueriesSent(),
-		MaxBatch:         store.Stats().MaxBatch,
-		Batches:          ds.Submitted,
+		MaxBatch:         qs.MaxBatch,
+		Batches:          qs.Batches,
 		Retries:          ds.Retries,
 		Errors:           ds.Errors,
 		MergeSaved:       ms.Saved,

@@ -27,8 +27,7 @@ type ThroughputPoint struct {
 
 // ThroughputReport is the Fig. 7 curve.
 type ThroughputReport struct {
-	WebCores, DBCores int
-	Points            []ThroughputPoint
+	Points []ThroughputPoint
 	// Demands recorded for transparency (per page, seconds).
 	OrigApp, OrigDB, OrigNet    time.Duration
 	SlothApp, SlothDB, SlothNet time.Duration
@@ -43,7 +42,7 @@ type demand struct {
 // client counts through the queueing model.
 func Throughput(env *Env, clients []int) (ThroughputReport, error) {
 	const webCores, dbCores = 8, 12
-	rep := ThroughputReport{WebCores: webCores, DBCores: dbCores}
+	var rep ThroughputReport
 
 	measure := func(mode orm.Mode) (demand, error) {
 		sum, err := env.suiteSum(mode, env.StoreCfg)

@@ -4,7 +4,7 @@
 // pays for it on its virtual clock:
 //
 //   - Sync reproduces the paper's behaviour exactly: Submit rewrites the
-//     batch through the pipeline stages, executes it in one blocking round
+//     batch through the pipeline stage, executes it in one blocking round
 //     trip, and Wait just hands the results back.
 //   - Async is the pipelined-flush strategy (ROADMAP "async/pipelined
 //     flushes"): Submit executes the batch just as Sync does but leaves the
@@ -16,9 +16,10 @@
 // submitting session's goroutine inside Submit; the package starts no
 // goroutine.
 //
-// Pipeline stages (today: the batch query-merge optimizer of
-// internal/merge) rewrite a batch before execution and demultiplex results
-// after, so every strategy benefits from the same optimizations.
+// A dispatcher runs at most one pipeline stage (the batch query-merge
+// optimizer of internal/merge), which rewrites a batch before execution and
+// demultiplexes its results after, so both strategies benefit from the same
+// optimization.
 package dispatch
 
 import (
@@ -64,8 +65,10 @@ func ParseKind(s string) (Kind, bool) {
 	return KindSync, false
 }
 
-// BatchStats describes what execution of one submitted batch cost, for the
-// query store's per-store accounting.
+// BatchStats describes what execution of one submitted batch cost. No
+// layer reads it: the query store counts batches itself and the connection
+// counts the statements sent (driver.Conn.QueriesSent). It stays only
+// because benchmark/ implements Dispatcher, whose Wait returns it.
 type BatchStats struct {
 	// Sent is how many statements this batch contributed to the database
 	// after pipeline rewriting.
@@ -113,8 +116,7 @@ type Dispatcher interface {
 
 // Stats counts dispatcher activity.
 type Stats struct {
-	Submitted int64 // batches submitted
-	StmtsIn   int64 // statements submitted
+	StmtsIn int64 // statements submitted
 	// StmtsOut is statements handed to the database after pipeline
 	// rewriting — attempts, counted whether or not the batch then failed,
 	// so the error path and the success path account identically; Errors
@@ -172,51 +174,25 @@ func (s mergeStage) Apply(stmts []driver.Stmt) ([]driver.Stmt, Demux, StageStats
 	return plan.Stmts, plan.Demux, StageStats{Saved: plan.Saved(), Groups: plan.Groups()}
 }
 
-// applyStages chains the pipeline over a batch, composing demuxes in
-// reverse so results flow back through each stage's reconstruction. When
-// ctx records it also leaves a zero-width "merge" span at the batch's
-// virtual submit time `at` saying what the rewrite did (statements in/out,
+// applyStage runs the pipeline's one stage, if any, over a batch. When ctx
+// records it also leaves a zero-width "merge" span at the batch's virtual
+// submit time `at` saying what the rewrite did (statements in/out,
 // eliminated, merged groups). The rewrite itself takes no virtual time — it
 // happens inside the driver round trip the paper's extended driver already
 // pays for — so the span is an annotation, not a duration.
-func applyStages(ctx obs.Ctx, at time.Duration, stages []Stage, stmts []driver.Stmt) ([]driver.Stmt, Demux) {
-	var demux Demux
-	var total StageStats
-	out := stmts
-	for _, st := range stages {
-		var d Demux
-		var ss StageStats
-		out, d, ss = st.Apply(out)
-		demux = then(d, demux)
-		total.Saved += ss.Saved
-		total.Groups += ss.Groups
+func applyStage(ctx obs.Ctx, at time.Duration, stage Stage, stmts []driver.Stmt) ([]driver.Stmt, Demux) {
+	if stage == nil {
+		return stmts, nil
 	}
-	if len(stages) > 0 && ctx.Enabled() {
+	out, demux, ss := stage.Apply(stmts)
+	if ctx.Enabled() {
 		ctx.Instant("merge", "rewrite", at,
 			obs.Arg{K: "in", V: len(stmts)},
 			obs.Arg{K: "out", V: len(out)},
-			obs.Arg{K: "saved", V: total.Saved},
-			obs.Arg{K: "groups", V: total.Groups})
+			obs.Arg{K: "saved", V: ss.Saved},
+			obs.Arg{K: "groups", V: ss.Groups})
 	}
 	return out, demux
-}
-
-// then composes two demuxes, first applied first; a nil one is the
-// identity, so a lone stage's demux comes back as it is.
-func then(first, next Demux) Demux {
-	if first == nil {
-		return next
-	}
-	if next == nil {
-		return first
-	}
-	return func(results []*sqldb.ResultSet) ([]*sqldb.ResultSet, error) {
-		results, err := first(results)
-		if err != nil {
-			return nil, err
-		}
-		return next(results)
-	}
 }
 
 // addRun accounts one batch run; the caller holds the dispatcher's lock. Attempts

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -243,7 +244,7 @@ func TestAsyncExecutesAtSubmit(t *testing.T) {
 	if st.OverlapSaved != hidden {
 		t.Fatalf("OverlapSaved = %v, want the hidden time %v", st.OverlapSaved, hidden)
 	}
-	if st.PeakQueue != n || st.Submitted != n {
+	if st.PeakQueue != n || st.StmtsIn != n {
 		t.Fatalf("stats after the waits: %+v", st)
 	}
 	s := NewSync(conn)
@@ -253,54 +254,31 @@ func TestAsyncExecutesAtSubmit(t *testing.T) {
 	}
 }
 
-// tagStage passes a batch through and returns a demux that logs its tag
-// (nil when tag is empty: a stage with nothing to demultiplex).
-type tagStage struct {
-	tag string
-	log *[]string
-}
-
-func (s tagStage) Apply(stmts []driver.Stmt) ([]driver.Stmt, Demux, StageStats) {
-	if s.tag == "" {
-		return stmts, nil, StageStats{}
-	}
-	return stmts, func(rs []*sqldb.ResultSet) ([]*sqldb.ResultSet, error) {
-		*s.log = append(*s.log, s.tag)
-		return rs, nil
-	}, StageStats{}
-}
-
-// TestApplyStagesComposesDemuxes: demuxes run last stage first, stages
-// without one drop out, and a lone stage's demux comes back as it is — no
-// composing closure around it.
-func TestApplyStagesComposesDemuxes(t *testing.T) {
-	var log []string
-	stmts := []driver.Stmt{sel(1)}
-	for _, tc := range []struct {
-		stages []Stage
-		want   string
+// TestAtMostOneStage: a dispatcher runs one stage or none, and asking for
+// more panics naming the limit; a pass-through batch through the lone merge
+// stage allocates nothing.
+func TestAtMostOneStage(t *testing.T) {
+	_, connect := rig(t)
+	conn, _ := connect(0)
+	stage := MergeStage(merge.New(merge.Config{Enabled: true}))
+	for _, mk := range []struct {
+		name  string
+		build func(conn *driver.Conn, stages ...Stage) *Local
 	}{
-		{[]Stage{tagStage{"", &log}}, ""},
-		{[]Stage{tagStage{"a", &log}, tagStage{"", &log}}, "a"},
-		{[]Stage{tagStage{"a", &log}, tagStage{"b", &log}, tagStage{"c", &log}}, "cba"},
+		{"sync", NewSync},
+		{"async", NewAsync},
 	} {
-		log = log[:0]
-		_, demux := applyStages(obs.Ctx{}, 0, tc.stages, stmts)
-		if demux == nil {
-			if tc.want != "" {
-				t.Errorf("%v: no demux, want %q", tc.stages, tc.want)
-			}
-			continue
-		}
-		if _, err := demux(nil); err != nil {
-			t.Fatal(err)
-		}
-		if got := strings.Join(log, ""); got != tc.want {
-			t.Errorf("%v: demuxes ran %q, want %q", tc.stages, got, tc.want)
-		}
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "at most one") {
+					t.Errorf("%s with two stages: recovered %q, want a panic naming the limit", mk.name, msg)
+				}
+			}()
+			mk.build(conn, stage, stage)
+		}()
 	}
-	lone := []Stage{MergeStage(merge.New(merge.Config{Enabled: true}))}
-	if got := testing.AllocsPerRun(100, func() { applyStages(obs.Ctx{}, 0, lone, stmts) }); got != 0 && !raceEnabled {
+	stmts := []driver.Stmt{sel(1)}
+	if got := testing.AllocsPerRun(100, func() { applyStage(obs.Ctx{}, 0, stage, stmts) }); got != 0 && !raceEnabled {
 		t.Errorf("a pass-through batch through a lone merge stage allocates %v times", got)
 	}
 }

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/driver"
@@ -21,7 +22,7 @@ var _ Dispatcher = (*Local)(nil)
 // query store it serves; Stats may be read from any.
 type Local struct {
 	conn     *driver.Conn
-	stages   []Stage
+	stage    Stage // nil for none
 	retry    RetryPolicy
 	deferred bool
 	// ticket is the one ticket NewSync hands out, reset by every Submit (see
@@ -37,14 +38,26 @@ type Local struct {
 	pending int64
 }
 
-// NewSync creates the synchronous dispatcher.
+// NewSync creates the synchronous dispatcher, running at most one stage.
 func NewSync(conn *driver.Conn, stages ...Stage) *Local {
-	return &Local{conn: conn, stages: stages}
+	return newLocal(conn, stages, false)
 }
 
-// NewAsync creates the pipelined-flush dispatcher.
+// NewAsync creates the pipelined-flush dispatcher, running at most one
+// stage.
 func NewAsync(conn *driver.Conn, stages ...Stage) *Local {
-	return &Local{conn: conn, stages: stages, deferred: true}
+	return newLocal(conn, stages, true)
+}
+
+func newLocal(conn *driver.Conn, stages []Stage, deferred bool) *Local {
+	if len(stages) > 1 {
+		panic(fmt.Sprintf("dispatch: %d stages, but a dispatcher runs at most one", len(stages)))
+	}
+	d := &Local{conn: conn, deferred: deferred}
+	if len(stages) == 1 {
+		d.stage = stages[0]
+	}
+	return d
 }
 
 // SetRetry installs the retry policy for this dispatcher's batches. Call
@@ -62,12 +75,11 @@ func (d *Local) Submit(stmts []driver.Stmt) *Ticket {
 		t = new(Ticket)
 	}
 	*t = Ticket{arrival: clock.Now()}
-	r := runBatch(d.conn, d.conn.TraceCtx(), t.arrival, d.stages, stmts, d.retry)
+	r := runBatch(d.conn, d.conn.TraceCtx(), t.arrival, d.stage, stmts, d.retry)
 	t.results, t.err = r.results, r.err
 	t.completeAt = r.done
 	t.bs = BatchStats{Sent: r.sent}
 	d.mu.Lock()
-	d.stats.Submitted++
 	d.stats.StmtsIn += int64(len(stmts))
 	if d.deferred {
 		d.pending++

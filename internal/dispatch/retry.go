@@ -53,7 +53,7 @@ func backoffAfter(attempt int) time.Duration {
 }
 
 // recovery is the outcome of one batch's trip down the pipeline: how many
-// statements the stages left (sent), and either the results per original
+// statements the stage left (sent), and either the results per original
 // statement or the terminal error.
 type recovery struct {
 	sent    int // statements handed to the database after rewriting
@@ -94,11 +94,11 @@ func execAttempts(conn *driver.Conn, ctx obs.Ctx, arrival time.Duration, stmts [
 }
 
 // runBatch is the one road from a held batch to the driver, shared by both
-// dispatch strategies: the stages rewrite the batch, and the rewritten
+// dispatch strategies: the stage, if any, rewrites the batch, and the rewritten
 // batch runs under the retry loop, modeled as arriving at virtual time
 // `arrival`, its results demultiplexed back per original statement.
-func runBatch(conn *driver.Conn, ctx obs.Ctx, arrival time.Duration, stages []Stage, orig []driver.Stmt, policy RetryPolicy) recovery {
-	out, demux := applyStages(ctx, arrival, stages, orig)
+func runBatch(conn *driver.Conn, ctx obs.Ctx, arrival time.Duration, stage Stage, orig []driver.Stmt, policy RetryPolicy) recovery {
+	out, demux := applyStage(ctx, arrival, stage, orig)
 	r := recovery{sent: len(out)}
 	r.results, r.done, r.retries, r.err = execAttempts(conn, ctx, arrival, out, policy)
 	if r.err == nil && demux != nil {

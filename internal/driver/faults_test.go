@@ -45,16 +45,13 @@ func TestFaultOutageAndRecovery(t *testing.T) {
 // Timeouts counter with the failure observed after the wasted delay.
 func TestFaultLinkTimeoutHook(t *testing.T) {
 	_, srv, conn := rig(t, time.Millisecond)
-	srv.SetFaults(faults.NewPlane(faults.Config{
-		LinkTimeoutRate: 1,
-		LinkTimeout:     3 * time.Millisecond,
-	}))
+	srv.SetFaults(faults.NewPlane(faults.Config{LinkTimeoutRate: 1}))
 	_, failAt, err := conn.Exec(obs.Ctx{}, time.Millisecond, []Stmt{prep("SELECT * FROM kv")})
 	if fe := (*faults.Error)(nil); !errors.As(err, &fe) || fe.Kind != "timeout" {
 		t.Fatalf("err = %v", err)
 	}
-	if failAt != 4*time.Millisecond {
-		t.Fatalf("failAt = %v, want arrival + timeout = 4ms", failAt)
+	if want := time.Millisecond + faults.DefaultLinkTimeout; failAt != want {
+		t.Fatalf("failAt = %v, want arrival + timeout = %v", failAt, want)
 	}
 	if s := conn.Link().Stats(); s.Timeouts != 1 {
 		t.Fatalf("link timeouts = %d, want 1", s.Timeouts)

@@ -68,17 +68,15 @@ type Config struct {
 	ExecErrorRate float64
 
 	// LinkTimeoutRate is the probability, per round trip, that the trip
-	// times out: no response after LinkTimeout of virtual time.
+	// times out: no response after DefaultLinkTimeout of virtual time.
 	LinkTimeoutRate float64
-	// LinkTimeout is the virtual time a timed-out trip wastes before the
-	// failure is observed; <= 0 selects DefaultLinkTimeout.
-	LinkTimeout time.Duration
 
 	// Outages are scheduled per-shard unavailability windows.
 	Outages []Outage
 }
 
-// DefaultLinkTimeout is the timeout charged when Config.LinkTimeout is 0.
+// DefaultLinkTimeout is the virtual time a timed-out trip wastes before the
+// failure is observed.
 const DefaultLinkTimeout = 2 * time.Millisecond
 
 // Plane is an installed fault schedule: an immutable, stateless decision
@@ -88,11 +86,8 @@ type Plane struct {
 	cfg Config
 }
 
-// NewPlane builds a fault plane from cfg, normalizing defaulted fields.
+// NewPlane builds a fault plane from cfg.
 func NewPlane(cfg Config) *Plane {
-	if cfg.LinkTimeout <= 0 {
-		cfg.LinkTimeout = DefaultLinkTimeout
-	}
 	return &Plane{cfg: cfg}
 }
 
@@ -141,7 +136,7 @@ func (p *Plane) LinkFault(at time.Duration) (time.Duration, error) {
 	if p.roll("link", 0, at) >= p.cfg.LinkTimeoutRate {
 		return 0, nil
 	}
-	return p.cfg.LinkTimeout, &Error{Site: "link", Kind: "timeout", At: at + p.cfg.LinkTimeout}
+	return DefaultLinkTimeout, &Error{Site: "link", Kind: "timeout", At: at + DefaultLinkTimeout}
 }
 
 // ShardFault decides whether a batch arriving at `at` and touching shard

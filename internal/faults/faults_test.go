@@ -111,22 +111,19 @@ func TestOutageWindow(t *testing.T) {
 }
 
 // TestSlowdownAndTimeout: the only virtual time a plane adds to a trip is a
-// timed-out trip's LinkTimeout. A trip the roll spares costs nothing extra,
-// and a timeout reports the configured delay and is observed after it.
+// timed-out trip's DefaultLinkTimeout. A trip the roll spares costs nothing
+// extra, and a timeout reports the constant delay and is observed after it.
 func TestSlowdownAndTimeout(t *testing.T) {
-	if d, err := NewPlane(Config{LinkTimeout: 3 * time.Millisecond}).LinkFault(time.Millisecond); d != 0 || err != nil {
+	if d, err := NewPlane(Config{}).LinkFault(time.Millisecond); d != 0 || err != nil {
 		t.Fatalf("spared trip: delay=%v err=%v", d, err)
 	}
-	p := NewPlane(Config{LinkTimeoutRate: 1, LinkTimeout: 3 * time.Millisecond})
+	p := NewPlane(Config{LinkTimeoutRate: 1})
 	delay, err := p.LinkFault(time.Millisecond)
 	var fe *Error
-	if delay != 3*time.Millisecond || !errors.As(err, &fe) || fe.Kind != "timeout" {
-		t.Fatalf("timeout: delay=%v err=%v", delay, err)
+	if delay != DefaultLinkTimeout || !errors.As(err, &fe) || fe.Kind != "timeout" {
+		t.Fatalf("timeout: delay=%v err=%v, want delay %v", delay, err, DefaultLinkTimeout)
 	}
-	if fe.At != 4*time.Millisecond {
-		t.Fatalf("timeout observed at %v, want start + delay = 4ms", fe.At)
-	}
-	if d, _ := NewPlane(Config{LinkTimeoutRate: 1}).LinkFault(0); d != DefaultLinkTimeout {
-		t.Fatalf("defaulted timeout delay = %v, want %v", d, DefaultLinkTimeout)
+	if want := time.Millisecond + DefaultLinkTimeout; fe.At != want {
+		t.Fatalf("timeout observed at %v, want start + delay = %v", fe.At, want)
 	}
 }

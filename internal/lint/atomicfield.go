@@ -2,197 +2,48 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
-	"go/types"
-	"sort"
 	"strings"
 )
 
-// atomicfield: a struct field updated through sync/atomic anywhere must
-// be accessed atomically everywhere — one plain read racing an atomic
-// increment is undefined behaviour the race detector only catches when a
-// test happens to interleave it (the ServerStats/StageStats/obs counter
-// shape). The analyzer collects every field that appears as &x.f in a
-// sync/atomic call, then flags every other access to the same field that
-// is not itself inside an atomic call. Composite-literal keys are ignored
-// (initialization before publication is single-goroutine by convention),
-// and mutex-guarded mixed designs must either migrate to the typed
-// atomic.Int64 style or annotate //slothvet:allow atomicfield(reason).
-//
-// Fields of exported structs are published as facts so a downstream
-// package's plain access to an upstream atomic counter is flagged too.
+// atomicfield: a value that is updated atomically must be typed atomic.
+// sync/atomic's functions (AddInt64, LoadUint32, StorePointer, ...) take
+// the address of a plain field, which the rest of the program can still
+// read or write plainly — one plain read racing an atomic increment is
+// undefined behaviour the race detector only catches when a test happens
+// to interleave it. The typed atomics (atomic.Int64, atomic.Value,
+// atomic.Pointer, ...) make every access atomic by construction, in tests
+// and out, so only the functions are banned, in test-free shipped code,
+// across every package.
+
+// atomicFuncPrefixes names sync/atomic's function families; the typed
+// atomics' names start with none of them.
+var atomicFuncPrefixes = []string{"Add", "Load", "Store", "Swap", "CompareAndSwap", "And", "Or"}
+
+// AtomicfieldAnalyzer forbids sync/atomic's functions: atomic values are
+// typed.
 var AtomicfieldAnalyzer = &Analyzer{
 	Name: "atomicfield",
-	Doc:  "a field accessed via sync/atomic anywhere must be accessed atomically everywhere",
+	Doc:  "forbid sync/atomic's functions (AddInt64, LoadInt64, ...); a value updated atomically must be a typed atomic (atomic.Int64, atomic.Pointer, ...)",
 	Run:  runAtomicfield,
 }
 
-type atomicfieldFact struct {
-	// Fields lists "Type.field" names of exported types whose fields are
-	// atomically accessed in the declaring package.
-	Fields []string `json:"fields"`
-}
-
-var atomicFuncPrefixes = []string{"Add", "Load", "Store", "Swap", "CompareAndSwap", "Or", "And"}
-
-func isAtomicFunc(f *types.Func) bool {
-	if f == nil || f.Pkg() == nil || f.Pkg().Path() != "sync/atomic" {
-		return false
-	}
-	for _, p := range atomicFuncPrefixes {
-		if strings.HasPrefix(f.Name(), p) {
-			return true
-		}
-	}
-	return false
-}
-
 func runAtomicfield(pass *Pass) error {
-	// Pass 1: find fields used atomically, and remember which selector
-	// nodes are sanctioned (inside &x.f arguments of atomic calls).
-	atomicFields := make(map[*types.Var]token.Position)
-	sanctioned := make(map[*ast.SelectorExpr]bool)
-
-	fieldOf := func(sel *ast.SelectorExpr) *types.Var {
-		s, ok := pass.Info.Selections[sel]
-		if !ok || s.Kind() != types.FieldVal {
-			return nil
-		}
-		v, _ := s.Obj().(*types.Var)
-		return v
-	}
-
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isAtomicFunc(calleeFunc(pass.Info, call)) {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok || !isPkgIdent(pass.Info, sel.X, "sync/atomic") {
 				return true
 			}
-			for _, arg := range call.Args {
-				un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-				if !ok || un.Op != token.AND {
-					continue
-				}
-				sel, ok := ast.Unparen(un.X).(*ast.SelectorExpr)
-				if !ok {
-					continue
-				}
-				if v := fieldOf(sel); v != nil {
-					sanctioned[sel] = true
-					if _, seen := atomicFields[v]; !seen {
-						atomicFields[v] = pass.Fset.Position(un.Pos())
-					}
+			for _, p := range atomicFuncPrefixes {
+				if strings.HasPrefix(sel.Sel.Name, p) {
+					pass.Reportf(sel.Pos(),
+						"atomic.%s takes the address of a plain value, which other code can still read or write plainly; make the value a typed atomic (atomic.Int64, atomic.Pointer, ...)",
+						sel.Sel.Name)
+					break
 				}
 			}
 			return true
 		})
 	}
-
-	// Imported facts: atomic fields declared upstream.
-	imported := make(map[string]map[string]bool) // pkg path -> "Type.field"
-	importedFor := func(path string) map[string]bool {
-		if m, ok := imported[path]; ok {
-			return m
-		}
-		m := make(map[string]bool)
-		fact := &atomicfieldFact{}
-		if pass.ImportFact(path, fact) {
-			for _, name := range fact.Fields {
-				m[name] = true
-			}
-		}
-		imported[path] = m
-		return m
-	}
-
-	// Pass 2: flag plain accesses.
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			x, ok := n.(*ast.SelectorExpr)
-			if !ok || sanctioned[x] {
-				return true
-			}
-			v := fieldOf(x)
-			if v == nil {
-				return true
-			}
-			if pos, hot := atomicFields[v]; hot {
-				pass.Reportf(x.Sel.Pos(),
-					"non-atomic access to field %s, which is accessed with sync/atomic at %s:%d; mixed access is a data race",
-					v.Name(), shortFile(pos.Filename), pos.Line)
-				return true
-			}
-			// Cross-package: field declared upstream with an exported
-			// struct type; check the declaring package's fact.
-			if v.Pkg() != nil && v.Pkg().Path() != pass.Path {
-				if name, ok := selTypeField(pass.Info, x, v); ok && importedFor(v.Pkg().Path())[name] {
-					pass.Reportf(x.Sel.Pos(),
-						"non-atomic access to field %s.%s, which package %s accesses with sync/atomic; mixed access is a data race",
-						v.Pkg().Name(), v.Name(), v.Pkg().Path())
-				}
-			}
-			return true
-		})
-	}
-
-	// Export fields of named types, "Type.field", for downstream checks.
-	fact := &atomicfieldFact{}
-	for v := range atomicFields {
-		if name, ok := declaredTypeField(pass.Pkg, v); ok {
-			fact.Fields = append(fact.Fields, name)
-		}
-	}
-	sort.Strings(fact.Fields)
-	pass.ExportFact(fact)
 	return nil
-}
-
-// selTypeField names the receiver type and field of a selection as
-// "Type.field" (pointers stripped), for matching against exported facts.
-func selTypeField(info *types.Info, sel *ast.SelectorExpr, v *types.Var) (string, bool) {
-	s, ok := info.Selections[sel]
-	if !ok {
-		return "", false
-	}
-	t := s.Recv()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return "", false
-	}
-	return n.Obj().Name() + "." + v.Name(), true
-}
-
-// declaredTypeField finds the named struct type in pkg declaring field v,
-// returning "Type.field".
-func declaredTypeField(pkg *types.Package, v *types.Var) (string, bool) {
-	if pkg == nil {
-		return "", false
-	}
-	scope := pkg.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok {
-			continue
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if st.Field(i) == v {
-				return tn.Name() + "." + v.Name(), true
-			}
-		}
-	}
-	return "", false
-}
-
-func shortFile(path string) string {
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		return path[i+1:]
-	}
-	return path
 }

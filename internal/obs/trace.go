@@ -52,7 +52,6 @@ type span struct {
 	track  string
 	start  time.Duration // virtual
 	end    time.Duration // virtual; == start until End
-	ended  bool
 	args   []Arg
 }
 
@@ -187,7 +186,6 @@ func (c Ctx) EndArgs(end time.Duration, args ...Arg) {
 	c.t.mu.Lock()
 	s := &c.t.spans[c.id-1]
 	s.end = end
-	s.ended = true
 	if len(args) > 0 {
 		s.args = append(s.args, args...)
 	}

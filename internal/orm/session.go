@@ -111,14 +111,13 @@ func (s *Session) releaseIdentity() {
 }
 
 // write executes a mutating statement. Under ModeSloth the registration
-// flushes the pending batch first, preserving order (paper Sec. 3.3).
-// When the store pipelines writes, the statement rides the dispatch
-// pipeline as a fire-and-forget ticket instead of forcing its own result:
-// read-your-writes holds through the identity map (loaded entities stay
-// current) and the dispatcher's per-session FIFO (later reads execute
-// after the write), and a failure surfaces at the session's next read
-// barrier or close. The returned result set is nil in that case — the ORM
-// mutators only inspect the error.
+// flushes the pending batch first, preserving order (paper Sec. 3.3), and
+// the store decides whether the write waits for its own result: when it
+// pipelines writes (querystore.Store.ExecPipelined), the statement rides
+// the dispatch pipeline as a fire-and-forget ticket — read-your-writes
+// holds through the identity map (loaded entities stay current) and the
+// dispatcher's per-session FIFO (later reads execute after the write), and
+// a failure surfaces at the session's next read barrier or close.
 //
 // The mutators update the identity map optimistically, before the
 // pipelined write has executed. A session that observes a deferred write
@@ -126,14 +125,12 @@ func (s *Session) releaseIdentity() {
 // never have been persisted — and must be discarded, exactly like a
 // Hibernate session after a flush failure; per-request sessions get this
 // for free, since the request that sees the error ends.
-func (s *Session) write(sql string, args ...sqldb.Value) (*sqldb.ResultSet, error) {
+func (s *Session) write(sql string, args ...sqldb.Value) error {
 	if s.mode == ModeOriginal {
-		return s.store.Conn().Query(sql, args...)
+		_, err := s.store.Conn().Query(sql, args...)
+		return err
 	}
-	if s.store.WritesPipelined() {
-		return nil, s.store.ExecPipelined(sql, args...)
-	}
-	return s.store.Exec(sql, args...)
+	return s.store.ExecPipelined(sql, args...)
 }
 
 // Find loads the entity with the given primary key. Under ModeSloth the
@@ -238,9 +235,10 @@ func count(rs *sqldb.ResultSet, err error) res[int64] {
 	return res[int64]{val: n, err: err}
 }
 
-// Insert stores a new entity. Writes are never deferred.
+// Insert stores a new entity. The write flushes its batch at once; when the
+// store pipelines writes, its error arrives at the next barrier (write).
 func (m *Meta[T]) Insert(s *Session, e *T) error {
-	if _, err := s.write(m.insertSQL, m.values(e)...); err != nil {
+	if err := s.write(m.insertSQL, m.values(e)...); err != nil {
 		return err
 	}
 	s.identityPut(&m.table, m.pkOf(e), e)

@@ -103,7 +103,7 @@ func TestDegradedErrorPerID(t *testing.T) {
 			t.Fatalf("id[%d]: rs=%v err=%v, want the batch's fault %v", i+1, rs, err, batchErr)
 		}
 	}
-	if ds := s.Dispatcher().Stats(); ds.Submitted != 1 || ds.Errors != 1 || ds.Retries != 7 {
+	if ds := s.Dispatcher().Stats(); s.Stats().Batches != 1 || ds.Errors != 1 || ds.Retries != 7 {
 		t.Fatalf("dispatcher stats = %+v, want one merged batch failing after 7 retries", ds)
 	}
 
@@ -184,7 +184,7 @@ func TestRetryExhaustedMergedBatch(t *testing.T) {
 	if err := s.ExecPipelined("UPDATE items SET qty = ? WHERE id = ?", int64(0), int64(1)); err != nil {
 		t.Fatal(err)
 	}
-	if ds := s.Dispatcher().Stats(); ds.Submitted != 1 || ds.StmtsOut != 2 || ds.Errors != 1 || ds.Retries != 7 {
+	if ds := s.Dispatcher().Stats(); s.Stats().Batches != 1 || ds.StmtsOut != 2 || ds.Errors != 1 || ds.Retries != 7 {
 		t.Fatalf("dispatcher stats = %+v, want one merged batch of 2 failing after 7 retries", ds)
 	}
 	if now := s.conn.Clock().Now(); now >= outageEnd {

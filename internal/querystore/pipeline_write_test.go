@@ -20,11 +20,11 @@ import (
 func TestPipelinedWriteReadYourWrites(t *testing.T) {
 	s, _ := rig(t, Config{Dispatch: dispatch.KindAsync, PipelineWrites: true})
 	defer s.Close()
-	if !s.WritesPipelined() {
-		t.Fatal("async store with PipelineWrites does not pipeline writes")
-	}
 	if err := s.ExecPipelined("UPDATE items SET qty = 42 WHERE id = 2"); err != nil {
 		t.Fatal(err)
+	}
+	if len(s.inflight) != 1 || !s.inflight[0].pipelined {
+		t.Fatal("async store with PipelineWrites waited for its write")
 	}
 	rs, err := s.Exec("SELECT qty FROM items WHERE id = 2")
 	if err != nil {
@@ -190,9 +190,6 @@ func TestCloseJoinsBatchAndWriteErrors(t *testing.T) {
 func TestExecPipelinedSyncParity(t *testing.T) {
 	s, _ := rig(t, Config{PipelineWrites: true})
 	defer s.Close()
-	if s.WritesPipelined() {
-		t.Fatal("sync store claims pipelined writes")
-	}
 	if err := s.ExecPipelined("UPDATE no_such_table SET qty = 1"); err == nil {
 		t.Fatal("sync ExecPipelined deferred its error")
 	}
@@ -205,5 +202,23 @@ func TestExecPipelinedSyncParity(t *testing.T) {
 	}
 	if rs.Rows[0][0] != int64(9) {
 		t.Fatalf("qty = %v, want 9", rs.Rows[0][0])
+	}
+}
+
+// TestExecPipelinedWaitsUnlessConfigured: a deferred dispatcher alone does
+// not pipeline writes — without Config.PipelineWrites, ExecPipelined waits
+// for the write's own result, so its error surfaces at the call and nothing
+// is left in flight.
+func TestExecPipelinedWaitsUnlessConfigured(t *testing.T) {
+	s, _ := rig(t, Config{Dispatch: dispatch.KindAsync})
+	defer s.Close()
+	if err := s.ExecPipelined("UPDATE no_such_table SET qty = 1"); err == nil {
+		t.Fatal("unpipelined ExecPipelined deferred its error")
+	}
+	if err := s.ExecPipelined("UPDATE items SET qty = 9 WHERE id = 3"); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.inflight) != 0 {
+		t.Fatalf("%d batches left in flight after an unpipelined write", len(s.inflight))
 	}
 }

@@ -118,7 +118,6 @@ type Config struct {
 type Stats struct {
 	Registered    int64 // Register calls (after dedup)
 	DedupHits     int64 // Register calls answered with an existing id
-	Executed      int64 // statements actually sent to the database
 	Batches       int64 // batches flushed
 	MaxBatch      int   // largest batch size flushed (before merging)
 	ForcedByWrite int64 // flushes triggered by a write registration
@@ -513,7 +512,7 @@ func (s *Store) collect() error {
 		if tracedWait {
 			waitFrom = s.conn.Clock().Now()
 		}
-		results, bs, err := s.disp.Wait(f.t)
+		results, _, err := s.disp.Wait(f.t)
 		if tracedWait {
 			// Record the wait only when the session actually blocked on the
 			// virtual clock; fully-overlapped batches wait for free.
@@ -541,7 +540,6 @@ func (s *Store) collect() error {
 		off := int(f.first - s.base)
 		s.results = slices.Grow(s.results, off+f.n-len(s.results))[:off+f.n]
 		copy(s.results[off:], results)
-		s.stats.Executed += int64(bs.Sent)
 	}
 	s.inflight = s.inflight[:0]
 	return first
@@ -558,28 +556,24 @@ func (s *Store) Exec(sql string, args ...sqldb.Value) (*sqldb.ResultSet, error) 
 	return s.ResultSet(id)
 }
 
-// WritesPipelined reports whether mutating statements ride the pipeline as
-// fire-and-forget tickets: the store is configured for it AND the
-// dispatcher actually defers execution (pipelining through the synchronous
-// dispatcher would change nothing but the error surface).
-func (s *Store) WritesPipelined() bool {
-	return s.cfg.PipelineWrites && s.disp.Deferred()
-}
-
-// ExecPipelined registers a mutating statement and lets it ride the
-// pipeline without demanding its result. Registration still flushes the
-// batch in order — the dispatcher's per-session FIFO preserves
-// read-your-writes — but a deferred dispatcher's session does not wait for
+// ExecPipelined registers a mutating statement and, when the store
+// pipelines writes, lets it ride the pipeline without demanding its result.
+// Writes are pipelined iff Config.PipelineWrites is set AND the dispatcher
+// defers execution (pipelining through the synchronous dispatcher would
+// change nothing but the error surface); otherwise this is Exec minus the
+// result, and the write's error surfaces here. Registration still flushes
+// the batch in order — the dispatcher's per-session FIFO preserves
+// read-your-writes — but a pipelining session does not wait for
 // completion: the write's round trip overlaps whatever the session
 // computes next. If the write's batch later fails, the error is recorded
 // against the write's QueryID and delivered at the next read barrier or at
-// Close. Under the synchronous dispatcher this is Exec minus the result.
+// Close.
 func (s *Store) ExecPipelined(sql string, args ...sqldb.Value) error {
 	id, err := s.Register(sql, args...)
 	if err != nil {
 		return err
 	}
-	if !s.disp.Deferred() {
+	if !s.cfg.PipelineWrites || !s.disp.Deferred() {
 		_, err := s.ResultSet(id)
 		return err
 	}

@@ -20,9 +20,9 @@ import "sync/atomic"
 // experiments (Sec. 6.6) and the thunk-coalescing optimization (Sec. 4.3)
 // are quantified in terms of thunk allocations and forces.
 type Stats struct {
-	allocs int64
-	forces int64
-	hits   int64 // forces satisfied by memoized values
+	allocs atomic.Int64
+	forces atomic.Int64
+	hits   atomic.Int64 // forces satisfied by memoized values
 }
 
 // globalStats collects counters across all thunks in the process. Counters
@@ -31,13 +31,13 @@ var globalStats Stats
 
 // Allocs reports the number of thunks allocated. Counters only grow:
 // callers measure an interval as a before/after delta.
-func (s *Stats) Allocs() int64 { return atomic.LoadInt64(&s.allocs) }
+func (s *Stats) Allocs() int64 { return s.allocs.Load() }
 
 // Forces reports the number of Force calls.
-func (s *Stats) Forces() int64 { return atomic.LoadInt64(&s.forces) }
+func (s *Stats) Forces() int64 { return s.forces.Load() }
 
 // MemoHits reports how many Force calls returned a memoized value.
-func (s *Stats) MemoHits() int64 { return atomic.LoadInt64(&s.hits) }
+func (s *Stats) MemoHits() int64 { return s.hits.Load() }
 
 // GlobalStats returns the process-wide thunk counters.
 func GlobalStats() *Stats { return &globalStats }
@@ -81,22 +81,22 @@ func Lit[T any](v T) *Thunk[T] {
 // allocated once (the ORM's lazy cell). It counts as an allocation like New;
 // copy the result only before it is first forced.
 func Make[T any](fn func() T) Thunk[T] {
-	atomic.AddInt64(&globalStats.allocs, 1)
+	globalStats.allocs.Add(1)
 	return Thunk[T]{fn: fn}
 }
 
 // MakeLit is Lit by value, under Make's rules.
 func MakeLit[T any](v T) Thunk[T] {
-	atomic.AddInt64(&globalStats.allocs, 1)
+	globalStats.allocs.Add(1)
 	return Thunk[T]{val: v, done: true}
 }
 
 // Force evaluates the thunk, memoizing the result; subsequent calls return
 // the memoized value without re-executing the computation (Sec. 3.2).
 func (t *Thunk[T]) Force() T {
-	atomic.AddInt64(&globalStats.forces, 1)
+	globalStats.forces.Add(1)
 	if t.done {
-		atomic.AddInt64(&globalStats.hits, 1)
+		globalStats.hits.Add(1)
 		return t.val
 	}
 	t.val = t.fn()

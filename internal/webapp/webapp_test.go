@@ -399,7 +399,7 @@ func TestModelValueNeverRenderedNeverForced(t *testing.T) {
 	if got := link.Stats().RoundTrips; got != 1 {
 		t.Fatalf("round trips = %d, want 1", got)
 	}
-	if got := sess.Store().Stats().Executed; got != 2 {
+	if got := sess.Store().Conn().QueriesSent(); got != 2 {
 		t.Fatalf("executed = %d, want 2 (batch includes unused)", got)
 	}
 }
