@@ -62,8 +62,6 @@ type Analysis struct {
 	// RunStart maps the first statement of a coalescible run to its
 	// length and live-out variables.
 	RunStart map[Stmt]*RunInfo
-
-	prog *Program
 }
 
 // RunInfo describes one thunk-coalescing run.
@@ -75,16 +73,15 @@ type RunInfo struct {
 // Analyze runs all passes. The program should be simplified first.
 func Analyze(p *Program) *Analysis {
 	a := &Analysis{
-		Persistent:       make(map[string]bool),
+		Persistent:       p.callers(blockHasQuery),
 		Pure:             make(map[string]bool),
 		DeferrableBranch: make(map[Stmt]bool),
 		BranchOutputs:    make(map[Stmt][]string),
 		RunStart:         make(map[Stmt]*RunInfo),
-		prog:             p,
 	}
-	a.labelPersistent()
-	a.labelPure()
+	impure := p.callers(blockHasEffect)
 	for _, name := range p.Order {
+		a.Pure[name] = !impure[name]
 		fn := p.Funcs[name]
 		uses := map[string]int{}
 		countUses(fn.Body, uses)
@@ -95,30 +92,37 @@ func Analyze(p *Program) *Analysis {
 }
 
 // ---------------------------------------------------------------------------
-// Persistence (Sec. 4.1): a function is persistent if it issues a query or
-// calls a persistent function; computed as a fixpoint over the call graph.
+// Persistence (Sec. 4.1) and purity. A function is persistent if it issues a
+// query or calls a persistent function; it is impure if it writes the
+// database, prints, mutates heap objects, or calls an impure function. Both
+// are one closure over the call graph.
 
-func (a *Analysis) labelPersistent() {
-	for name, fn := range a.prog.Funcs {
-		if blockHasQuery(fn.Body) {
-			a.Persistent[name] = true
+// callers marks the functions whose body has the property, then, to a
+// fixpoint, every function that calls a marked one. It walks Program.Order,
+// so the marking is deterministic.
+func (p *Program) callers(has func([]Stmt) bool) map[string]bool {
+	marked := make(map[string]bool)
+	for _, name := range p.Order {
+		if has(p.Funcs[name].Body) {
+			marked[name] = true
 		}
 	}
 	for changed := true; changed; {
 		changed = false
-		for name, fn := range a.prog.Funcs {
-			if a.Persistent[name] {
+		for _, name := range p.Order {
+			if marked[name] {
 				continue
 			}
-			for _, callee := range calledFuncs(fn.Body) {
-				if a.Persistent[callee] {
-					a.Persistent[name] = true
+			for _, callee := range calledFuncs(p.Funcs[name].Body) {
+				if marked[callee] {
+					marked[name] = true
 					changed = true
 					break
 				}
 			}
 		}
 	}
+	return marked
 }
 
 func blockHasQuery(stmts []Stmt) bool {
@@ -145,37 +149,6 @@ func calledFuncs(stmts []Stmt) []string {
 	return out
 }
 
-// ---------------------------------------------------------------------------
-// Purity: impure if the function writes the database, prints, mutates heap
-// objects, or calls an impure function.
-
-func (a *Analysis) labelPure() {
-	impure := make(map[string]bool)
-	for name, fn := range a.prog.Funcs {
-		if blockHasEffect(fn.Body) {
-			impure[name] = true
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for name, fn := range a.prog.Funcs {
-			if impure[name] {
-				continue
-			}
-			for _, callee := range calledFuncs(fn.Body) {
-				if impure[callee] {
-					impure[name] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	for name := range a.prog.Funcs {
-		a.Pure[name] = !impure[name]
-	}
-}
-
 func blockHasEffect(stmts []Stmt) bool {
 	found := false
 	walkStmts(stmts, func(s Stmt) {
@@ -197,7 +170,7 @@ func (a *Analysis) labelBranches(stmts []Stmt, uses map[string]int) {
 	for _, s := range stmts {
 		switch st := s.(type) {
 		case *If:
-			if a.stmtDeferrable(s) {
+			if a.stmtDeferrable(s, false) {
 				a.DeferrableBranch[s] = true
 				a.BranchOutputs[s] = liveOuts([]Stmt{s}, uses)
 			} else {
@@ -205,7 +178,7 @@ func (a *Analysis) labelBranches(stmts []Stmt, uses map[string]int) {
 				a.labelBranches(st.Else, uses)
 			}
 		case *While:
-			if a.stmtDeferrable(s) {
+			if a.stmtDeferrable(s, false) {
 				a.DeferrableBranch[s] = true
 				a.BranchOutputs[s] = liveOuts([]Stmt{s}, uses)
 			} else {
@@ -216,42 +189,35 @@ func (a *Analysis) labelBranches(stmts []Stmt, uses map[string]int) {
 }
 
 // stmtDeferrable reports whether a statement can live inside a thunk block.
-func (a *Analysis) stmtDeferrable(s Stmt) bool {
+// A deferred block's force discards the control outcome of what it runs,
+// so break and continue are deferrable only inLoop: inside a While that is
+// itself part of the deferred statement.
+func (a *Analysis) stmtDeferrable(s Stmt, inLoop bool) bool {
 	switch st := s.(type) {
-	case *Skip, *Break, *Continue:
+	case *Skip:
 		return true
+	case *Break, *Continue:
+		return inLoop
 	case *Let:
 		return a.exprDeferrable(st.Init)
 	case *AssignVar:
 		return a.exprDeferrable(st.E)
 	case *If:
-		if !a.exprDeferrable(st.Cond) {
-			return false
-		}
-		for _, inner := range st.Then {
-			if !a.stmtDeferrable(inner) {
-				return false
-			}
-		}
-		for _, inner := range st.Else {
-			if !a.stmtDeferrable(inner) {
-				return false
-			}
-		}
-		return true
+		return a.exprDeferrable(st.Cond) && a.blockDeferrable(st.Then, inLoop) && a.blockDeferrable(st.Else, inLoop)
 	case *While:
-		if st.Cond != nil && !a.exprDeferrable(st.Cond) {
-			return false
-		}
-		for _, inner := range st.Body {
-			if !a.stmtDeferrable(inner) {
-				return false
-			}
-		}
-		return true
+		return (st.Cond == nil || a.exprDeferrable(st.Cond)) && a.blockDeferrable(st.Body, true)
 	default:
 		return false
 	}
+}
+
+func (a *Analysis) blockDeferrable(stmts []Stmt, inLoop bool) bool {
+	for _, s := range stmts {
+		if !a.stmtDeferrable(s, inLoop) {
+			return false
+		}
+	}
+	return true
 }
 
 // exprDeferrable reports whether evaluating the expression creates no
@@ -368,7 +334,11 @@ func (a *Analysis) findRuns(stmts []Stmt, uses map[string]int) {
 func allocCount(e Expr) int {
 	switch x := e.(type) {
 	case *Binop:
-		return 1 + allocCount(x.L) + allocCount(x.R)
+		n := allocCount(x.L) + allocCount(x.R)
+		if x.Op == "&&" || x.Op == "||" {
+			return n // control flow: the walker makes no thunk for it
+		}
+		return 1 + n
 	case *Unop:
 		return 1 + allocCount(x.E)
 	case *Call:

@@ -17,8 +17,9 @@ import (
 // still run, and must merely return: every failure is an error, never a
 // panic or a stack overflow.
 //
-// Seeds are the benchmark pages plus the arity and recursion programs the
-// narrower fuzzer missed; CI adds a short -fuzz budget on top of the
+// Seeds are the benchmark pages, the arity and recursion programs the
+// narrower fuzzer missed, and the short-circuit and break/continue programs
+// of controlPrograms; CI adds a short -fuzz budget on top of the
 // seed-corpus run every `go test` performs.
 func FuzzLazyc(f *testing.F) {
 	pages := BenchmarkPageSources()
@@ -34,6 +35,9 @@ func FuzzLazyc(f *testing.F) {
 	f.Add(arityFewProgram)
 	f.Add(arityManyProgram)
 	f.Add(recursionProgram)
+	for _, c := range controlPrograms {
+		f.Add(c.src)
+	}
 
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<14 {

@@ -60,15 +60,18 @@ type lthunk struct {
 }
 
 // LazyInterp evaluates programs under extended lazy semantics (Sec. 3.8)
-// with a query store for batching. exec/evalLazy below are the lazy walker;
-// strict is the standard-semantics walker of strict.go over the same heap,
-// output and store, running what the compiler left strict.
+// with a query store for batching. It holds two walkers of strict.go over
+// one heap, output and store: lazy, whose hooks leave loads as thunks,
+// delay operations, register R() and defer thunk blocks, and strict, the
+// standard-semantics walker for what the compiler left strict. A call
+// frame opens on strict.bind whichever walker runs the body, so the depth
+// counter is shared.
 type LazyInterp struct {
-	prog     *Program
 	analysis *Analysis
 	store    *querystore.Store
 	heap     *Heap
 	out      strings.Builder
+	lazy     walker
 	strict   walker
 	opts     Options
 	clock    netsim.Clock
@@ -86,7 +89,6 @@ func NewLazy(prog *Program, store *querystore.Store, opts Options, clock netsim.
 		clock = netsim.NewVirtualClock()
 	}
 	in := &LazyInterp{
-		prog:     prog,
 		analysis: Analyze(prog),
 		store:    store,
 		heap:     &Heap{},
@@ -95,16 +97,33 @@ func NewLazy(prog *Program, store *querystore.Store, opts Options, clock netsim.
 		cost:     cost,
 		maxSteps: 5_000_000,
 	}
+	in.lazy = walker{
+		prog:     prog,
+		heap:     in.heap,
+		out:      &in.out,
+		step:     in.step,
+		load:     identity,
+		force:    in.force,
+		show:     in.show,
+		delay:    in.delay,
+		call:     in.callFromLazy,
+		read:     in.register,
+		query:    in.execNow,
+		deferred: in.deferred,
+	}
 	in.strict = walker{
 		prog:  prog,
 		heap:  in.heap,
 		out:   &in.out,
 		step:  in.step,
+		load:  in.force,
 		force: in.force,
-		show:  func(v Value) (Value, error) { return in.deepForce(v, nil) },
+		show:  in.show,
+		delay: runNow,
 		call:  in.callFromStrict,
 		query: in.execNow,
 	}
+	in.strict.read = in.strict.fetch
 	return in
 }
 
@@ -117,7 +136,7 @@ func (in *LazyInterp) Stats() LazyStats { return in.stats }
 // Run executes main(). Reads still pending in the store when main returns
 // are never executed: nothing forced them, so nothing observed them.
 func (in *LazyInterp) Run() error {
-	main, err := in.prog.Main()
+	main, err := in.lazy.prog.Main()
 	if err != nil {
 		return err
 	}
@@ -138,6 +157,11 @@ func (in *LazyInterp) newThunk(fn func() (Value, error)) *lthunk {
 	in.stats.ThunkAllocs++
 	in.clock.Advance(in.cost.PerThunk)
 	return &lthunk{compute: fn}
+}
+
+// delay is the lazy walker's delay hook: the operation becomes a thunk.
+func (in *LazyInterp) delay(op func() (Value, error)) (Value, error) {
+	return in.newThunk(op), nil
 }
 
 // force evaluates thunk chains to a plain value.
@@ -161,6 +185,10 @@ func (in *LazyInterp) force(v Value) (Value, error) {
 		v = t.val
 	}
 }
+
+// show is both walkers' show hook: print is externally visible, so the
+// printed value is forced through heap references.
+func (in *LazyInterp) show(v Value) (Value, error) { return in.deepForce(v, nil) }
 
 // deepForce forces v and, through heap references, every reachable thunk —
 // used by print (externally visible) and by the equivalence tests.
@@ -214,7 +242,7 @@ func (in *LazyInterp) callLazy(fn *Func, args []Value) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctl, ret, err := in.execBlock(env, fn.Body)
+	ctl, ret, err := in.lazy.execBlock(env, fn.Body)
 	return in.strict.unbind(fn, ctl, ret, err)
 }
 
@@ -222,11 +250,30 @@ func (in *LazyInterp) callLazy(fn *Func, args []Value) (Value, error) {
 // arguments — the selective-compilation path for non-persistent functions.
 func (in *LazyInterp) callStrict(fn *Func, args []Value) (Value, error) {
 	in.stats.StrictFuncs++
-	forced, err := in.forceAll(args)
-	if err != nil {
+	if err := in.strict.forceList(args); err != nil {
 		return nil, err
 	}
-	return in.strict.callStd(fn, forced)
+	return in.strict.callStd(fn, args)
+}
+
+// callFromLazy is the lazy walker's call hook. Selective compilation:
+// non-persistent functions are compiled as-is and run strictly (Sec. 4.1).
+// A call to a pure function defers whole (Sec. 3.4); an impure one executes
+// now, with thunk arguments.
+func (in *LazyInterp) callFromLazy(fn *Func, args []Value) (Value, error) {
+	if in.opts.SC && !in.analysis.Persistent[fn.Name] {
+		return in.callStrict(fn, args)
+	}
+	if in.analysis.Pure[fn.Name] {
+		return in.newThunk(func() (Value, error) {
+			ret, err := in.callLazy(fn, args)
+			if err != nil {
+				return nil, err
+			}
+			return in.force(ret)
+		}), nil
+	}
+	return in.callLazy(fn, args)
 }
 
 // callFromStrict is the strict walker's call hook. A strict context still
@@ -244,60 +291,61 @@ func (in *LazyInterp) callFromStrict(fn *Func, args []Value) (Value, error) {
 	return in.force(ret)
 }
 
-// forceAll forces each value of a list (arguments entering strict code).
-func (in *LazyInterp) forceAll(vals []Value) ([]Value, error) {
-	forced := make([]Value, len(vals))
-	for i, a := range vals {
-		v, err := in.force(a)
-		if err != nil {
-			return nil, err
-		}
-		forced[i] = v
-	}
-	return forced, nil
-}
+// ---------------------------------------------------------------------------
+// Queries.
 
-// execNow is the strict walker's query hook and the lazy walker's W(): the
-// statement runs immediately. The store flushes every pending read before
-// it, keeping statement order (Sec. 3.3).
+// execNow is both walkers' query hook, and the strict walker's R() through
+// fetch: the statement runs immediately. The store flushes every pending
+// read before it, keeping statement order (Sec. 3.3).
 func (in *LazyInterp) execNow(sql string) (*sqldb.ResultSet, error) {
 	in.stats.Queries++
 	return in.store.Exec(sql)
 }
 
-// ---------------------------------------------------------------------------
-// Lazy statement execution.
-
-func (in *LazyInterp) execBlock(env map[string]Value, stmts []Stmt) (control, Value, error) {
-	i := 0
-	for i < len(stmts) {
-		s := stmts[i]
-		// Thunk coalescing: a marked run becomes a single block thunk.
-		if in.opts.TC {
-			if run, ok := in.analysis.RunStart[s]; ok {
-				in.deferBlock(env, stmts[i:i+run.Len], run.Outputs)
-				i += run.Len
-				continue
-			}
-		}
-		ctl, ret, err := in.exec(env, s)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		if ctl != ctlNone {
-			return ctl, ret, nil
-		}
-		i++
+// register is the lazy walker's read hook: the query registers with the
+// store now (the defining move of extended lazy evaluation) and the result
+// fetch is deferred (Sec. 3.3).
+func (in *LazyInterp) register(sql string) (Value, error) {
+	in.stats.Queries++
+	id, err := in.store.Register(sql)
+	if err != nil {
+		return nil, err
 	}
-	return ctlNone, nil, nil
+	return in.newThunk(func() (Value, error) {
+		rs, err := in.store.ResultSet(id)
+		if err != nil {
+			return nil, err
+		}
+		return resultToHeap(in.heap, rs), nil
+	}), nil
 }
 
-// deferBlock defers stmts — a coalescible run (Sec. 4.3) or one deferrable
-// If/While (Sec. 4.2) — as one thunk block: the statements execute on the
+// ---------------------------------------------------------------------------
+// Thunk blocks.
+
+// deferred is the lazy walker's block hook. Under TC a coalescible run
+// (Sec. 4.3), and under BD a deferrable If/While (Sec. 4.2), at the head
+// of stmts becomes one thunk block.
+func (in *LazyInterp) deferred(env map[string]Value, stmts []Stmt) int {
+	s := stmts[0]
+	if run, ok := in.analysis.RunStart[s]; ok && in.opts.TC {
+		in.deferBlock(env, stmts[:run.Len], run.Outputs)
+		return run.Len
+	}
+	if in.opts.BD && in.analysis.DeferrableBranch[s] {
+		in.deferBlock(env, stmts[:1], in.analysis.BranchOutputs[s])
+		return 1
+	}
+	return 0
+}
+
+// deferBlock defers stmts as one thunk block: the statements execute on the
 // strict walker inside the block's force method (the compiled _force body
 // of the paper's ThunkBlock), and only the live-out variables get output
 // thunks. Variables assigned inside but dead outside need no thunk at all —
-// the allocation saving that motivates both optimizations.
+// the allocation saving that motivates both optimizations. The analysis
+// keeps return, and break/continue outside a loop of the block, out of a
+// deferred block, so the control outcome discarded here is always ctlNone.
 func (in *LazyInterp) deferBlock(env map[string]Value, stmts []Stmt, outputs []string) {
 	snapshot := copyEnv(env)
 	in.stats.Blocks++
@@ -319,353 +367,10 @@ func (in *LazyInterp) deferBlock(env map[string]Value, stmts []Stmt, outputs []s
 	}
 }
 
-func (in *LazyInterp) exec(env map[string]Value, s Stmt) (control, Value, error) {
-	if err := in.step(); err != nil {
-		return ctlNone, nil, err
-	}
-	switch st := s.(type) {
-	case *Skip:
-		return ctlNone, nil, nil
-	case *Let:
-		v, err := in.evalLazy(env, st.Init)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		env[st.Name] = v
-		return ctlNone, nil, nil
-	case *AssignVar:
-		if _, ok := env[st.Name]; !ok {
-			return ctlNone, nil, fmt.Errorf("lazyc: assignment to undeclared %q", st.Name)
-		}
-		v, err := in.evalLazy(env, st.E)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		env[st.Name] = v
-		return ctlNone, nil, nil
-	case *AssignField:
-		// Heap writes are not delayed: the receiver is forced, the stored
-		// value may remain a thunk (Sec. 3.5).
-		recv, err := in.evalNow(env, st.Recv)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		rec, err := in.heap.record(recv, "write to")
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		v, err := in.evalLazy(env, st.E)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		rec[st.Name] = v
-		return ctlNone, nil, nil
-	case *AssignIndex:
-		arrV, err := in.evalNow(env, st.Arr)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		arr, err := in.heap.array(arrV, "write to")
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		idxV, err := in.evalNow(env, st.Idx)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		slot, ok := elem(arr, idxV)
-		if !ok {
-			return ctlNone, nil, fmt.Errorf("lazyc: index %v out of range", idxV)
-		}
-		v, err := in.evalLazy(env, st.E)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		*slot = v
-		return ctlNone, nil, nil
-	case *If:
-		if in.opts.BD && in.analysis.DeferrableBranch[s] {
-			in.deferBlock(env, []Stmt{s}, in.analysis.BranchOutputs[s])
-			return ctlNone, nil, nil
-		}
-		c, err := in.evalNow(env, st.Cond)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		b, err := truthy(c)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		if b {
-			return in.execBlock(env, st.Then)
-		}
-		return in.execBlock(env, st.Else)
-	case *While:
-		if in.opts.BD && in.analysis.DeferrableBranch[s] {
-			in.deferBlock(env, []Stmt{s}, in.analysis.BranchOutputs[s])
-			return ctlNone, nil, nil
-		}
-		for {
-			if err := in.step(); err != nil {
-				return ctlNone, nil, err
-			}
-			if st.Cond != nil {
-				c, err := in.evalNow(env, st.Cond)
-				if err != nil {
-					return ctlNone, nil, err
-				}
-				b, err := truthy(c)
-				if err != nil {
-					return ctlNone, nil, err
-				}
-				if !b {
-					return ctlNone, nil, nil
-				}
-			}
-			ctl, ret, err := in.execBlock(env, st.Body)
-			if err != nil {
-				return ctlNone, nil, err
-			}
-			switch ctl {
-			case ctlBreak:
-				return ctlNone, nil, nil
-			case ctlReturn:
-				return ctlReturn, ret, nil
-			}
-		}
-	case *Break:
-		return ctlBreak, nil, nil
-	case *Continue:
-		return ctlContinue, nil, nil
-	case *Return:
-		v, err := in.evalLazy(env, st.E)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		return ctlReturn, v, nil
-	case *Write:
-		q, err := in.evalNow(env, st.Query)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		sql, ok := q.(string)
-		if !ok {
-			return ctlNone, nil, fmt.Errorf("lazyc: W() needs a string query")
-		}
-		_, err = in.execNow(sql)
-		return ctlNone, nil, err
-	case *Print:
-		v, err := in.evalLazy(env, st.E)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		fv, err := in.deepForce(v, nil)
-		if err != nil {
-			return ctlNone, nil, err
-		}
-		in.strict.print(fv)
-		return ctlNone, nil, nil
-	case *ExprStmt:
-		_, err := in.evalLazy(env, st.E)
-		return ctlNone, nil, err
-	default:
-		return ctlNone, nil, fmt.Errorf("lazyc: unknown statement %T", s)
-	}
-}
-
 func copyEnv(env map[string]Value) map[string]Value {
 	out := make(map[string]Value, len(env))
 	for k, v := range env {
 		out[k] = v
 	}
 	return out
-}
-
-// ---------------------------------------------------------------------------
-// Lazy expression evaluation.
-
-// evalNow evaluates an operand lazy semantics demands at once — a receiver,
-// an index, a condition, a query string — and forces it.
-func (in *LazyInterp) evalNow(env map[string]Value, e Expr) (Value, error) {
-	v, err := in.evalLazy(env, e)
-	if err != nil {
-		return nil, err
-	}
-	return in.force(v)
-}
-
-func (in *LazyInterp) evalLazy(env map[string]Value, e Expr) (Value, error) {
-	if err := in.step(); err != nil {
-		return nil, err
-	}
-	switch x := e.(type) {
-	case *Const:
-		return x.Val, nil
-	case *Var:
-		v, ok := env[x.Name]
-		if !ok {
-			return nil, fmt.Errorf("lazyc: undefined variable %q", x.Name)
-		}
-		return v, nil
-	case *Field:
-		// Field reads force the receiver and return the (possibly thunk)
-		// field value (Sec. 3.5).
-		recv, err := in.evalNow(env, x.Recv)
-		if err != nil {
-			return nil, err
-		}
-		rec, err := in.heap.record(recv, "read of")
-		if err != nil {
-			return nil, err
-		}
-		return rec[x.Name], nil
-	case *Index:
-		arrV, err := in.evalNow(env, x.Arr)
-		if err != nil {
-			return nil, err
-		}
-		arr, err := in.heap.array(arrV, "of")
-		if err != nil {
-			return nil, err
-		}
-		idxV, err := in.evalNow(env, x.Idx)
-		if err != nil {
-			return nil, err
-		}
-		slot, ok := elem(arr, idxV)
-		if !ok {
-			return nil, fmt.Errorf("lazyc: index %v out of range (%d)", idxV, len(arr))
-		}
-		return *slot, nil
-	case *RecordLit:
-		// Allocation is immediate; field values stay lazy.
-		vals, err := evalList(env, x.Vals, in.evalLazy)
-		if err != nil {
-			return nil, err
-		}
-		return in.heap.Alloc(newRecord(x.Names, vals)), nil
-	case *ArrayLit:
-		arr, err := evalList(env, x.Elems, in.evalLazy)
-		if err != nil {
-			return nil, err
-		}
-		return in.heap.Alloc(arr), nil
-	case *Binop:
-		l, err := in.evalLazy(env, x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := in.evalLazy(env, x.R)
-		if err != nil {
-			return nil, err
-		}
-		op := x.Op
-		return in.newThunk(func() (Value, error) {
-			lv, err := in.force(l)
-			if err != nil {
-				return nil, err
-			}
-			// Short-circuit at force time.
-			if op == "&&" || op == "||" {
-				lb, err := truthy(lv)
-				if err != nil {
-					return nil, err
-				}
-				if op == "&&" && !lb {
-					return false, nil
-				}
-				if op == "||" && lb {
-					return true, nil
-				}
-				rv, err := in.force(r)
-				if err != nil {
-					return nil, err
-				}
-				return truthyValue(rv)
-			}
-			rv, err := in.force(r)
-			if err != nil {
-				return nil, err
-			}
-			return applyBinop(op, lv, rv)
-		}), nil
-	case *Unop:
-		inner, err := in.evalLazy(env, x.E)
-		if err != nil {
-			return nil, err
-		}
-		op := x.Op
-		return in.newThunk(func() (Value, error) {
-			v, err := in.force(inner)
-			if err != nil {
-				return nil, err
-			}
-			return applyUnop(op, v)
-		}), nil
-	case *Call:
-		fn, ok := in.prog.Funcs[x.Fn]
-		if !ok {
-			return nil, fmt.Errorf("lazyc: call to undefined %q", x.Fn)
-		}
-		args, err := evalList(env, x.Args, in.evalLazy)
-		if err != nil {
-			return nil, err
-		}
-		// Selective compilation: non-persistent functions are compiled
-		// as-is and run strictly (Sec. 4.1).
-		if in.opts.SC && !in.analysis.Persistent[x.Fn] {
-			return in.callStrict(fn, args)
-		}
-		if in.analysis.Pure[x.Fn] {
-			// Internal pure call: the whole call defers (Sec. 3.4).
-			return in.newThunk(func() (Value, error) {
-				ret, err := in.callLazy(fn, args)
-				if err != nil {
-					return nil, err
-				}
-				return in.force(ret)
-			}), nil
-		}
-		// Impure internal call: executes now, with thunk arguments.
-		return in.callLazy(fn, args)
-	case *Builtin:
-		args, err := evalList(env, x.Args, in.evalLazy)
-		if err != nil {
-			return nil, err
-		}
-		name := x.Name
-		return in.newThunk(func() (Value, error) {
-			forced, err := in.forceAll(args)
-			if err != nil {
-				return nil, err
-			}
-			return applyBuiltin(in.heap, name, forced)
-		}), nil
-	case *Read:
-		// The query string is forced NOW so the query can register with
-		// the store (the defining move of extended lazy evaluation); the
-		// result fetch is deferred (Sec. 3.3).
-		q, err := in.evalNow(env, x.Query)
-		if err != nil {
-			return nil, err
-		}
-		sql, ok := q.(string)
-		if !ok {
-			return nil, fmt.Errorf("lazyc: R() needs a string query")
-		}
-		in.stats.Queries++
-		id, err := in.store.Register(sql)
-		if err != nil {
-			return nil, err
-		}
-		return in.newThunk(func() (Value, error) {
-			rs, err := in.store.ResultSet(id)
-			if err != nil {
-				return nil, err
-			}
-			return resultToHeap(in.heap, rs), nil
-		}), nil
-	default:
-		return nil, fmt.Errorf("lazyc: unknown expression %T", e)
-	}
 }

@@ -380,6 +380,16 @@ func TestCoalesceRunAnalysis(t *testing.T) {
 	}
 }
 
+// && and || make no thunk, so a run of them saves nothing to coalesce: as
+// a block it would cost a block thunk and an output thunk.
+func TestCoalesceSkipsShortCircuitRuns(t *testing.T) {
+	prog := MustParse(`fn main() { let t = true; let f = false; let a = (t && f) || (t || f); let b = a; print(a); }`)
+	Simplify(prog)
+	if runs := Analyze(prog).RunStart; len(runs) != 0 {
+		t.Fatalf("%d coalesced runs, want none", len(runs))
+	}
+}
+
 func TestSelectiveCompilationReducesAllocations(t *testing.T) {
 	src := `
 fn munge(x) { let a = x + 1; let b = a * 2; let c = b - x; return c; }
@@ -454,6 +464,38 @@ const (
 	arityManyProgram = `fn f(a) { return a; } fn main() { print(f(1, 2)); }`
 	recursionProgram = `fn f(n) { return f(n + 1); } fn main() { print(f(0)); }`
 )
+
+// controlPrograms are control flow the lazy interpreter once got wrong:
+// a right operand of && / || that the left decides must not run (the call
+// prints; the index is out of range), and a break or continue in an if
+// inside a loop must not be deferred away by branch deferral.
+var controlPrograms = []struct{ name, src, want string }{
+	{"or skips its right operand", `fn g() { print(7); return true; } fn main() { print(true || g()); }`, "true\n"},
+	{"and skips its right operand", `fn g() { print(7); return true; } fn main() { print(false && g()); }`, "false\n"},
+	{"and skips an index out of range", `fn main() { let a = [1]; print(false && a[5] > 0); }`, "false\n"},
+	{"break in a branch", `fn main() { let i = 0; while (i < 10) { if (i > 3) { break; } print(i); i = i + 1; } }`, "0\n1\n2\n3\n"},
+	{"continue in a branch", `fn main() { let i = 0; while (i < 6) { i = i + 1; if (i == 3) { continue; } print(i); } }`, "1\n2\n4\n5\n6\n"},
+}
+
+func TestControlFlowMatchesStd(t *testing.T) {
+	for _, c := range controlPrograms {
+		t.Run(c.name, func(t *testing.T) {
+			std, _ := runStd(t, c.src)
+			if std.Output() != c.want {
+				t.Fatalf("standard run printed %q, want %q", std.Output(), c.want)
+			}
+			for _, opts := range ladder {
+				prog := MustParse(c.src)
+				Simplify(prog)
+				conn, _ := rig(t, 0)
+				lazy := NewLazy(prog, querystore.New(conn, querystore.Config{}), opts, nil, CostModel{})
+				if err := lazy.Run(); err != nil || lazy.Output() != c.want {
+					t.Errorf("opts %+v: lazy run printed %q, %v; want %q", opts, lazy.Output(), err, c.want)
+				}
+			}
+		})
+	}
+}
 
 func TestRuntimeErrors(t *testing.T) {
 	bad := []string{

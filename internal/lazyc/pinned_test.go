@@ -39,10 +39,10 @@ type kernelPin struct {
 }
 
 // TestKernelCountersPinned holds the kernel benchmark pages to the counts
-// measured before the standard-semantics walkers were merged (PR 18): which
-// walker runs a piece of code must not change what it allocates, forces,
-// queries or costs. Summed over the pages and multiplied by the experiment's
-// 25 repeats, each column is a Fig. 12 row.
+// measured when standard and lazy semantics still had walkers of their own:
+// running both as one walker with different hooks must not change what a
+// page allocates, forces, queries or costs. Summed over the pages and
+// multiplied by the experiment's 25 repeats, each column is a Fig. 12 row.
 func TestKernelCountersPinned(t *testing.T) {
 	pinned := []struct {
 		page, output string

@@ -15,7 +15,8 @@ type StdStats struct {
 
 // StdInterp evaluates programs under the standard (strict) semantics of
 // Sec. 3.8: every statement executes when reached, every query runs in its
-// own round trip. It is the walker of strict.go with nothing to force.
+// own round trip. It is the walker of strict.go with nothing to force,
+// delay or defer.
 type StdInterp struct {
 	w     walker
 	db    Queryer
@@ -27,17 +28,19 @@ type StdInterp struct {
 // NewStd creates a standard interpreter over a database connection.
 func NewStd(prog *Program, db Queryer) *StdInterp {
 	in := &StdInterp{db: db, maxSteps: 5_000_000}
-	identity := func(v Value) (Value, error) { return v, nil }
 	in.w = walker{
 		prog:  prog,
 		heap:  &Heap{},
 		out:   &strings.Builder{},
 		step:  in.step,
+		load:  identity,
 		force: identity,
 		show:  identity,
+		delay: runNow,
 		query: in.query,
 	}
 	in.w.call = in.w.callStd
+	in.w.read = in.w.fetch
 	return in
 }
 

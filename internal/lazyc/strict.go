@@ -7,14 +7,18 @@ import (
 	"repro/internal/sqldb"
 )
 
-// This file is the one standard-semantics evaluator (Sec. 3.8): every
-// statement executes when reached, every expression yields a plain value.
-// StdInterp is this walker over a bare database connection. LazyInterp
-// runs the same walker for the code its compiler decided NOT to
-// lazy-compile — bodies of non-persistent functions under selective
-// compilation (compiled as-is, Sec. 4.1) and the _force bodies of thunk
-// blocks (the original statements, Sec. 4.2–4.3) — with hooks that force
-// the thunks flowing in from the lazy world.
+// This file is the one evaluator of the kernel language. The walker holds
+// every statement and expression arm once; the two semantics of Sec. 3.8
+// differ only in the hooks their hosts supply. Under standard semantics
+// every statement executes when reached and every expression yields a plain
+// value: StdInterp runs it over a bare database connection, and LazyInterp
+// runs it for the code its compiler decided NOT to lazy-compile — bodies of
+// non-persistent functions under selective compilation (compiled as-is,
+// Sec. 4.1) and the _force bodies of thunk blocks (the original statements,
+// Sec. 4.2–4.3) — forcing the thunks flowing in from the lazy world. Under
+// extended lazy semantics (LazyInterp's lazy walker) loads stay thunks,
+// operations are delayed, R() registers its query and defers the fetch, and
+// each statement is first offered to the block hook that defers it.
 
 // control is a statement's non-local outcome.
 type control int
@@ -31,8 +35,8 @@ const (
 // graphs nest < 100 deep.
 const maxCallDepth = 10_000
 
-// walker evaluates statements and expressions under standard semantics.
-// The hooks are every point where the two hosts differ.
+// walker evaluates statements and expressions. The hooks are every point
+// where standard and extended lazy semantics differ.
 type walker struct {
 	prog *Program
 	heap *Heap
@@ -40,18 +44,38 @@ type walker struct {
 
 	// step charges one evaluation step against the host's budget.
 	step func() error
-	// force resolves a value read from the environment or the heap
-	// (identity when no thunks exist).
+	// load resolves a value read from the environment or the heap: the
+	// standard walker forces it, the lazy walker leaves it as it is.
+	load func(Value) (Value, error)
+	// force resolves an operand needed now: a receiver, an index, a
+	// condition, a query string, or an operand of a delayed operation.
 	force func(Value) (Value, error)
 	// show resolves a value about to be printed, through heap references.
 	show func(Value) (Value, error)
+	// delay applies a Binop, Unop or Builtin operation, which forces its
+	// own operands: at once, or as a thunk.
+	delay func(op func() (Value, error)) (Value, error)
 	// call invokes a user function on evaluated arguments.
 	call func(fn *Func, args []Value) (Value, error)
-	// query runs one SQL statement, R() and W() alike.
+	// read runs R(): fetch the result now, or register the query and
+	// defer the fetch.
+	read func(sql string) (Value, error)
+	// query runs one SQL statement now: W(), and R() under standard
+	// semantics.
 	query func(sql string) (*sqldb.ResultSet, error)
+	// deferred offers the head of a block for deferral and returns how many
+	// statements it turned into one thunk block (0: none). nil defers
+	// nothing.
+	deferred func(env map[string]Value, stmts []Stmt) int
 
 	depth int // user-function frames currently open, across both walkers
 }
+
+// identity is the load, force and show hook of a host without thunks.
+func identity(v Value) (Value, error) { return v, nil }
+
+// runNow is the standard delay hook: the operation runs when reached.
+func runNow(op func() (Value, error)) (Value, error) { return op() }
 
 // bind opens a call frame: it checks arity and call depth and builds the
 // callee's environment. Every successful bind is paired with one unbind.
@@ -93,39 +117,65 @@ func (w *walker) callStd(fn *Func, args []Value) (Value, error) {
 	return w.unbind(fn, ctl, ret, err)
 }
 
+// fetch is the standard read hook: the query runs now and its result lands
+// on the heap.
+func (w *walker) fetch(sql string) (Value, error) {
+	rs, err := w.query(sql)
+	if err != nil {
+		return nil, err
+	}
+	return resultToHeap(w.heap, rs), nil
+}
+
 func (w *walker) execBlock(env map[string]Value, stmts []Stmt) (control, Value, error) {
-	for _, s := range stmts {
-		ctl, ret, err := w.exec(env, s)
+	for i := 0; i < len(stmts); {
+		if w.deferred != nil {
+			if n := w.deferred(env, stmts[i:]); n > 0 {
+				i += n
+				continue
+			}
+		}
+		ctl, ret, err := w.exec(env, stmts[i])
 		if err != nil {
 			return ctlNone, nil, err
 		}
 		if ctl != ctlNone {
 			return ctl, ret, nil
 		}
+		i++
 	}
 	return ctlNone, nil, nil
 }
 
-// cond evaluates a branch or loop condition.
+// now evaluates an operand needed at once and forces it.
+func (w *walker) now(env map[string]Value, e Expr) (Value, error) {
+	v, err := w.eval(env, e)
+	if err != nil {
+		return nil, err
+	}
+	return w.force(v)
+}
+
+// cond evaluates a branch or loop condition, or an operand of && and ||.
 func (w *walker) cond(env map[string]Value, e Expr) (bool, error) {
-	c, err := w.eval(env, e)
+	c, err := w.now(env, e)
 	if err != nil {
 		return false, err
 	}
 	return truthy(c)
 }
 
-// sql evaluates a query argument and runs it.
-func (w *walker) sql(env map[string]Value, e Expr, form string) (*sqldb.ResultSet, error) {
-	q, err := w.eval(env, e)
+// sql evaluates the query argument of R() or W().
+func (w *walker) sql(env map[string]Value, e Expr, form string) (string, error) {
+	q, err := w.now(env, e)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	s, ok := q.(string)
 	if !ok {
-		return nil, fmt.Errorf("lazyc: %s() needs a string query", form)
+		return "", fmt.Errorf("lazyc: %s() needs a string query", form)
 	}
-	return w.query(s)
+	return s, nil
 }
 
 func (w *walker) exec(env map[string]Value, s Stmt) (control, Value, error) {
@@ -153,7 +203,9 @@ func (w *walker) exec(env map[string]Value, s Stmt) (control, Value, error) {
 		env[st.Name] = v
 		return ctlNone, nil, nil
 	case *AssignField:
-		recv, err := w.eval(env, st.Recv)
+		// Heap writes are not delayed: the receiver is forced, the stored
+		// value may remain a thunk (Sec. 3.5).
+		recv, err := w.now(env, st.Recv)
 		if err != nil {
 			return ctlNone, nil, err
 		}
@@ -168,7 +220,7 @@ func (w *walker) exec(env map[string]Value, s Stmt) (control, Value, error) {
 		rec[st.Name] = v
 		return ctlNone, nil, nil
 	case *AssignIndex:
-		arrV, err := w.eval(env, st.Arr)
+		arrV, err := w.now(env, st.Arr)
 		if err != nil {
 			return ctlNone, nil, err
 		}
@@ -176,7 +228,7 @@ func (w *walker) exec(env map[string]Value, s Stmt) (control, Value, error) {
 		if err != nil {
 			return ctlNone, nil, err
 		}
-		idxV, err := w.eval(env, st.Idx)
+		idxV, err := w.now(env, st.Idx)
 		if err != nil {
 			return ctlNone, nil, err
 		}
@@ -232,7 +284,11 @@ func (w *walker) exec(env map[string]Value, s Stmt) (control, Value, error) {
 		}
 		return ctlReturn, v, nil
 	case *Write:
-		_, err := w.sql(env, st.Query, "W")
+		q, err := w.sql(env, st.Query, "W")
+		if err != nil {
+			return ctlNone, nil, err
+		}
+		_, err = w.query(q)
 		return ctlNone, nil, err
 	case *Print:
 		v, err := w.eval(env, st.E)
@@ -242,7 +298,8 @@ func (w *walker) exec(env map[string]Value, s Stmt) (control, Value, error) {
 		if v, err = w.show(v); err != nil {
 			return ctlNone, nil, err
 		}
-		w.print(v)
+		w.out.WriteString(render(w.heap, v))
+		w.out.WriteByte('\n')
 		return ctlNone, nil, nil
 	case *ExprStmt:
 		_, err := w.eval(env, st.E)
@@ -252,24 +309,29 @@ func (w *walker) exec(env map[string]Value, s Stmt) (control, Value, error) {
 	}
 }
 
-// print appends the canonical form of a thunk-free value to the output.
-func (w *walker) print(v Value) {
-	w.out.WriteString(render(w.heap, v))
-	w.out.WriteByte('\n')
-}
-
-// evalList evaluates an argument or element list left to right with one
-// walker's eval.
-func evalList(env map[string]Value, es []Expr, eval func(map[string]Value, Expr) (Value, error)) ([]Value, error) {
+// list evaluates an argument or element list left to right.
+func (w *walker) list(env map[string]Value, es []Expr) ([]Value, error) {
 	vals := make([]Value, len(es))
 	for i, e := range es {
-		v, err := eval(env, e)
+		v, err := w.eval(env, e)
 		if err != nil {
 			return nil, err
 		}
 		vals[i] = v
 	}
 	return vals, nil
+}
+
+// forceList forces each value of a list in place.
+func (w *walker) forceList(vals []Value) error {
+	for i, v := range vals {
+		fv, err := w.force(v)
+		if err != nil {
+			return err
+		}
+		vals[i] = fv
+	}
+	return nil
 }
 
 func (w *walker) eval(env map[string]Value, e Expr) (Value, error) {
@@ -284,9 +346,10 @@ func (w *walker) eval(env map[string]Value, e Expr) (Value, error) {
 		if !ok {
 			return nil, fmt.Errorf("lazyc: undefined variable %q", x.Name)
 		}
-		return w.force(v)
+		return w.load(v)
 	case *Field:
-		recv, err := w.eval(env, x.Recv)
+		// Field reads force the receiver and load the field (Sec. 3.5).
+		recv, err := w.now(env, x.Recv)
 		if err != nil {
 			return nil, err
 		}
@@ -294,9 +357,9 @@ func (w *walker) eval(env map[string]Value, e Expr) (Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		return w.force(rec[x.Name])
+		return w.load(rec[x.Name])
 	case *Index:
-		arrV, err := w.eval(env, x.Arr)
+		arrV, err := w.now(env, x.Arr)
 		if err != nil {
 			return nil, err
 		}
@@ -304,7 +367,7 @@ func (w *walker) eval(env map[string]Value, e Expr) (Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		idxV, err := w.eval(env, x.Idx)
+		idxV, err := w.now(env, x.Idx)
 		if err != nil {
 			return nil, err
 		}
@@ -312,84 +375,96 @@ func (w *walker) eval(env map[string]Value, e Expr) (Value, error) {
 		if !ok {
 			return nil, fmt.Errorf("lazyc: index %v out of range (%d)", idxV, len(arr))
 		}
-		return w.force(*slot)
+		return w.load(*slot)
 	case *RecordLit:
-		vals, err := evalList(env, x.Vals, w.eval)
+		// Allocation is immediate; field values stay as evaluated.
+		vals, err := w.list(env, x.Vals)
 		if err != nil {
 			return nil, err
 		}
 		return w.heap.Alloc(newRecord(x.Names, vals)), nil
 	case *ArrayLit:
-		arr, err := evalList(env, x.Elems, w.eval)
+		arr, err := w.list(env, x.Elems)
 		if err != nil {
 			return nil, err
 		}
 		return w.heap.Alloc(arr), nil
 	case *Binop:
+		// && and || are control flow under both semantics: the left operand
+		// is forced here, like an if condition, and the right one is
+		// evaluated only when the left does not decide.
+		if x.Op == "&&" || x.Op == "||" {
+			b, err := w.cond(env, x.L)
+			if err != nil {
+				return nil, err
+			}
+			if b == (x.Op == "||") {
+				return b, nil
+			}
+			if b, err = w.cond(env, x.R); err != nil {
+				return nil, err
+			}
+			return b, nil
+		}
 		l, err := w.eval(env, x.L)
 		if err != nil {
 			return nil, err
-		}
-		// Short-circuit && and || like the host applications would.
-		if x.Op == "&&" || x.Op == "||" {
-			lb, err := truthy(l)
-			if err != nil {
-				return nil, err
-			}
-			if x.Op == "&&" && !lb {
-				return false, nil
-			}
-			if x.Op == "||" && lb {
-				return true, nil
-			}
-			r, err := w.eval(env, x.R)
-			if err != nil {
-				return nil, err
-			}
-			return truthyValue(r)
 		}
 		r, err := w.eval(env, x.R)
 		if err != nil {
 			return nil, err
 		}
-		return applyBinop(x.Op, l, r)
+		return w.delay(func() (Value, error) {
+			lv, err := w.force(l)
+			if err != nil {
+				return nil, err
+			}
+			rv, err := w.force(r)
+			if err != nil {
+				return nil, err
+			}
+			return applyBinop(x.Op, lv, rv)
+		})
 	case *Unop:
 		v, err := w.eval(env, x.E)
 		if err != nil {
 			return nil, err
 		}
-		return applyUnop(x.Op, v)
+		return w.delay(func() (Value, error) {
+			fv, err := w.force(v)
+			if err != nil {
+				return nil, err
+			}
+			return applyUnop(x.Op, fv)
+		})
 	case *Call:
 		fn, ok := w.prog.Funcs[x.Fn]
 		if !ok {
 			return nil, fmt.Errorf("lazyc: call to undefined %q", x.Fn)
 		}
-		args, err := evalList(env, x.Args, w.eval)
+		args, err := w.list(env, x.Args)
 		if err != nil {
 			return nil, err
 		}
 		return w.call(fn, args)
 	case *Builtin:
-		args, err := evalList(env, x.Args, w.eval)
+		args, err := w.list(env, x.Args)
 		if err != nil {
 			return nil, err
 		}
-		return applyBuiltin(w.heap, x.Name, args)
+		return w.delay(func() (Value, error) {
+			if err := w.forceList(args); err != nil {
+				return nil, err
+			}
+			return applyBuiltin(w.heap, x.Name, args)
+		})
 	case *Read:
-		rs, err := w.sql(env, x.Query, "R")
+		q, err := w.sql(env, x.Query, "R")
 		if err != nil {
 			return nil, err
 		}
-		return resultToHeap(w.heap, rs), nil
+		return w.read(q)
 	default:
 		return nil, fmt.Errorf("lazyc: unknown expression %T", e)
 	}
-}
-
-func truthyValue(v Value) (Value, error) {
-	b, err := truthy(v)
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
 }
