@@ -16,8 +16,8 @@ race:
 	$(GO) test -race ./...
 
 # vet runs the standard go vet checks plus slothvet, the repo's own
-# invariant analyzers (wallclock, stmtscope, snapwrite, mapdet,
-# atomicfield, faultrand — see DESIGN.md §11). Both are blocking, same as CI.
+# invariant analyzers (wallclock, snapwrite, mapdet, atomicfield,
+# faultrand — see DESIGN.md §11). Both are blocking, same as CI.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/slothvet

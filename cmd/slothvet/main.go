@@ -1,5 +1,5 @@
 // Command slothvet runs the repro's static invariant suite (internal/lint):
-// wallclock, stmtscope, snapwrite, mapdet, atomicfield, faultrand.
+// wallclock, snapwrite, mapdet, atomicfield, faultrand.
 //
 //	go run ./cmd/slothvet
 //

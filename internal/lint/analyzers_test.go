@@ -16,10 +16,6 @@ func TestWallclock(t *testing.T) {
 	linttest.Run(t, fixture("wallclock"), lint.WallclockAnalyzer)
 }
 
-func TestStmtscope(t *testing.T) {
-	linttest.Run(t, fixture("stmtscope"), lint.StmtscopeAnalyzer)
-}
-
 func TestSnapwrite(t *testing.T) {
 	linttest.Run(t, fixture("snapwrite"), lint.SnapwriteAnalyzer)
 }

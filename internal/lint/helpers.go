@@ -86,8 +86,8 @@ func isPkgIdent(info *types.Info, e ast.Expr, pkgPath string) bool {
 	return ok && pn.Imported().Path() == pkgPath
 }
 
-// exprString renders a short dotted form of a receiver expression for
-// comparing Begin/End receivers and for diagnostics ("s.db.store").
+// exprString renders a short dotted form of an expression for diagnostics
+// ("s.db.store").
 func exprString(e ast.Expr) string {
 	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:

@@ -1,7 +1,7 @@
 // Package lint is the reproduction's own static-analysis layer: a small,
 // dependency-free re-implementation of the golang.org/x/tools/go/analysis
 // surface (the container image carries no module proxy, so the x/tools
-// framework itself is unavailable) plus the six slothvet analyzers that
+// framework itself is unavailable) plus the five slothvet analyzers that
 // prove the codebase's determinism and concurrency invariants at compile
 // time — the paper's method (Sloth is a static analyzer) turned back on
 // the code that reproduces it.
@@ -41,7 +41,6 @@ type Analyzer struct {
 func All() []*Analyzer {
 	return []*Analyzer{
 		WallclockAnalyzer,
-		StmtscopeAnalyzer,
 		SnapwriteAnalyzer,
 		MapdetAnalyzer,
 		AtomicfieldAnalyzer,

@@ -21,8 +21,8 @@ import (
 // Static means static: calls through stored func values (the compiled
 // plan's row closures) are not traced. Those closures are compiled from
 // pure expression trees; the analyzer's job is catching the realistic
-// regression — someone adding a direct Insert/publish/Lock call under the
-// snapshot path.
+// regression — someone adding a direct Write/Lock call under the snapshot
+// path.
 var SnapwriteAnalyzer = &Analyzer{
 	Name: "snapwrite",
 	Doc:  "prove no storage mutation API is reachable from snapshot (read-only) execution entry points",
@@ -33,19 +33,21 @@ var SnapwriteAnalyzer = &Analyzer{
 // can reach a mutation, the call chain (function IDs, this package's
 // function first) to the mutation it reaches.
 type snapwriteFact struct {
-	// Mutating maps funcID -> short chain description ("(*SelectPlan).ExecSnap -> (*Table).Insert").
+	// Mutating maps funcID -> short chain description ("(SelectPlan).ExecSnap -> (Store).Write").
 	Mutating map[string]string `json:"mutating"`
 }
 
 // mutationSeeds are the storage-package functions that ARE the mutation
 // and locking surface: reaching any of them from a snapshot path is a
-// violation. Unexported implementation helpers (prepend, install) are
-// included so transitive closure inside storage works from names alone;
-// Lock is included because taking the writer mutex on the snapshot path
-// deadlocks against a blocked writer.
+// violation. Rows change only inside Store.Write, through the Writer
+// methods; the unexported table mutators they call are included so
+// transitive closure inside storage works from names alone. Lock is
+// included because taking the writer mutex on the snapshot path deadlocks
+// against a blocked writer.
 var mutationSeeds = map[string][]string{
-	"Table": {"Insert", "Update", "Delete", "AddIndex", "AddOrderedIndex", "addIndex", "install", "prepend"},
-	"Store": {"CreateTable", "BeginStmt", "EndStmt", "Lock"},
+	"Store":  {"Write", "Lock", "CreateTable"},
+	"Writer": {"Insert", "Update", "Delete"},
+	"Table":  {"insert", "update", "delete", "AddIndex", "AddOrderedIndex", "addIndex"},
 }
 
 func isMutationSeed(f *types.Func) bool {

@@ -26,9 +26,18 @@ func (s *SnapSession) sum() int {
 	return n
 }
 
-// Direct mutation from a snapshot root.
-func (s *SnapSession) BadWrite(v int) { // want "snapshot entry point (SnapSession).BadWrite reaches a storage mutation"
-	s.tab.Insert(v)
+// Direct mutation from a snapshot root: opening a Write is the violation,
+// whatever its fn does.
+func (s *SnapSession) BadWrite(v int) { // want "snapshot entry point (SnapSession).BadWrite reaches a storage mutation: (SnapSession).BadWrite -> (Store).Write"
+	s.store.Write(func(w *storage.Writer) error {
+		w.Insert(s.tab, v)
+		return nil
+	})
+}
+
+// A Writer smuggled in from elsewhere is caught at its methods.
+func (s *SnapSession) BadWriter(w *storage.Writer) { // want "(SnapSession).BadWriter -> (Writer).Insert"
+	w.Insert(s.tab, 1)
 }
 
 // Locking is as forbidden as writing: the writer may be blocked on us.
@@ -48,8 +57,14 @@ func (s *SnapSession) GoodViaPlan(p *plan.SelectPlan) int {
 
 // Helpers outside the SnapSession receiver are not roots even when they
 // mutate: the write path legitimately writes.
-type WriteSession struct{ tab *storage.Table }
+type WriteSession struct {
+	tab   *storage.Table
+	store *storage.Store
+}
 
-func (w *WriteSession) Apply(v int) {
-	w.tab.Insert(v)
+func (ws *WriteSession) Apply(v int) {
+	ws.store.Write(func(w *storage.Writer) error {
+		w.Insert(ws.tab, v)
+		return nil
+	})
 }

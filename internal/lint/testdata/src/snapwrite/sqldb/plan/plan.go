@@ -20,7 +20,10 @@ func (p *SelectPlan) scan() int {
 	return n
 }
 
-type UpsertPlan struct{ tab *storage.Table }
+type UpsertPlan struct {
+	tab   *storage.Table
+	store *storage.Store
+}
 
 // ExecSnap here reaches a mutation two hops down.
 func (p *UpsertPlan) ExecSnap() int { // want "snapshot entry point (UpsertPlan).ExecSnap reaches a storage mutation"
@@ -29,5 +32,8 @@ func (p *UpsertPlan) ExecSnap() int { // want "snapshot entry point (UpsertPlan)
 }
 
 func (p *UpsertPlan) apply() {
-	p.tab.Insert(1)
+	p.store.Write(func(w *storage.Writer) error {
+		w.Insert(p.tab, 1)
+		return nil
+	})
 }

@@ -1,13 +1,15 @@
 // Package engine implements the query processor of the reproduction's
 // database: statement execution over the storage layer, and DDL. Each
-// statement is atomic — its writes publish to snapshots in one step — and
-// that is the only atomicity: the dialect has no multi-statement
-// transactions. Since the prepared-plan layer (internal/sqldb/plan)
-// was introduced, the engine executes compiled plans: parsing is interned
-// per distinct SQL text, and column resolution, select-list expansion, and
-// access-path choice happen once per (SQL text, schema epoch) instead of
-// on every call. It is the stand-in for the MySQL server in the paper's
-// experimental setup.
+// write statement runs in one storage.Store.Write, so its writes publish
+// to snapshots in one step; the dialect has no multi-statement
+// transactions. Publication is not rollback: a multi-row INSERT, UPDATE or
+// DELETE that fails part-way returns its error and still publishes the
+// rows it changed before the failure. Since the prepared-plan layer
+// (internal/sqldb/plan) was introduced, the engine executes compiled
+// plans: parsing is interned per distinct SQL text, and column resolution,
+// select-list expansion, and access-path choice happen once per (SQL text,
+// schema epoch) instead of on every call. It is the stand-in for the MySQL
+// server in the paper's experimental setup.
 package engine
 
 import (
@@ -32,8 +34,10 @@ func New() *DB {
 	return &DB{store: store, plans: plan.NewCache(store)}
 }
 
-// Store exposes the underlying storage (the benchmark data generators use
-// it for bulk loading without SQL round trips).
+// Store exposes the underlying storage to readers outside the engine: the
+// driver takes its structural read lock around snapshot batches and reads
+// its shard count; reporting and probes read its tables, rows and plans.
+// Rows change only through SQL (Session), whose writes run in Store.Write.
 func (db *DB) Store() *storage.Store { return db.store }
 
 // PlanCache exposes the compiled-plan cache (hit-rate reporting and the
@@ -95,24 +99,18 @@ func (s *Session) execLocked(a *sqldb.Arena, sql string, st sqlparse.Statement, 
 		if p.Err != nil {
 			return nil, "", p.Err
 		}
-		path = "write"
-		switch {
-		case p.Select != nil:
-			path = ""
-			if withPath {
-				path = p.Select.AccessDesc()
-			}
-			if s.scratch == nil {
-				s.scratch = new(plan.Scratch)
-			}
-			rs, err = p.Select.Exec(args, s.scratch, a)
-		case p.Insert != nil:
-			rs, err = s.execWrite(func() (*sqldb.ResultSet, error) { return s.execInsert(p.Insert, args) })
-		case p.Update != nil:
-			rs, err = s.execWrite(func() (*sqldb.ResultSet, error) { return s.execUpdate(p.Update, args) })
-		default:
-			rs, err = s.execWrite(func() (*sqldb.ResultSet, error) { return s.execDelete(p.Delete, args) })
+		if p.Select == nil {
+			rs, err = s.execWrite(p, args)
+			return rs, "write", err
 		}
+		path = ""
+		if withPath {
+			path = p.Select.AccessDesc()
+		}
+		if s.scratch == nil {
+			s.scratch = new(plan.Scratch)
+		}
+		rs, err = p.Select.Exec(args, s.scratch, a)
 	case *sqlparse.CreateTableStmt:
 		rs, err = s.execCreateTable(x)
 	case *sqlparse.CreateIndexStmt:
@@ -154,17 +152,27 @@ func (s *Session) execCreateIndex(st *sqlparse.CreateIndexStmt) (*sqldb.ResultSe
 	return &sqldb.ResultSet{}, nil
 }
 
-// execWrite runs one mutating statement inside an MVCC publication scope:
-// every row the statement touches carries one version stamp and becomes
-// visible to snapshots atomically when the scope closes — a concurrent
-// snapshot reader never sees half a multi-row INSERT or UPDATE.
-func (s *Session) execWrite(fn func() (*sqldb.ResultSet, error)) (*sqldb.ResultSet, error) {
-	s.db.store.BeginStmt()
-	defer s.db.store.EndStmt()
-	return fn()
+// execWrite runs one INSERT, UPDATE or DELETE as one Store.Write: every
+// row the statement touches carries one version stamp and becomes visible
+// to snapshots when Write returns — a concurrent snapshot reader never sees
+// half a multi-row statement (though it sees the published half of one
+// that failed, see the package doc).
+func (s *Session) execWrite(p *plan.Prepared, args []sqldb.Value) (rs *sqldb.ResultSet, err error) {
+	err = s.db.store.Write(func(w *storage.Writer) (err error) {
+		switch {
+		case p.Insert != nil:
+			rs, err = s.execInsert(w, p.Insert, args)
+		case p.Update != nil:
+			rs, err = s.execUpdate(w, p.Update, args)
+		default:
+			rs, err = s.execDelete(w, p.Delete, args)
+		}
+		return err
+	})
+	return rs, err
 }
 
-func (s *Session) execInsert(p *plan.InsertPlan, args []sqldb.Value) (*sqldb.ResultSet, error) {
+func (s *Session) execInsert(w *storage.Writer, p *plan.InsertPlan, args []sqldb.Value) (*sqldb.ResultSet, error) {
 	t := p.T
 	rs := &sqldb.ResultSet{}
 	for _, fns := range p.RowFns {
@@ -180,7 +188,7 @@ func (s *Session) execInsert(p *plan.InsertPlan, args []sqldb.Value) (*sqldb.Res
 			row[p.Ordinals[j]] = v
 		}
 		// Storage adopts row as the stored image: from here on it is only read.
-		if _, err := t.Insert(row); err != nil {
+		if _, err := w.Insert(t, row); err != nil {
 			return nil, err
 		}
 		if pk := t.PKOrdinal(); pk >= 0 {
@@ -193,7 +201,7 @@ func (s *Session) execInsert(p *plan.InsertPlan, args []sqldb.Value) (*sqldb.Res
 	return rs, nil
 }
 
-func (s *Session) execUpdate(p *plan.UpdatePlan, args []sqldb.Value) (*sqldb.ResultSet, error) {
+func (s *Session) execUpdate(w *storage.Writer, p *plan.UpdatePlan, args []sqldb.Value) (*sqldb.ResultSet, error) {
 	ids, scanned, err := p.Access.Match(args)
 	if err != nil {
 		return nil, err
@@ -213,7 +221,7 @@ func (s *Session) execUpdate(p *plan.UpdatePlan, args []sqldb.Value) (*sqldb.Res
 			}
 			newRow[p.SetOrds[i]] = v
 		}
-		if _, err := p.T.Update(id, newRow); err != nil { // storage adopts newRow
+		if _, err := w.Update(p.T, id, newRow); err != nil { // storage adopts newRow
 			return nil, err
 		}
 		rs.RowsAffected++
@@ -221,14 +229,14 @@ func (s *Session) execUpdate(p *plan.UpdatePlan, args []sqldb.Value) (*sqldb.Res
 	return rs, nil
 }
 
-func (s *Session) execDelete(p *plan.DeletePlan, args []sqldb.Value) (*sqldb.ResultSet, error) {
+func (s *Session) execDelete(w *storage.Writer, p *plan.DeletePlan, args []sqldb.Value) (*sqldb.ResultSet, error) {
 	ids, scanned, err := p.Access.Match(args)
 	if err != nil {
 		return nil, err
 	}
 	rs := &sqldb.ResultSet{RowsScanned: scanned}
 	for _, id := range ids {
-		if _, ok := p.T.Delete(id); !ok {
+		if _, ok := w.Delete(p.T, id); !ok {
 			continue
 		}
 		rs.RowsAffected++

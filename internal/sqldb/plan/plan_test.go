@@ -115,6 +115,17 @@ func TestRowSetDedupAndOrder(t *testing.T) {
 }
 
 // seedStore builds a store with one indexed table for cache tests.
+// insertRow stores row in tbl as a statement of its own.
+func insertRow(t *testing.T, store *storage.Store, tbl *storage.Table, row storage.Row) {
+	t.Helper()
+	if err := store.Write(func(w *storage.Writer) error {
+		_, err := w.Insert(tbl, row)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func seedStore(t *testing.T) *storage.Store {
 	t.Helper()
 	store := storage.NewStore()
@@ -128,9 +139,7 @@ func seedStore(t *testing.T) *storage.Store {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 4; i++ {
-		if _, err := tbl.Insert(storage.Row{int64(i), fmt.Sprintf("v%d", i)}); err != nil {
-			t.Fatal(err)
-		}
+		insertRow(t, store, tbl, storage.Row{int64(i), fmt.Sprintf("v%d", i)})
 	}
 	return store
 }
@@ -252,9 +261,7 @@ func TestAccessDescOrderedForms(t *testing.T) {
 	}
 	orders, _ := store.Table("orders")
 	for i := int64(1); i <= 6; i++ {
-		if _, err := orders.Insert(storage.Row{i, int64(7), i % 2}); err != nil {
-			t.Fatal(err)
-		}
+		insertRow(t, store, orders, storage.Row{i, int64(7), i % 2})
 	}
 	for _, tc := range []struct {
 		sql, desc string

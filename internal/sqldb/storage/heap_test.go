@@ -86,7 +86,7 @@ func scanOrderRun(t *testing.T, shards int, seed int64) {
 
 	insert := func() RowID {
 		nextKey++
-		id, err := tbl.Insert(Row{nextKey, fmt.Sprintf("v%d", nextKey)})
+		id, err := insertRow(tbl, Row{nextKey, fmt.Sprintf("v%d", nextKey)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func scanOrderRun(t *testing.T, shards int, seed int64) {
 			nextKey++
 			k = nextKey
 		}
-		old, err := tbl.Update(id, Row{k, fmt.Sprintf("u%d", step)})
+		old, err := updateRow(tbl, id, Row{k, fmt.Sprintf("u%d", step)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,23 +156,21 @@ func scanOrderRun(t *testing.T, shards int, seed int64) {
 			}
 		case op < 80:
 			if id, ok := model.pick(rng); ok {
-				if _, ok := tbl.Delete(id); !ok {
+				if _, ok := deleteRow(tbl, id); !ok {
 					t.Fatalf("step %d: delete of live row %d failed", step, id)
 				}
 				delete(model, id)
 			}
 		case op < 90:
-			// A primary-key move inside one statement scope: on a sharded
-			// store the row usually lands on a part whose heap holds higher
-			// ids (a mid-slice insert), perhaps where it lived before and
-			// left a dead chain or a reclaimed slot.
+			// A primary-key move: on a sharded store the row usually lands
+			// on a part whose heap holds higher ids (a mid-slice insert),
+			// perhaps where it lived before and left a dead chain or a
+			// reclaimed slot.
 			if id, ok := model.pick(rng); ok {
 				nextKey++
-				s.BeginStmt()
-				if _, err := tbl.Update(id, Row{nextKey, fmt.Sprintf("m%d", step)}); err != nil {
+				if _, err := updateRow(tbl, id, Row{nextKey, fmt.Sprintf("m%d", step)}); err != nil {
 					t.Fatal(err)
 				}
-				s.EndStmt()
 				model[id] = stored(id)
 			}
 		case op < 95:
@@ -198,7 +196,7 @@ func scanOrderRun(t *testing.T, shards int, seed int64) {
 	// Drain to empty — every slot reclaimed and compacted away — and refill.
 	ids, _ := model.sorted()
 	for i, id := range ids {
-		tbl.Delete(id)
+		deleteRow(tbl, id)
 		delete(model, id)
 		check(steps + 1 + i)
 	}
@@ -279,7 +277,7 @@ func BenchmarkScanEach(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < c.rows; i++ {
-				if _, err := tbl.Insert(Row{int64(i), "v"}); err != nil {
+				if _, err := insertRow(tbl, Row{int64(i), "v"}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -13,16 +13,16 @@ import (
 //
 // The design in one paragraph: every mutation stamps the row images it
 // creates (and supersedes) with `committed+1`; the statement that made them
-// publishes by incrementing `committed` once, at its end, so a whole
-// multi-row statement becomes visible atomically. A snapshot pins the
-// committed epoch at acquire time and sees exactly the versions whose
-// [from, to) interval covers it — never blocking on, or observing, writers
-// that publish later. Superseded versions are not unlinked inline (a reader
-// may still need them); the writer defers a cleanup record, and the sweep
-// prunes chains and stale index postings as soon as the oldest live
-// snapshot has moved past them — immediately, in the common no-snapshot
-// case, which keeps single-session replays on pristine single-version
-// structures and their fast paths.
+// publishes by incrementing `committed` once, when its Store.Write returns,
+// so a whole multi-row statement becomes visible in one step. A snapshot
+// pins the committed epoch at acquire time and sees exactly the versions
+// whose [from, to) interval covers it — never blocking on, or observing,
+// writers that publish later. Superseded versions are not unlinked inline
+// (a reader may still need them); the writer defers a cleanup record, and
+// the sweep prunes chains and stale index postings as soon as the oldest
+// live snapshot has moved past them — immediately, in the common
+// no-snapshot case, which keeps single-session replays on pristine
+// single-version structures and their fast paths.
 
 // liveEpoch is the `to` stamp of a live (not yet superseded) version.
 const liveEpoch = ^uint64(0)
@@ -60,11 +60,10 @@ type gcRec struct {
 	to uint64
 }
 
-// mvccState is the shared versioning state of a Store (or of a standalone
-// Table built outside any store — the storage unit tests): the committed
-// epoch, statement scopes, the snapshot registry, and the structural
-// read/write lock that lets snapshot readers run against tables while the
-// single writer mutates them.
+// mvccState is the shared versioning state of a Store: the committed
+// epoch, the unpublished-stamp mark, the snapshot registry, and the
+// structural read/write lock that lets snapshot readers run against tables
+// while the single writer mutates them.
 //
 // Lock order: wmu (the owner's writer mutex) < rw < snapMu; snapMu and rw
 // are never held together — horizon() completes before the sweep takes rw.
@@ -83,9 +82,8 @@ type mvccState struct {
 	// is fully applied and visible. Mutations stamp committed+1.
 	committed atomic.Uint64
 
-	// depth counts open statement scopes and dirty marks unpublished
-	// stamps; both are touched only under writer serialization (wmu).
-	depth int
+	// dirty marks unpublished stamps; touched only inside Store.Write,
+	// under writer serialization (wmu).
 	dirty bool
 
 	snapMu sync.Mutex
@@ -106,15 +104,6 @@ func newMVCCState(wmu *sync.Mutex) *mvccState {
 func (m *mvccState) stamp() uint64 {
 	m.dirty = true
 	return m.committed.Load() + 1
-}
-
-// autoPublish publishes immediately when no statement scope is open — the
-// direct bulk-load path (fixtures, storage unit tests) where every table
-// mutation is its own statement.
-func (m *mvccState) autoPublish() {
-	if m.depth == 0 {
-		m.publish()
-	}
 }
 
 // publish makes the current statement's stamps visible and sweeps whatever
@@ -144,8 +133,7 @@ func (m *mvccState) horizon() uint64 {
 }
 
 // sweepLocked prunes every registered table up to the current horizon.
-// Caller holds the writer mutex (or is the only goroutine, pre-concurrency
-// bulk load); rw is taken here.
+// Caller holds the writer mutex; rw is taken here.
 func (m *mvccState) sweepLocked() {
 	if m.pendingGC.Load() == 0 {
 		return
@@ -243,7 +231,7 @@ func (t *Table) sweep(h uint64) int {
 	}
 	t.garbage = keep
 	if processed > 0 {
-		t.mv.pendingGC.Add(-int64(processed))
+		t.store.mv.pendingGC.Add(-int64(processed))
 		t.rows.compact()
 	}
 	return len(keep)
@@ -310,10 +298,11 @@ func chainHolds(head *version, ord int, val sqldb.Value, by int, bv sqldb.Value)
 // addGarbage registers a cleanup record. Caller holds the writer mutex and
 // rw.Lock (mutation context).
 func (t *Table) addGarbage(id RowID, to uint64) {
+	mv := t.store.mv
 	t.garbage = append(t.garbage, gcRec{id: id, to: to})
-	t.mv.pendingGC.Add(1)
+	mv.pendingGC.Add(1)
 	if !t.inGCList {
 		t.inGCList = true
-		t.mv.gcTabs = append(t.mv.gcTabs, t)
+		mv.gcTabs = append(mv.gcTabs, t)
 	}
 }

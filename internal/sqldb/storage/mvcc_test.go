@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/sqldb"
@@ -38,7 +39,7 @@ func lookupOne(t *testing.T, tbl *Table, k int64, snap *Snap) (Row, bool) {
 
 func TestSnapshotSeesPinnedState(t *testing.T) {
 	s, tbl := mvccStore(t)
-	id, err := tbl.Insert(Row{int64(1), "old"})
+	id, err := insertRow(tbl, Row{int64(1), "old"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestSnapshotSeesPinnedState(t *testing.T) {
 	snap := s.Snapshot()
 	defer snap.Release()
 
-	if _, err := tbl.Update(id, Row{int64(1), "new"}); err != nil {
+	if _, err := updateRow(tbl, id, Row{int64(1), "new"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -68,7 +69,7 @@ func TestSnapshotSeesPinnedState(t *testing.T) {
 
 func TestSnapshotDoesNotSeeDeleteOrInsert(t *testing.T) {
 	s, tbl := mvccStore(t)
-	idA, err := tbl.Insert(Row{int64(1), "a"})
+	idA, err := insertRow(tbl, Row{int64(1), "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +77,10 @@ func TestSnapshotDoesNotSeeDeleteOrInsert(t *testing.T) {
 	snap := s.Snapshot()
 	defer snap.Release()
 
-	if _, ok := tbl.Delete(idA); !ok {
+	if _, ok := deleteRow(tbl, idA); !ok {
 		t.Fatal("delete failed")
 	}
-	if _, err := tbl.Insert(Row{int64(2), "b"}); err != nil {
+	if _, err := insertRow(tbl, Row{int64(2), "b"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -114,22 +115,23 @@ func TestSnapshotDoesNotSeeDeleteOrInsert(t *testing.T) {
 	}
 }
 
-// TestStatementScopePublishesAtomically: mutations inside a BeginStmt /
-// EndStmt scope become visible all at once — a snapshot acquired mid-scope
-// sees none of them.
+// TestStatementScopePublishesAtomically: the mutations of one Write become
+// visible all at once — a snapshot acquired mid-Write sees none of them.
 func TestStatementScopePublishesAtomically(t *testing.T) {
 	s, tbl := mvccStore(t)
 
-	s.BeginStmt()
-	if _, err := tbl.Insert(Row{int64(1), "a"}); err != nil {
+	var mid *Snap
+	if err := s.Write(func(w *Writer) error {
+		if _, err := w.Insert(tbl, Row{int64(1), "a"}); err != nil {
+			return err
+		}
+		mid = s.Snapshot()
+		_, err := w.Insert(tbl, Row{int64(2), "b"})
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
-	mid := s.Snapshot()
 	defer mid.Release()
-	if _, err := tbl.Insert(Row{int64(2), "b"}); err != nil {
-		t.Fatal(err)
-	}
-	s.EndStmt()
 
 	if _, ok := lookupOne(t, tbl, 1, mid); ok {
 		t.Fatal("mid-statement snapshot sees an unpublished insert")
@@ -143,20 +145,94 @@ func TestStatementScopePublishesAtomically(t *testing.T) {
 	}
 }
 
+// TestWriteClosesOnErrorAndPanic: a Write whose fn fails after a mutation,
+// by an error or by a panic, still closes: the committed epoch advances
+// exactly once and the row fn wrote is published (publication is not
+// rollback), and the next Write publishes normally.
+func TestWriteClosesOnErrorAndPanic(t *testing.T) {
+	boom := errors.New("boom")
+	for name, fail := range map[string]func() error{
+		"error": func() error { return boom },
+		"panic": func() error { panic(boom) },
+	} {
+		s, tbl := mvccStore(t)
+		before := s.mv.committed.Load()
+		err := func() (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = r.(error)
+				}
+			}()
+			return s.Write(func(w *Writer) error {
+				if _, err := w.Insert(tbl, Row{int64(1), "a"}); err != nil {
+					return err
+				}
+				return fail()
+			})
+		}()
+		if err != boom {
+			t.Fatalf("%s: Write = %v, want %v", name, err, boom)
+		}
+		if got := s.mv.committed.Load(); got != before+1 || s.w.open {
+			t.Fatalf("%s: committed epoch %d (want %d), Write still open: %v", name, got, before+1, s.w.open)
+		}
+		if _, err := insertRow(tbl, Row{int64(2), "b"}); err != nil {
+			t.Fatalf("%s: next Write: %v", name, err)
+		}
+		if got := s.mv.committed.Load(); got != before+2 {
+			t.Fatalf("%s: committed epoch %d after the next Write, want %d", name, got, before+2)
+		}
+		snap := s.Snapshot()
+		for k := int64(1); k <= 2; k++ {
+			if _, ok := lookupOne(t, tbl, k, snap); !ok {
+				t.Fatalf("%s: row %d not published", name, k)
+			}
+		}
+		snap.Release()
+	}
+}
+
+// TestWriterOnlyInsideItsWrite: a Writer kept past its Write, a Write
+// nested in another, and a Writer given another store's table all panic
+// before changing a row.
+func TestWriterOnlyInsideItsWrite(t *testing.T) {
+	s, tbl := mvccStore(t)
+	_, other := mvccStore(t)
+	var kept *Writer
+	s.Write(func(w *Writer) error { kept = w; return nil })
+	for name, misuse := range map[string]func(){
+		"kept writer":   func() { kept.Insert(tbl, Row{int64(1), "a"}) },
+		"nested write":  func() { s.Write(func(*Writer) error { return s.Write(func(*Writer) error { return nil }) }) },
+		"foreign table": func() { s.Write(func(w *Writer) error { _, err := w.Insert(other, Row{int64(1), "a"}); return err }) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			misuse()
+		}()
+	}
+	if tbl.NumRows() != 0 || other.NumRows() != 0 {
+		t.Fatalf("misused writers changed rows: %d, %d", tbl.NumRows(), other.NumRows())
+	}
+}
+
 // TestVersionGCAfterLastSnapshotReleases: dead versions survive exactly as
 // long as a snapshot can see them.
 func TestVersionGCAfterLastSnapshotReleases(t *testing.T) {
 	s, tbl := mvccStore(t)
-	id, err := tbl.Insert(Row{int64(1), "v0"})
+	id, err := insertRow(tbl, Row{int64(1), "v0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	snap := s.Snapshot()
-	if _, err := tbl.Update(id, Row{int64(1), "v1"}); err != nil {
+	if _, err := updateRow(tbl, id, Row{int64(1), "v1"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.Update(id, Row{int64(1), "v2"}); err != nil {
+	if _, err := updateRow(tbl, id, Row{int64(1), "v2"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -187,11 +263,11 @@ func TestVersionGCAfterLastSnapshotReleases(t *testing.T) {
 // chains or stale postings.
 func TestNoSnapshotSweepsInline(t *testing.T) {
 	_, tbl := mvccStore(t)
-	id, err := tbl.Insert(Row{int64(1), "a"})
+	id, err := insertRow(tbl, Row{int64(1), "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.Update(id, Row{int64(1), "b"}); err != nil {
+	if _, err := updateRow(tbl, id, Row{int64(1), "b"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := tbl.Versions(id); got != 1 {
@@ -202,7 +278,7 @@ func TestNoSnapshotSweepsInline(t *testing.T) {
 	}
 
 	// A deleted row's chain disappears entirely.
-	if _, ok := tbl.Delete(id); !ok {
+	if _, ok := deleteRow(tbl, id); !ok {
 		t.Fatal("delete failed")
 	}
 	if got := tbl.Versions(id); got != 0 {
@@ -227,16 +303,16 @@ func TestGCKeepsReusedIndexValues(t *testing.T) {
 	if err := tbl.AddIndex("v", false); err != nil {
 		t.Fatal(err)
 	}
-	id, err := tbl.Insert(Row{int64(1), "A"})
+	id, err := insertRow(tbl, Row{int64(1), "A"})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	snap := s.Snapshot()
-	if _, err := tbl.Update(id, Row{int64(1), "B"}); err != nil {
+	if _, err := updateRow(tbl, id, Row{int64(1), "B"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.Update(id, Row{int64(1), "A"}); err != nil {
+	if _, err := updateRow(tbl, id, Row{int64(1), "A"}); err != nil {
 		t.Fatal(err)
 	}
 	snap.Release()
@@ -264,14 +340,14 @@ func TestLookupFiltersStalePostings(t *testing.T) {
 	if err := tbl.AddIndex("v", false); err != nil {
 		t.Fatal(err)
 	}
-	id, err := tbl.Insert(Row{int64(1), "old"})
+	id, err := insertRow(tbl, Row{int64(1), "old"})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	snap := s.Snapshot() // pin so the stale posting stays
 	defer snap.Release()
-	if _, err := tbl.Update(id, Row{int64(1), "new"}); err != nil {
+	if _, err := updateRow(tbl, id, Row{int64(1), "new"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -317,13 +393,13 @@ func TestRepinReusesReleasedSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		id, err := tbl.Insert(Row{int64(1), "v0"})
+		id, err := insertRow(tbl, Row{int64(1), "v0"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		snap := s.Snapshot()
 		snap.Release()
-		if _, err := tbl.Update(id, Row{int64(1), "v1"}); err != nil {
+		if _, err := updateRow(tbl, id, Row{int64(1), "v1"}); err != nil {
 			t.Fatal(err)
 		}
 		s.Repin(snap)
@@ -332,7 +408,7 @@ func TestRepinReusesReleasedSnapshot(t *testing.T) {
 		if snap.Epoch() != fresh.Epoch() || s.ActiveSnapshots() != 1 {
 			t.Fatalf("repinned epoch %d, fresh %d, %d snapshots active", snap.Epoch(), fresh.Epoch(), s.ActiveSnapshots())
 		}
-		if _, err := tbl.Update(id, Row{int64(1), "v2"}); err != nil {
+		if _, err := updateRow(tbl, id, Row{int64(1), "v2"}); err != nil {
 			t.Fatal(err)
 		}
 		if r, ok := lookupOne(t, tbl, 1, snap); !ok || r[1] != "v1" {

@@ -11,7 +11,7 @@ import (
 )
 
 func TestAddOrderedIndexRejects(t *testing.T) {
-	tbl, err := NewTable("t", []Column{
+	tbl, err := NewStore().CreateTable("t", []Column{
 		{Name: "id", Type: sqldb.TypeInt, PrimaryKey: true},
 		{Name: "a", Type: sqldb.TypeInt},
 		{Name: "b", Type: sqldb.TypeInt},
@@ -158,7 +158,7 @@ func orderedProbeRun(t *testing.T, shards int, seed int64) {
 	var live []RowID
 	insert := func() RowID {
 		nextKey++
-		id, err := tbl.Insert(Row{nextKey, val(3, 10), val(8, 6)})
+		id, err := insertRow(tbl, Row{nextKey, val(3, 10), val(8, 6)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,14 +228,14 @@ func orderedProbeRun(t *testing.T, shards int, seed int64) {
 			if row[1] != nil {
 				row[1] = row[1].(int64) % 3
 			}
-			if _, err := tbl.Update(id, row); err != nil {
+			if _, err := updateRow(tbl, id, row); err != nil {
 				t.Fatal(err)
 			}
 		case k < 15 && len(live) > 0:
 			i := rng.Intn(len(live))
 			id := live[i]
 			live = append(live[:i], live[i+1:]...)
-			tbl.Delete(id)
+			deleteRow(tbl, id)
 		case k < 17 && len(live) > 0:
 			// The oldest live row takes a b below every posting under its
 			// a, and a fresh primary key (on a sharded view, a move): its
@@ -245,11 +245,9 @@ func orderedProbeRun(t *testing.T, shards int, seed int64) {
 			row := append(Row(nil), cur...)
 			nextKey++
 			row[0], row[2] = nextKey, int64(-1-rng.Intn(3))
-			s.BeginStmt()
-			if _, err := tbl.Update(id, row); err != nil {
+			if _, err := updateRow(tbl, id, row); err != nil {
 				t.Fatal(err)
 			}
-			s.EndStmt()
 		case k < 18 && len(pins) < 3:
 			pins = append(pins, s.Snapshot())
 		case k < 19 && len(pins) > 0:

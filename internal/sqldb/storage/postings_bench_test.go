@@ -11,7 +11,7 @@ import (
 // per key — the shape the merge optimizer's IN-list lookups hit.
 func benchTable(b *testing.B, keys, fanout int) *Table {
 	b.Helper()
-	t, err := NewTable("bench", []Column{
+	t, err := NewStore().CreateTable("bench", []Column{
 		{Name: "id", Type: sqldb.TypeInt, PrimaryKey: true},
 		{Name: "fk", Type: sqldb.TypeInt},
 		{Name: "v", Type: sqldb.TypeText},
@@ -25,7 +25,7 @@ func benchTable(b *testing.B, keys, fanout int) *Table {
 	id := int64(1)
 	for k := 0; k < keys; k++ {
 		for f := 0; f < fanout; f++ {
-			if _, err := t.Insert(Row{id, int64(k), fmt.Sprintf("row-%d", id)}); err != nil {
+			if _, err := insertRow(t, Row{id, int64(k), fmt.Sprintf("row-%d", id)}); err != nil {
 				b.Fatal(err)
 			}
 			id++
@@ -48,7 +48,7 @@ func BenchmarkIndexInsert(b *testing.B) {
 		{"two-column", func(t *Table) error { return t.AddOrderedIndex("fk", "seq") }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			t, err := NewTable("bench", []Column{
+			t, err := NewStore().CreateTable("bench", []Column{
 				{Name: "id", Type: sqldb.TypeInt, PrimaryKey: true},
 				{Name: "fk", Type: sqldb.TypeInt},
 				{Name: "seq", Type: sqldb.TypeInt},
@@ -62,7 +62,7 @@ func BenchmarkIndexInsert(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := t.Insert(Row{int64(i + 1), int64(i % 64), int64(i / 64)}); err != nil {
+				if _, err := insertRow(t, Row{int64(i + 1), int64(i % 64), int64(i / 64)}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -77,7 +77,7 @@ func BenchmarkIndexInsert(b *testing.B) {
 // the 100 k rows must read within 1.5x of the 1 k rows.
 func BenchmarkOrderedProbe(b *testing.B) {
 	for _, n := range []int{1_000, 100_000} {
-		t, err := NewTable("bench", []Column{
+		t, err := NewStore().CreateTable("bench", []Column{
 			{Name: "id", Type: sqldb.TypeInt, PrimaryKey: true},
 			{Name: "fk", Type: sqldb.TypeInt},
 			{Name: "seq", Type: sqldb.TypeInt},
@@ -89,7 +89,7 @@ func BenchmarkOrderedProbe(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			if _, err := t.Insert(Row{int64(i + 1), int64(7), int64(i)}); err != nil {
+			if _, err := insertRow(t, Row{int64(i + 1), int64(7), int64(i)}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -157,7 +157,7 @@ func BenchmarkIndexUpdate(b *testing.B) {
 		stored, _ := t.RowAt(id, nil)
 		row := append(Row(nil), stored...)
 		row[1] = int64((i + 1) % 64)
-		if _, err := t.Update(id, row); err != nil {
+		if _, err := updateRow(t, id, row); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -181,7 +181,7 @@ func BenchmarkLookupEach(b *testing.B) {
 			b.Fatal(err)
 		}
 		for id := int64(1); id <= 64*8; id++ {
-			if _, err := t.Insert(Row{id, (id - 1) / 8}); err != nil {
+			if _, err := insertRow(t, Row{id, (id - 1) / 8}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -138,14 +138,11 @@ func (t *Table) holder(id RowID) (*Table, *version) {
 // Caller is CreateTable (writer mutex held, duplicate name already
 // rejected).
 func (s *Store) createSharded(key, name string, cols []Column) (*Table, error) {
-	view, err := NewTable(name, cols)
+	view, err := newTable(s, name, cols)
 	if err != nil {
 		return nil, err
 	}
-	view.mv = s.mv
-	view.schemaChanged = func() { s.epoch.Add(1) }
 	view.partOrd = view.pkCol
-	view.coord = s
 	view.parts = make([]*Table, len(s.shards))
 	for i, sh := range s.shards {
 		part, err := sh.CreateTable(name, cols)
@@ -159,32 +156,6 @@ func (s *Store) createSharded(key, name string, cols []Column) (*Table, error) {
 	s.mv.rw.Unlock()
 	s.epoch.Add(1)
 	return view, nil
-}
-
-// beginStmtAll opens a statement publication scope on the coordinator and
-// every shard; endStmtAll closes it, publishing all shards' mutations
-// under snapGate so cross-shard visibility is atomic with respect to
-// snapshot acquisition.
-func (s *Store) beginStmtAll() {
-	s.mv.depth++
-	for _, sh := range s.shards {
-		sh.mv.depth++
-	}
-}
-
-func (s *Store) endStmtAll() {
-	s.mv.depth--
-	for _, sh := range s.shards {
-		sh.mv.depth--
-	}
-	if s.mv.depth == 0 {
-		s.snapGate.Lock()
-		for _, sh := range s.shards {
-			sh.mv.publish()
-		}
-		s.snapGate.Unlock()
-		s.mv.publish()
-	}
 }
 
 // snapshotAll pins every shard's committed epoch under snapGate. The

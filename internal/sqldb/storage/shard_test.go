@@ -52,7 +52,7 @@ func TestShardedStoreDegeneratesToPlain(t *testing.T) {
 func TestShardInsertRoutesByKeyHash(t *testing.T) {
 	s, tbl := shardedStore(t, 4)
 	for i := int64(1); i <= 64; i++ {
-		if _, err := tbl.Insert(Row{i, fmt.Sprintf("v%d", i)}); err != nil {
+		if _, err := insertRow(tbl, Row{i, fmt.Sprintf("v%d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -99,19 +99,19 @@ func TestShardScanMatchesSingleStore(t *testing.T) {
 		}
 		var ids []RowID
 		for i := int64(1); i <= 40; i++ {
-			id, err := tbl.Insert(Row{i, fmt.Sprintf("v%d", i)})
+			id, err := insertRow(tbl, Row{i, fmt.Sprintf("v%d", i)})
 			if err != nil {
 				t.Fatal(err)
 			}
 			ids = append(ids, id)
 		}
 		for i := 0; i < 40; i += 3 {
-			if _, err := tbl.Update(ids[i], Row{int64(i + 1), "upd"}); err != nil {
+			if _, err := updateRow(tbl, ids[i], Row{int64(i + 1), "upd"}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i := 1; i < 40; i += 7 {
-			if _, ok := tbl.Delete(ids[i]); !ok {
+			if _, ok := deleteRow(tbl, ids[i]); !ok {
 				t.Fatalf("delete id %d failed", ids[i])
 			}
 		}
@@ -145,10 +145,10 @@ func TestShardScanMatchesSingleStore(t *testing.T) {
 
 func TestShardUniqueEnforcedAcrossShards(t *testing.T) {
 	_, tbl := shardedStore(t, 4)
-	if _, err := tbl.Insert(Row{int64(7), "a"}); err != nil {
+	if _, err := insertRow(tbl, Row{int64(7), "a"}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := tbl.Insert(Row{int64(7), "b"})
+	_, err := insertRow(tbl, Row{int64(7), "b"})
 	if err == nil {
 		t.Fatal("duplicate pk across sharded table not rejected")
 	}
@@ -176,7 +176,7 @@ func TestShardAddIndexDupErrorParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := int64(1); i <= 10; i++ {
-			if _, err := tbl.Insert(Row{i, fmt.Sprintf("dup%d", i%3)}); err != nil {
+			if _, err := insertRow(tbl, Row{i, fmt.Sprintf("dup%d", i%3)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -225,7 +225,7 @@ func TestShardNilPKRoutesById(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 16; i++ {
-		if _, err := tbl.Insert(Row{fmt.Sprintf("m%d", i)}); err != nil {
+		if _, err := insertRow(tbl, Row{fmt.Sprintf("m%d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -255,10 +255,10 @@ func TestShardNullKeyRowReachableByScan(t *testing.T) {
 	_, tbl := shardedStore(t, 4)
 	// A NULL partition key routes by id and is only reachable by scan
 	// (NULLs are not indexed) — on any shard count.
-	if _, err := tbl.Insert(Row{nil, "nullkey"}); err != nil {
+	if _, err := insertRow(tbl, Row{nil, "nullkey"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.Insert(Row{int64(1), "keyed"}); err != nil {
+	if _, err := insertRow(tbl, Row{int64(1), "keyed"}); err != nil {
 		t.Fatal(err)
 	}
 	rows := collectScan(t, tbl, nil)
@@ -280,14 +280,14 @@ func TestShardUpdateMovesRowAcrossShards(t *testing.T) {
 	}
 	dst := ShardOf(k2, 4)
 
-	id, err := tbl.Insert(Row{k1, "here"})
+	id, err := insertRow(tbl, Row{k1, "here"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := s.Snapshot()
 	defer snap.Release()
 
-	if _, err := tbl.Update(id, Row{k2, "there"}); err != nil {
+	if _, err := updateRow(tbl, id, Row{k2, "there"}); err != nil {
 		t.Fatal(err)
 	}
 	srcPart, _ := s.Shard(src).Table("kv")
@@ -315,23 +315,25 @@ func TestShardCrossShardMovePublishesAtomically(t *testing.T) {
 	var k2 int64
 	for k2 = 2; ShardOf(k2, 4) == ShardOf(k1, 4); k2++ {
 	}
-	id, err := tbl.Insert(Row{k1, "x"})
+	id, err := insertRow(tbl, Row{k1, "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Inside an open statement scope the move must not be visible — on
-	// either shard — to a snapshot taken mid-statement... but snapshots
-	// gate on publication, so mid-scope acquisition sees the pre-move
-	// state on both shards.
+	// Inside its Write the move must not be visible — on either shard — to
+	// a snapshot taken mid-statement: snapshots gate on publication, so
+	// mid-Write acquisition sees the pre-move state on both shards.
+	var mid *Snap
 	s.Lock()
-	s.BeginStmt()
-	if _, err := tbl.Update(id, Row{k2, "x"}); err != nil {
-		t.Fatal(err)
-	}
-	mid := s.Snapshot()
-	s.EndStmt()
+	err = s.Write(func(w *Writer) error {
+		_, err := w.Update(tbl, id, Row{k2, "x"})
+		mid = s.Snapshot()
+		return err
+	})
 	s.Unlock()
 	defer mid.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	rows := collectScan(t, tbl, mid)
 	if len(rows) != 1 {
@@ -358,14 +360,14 @@ func TestShardMoveBackRestoresSourceShard(t *testing.T) {
 	var k2 int64
 	for k2 = 2; ShardOf(k2, 4) == ShardOf(k1, 4); k2++ {
 	}
-	id, err := tbl.Insert(Row{k1, "orig"})
+	id, err := insertRow(tbl, Row{k1, "orig"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pin := s.Snapshot() // keeps the source's dead chain from being swept
 	defer pin.Release()
 	for _, row := range []Row{{k2, "moved"}, {k1, "back"}} {
-		if _, err := tbl.Update(id, row); err != nil {
+		if _, err := updateRow(tbl, id, row); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -397,7 +399,7 @@ func TestShardLookupEachNonPartitionColumnFansOut(t *testing.T) {
 		if i%2 == 0 {
 			val = "even"
 		}
-		id, err := tbl.Insert(Row{i, val})
+		id, err := insertRow(tbl, Row{i, val})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -425,11 +427,11 @@ func TestShardLookupEachNonPartitionColumnFansOut(t *testing.T) {
 
 func TestShardInsertErrorParity(t *testing.T) {
 	_, tbl := shardedStore(t, 4)
-	_, err := tbl.Insert(Row{int64(1)})
+	_, err := insertRow(tbl, Row{int64(1)})
 	if err == nil || !strings.Contains(err.Error(), "got 1 values, want 2") {
 		t.Fatalf("arity error = %v", err)
 	}
-	_, err = tbl.Insert(Row{"notanint", "x"})
+	_, err = insertRow(tbl, Row{"notanint", "x"})
 	if err == nil || !strings.Contains(err.Error(), `column "k"`) {
 		t.Fatalf("coerce error = %v", err)
 	}
@@ -441,7 +443,7 @@ func TestShardInsertErrorParity(t *testing.T) {
 func TestUpdateErrorParity(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		_, tbl := shardedStore(t, shards)
-		id, err := tbl.Insert(Row{int64(1), "a"})
+		id, err := insertRow(tbl, Row{int64(1), "a"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -453,7 +455,7 @@ func TestUpdateErrorParity(t *testing.T) {
 			{Row{int64(1), "a", "extra"}, `storage: table "kv": got 3 values, want 2`},
 			{Row{"notanint", "x"}, `storage: table "kv" column "k": `},
 		} {
-			_, err := tbl.Update(id, tc.vals)
+			_, err := updateRow(tbl, id, tc.vals)
 			if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
 				t.Errorf("%d shards: Update(%v) error = %v, want %q", shards, tc.vals, err, tc.want)
 			}

@@ -8,9 +8,35 @@ import (
 	"repro/internal/sqldb"
 )
 
+// insertRow, updateRow and deleteRow run one mutation as a statement of
+// its own, in a Write of the table's store.
+func insertRow(tbl *Table, vals Row) (id RowID, err error) {
+	err = tbl.store.Write(func(w *Writer) (err error) {
+		id, err = w.Insert(tbl, vals)
+		return err
+	})
+	return id, err
+}
+
+func updateRow(tbl *Table, id RowID, vals Row) (old Row, err error) {
+	err = tbl.store.Write(func(w *Writer) (err error) {
+		old, err = w.Update(tbl, id, vals)
+		return err
+	})
+	return old, err
+}
+
+func deleteRow(tbl *Table, id RowID) (old Row, ok bool) {
+	tbl.store.Write(func(w *Writer) error {
+		old, ok = w.Delete(tbl, id)
+		return nil
+	})
+	return old, ok
+}
+
 func patientTable(t *testing.T) *Table {
 	t.Helper()
-	tbl, err := NewTable("patients", []Column{
+	tbl, err := NewStore().CreateTable("patients", []Column{
 		{Name: "id", Type: sqldb.TypeInt, PrimaryKey: true},
 		{Name: "name", Type: sqldb.TypeText},
 		{Name: "age", Type: sqldb.TypeInt},
@@ -22,13 +48,13 @@ func patientTable(t *testing.T) *Table {
 }
 
 func TestNewTableRejectsEmpty(t *testing.T) {
-	if _, err := NewTable("t", nil); err == nil {
+	if _, err := newTable(nil, "t", nil); err == nil {
 		t.Fatal("expected error for empty column list")
 	}
 }
 
 func TestNewTableRejectsDuplicateColumns(t *testing.T) {
-	_, err := NewTable("t", []Column{
+	_, err := newTable(nil, "t", []Column{
 		{Name: "a", Type: sqldb.TypeInt},
 		{Name: "A", Type: sqldb.TypeInt},
 	})
@@ -38,7 +64,7 @@ func TestNewTableRejectsDuplicateColumns(t *testing.T) {
 }
 
 func TestNewTableRejectsTwoPrimaryKeys(t *testing.T) {
-	_, err := NewTable("t", []Column{
+	_, err := newTable(nil, "t", []Column{
 		{Name: "a", Type: sqldb.TypeInt, PrimaryKey: true},
 		{Name: "b", Type: sqldb.TypeInt, PrimaryKey: true},
 	})
@@ -49,7 +75,7 @@ func TestNewTableRejectsTwoPrimaryKeys(t *testing.T) {
 
 func TestInsertAndGet(t *testing.T) {
 	tbl := patientTable(t)
-	id, err := tbl.Insert(Row{int64(1), "Ann", int64(30)})
+	id, err := insertRow(tbl, Row{int64(1), "Ann", int64(30)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +90,7 @@ func TestInsertAndGet(t *testing.T) {
 
 func TestInsertCoercesTypes(t *testing.T) {
 	tbl := patientTable(t)
-	id, err := tbl.Insert(Row{1, "Bob", 25}) // plain ints, not int64
+	id, err := insertRow(tbl, Row{1, "Bob", 25}) // plain ints, not int64
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,24 +102,24 @@ func TestInsertCoercesTypes(t *testing.T) {
 
 func TestInsertWrongArity(t *testing.T) {
 	tbl := patientTable(t)
-	if _, err := tbl.Insert(Row{int64(1)}); err == nil {
+	if _, err := insertRow(tbl, Row{int64(1)}); err == nil {
 		t.Fatal("expected arity error")
 	}
 }
 
 func TestInsertWrongType(t *testing.T) {
 	tbl := patientTable(t)
-	if _, err := tbl.Insert(Row{int64(1), int64(5), int64(30)}); err == nil {
+	if _, err := insertRow(tbl, Row{int64(1), int64(5), int64(30)}); err == nil {
 		t.Fatal("expected type error for int name")
 	}
 }
 
 func TestPrimaryKeyUniqueness(t *testing.T) {
 	tbl := patientTable(t)
-	if _, err := tbl.Insert(Row{int64(1), "Ann", int64(30)}); err != nil {
+	if _, err := insertRow(tbl, Row{int64(1), "Ann", int64(30)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.Insert(Row{int64(1), "Bob", int64(20)}); err == nil {
+	if _, err := insertRow(tbl, Row{int64(1), "Bob", int64(20)}); err == nil {
 		t.Fatal("expected duplicate key error")
 	}
 }
@@ -122,17 +148,17 @@ func TestRowOwnership(t *testing.T) {
 		}
 	}
 	vals := Row{1, "Bob", 25} // plain ints, not int64
-	id, err := tbl.Insert(vals)
+	id, err := insertRow(tbl, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
 	adopted("insert", id, vals, 25)
 	vals = Row{1.0, "Bob", 26} // a float key, coerced to the INT column
-	if _, err := tbl.Update(id, vals); err != nil {
+	if _, err := updateRow(tbl, id, vals); err != nil {
 		t.Fatal(err)
 	}
 	adopted("update", id, vals, 26)
-	id2, err := tbl.Insert(Row{int64(2), "Cid", int64(40)})
+	id2, err := insertRow(tbl, Row{int64(2), "Cid", int64(40)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +172,10 @@ func TestRowOwnership(t *testing.T) {
 		{int64(3), "Short"},
 		{int64(3), int64(5), int64(50)},
 	} {
-		if _, err := tbl.Insert(bad); err == nil {
+		if _, err := insertRow(tbl, bad); err == nil {
 			t.Fatalf("Insert(%v) admitted", bad)
 		}
-		if _, err := tbl.Update(id2, bad); err == nil {
+		if _, err := updateRow(tbl, id2, bad); err == nil {
 			t.Fatalf("Update(%v) admitted", bad)
 		}
 	}
@@ -160,15 +186,15 @@ func TestRowOwnership(t *testing.T) {
 
 func TestDelete(t *testing.T) {
 	tbl := patientTable(t)
-	id, _ := tbl.Insert(Row{int64(1), "Ann", int64(30)})
-	old, ok := tbl.Delete(id)
+	id, _ := insertRow(tbl, Row{int64(1), "Ann", int64(30)})
+	old, ok := deleteRow(tbl, id)
 	if !ok || old[1] != "Ann" {
 		t.Fatalf("Delete = %v, %v", old, ok)
 	}
 	if _, ok := tbl.RowAt(id, nil); ok {
 		t.Fatal("row still present after delete")
 	}
-	if _, ok := tbl.Delete(id); ok {
+	if _, ok := deleteRow(tbl, id); ok {
 		t.Fatal("double delete succeeded")
 	}
 	if got := tbl.Lookup(0, int64(1)); len(got) != 0 {
@@ -178,8 +204,8 @@ func TestDelete(t *testing.T) {
 
 func TestUpdate(t *testing.T) {
 	tbl := patientTable(t)
-	id, _ := tbl.Insert(Row{int64(1), "Ann", int64(30)})
-	old, err := tbl.Update(id, Row{int64(1), "Ann", int64(31)})
+	id, _ := insertRow(tbl, Row{int64(1), "Ann", int64(30)})
+	old, err := updateRow(tbl, id, Row{int64(1), "Ann", int64(31)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +220,8 @@ func TestUpdate(t *testing.T) {
 
 func TestUpdateMaintainsIndex(t *testing.T) {
 	tbl := patientTable(t)
-	id, _ := tbl.Insert(Row{int64(1), "Ann", int64(30)})
-	if _, err := tbl.Update(id, Row{int64(2), "Ann", int64(30)}); err != nil {
+	id, _ := insertRow(tbl, Row{int64(1), "Ann", int64(30)})
+	if _, err := updateRow(tbl, id, Row{int64(2), "Ann", int64(30)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := tbl.Lookup(0, int64(1)); len(got) != 0 {
@@ -208,18 +234,18 @@ func TestUpdateMaintainsIndex(t *testing.T) {
 
 func TestUpdateUniqueViolation(t *testing.T) {
 	tbl := patientTable(t)
-	tbl.Insert(Row{int64(1), "Ann", int64(30)})
-	id2, _ := tbl.Insert(Row{int64(2), "Bob", int64(20)})
-	if _, err := tbl.Update(id2, Row{int64(1), "Bob", int64(20)}); err == nil {
+	insertRow(tbl, Row{int64(1), "Ann", int64(30)})
+	id2, _ := insertRow(tbl, Row{int64(2), "Bob", int64(20)})
+	if _, err := updateRow(tbl, id2, Row{int64(1), "Bob", int64(20)}); err == nil {
 		t.Fatal("expected unique violation")
 	}
 }
 
 func TestSecondaryIndex(t *testing.T) {
 	tbl := patientTable(t)
-	tbl.Insert(Row{int64(1), "Ann", int64(30)})
-	tbl.Insert(Row{int64(2), "Bob", int64(30)})
-	tbl.Insert(Row{int64(3), "Cid", int64(40)})
+	insertRow(tbl, Row{int64(1), "Ann", int64(30)})
+	insertRow(tbl, Row{int64(2), "Bob", int64(30)})
+	insertRow(tbl, Row{int64(3), "Cid", int64(40)})
 	if err := tbl.AddIndex("age", false); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +255,7 @@ func TestSecondaryIndex(t *testing.T) {
 		t.Fatalf("Lookup(age=30) = %v, want 2 rows", ids)
 	}
 	// New inserts must be indexed too.
-	tbl.Insert(Row{int64(4), "Dee", int64(30)})
+	insertRow(tbl, Row{int64(4), "Dee", int64(30)})
 	if ids := tbl.Lookup(ord, int64(30)); len(ids) != 3 {
 		t.Fatalf("Lookup after insert = %v, want 3 rows", ids)
 	}
@@ -250,8 +276,8 @@ func TestAddIndexDuplicate(t *testing.T) {
 
 func TestUniqueSecondaryIndexRejectsDuplicates(t *testing.T) {
 	tbl := patientTable(t)
-	tbl.Insert(Row{int64(1), "Ann", int64(30)})
-	tbl.Insert(Row{int64(2), "Bob", int64(30)})
+	insertRow(tbl, Row{int64(1), "Ann", int64(30)})
+	insertRow(tbl, Row{int64(2), "Bob", int64(30)})
 	if err := tbl.AddIndex("age", true); err == nil {
 		t.Fatal("expected unique index build failure over duplicates")
 	}
@@ -260,7 +286,7 @@ func TestUniqueSecondaryIndexRejectsDuplicates(t *testing.T) {
 func TestNullsNotIndexed(t *testing.T) {
 	tbl := patientTable(t)
 	tbl.AddIndex("age", false)
-	tbl.Insert(Row{int64(1), "Ann", nil})
+	insertRow(tbl, Row{int64(1), "Ann", nil})
 	ord, _ := tbl.ColOrdinal("age")
 	if ids := tbl.Lookup(ord, nil); len(ids) != 0 {
 		t.Fatalf("NULL lookup = %v, want empty", ids)
@@ -270,7 +296,7 @@ func TestNullsNotIndexed(t *testing.T) {
 func TestScanOrderAndEarlyStop(t *testing.T) {
 	tbl := patientTable(t)
 	for i := 1; i <= 5; i++ {
-		tbl.Insert(Row{int64(i), "P", int64(i * 10)})
+		insertRow(tbl, Row{int64(i), "P", int64(i * 10)})
 	}
 	var seen []int64
 	tbl.Scan(func(id RowID, r Row) bool {
@@ -304,7 +330,7 @@ func TestStoreCreateAndResolve(t *testing.T) {
 // the primary key index and NumRows matches.
 func TestQuickInsertLookup(t *testing.T) {
 	f := func(keys []int16) bool {
-		tbl, _ := NewTable("t", []Column{
+		tbl, _ := NewStore().CreateTable("t", []Column{
 			{Name: "id", Type: sqldb.TypeInt, PrimaryKey: true},
 			{Name: "v", Type: sqldb.TypeInt},
 		})
@@ -312,7 +338,7 @@ func TestQuickInsertLookup(t *testing.T) {
 		inserted := 0
 		for _, k := range keys {
 			key := int64(k)
-			_, err := tbl.Insert(Row{key, key * 2})
+			_, err := insertRow(tbl, Row{key, key * 2})
 			if seen[key] {
 				if err == nil {
 					return false // duplicate must fail

@@ -1,10 +1,10 @@
 // Package storage implements the row store beneath the reproduction's SQL
 // engine: typed tables with auto-assigned row ids, hash indexes on primary
 // key and secondary columns (optionally with postings ordered by a second
-// column, ordered.go), statement publication scopes that make each
-// statement's writes visible in one step, and MVCC snapshot reads —
-// epoch-stamped row versions (see mvcc.go) so a read batch can pin a
-// consistent snapshot and execute in parallel with the single writer.
+// column, ordered.go), Store.Write — the one way to change a row, which
+// makes each statement's writes visible in one step — and MVCC snapshot
+// reads — epoch-stamped row versions (see mvcc.go) so a read batch can pin
+// a consistent snapshot and execute in parallel with the single writer.
 package storage
 
 import (
@@ -79,28 +79,22 @@ type Table struct {
 	// index IS its index, under the same superset rule.
 	ordered map[int]*ordIndex
 
-	// mv is the versioning state shared with the owning Store (standalone
-	// tables built by NewTable get their own, with publication after every
-	// mutation — the single-goroutine test configuration).
-	mv *mvccState
-
-	// schemaChanged, when set by the owning Store, is invoked on DDL against
-	// this table (AddIndex) so the store's schema epoch advances and cached
-	// query plans recompile.
-	schemaChanged func()
+	// store owns the table: its mvcc state versions the table's rows, its
+	// Writer is the only way to change them, and DDL on the table (AddIndex)
+	// advances its schema epoch so cached query plans recompile.
+	store *Store
 
 	// Sharded-store routing view state (see shard.go). parts is nil for a
 	// plain table; when set, this table stores nothing itself — its heap,
 	// postings and garbage list stay empty — and reads and writes go to the
 	// per-shard part tables. partOrd is the partition column ordinal (-1:
-	// spread rows by id); coord is the owning coordinator store.
+	// spread rows by id).
 	parts   []*Table
 	partOrd int
-	coord   *Store
 }
 
-// NewTable builds an empty table from column definitions.
-func NewTable(name string, cols []Column) (*Table, error) {
+// newTable builds an empty table of store s from column definitions.
+func newTable(s *Store, name string, cols []Column) (*Table, error) {
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("storage: table %q has no columns", name)
 	}
@@ -112,7 +106,7 @@ func NewTable(name string, cols []Column) (*Table, error) {
 		nextID:   1,
 		indexes:  make(map[int]map[sqldb.Value][]RowID),
 		unique:   make(map[int]bool),
-		mv:       newMVCCState(new(sync.Mutex)),
+		store:    s,
 	}
 	for i, c := range cols {
 		key := strings.ToLower(c.Name)
@@ -231,7 +225,7 @@ func (t *Table) addIndex(col, by string, unique bool) error {
 	} else {
 		oi = buildOrdIndex(t.rows.slots, i, byOrd)
 	}
-	t.mv.rw.Lock()
+	t.store.mv.rw.Lock()
 	if oi != nil {
 		if t.ordered == nil {
 			t.ordered = make(map[int]*ordIndex)
@@ -243,10 +237,8 @@ func (t *Table) addIndex(col, by string, unique bool) error {
 	}
 	t.idxCols = append(t.idxCols, i)
 	sort.Ints(t.idxCols)
-	t.mv.rw.Unlock()
-	if t.schemaChanged != nil {
-		t.schemaChanged()
-	}
+	t.store.mv.rw.Unlock()
+	t.store.epoch.Add(1)
 	return nil
 }
 
@@ -340,8 +332,8 @@ func (t *Table) uniqueConflict(ord int, v sqldb.Value, exclude RowID) bool {
 
 // validate is the one admission check every row image passes, on plain
 // tables and views alike: arity, per-column coercion — in place, since row
-// is the caller's to give (see Insert) — then the unique constraints in
-// ascending column order. old is the image being replaced and exclude its
+// is the caller's to give (see Writer.Insert) — then the unique constraints
+// in ascending column order. old is the image being replaced and exclude its
 // id (nil and -1 for an insert); a unique value old already holds is not
 // re-checked. A rejected row leaves the table untouched.
 func (t *Table) validate(row, old Row, exclude RowID) error {
@@ -366,15 +358,10 @@ func (t *Table) validate(row, old Row, exclude RowID) error {
 	return nil
 }
 
-// Insert validates, coerces, and stores a row, returning its id. Ids come
-// from the table's own allocator — a view's parts share the view's, so id
-// order is insertion order at any shard count.
-//
-// Insert takes ownership of vals: each value is coerced in place and, once
-// admitted, the slice itself becomes the stored (immutable) image. The
-// caller must not write to vals afterwards, whether the row was admitted or
-// rejected; reading it is safe.
-func (t *Table) Insert(vals Row) (RowID, error) {
+// insert validates, coerces, and stores a row, returning its id (see
+// Writer.Insert). Ids come from the table's own allocator — a view's parts
+// share the view's, so id order is insertion order at any shard count.
+func (t *Table) insert(vals Row) (RowID, error) {
 	if err := t.validate(vals, nil, -1); err != nil {
 		return 0, err
 	}
@@ -385,19 +372,18 @@ func (t *Table) Insert(vals Row) (RowID, error) {
 }
 
 // install links row as the live image of id in this heap (a plain table or
-// a part), publishing at once when no statement scope is open.
+// a part).
 func (t *Table) install(id RowID, row Row) {
-	t.mv.rw.Lock()
+	t.store.mv.rw.Lock()
 	t.prepend(id, row)
-	t.mv.rw.Unlock()
-	t.mv.autoPublish()
+	t.store.mv.rw.Unlock()
 }
 
 // prepend installs row as the new live head for id. Whatever it supersedes
 // (a live image, or the dead chain a row left when it moved off this part)
 // becomes deferred garbage. Caller holds the structural write lock.
 func (t *Table) prepend(id RowID, row Row) {
-	stamp := t.mv.stamp()
+	stamp := t.store.mv.stamp()
 	prev := t.rows.get(id)
 	wasLive := prev != nil && prev.to == liveEpoch
 	if wasLive {
@@ -436,30 +422,31 @@ func (t *Table) RowAt(id RowID, snap *Snap) (Row, bool) {
 	return r, r != nil
 }
 
-// Delete removes a row, returning the removed contents.
-// Under MVCC the image is only superseded (to-stamped); the chain and its
-// postings are reclaimed by the sweep once no snapshot can see them.
-func (t *Table) Delete(id RowID) (Row, bool) {
+// delete removes a row, returning the removed contents (see
+// Writer.Delete). Under MVCC the image is only superseded (to-stamped);
+// the chain and its postings are reclaimed by the sweep once no snapshot
+// can see them.
+func (t *Table) delete(id RowID) (Row, bool) {
 	p, head := t.holder(id)
 	if p == nil {
 		return nil, false
 	}
-	p.mv.rw.Lock()
-	stamp := p.mv.stamp()
+	mv := p.store.mv
+	mv.rw.Lock()
+	stamp := mv.stamp()
 	head.to = stamp
 	p.liveRows--
 	p.addGarbage(id, stamp)
-	p.mv.rw.Unlock()
-	p.mv.autoPublish()
+	mv.rw.Unlock()
 	return head.row, true
 }
 
-// Update replaces the row contents, returning the previous contents. On a
-// view whose new partition value hashes to a different shard the row moves:
-// the delete-and-reinsert pair runs inside one publication scope (opened
-// here when the caller has none), so no snapshot ever sees the row on zero
-// or two shards. Update takes ownership of vals exactly as Insert does.
-func (t *Table) Update(id RowID, vals Row) (Row, error) {
+// update replaces the row contents, returning the previous contents (see
+// Writer.Update). On a view whose new partition value hashes to a
+// different shard the row moves: the delete and the reinsert belong to the
+// statement's one Write, which publishes every shard under snapGate, so no
+// snapshot ever sees the row on zero or two shards.
+func (t *Table) update(id RowID, vals Row) (Row, error) {
 	cur, head := t.holder(id)
 	if cur == nil {
 		return nil, fmt.Errorf("storage: table %q: no row %d", t.Name, id)
@@ -468,12 +455,8 @@ func (t *Table) Update(id RowID, vals Row) (Row, error) {
 		return nil, err
 	}
 	dst := t.home(vals, id)
-	if dst != cur && t.coord.mv.depth == 0 {
-		t.coord.beginStmtAll()
-		defer t.coord.endStmtAll()
-	}
 	if dst != cur {
-		cur.Delete(id)
+		cur.delete(id)
 	}
 	dst.install(id, vals)
 	return head.row, nil
@@ -610,7 +593,7 @@ func (t *Table) ScanEach(snap *Snap, fn func(Row) error) (err error) {
 }
 
 // Store is a named collection of tables guarded by one writer mutex; the
-// engine serializes mutations and latest-reads through it. Snapshot reads
+// engine serializes Writes and latest-reads through it. Snapshot reads
 // do NOT take it: they pin an epoch (Snapshot) and run under the
 // structural read lock (ReadLock), concurrent with each other and blocked
 // only for the instants a writer restructures a table.
@@ -632,6 +615,9 @@ type Store struct {
 	// statements atomically visible.
 	shards   []*Store
 	snapGate sync.Mutex
+
+	// w is the store's one Writer, handed to each Write's fn.
+	w Writer
 }
 
 // NewStore creates an empty store.
@@ -690,29 +676,80 @@ func (s *Store) Repin(sn *Snap) {
 	s.mv.pin(sn)
 }
 
-// BeginStmt opens a statement publication scope: every mutation until the
-// matching EndStmt carries one stamp and becomes visible atomically. The
-// caller holds the writer mutex. Scopes nest; the outermost EndStmt
-// publishes.
-func (s *Store) BeginStmt() {
-	if s.shards != nil {
-		s.beginStmtAll()
-		return
+// Write runs one statement's mutations: fn changes rows through w, and
+// every row it changes carries one version stamp, published — made visible
+// to snapshots in one step — when Write returns, on every path: fn's
+// success, its error and its panic alike. The caller holds the writer
+// mutex; DDL (CreateTable, AddIndex) runs outside Write, and a Write
+// inside fn panics.
+//
+// Publication is not rollback: when fn fails after some mutations, those
+// mutations publish all the same. A multi-row INSERT that hits a duplicate
+// key on its third row leaves its first two rows committed.
+func (s *Store) Write(fn func(w *Writer) error) error {
+	if s.w.open {
+		panic("storage: Write inside Write")
 	}
-	s.mv.depth++
+	s.w.open = true
+	defer s.publish()
+	return fn(&s.w)
 }
 
-// EndStmt closes the scope, publishing the statement's mutations and
-// sweeping whatever garbage no snapshot still pins.
-func (s *Store) EndStmt() {
-	if s.shards != nil {
-		s.endStmtAll()
+// publish closes the open Write: the statement's stamps become visible
+// (on a sharded store every shard's, under snapGate, so a snapshot sees
+// all of a cross-shard statement or none of it) and whatever garbage no
+// snapshot still pins is swept.
+func (s *Store) publish() {
+	s.w.open = false
+	if s.shards == nil {
+		s.mv.publish()
 		return
 	}
-	s.mv.depth--
-	if s.mv.depth == 0 {
-		s.mv.publish()
+	s.snapGate.Lock()
+	for _, sh := range s.shards {
+		sh.mv.publish()
 	}
+	s.snapGate.Unlock()
+}
+
+// Writer changes rows: its methods are the only way to, and Store.Write is
+// the only way to get a live one, valid until that Write returns.
+type Writer struct {
+	open bool
+}
+
+// check panics unless w is inside its Write and t belongs to w's store: a
+// mutation outside a Write — through a Writer kept past it, or a zero
+// Writer — would publish with some later statement.
+func (w *Writer) check(t *Table) {
+	if !w.open || &t.store.w != w {
+		panic("storage: Writer used outside its Write or on another store's table")
+	}
+}
+
+// Insert validates, coerces, and stores a row in t, returning its id.
+//
+// Insert takes ownership of vals: each value is coerced in place and, once
+// admitted, the slice itself becomes the stored (immutable) image. The
+// caller must not write to vals afterwards, whether the row was admitted or
+// rejected; reading it is safe.
+func (w *Writer) Insert(t *Table, vals Row) (RowID, error) {
+	w.check(t)
+	return t.insert(vals)
+}
+
+// Update replaces the contents of row id of t, returning the previous
+// contents. It takes ownership of vals exactly as Insert does.
+func (w *Writer) Update(t *Table, id RowID, vals Row) (Row, error) {
+	w.check(t)
+	return t.update(id, vals)
+}
+
+// Delete removes row id of t, returning the removed contents; false when
+// no such row is live.
+func (w *Writer) Delete(t *Table, id RowID) (Row, bool) {
+	w.check(t)
+	return t.delete(id)
 }
 
 // Epoch reports the store's schema epoch. It is safe to read without the
@@ -729,12 +766,10 @@ func (s *Store) CreateTable(name string, cols []Column) (*Table, error) {
 	if s.shards != nil {
 		return s.createSharded(key, name, cols)
 	}
-	t, err := NewTable(name, cols)
+	t, err := newTable(s, name, cols)
 	if err != nil {
 		return nil, err
 	}
-	t.mv = s.mv // share the store's versioning state and structural lock
-	t.schemaChanged = func() { s.epoch.Add(1) }
 	s.mv.rw.Lock()
 	s.tables[key] = t
 	s.mv.rw.Unlock()
