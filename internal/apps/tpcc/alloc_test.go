@@ -80,3 +80,54 @@ func TestSlothExecutorReleasesResults(t *testing.T) {
 		t.Fatalf("the first statement's id returned (%v, %v), want ErrUnknownQueryID", rs, err)
 	}
 }
+
+// TestTransactionEndRecyclesResults: the transaction is the request. Ending
+// each one hands its results, write results and projected rows back to the
+// connection's arena, so after warm-up a Payment (five statements) through
+// SlothExecutor allocates at least one object per statement fewer than the
+// same Payment through an executor that hides End, whose connection never
+// releases and allocates each result on its own. Each executor gets its
+// own database, so both run the same transactions against the same state.
+func TestTransactionEndRecyclesResults(t *testing.T) {
+	payments := func(exec Executor) float64 {
+		c := NewClient(exec, DefaultConfig(), 1)
+		run := func() {
+			if err := c.Run("Payment"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 200; i++ {
+			run()
+		}
+		return testing.AllocsPerRun(1000, run)
+	}
+	ended := payments(SlothExecutor{Store: querystore.New(freshConn(t), querystore.Config{})})
+	hidden := payments(struct{ Executor }{SlothExecutor{Store: querystore.New(freshConn(t), querystore.Config{})}})
+	t.Logf("Payment: %v allocs with End, %v without", ended, hidden)
+	const stmts = 5
+	if hidden-ended < stmts {
+		t.Fatalf("Payment allocates %v times ending its transaction and %v not ending it, want at least %d fewer", ended, hidden, stmts)
+	}
+}
+
+// endCounter is an executor whose every statement fails with errStmt and
+// that counts the transactions it was told ended.
+type endCounter struct{ ends int }
+
+var errStmt = errors.New("statement failed")
+
+func (e *endCounter) Query(string, ...sqldb.Value) (*sqldb.ResultSet, error) { return nil, errStmt }
+func (e *endCounter) End() error                                             { e.ends++; return nil }
+
+// TestFailedTransactionEnds: Run ends a transaction that failed, and ends
+// the transaction it was asked to run under a name it does not know.
+func TestFailedTransactionEnds(t *testing.T) {
+	exec := &endCounter{}
+	c := NewClient(exec, DefaultConfig(), 1)
+	if err := c.Run("Payment"); !errors.Is(err, errStmt) || exec.ends != 1 {
+		t.Fatalf("a failed Payment returned %v and ended %d transactions, want errStmt and 1", err, exec.ends)
+	}
+	if err := c.Run("No such transaction"); err == nil || exec.ends != 2 {
+		t.Fatalf("an unknown transaction returned %v and left %d ended, want an error and 2", err, exec.ends)
+	}
+}

@@ -3,7 +3,12 @@
 // (Sec. 6.6, Fig. 13). The implementation issues queries through a pluggable
 // executor and consumes every result immediately, so there is nothing for
 // Sloth to batch — running it under lazy semantics measures pure runtime
-// overhead, exactly as in the paper.
+// overhead, exactly as in the paper. The transaction is the request: a
+// result is read only by the transaction that fetched it, sometimes across
+// later statements of it (Stock-Level reads its order lines while it
+// issues a stock lookup per line), never after its last, so Client.Run
+// ends the transaction on the executor (End) and the connection's results
+// go back to its arena.
 //
 // Keys. TPC-C's composite keys are packed into single INT primary keys:
 // distID(w, d) = w·100 + d, custID(w, d, c), stockID(w, i), and
@@ -34,10 +39,25 @@ import (
 
 // Executor abstracts how the workload reaches the database: directly
 // through the conventional driver (original) or through thunks over the
-// query store (Sloth-compiled).
+// query store (Sloth-compiled). An executor that also has an End method is
+// told when each transaction ends (see End).
 type Executor interface {
 	// Query executes one statement and returns its result.
 	Query(sql string, args ...sqldb.Value) (*sqldb.ResultSet, error)
+}
+
+// End ends the transaction that just ran on exec, whose outcome was err, if
+// exec has an End() error method: every result the transaction's statements
+// returned is invalid afterwards. An executor without one, such as one
+// wrapped in another type, is never told and keeps its results. End returns
+// err, or else the executor's End error.
+func End(exec Executor, err error) error {
+	if e, ok := exec.(interface{ End() error }); ok {
+		if endErr := e.End(); err == nil {
+			err = endErr
+		}
+	}
+	return err
 }
 
 // DirectExecutor is the original application: one conventional driver call
@@ -49,12 +69,21 @@ func (e DirectExecutor) Query(sql string, args ...sqldb.Value) (*sqldb.ResultSet
 	return e.Conn.Query(sql, args...)
 }
 
+// End ends the transaction: the connection releases its results
+// (driver.Conn.Release).
+func (e DirectExecutor) End() error {
+	e.Conn.Release()
+	return nil
+}
+
 // SlothExecutor is the Sloth-compiled application: every statement becomes
 // a thunk registered with the query store and forced immediately (results
 // are consumed right away, so laziness buys nothing — only overhead).
-// Because the result is consumed at once, the statement is the request: the
-// store is told so once the thunk is forced, and a long-lived store holds
-// one statement's results rather than every result it has fetched.
+// The transaction is the request: End closes the store, which releases the
+// connection's results and recycles the store's scratch. Query still ends a
+// request per statement (Store.EndRequest), because an executor wrapped in
+// another type is never told that a transaction ended: without it, such a
+// long-lived store's results index would grow for the whole run.
 type SlothExecutor struct{ Store *querystore.Store }
 
 // Query implements Executor.
@@ -65,6 +94,11 @@ func (e SlothExecutor) Query(sql string, args ...sqldb.Value) (*sqldb.ResultSet,
 	e.Store.EndRequest()
 	return res.RS, res.Err
 }
+
+// End ends the transaction (Store.Close). Under the synchronous dispatcher
+// every batch was collected when its thunk was forced, so Close has nothing
+// to collect; the store stays usable for the next transaction.
+func (e SlothExecutor) End() error { return e.Store.Close() }
 
 // Schema is the TPC-C DDL (columns trimmed to those the transactions use).
 var Schema = []string{
@@ -395,8 +429,11 @@ func (c *Client) StockLevel() error {
 // TxnNames lists the five transaction types in the paper's Fig. 13 order.
 var TxnNames = []string{"New order", "Order status", "Stock level", "Payment", "Delivery"}
 
-// Run executes one named transaction.
-func (c *Client) Run(name string) error {
+// Run executes one named transaction and then ends it (End), on the error
+// path too.
+func (c *Client) Run(name string) error { return End(c.exec, c.run(name)) }
+
+func (c *Client) run(name string) error {
 	switch name {
 	case "New order":
 		return c.NewOrder()

@@ -316,8 +316,11 @@ func (c *Client) OrderInquiry() error {
 // MixNames lists the three TPC-W mixes in the paper's Fig. 13 order.
 var MixNames = []string{"Browsing mix", "Shopping mix", "Ordering mix"}
 
-// RunMixStep executes one interaction drawn from the named mix.
-func (c *Client) RunMixStep(mix string) error {
+// RunMixStep executes one interaction drawn from the named mix and then
+// ends it as a transaction (tpcc.End), on the error path too.
+func (c *Client) RunMixStep(mix string) error { return tpcc.End(c.exec, c.runMixStep(mix)) }
+
+func (c *Client) runMixStep(mix string) error {
 	p := c.rng.Intn(100)
 	switch mix {
 	case "Browsing mix": // 95% browse / 5% order

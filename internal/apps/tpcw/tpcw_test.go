@@ -1,12 +1,14 @@
 package tpcw
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/apps/tpcc"
 	"repro/internal/driver"
 	"repro/internal/netsim"
 	"repro/internal/querystore"
+	"repro/internal/sqldb"
 	"repro/internal/sqldb/engine"
 )
 
@@ -103,6 +105,28 @@ func TestUnknownMixErrors(t *testing.T) {
 	c, _ := rig(t, false)
 	if err := c.RunMixStep("Nonsense mix"); err == nil {
 		t.Fatal("unknown mix accepted")
+	}
+}
+
+// failingExec fails every statement and counts the transactions it was
+// told ended.
+type failingExec struct{ ends int }
+
+func (e *failingExec) Query(string, ...sqldb.Value) (*sqldb.ResultSet, error) {
+	return nil, errors.New("statement failed")
+}
+func (e *failingExec) End() error { e.ends++; return nil }
+
+// TestMixStepEnds: RunMixStep ends the interaction as a transaction when it
+// fails, and when the mix is unknown.
+func TestMixStepEnds(t *testing.T) {
+	exec := &failingExec{}
+	c := NewClient(exec, DefaultConfig(), 3)
+	if err := c.RunMixStep("Shopping mix"); err == nil || exec.ends != 1 {
+		t.Fatalf("a failed step returned %v and ended %d transactions, want an error and 1", err, exec.ends)
+	}
+	if err := c.RunMixStep("Nonsense mix"); err == nil || exec.ends != 2 {
+		t.Fatalf("an unknown mix returned %v and left %d ended, want an error and 2", err, exec.ends)
 	}
 }
 

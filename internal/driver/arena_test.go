@@ -79,6 +79,33 @@ func TestReleaseRecyclesResults(t *testing.T) {
 	}
 }
 
+// TestReleaseClearsProjectedRowsAndWrites: a projected row and a write's
+// result come from the arena too, so once the request that fetched them
+// is released, a projected row still held reads as NULLs and a write's
+// result as cleared.
+func TestReleaseClearsProjectedRowsAndWrites(t *testing.T) {
+	srv := zeroCostRig(t)
+	conn := srv.Connect(netsim.NewLink(srv.clock, 0))
+	batch := []Stmt{
+		prep("SELECT v FROM kv WHERE k = 1"),
+		prep("UPDATE kv SET v = 'one' WHERE k = 1"),
+	}
+	for request := 0; request < 2; request++ { // the first sizes the slabs
+		results, err := conn.ExecBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row, write := results[0].Rows[0], results[1]
+		if row[0] != "one" || write.RowsAffected != 1 {
+			t.Fatalf("request %d: row %v, write %+v", request, row, *write)
+		}
+		conn.Release()
+		if request == 1 && (row[0] != nil || write.RowsAffected != 0) {
+			t.Fatalf("after Release: row %v, write %+v, want both cleared", row, *write)
+		}
+	}
+}
+
 // TestUnreleasedConnAllocatesEachResult: a connection that never releases
 // runs 10 000 batches, each allocating exactly what a batch allocated
 // before results had an arena — three 96-byte result sets (each with room

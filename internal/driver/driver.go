@@ -363,8 +363,8 @@ func readOnly(stmts []Stmt) bool {
 	return true
 }
 
-// stmtExec executes one parsed statement, taking a SELECT's result from the
-// arena, and, when withPath is set, names its access path:
+// stmtExec executes one parsed statement, taking its result and projected
+// rows from the arena, and, when withPath is set, names its access path:
 // engine.Session.ExecPrepared or SnapSession.ExecSelectIn.
 type stmtExec func(a *sqldb.Arena, sql string, st sqlparse.Statement, args []sqldb.Value, withPath bool) (*sqldb.ResultSet, string, error)
 

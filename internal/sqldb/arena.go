@@ -2,22 +2,25 @@ package sqldb
 
 // Arena is room for the result sets a connection hands out during one
 // request, so that a request's results live as long as the request. It has
-// three slabs: result slots with room for a one-row answer, row-pointer
-// backing for multi-row answers, and the per-batch result lists. Reset
-// clears what the slabs handed out and grows each to the demand of the
-// request that just ended, up to maxSlab, so the next request's results
-// take no allocation. Past a slab — a request larger than any before it, or
-// a connection that never resets its arena — a result is allocated on its
-// own, exactly as a nil arena allocates it, and no slab grows before the
-// next Reset: an arena that is never reset retains nothing more.
+// four slabs: result slots with room for a one-row answer, row-pointer
+// backing for multi-row answers, the per-batch result lists, and the values
+// of projected rows. Every result a connection's batches return comes from
+// it — a SELECT's, a write's and a DDL statement's. Reset clears what the
+// slabs handed out and grows each to the demand of the request that just
+// ended, up to maxSlab, so the next request's results take no allocation.
+// Past a slab — a request larger than any before it, or a connection that
+// never resets its arena — a result is allocated on its own, exactly as a
+// nil arena allocates it, and no slab grows before the next Reset: an arena
+// that is never reset retains nothing more.
 //
 // An Arena is not safe for concurrent use; a connection uses its own.
 type Arena struct {
 	slots []slot
 	rows  [][]Value
 	lists []*ResultSet
+	vals  []Value
 	// Demand since the last Reset, overflow included.
-	nSlots, nRows, nLists int
+	nSlots, nRows, nLists, nVals int
 }
 
 // slot is a result set allocated together with room for its first row, so
@@ -67,6 +70,15 @@ func (a *Arena) List(n int) []*ResultSet {
 	return take(a.lists, &a.nLists, n)[:0]
 }
 
+// Values returns room for one projected row of n values. A nil arena
+// allocates it.
+func (a *Arena) Values(n int) []Value {
+	if a == nil {
+		return make([]Value, n)
+	}
+	return take(a.vals, &a.nVals, n)
+}
+
 // maxSlab bounds a slab: a connection that releases once, at the end of a
 // long life, reports that life as its demand. (A page request returns at
 // most about a hundred results and two hundred rows.)
@@ -81,10 +93,12 @@ func reset[T any](slab []T, used int) []T {
 	return slab
 }
 
-// Reset ends the request: every result set and list the slabs handed out
-// is cleared — a result set still held reads as empty, nil Rows and Cols —
-// and each slab grows toward the request's demand if that exceeded it.
+// Reset ends the request: every result set, list and projected row the
+// slabs handed out is cleared — a result set still held reads as empty, nil
+// Rows and Cols, and a projected row as NULLs — and each slab grows toward
+// the request's demand if that exceeded it.
 func (a *Arena) Reset() {
 	a.slots, a.rows, a.lists = reset(a.slots, a.nSlots), reset(a.rows, a.nRows), reset(a.lists, a.nLists)
-	a.nSlots, a.nRows, a.nLists = 0, 0, 0
+	a.vals = reset(a.vals, a.nVals)
+	a.nSlots, a.nRows, a.nLists, a.nVals = 0, 0, 0, 0
 }

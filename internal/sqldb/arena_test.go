@@ -56,9 +56,64 @@ func TestArenaSlabsStayBounded(t *testing.T) {
 	for i := 0; i < 10*maxSlab; i++ {
 		a.List(1)
 		a.Result(nil, rows, 0)
+		a.Values(1)
 	}
 	a.Reset()
-	if len(a.slots) != maxSlab || len(a.rows) != maxSlab || len(a.lists) != maxSlab {
-		t.Fatalf("slabs after a long life: %d slots, %d rows, %d lists, want %d each", len(a.slots), len(a.rows), len(a.lists), maxSlab)
+	if len(a.slots) != maxSlab || len(a.rows) != maxSlab || len(a.lists) != maxSlab || len(a.vals) != maxSlab {
+		t.Fatalf("slabs after a long life: %d slots, %d rows, %d lists, %d values, want %d each", len(a.slots), len(a.rows), len(a.lists), len(a.vals), maxSlab)
+	}
+}
+
+// TestArenaValues: projected rows come from the value slab while it lasts
+// and are allocated on their own past it, as a nil arena allocates each;
+// Reset clears what the slab handed out — a row still held reads as NULLs —
+// and grows the slab to the request's demand.
+func TestArenaValues(t *testing.T) {
+	fill := func(row []Value) []Value {
+		for i := range row {
+			row[i] = int64(i + 1)
+		}
+		return row
+	}
+	if row := fill(new(Arena).Values(2)); len(row) != 2 || cap(row) != 2 {
+		t.Fatalf("an empty arena's row: %v (cap %d)", row, cap(row))
+	}
+	var nilArena *Arena
+	if row := nilArena.Values(3); len(row) != 3 || cap(row) != 3 {
+		t.Fatalf("a nil arena's row: %v (cap %d)", row, cap(row))
+	}
+	if n := testing.AllocsPerRun(100, func() { fill(nilArena.Values(2)) }); n != 1 {
+		t.Fatalf("a nil arena allocates %v times per row, want 1", n)
+	}
+
+	var a Arena
+	overflow := []([]Value){fill(a.Values(2)), fill(a.Values(3))}
+	a.Reset()
+	if len(a.vals) != 5 {
+		t.Fatalf("value slab after a 5-value request: %d, want 5", len(a.vals))
+	}
+	if overflow[1][2] != int64(3) {
+		t.Fatal("Reset cleared a row it did not hand out from the slab")
+	}
+	held := []([]Value){fill(a.Values(2)), fill(a.Values(3))}
+	if &held[0][0] != &a.vals[0] || &held[1][0] != &a.vals[2] || cap(held[0]) != 2 {
+		t.Fatal("the second request's rows did not come from the slab, capped")
+	}
+	a.Reset()
+	if n := testing.AllocsPerRun(100, func() { fill(a.Values(2)); fill(a.Values(3)); a.Reset() }); n != 0 {
+		t.Fatalf("a warm arena allocates %v times per request, want 0", n)
+	}
+	held = []([]Value){fill(a.Values(2)), fill(a.Values(3))}
+	past := fill(a.Values(1)) // past the slab: allocated on its own
+	a.Reset()
+	for _, row := range held {
+		for i, v := range row {
+			if v != nil {
+				t.Fatalf("a held row's value %d after Reset: %v, want NULL", i, v)
+			}
+		}
+	}
+	if past[0] != int64(1) || len(a.vals) != 6 {
+		t.Fatalf("the overflowed row reads %v and the slab grew to %d, want 1 and 6", past, len(a.vals))
 	}
 }

@@ -75,8 +75,9 @@ func (s *Session) Exec(sql string, args ...sqldb.Value) (*sqldb.ResultSet, error
 
 // ExecPrepared executes a parsed statement whose text is sql, with
 // canonical args (sqldb.NormalizeArgs; driver.Prepare delivers them so),
-// going through the compiled-plan cache, takes a SELECT's result from a
-// (nil allocates it, so Exec's results are the caller's to keep), and
+// going through the compiled-plan cache, takes its result — a SELECT's, a
+// write's or DDL's — from a (nil allocates it, so Exec's results are the
+// caller's to keep), and
 // (when withPath is set) names the access path the tracing layer stamps
 // on statement spans: "index-eq(col)"
 // / "index-in(col)" / "index-range(a,b)" / "index-order(a,b)" / "scan" for
@@ -100,7 +101,7 @@ func (s *Session) execLocked(a *sqldb.Arena, sql string, st sqlparse.Statement, 
 			return nil, "", p.Err
 		}
 		if p.Select == nil {
-			rs, err = s.execWrite(p, args)
+			rs, err = s.execWrite(a, p, args)
 			return rs, "write", err
 		}
 		path = ""
@@ -112,16 +113,16 @@ func (s *Session) execLocked(a *sqldb.Arena, sql string, st sqlparse.Statement, 
 		}
 		rs, err = p.Select.Exec(args, s.scratch, a)
 	case *sqlparse.CreateTableStmt:
-		rs, err = s.execCreateTable(x)
+		rs, err = s.execCreateTable(a, x)
 	case *sqlparse.CreateIndexStmt:
-		rs, err = s.execCreateIndex(x)
+		rs, err = s.execCreateIndex(a, x)
 	default:
 		return nil, "", fmt.Errorf("engine: unsupported statement %T", st)
 	}
 	return rs, path, err
 }
 
-func (s *Session) execCreateTable(st *sqlparse.CreateTableStmt) (*sqldb.ResultSet, error) {
+func (s *Session) execCreateTable(a *sqldb.Arena, st *sqlparse.CreateTableStmt) (*sqldb.ResultSet, error) {
 	cols := make([]storage.Column, len(st.Cols))
 	for i, c := range st.Cols {
 		cols[i] = storage.Column{Name: c.Name, Type: c.Type, PrimaryKey: c.PrimaryKey}
@@ -130,10 +131,10 @@ func (s *Session) execCreateTable(st *sqlparse.CreateTableStmt) (*sqldb.ResultSe
 	if _, err := s.db.store.CreateTable(st.Name, cols); err != nil {
 		return nil, err
 	}
-	return &sqldb.ResultSet{}, nil
+	return a.Result(nil, nil, 0), nil
 }
 
-func (s *Session) execCreateIndex(st *sqlparse.CreateIndexStmt) (*sqldb.ResultSet, error) {
+func (s *Session) execCreateIndex(a *sqldb.Arena, st *sqlparse.CreateIndexStmt) (*sqldb.ResultSet, error) {
 	t, ok := s.db.store.Table(st.Table)
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown table %q", st.Table)
@@ -149,32 +150,32 @@ func (s *Session) execCreateIndex(st *sqlparse.CreateIndexStmt) (*sqldb.ResultSe
 	if err != nil {
 		return nil, err
 	}
-	return &sqldb.ResultSet{}, nil
+	return a.Result(nil, nil, 0), nil
 }
 
 // execWrite runs one INSERT, UPDATE or DELETE as one Store.Write: every
 // row the statement touches carries one version stamp and becomes visible
 // to snapshots when Write returns — a concurrent snapshot reader never sees
 // half a multi-row statement (though it sees the published half of one
-// that failed, see the package doc).
-func (s *Session) execWrite(p *plan.Prepared, args []sqldb.Value) (rs *sqldb.ResultSet, err error) {
+// that failed, see the package doc). The result comes from a.
+func (s *Session) execWrite(a *sqldb.Arena, p *plan.Prepared, args []sqldb.Value) (rs *sqldb.ResultSet, err error) {
 	err = s.db.store.Write(func(w *storage.Writer) (err error) {
 		switch {
 		case p.Insert != nil:
-			rs, err = s.execInsert(w, p.Insert, args)
+			rs, err = s.execInsert(a, w, p.Insert, args)
 		case p.Update != nil:
-			rs, err = s.execUpdate(w, p.Update, args)
+			rs, err = s.execUpdate(a, w, p.Update, args)
 		default:
-			rs, err = s.execDelete(w, p.Delete, args)
+			rs, err = s.execDelete(a, w, p.Delete, args)
 		}
 		return err
 	})
 	return rs, err
 }
 
-func (s *Session) execInsert(w *storage.Writer, p *plan.InsertPlan, args []sqldb.Value) (*sqldb.ResultSet, error) {
+func (s *Session) execInsert(a *sqldb.Arena, w *storage.Writer, p *plan.InsertPlan, args []sqldb.Value) (*sqldb.ResultSet, error) {
 	t := p.T
-	rs := &sqldb.ResultSet{}
+	rs := a.Result(nil, nil, 0)
 	for _, fns := range p.RowFns {
 		if len(fns) != len(p.Ordinals) {
 			return nil, fmt.Errorf("engine: INSERT row has %d values, want %d", len(fns), len(p.Ordinals))
@@ -201,12 +202,12 @@ func (s *Session) execInsert(w *storage.Writer, p *plan.InsertPlan, args []sqldb
 	return rs, nil
 }
 
-func (s *Session) execUpdate(w *storage.Writer, p *plan.UpdatePlan, args []sqldb.Value) (*sqldb.ResultSet, error) {
+func (s *Session) execUpdate(a *sqldb.Arena, w *storage.Writer, p *plan.UpdatePlan, args []sqldb.Value) (*sqldb.ResultSet, error) {
 	ids, scanned, err := p.Access.Match(args)
 	if err != nil {
 		return nil, err
 	}
-	rs := &sqldb.ResultSet{RowsScanned: scanned}
+	rs := a.Result(nil, nil, scanned)
 	for _, id := range ids {
 		row, ok := p.T.RowAt(id, nil) // the stored image: read, never written
 		if !ok {
@@ -229,12 +230,12 @@ func (s *Session) execUpdate(w *storage.Writer, p *plan.UpdatePlan, args []sqldb
 	return rs, nil
 }
 
-func (s *Session) execDelete(w *storage.Writer, p *plan.DeletePlan, args []sqldb.Value) (*sqldb.ResultSet, error) {
+func (s *Session) execDelete(a *sqldb.Arena, w *storage.Writer, p *plan.DeletePlan, args []sqldb.Value) (*sqldb.ResultSet, error) {
 	ids, scanned, err := p.Access.Match(args)
 	if err != nil {
 		return nil, err
 	}
-	rs := &sqldb.ResultSet{RowsScanned: scanned}
+	rs := a.Result(nil, nil, scanned)
 	for _, id := range ids {
 		if _, ok := w.Delete(p.T, id); !ok {
 			continue

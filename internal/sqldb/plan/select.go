@@ -338,14 +338,14 @@ type Scratch struct {
 }
 
 func (p *SelectPlan) exec(args []sqldb.Value, snap *storage.Snap, sc *Scratch, a *sqldb.Arena) (*sqldb.ResultSet, error) {
-	s := sink{p: p, args: args, snap: snap, sc: sc, rows: sc.rows[:0], keys: sc.keys[:0]}
+	s := sink{p: p, args: args, snap: snap, sc: sc, a: a, rows: sc.rows[:0], keys: sc.keys[:0]}
 	if p.agg != nil {
 		s.run = sc.agg.start(p.agg)
 	}
 	err := p.eachSource(&s)
 	var rs *sqldb.ResultSet
 	if err == nil || err == errFull {
-		rs, err = s.finish(a)
+		rs, err = s.finish()
 	}
 	s.end()
 	return rs, err
@@ -387,6 +387,7 @@ type sink struct {
 	args    []sqldb.Value
 	snap    *storage.Snap
 	sc      *Scratch
+	a       *sqldb.Arena // the caller's: projected rows and the result come from it
 	scanned int
 	sorted  bool            // the source delivers in ORDER BY order: no sort, stop when full
 	run     *aggRun         // aggregate plans: the accumulating groups
@@ -461,7 +462,7 @@ func (s *sink) add(row []sqldb.Value) error {
 		// into the stored array.
 		out = row[:len(row):len(row)]
 	} else {
-		out = make([]sqldb.Value, len(p.projs))
+		out = s.a.Values(len(p.projs))
 		for i, fn := range p.projs {
 			v, err := fn(row, s.args)
 			if err != nil {
@@ -495,9 +496,9 @@ func (s *sink) addKeys(from []sqldb.Value) error {
 }
 
 // finish renders aggregates, sorts once, applies DISTINCT/OFFSET/LIMIT
-// and takes the result at its final size from a (sqldb.Arena.Result):
+// and takes the result at its final size from the arena (sqldb.Arena.Result):
 // everything before that copy works in the scratch.
-func (s *sink) finish(a *sqldb.Arena) (*sqldb.ResultSet, error) {
+func (s *sink) finish() (*sqldb.ResultSet, error) {
 	p := s.p
 	if s.run != nil {
 		if err := s.run.finish(s); err != nil {
@@ -528,7 +529,7 @@ func (s *sink) finish(a *sqldb.Arena) (*sqldb.ResultSet, error) {
 	if p.limit >= 0 && len(rows) > p.limit {
 		rows = rows[:p.limit]
 	}
-	return a.Result(p.cols, rows, s.scanned), nil
+	return s.a.Result(p.cols, rows, s.scanned), nil
 }
 
 // end hands the execution's buffers back to the scratch, cleared: the rows,
