@@ -8,8 +8,10 @@ import (
 	"repro/internal/sqldb/plan"
 )
 
-// benchSession seeds a two-table database shaped like the golden workloads:
-// kv (point lookups, IN lists, aggregates) and tags (join fan-out).
+// benchSession seeds a three-table database shaped like the golden
+// workloads: kv (point lookups, IN lists, aggregates), tags (join fan-out)
+// and obs (unindexed scans under a conjunction, as OpenMRS's
+// conceptStatsForm counts over its obs table).
 func benchSession(b *testing.B) *Session {
 	b.Helper()
 	db := New()
@@ -23,12 +25,15 @@ func benchSession(b *testing.B) *Session {
 	mustExec("CREATE INDEX idx_kv_grp ON kv (grp)")
 	mustExec("CREATE TABLE tags (id INT PRIMARY KEY, kv_id INT, label TEXT)")
 	mustExec("CREATE INDEX idx_tags_kv ON tags (kv_id)")
+	mustExec("CREATE TABLE obs (id INT PRIMARY KEY, concept INT, val FLOAT)")
 	n := 512
 	for i := 1; i <= n; i++ {
 		mustExec("INSERT INTO kv (id, grp, v) VALUES (?, ?, ?)",
 			int64(i), int64(i%32), fmt.Sprintf("value-%d", i))
 		mustExec("INSERT INTO tags (id, kv_id, label) VALUES (?, ?, ?)",
 			int64(i), int64(i), fmt.Sprintf("tag-%d", i%7))
+		mustExec("INSERT INTO obs (id, concept, val) VALUES (?, ?, ?)",
+			int64(i), int64(i%8), float64(i%100))
 	}
 	return s
 }
@@ -60,6 +65,12 @@ var execCases = []struct {
 	{"group", "SELECT grp, COUNT(*) FROM kv GROUP BY grp", func(i int) []sqldb.Value { return nil }},
 	{"left-join", "SELECT k.id, t.label FROM kv k LEFT JOIN tags t ON t.kv_id = k.id + 256 WHERE k.grp = ?",
 		func(i int) []sqldb.Value { return []sqldb.Value{int64(i % 32)} }},
+	// Unindexed scans: a three-atom conjunction with int arguments on a
+	// FLOAT column, and a string equality on a TEXT column.
+	{"scan-conj", "SELECT COUNT(*) FROM obs WHERE concept = ? AND val >= ? AND val < ?",
+		func(i int) []sqldb.Value { return []sqldb.Value{int64(i % 8), int64(10), int64(50)} }},
+	{"scan-str", "SELECT id FROM kv WHERE v = ?",
+		func(i int) []sqldb.Value { return []sqldb.Value{fmt.Sprintf("value-%d", i%512+1)} }},
 }
 
 // BenchmarkExecSelect measures end-to-end Session.Exec (parse + plan +

@@ -1,8 +1,13 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"unsafe"
+	"weak"
 
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/plan"
@@ -142,11 +147,61 @@ func TestResultsNeverAliasScratch(t *testing.T) {
 	}
 }
 
+// TestScratchKeepsNoArgument: no executing context keeps an argument once
+// its statement ends — a WHERE binds its constants in room that dies with
+// the execution — so an argument the caller drops is collected, after
+// SELECTs on the session and on a snapshot, UPDATEs and DELETEs alike.
+func TestScratchKeepsNoArgument(t *testing.T) {
+	db, s := sizedDB(t)
+	mustExecT(t, s, "CREATE TABLE named (id INT PRIMARY KEY, name TEXT)")
+	for id := int64(1); id <= 8; id++ {
+		mustExecT(t, s, "INSERT INTO named (id, name) VALUES (?, ?)", id, fmt.Sprintf("n%d", id))
+	}
+	snap := db.BeginSnapshot()
+	defer snap.Close()
+	// run executes sql with a fresh heap string for its first argument and
+	// returns a weak pointer to the string's bytes.
+	run := func(sql string, onSnap bool) weak.Pointer[byte] {
+		arg := strings.Repeat("bound-argument-", 4)
+		args := []sqldb.Value{arg, int64(2)}
+		if onSnap {
+			st, err := plan.ParseCached(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := snap.ExecSelect(sql, st, args, false); err != nil {
+				t.Fatal(err)
+			}
+		} else if _, err := s.Exec(sql, args...); err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(unsafe.StringData(arg))
+	}
+	for _, c := range []struct {
+		sql    string
+		onSnap bool
+	}{
+		{"SELECT id FROM named WHERE name <> ? AND id >= ?", false},
+		{"SELECT id FROM named WHERE name <> ? AND id >= ?", true},
+		{"SELECT COUNT(*) FROM named WHERE ? <> name AND id > ?", false},
+		{"SELECT COUNT(*) FROM named WHERE ? <> name AND id > ?", true},
+		{"UPDATE named SET name = name WHERE name <> ? AND id = ?", false},
+		{"DELETE FROM named WHERE name = ? AND id > ?", false},
+	} {
+		wp := run(c.sql, c.onSnap)
+		runtime.GC()
+		if wp.Value() != nil {
+			t.Errorf("%q (snapshot %v): the argument is still reachable after the statement", c.sql, c.onSnap)
+		}
+	}
+}
+
 // TestMultiRowSelectAllocationsFlat: on a warm session, a whole-row SELECT
 // allocates its result and one slice for its rows whatever their number —
-// sorted by an output column or by a source-row key, deduplicated or not.
-// The snapshot path does the same, and re-pinning its snapshot allocates
-// nothing.
+// sorted by an output column or by a source-row key, deduplicated or not,
+// through an index or a scan whose WHERE binds three atoms: binding
+// allocates nothing. The snapshot path does the same, and re-pinning its
+// snapshot allocates nothing.
 func TestMultiRowSelectAllocationsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not fixed under the race detector")
@@ -176,11 +231,13 @@ func TestMultiRowSelectAllocationsFlat(t *testing.T) {
 		},
 	}
 	for name, run := range paths {
+		var indexed []float64
 		for _, sql := range []string{
 			"SELECT * FROM t WHERE g = ?",
 			"SELECT * FROM t WHERE g = ? ORDER BY a DESC",
 			"SELECT * FROM t WHERE g = ? ORDER BY a + id",
 			"SELECT DISTINCT * FROM t WHERE g = ? ORDER BY a",
+			"SELECT * FROM t WHERE id <= ? AND a >= 0 AND a < 7", // ids 1..g: g rows
 		} {
 			run(sql, 40) // grow the scratch to its largest use first
 			var counts []float64
@@ -189,6 +246,11 @@ func TestMultiRowSelectAllocationsFlat(t *testing.T) {
 			}
 			if counts[0] != counts[1] || counts[1] != counts[2] {
 				t.Errorf("%s %q: 2, 8 and 40 rows allocate %v times", name, sql, counts)
+			}
+			if indexed == nil {
+				indexed = counts
+			} else if strings.Contains(sql, "AND") && !reflect.DeepEqual(counts, indexed) {
+				t.Errorf("%s %q: allocates %v times, the same rows through the index %v", name, sql, counts, indexed)
 			}
 		}
 	}

@@ -33,6 +33,11 @@ func errFn(err error) EvalFn {
 	return func(_, _ []sqldb.Value) (sqldb.Value, error) { return nil, err }
 }
 
+// errParamRange is the error of a ? with no argument.
+func errParamRange(idx, n int) error {
+	return fmt.Errorf("engine: parameter %d out of range (%d args)", idx, n)
+}
+
 // constFn compiles to a closure returning a fixed value.
 func constFn(v sqldb.Value) EvalFn {
 	return func(_, _ []sqldb.Value) (sqldb.Value, error) { return v, nil }
@@ -49,7 +54,7 @@ func Compile(e sqlparse.Expr, env *Env) EvalFn {
 		idx := x.Index
 		return func(_, args []sqldb.Value) (sqldb.Value, error) {
 			if idx < 0 || idx >= len(args) {
-				return nil, fmt.Errorf("engine: parameter %d out of range (%d args)", idx, len(args))
+				return nil, errParamRange(idx, len(args))
 			}
 			return args[idx], nil
 		}
@@ -103,6 +108,8 @@ func Compile(e sqlparse.Expr, env *Env) EvalFn {
 			members[i] = Compile(m, env)
 		}
 		not := x.Not
+		// Three-valued: no match and a NULL member is NULL, so NOT IN over
+		// a list holding NULL keeps no row.
 		return func(row, args []sqldb.Value) (sqldb.Value, error) {
 			v, err := exprFn(row, args)
 			if err != nil {
@@ -111,16 +118,19 @@ func Compile(e sqlparse.Expr, env *Env) EvalFn {
 			if v == nil {
 				return nil, nil
 			}
+			res := sqldb.Value(not)
 			for _, m := range members {
 				iv, err := m(row, args)
 				if err != nil {
 					return nil, err
 				}
-				if sqldb.Equal(v, iv) {
+				if iv == nil {
+					res = nil
+				} else if sqldb.Equal(v, iv) {
 					return !not, nil
 				}
 			}
-			return not, nil
+			return res, nil
 		}
 	case *sqlparse.IsNullExpr:
 		inner := Compile(x.Expr, env)
@@ -156,35 +166,12 @@ func Compile(e sqlparse.Expr, env *Env) EvalFn {
 			return sqlparse.LikeMatch(s, pat) != not, nil
 		}
 	case *sqlparse.BetweenExpr:
-		inner := Compile(x.Expr, env)
-		loFn := Compile(x.Lo, env)
-		hiFn := Compile(x.Hi, env)
-		return func(row, args []sqldb.Value) (sqldb.Value, error) {
-			v, err := inner(row, args)
-			if err != nil {
-				return nil, err
-			}
-			lo, err := loFn(row, args)
-			if err != nil {
-				return nil, err
-			}
-			hi, err := hiFn(row, args)
-			if err != nil {
-				return nil, err
-			}
-			if v == nil || lo == nil || hi == nil {
-				return nil, nil
-			}
-			cl, err := sqldb.Compare(v, lo)
-			if err != nil {
-				return nil, err
-			}
-			ch, err := sqldb.Compare(v, hi)
-			if err != nil {
-				return nil, err
-			}
-			return cl >= 0 && ch <= 0, nil
-		}
+		// x BETWEEN lo AND hi is x >= lo AND x <= hi: the same three-valued
+		// logic, short circuit and error order (x is pure, and an aggregate
+		// call keeps its one slot however often it is compiled).
+		return compileBinary(&sqlparse.Binary{Op: sqlparse.OpAnd,
+			L: &sqlparse.Binary{Op: sqlparse.OpGe, L: x.Expr, R: x.Lo},
+			R: &sqlparse.Binary{Op: sqlparse.OpLe, L: x.Expr, R: x.Hi}}, env)
 	case *sqlparse.FuncCall:
 		if env.aggs != nil && x.IsAggregate() {
 			pos := env.aggs.pos(x)

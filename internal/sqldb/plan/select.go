@@ -23,7 +23,7 @@ type SelectPlan struct {
 	from     *storage.Table
 	access   []accessCand
 	joins    []joinPlan
-	where    EvalFn // nil when the statement has no WHERE clause
+	where    filter
 	agg      *aggPlan
 	cols     []string
 	projs    []EvalFn
@@ -173,9 +173,7 @@ func CompileSelect(st *sqlparse.SelectStmt, store *storage.Store) (*SelectPlan, 
 	}
 
 	p.access = accessCands(fromTable, st.From.Binding(), st.Where)
-	if st.Where != nil {
-		p.where = Compile(st.Where, env)
-	}
+	p.where = compileFilter(st.Where, env)
 
 	agg := hasAggregates(st)
 	cols, exprs, err := selectList(env, st, agg)
@@ -338,7 +336,10 @@ type Scratch struct {
 }
 
 func (p *SelectPlan) exec(args []sqldb.Value, snap *storage.Snap, sc *Scratch, a *sqldb.Arena) (*sqldb.ResultSet, error) {
-	s := sink{p: p, args: args, snap: snap, sc: sc, a: a, rows: sc.rows[:0], keys: sc.keys[:0]}
+	var s sink // assigned field by field: a composite literal is built aside and copied in
+	s.p, s.args, s.snap, s.sc, s.a = p, args, snap, sc, a
+	s.rows, s.keys = sc.rows[:0], sc.keys[:0]
+	p.where.bind(args, &s.bound)
 	if p.agg != nil {
 		s.run = sc.agg.start(p.agg)
 	}
@@ -376,12 +377,13 @@ func (p *SelectPlan) eachSource(s *sink) error {
 }
 
 // sink is one execution of the plan — the only SELECT executor. Source rows
-// stream in one at a time, each carried through the joins (join) and then
-// through WHERE → aggregate accumulation or projection + source-row ORDER
-// BY keys (add); finish renders aggregates, sorts once, and applies
-// DISTINCT/OFFSET/LIMIT. Nothing is materialized between the stages, and
-// because one row runs every stage before the next row starts, the error a
-// statement reports is the first one in source-row order.
+// stream in one at a time, each carried through the joins (join; a plan
+// without joins skips the stage) and then through WHERE → aggregate
+// accumulation or projection + source-row ORDER BY keys (add); finish
+// renders aggregates, sorts once, and applies DISTINCT/OFFSET/LIMIT.
+// Nothing is materialized between the stages, and because one row runs
+// every stage before the next row starts, the error a statement reports is
+// the first one in source-row order.
 type sink struct {
 	p       *SelectPlan
 	args    []sqldb.Value
@@ -394,11 +396,18 @@ type sink struct {
 	rows    [][]sqldb.Value // output rows, in sc: projected, or the aggregates' at finish
 	keys    []sqldb.Value   // in sc: rows[i]'s ORDER BY keys at [i*w, (i+1)*w), when p.orderSrc
 	key     [1]sqldb.Value  // pick's room for an equality lookup value
+	bound   bindings        // p.where's constants for this execution
 }
 
 func (s *sink) source(r storage.Row) error {
 	s.scanned++
-	if err := s.join(0, r); err != nil {
+	var err error
+	if len(s.p.joins) == 0 {
+		err = s.add(r)
+	} else {
+		err = s.join(0, r)
+	}
+	if err != nil {
 		return err
 	}
 	if s.sorted && s.p.limit >= 0 && len(s.rows)-s.p.offset >= s.p.limit {
@@ -445,11 +454,8 @@ func (s *sink) join(level int, row []sqldb.Value) error {
 // add takes one fully joined row: WHERE, then accumulation or projection.
 func (s *sink) add(row []sqldb.Value) error {
 	p := s.p
-	if p.where != nil {
-		v, err := p.where(row, s.args)
-		if err != nil || v == nil || !sqldb.Truthy(v) {
-			return err
-		}
+	if ok, err := p.where.keep(row, s.args, &s.bound); !ok {
+		return err
 	}
 	if s.run != nil {
 		return s.run.add(row, s.args)
@@ -724,21 +730,10 @@ func joinKey(env *Env, jt *storage.Table, binding string, on sqlparse.Expr) (int
 // environment: they must be parameter/literal computations (column
 // references were excluded statically, mirroring the old constValue check).
 func accessCands(t *storage.Table, binding string, e sqlparse.Expr) []accessCand {
-	var conjuncts []sqlparse.Expr
-	var walk func(e sqlparse.Expr)
-	walk = func(e sqlparse.Expr) {
-		if x, ok := e.(*sqlparse.Binary); ok && x.Op == sqlparse.OpAnd {
-			walk(x.L)
-			walk(x.R)
-			return
-		}
-		conjuncts = append(conjuncts, e)
-	}
-	walk(e)
-
+	all := conjuncts(e)
 	var out []accessCand
 	empty := NewEnv()
-	for _, e := range conjuncts {
+	for _, e := range all {
 		switch x := e.(type) {
 		case *sqlparse.Binary:
 			if x.Op != sqlparse.OpEq {
@@ -754,7 +749,7 @@ func accessCands(t *storage.Table, binding string, e sqlparse.Expr) []accessCand
 			c := accessCand{ord: ord, eq: Compile(val, empty), by: -1}
 			if by, ok := t.OrderedBy(ord); ok {
 				c.by, c.byType = by, t.Columns[by].Type
-				c.lo, c.hi = bounds(t, binding, by, conjuncts, empty)
+				c.lo, c.hi = bounds(t, binding, by, all, empty)
 			}
 			out = append(out, c)
 		case *sqlparse.InList:

@@ -114,15 +114,11 @@ func CompileDelete(st *sqlparse.DeleteStmt, store *storage.Store) (*DeletePlan, 
 type TableAccess struct {
 	t      *storage.Table
 	access []accessCand
-	where  EvalFn // nil when the statement has no WHERE clause
+	where  filter
 }
 
 func compileTableAccess(t *storage.Table, binding string, where sqlparse.Expr, env *Env) TableAccess {
-	a := TableAccess{t: t, access: accessCands(t, binding, where)}
-	if where != nil {
-		a.where = Compile(where, env)
-	}
-	return a
+	return TableAccess{t: t, access: accessCands(t, binding, where), where: compileFilter(where, env)}
 }
 
 // Match returns ids of rows satisfying the WHERE clause, through the index
@@ -130,23 +126,19 @@ func compileTableAccess(t *storage.Table, binding string, where sqlparse.Expr, e
 // evaluates on the stored row images, which it only reads — no copies. The
 // caller must hold the store lock.
 func (a *TableAccess) Match(args []sqldb.Value) ([]storage.RowID, int, error) {
+	var bound bindings
+	a.where.bind(args, &bound)
 	var out []storage.RowID
 	var err error
 	scanned := 0
 	visit := func(id storage.RowID, row storage.Row) bool {
 		scanned++
-		if a.where != nil {
-			v, werr := a.where(row, args)
-			if werr != nil {
-				err = werr
-				return false
-			}
-			if v == nil || !sqldb.Truthy(v) {
-				return true
-			}
+		ok, werr := a.where.keep(row, args, &bound)
+		if ok {
+			out = append(out, id)
 		}
-		out = append(out, id)
-		return true
+		err = werr
+		return werr == nil
 	}
 	var key [1]sqldb.Value
 	if c, vals := pick(a.access, args, key[:0]); c != nil {

@@ -583,13 +583,24 @@ func (t *Table) Scan(fn func(RowID, Row) bool) { t.scan(nil, fn) }
 
 // ScanEach calls fn with the stored (read-only) image of every row visible
 // to snap (live rows when snap is nil), in ascending id order. Stops on
-// the first error, returning it.
+// the first error, returning it. A plain table's rows go to fn straight
+// from the heap: this is every unindexed SELECT's per-row loop.
 func (t *Table) ScanEach(snap *Snap, fn func(Row) error) (err error) {
-	t.scan(snap, func(_ RowID, r Row) bool {
-		err = fn(r)
-		return err == nil
-	})
-	return err
+	if t.parts != nil {
+		t.shardScan(snap, func(_ RowID, r Row) bool {
+			err = fn(r)
+			return err == nil
+		})
+		return err
+	}
+	for _, s := range t.rows.slots {
+		if r := visibleTo(s.head, snap); r != nil {
+			if err := fn(r); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Store is a named collection of tables guarded by one writer mutex; the

@@ -70,16 +70,16 @@ func Compare(a, b Value) (int, error) {
 	case int64:
 		switch bv := b.(type) {
 		case int64:
-			return cmpInt(av, bv), nil
+			return Order(av, bv), nil
 		case float64:
-			return cmpFloat(float64(av), bv), nil
+			return Order(float64(av), bv), nil
 		}
 	case float64:
 		switch bv := b.(type) {
 		case int64:
-			return cmpFloat(av, float64(bv)), nil
+			return Order(av, float64(bv)), nil
 		case float64:
-			return cmpFloat(av, bv), nil
+			return Order(av, bv), nil
 		}
 	case string:
 		if bv, ok := b.(string); ok {
@@ -113,18 +113,10 @@ func CompareOrder(a, b Value) int {
 	return c
 }
 
-func cmpInt(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func cmpFloat(a, b float64) int {
+// Order is Compare's arm for two values of one numeric type: -1, 0 or +1,
+// with NaN ordering equal to everything. A compiled WHERE atom calls it
+// directly once its execution has fixed the constant's type.
+func Order[T int64 | float64](a, b T) int {
 	switch {
 	case a < b:
 		return -1
