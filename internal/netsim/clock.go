@@ -9,7 +9,7 @@
 package netsim
 
 import (
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -22,30 +22,25 @@ type Clock interface {
 }
 
 // VirtualClock is a thread-safe simulated clock. Advancing it is free; Now
-// reports the accumulated virtual time. The zero value is ready to use.
+// reports the accumulated virtual time. The time is one atomic word: Now is
+// a load and Advance an add, so readers on other goroutines never block.
+// The zero value is ready to use.
 type VirtualClock struct {
-	mu  sync.Mutex
-	now time.Duration
+	now atomic.Int64 // nanoseconds
 }
 
 // NewVirtualClock returns a virtual clock starting at zero.
 func NewVirtualClock() *VirtualClock { return &VirtualClock{} }
 
 // Now reports the accumulated virtual time.
-func (c *VirtualClock) Now() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+func (c *VirtualClock) Now() time.Duration { return time.Duration(c.now.Load()) }
 
 // Advance moves virtual time forward by d. Negative durations are ignored.
 func (c *VirtualClock) Advance(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	c.mu.Lock()
-	c.now += d
-	c.mu.Unlock()
+	c.now.Add(int64(d))
 }
 
 // AdvanceTo advances c to the absolute virtual time target, returning the

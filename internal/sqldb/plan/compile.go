@@ -168,10 +168,15 @@ func Compile(e sqlparse.Expr, env *Env) EvalFn {
 	case *sqlparse.BetweenExpr:
 		// x BETWEEN lo AND hi is x >= lo AND x <= hi: the same three-valued
 		// logic, short circuit and error order (x is pure, and an aggregate
-		// call keeps its one slot however often it is compiled).
-		return compileBinary(&sqlparse.Binary{Op: sqlparse.OpAnd,
+		// call keeps its one slot however often it is compiled). NOT BETWEEN
+		// is its three-valued negation: NULL stays NULL.
+		between := &sqlparse.Binary{Op: sqlparse.OpAnd,
 			L: &sqlparse.Binary{Op: sqlparse.OpGe, L: x.Expr, R: x.Lo},
-			R: &sqlparse.Binary{Op: sqlparse.OpLe, L: x.Expr, R: x.Hi}}, env)
+			R: &sqlparse.Binary{Op: sqlparse.OpLe, L: x.Expr, R: x.Hi}}
+		if x.Not {
+			return Compile(&sqlparse.Unary{Expr: between}, env)
+		}
+		return compileBinary(between, env)
 	case *sqlparse.FuncCall:
 		if env.aggs != nil && x.IsAggregate() {
 			pos := env.aggs.pos(x)

@@ -96,6 +96,48 @@ func TestThreeValuedInAndBetween(t *testing.T) {
 	}
 }
 
+// TestNotBetween pins x NOT BETWEEN lo AND hi as the three-valued negation
+// of BETWEEN: against every mix of NULL and non-NULL operand and bounds it
+// yields what NOT (x BETWEEN lo AND hi) yields, NULL staying NULL.
+func TestNotBetween(t *testing.T) {
+	_, env := filterTable(t)
+	vals := []string{"NULL", "1", "2", "3"}
+	want := map[string]sqldb.Value{}
+	for _, lo := range vals {
+		for _, hi := range vals {
+			for _, i := range []sqldb.Value{nil, int64(0), int64(2), int64(4)} {
+				row := []sqldb.Value{i, nil, nil, nil}
+				bounds := lo + " AND " + hi
+				got, err := Compile(whereOf(t, "i NOT BETWEEN "+bounds), env)(row, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				neg, err := Compile(whereOf(t, "NOT (i BETWEEN "+bounds+")"), env)(row, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != neg {
+					t.Errorf("i = %v NOT BETWEEN %s: got %v, NOT (BETWEEN) gives %v", i, bounds, got, neg)
+				}
+				want[fmt.Sprint(i, " ", bounds)] = got
+			}
+		}
+	}
+	// Spot checks that the comparison above is not vacuous.
+	for k, v := range map[string]sqldb.Value{
+		"2 1 AND 3":     false,
+		"4 1 AND 3":     true,
+		"0 1 AND NULL":  true,
+		"2 1 AND NULL":  nil,
+		"4 NULL AND 3":  true,
+		"<nil> 1 AND 3": nil,
+	} {
+		if want[k] != v {
+			t.Errorf("i BETWEEN: %s gives %v, want %v", k, want[k], v)
+		}
+	}
+}
+
 // filterGen draws WHERE conjunctions over t's four columns: atoms in both
 // spellings against parameters and literals, mostly of the column's type,
 // and residual conjuncts of every other shape, an unknown column among them.

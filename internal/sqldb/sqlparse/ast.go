@@ -266,9 +266,10 @@ type LikeExpr struct {
 	Pattern Expr
 }
 
-// BetweenExpr is `expr BETWEEN lo AND hi`.
+// BetweenExpr is `expr [NOT] BETWEEN lo AND hi`.
 type BetweenExpr struct {
 	Expr   Expr
+	Not    bool
 	Lo, Hi Expr
 }
 

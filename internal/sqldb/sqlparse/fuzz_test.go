@@ -26,6 +26,7 @@ func FuzzParse(f *testing.F) {
 	// A few hand-picked shapes in case the golden suite ever narrows.
 	f.Add("SELECT fk, COUNT(*), SUM(val) FROM t WHERE fk IN (1, 2, 3) GROUP BY fk")
 	f.Add("SELECT a.id FROM t AS a WHERE a.v BETWEEN 1 AND 9 ORDER BY a.id DESC")
+	f.Add("SELECT a.id FROM t AS a WHERE a.v NOT BETWEEN 1 AND 9 OR a.v IS NULL")
 	f.Add("INSERT INTO t (id, v) VALUES (1, 'x')")
 	f.Add("UPDATE t SET v = 2 WHERE id = 1")
 	// Index column lists: the two accepted widths and the rejected forms.

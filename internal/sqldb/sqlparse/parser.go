@@ -695,20 +695,9 @@ func (p *parser) parseCmp() (Expr, error) {
 			return &LikeExpr{Expr: l, Pattern: pat}, nil
 		case "BETWEEN":
 			p.next()
-			lo, err := p.parseAdd()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectKeyword("AND"); err != nil {
-				return nil, err
-			}
-			hi, err := p.parseAdd()
-			if err != nil {
-				return nil, err
-			}
-			return &BetweenExpr{Expr: l, Lo: lo, Hi: hi}, nil
+			return p.parseBetweenTail(l, false)
 		case "NOT":
-			// l NOT IN (...) / l NOT LIKE p
+			// l NOT IN (...) / l NOT LIKE p / l NOT BETWEEN lo AND hi
 			if p.pos+1 < len(p.toks) && p.toks[p.pos+1].kind == tokKeyword {
 				switch p.toks[p.pos+1].text {
 				case "IN":
@@ -723,11 +712,30 @@ func (p *parser) parseCmp() (Expr, error) {
 						return nil, err
 					}
 					return &LikeExpr{Expr: l, Pattern: pat, Not: true}, nil
+				case "BETWEEN":
+					p.next()
+					p.next()
+					return p.parseBetweenTail(l, true)
 				}
 			}
 		}
 	}
 	return l, nil
+}
+
+func (p *parser) parseBetweenTail(l Expr, not bool) (Expr, error) {
+	lo, err := p.parseAdd()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.expectKeyword("AND"); err != nil {
+		return nil, err
+	}
+	hi, err := p.parseAdd()
+	if err != nil {
+		return nil, err
+	}
+	return &BetweenExpr{Expr: l, Not: not, Lo: lo, Hi: hi}, nil
 }
 
 func (p *parser) parseInTail(l Expr, not bool) (Expr, error) {

@@ -147,6 +147,13 @@ func TestParseBetween(t *testing.T) {
 	if b.Lo.(*Literal).Value != int64(18) || b.Hi.(*Literal).Value != int64(65) {
 		t.Fatalf("between = %+v", b)
 	}
+	if b.Not {
+		t.Fatal("BETWEEN parsed as NOT BETWEEN")
+	}
+	sel = mustSelect(t, "SELECT * FROM t WHERE age NOT BETWEEN 18 AND 65")
+	if b = sel.Where.(*BetweenExpr); !b.Not || b.Hi.(*Literal).Value != int64(65) {
+		t.Fatalf("not between = %+v", b)
+	}
 }
 
 func TestParseJoins(t *testing.T) {

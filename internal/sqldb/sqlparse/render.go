@@ -133,6 +133,9 @@ func (r *Renderer) Expr(e Expr) {
 		r.Expr(x.Pattern)
 	case *BetweenExpr:
 		r.Expr(x.Expr)
+		if x.Not {
+			r.WriteString(" NOT")
+		}
 		r.WriteString(" BETWEEN ")
 		r.Expr(x.Lo)
 		r.WriteString(" AND ")

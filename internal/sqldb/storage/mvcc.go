@@ -3,8 +3,6 @@ package storage
 import (
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/sqldb"
 )
 
 // This file holds the MVCC machinery beneath the table heap: epoch-stamped
@@ -249,11 +247,8 @@ func (t *Table) prune(id RowID, h uint64) {
 	}
 	if head.to <= h {
 		for v := head; v != nil; v = v.prev {
-			for i, idx := range t.indexes {
-				removeFromIndex(idx, v.row[i], id)
-			}
-			for i, oi := range t.ordered {
-				oi.remove(v.row[i], v.row[oi.by], id)
+			for k := range t.indexes {
+				t.indexes[k].remove(v.row, id)
 			}
 		}
 		t.rows.drop(id)
@@ -271,24 +266,19 @@ func (t *Table) prune(id RowID, h uint64) {
 	}
 	last.prev = nil
 	for v := tail; v != nil; v = v.prev {
-		for i, idx := range t.indexes {
-			if !chainHolds(head, i, v.row[i], -1, nil) {
-				removeFromIndex(idx, v.row[i], id)
-			}
-		}
-		for i, oi := range t.ordered {
-			if !chainHolds(head, i, v.row[i], oi.by, v.row[oi.by]) {
-				oi.remove(v.row[i], v.row[oi.by], id)
+		for k := range t.indexes {
+			if x := &t.indexes[k]; !chainHolds(head, x, v.row) {
+				x.remove(v.row, id)
 			}
 		}
 	}
 }
 
 // chainHolds reports whether any kept image of the chain still holds the
-// values a posting was made for (the comparison match applies to readers).
-func chainHolds(head *version, ord int, val sqldb.Value, by int, bv sqldb.Value) bool {
+// posting image r made in x (the comparison match applies to readers).
+func chainHolds(head *version, x *index, r Row) bool {
 	for v := head; v != nil; v = v.prev {
-		if holds(v.row, ord, val, by, bv) {
+		if x.same(v.row, r) {
 			return true
 		}
 	}

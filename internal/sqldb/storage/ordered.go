@@ -98,7 +98,7 @@ func (oi *ordIndex) remove(a, b sqldb.Value, id RowID) {
 		delete(oi.lists, a)
 		return
 	}
-	oi.lists[a] = slices.Delete(es, pos, pos+1)
+	oi.lists[a] = cut(es, pos)
 }
 
 // buildOrdIndex posts every stored version of every row, sorting each list
@@ -128,8 +128,8 @@ func buildOrdIndex(slots []rowSlot, a, by int) *ordIndex {
 // OrderedBy reports the ordering column of the two-column index hashed on
 // column ordinal i; ok is false when i has no such index.
 func (t *Table) OrderedBy(i int) (by int, ok bool) {
-	if oi := t.ordered[i]; oi != nil {
-		return oi.by, true
+	if x := t.indexOn(i); x != nil && x.oi != nil {
+		return x.oi.by, true
 	}
 	return -1, false
 }
@@ -226,7 +226,7 @@ func (c *ordCursor) next() bool {
 
 // openCursor positions a cursor before this heap's first posting in r.
 func (t *Table) openCursor(ord int, nv sqldb.Value, r Range, o Order, snap *Snap) ordCursor {
-	oi := t.ordered[ord]
+	oi := t.indexOn(ord).oi
 	return ordCursor{t: t, snap: snap, ord: ord, nv: nv, by: oi.by,
 		raw: t.pristine(snap), desc: o == ByKeyDesc, rest: r.window(oi.lists[nv])}
 }

@@ -92,7 +92,7 @@ func checkPostings(t *testing.T, tbl *Table, step int) {
 	}
 	entries := 0
 	for _, h := range heaps {
-		for a, es := range h.ordered[1].lists {
+		for a, es := range h.indexOn(1).oi.lists {
 			for i, e := range es {
 				if i > 0 && seek(es[:i+1], e.b, e.id) != i {
 					t.Fatalf("step %d: postings of %v out of order at %d: %v", step, a, i, es)

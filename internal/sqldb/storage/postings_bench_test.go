@@ -146,19 +146,94 @@ func BenchmarkIndexLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexUpdate measures updating an indexed column (remove + add on
-// two indexes).
+// BenchmarkIndexUpdate measures an UPDATE's index maintenance on a table
+// with a primary key and one secondary index: changing the indexed column
+// (a new posting under the new value, the old one swept), and changing
+// only an unindexed column, which posts nothing — the live image it
+// supersedes holds every indexed value already.
 func BenchmarkIndexUpdate(b *testing.B) {
-	t := benchTable(b, 64, 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := RowID(i%(64*16) + 1)
-		stored, _ := t.RowAt(id, nil)
-		row := append(Row(nil), stored...)
-		row[1] = int64((i + 1) % 64)
-		if _, err := updateRow(t, id, row); err != nil {
-			b.Fatal(err)
+	for _, bc := range []struct {
+		name   string
+		change func(row Row, i int)
+	}{
+		{"indexed-column", func(row Row, i int) { row[1] = int64((i + 1) % 64) }},
+		{"unindexed-column", func(row Row, i int) { row[2] = "updated" }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			t := benchTable(b, 64, 16)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id := RowID(i%(64*16) + 1)
+				stored, _ := t.RowAt(id, nil)
+				row := append(Row(nil), stored...)
+				bc.change(row, i)
+				if _, err := updateRow(t, id, row); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkIndexDeleteOldest is a queue under one key: each op deletes the
+// oldest row posted under it and inserts a new one, with 1 k and with 100 k
+// postings under the key, through a one-column and a two-column index. The
+// table holds 100 k rows either way, so only the posting list's length
+// differs. A removal moves the shorter side of the list, so deleting its
+// front shifts nothing: ns/op must be flat across the two sizes.
+func BenchmarkIndexDeleteOldest(b *testing.B) {
+	const rows = 100_000
+	for _, bc := range []struct {
+		name  string
+		index func(*Table) error
+	}{
+		{"one-column", func(t *Table) error { return t.AddIndex("fk", false) }},
+		{"two-column", func(t *Table) error { return t.AddOrderedIndex("fk", "seq") }},
+	} {
+		for _, n := range []int{1_000, rows} {
+			b.Run(fmt.Sprintf("%s/postings=%d", bc.name, n), func(b *testing.B) {
+				t, err := NewStore().CreateTable("bench", []Column{
+					{Name: "id", Type: sqldb.TypeInt, PrimaryKey: true},
+					{Name: "fk", Type: sqldb.TypeInt},
+					{Name: "seq", Type: sqldb.TypeInt},
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := bc.index(t); err != nil {
+					b.Fatal(err)
+				}
+				// The first n rows go under key 7, the rest spread over 64
+				// other keys.
+				queue := make([]RowID, 0, n)
+				for i := 0; i < rows; i++ {
+					fk := int64(7)
+					if i >= n {
+						fk = int64(100 + i%64)
+					}
+					id, err := insertRow(t, Row{int64(i + 1), fk, int64(i + 1)})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if fk == 7 {
+						queue = append(queue, id)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, ok := deleteRow(t, queue[0]); !ok {
+						b.Fatalf("row %d not live", queue[0])
+					}
+					next := int64(rows + i + 1)
+					id, err := insertRow(t, Row{next, int64(7), next})
+					if err != nil {
+						b.Fatal(err)
+					}
+					queue = append(queue[1:], id)
+				}
+			})
 		}
 	}
 }

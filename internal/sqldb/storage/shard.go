@@ -242,7 +242,8 @@ func mergeParts(lists [][]idRow) []idRow {
 // zero Range for a one-column index, whose postings are in id order
 // already).
 func (t *Table) collect(ord int, nv sqldb.Value, r Range, snap *Snap) []idRow {
-	if oi := t.ordered[ord]; oi != nil {
+	x := t.indexOn(ord)
+	if oi := x.oi; oi != nil {
 		es := r.window(oi.lists[nv])
 		out := make([]idRow, 0, len(es))
 		for _, e := range es {
@@ -253,7 +254,7 @@ func (t *Table) collect(ord int, nv sqldb.Value, r Range, snap *Snap) []idRow {
 		slices.SortFunc(out, func(x, y idRow) int { return cmp.Compare(x.id, y.id) })
 		return out
 	}
-	ids := t.indexes[ord][nv]
+	ids := x.ids[nv]
 	if len(ids) == 0 {
 		return nil
 	}

@@ -379,3 +379,35 @@ func snapshot(t *Table) map[RowID]Row {
 	})
 	return out
 }
+
+// TestAdmissionKeepsTypedValues pins that admitting a row whose values
+// already have their columns' types boxes none of them again: an int64
+// past the runtime's small-integer cache, a float64, a string and a bool
+// are stored as the caller boxed them.
+func TestAdmissionKeepsTypedValues(t *testing.T) {
+	tbl, err := NewStore().CreateTable("t", []Column{
+		{Name: "id", Type: sqldb.TypeInt, PrimaryKey: true},
+		{Name: "n", Type: sqldb.TypeInt},
+		{Name: "f", Type: sqldb.TypeFloat},
+		{Name: "s", Type: sqldb.TypeText},
+		{Name: "b", Type: sqldb.TypeBool},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := Row{int64(1000), int64(1 << 40), 2.5, "text", true}
+	row := make(Row, len(vals))
+	if n := testing.AllocsPerRun(100, func() {
+		copy(row, vals)
+		if err := tbl.validate(row, nil, -1); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("admitting an already-typed row allocated %v times", n)
+	}
+	// A conversion still boxes its result: an int on a FLOAT column.
+	row = Row{int64(1000), int64(1), 3, "x", false}
+	if err := tbl.validate(row, nil, -1); err != nil || row[2] != 3.0 {
+		t.Fatalf("validate = %v, row %v", err, row)
+	}
+}

@@ -10,6 +10,7 @@ package storage
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -63,21 +64,11 @@ type Table struct {
 	garbage  []gcRec
 	inGCList bool
 
-	// indexes maps column ordinal -> value -> posting list of row ids,
-	// kept sorted ascending. The primary key column always has an index.
-	// Postings are supersets under MVCC: a superseded value's posting is
-	// removed by the deferred sweep, not inline, so every reader filters
-	// ids through match (or proves with pristine that it need not).
-	// idxCols lists the indexed ordinals ascending, so a row violating two
-	// unique constraints always names the same column.
-	indexes map[int]map[sqldb.Value][]RowID
-	unique  map[int]bool
-	idxCols []int
-
-	// ordered holds the two-column indexes by their hashed column's ordinal
-	// (see ordered.go). Such a column has no entry in indexes: the ordered
-	// index IS its index, under the same superset rule.
-	ordered map[int]*ordIndex
+	// indexes holds one entry per indexed column in ascending ordinal
+	// order, so a write ranges over a slice and a row violating two unique
+	// constraints always names the same column. The primary key column
+	// always has an index.
+	indexes []index
 
 	// store owns the table: its mvcc state versions the table's rows, its
 	// Writer is the only way to change them, and DDL on the table (AddIndex)
@@ -93,6 +84,36 @@ type Table struct {
 	partOrd int
 }
 
+// index is one indexed column: a one-column index, whose postings map each
+// value to the ids of the rows holding it, kept sorted ascending — or a
+// two-column index (see ordered.go), which IS its hashed column's index.
+// Postings are supersets under MVCC: a superseded value's posting is removed
+// by the deferred sweep, not inline, so every reader filters ids through
+// match (or proves with pristine that it need not).
+type index struct {
+	col    int
+	unique bool
+	ids    map[sqldb.Value][]RowID // one-column index; nil for a two-column one
+	oi     *ordIndex               // two-column index; nil for a one-column one
+}
+
+// same reports whether images r and old share their posting in x: the
+// indexed value, and a two-column index's ordering value.
+func (x *index) same(r, old Row) bool {
+	return r[x.col] == old[x.col] && (x.oi == nil || r[x.oi.by] == old[x.oi.by])
+}
+
+// indexOn returns column ord's index, nil when it has none. A table has a
+// handful of indexes, so a walk beats a map.
+func (t *Table) indexOn(ord int) *index {
+	for k := range t.indexes {
+		if t.indexes[k].col == ord {
+			return &t.indexes[k]
+		}
+	}
+	return nil
+}
+
 // newTable builds an empty table of store s from column definitions.
 func newTable(s *Store, name string, cols []Column) (*Table, error) {
 	if len(cols) == 0 {
@@ -104,8 +125,6 @@ func newTable(s *Store, name string, cols []Column) (*Table, error) {
 		colIndex: make(map[string]int, len(cols)),
 		pkCol:    -1,
 		nextID:   1,
-		indexes:  make(map[int]map[sqldb.Value][]RowID),
-		unique:   make(map[int]bool),
 		store:    s,
 	}
 	for i, c := range cols {
@@ -122,9 +141,7 @@ func newTable(s *Store, name string, cols []Column) (*Table, error) {
 		}
 	}
 	if t.pkCol >= 0 {
-		t.indexes[t.pkCol] = make(map[sqldb.Value][]RowID)
-		t.unique[t.pkCol] = true
-		t.idxCols = []int{t.pkCol}
+		t.indexes = []index{{col: t.pkCol, unique: true, ids: make(map[sqldb.Value][]RowID)}}
 	}
 	return t, nil
 }
@@ -149,10 +166,7 @@ func (t *Table) NumRows() int {
 
 // HasIndex reports whether column ordinal i is indexed, by a one-column
 // index or as the hashed column of a two-column one.
-func (t *Table) HasIndex(i int) bool {
-	_, ok := t.indexes[i]
-	return ok || t.ordered[i] != nil
-}
+func (t *Table) HasIndex(i int) bool { return t.indexOn(i) != nil }
 
 // AddIndex creates a hash index over the named column, populating it from
 // every stored version (dead-but-unswept images included, so snapshots
@@ -213,74 +227,80 @@ func (t *Table) addIndex(col, by string, unique bool) error {
 			return err
 		}
 	}
-	var idx map[sqldb.Value][]RowID
-	var oi *ordIndex
+	x := index{col: i, unique: unique}
 	if byOrd < 0 {
-		idx = make(map[sqldb.Value][]RowID)
+		x.ids = make(map[sqldb.Value][]RowID)
 		for _, s := range t.rows.slots {
 			for v := s.head; v != nil; v = v.prev {
-				addToIndex(idx, v.row[i], s.id)
+				x.add(v.row, s.id)
 			}
 		}
 	} else {
-		oi = buildOrdIndex(t.rows.slots, i, byOrd)
+		x.oi = buildOrdIndex(t.rows.slots, i, byOrd)
 	}
 	t.store.mv.rw.Lock()
-	if oi != nil {
-		if t.ordered == nil {
-			t.ordered = make(map[int]*ordIndex)
-		}
-		t.ordered[i] = oi
-	} else {
-		t.indexes[i] = idx
-		t.unique[i] = unique
-	}
-	t.idxCols = append(t.idxCols, i)
-	sort.Ints(t.idxCols)
+	t.indexes = append(t.indexes, x)
+	slices.SortFunc(t.indexes, func(a, b index) int { return a.col - b.col })
 	t.store.mv.rw.Unlock()
 	t.store.epoch.Add(1)
 	return nil
 }
 
-func addToIndex(idx map[sqldb.Value][]RowID, v sqldb.Value, id RowID) {
+// add posts image r of row id in x.
+func (x *index) add(r Row, id RowID) {
+	if x.oi != nil {
+		x.oi.add(r[x.col], r[x.oi.by], id)
+		return
+	}
+	v := r[x.col]
 	if v == nil {
 		return // NULLs are not indexed, matching common SQL behaviour
 	}
-	ids := idx[v]
+	ids := x.ids[v]
 	// Row ids are assigned in increasing order, so the common case is an
 	// append that keeps the posting list sorted; an update to this value or
 	// a cross-shard move inserts an older id at the right position.
 	if n := len(ids); n == 0 || ids[n-1] < id {
-		idx[v] = append(ids, id)
+		x.ids[v] = append(ids, id)
 		return
 	}
 	pos := sort.Search(len(ids), func(j int) bool { return ids[j] >= id })
 	if pos < len(ids) && ids[pos] == id {
 		return
 	}
-	ids = append(ids, 0)
-	copy(ids[pos+1:], ids[pos:])
-	ids[pos] = id
-	idx[v] = ids
+	x.ids[v] = slices.Insert(ids, pos, id)
 }
 
-func removeFromIndex(idx map[sqldb.Value][]RowID, v sqldb.Value, id RowID) {
-	if v == nil {
+// remove drops the posting of image r of row id from x, if present.
+func (x *index) remove(r Row, id RowID) {
+	if x.oi != nil {
+		x.oi.remove(r[x.col], r[x.oi.by], id)
 		return
 	}
-	ids, ok := idx[v]
-	if !ok {
-		return
-	}
+	v := r[x.col]
+	ids := x.ids[v]
 	pos := sort.Search(len(ids), func(j int) bool { return ids[j] >= id })
 	if pos >= len(ids) || ids[pos] != id {
 		return
 	}
 	if len(ids) == 1 {
-		delete(idx, v)
+		delete(x.ids, v)
 		return
 	}
-	idx[v] = append(ids[:pos], ids[pos+1:]...)
+	x.ids[v] = cut(ids, pos)
+}
+
+// cut removes es[pos] by moving the shorter side of it: the prefix shifts
+// right and the list is resliced from its front, or the suffix shifts left.
+// A list consumed from its front (a queue's oldest rows) pays O(1) a
+// removal, not a move of everything behind it.
+func cut[E any](es []E, pos int) []E {
+	if pos < len(es)/2 {
+		copy(es[1:pos+1], es[:pos])
+		clear(es[:1])
+		return es[1:]
+	}
+	return slices.Delete(es, pos, pos+1)
 }
 
 // pristine reports whether a reader at snap (the latest state when nil) may
@@ -322,7 +342,7 @@ func (t *Table) uniqueConflict(ord int, v sqldb.Value, exclude RowID) bool {
 			return true
 		}
 	}
-	for _, id := range t.indexes[ord][v] {
+	for _, id := range t.indexOn(ord).ids[v] {
 		if id != exclude && t.match(id, ord, v, -1, nil, nil) != nil {
 			return true
 		}
@@ -332,10 +352,12 @@ func (t *Table) uniqueConflict(ord int, v sqldb.Value, exclude RowID) bool {
 
 // validate is the one admission check every row image passes, on plain
 // tables and views alike: arity, per-column coercion — in place, since row
-// is the caller's to give (see Writer.Insert) — then the unique constraints
-// in ascending column order. old is the image being replaced and exclude its
-// id (nil and -1 for an insert); a unique value old already holds is not
-// re-checked. A rejected row leaves the table untouched.
+// is the caller's to give (see Writer.Insert); a value that already has its
+// column's type is kept as given, not boxed again — then the unique
+// constraints, walking the index slice in ascending column order. old is
+// the image being replaced and exclude its id (nil and -1 for an insert); a
+// unique value old already holds is not re-checked. A rejected row leaves
+// the table untouched.
 func (t *Table) validate(row, old Row, exclude RowID) error {
 	if len(row) != len(t.Columns) {
 		return fmt.Errorf("storage: table %q: got %d values, want %d", t.Name, len(row), len(t.Columns))
@@ -347,8 +369,9 @@ func (t *Table) validate(row, old Row, exclude RowID) error {
 		}
 		row[i] = cv
 	}
-	for _, i := range t.idxCols {
-		if !t.unique[i] || row[i] == nil || (old != nil && sqldb.Equal(row[i], old[i])) {
+	for _, x := range t.indexes {
+		i := x.col
+		if !x.unique || row[i] == nil || (old != nil && sqldb.Equal(row[i], old[i])) {
 			continue
 		}
 		if t.uniqueConflict(i, row[i], exclude) {
@@ -381,7 +404,10 @@ func (t *Table) install(id RowID, row Row) {
 
 // prepend installs row as the new live head for id. Whatever it supersedes
 // (a live image, or the dead chain a row left when it moved off this part)
-// becomes deferred garbage. Caller holds the structural write lock.
+// becomes deferred garbage. An update in place posts only the indexes whose
+// values changed: the superseded live head holds the rest, so their
+// postings stand — the sweep keeps a posting while any kept image holds it.
+// Caller holds the structural write lock.
 func (t *Table) prepend(id RowID, row Row) {
 	stamp := t.store.mv.stamp()
 	prev := t.rows.get(id)
@@ -390,11 +416,10 @@ func (t *Table) prepend(id RowID, row Row) {
 		prev.to = stamp
 	}
 	t.rows.set(id, &version{row: row, from: stamp, to: liveEpoch, prev: prev})
-	for i, idx := range t.indexes {
-		addToIndex(idx, row[i], id)
-	}
-	for i, oi := range t.ordered {
-		oi.add(row[i], row[oi.by], id)
+	for k := range t.indexes {
+		if x := &t.indexes[k]; !wasLive || !x.same(row, prev.row) {
+			x.add(row, id)
+		}
 	}
 	if stamp > t.maxFrom {
 		t.maxFrom = stamp
@@ -496,10 +521,11 @@ func (t *Table) eqKey(ord int, v sqldb.Value) (key sqldb.Value, ok bool) {
 // never depend on sweep timing.
 func (t *Table) Lookup(i int, v sqldb.Value) []RowID {
 	nv, ok := t.eqKey(i, v)
-	if !ok {
+	x := t.indexOn(i)
+	if !ok || x == nil {
 		return nil
 	}
-	if t.parts != nil || (t.ordered != nil && t.ordered[i] != nil) {
+	if t.parts != nil || x.oi != nil {
 		if p, _ := t.keyedPart(i, nv, nil); p != nil {
 			return p.Lookup(i, nv)
 		}
@@ -510,7 +536,7 @@ func (t *Table) Lookup(i int, v sqldb.Value) []RowID {
 		}
 		return out
 	}
-	ids := t.indexes[i][nv]
+	ids := x.ids[nv]
 	if t.pristine(nil) || len(ids) == 0 {
 		return ids
 	}
@@ -529,10 +555,11 @@ func (t *Table) Lookup(i int, v sqldb.Value) []RowID {
 // the first error, returning it.
 func (t *Table) LookupEach(ord int, v sqldb.Value, snap *Snap, fn func(Row) error) error {
 	nv, ok := t.eqKey(ord, v)
-	if !ok {
+	x := t.indexOn(ord)
+	if !ok || x == nil {
 		return nil
 	}
-	if t.parts != nil || (t.ordered != nil && t.ordered[ord] != nil) {
+	if t.parts != nil || x.oi != nil {
 		if p, psnap := t.keyedPart(ord, nv, snap); p != nil {
 			return p.LookupEach(ord, nv, psnap, fn)
 		}
@@ -543,7 +570,7 @@ func (t *Table) LookupEach(ord int, v sqldb.Value, snap *Snap, fn func(Row) erro
 		}
 		return nil
 	}
-	ids := t.indexes[ord][nv]
+	ids := x.ids[nv]
 	if t.pristine(snap) {
 		for _, id := range ids {
 			if err := fn(t.rows.get(id).row); err != nil {

@@ -149,7 +149,10 @@ func Equal(a, b Value) bool {
 }
 
 // Coerce converts v to the column type t, or reports an error. NULL passes
-// through unchanged.
+// through unchanged, and so does a value that already has t's type: v
+// itself is returned, sharing its box — interface values are immutable —
+// so admitting an already-typed row allocates nothing. A new value is boxed
+// only when a conversion happens.
 func Coerce(v Value, t Type) (Value, error) {
 	if IsNull(v) {
 		return nil, nil
@@ -158,7 +161,7 @@ func Coerce(v Value, t Type) (Value, error) {
 	case TypeInt:
 		switch x := v.(type) {
 		case int64:
-			return x, nil
+			return v, nil
 		case int:
 			return int64(x), nil
 		case float64:
@@ -172,20 +175,20 @@ func Coerce(v Value, t Type) (Value, error) {
 	case TypeFloat:
 		switch x := v.(type) {
 		case float64:
-			return x, nil
+			return v, nil
 		case int64:
 			return float64(x), nil
 		case int:
 			return float64(x), nil
 		}
 	case TypeText:
-		if x, ok := v.(string); ok {
-			return x, nil
+		if _, ok := v.(string); ok {
+			return v, nil
 		}
 	case TypeBool:
 		switch x := v.(type) {
 		case bool:
-			return x, nil
+			return v, nil
 		case int64:
 			return x != 0, nil
 		}
