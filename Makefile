@@ -41,14 +41,14 @@ shardbench:
 # experiments and arguments). Regenerate after an intended change to a
 # figure and review it with `git diff cmd/slothbench/testdata`.
 GOLDEN_DIR = cmd/slothbench/testdata
-GOLDEN_EXPS = fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 appendix ablation merge faults
+GOLDEN_EXPS = fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 appendix ablation merge faults throughput
 
 golden:
 	mkdir -p $(GOLDEN_DIR) .golden_build
 	$(GO) build -o .golden_build/slothbench ./cmd/slothbench
 	for e in $(GOLDEN_EXPS); do .golden_build/slothbench -exp $$e > $(GOLDEN_DIR)/$$e.txt || exit 1; done
 	.golden_build/slothbench -exp trace -traceout '' > $(GOLDEN_DIR)/trace.txt
-	.golden_build/slothbench -exp throughput -sessions 1 -workers 1,4 > $(GOLDEN_DIR)/throughput.txt
+	.golden_build/slothbench -exp throughput -shards 4 -workers 2 > $(GOLDEN_DIR)/throughput_shards.txt
 
 # The reach ledger, reach.txt: every non-test function that no real caller
 # runs (scripts/reach.sh builds and drives them all, ~1 min), with the reason

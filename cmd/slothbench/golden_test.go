@@ -9,10 +9,10 @@ import (
 )
 
 // goldens are the experiments whose output is a pure function of the code:
-// every figure on the virtual clock, at the command's default flags. Fig. 13
-// (host clock) and multi-session throughput cells (placement follows the
-// host scheduler) are left out. `make golden` writes testdata/<name>.txt
-// with the same arguments.
+// every figure on the virtual clock, at the command's default flags, and
+// the throughput sweep once more sharded. Fig. 13 (host clock) is left out.
+// A name's part before any underscore is the experiment. `make golden`
+// writes testdata/<name>.txt with the same arguments.
 var goldens = []struct {
 	name string
 	args []string
@@ -30,7 +30,8 @@ var goldens = []struct {
 	{"merge", nil},
 	{"faults", nil},
 	{"trace", []string{"-traceout", ""}},
-	{"throughput", []string{"-sessions", "1", "-workers", "1,4"}},
+	{"throughput", nil},
+	{"throughput_shards", []string{"-shards", "4", "-workers", "2"}},
 }
 
 // TestExperimentsGolden runs each deterministic experiment through run and
@@ -39,7 +40,8 @@ var goldens = []struct {
 func TestExperimentsGolden(t *testing.T) {
 	for _, g := range goldens {
 		t.Run(g.name, func(t *testing.T) {
-			o, err := parseFlags(append([]string{"-exp", g.name}, g.args...))
+			exp, _, _ := strings.Cut(g.name, "_")
+			o, err := parseFlags(append([]string{"-exp", exp}, g.args...))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,7 +55,7 @@ func TestExperimentsGolden(t *testing.T) {
 			}
 			if !bytes.Equal(got.Bytes(), want) {
 				t.Errorf("-exp %s %s differs from testdata/%s.txt; `make golden` then `git diff` shows how:\n%s",
-					g.name, strings.Join(g.args, " "), g.name, got.String())
+					exp, strings.Join(g.args, " "), g.name, got.String())
 			}
 		})
 	}

@@ -6,20 +6,17 @@
 //	slothbench -exp fig9 -rtt 10ms
 //	slothbench -exp appendix
 //
-// Every report but Fig. 13 (host clock) and multi-session throughput cells
-// (host scheduler) is a pure function of the code; testdata holds them at
-// the default flags, TestExperimentsGolden compares them byte for byte, and
-// `make golden` regenerates them.
+// Every report but Fig. 13 (host clock) is a pure function of the code,
+// throughput cells included: their concurrent sessions execute batches in
+// virtual-arrival order. testdata holds them at the default flags (and the
+// sharded throughput sweep), TestExperimentsGolden compares them byte for
+// byte, and `make golden` regenerates them.
 package main
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"strconv"
 	"strings"
@@ -44,7 +41,6 @@ type options struct {
 	shards    []int
 	visits    bool
 	traceOut  string
-	debugAddr string
 	faults    []float64
 	faultSeed uint64
 }
@@ -54,13 +50,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "slothbench: %v\n", err)
 		os.Exit(1)
-	}
-
-	if o.debugAddr != "" {
-		if err := serveDebug(o.debugAddr); err != nil {
-			fmt.Fprintln(os.Stderr, "slothbench:", err)
-			os.Exit(1)
-		}
 	}
 
 	if err := run(os.Stdout, o); err != nil {
@@ -85,9 +74,8 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.sessions, "sessions", 0, "concurrent sessions for -exp throughput (0 = sweep 1,2,4,8)")
 	workersFlag := fs.String("workers", "", "server DB worker queues for -exp throughput, comma-separated (empty = sweep 1,4)")
 	shardsFlag := fs.String("shards", "", "database shard counts for -exp throughput, comma-separated (empty = unsharded; rendering is byte-identical at any count, only occupancy changes)")
-	fs.BoolVar(&o.visits, "visits", true, "record a visit-log write per page load in -exp throughput (false = read-only replay; either way single-session cells are byte-stable run to run, multi-session cells are not)")
+	fs.BoolVar(&o.visits, "visits", true, "record a visit-log write per page load in -exp throughput (false = read-only replay)")
 	fs.StringVar(&o.traceOut, "traceout", "BENCH_trace.json", "Chrome trace-event JSON path for -exp trace (empty disables; load in Perfetto or chrome://tracing)")
-	fs.StringVar(&o.debugAddr, "debugaddr", "", "serve net/http/pprof and expvar (the live cell's counters under /debug/vars key \"sloth\") on this address, e.g. localhost:6060 (empty disables)")
 	faultsFlag := fs.String("faults", "", "injected transient-failure rates for -exp faults, comma-separated (empty = sweep 0,0.05,0.1,0.2; include 0 for the clean baseline)")
 	fs.Uint64Var(&o.faultSeed, "faultseed", 1, "seed for the deterministic fault plane in -exp faults (same seed, same faults, same report)")
 	fs.Parse(args)
@@ -164,32 +152,6 @@ func parseRates(s string) ([]float64, error) {
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// serveDebug starts the diagnostics endpoint: net/http/pprof's handlers on
-// the default mux plus an expvar key publishing the live throughput or
-// faults cell (bench.Live: server counters, fault counts, queue-wait and
-// page-latency quantiles), so a long run can be profiled and its counters
-// watched live (`go tool pprof host:port/debug/pprof/profile`,
-// `curl host:port/debug/vars`).
-func serveDebug(addr string) error {
-	expvar.Publish("sloth", expvar.Func(func() any {
-		if snap, ok := bench.Live(); ok {
-			return snap
-		}
-		return nil
-	}))
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("debugaddr: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "slothbench: debug endpoint on http://%s/debug/pprof and /debug/vars\n", ln.Addr())
-	go func() {
-		if err := http.Serve(ln, nil); err != nil {
-			fmt.Fprintln(os.Stderr, "slothbench: debug server:", err)
-		}
-	}()
-	return nil
 }
 
 // format renders a report or passes its error on.

@@ -1,12 +1,14 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/dispatch"
+	"repro/internal/driver"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/orm"
@@ -160,9 +162,10 @@ func ConcurrentThroughput(id AppID, opts ThroughputOptions) (ConcurrencyReport, 
 }
 
 // replayConcurrent is one cell: n sessions, one strategy, one DB worker
-// count. Sessions load pages in lockstep rounds — every session loads page
-// k concurrently, then a barrier — which keeps their virtual clocks
-// aligned (the occupancy model assumes comparable timelines).
+// count. Each session replays the whole suite on its own goroutine and
+// virtual timeline; their connections share one driver.Order, so batches
+// execute in virtual-arrival order and the cell is a pure function of the
+// code whatever the host scheduler does.
 func replayConcurrent(id AppID, n int, kind dispatch.Kind, pipelineWrites bool, workers, shards int, opts ThroughputOptions) (ConcurrencyRow, error) {
 	if shards < 1 {
 		shards = 1
@@ -177,9 +180,8 @@ func replayConcurrent(id AppID, n int, kind dispatch.Kind, pipelineWrites bool, 
 	}
 	env.Srv.SetWorkers(workers)
 	// The replay loop feeds pageLat below; the server keeps the queue-wait
-	// histogram. Both are fresh per cell and published for -debugaddr.
+	// histogram. Both are fresh per cell.
 	pageLat := obs.NewHistogram()
-	live.Store(&liveCell{srv: env.Srv, pageLat: pageLat})
 	row := ConcurrencyRow{Kind: kind, PipelinedWrites: pipelineWrites, Sessions: n, Workers: workers, Shards: shards}
 	pages := opts.Pages
 	if len(pages) == 0 {
@@ -195,13 +197,17 @@ func replayConcurrent(id AppID, n int, kind dispatch.Kind, pipelineWrites bool, 
 		}
 	}
 
+	// Every connection joins the order before any session submits.
+	var order driver.Order
 	clocks := make([]*netsim.VirtualClock, n)
+	conns := make([]*driver.Conn, n)
 	sessions := make([]*orm.Session, n)
 	stores := make([]*querystore.Store, n)
 	for i := range clocks {
 		clocks[i] = netsim.NewVirtualClock()
-		conn := env.Srv.Connect(netsim.NewLink(clocks[i], opts.RTT))
-		stores[i] = querystore.New(conn, querystore.Config{
+		conns[i] = env.Srv.Connect(netsim.NewLink(clocks[i], opts.RTT))
+		order.Join(conns[i])
+		stores[i] = querystore.New(conns[i], querystore.Config{
 			Dispatch:       kind,
 			PipelineWrites: pipelineWrites,
 		})
@@ -213,61 +219,52 @@ func replayConcurrent(id AppID, n int, kind dispatch.Kind, pipelineWrites bool, 
 		}
 	}()
 
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-
-	for p, page := range pages {
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				// The identity map is per request: clear between pages so
-				// every load re-fetches, like a fresh ORM session.
-				sessions[i].Clear()
-				pageStart := clocks[i].Now()
-				if _, err := env.LoadInto(page, sessions[i]); err != nil {
-					fail(fmt.Errorf("session %d page %q: %w", i, page, err))
-					return
+	// replay is session i's closed loop: every page, then a final flush so
+	// pipelined writes land (and report any deferred failure) before the
+	// books are read. A session that overlapped those writes with later
+	// pages advances its clock little or not at all there — that remaining
+	// tail is the honest cost. It leaves the order however it ends.
+	replay := func(i int) error {
+		defer conns[i].Leave()
+		for p, page := range pages {
+			// The identity map is per request: clear between pages so
+			// every load re-fetches, like a fresh ORM session.
+			sessions[i].Clear()
+			pageStart := clocks[i].Now()
+			if _, err := env.LoadInto(page, sessions[i]); err != nil {
+				return fmt.Errorf("session %d page %q: %w", i, page, err)
+			}
+			if opts.Visits {
+				v := &visit{
+					ID:      int64(i)*1_000_000 + int64(p) + 1,
+					Session: int64(i),
+					Page:    int64(p),
 				}
-				if opts.Visits {
-					v := &visit{
-						ID:      int64(i)*1_000_000 + int64(p) + 1,
-						Session: int64(i),
-						Page:    int64(p),
-					}
-					if err := visitMeta.Insert(sessions[i], v); err != nil {
-						fail(fmt.Errorf("session %d page %q visit: %w", i, page, err))
-					}
+				if err := visitMeta.Insert(sessions[i], v); err != nil {
+					return fmt.Errorf("session %d page %q visit: %w", i, page, err)
 				}
-				// Per-load latency on the session's own virtual clock
-				// (including the visit write — it is part of the handler).
-				// Histogram buckets are order-independent counters, so
-				// concurrent observations stay deterministic.
-				pageLat.Observe(clocks[i].Now() - pageStart)
-			}(i)
+			}
+			// Per-load latency on the session's own virtual clock
+			// (including the visit write — it is part of the handler).
+			pageLat.Observe(clocks[i].Now() - pageStart)
 		}
-		wg.Wait()
-		if firstErr != nil {
-			return row, firstErr
+		if err := stores[i].Flush(); err != nil {
+			return fmt.Errorf("session %d final flush: %w", i, err)
 		}
+		return nil
 	}
-
-	// Quiesce: collect every in-flight batch so pipelined writes land (and
-	// report any deferred failure) before the books are read. Sessions that
-	// overlapped those writes with later pages advance their clocks little
-	// or not at all here — that remaining tail is the honest cost.
-	for i, s := range stores {
-		if err := s.Flush(); err != nil {
-			return row, fmt.Errorf("session %d final flush: %w", i, err)
-		}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = replay(i)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return row, err
 	}
 
 	row.Pages = n * len(pages)

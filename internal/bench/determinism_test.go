@@ -2,6 +2,7 @@ package bench
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -33,28 +34,24 @@ func throughputCells(t *testing.T) ConcurrencyReport {
 	return rep
 }
 
-// TestThroughputDeterminism: a single-session cell is reproducible in every
-// measured dimension, because one session's batches reach the server in
-// one order on one virtual timeline. With 4 sessions the order in which
-// their batches reach the DB worker queues follows the host scheduler, so
-// queue waits, latency quantiles and makespan move between runs; what each
-// session executes does not, so pages, writes and statements still agree.
+// TestThroughputDeterminism: every cell, multi-session ones included, is
+// reproducible in every measured dimension whatever the host parallelism.
+// The sessions' connections share one driver.Order, so their batches reach
+// the DB worker queues in virtual-arrival order, not in the order the host
+// scheduler happens to run their goroutines.
 func TestThroughputDeterminism(t *testing.T) {
-	first, again := throughputCells(t), throughputCells(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(1)
+	first := throughputCells(t)
+	runtime.GOMAXPROCS(8)
+	again := throughputCells(t)
 	for i, a := range first.Rows {
 		b := again.Rows[i]
 		if a.Writes == 0 || a.DBStmts == 0 {
 			t.Fatalf("degenerate row: %+v", a)
 		}
-		if a.Sessions == 1 {
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("%s x1 diverged between identical runs:\nfirst %+v\nagain %+v", a.Strategy(), a, b)
-			}
-			continue
-		}
-		if a.Pages != b.Pages || a.Writes != b.Writes || a.DBStmts != b.DBStmts {
-			t.Fatalf("%s x%d pages/writes/stmts diverged: %d/%d/%d vs %d/%d/%d", a.Strategy(), a.Sessions,
-				a.Pages, a.Writes, a.DBStmts, b.Pages, b.Writes, b.DBStmts)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s x%d diverged between GOMAXPROCS 1 and 8:\nfirst %+v\nagain %+v", a.Strategy(), a.Sessions, a, b)
 		}
 	}
 }

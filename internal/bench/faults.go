@@ -108,8 +108,6 @@ func faultCell(id AppID, rate float64, opts FaultSweepOptions) (FaultRow, error)
 		return FaultRow{}, err
 	}
 	env.SetFaults(faultSweepConfig(opts.Seed, rate))
-	cell := &liveCell{srv: env.Srv}
-	live.Store(cell)
 
 	row := FaultRow{Rate: rate}
 	cfg := querystore.Config{Retry: dispatch.RetryPolicy{MaxAttempts: 8}}
@@ -122,7 +120,6 @@ func faultCell(id AppID, rate float64, opts FaultSweepOptions) (FaultRow, error)
 		row.Retries += m.Retries
 		row.Errors += m.Errors
 		row.Timeouts += m.Timeouts
-		cell.linkTimeouts.Add(m.Timeouts)
 		batches += m.Batches
 		if err != nil {
 			row.Failed++

@@ -101,7 +101,7 @@ type ServerStats struct {
 	WorkerBatches []int64
 	// WorkerBusy is the virtual execution time each lane accumulated —
 	// together with WorkerBatches it makes the occupancy model's load
-	// balance legible to the driver tests and the -debugaddr endpoint.
+	// balance legible to the driver tests.
 	WorkerBusy []time.Duration
 	// WorkerWall is the real (host) execution time each worker slot spent
 	// running snapshot read batches — the wall-clock shadow of the virtual
@@ -199,14 +199,14 @@ type worker struct {
 type busySpan struct{ from, to time.Duration }
 
 // laneBusy is one DB worker lane's occupancy: disjoint busy spans sorted
-// by start. Sessions run concurrently in HOST time, so batches do not
-// reach the server in virtual-time order; a single busy horizon would
-// make a batch that merely arrives late in host time queue behind a
-// session whose virtual clock is far ahead — phantom wait charged for a
-// lane that is actually idle at the batch's virtual arrival. Keeping the
-// idle gaps lets such a batch backfill: it starts at the earliest instant
-// at or after its arrival when the lane is free for its whole duration,
-// so QueueWait measures real capacity conflicts only.
+// by start. Connections outside an Order run concurrently in HOST time, so
+// their batches do not reach the server in virtual-time order; a single
+// busy horizon would make a batch that merely arrives late in host time
+// queue behind a session whose virtual clock is far ahead — phantom wait
+// charged for a lane that is actually idle at the batch's virtual arrival.
+// Keeping the idle gaps lets such a batch backfill: it starts at the
+// earliest instant at or after its arrival when the lane is free for its
+// whole duration, so QueueWait measures real capacity conflicts only.
 type laneBusy struct{ spans []busySpan }
 
 // free reports the earliest start >= from at which the lane is
@@ -597,9 +597,8 @@ func (s *Server) laneName(lane int) string {
 // no engine state of its own. It has one executing goroutine, matching
 // JDBC connections; its counters are safe to read concurrently.
 type Conn struct {
-	srv   *Server
-	link  *netsim.Link
-	clock netsim.Clock
+	srv  *Server
+	link *netsim.Link
 	// arena holds the result sets the connection's batches returned since
 	// its first batch or its last Release; nil until then.
 	arena *sqldb.Arena
@@ -613,20 +612,24 @@ type Conn struct {
 	// query store submits a batch (the dispatcher stamps it on the ticket).
 	// Session goroutine only.
 	traceCtx obs.Ctx
+
+	// order is the connection's place in the Order it joined; nil when it
+	// joined none.
+	order *orderSlot
 }
 
 // Connect opens a connection to the server across link. The server keeps
 // no record of its connections: the exec path hands the link whatever
 // fault plane is installed at the time of each batch.
 func (s *Server) Connect(link *netsim.Link) *Conn {
-	return &Conn{srv: s, link: link, clock: link.Clock()}
+	return &Conn{srv: s, link: link}
 }
 
 // Link exposes the connection's network link (for stats and RTT sweeps).
 func (c *Conn) Link() *netsim.Link { return c.link }
 
 // Clock exposes the connection's virtual timeline (the link's clock).
-func (c *Conn) Clock() netsim.Clock { return c.clock }
+func (c *Conn) Clock() netsim.Clock { return c.link.Clock() }
 
 // SetTraceCtx installs the span context for this connection's work
 // (session goroutine only; see the field comment).
@@ -662,7 +665,8 @@ func (c *Conn) Query(sql string, args ...sqldb.Value) (*sqldb.ResultSet, error) 
 // server capacity, then paying server cost and link latency. Deferred
 // dispatch strategies run the batch at Submit and pay (completion - now)
 // only when the session actually waits, which is how app-server compute
-// overlaps DB time on the virtual clock.
+// overlaps DB time on the virtual clock. A connection that joined an Order
+// first parks here until its batch is the next in arrival order.
 //
 // When ctx records, the batch's round trip becomes an "exec" span under ctx
 // holding the queue wait (if the batch queued for a DB worker), the server
@@ -673,6 +677,9 @@ func (c *Conn) Query(sql string, args ...sqldb.Value) (*sqldb.ResultSet, error) 
 func (c *Conn) Exec(ctx obs.Ctx, arrival time.Duration, stmts []Stmt) ([]*sqldb.ResultSet, time.Duration, error) {
 	if len(stmts) == 0 {
 		return nil, arrival, nil
+	}
+	if c.order != nil {
+		c.order.park(arrival)
 	}
 	reqBytes := 0
 	for i, st := range stmts {
@@ -776,10 +783,11 @@ func (c *Conn) Release() {
 // sets in order — the Sloth batch driver. Execution spans parent under the
 // connection's installed trace context (SetTraceCtx).
 func (c *Conn) ExecBatch(stmts []Stmt) ([]*sqldb.ResultSet, error) {
-	results, done, err := c.Exec(c.traceCtx, c.clock.Now(), stmts)
+	clock := c.link.Clock()
+	results, done, err := c.Exec(c.traceCtx, clock.Now(), stmts)
 	if err != nil {
 		return nil, err
 	}
-	netsim.AdvanceTo(c.clock, done)
+	netsim.AdvanceTo(clock, done)
 	return results, nil
 }

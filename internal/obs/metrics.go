@@ -71,14 +71,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 }
 
-// Count reports the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.total.Load()
-}
-
 // Quantile estimates the q-quantile (0 < q <= 1) by linear interpolation
 // inside the containing bucket, clamped to the observed min and max.
 func (h *Histogram) Quantile(q float64) time.Duration {
