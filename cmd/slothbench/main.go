@@ -209,11 +209,7 @@ func run(w io.Writer, o options) error {
 	experiments := map[string]func() (string, error){
 		"fig5": func() (string, error) { return cdf(bench.Itracker) },
 		"fig6": func() (string, error) { return cdf(bench.OpenMRS) },
-		"fig7": func() (string, error) {
-			return onEnv(bench.OpenMRS, func(env *bench.Env) (string, error) {
-				return format(bench.Throughput(env, []int{1, 2, 5, 10, 25, 50, 100, 200, 300, 400, 500, 600}))
-			})
-		},
+		"fig7": func() (string, error) { return format(bench.Throughput()) },
 		"fig8": func() (string, error) {
 			return bothApps(func(id bench.AppID) (string, error) {
 				return onSuite(id, func(comps []bench.Comparison) string { return bench.TimeBreakdown(id, comps).Format() })

@@ -3,6 +3,7 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -15,20 +16,19 @@ import (
 	"repro/internal/querystore"
 )
 
-// This file is the Fig. 7-style concurrent throughput experiment for the
-// dispatch pipeline: N closed-loop sessions replay the full page suite
-// against ONE database server, each session on its own virtual timeline,
-// and the experiment reports simulated pages per second from the makespan.
-// Unlike the queueing-model Throughput (fig7), which derives curves from
-// single-session demands, this experiment actually RUNS the concurrency:
-// session goroutines share the server's occupancy timeline (batches queue
-// for the K DB worker queues), and the async dispatcher overlaps batch
-// execution with app-server compute. Each page load also
-// records a visit-log write (the audit/analytics INSERT every production
-// handler makes), so the workload exercises write pipelining: with
-// PipelineWrites the mutation rides the pipeline instead of costing its
-// own blocking round trip. It is also the stress test that keeps the
-// server path honest under `go test -race`.
+// This file is the concurrent throughput experiment: N closed-loop sessions
+// replay the full page suite against ONE database server and ONE app server,
+// each session on its own virtual timeline, and the experiment reports
+// simulated pages per second from the makespan. Session goroutines share
+// the server's occupancy timeline (batches queue for the K DB worker
+// queues) and the order's web-CPU lanes (app compute queues for the web
+// host's cores), and the async dispatcher overlaps batch execution with
+// app-server compute. Fig. 7 (throughput.go) is a view of the same cell in
+// both modes. Each page load can also record a visit-log write (the
+// audit/analytics INSERT every production handler makes), so the workload
+// exercises write pipelining: with PipelineWrites the mutation rides the
+// pipeline instead of costing its own blocking round trip. It is also the
+// stress test that keeps the server path honest under `go test -race`.
 
 // visit is the access-log row the throughput workload inserts once per
 // page load.
@@ -81,7 +81,6 @@ type ConcurrencyRow struct {
 	Writes          int64         // visit-log writes issued
 	Makespan        time.Duration // max session virtual time
 	Rate            float64       // pages per simulated second
-	AvgPage         time.Duration // mean page latency across sessions
 
 	// P50/P95/P99 are page-latency percentiles from the cell's page-latency
 	// histogram (per-load virtual-clock deltas, so the tail is visible, not
@@ -148,7 +147,7 @@ func ConcurrentThroughput(id AppID, opts ThroughputOptions) (ConcurrencyReport, 
 						pws = []bool{false, true}
 					}
 					for _, pw := range pws {
-						row, err := replayConcurrent(id, n, kind, pw, w, sc, opts)
+						row, err := replayConcurrent(id, orm.ModeSloth, n, kind, pw, w, sc, opts)
 						if err != nil {
 							return rep, fmt.Errorf("bench: throughput %s x%d w%d s%d: %w", kind, n, w, sc, err)
 						}
@@ -161,12 +160,12 @@ func ConcurrentThroughput(id AppID, opts ThroughputOptions) (ConcurrencyReport, 
 	return rep, nil
 }
 
-// replayConcurrent is one cell: n sessions, one strategy, one DB worker
-// count. Each session replays the whole suite on its own goroutine and
-// virtual timeline; their connections share one driver.Order, so batches
-// execute in virtual-arrival order and the cell is a pure function of the
-// code whatever the host scheduler does.
-func replayConcurrent(id AppID, n int, kind dispatch.Kind, pipelineWrites bool, workers, shards int, opts ThroughputOptions) (ConcurrencyRow, error) {
+// replayConcurrent is one cell: n sessions in one mode, one strategy, one
+// DB worker count. Each session replays the whole suite on its own goroutine
+// and virtual timeline; their connections share one driver.Order, so
+// batches and app compute execute in virtual-arrival order and the cell is a
+// pure function of the code whatever the host scheduler does.
+func replayConcurrent(id AppID, mode orm.Mode, n int, kind dispatch.Kind, pipelineWrites bool, workers, shards int, opts ThroughputOptions) (ConcurrencyRow, error) {
 	if shards < 1 {
 		shards = 1
 	}
@@ -211,7 +210,7 @@ func replayConcurrent(id AppID, n int, kind dispatch.Kind, pipelineWrites bool, 
 			Dispatch:       kind,
 			PipelineWrites: pipelineWrites,
 		})
-		sessions[i] = orm.NewSession(stores[i], orm.ModeSloth)
+		sessions[i] = orm.NewSession(stores[i], mode)
 	}
 	defer func() {
 		for _, s := range stores {
@@ -276,10 +275,8 @@ func replayConcurrent(id AppID, n int, kind dispatch.Kind, pipelineWrites bool, 
 		if t := clocks[i].Now(); t > row.Makespan {
 			row.Makespan = t
 		}
-		row.AvgPage += clocks[i].Now()
 		overlap += stores[i].Dispatcher().Stats().OverlapSaved
 	}
-	row.AvgPage /= time.Duration(row.Pages)
 	if row.Makespan > 0 {
 		row.Rate = float64(row.Pages) / row.Makespan.Seconds()
 	}
@@ -299,7 +296,7 @@ func replayConcurrent(id AppID, n int, kind dispatch.Kind, pipelineWrites bool, 
 func (r ConcurrencyReport) Format() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "== Throughput: %d-page %s suite, concurrent sessions, rtt %v ==\n",
-		pagesPerRow(r), r.App, r.RTT)
+		pagesPerRow(r.Rows), r.App, r.RTT)
 	fmt.Fprintf(&sb, "%8s %10s %7s %6s %10s %12s %10s %10s %10s %12s %9s %11s %11s\n",
 		"sessions", "dispatch", "workers", "shards", "pages/s", "p50 page", "p95", "p99", "qw p95", "makespan", "db stmts", "queue wait", "overlapped")
 	last := -1
@@ -319,9 +316,12 @@ func (r ConcurrencyReport) Format() string {
 			row.QueueWait.Round(time.Microsecond),
 			row.Overlap.Round(time.Microsecond))
 	}
-	for _, n := range sessionCounts(r) {
-		for _, w := range workerCounts(r) {
-			for _, sc := range shardCounts(r) {
+	sessions := distinct(r, func(row ConcurrencyRow) int { return row.Sessions })
+	workers := distinct(r, func(row ConcurrencyRow) int { return row.Workers })
+	shards := distinct(r, func(row ConcurrencyRow) int { return row.Shards })
+	for _, n := range sessions {
+		for _, w := range workers {
+			for _, sc := range shards {
 				s, okS := r.RowSharded(dispatch.KindSync, false, n, w, sc)
 				a, okA := r.RowSharded(dispatch.KindAsync, false, n, w, sc)
 				if okS && okA && s.Rate > 0 {
@@ -336,7 +336,7 @@ func (r ConcurrencyReport) Format() string {
 			}
 			// Sharding speedups: each partitioned cell against its
 			// unsharded baseline for the same strategy.
-			for _, sc := range shardCounts(r) {
+			for _, sc := range shards {
 				if sc <= 1 {
 					continue
 				}
@@ -356,45 +356,20 @@ func (r ConcurrencyReport) Format() string {
 	return sb.String()
 }
 
-func shardCounts(r ConcurrencyReport) []int {
+// distinct lists the values of one column of r's rows, in first-seen order.
+func distinct(r ConcurrencyReport, col func(ConcurrencyRow) int) []int {
 	var out []int
-	seen := make(map[int]bool)
 	for _, row := range r.Rows {
-		if !seen[row.Shards] {
-			seen[row.Shards] = true
-			out = append(out, row.Shards)
+		if v := col(row); !slices.Contains(out, v) {
+			out = append(out, v)
 		}
 	}
 	return out
 }
 
-func pagesPerRow(r ConcurrencyReport) int {
-	if len(r.Rows) == 0 || r.Rows[0].Sessions == 0 {
+func pagesPerRow(rows []ConcurrencyRow) int {
+	if len(rows) == 0 || rows[0].Sessions == 0 {
 		return 0
 	}
-	return r.Rows[0].Pages / r.Rows[0].Sessions
-}
-
-func sessionCounts(r ConcurrencyReport) []int {
-	var out []int
-	seen := make(map[int]bool)
-	for _, row := range r.Rows {
-		if !seen[row.Sessions] {
-			seen[row.Sessions] = true
-			out = append(out, row.Sessions)
-		}
-	}
-	return out
-}
-
-func workerCounts(r ConcurrencyReport) []int {
-	var out []int
-	seen := make(map[int]bool)
-	for _, row := range r.Rows {
-		if !seen[row.Workers] {
-			seen[row.Workers] = true
-			out = append(out, row.Workers)
-		}
-	}
-	return out
+	return rows[0].Pages / rows[0].Sessions
 }

@@ -166,33 +166,34 @@ func TestConcurrentThroughputGains(t *testing.T) {
 
 // TestConcurrentReplaySingleSessionParity: with one session and the sync
 // strategy, the concurrent harness must agree with the per-page loader's
-// totals — same statements at the server, and no queueing.
+// totals in either mode — same statements at the server, and no queueing.
 func TestConcurrentReplaySingleSessionParity(t *testing.T) {
-	row, err := replayConcurrent(Itracker, 1, dispatch.KindSync, false, 1, 1,
-		ThroughputOptions{RTT: 500 * time.Microsecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.QueueWait != 0 {
-		t.Errorf("single sync session queued %v", row.QueueWait)
-	}
-	if row.Overlap != 0 {
-		t.Errorf("sync dispatch overlapped %v", row.Overlap)
-	}
-
 	env, err := NewEnv(Itracker, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var queries int64
-	for _, page := range env.Pages() {
-		_, m, err := env.LoadPageHTML(page, orm.ModeSloth, 500*time.Microsecond, querystore.Config{})
+	for _, mode := range []orm.Mode{orm.ModeOriginal, orm.ModeSloth} {
+		row, err := replayConcurrent(Itracker, mode, 1, dispatch.KindSync, false, 1, 1,
+			ThroughputOptions{RTT: 500 * time.Microsecond})
 		if err != nil {
 			t.Fatal(err)
 		}
-		queries += m.Queries
-	}
-	if row.DBStmts != queries {
-		t.Errorf("concurrent harness executed %d statements, per-page loader %d", row.DBStmts, queries)
+		if row.QueueWait != 0 {
+			t.Errorf("%s: single sync session queued %v", mode2str(mode), row.QueueWait)
+		}
+		if row.Overlap != 0 {
+			t.Errorf("%s: sync dispatch overlapped %v", mode2str(mode), row.Overlap)
+		}
+		var queries int64
+		for _, page := range env.Pages() {
+			_, m, err := env.LoadPageHTML(page, mode, 500*time.Microsecond, querystore.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			queries += m.Queries
+		}
+		if row.DBStmts != queries {
+			t.Errorf("%s: concurrent harness executed %d statements, per-page loader %d", mode2str(mode), row.DBStmts, queries)
+		}
 	}
 }

@@ -54,8 +54,8 @@ type Env struct {
 	// DB is the engine behind Srv; NewEnv partitions its storage when
 	// asked for shards, and the merge wiring asks it for a shard router.
 	DB *engine.DB
-	// StoreCfg is the query-store configuration RunSuite and Throughput
-	// load pages under; the zero value is the paper's configuration. The
+	// StoreCfg is the query-store configuration RunSuite loads pages
+	// under; the zero value is the paper's configuration. The
 	// slothbench -merge and -dispatch flags set it.
 	StoreCfg querystore.Config
 	app      appAdapter
@@ -230,8 +230,7 @@ func (c Comparison) QueryRatio() float64 {
 
 // suiteSum loads every page once in one mode at the paper's 500µs RTT under
 // cfg and sums the pages' metrics (MaxBatch and the dispatcher counts stay
-// zero): the aggregate the throughput model and the store and merge
-// ablations read.
+// zero): the aggregate the store and merge ablations read.
 func (e *Env) suiteSum(mode orm.Mode, cfg querystore.Config) (PageMetrics, error) {
 	var sum PageMetrics
 	for _, page := range e.Pages() {

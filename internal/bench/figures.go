@@ -10,8 +10,9 @@ import (
 )
 
 // This file implements the per-figure reports for Figs. 5, 6, 8, 9, 10 and
-// the appendix table. Throughput (Fig. 7), the compiler experiments (Figs.
-// 11, 12), and overhead (Fig. 13) live in their own files.
+// the appendix table. Throughput (Fig. 7, a view of the concurrent replay),
+// the compiler experiments (Figs. 11, 12), and overhead (Fig. 13) live in
+// their own files.
 
 // ---------------------------------------------------------------------------
 // Figs. 5 & 6 — CDFs of speedup, round-trip ratio, and query ratio.

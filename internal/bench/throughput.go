@@ -5,132 +5,94 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/dispatch"
+	"repro/internal/driver"
 	"repro/internal/orm"
 )
 
 // This file reproduces the throughput experiment (Fig. 7): closed-loop
-// clients repeatedly loading OpenMRS pages, original vs Sloth. The paper
-// ran up to 600 browser clients against real servers; the reproduction
-// measures per-page resource demands on the virtual testbed and feeds them
-// into a closed queueing-network model (exact Mean Value Analysis over a
-// web-CPU station, a DB station, and a network delay station) with a mild
-// contention penalty past saturation — which recreates the published shape:
-// Sloth peaks higher (1.13x on the committed golden, fig7.txt) and at a
-// lower client count, then both decline as the servers saturate.
+// clients loading OpenMRS pages, original vs Sloth. Each point is the
+// replay cell that -exp throughput runs (replayConcurrent): N sessions, each
+// replaying the page suite once, queue for the DB server's worker lanes and
+// the app server's web-CPU lanes (driver.Order), and the rate is pages per
+// virtual second of the makespan. Nothing is modelled: where the curves
+// bend is where the web cores saturate in the replay.
 
-// ThroughputPoint is one (clients, pages/s) sample per mode.
-type ThroughputPoint struct {
-	Clients   int
-	OrigRate  float64
-	SlothRate float64
-}
+// Fig. 7's settings: the paper's 0.5 ms RTT, 12 DB worker lanes, sync
+// dispatch, no visit writes. A doubling counts as flat when it raises the
+// rate by less than fig7Flat; the sweep stops once both curves have been
+// flat for two doublings, or at fig7MaxClients.
+const (
+	fig7RTT        = 500 * time.Microsecond
+	fig7Workers    = 12
+	fig7Flat       = 0.01
+	fig7MaxClients = 256
+)
 
-// ThroughputReport is the Fig. 7 curve.
+// ThroughputReport is the Fig. 7 curve: one replay cell per mode and
+// client count, client counts doubling from 1.
 type ThroughputReport struct {
-	Points []ThroughputPoint
-	// Demands recorded for transparency (per page, seconds).
-	OrigApp, OrigDB, OrigNet    time.Duration
-	SlothApp, SlothDB, SlothNet time.Duration
+	Orig, Sloth []ConcurrencyRow
 }
 
-// demand is the service profile of one page load.
-type demand struct {
-	app, db, net time.Duration
-}
-
-// Throughput measures mean per-page demands at 0.5 ms RTT and sweeps the
-// client counts through the queueing model.
-func Throughput(env *Env, clients []int) (ThroughputReport, error) {
-	const webCores, dbCores = 8, 12
+// Throughput replays the OpenMRS suite under 1, 2, 4, ... closed-loop
+// clients in both modes until both curves have been flat for two doublings.
+func Throughput() (ThroughputReport, error) {
 	var rep ThroughputReport
-
-	measure := func(mode orm.Mode) (demand, error) {
-		sum, err := env.suiteSum(mode, env.StoreCfg)
-		n := time.Duration(len(env.Pages()))
-		return demand{app: sum.AppTime / n, db: sum.DBTime / n, net: sum.NetTime / n}, err
+	opts := ThroughputOptions{RTT: fig7RTT}
+	rises := func(rows []ConcurrencyRow, row ConcurrencyRow) bool {
+		return len(rows) == 0 || row.Rate >= rows[len(rows)-1].Rate*(1+fig7Flat)
 	}
-	orig, err := measure(orm.ModeOriginal)
-	if err != nil {
-		return rep, err
-	}
-	sloth, err := measure(orm.ModeSloth)
-	if err != nil {
-		return rep, err
-	}
-	rep.OrigApp, rep.OrigDB, rep.OrigNet = orig.app, orig.db, orig.net
-	rep.SlothApp, rep.SlothDB, rep.SlothNet = sloth.app, sloth.db, sloth.net
-
-	for _, n := range clients {
-		rep.Points = append(rep.Points, ThroughputPoint{
-			Clients:   n,
-			OrigRate:  mvaThroughput(n, orig, webCores, dbCores),
-			SlothRate: mvaThroughput(n, sloth, webCores, dbCores),
-		})
+	for n, flat := 1, 0; flat < 2 && n <= fig7MaxClients; n *= 2 {
+		orig, err := replayConcurrent(OpenMRS, orm.ModeOriginal, n, dispatch.KindSync, false, fig7Workers, 1, opts)
+		if err != nil {
+			return rep, fmt.Errorf("bench: fig7 original x%d: %w", n, err)
+		}
+		sloth, err := replayConcurrent(OpenMRS, orm.ModeSloth, n, dispatch.KindSync, false, fig7Workers, 1, opts)
+		if err != nil {
+			return rep, fmt.Errorf("bench: fig7 sloth x%d: %w", n, err)
+		}
+		if rises(rep.Orig, orig) || rises(rep.Sloth, sloth) {
+			flat = 0
+		} else {
+			flat++
+		}
+		rep.Orig, rep.Sloth = append(rep.Orig, orig), append(rep.Sloth, sloth)
 	}
 	return rep, nil
 }
 
-// mvaThroughput runs exact MVA for a closed network with two queueing
-// stations (web CPU, DB — multi-server approximated by dividing demand by
-// the core count) and one delay station (network latency), then applies a
-// per-client contention penalty that bends the curve downward after
-// saturation, modeling the scheduler/GC thrash the paper observes on an
-// overloaded web server.
-func mvaThroughput(n int, d demand, webCores, dbCores int) float64 {
-	dWeb := d.app.Seconds() / float64(webCores)
-	dDB := d.db.Seconds() / float64(dbCores)
-	delay := d.net.Seconds()
-
-	qWeb, qDB := 0.0, 0.0
-	x := 0.0
-	for k := 1; k <= n; k++ {
-		rWeb := dWeb * (1 + qWeb)
-		rDB := dDB * (1 + qDB)
-		r := rWeb + rDB + delay
-		x = float64(k) / r
-		qWeb = x * rWeb
-		qDB = x * rDB
+// peak is a curve's highest rate and the fewest clients that reach 95 % of
+// it.
+func peak(rows []ConcurrencyRow) (rate float64, near int) {
+	for _, row := range rows {
+		rate = max(rate, row.Rate)
 	}
-	// Contention penalty: each concurrent client past the knee costs a
-	// little extra CPU (context switching), so throughput declines rather
-	// than plateauing.
-	knee := 1.0 / max(dWeb, dDB) // asymptotic service rate
-	sat := x / knee              // 0..1 utilization of the bottleneck
-	penalty := 1.0 + 0.0008*float64(n)*sat*sat
-	return x / penalty
-}
-
-// PeakRatio reports the ratio of Sloth's peak throughput to the original's,
-// and the client counts at which each peak occurs.
-func (r ThroughputReport) PeakRatio() (ratio float64, slothAt, origAt int) {
-	var bestO, bestS float64
-	for _, p := range r.Points {
-		if p.OrigRate > bestO {
-			bestO, origAt = p.OrigRate, p.Clients
-		}
-		if p.SlothRate > bestS {
-			bestS, slothAt = p.SlothRate, p.Clients
+	for _, row := range rows {
+		if row.Rate >= 0.95*rate {
+			return rate, row.Sessions
 		}
 	}
-	if bestO == 0 {
-		return 0, slothAt, origAt
-	}
-	return bestS / bestO, slothAt, origAt
+	return rate, 0
 }
 
 // Format renders the Fig. 7 series.
 func (r ThroughputReport) Format() string {
 	var sb strings.Builder
-	sb.WriteString("== Fig. 7: throughput vs clients (OpenMRS pages) ==\n")
-	fmt.Fprintf(&sb, "demands/page  original: app %v db %v net %v\n",
-		r.OrigApp.Round(time.Microsecond), r.OrigDB.Round(time.Microsecond), r.OrigNet.Round(time.Microsecond))
-	fmt.Fprintf(&sb, "demands/page  sloth:    app %v db %v net %v\n",
-		r.SlothApp.Round(time.Microsecond), r.SlothDB.Round(time.Microsecond), r.SlothNet.Round(time.Microsecond))
-	fmt.Fprintf(&sb, "%10s %14s %14s\n", "clients", "original p/s", "sloth p/s")
-	for _, p := range r.Points {
-		fmt.Fprintf(&sb, "%10d %14.1f %14.1f\n", p.Clients, p.OrigRate, p.SlothRate)
+	fmt.Fprintf(&sb, "== Fig. 7: throughput vs closed-loop clients (%d-page OpenMRS suite per client) ==\n", pagesPerRow(r.Sloth))
+	fmt.Fprintf(&sb, "sync dispatch, rtt %v, %d DB workers, %d web cores\n", fig7RTT, fig7Workers, driver.WebLanes)
+	fmt.Fprintf(&sb, "%10s %14s %14s %14s %14s\n", "clients", "original p/s", "sloth p/s", "original p50", "sloth p50")
+	for i, o := range r.Orig {
+		s := r.Sloth[i]
+		fmt.Fprintf(&sb, "%10d %14.1f %14.1f %14v %14v\n", o.Sessions, o.Rate, s.Rate,
+			o.P50.Round(time.Microsecond), s.P50.Round(time.Microsecond))
 	}
-	ratio, slothAt, origAt := r.PeakRatio()
-	fmt.Fprintf(&sb, "peak ratio %.2fx (sloth peak at %d clients, original at %d)\n", ratio, slothAt, origAt)
+	orig, origAt := peak(r.Orig)
+	sloth, slothAt := peak(r.Sloth)
+	if n := len(r.Orig); n > 1 && orig > 0 {
+		fmt.Fprintf(&sb, "peak ratio %.2fx (95%% of peak: sloth at %d clients, original at %d)\n", sloth/orig, slothAt, origAt)
+		fmt.Fprintf(&sb, "last doubling moved original %+.2f%%, sloth %+.2f%%\n",
+			100*(r.Orig[n-1].Rate/r.Orig[n-2].Rate-1), 100*(r.Sloth[n-1].Rate/r.Sloth[n-2].Rate-1))
+	}
 	return sb.String()
 }

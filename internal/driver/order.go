@@ -3,17 +3,25 @@ package driver
 import (
 	"sync"
 	"time"
+
+	"repro/internal/netsim"
 )
 
 // Order makes a set of connections, each driven by its own goroutine,
-// execute their batches in virtual-arrival order, so a multi-session replay
-// is a pure function of the code rather than of the host scheduler. A
-// joined connection's Exec parks with its arrival time; a parked batch is
-// released only when every other joined connection is parked too or has
-// left, and the lowest (arrival, join index) goes first. The released
-// session then runs the rest of Exec and its own app code alone until it
-// parks again or leaves: there is no lookahead, so sessions compute in
-// parallel only before their first batch.
+// execute their batches and app compute in virtual-arrival order, so a
+// multi-session replay is a pure function of the code rather than of the
+// host scheduler. A joined connection's Exec and Compute park with their
+// arrival time; a parked connection is released only when every other
+// joined connection is parked too or has left, and the lowest (arrival,
+// join index) goes first. The released session then runs alone until it
+// parks again or leaves. Released arrivals are therefore monotone: nothing
+// is ever placed before an arrival already placed.
+//
+// The order is also the app server: WebLanes web-CPU lanes, each a plain
+// busy horizon. A joined Compute runs on the earliest-free lane, so app
+// time queues once more than WebLanes sessions compute at once. Monotone
+// arrivals mean a lane never has an idle gap worth backfilling, so a
+// horizon is all a lane needs.
 //
 // Every connection joins before any of them submits, and each leaves when
 // it will submit no more (after its final flush, on failure too), or the
@@ -22,10 +30,15 @@ import (
 type Order struct {
 	mu    sync.Mutex
 	slots []*orderSlot // in join order
-	// running counts joined connections neither parked nor left; a batch is
-	// released only when it is zero.
+	// running counts joined connections neither parked nor left; a parked
+	// connection is released only when it is zero.
 	running int
+	// web holds each web-CPU lane's horizon: when its last compute ends.
+	web [WebLanes]time.Duration
 }
+
+// WebLanes is the app server's core count: the paper's web host has 8.
+const WebLanes = 8
 
 // orderSlot is one joined connection's place in its Order.
 type orderSlot struct {
@@ -71,6 +84,36 @@ func (s *orderSlot) park(arrival time.Duration) {
 	s.o.releaseLocked()
 	s.o.mu.Unlock()
 	<-s.wake
+}
+
+// Compute charges d of app-server CPU to the connection's timeline. An
+// unjoined connection advances its clock by d. A joined one parks at its
+// arrival, the way a batch does, then runs d on its order's earliest-free
+// web-CPU lane (lowest index on ties) and advances its clock to the end of
+// that run: app time waits for a core only when every core is busy.
+func (c *Conn) Compute(d time.Duration) {
+	clock := c.link.Clock()
+	if c.order == nil {
+		clock.Advance(d)
+		return
+	}
+	if d <= 0 {
+		return
+	}
+	arrival := clock.Now()
+	c.order.park(arrival)
+	o := c.order.o
+	o.mu.Lock()
+	lane := 0
+	for i, h := range o.web {
+		if h < o.web[lane] {
+			lane = i
+		}
+	}
+	done := max(arrival, o.web[lane]) + d
+	o.web[lane] = done
+	o.mu.Unlock()
+	netsim.AdvanceTo(clock, done)
 }
 
 // releaseLocked wakes the lowest parked (arrival, join index) once no joined

@@ -115,3 +115,68 @@ func TestOrderExecutesInArrivalOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestOrderPricesAppLanes: a joined connection's Compute runs on the
+// earliest-free of WebLanes web-CPU lanes, lowest index on ties. Session i
+// of the first WebLanes computes (i+1)·100µs from time 0 and never waits;
+// one more session, computing 50µs from time 0 too, waits exactly until
+// lane 0 frees at 100µs. Later joiners reach Compute first on the host, so
+// only the order's park puts them in (arrival, join index) order. An
+// unjoined connection's Compute is its clock's Advance, and allocates
+// nothing.
+func TestOrderPricesAppLanes(t *testing.T) {
+	srv := NewServer(engine.New(), netsim.NewVirtualClock(), DefaultCostModel())
+	const us = time.Microsecond
+	work := make([]time.Duration, WebLanes+1)
+	for i := range WebLanes {
+		work[i] = time.Duration(i+1) * 100 * us
+	}
+	work[WebLanes] = 50 * us
+
+	var order Order
+	conns := make([]*Conn, len(work))
+	for i := range conns {
+		conns[i] = srv.Connect(netsim.NewLink(netsim.NewVirtualClock(), 100*us))
+		order.Join(conns[i])
+	}
+	var wg sync.WaitGroup
+	for i, d := range work {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer conns[i].Leave()
+			time.Sleep(time.Duration(len(work)-i) * time.Millisecond)
+			conns[i].Compute(d)
+		}()
+	}
+	wg.Wait()
+
+	for i := range WebLanes {
+		if got := conns[i].Clock().Now(); got != work[i] {
+			t.Errorf("session %d ends at %v, want %v: it waited for a lane with %d free", i, got, work[i], WebLanes)
+		}
+	}
+	if got, want := conns[WebLanes].Clock().Now(), 100*us+50*us; got != want {
+		t.Errorf("session %d ends at %v, want %v: lane 0 frees at 100µs", WebLanes, got, want)
+	}
+	want := [WebLanes]time.Duration{150 * us}
+	for i := 1; i < WebLanes; i++ {
+		want[i] = work[i]
+	}
+	if order.web != want {
+		t.Errorf("lane horizons %v, want %v", order.web, want)
+	}
+
+	alone := srv.Connect(netsim.NewLink(netsim.NewVirtualClock(), 100*us))
+	ref := netsim.NewVirtualClock()
+	for _, d := range []time.Duration{0, 70 * us, -5 * us, time.Millisecond} {
+		alone.Compute(d)
+		ref.Advance(d)
+	}
+	if alone.Clock().Now() != ref.Now() {
+		t.Errorf("unjoined Compute reached %v, Advance %v", alone.Clock().Now(), ref.Now())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { alone.Compute(us) }); allocs != 0 && !raceEnabled {
+		t.Errorf("unjoined Compute allocates %.0f objects", allocs)
+	}
+}

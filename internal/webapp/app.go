@@ -154,11 +154,12 @@ func (a *App) PageNames() []string {
 // decides original vs Sloth behaviour; the writer defers thunks exactly
 // when the session is a Sloth session.
 //
-// App-server time is charged to the session's own clock (the clock behind
-// its connection), in two steps whose sum is unchanged from the original
-// single lump: the ControllerBase share lands between the controller and
-// the view — the framework's template-setup window — and the remainder
-// lands after rendering. Splitting matters for the deferred dispatch
+// App-server time is charged to the session's own clock through its
+// connection's Compute (which, on a connection joined to a driver.Order,
+// also queues for the web host's cores), in two steps whose sum is
+// unchanged from the original single lump: the ControllerBase share lands
+// between the controller and the view — the framework's template-setup
+// window — and the remainder lands after rendering. Splitting matters for the deferred dispatch
 // strategies: the query store's pipelined-flush hint fires right before
 // the template-setup charge, so the accumulated batch crosses the network
 // and executes while the virtual clock advances through setup, and the
@@ -254,7 +255,7 @@ func (a *App) load(r *request, page *Page, req Params, sess *orm.Session) (*Resu
 	if sess.Sloth() {
 		sess.Store().FlushAsync()
 	}
-	clock.Advance(a.profile.ControllerBase)
+	sess.Conn().Compute(a.profile.ControllerBase)
 
 	vctx := pctx.Child("app", "view", clock.Now())
 	w := &r.w
@@ -292,6 +293,6 @@ func (a *App) load(r *request, page *Page, req Params, sess *orm.Session) (*Resu
 		// mode code has no thunks (its Lazy wrappers model plain values).
 		res.AppTime += time.Duration(res.ThunkAllocs) * a.profile.PerThunk
 	}
-	clock.Advance(res.AppTime - a.profile.ControllerBase)
+	sess.Conn().Compute(res.AppTime - a.profile.ControllerBase)
 	return res, nil
 }
